@@ -29,12 +29,17 @@ type KernelPerf struct {
 	KernelEventsPerSec   float64 `json:"kernel_events_per_sec"`
 	KernelAllocsPerEvent float64 `json:"kernel_allocs_per_event"`
 
-	// Rank-execution hot paths (the goroutine-light refactor): one
-	// park/resume round trip of a blocking (goroutine) proc through the
-	// single-token direct handoff, and one wake of a spawn-free sim.Task
-	// state machine. Lower is better, so perfgate gates on the inverted
-	// rates; the task step must also stay allocation-free.
+	// Rank-execution hot paths. Handoff is one wake that crosses goroutines:
+	// two blocking procs yielding in alternation, so the parking proc runs
+	// the other's wake event and passes it the execution token (one
+	// goroutine switch per op). SelfWake is a lone blocking proc yielding in
+	// a loop: it runs its own wake event and never switches (reported, not
+	// gated — it is the event chain plus a function return). TaskStep is one
+	// wake of a spawn-free sim.Task state machine. Lower is better, so
+	// perfgate gates on the inverted rates; the task step must also stay
+	// allocation-free.
 	HandoffOpsPerSec    float64 `json:"handoff_ops_per_sec,omitempty"`
+	SelfWakeOpsPerSec   float64 `json:"self_wake_ops_per_sec,omitempty"`
 	TaskStepOpsPerSec   float64 `json:"task_step_ops_per_sec,omitempty"`
 	TaskStepAllocsPerOp float64 `json:"task_step_allocs_per_op"`
 
@@ -126,19 +131,26 @@ func MeasureKernelPerf() KernelPerf {
 		k.Drain()
 	}) / perRun
 
-	// Rank-execution round trips: a blocking proc yielding in a loop
-	// (park + resume through the token handoff), and a task doing the
-	// same through TaskYield (pure heap rescheduling, no goroutine).
+	// Rank-execution round trips: blocking procs yielding in a loop — two
+	// of them alternating (every wake hands the token to the other
+	// goroutine), then one alone (every wake is its own) — and a task doing
+	// the same through TaskYield (pure heap rescheduling, no goroutine).
 	const yields = 200_000
-	hk := sim.NewKernel()
-	hk.Spawn("yielder", func(pr *sim.Proc) {
-		for i := 0; i < yields; i++ {
-			pr.Yield()
+	yielders := func(n int) float64 {
+		hk := sim.NewKernel()
+		for i := 0; i < n; i++ {
+			hk.Spawn("yielder", func(pr *sim.Proc) {
+				for i := 0; i < yields/n; i++ {
+					pr.Yield()
+				}
+			})
 		}
-	})
-	start = time.Now()
-	hk.Drain()
-	p.HandoffOpsPerSec = yields / time.Since(start).Seconds()
+		start := time.Now()
+		hk.Drain()
+		return yields / time.Since(start).Seconds()
+	}
+	p.HandoffOpsPerSec = yielders(2)
+	p.SelfWakeOpsPerSec = yielders(1)
 	tk := sim.NewKernel()
 	ty := &perfYieldTask{sig: sim.NewSignal(tk)}
 	tk.SpawnTask("yielder", ty)

@@ -3,13 +3,24 @@
 // A simulated MPI rank is a Proc: either a goroutine with blocking calls
 // (Spawn) or a spawn-free resumable state machine (SpawnTask) stepped in
 // kernel context. Goroutine procs are lazy and transient — the goroutine
-// exists only between the start event and body return — and hand control
-// to and from the kernel over a single unbuffered token channel, one
-// rendezvous per park and one per resume. Either way the kernel enforces
-// strictly sequential execution: exactly one goroutine — the kernel loop or
-// a single Proc — runs at any instant. Combined with a totally ordered
-// event queue (time, then insertion sequence) this makes every simulation
-// bit-for-bit reproducible.
+// exists only between the start event and its first hand-off after the body
+// returns.
+//
+// There is no kernel goroutine. One execution token exists per kernel, and
+// whichever goroutine holds it runs the event loop (Kernel.drive): the
+// caller of Run/Drain ("home") to begin with, and from then on whichever
+// proc parked last — a parking proc pops and executes events on its own
+// goroutine until the event it runs is its own wake (it simply returns: no
+// goroutine switch) or another proc's (it passes the token with one channel
+// send and blocks on its own token channel: one switch). Home sleeps on one
+// channel until the loop has to stop: queue drained, shard horizon reached,
+// watchdog budget spent, or a failure recorded. "Kernel context" therefore
+// means "inside an event callback", on whatever goroutine happens to be
+// driving; the token guarantees that exactly one goroutine — the driver or
+// the proc it just resumed — touches simulation state at any instant.
+// Combined with a totally ordered event queue (time, then insertion
+// sequence) this makes every simulation bit-for-bit reproducible: which
+// goroutine pops an event never influences which event is popped.
 //
 // Time is virtual and expressed in nanoseconds. Nothing in this package
 // consults the wall clock.
@@ -17,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -97,6 +109,21 @@ type Kernel struct {
 	started bool
 	fail    error // first panic or kernel-level error observed
 
+	// The migrating event loop (see drive). next is set by the wake/start
+	// event of a goroutine proc and consumed by the driver right after the
+	// event returns. home is where the Run/Drain/runUntil caller sleeps while
+	// a proc goroutine drives; a send on it means "the loop has stopped",
+	// with the reason in stopErr (nil: nothing left to run at or below
+	// until) or crash (a panic raised in kernel context, re-raised by home).
+	// switches counts token hand-offs between goroutines, for tests.
+	next     *Proc
+	home     chan struct{}
+	until    Time // events activating after this instant stay queued
+	stopErr  error
+	crash    any
+	reaping  bool // Run is unwinding the procs still parked after a failed run
+	switches uint64
+
 	// Watchdog state (see SetWatchdog): budgets that turn silent hangs and
 	// livelocks into aborts with a diagnostic report.
 	maxEvents uint64 // 0 = unlimited
@@ -123,7 +150,7 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty simulation kernel at virtual time zero.
-func NewKernel() *Kernel { return new(Kernel) }
+func NewKernel() *Kernel { return &Kernel{home: make(chan struct{})} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -315,11 +342,9 @@ func (k *Kernel) SpawnTaskAt(at Time, name string, t Task) *Proc {
 const waitTagNotStarted = "not yet started"
 
 // startProc is the shared, capture-free start event of SpawnAt/SpawnTaskAt.
-// For a goroutine proc it creates the token channel, launches the goroutine
-// (lazy spawn: this is the first point any stack exists) and blocks until
-// the body parks or returns. For a task proc it runs the first Step inline.
-// The body reference is dropped once consumed so the proc does not pin its
-// closure for the rest of the run.
+// A task proc runs its first Step inline. A goroutine proc is only named as
+// the next token holder; the driver launches the goroutine when it hands the
+// token over (handTo — the first point any stack exists).
 func startProc(x any) {
 	p := x.(*Proc)
 	p.waitTag = ""
@@ -327,28 +352,13 @@ func startProc(x any) {
 		p.k.stepTask(p)
 		return
 	}
-	body := p.body
-	p.body = nil
-	p.tok = make(chan struct{})
-	go p.run(body)
-	<-p.tok
-}
-
-// switchTo hands the execution token to p and blocks until p yields it
-// back. Must only be called from kernel context (inside an event fn). The
-// token channel is unbuffered and strictly alternating — kernel send, proc
-// receive, proc send, kernel receive — so each handoff is one rendezvous
-// and the runtime can switch directly between the two goroutines; mutual
-// exclusion holds because whoever is blocked on the channel touches no
-// shared state until its counterpart's operation completes.
-func (k *Kernel) switchTo(p *Proc) {
-	p.tok <- struct{}{}
-	<-p.tok
+	p.k.next = p
 }
 
 // wakeProc is the shared, capture-free resume callback used by Sleep, Yield
 // and Signal.Fire: scheduling it through AtCall costs no allocation. Task
-// procs are stepped inline; goroutine procs get the token.
+// procs are stepped inline; a goroutine proc is named as the next token
+// holder, which the driver acts on as soon as this event returns.
 func wakeProc(x any) {
 	p := x.(*Proc)
 	if p.finished {
@@ -358,7 +368,154 @@ func wakeProc(x any) {
 		p.k.stepTask(p)
 		return
 	}
-	p.k.switchTo(p)
+	p.k.next = p
+}
+
+// handTo passes the execution token to p. The first hand-off launches p's
+// goroutine and drops the body reference, so the proc does not pin its
+// closure for the rest of the run; every later one is a single send on p's
+// unbuffered token channel, on which p is (or is about to be) blocked in
+// await. The sender must touch no simulation state afterwards.
+func (k *Kernel) handTo(p *Proc) {
+	k.switches++
+	if body := p.body; body != nil {
+		p.body = nil
+		p.tok = make(chan struct{})
+		go p.run(body)
+		return
+	}
+	p.tok <- struct{}{}
+}
+
+// drive runs the event loop on the calling goroutine, which must hold the
+// execution token: home (self == nil), a proc inside park, or the goroutine
+// of a proc whose body has returned. Events are popped and executed in
+// (at, seq) order until one of three things happens:
+//
+//   - The event just run was self's own wake: drive returns and self carries
+//     on, having switched goroutines zero times.
+//   - The event woke or started another goroutine proc: the token goes to it
+//     (handTo). A parked self then blocks until its own wake comes round, a
+//     finished self returns so its goroutine can exit, and home sleeps until
+//     the loop stops.
+//   - The loop must stop — a failure is recorded, nothing is left at or
+//     below k.until, or a watchdog budget is spent. The reason goes into
+//     k.stopErr; a proc driver wakes home and then waits like any parked
+//     proc, home just returns.
+//
+// So drive returns to a parked proc exactly when that proc has been resumed,
+// and to home exactly when the loop has stopped. Mutual exclusion needs no
+// lock: every transfer is a channel send the receiver is blocked on, and the
+// sender's next action is to block, return to a caller that exits, or — for
+// home — sleep, so each send is also the happens-before edge that publishes
+// the sender's writes to the next driver. The watchdog checks are inert on
+// shard kernels, whose budgets are kept by the group (Shards.SetWatchdog).
+func (k *Kernel) drive(self *Proc) {
+	if self != nil {
+		defer k.carryPanic(self)
+	}
+	for {
+		if k.fail != nil {
+			k.stop(self, k.fail)
+			return
+		}
+		if len(k.heap) == 0 || k.heap[0].at > k.until {
+			k.stop(self, nil)
+			return
+		}
+		e := k.pop()
+		k.now = e.at
+		if k.maxTime > 0 && k.now > k.maxTime {
+			k.stop(self, fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
+				k.now, k.maxTime, k.report()))
+			return
+		}
+		k.nEvents++
+		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
+			k.stop(self, fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)\n%s",
+				k.maxEvents, k.now, k.report()))
+			return
+		}
+		e.call()
+		p := k.next
+		if p == nil {
+			continue
+		}
+		k.next = nil
+		if p == self {
+			return
+		}
+		k.handTo(p)
+		if self == nil {
+			<-k.home
+		} else if !self.finished {
+			self.await()
+		}
+		return
+	}
+}
+
+// stop ends the loop with the given reason. A proc driver wakes home and
+// then waits for its own wake like any other parked proc: a later Drain or
+// shard round resumes the loop from home.
+func (k *Kernel) stop(self *Proc, err error) {
+	k.stopErr = err
+	if self != nil {
+		k.wakeHome(self)
+	}
+}
+
+// wakeHome returns the token from a proc driver to home. A parked self then
+// waits for its wake; a finished one returns so its goroutine can exit.
+func (k *Kernel) wakeHome(self *Proc) {
+	k.switches++
+	k.home <- struct{}{}
+	if !self.finished {
+		self.await()
+	}
+}
+
+// carryPanic is deferred by proc drivers. A panic raised by an event
+// callback — kernel context: fabric frame validation, a malformed unlock at
+// a lock agent — belongs to the caller of Run, not to the proc whose
+// goroutine happened to be driving, so it must not unwind into that proc's
+// body and be reported as the proc's own. It is left in k.crash for home to
+// re-raise (with its value, but without the callback's stack), and the
+// driver stays blocked like every other proc of the broken run.
+func (k *Kernel) carryPanic(self *Proc) {
+	if r := recover(); r != nil {
+		k.crash = r
+		k.wakeHome(self)
+	}
+}
+
+// loop is home's side of the event loop: run everything activating at or
+// below until, on whichever goroutines the token visits, and report why the
+// loop stopped. A kernel-context panic carried over from a proc goroutine is
+// re-raised here with its original value.
+func (k *Kernel) loop(until Time) error {
+	k.until = until
+	k.stopErr = nil
+	k.drive(nil)
+	if r := k.crash; r != nil {
+		k.crash = nil
+		panic(r)
+	}
+	return k.stopErr
+}
+
+// reap unwinds every goroutine proc still parked after a failed run, one at
+// a time under the token, so rank-body defers run strictly sequentially and
+// no stack outlives Run. A reaped proc leaves through runtime.Goexit (see
+// await); its epilogue hands the token straight back.
+func (k *Kernel) reap() {
+	k.reaping = true
+	for i := 0; i < len(k.procs); i++ { // a body defer may Spawn; such procs never start
+		if p := k.procs[i]; p.tok != nil && !p.finished {
+			p.tok <- struct{}{}
+			<-k.home
+		}
+	}
 }
 
 // stepTask runs one Step of a task proc in kernel context and enforces the
@@ -422,7 +579,8 @@ func (k *Kernel) AddDiagProvider(fn func(*Proc) string) {
 // Run executes events until the queue drains. It returns an error if any
 // proc panicked, if an event was scheduled in the past, if a watchdog budget
 // was exceeded, or if the queue drained while procs were still parked
-// (deadlock).
+// (deadlock). On an error return the procs still parked are unwound (reap),
+// so a failed run leaves no goroutine behind.
 func (k *Kernel) Run() error {
 	if k.started {
 		return fmt.Errorf("sim: kernel already ran")
@@ -431,58 +589,29 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("sim: kernel is a shard; drive it through Shards.Run")
 	}
 	k.started = true
-	for len(k.heap) > 0 {
-		e := k.pop()
-		k.now = e.at
-		if k.maxTime > 0 && k.now > k.maxTime {
-			return fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
-				k.now, k.maxTime, k.report())
-		}
-		k.nEvents++
-		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
-			return fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)\n%s",
-				k.maxEvents, k.now, k.report())
-		}
-		e.call()
-		if k.fail != nil {
-			return k.fail
+	err := k.loop(math.MaxInt64)
+	if err == nil {
+		if stuck := k.parked(); len(stuck) > 0 {
+			err = fmt.Errorf("sim: deadlock at t=%d: parked procs with empty event queue: %s\n%s",
+				k.now, strings.Join(stuck, ", "), k.report())
 		}
 	}
-	if stuck := k.parked(); len(stuck) > 0 {
-		return fmt.Errorf("sim: deadlock at t=%d: parked procs with empty event queue: %s\n%s",
-			k.now, strings.Join(stuck, ", "), k.report())
+	if err != nil {
+		k.reap()
 	}
-	return nil
+	return err
 }
 
 // Drain processes pending events until the queue is empty, without Run's
-// run-once guard or deadlock detection. It exists so microbenchmarks and
+// run-once guard, deadlock detection or reaping: procs parked when it
+// returns stay parked for the next call. It exists so microbenchmarks and
 // allocation tests outside this package can pump the kernel in repeatable
 // steps; simulations use Run. The watchdog budgets (SetWatchdog) ARE
 // honored — a harness bug that makes a pumped chain self-reschedule forever
 // must abort like any other livelock instead of hanging CI — with the same
 // error shapes as Run. Budgets accumulate across Drain calls, exactly as
 // they would across the events of one Run.
-func (k *Kernel) Drain() error {
-	for len(k.heap) > 0 {
-		e := k.pop()
-		k.now = e.at
-		if k.maxTime > 0 && k.now > k.maxTime {
-			return fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
-				k.now, k.maxTime, k.report())
-		}
-		k.nEvents++
-		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
-			return fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)\n%s",
-				k.maxEvents, k.now, k.report())
-		}
-		e.call()
-		if k.fail != nil {
-			return k.fail
-		}
-	}
-	return nil
-}
+func (k *Kernel) Drain() error { return k.loop(math.MaxInt64) }
 
 // Events returns the number of events processed so far.
 func (k *Kernel) Events() uint64 { return k.nEvents }
@@ -497,20 +626,9 @@ func (k *Kernel) nextAt() (Time, bool) {
 
 // runUntil executes every pending event with activation time strictly below
 // horizon, including events those events insert locally. It is the per-round
-// body of one shard: the per-event watchdog checks live at the round level
-// (Shards.Run), so only abort propagation is handled here.
-func (k *Kernel) runUntil(horizon Time) error {
-	for len(k.heap) > 0 && k.heap[0].at < horizon {
-		e := k.pop()
-		k.now = e.at
-		k.nEvents++
-		e.call()
-		if k.fail != nil {
-			return k.fail
-		}
-	}
-	return nil
-}
+// body of one shard, whose caller is home for the round: procs left parked
+// at the horizon resume when the next round's loop reaches their wake.
+func (k *Kernel) runUntil(horizon Time) error { return k.loop(horizon - 1) }
 
 // parked lists the names of procs that are blocked with no pending wakeup.
 func (k *Kernel) parked() []string {

@@ -17,9 +17,12 @@ import (
 //     stepped in kernel context, so the proc never owns a goroutine or a
 //     stack at all. This is the fast path large worlds run on.
 //
-// Either way the kernel enforces strictly sequential execution: exactly one
-// goroutine — the kernel loop or a single proc — runs at any instant, so
-// proc code never races with other procs or with event callbacks.
+// Either way execution is strictly sequential: exactly one goroutine holds
+// the kernel's execution token at any instant, so proc code never races
+// with other procs or with event callbacks. A goroutine proc that blocks
+// does not hand the token to a scheduler: it becomes the scheduler, running
+// the event loop on its own goroutine until some proc — often itself — is
+// due to continue (Kernel.drive).
 type Proc struct {
 	k        *Kernel
 	Name     string
@@ -27,10 +30,10 @@ type Proc struct {
 	finished bool
 	waitTag  string // human-readable description of what the proc waits on
 
-	// tok is the execution token for goroutine-mode procs: a single
-	// unbuffered channel carrying strictly alternating kernel->proc and
-	// proc->kernel handoffs, so each direction change is one rendezvous.
-	// nil until the start event fires, and always nil for task procs.
+	// tok is where a goroutine-mode proc that gave the token away waits to
+	// get it back: unbuffered, one send per resume, always from the goroutine
+	// that ran the proc's wake event. nil until the goroutine is launched
+	// (Kernel.handTo), and always nil for task procs.
 	tok chan struct{}
 
 	// body holds the application function between SpawnAt and the start
@@ -74,22 +77,29 @@ type Task interface {
 	Step(p *Proc)
 }
 
-// run is the goroutine entry point of a goroutine-mode proc: the body
-// executes immediately (startProc blocks on the token until the first park)
-// and the epilogue always returns the execution token to the kernel.
+// run is the goroutine entry point of a goroutine-mode proc, launched
+// holding the token. When the body returns (or panics) the proc is finished
+// but its goroutine still holds the token, so it keeps driving the event
+// loop until the first hand-off and only then exits: finishing a proc costs
+// no trip back to home.
 func (p *Proc) run(body func(*Proc)) {
 	defer func() {
 		p.finished = true
+		k := p.k
 		if r := recover(); r != nil {
 			// Error panics are wrapped (%w) so callers of Kernel.Run can
 			// unwrap typed failures — e.g. core's *RMAError — with errors.As.
 			if err, ok := r.(error); ok {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
+				k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
 			} else {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
+				k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
 			}
 		}
-		p.tok <- struct{}{}
+		if k.reaping {
+			k.home <- struct{}{}
+			return
+		}
+		k.drive(p)
 	}()
 	body(p)
 }
@@ -100,17 +110,29 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park yields the execution token and blocks until some event resumes this
-// proc. tag describes the wait for deadlock diagnostics. The send and the
-// receive are both rendezvous on the proc's own unbuffered token channel:
-// the send wakes the kernel (which is blocked receiving in switchTo), the
-// receive blocks until the kernel's next switchTo send.
+// park blocks until some event resumes this proc, driving the event loop
+// meanwhile. tag describes the wait for deadlock diagnostics. During reaping
+// nothing may run any more, so a body defer that tries to block unwinds
+// further instead.
 func (p *Proc) park(tag string) {
+	if p.k.reaping {
+		runtime.Goexit()
+	}
 	p.waitTag = tag
 	p.captureSite()
-	p.tok <- struct{}{}
-	<-p.tok
+	p.k.drive(p)
 	p.clearWait()
+}
+
+// await blocks a proc that has given the token away until it comes back,
+// which means the proc's wake event has just run on the sender's goroutine —
+// or that Run is reaping, in which case the goroutine unwinds through the
+// body's defers to run's epilogue without resuming the body.
+func (p *Proc) await() {
+	<-p.tok
+	if p.k.reaping {
+		runtime.Goexit()
+	}
 }
 
 // captureSite records the blocking call site when diagnostics are on.

@@ -2,17 +2,30 @@ package sim
 
 import "testing"
 
-// BenchmarkParkResume measures the scheduler handoff cost: a single proc
-// yielding in a loop, so each op is one park (proc -> kernel) plus one
-// resume (kernel -> proc) plus one wake event. This is the number the
-// direct-handoff scheduler is gated on in cmd/perfgate.
+// BenchmarkParkResume measures a wake that crosses goroutines: two procs
+// yielding in alternation, so each op is one park, the other proc's wake
+// event run by the parking proc, and one token hand-off (a single goroutine
+// switch). This is the shape cmd/perfgate gates as handoff ops/sec.
 func BenchmarkParkResume(b *testing.B) {
+	benchYielders(b, 2)
+}
+
+// BenchmarkSelfWake measures the zero-switch path: a single proc yielding in
+// a loop runs its own wake event and returns, so each op is one park plus
+// one event.
+func BenchmarkSelfWake(b *testing.B) {
+	benchYielders(b, 1)
+}
+
+func benchYielders(b *testing.B, n int) {
 	k := NewKernel()
-	k.Spawn("yielder", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Yield()
-		}
-	})
+	for i := 0; i < n; i++ {
+		k.Spawn("yielder", func(p *Proc) {
+			for i := 0; i < b.N; i += n {
+				p.Yield()
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(); err != nil {

@@ -16,7 +16,10 @@ import (
 //   - Ranks are partitioned into shards; each shard owns a Kernel with its
 //     own heap, clock, seq counter and execution token, so everything a
 //     rank touches (its Proc, NIC, windows, queues) stays single-threaded
-//     within the shard.
+//     within the shard. The token migrates among the shard's proc
+//     goroutines during a round (Kernel.drive) and is back with the round's
+//     caller — the shard's home — before the barrier, so the barrier's
+//     channel operations still order everything a shard did before the merge.
 //   - The run proceeds in barrier-synchronized rounds. Each round computes
 //     the global safe horizon = min(next event time across all shards) +
 //     lookahead, where lookahead is the fabric's minimum cross-shard link
@@ -229,7 +232,19 @@ func (s *Shards) Run() error {
 	if s.lookahead <= 0 {
 		panic("sim: Shards.Run without SetLookahead")
 	}
+	err := s.rounds()
+	if err != nil {
+		// Like Kernel.Run: unwind the procs still parked, shard by shard, all
+		// from this goroutine (the workers have nothing left to do).
+		for _, k := range s.ks {
+			k.reap()
+		}
+	}
+	return err
+}
 
+// rounds is the barrier-synchronized round loop of Run.
+func (s *Shards) rounds() error {
 	// Persistent shard workers, one per rank shard beyond the first; shard 0
 	// runs on the coordinator goroutine (with one shard — or one busy shard
 	// — the round degenerates to an inline call, no handoffs). The channels
@@ -242,7 +257,7 @@ func (s *Shards) Run() error {
 		start[i] = make(chan Time, 1)
 		go func(k *Kernel, st chan Time) {
 			for h := range st {
-				k.runUntil(h)
+				k.runRound(h)
 				done <- struct{}{}
 			}
 		}(s.ks[i+1], start[i])
@@ -273,6 +288,11 @@ func (s *Shards) Run() error {
 		for i := 0; i < nw; i++ {
 			<-done
 		}
+		for _, k := range s.ks[1:s.n] {
+			if r := k.crash; r != nil {
+				panic(r)
+			}
+		}
 		if err := s.firstFail(); err != nil {
 			return err
 		}
@@ -300,6 +320,19 @@ func (s *Shards) Run() error {
 			s.maxNow(), strings.Join(stuck, ", "), s.report())
 	}
 	return nil
+}
+
+// runRound is runUntil on a worker goroutine. A kernel-context panic there
+// would kill the process from a goroutine nobody can recover on; it is kept
+// in k.crash for the coordinator to re-raise from Shards.Run, where the
+// serial kernel raises it from Run.
+func (k *Kernel) runRound(horizon Time) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.crash = r
+		}
+	}()
+	k.runUntil(horizon)
 }
 
 // firstFail returns the first shard failure in shard order.
