@@ -411,7 +411,7 @@ func TestScheduledDeathPoisonsOnlyDependentWindows(t *testing.T) {
 			return // rank 2 dies at 100us; rank 1 serves in NIC context
 		}
 		winB.Put(2, 0, []byte("pre-death"), 9)
-		winB.Flush(2) // completes: rank 2 is still alive
+		winB.Flush(2)                    // completes: rank 2 is still alive
 		r.Compute(200 * sim.Microsecond) // past death + detection
 		errB = winB.Err()
 		errA = winA.Err()

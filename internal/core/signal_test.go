@@ -21,10 +21,10 @@ func TestSigNewerWraparound(t *testing.T) {
 		{1, 0, true},
 		{0, 1, false},
 		{5, 5, false},
-		{0, max, true},        // wrapped successor is newer
+		{0, max, true}, // wrapped successor is newer
 		{max, 0, false},
 		{max - 2, max - 3, true},
-		{3, max - 3, true},    // 7 steps across the wrap
+		{3, max - 3, true}, // 7 steps across the wrap
 		{max - 3, 3, false},
 	}
 	for _, c := range cases {

@@ -62,10 +62,10 @@ type flushState struct {
 	lS     int  // local shared holders
 
 	// Origin-side state.
-	heldShared map[int]bool // targets locked shared by this origin
-	heldExcl   map[int]bool // targets locked exclusive by this origin
-	noCheck    map[int]bool // MPI_MODE_NOCHECK pseudo-locks (no protocol)
-	lockAll    bool         // lock_all held
+	heldShared map[int]bool         // targets locked shared by this origin
+	heldExcl   map[int]bool         // targets locked exclusive by this origin
+	noCheck    map[int]bool         // MPI_MODE_NOCHECK pseudo-locks (no protocol)
+	lockAll    bool                 // lock_all held
 	pending    map[*lockOp]struct{} // in-flight protocol operations
 
 	// master is the rank hosting this window's global counter pair

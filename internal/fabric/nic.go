@@ -9,9 +9,9 @@ import "repro/internal/sim"
 type desc struct {
 	n       *NIC
 	pkt     *Packet
-	dst     int      // cached: pkt may be recycled before the credit returns
-	rail    int      // which injection rail carries this descriptor
-	wire    int64    // bytes charged to this rail (== pkt.Size unless striped)
+	dst     int   // cached: pkt may be recycled before the credit returns
+	rail    int   // which injection rail carries this descriptor
+	wire    int64 // bytes charged to this rail (== pkt.Size unless striped)
 	stripe  *stripeGroup
 	regCost sim.Time // registration-cache miss penalty, charged as DMA setup
 }

@@ -89,6 +89,7 @@ func TestValidateRejectsNonPositiveRanks(t *testing.T) {
 	}()
 	NewNetwork(sim.NewKernel(), 0, DefaultConfig())
 }
+
 // TestValidateWorldSizeCeiling pins the rank-addressing limit: MaxRanks is
 // accepted, one past it is refused naming the packed-field width — beyond
 // it rank ids overflow the RankBits-wide packet-key fields and would

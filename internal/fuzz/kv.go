@@ -37,9 +37,9 @@ func KVOptions(seed uint64) kvstore.Options {
 	mix := (seed + 0x5e11_ed_cafe) * 0x9e3779b97f4a7c15
 	mix ^= mix >> 33
 	opt.Mode = kvModes[mix%3]
-	opt.Servers = 2 + int((mix>>2)%3)  // 2..4
-	opt.Clients = 2 + int((mix>>4)%4)  // 2..5
-	opt.Keys = 32 << ((mix >> 7) % 2)  // 32 or 64
+	opt.Servers = 2 + int((mix>>2)%3) // 2..4
+	opt.Clients = 2 + int((mix>>4)%4) // 2..5
+	opt.Keys = 32 << ((mix >> 7) % 2) // 32 or 64
 	opt.OpsPerClient = 24 + 8*int((mix>>9)%3)
 	opt.ReadPermille = 300 + 100*int((mix>>11)%5)
 

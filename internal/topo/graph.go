@@ -39,13 +39,13 @@ type Graph struct {
 	feeders [][]int32
 
 	// Routing state per kind.
-	w, h                   int       // torus/ring grid (ring is h == 1)
-	xPlus, xMinus          []int32   // per grid vertex: +x / -x link
-	yPlus, yMinus          []int32   // per grid vertex: +y / -y link
-	hostUp                 []int32   // fat-tree: host -> its leaf
-	leafDown               [][]int32 // fat-tree: per leaf, per local slot
-	leafUp                 [][]int32 // fat-tree: per leaf, per spine
-	spineDown              [][]int32 // fat-tree: per spine, per leaf
+	w, h                    int       // torus/ring grid (ring is h == 1)
+	xPlus, xMinus           []int32   // per grid vertex: +x / -x link
+	yPlus, yMinus           []int32   // per grid vertex: +y / -y link
+	hostUp                  []int32   // fat-tree: host -> its leaf
+	leafDown                [][]int32 // fat-tree: per leaf, per local slot
+	leafUp                  [][]int32 // fat-tree: per leaf, per spine
+	spineDown               [][]int32 // fat-tree: per spine, per leaf
 	leaves, spines, perLeaf int
 }
 
