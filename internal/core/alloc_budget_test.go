@@ -1,0 +1,110 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/fabric"
+	"repro/internal/mpi"
+)
+
+// Allocation budgets per epoch, measured the way the macro benchmark's
+// core.mallocs_per_gats_epoch driver measures them: the heap-object count of
+// a 2N-epoch run minus that of an N-epoch run cancels world and window
+// construction, leaving the exact steady-state cost of N epochs. The counts
+// repeat to a fraction of an object per epoch (slice growth amortizes to
+// ~0.01), so each budget sits one object above today's reading — a map, a
+// boxed handle or a per-call slice sneaking back in fails tier-1, not just
+// the benchmark.
+
+// epochMallocs returns the heap objects one epoch costs on a 2-rank world:
+// rank 0 runs origin and rank 1 runs target (may be nil) once per epoch.
+func epochMallocs(t *testing.T, opt WinOptions, origin, target func(*Window, *mpi.Rank)) float64 {
+	t.Helper()
+	const epochs = 400
+	opt.ShapeOnly = true
+	run := func(n int) uint64 {
+		w := mpi.NewWorld(2, fabric.DefaultConfig())
+		rt := NewRuntime(w)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := w.Run(func(r *mpi.Rank) {
+			win := rt.CreateWindow(r, 4096, opt)
+			for i := 0; i < n; i++ {
+				if r.ID == 0 {
+					origin(win, r)
+				} else if target != nil {
+					target(win, r)
+				}
+			}
+			r.Barrier()
+			win.Quiesce()
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("simulation failed: %v", err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	run(epochs) // warm-up: lazily built runtime state must not count
+	m1, m2 := run(epochs), run(2*epochs)
+	return (float64(m2) - float64(m1)) / epochs
+}
+
+func TestEpochAllocationBudgets(t *testing.T) {
+	peer0, peer1 := []int{0}, []int{1}
+	gatsOrigin := func(win *Window, _ *mpi.Rank) {
+		win.Start(peer1)
+		win.Put(1, 0, nil, 8)
+		win.Complete()
+	}
+	gatsTarget := func(win *Window, _ *mpi.Rank) {
+		win.Post(peer0)
+		win.WaitEpoch()
+	}
+	fence := func(win *Window, r *mpi.Rank) {
+		win.Fence(AssertNone)
+		if r.ID == 0 {
+			win.Put(1, 0, nil, 8)
+		}
+		win.Fence(AssertNoSucceed)
+	}
+	lock := func(win *Window, _ *mpi.Rank) {
+		win.Lock(1, true)
+		win.Put(1, 0, nil, 8)
+		win.Unlock(1)
+	}
+	lockAll := func(win *Window, _ *mpi.Rank) {
+		win.LockAll()
+		win.Put(1, 0, nil, 8)
+		win.UnlockAll()
+	}
+	flushPut := func(win *Window, r *mpi.Rank) {
+		win.Put(1, 0, nil, 8)
+		r.Wait(win.IFlush(1))
+	}
+	cases := []struct {
+		name           string
+		opt            WinOptions
+		origin, target func(*Window, *mpi.Rank)
+		budget         float64 // heap objects per epoch, both ranks together
+	}{
+		{"new/gats", WinOptions{Mode: ModeNew}, gatsOrigin, gatsTarget, 8},
+		{"new/fence", WinOptions{Mode: ModeNew}, fence, fence, 8},
+		{"new/lock", WinOptions{Mode: ModeNew}, lock, nil, 5},
+		{"new/lock_all", WinOptions{Mode: ModeNew}, lockAll, nil, 5},
+		{"vanilla/gats", WinOptions{Mode: ModeVanilla}, gatsOrigin, gatsTarget, 8},
+		{"vanilla/fence", WinOptions{Mode: ModeVanilla}, fence, fence, 6},
+		{"vanilla/lock", WinOptions{Mode: ModeVanilla}, lock, nil, 4},
+		{"vanilla/lock_all", WinOptions{Mode: ModeVanilla}, lockAll, nil, 5},
+		{"flush/put+flush", WinOptions{Mode: ModeFlush}, flushPut, nil, 4},
+		{"signal/gats", WinOptions{Mode: ModeNew, Transport: TransportSignal}, gatsOrigin, gatsTarget, 8},
+	}
+	for _, c := range cases {
+		got := epochMallocs(t, c.opt, c.origin, c.target)
+		t.Logf("%-18s %6.2f objects/epoch (budget %.0f)", c.name, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%s: %.2f heap objects per epoch, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}

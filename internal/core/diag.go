@@ -58,8 +58,8 @@ func (e *Engine) dumpState() string {
 				ep, ep.recLive, ep.pendingAll, ep.doneCount, ep.doneTargetCount())
 			if ep.kind.isAccessRole() && ep.activated {
 				var ungranted []int
-				for _, t := range ep.accessTargets() {
-					if !ep.granted(t) {
+				for i, n := 0, ep.groupSize(); i < n; i++ {
+					if t, _ := ep.peerAt(i); !ep.granted(t) {
 						ungranted = append(ungranted, t)
 					}
 				}

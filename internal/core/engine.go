@@ -94,13 +94,13 @@ func (e *Engine) Progress() {
 	// handling.
 	e.drainCPUQueue()
 	// Step 2: posting of internode RMA communications.
-	e.postReady(false)
+	e.postReady(interNode)
 	// Step 3: batch completion of all possible epochs and activation of
 	// some deferred epochs.
 	e.completeAndActivate()
 	// Step 4: posting of intranode RMA communications (plus retrying FIFO
 	// words that found their ring full).
-	e.postReady(true)
+	e.postReady(intraNode)
 	e.flushBacklog()
 	// Step 5: consumption of intranode notifications.
 	e.consumeFifos()
@@ -121,34 +121,17 @@ func (e *Engine) drainCPUQueue() {
 	}
 }
 
-// postReady issues grant-ready recorded ops. The intranode flag splits the
-// sweep into the paper's steps 2 and 4; ops whose target locality does not
-// match are left recorded for the other step.
-func (e *Engine) postReady(intranode bool) {
-	cfg := e.rt.world.Net.Cfg
+// postReady issues grant-ready recorded ops of one locality (steps 2 and
+// 4); ops toward the other locality stay recorded for the other step.
+func (e *Engine) postReady(scope nodeScope) {
 	for _, w := range e.winList {
 		if w.mode == ModeVanilla {
 			continue // vanilla issues only from its closing synchronizations
 		}
 		for _, ep := range w.epochs {
-			if !ep.activated || ep.recLive == 0 {
-				continue
+			if ep.activated && ep.recLive > 0 {
+				e.issueReady(ep, scope)
 			}
-			kept := ep.recorded[:0]
-			for _, o := range ep.recorded {
-				if o.issued {
-					continue
-				}
-				local := cfg.SameNode(e.rank.ID, o.target)
-				if local == intranode && ep.granted(o.target) {
-					ep.popBucket(o)
-					ep.recLive--
-					e.issue(o)
-				} else {
-					kept = append(kept, o)
-				}
-			}
-			ep.recorded = kept
 		}
 	}
 }
@@ -163,84 +146,75 @@ func (e *Engine) completeAndActivate() {
 	}
 }
 
-// nicDeliver demultiplexes RMA packets in kernel context.
+// nicDeliver demultiplexes RMA packets in kernel context. Data-path packets
+// carry their origin's *rmaOp as payload (see rmaOp).
 func (e *Engine) nicDeliver(p *fabric.Packet) {
 	switch p.Kind {
 	case fabric.KindPutData:
-		wo := p.Payload.(*wireOp)
+		o := p.Payload.(*rmaOp)
 		tw := e.win(p.Arg[0])
-		if wo.op.vec != nil {
-			tw.applyPutVector(wo.op.off, wo.op.data, *wo.op.vec)
+		if o.vec != nil {
+			tw.applyPutVector(o.off, o.data, *o.vec)
 		} else {
-			tw.applyPut(wo.op.off, wo.op.data, wo.op.size)
+			tw.applyPut(o.off, o.data, o.size)
 		}
-		tw.emitArrival(traceDataIn, p.Src, wo.op.size)
-		e.ackOp(p.Src, wo)
+		tw.emitArrival(traceDataIn, p.Src, o.size)
+		e.ackOp(p.Src, o)
 
 	case fabric.KindGetReq:
-		wo := p.Payload.(*wireOp)
+		o := p.Payload.(*rmaOp)
 		tw := e.win(p.Arg[0])
 		var data []byte
-		if wo.op.vec != nil {
-			data = tw.snapshotVector(wo.op.off, *wo.op.vec)
+		if o.vec != nil {
+			data = tw.snapshotVector(o.off, *o.vec)
 		} else {
-			data = tw.snapshot(wo.op.off, wo.op.size)
+			data = tw.snapshot(o.off, o.size)
 		}
-		e.respond(p, fabric.KindGetResp, wo, wo.op.size, data)
+		e.respond(p, fabric.KindGetResp, o, o.size, data)
 
-	case fabric.KindGetResp:
-		wo := p.Payload.(*wireOp)
-		fillResult(wo.op, p)
-		wo.eng.opDelivered(wo.op)
+	case fabric.KindGetResp, fabric.KindGetAccResp, fabric.KindCASResp:
+		o := p.Payload.(*rmaOp)
+		if o.buf != nil && o.resp != nil {
+			copy(o.buf[:o.size], o.resp)
+		}
+		o.engine().opDelivered(o)
 
 	case fabric.KindAccData:
-		wo := p.Payload.(*wireOp)
+		o := p.Payload.(*rmaOp)
 		tw := e.win(p.Arg[0])
-		tw.applyAcc(wo.op.off, wo.op.data, wo.op.size, wo.op.op, wo.op.dtype)
-		tw.emitArrival(traceDataIn, p.Src, wo.op.size)
-		e.ackOp(p.Src, wo)
+		tw.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
+		tw.emitArrival(traceDataIn, p.Src, o.size)
+		e.ackOp(p.Src, o)
 
 	case fabric.KindAccRTS:
 		// Target-side intermediate buffer reserved; clear the origin to
 		// send. The CTS needs origin CPU processing (step 1), which is
 		// exactly what denies overlapping to large accumulates.
-		wo := p.Payload.(*wireOp)
-		e.respond(p, fabric.KindAccCTS, wo, ctrlBytes, nil)
+		e.respond(p, fabric.KindAccCTS, p.Payload.(*rmaOp), ctrlBytes, nil)
 
 	case fabric.KindAccCTS:
-		wo := p.Payload.(*wireOp)
-		op := wo.op
+		o := p.Payload.(*rmaOp)
 		e.cpuQueue = append(e.cpuQueue, func() {
-			op.ctsWait = false
-			e.post(op, fabric.KindAccData, op.size)
+			o.ctsWait = false
+			e.post(o, fabric.KindAccData, o.size)
 		})
 		e.rank.Wake.Fire()
 
 	case fabric.KindGetAccReq:
-		wo := p.Payload.(*wireOp)
+		o := p.Payload.(*rmaOp)
 		tw := e.win(p.Arg[0])
-		old := tw.snapshot(wo.op.off, wo.op.size)
-		tw.applyAcc(wo.op.off, wo.op.data, wo.op.size, wo.op.op, wo.op.dtype)
-		e.respond(p, fabric.KindGetAccResp, wo, ctrlBytes+wo.op.size, old)
-
-	case fabric.KindGetAccResp:
-		wo := p.Payload.(*wireOp)
-		fillResult(wo.op, p)
-		wo.eng.opDelivered(wo.op)
+		old := tw.snapshot(o.off, o.size)
+		tw.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
+		e.respond(p, fabric.KindGetAccResp, o, ctrlBytes+o.size, old)
 
 	case fabric.KindCASReq:
-		wo := p.Payload.(*wireOp)
+		o := p.Payload.(*rmaOp)
 		tw := e.win(p.Arg[0])
-		old := tw.snapshot(wo.op.off, wo.op.size)
-		if tw.buf != nil && bytesEqual(old, wo.op.cmp) {
-			copy(tw.buf[wo.op.off:wo.op.off+wo.op.size], wo.op.data)
+		old := tw.snapshot(o.off, o.size)
+		if tw.buf != nil && bytesEqual(old, o.cmp) {
+			copy(tw.buf[o.off:o.off+o.size], o.data)
 		}
-		e.respond(p, fabric.KindCASResp, wo, ctrlBytes+wo.op.size, old)
-
-	case fabric.KindCASResp:
-		wo := p.Payload.(*wireOp)
-		fillResult(wo.op, p)
-		wo.eng.opDelivered(wo.op)
+		e.respond(p, fabric.KindCASResp, o, ctrlBytes+o.size, old)
 
 	case fabric.KindSignal:
 		// One-sided counter-replica write (signal.go): the NIC merges the
@@ -298,20 +272,20 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 // run keep its lookahead (and why Network.Lookahead is capped at Alpha).
 // Serial kernels execute the same event at the same instant, so the two
 // modes stay bit-identical.
-func (e *Engine) ackOp(origin int, wo *wireOp) {
+func (e *Engine) ackOp(origin int, o *rmaOp) {
 	cfg := e.rt.world.Net.Cfg
 	if cfg.SameNode(e.rank.ID, origin) {
-		wo.eng.opDelivered(wo.op)
+		o.engine().opDelivered(o)
 		return
 	}
 	k := e.rank.Kernel()
-	k.AtCross(k.Now()+cfg.Alpha, opDeliveredEvent, wo, e.rank.ID, origin)
+	k.AtCross(k.Now()+cfg.Alpha, opDeliveredEvent, o, e.rank.ID, origin)
 }
 
 // opDeliveredEvent is ackOp's shared, capture-free event body.
 func opDeliveredEvent(x any) {
-	wo := x.(*wireOp)
-	wo.eng.opDelivered(wo.op)
+	o := x.(*rmaOp)
+	o.engine().opDelivered(o)
 }
 
 // win resolves a window id on this rank.
@@ -323,64 +297,60 @@ func (e *Engine) win(id int64) *Window {
 	return w
 }
 
-// respond posts a response packet back to the requester (NIC-autonomous).
-func (e *Engine) respond(req *fabric.Packet, kind fabric.Kind, wo *wireOp, size int64, data []byte) {
-	wo.resp = data
+// respond posts a response packet back to the requester (NIC-autonomous),
+// parking the fetched value in the op for the response leg.
+func (e *Engine) respond(req *fabric.Packet, kind fabric.Kind, o *rmaOp, size int64, data []byte) {
+	o.resp = data
 	p := e.rt.world.Net.AllocPacketAt(e.rank.ID)
 	p.Src, p.Dst, p.Kind, p.Size = e.rank.ID, req.Src, kind, size
-	p.Payload = wo
+	p.Payload = o
 	p.Arg = [4]int64{req.Arg[0], 0, 0, 0}
 	e.rank.Send(p)
-}
-
-// fillResult copies a fetched value into the op's result buffer.
-func fillResult(o *rmaOp, p *fabric.Packet) {
-	wo := p.Payload.(*wireOp)
-	if o.buf != nil && wo.resp != nil {
-		copy(o.buf[:o.size], wo.resp)
-	}
 }
 
 // deliverSelf fulfils a self-targeted op through the loopback path after
 // the intranode copy latency; scheduling it as an event avoids reentering
 // epoch state mid-issue.
 func (e *Engine) deliverSelf(o *rmaOp) {
-	w := o.ep.win
 	cfg := e.rt.world.Net.Cfg
-	d := cfg.AlphaIntra + cfg.IntraCopyTime(o.size)
-	e.rank.Kernel().After(d, func() {
-		switch o.class {
-		case opPut:
-			if o.vec != nil {
-				w.applyPutVector(o.off, o.data, *o.vec)
-			} else {
-				w.applyPut(o.off, o.data, o.size)
-			}
-		case opGet:
-			if o.vec != nil {
-				if snap := w.snapshotVector(o.off, *o.vec); snap != nil && o.buf != nil {
-					copy(o.buf[:o.size], snap)
-				}
-			} else if o.buf != nil && w.buf != nil {
-				copy(o.buf[:o.size], w.buf[o.off:o.off+o.size])
-			}
-		case opAcc:
-			w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
-		case opGetAcc:
-			old := w.snapshot(o.off, o.size)
-			w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
-			if o.buf != nil && old != nil {
-				copy(o.buf[:o.size], old)
-			}
-		case opCAS:
-			old := w.snapshot(o.off, o.size)
-			if w.buf != nil && bytesEqual(old, o.cmp) {
-				copy(w.buf[o.off:o.off+o.size], o.data)
-			}
-			if o.buf != nil && old != nil {
-				copy(o.buf[:o.size], old)
-			}
+	e.rank.Kernel().AfterCall(cfg.AlphaIntra+cfg.IntraCopyTime(o.size), selfDeliverEvent, o)
+}
+
+// selfDeliverEvent is deliverSelf's shared, capture-free event body.
+func selfDeliverEvent(x any) {
+	o := x.(*rmaOp)
+	w := o.ep.win
+	switch o.class {
+	case opPut:
+		if o.vec != nil {
+			w.applyPutVector(o.off, o.data, *o.vec)
+		} else {
+			w.applyPut(o.off, o.data, o.size)
 		}
-		e.opDelivered(o)
-	})
+	case opGet:
+		if o.vec != nil {
+			if snap := w.snapshotVector(o.off, *o.vec); snap != nil && o.buf != nil {
+				copy(o.buf[:o.size], snap)
+			}
+		} else if o.buf != nil && w.buf != nil {
+			copy(o.buf[:o.size], w.buf[o.off:o.off+o.size])
+		}
+	case opAcc:
+		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
+	case opGetAcc:
+		old := w.snapshot(o.off, o.size)
+		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
+		if o.buf != nil && old != nil {
+			copy(o.buf[:o.size], old)
+		}
+	case opCAS:
+		old := w.snapshot(o.off, o.size)
+		if w.buf != nil && bytesEqual(old, o.cmp) {
+			copy(w.buf[o.off:o.off+o.size], o.data)
+		}
+		if o.buf != nil && old != nil {
+			copy(o.buf[:o.size], old)
+		}
+	}
+	w.eng.opDelivered(o)
 }

@@ -10,6 +10,24 @@ import (
 // inactive when the application opens an epoch, possibly deferred, then
 // activated by the progress engine, and finally completed once all its
 // origin- or target-side completion conditions hold.
+//
+// All per-peer state lives in one slot table (peers). Every epoch has exactly
+// one peer group — the targets of an access-role epoch, the origins of an
+// exposure, both at once for a fence:
+//
+//   - explicit-group kinds (access, exposure, lock) build the table from the
+//     group at open, in group order, and never grow it: the table IS the
+//     group, and slot i is the i-th member;
+//   - whole-window kinds (fence, lock_all) cover every rank by definition
+//     and own a slot only for peers they touched. Activation touches all of
+//     them and makes the table dense (slot i is rank i: one array, no
+//     hashing); flush mode's perpetual lock_all epoch is never activated and
+//     touches only the peers the rank communicates with, so a 64k-rank flush
+//     window stays O(touched).
+//
+// The epoch owns its slots; nothing outside this package's epoch/ops code
+// keeps a *epochPeer, and none survives a call to slot (append may move the
+// table).
 type Epoch struct {
 	win  *Window
 	kind EpochKind
@@ -24,33 +42,29 @@ type Epoch struct {
 	closedApp bool // the application issued the closing synchronization
 	completed bool // internal lifetime over; successors may activate
 
-	// Access side.
-	targets    []int            // peers this epoch may access
-	targetSet  map[int]bool     // fast coverage lookup for large groups
-	accessID   map[int]int64    // per-target A_i, assigned at activation
-	recorded   []*rmaOp         // program order; issued entries are skipped
-	recByTgt   map[int][]*rmaOp // per-target recorded queues (program order)
-	recLive    int              // recorded-but-unissued op count
-	pending    map[int]int      // issued-but-incomplete op count per target
-	pendingAll int              // total issued-but-incomplete ops
-	locPend    map[int]int      // issued-but-not-locally-complete count per target (signal gating)
-	locPendAll int              // total issued-but-not-locally-complete ops
-	usedTarget map[int]bool     // targets this epoch actually communicated with
-	donePosted map[int]bool     // done/unlock packet posted per target
-	doneCount  int              // number of done/unlock packets posted
+	// peers is the slot table; index maps rank -> slot once a sparse table
+	// outgrows a linear scan (nil before); dense marks slot i == rank i.
+	peers []epochPeer
+	index map[int]int32
+	dense bool
 
-	// Exposure side.
-	origins  []int
-	exposeID map[int]int64 // per-origin e_l id, assigned at activation
+	// Recorded-but-unissued ops, threaded through the ops themselves:
+	// recHead/recTail is the program-order log (rmaOp.nextRec; entries issued
+	// through their per-target queue stay linked until the next traversal
+	// skips them), and each slot heads its target's queue (rmaOp.nextTgt).
+	recHead, recTail *rmaOp
+	recLive          int // recorded-but-unissued op count
+
+	// Epoch-wide sums of the per-slot counters.
+	pendingAll int // issued-but-incomplete ops
+	locPendAll int // issued-but-not-locally-complete ops (signal gating)
+	doneCount  int // done/unlock packets posted
 
 	// extents records access ranges when conflict checking is enabled.
 	extents []opExtent
 
-	// Fence epochs double as both sides; round is the fence round index.
-	round int64
-
 	// Requests (Section VII-C: specialized request objects).
-	openReq  *mpi.Request // dummy, pre-completed
+	openReq  *mpi.Request // the rank's shared pre-completed request
 	closeReq *mpi.Request // completes when the epoch completes
 
 	// err is set when the epoch was aborted instead of completing cleanly
@@ -64,117 +78,177 @@ type Epoch struct {
 	congOpen int64
 }
 
+// epochPeer is one peer's slot in an epoch: everything the epoch knows about
+// that peer, on both sides.
+type epochPeer struct {
+	rank    int32
+	pending int32 // issued-but-incomplete ops toward the peer
+	locPend int32 // issued-but-not-locally-complete ops (signal gating)
+
+	hasAccess, hasExpose bool  // accessID / exposeID assigned (at activation)
+	used                 bool  // the epoch communicated with the peer
+	donePosted           bool  // done/unlock packet posted
+	accessID             int64 // A_i toward the peer
+	exposeID             int64 // e_l toward the peer
+
+	recHead, recTail *rmaOp // recorded ops toward the peer, program order
+}
+
+// slotScanMax is the table size up to which lookups scan linearly. Groups of
+// one to three peers are the common case, and the log2(n) partner groups of
+// dissemination-style patterns (9 at 512 ranks, 16 at 64k) still fit: a scan
+// of that length costs less than a hash, and the index map costs four heap
+// objects per epoch.
+const slotScanMax = 16
+
 func newEpoch(w *Window, kind EpochKind) *Epoch {
-	// Maps are allocated lazily on first write: a typical exposure epoch
-	// never touches the access-side maps and vice versa, and epochs are
-	// created at very high rates in application workloads.
 	ep := &Epoch{win: w, kind: kind, seq: w.nextEpochSeq}
 	w.nextEpochSeq++
 	w.stats.EpochsOpened++
 	return ep
 }
 
-// ensureAccessMaps lazily allocates the access-side maps.
-func (ep *Epoch) ensureAccessMaps(hint int) {
-	if ep.accessID == nil {
-		ep.accessID = make(map[int]int64, hint)
-		ep.pending = make(map[int]int, hint)
-		ep.donePosted = make(map[int]bool, hint)
+// setGroup installs the peer group of an explicit-group epoch.
+func (ep *Epoch) setGroup(group []int) {
+	ep.peers = make([]epochPeer, len(group))
+	for i, p := range group {
+		ep.peers[i].rank = int32(p)
+	}
+	if len(group) > slotScanMax {
+		ep.buildIndex(len(group))
 	}
 }
 
-// ensureExposeMap lazily allocates the exposure-side map.
-func (ep *Epoch) ensureExposeMap(hint int) {
-	if ep.exposeID == nil {
-		ep.exposeID = make(map[int]int64, hint)
+func (ep *Epoch) buildIndex(hint int) {
+	ep.index = make(map[int]int32, hint)
+	for i := range ep.peers {
+		ep.index[int(ep.peers[i].rank)] = int32(i)
 	}
+}
+
+// find returns rank t's slot, or nil if the epoch holds none for it.
+func (ep *Epoch) find(t int) *epochPeer {
+	if ep.dense {
+		if uint(t) < uint(len(ep.peers)) {
+			return &ep.peers[t]
+		}
+		return nil
+	}
+	if ep.index != nil {
+		if i, ok := ep.index[t]; ok {
+			return &ep.peers[i]
+		}
+		return nil
+	}
+	for i := range ep.peers {
+		if int(ep.peers[i].rank) == t {
+			return &ep.peers[i]
+		}
+	}
+	return nil
+}
+
+// slot returns rank t's slot, appending it on first touch (whole-window
+// kinds only; an explicit group is complete from setGroup on).
+func (ep *Epoch) slot(t int) *epochPeer {
+	if s := ep.find(t); s != nil {
+		return s
+	}
+	i := len(ep.peers)
+	ep.peers = append(ep.peers, epochPeer{rank: int32(t)})
+	if ep.index != nil {
+		ep.index[t] = int32(i)
+	} else if i >= slotScanMax {
+		ep.buildIndex(2 * len(ep.peers))
+	}
+	return &ep.peers[i]
+}
+
+// fill gives a whole-window epoch a slot for every rank, in rank order, and
+// keeps what the sparse table recorded (ops may precede activation).
+func (ep *Epoch) fill() {
+	sparse := ep.peers
+	ep.peers = make([]epochPeer, ep.win.n)
+	for i := range ep.peers {
+		ep.peers[i].rank = int32(i)
+	}
+	for _, s := range sparse {
+		ep.peers[s.rank] = s
+	}
+	ep.index, ep.dense = nil, true
+}
+
+// wholeWindow reports whether the epoch's group is every rank of the window.
+func (ep *Epoch) wholeWindow() bool {
+	return ep.kind == EpochFence || ep.kind == EpochLockAll
+}
+
+// groupSize and peerAt enumerate the epoch's group without materializing it:
+// 0..n-1 for whole-window kinds, the slot table otherwise. The slot is nil
+// for a peer a whole-window epoch has not touched.
+func (ep *Epoch) groupSize() int {
+	if ep.wholeWindow() {
+		return ep.win.n
+	}
+	return len(ep.peers)
+}
+
+func (ep *Epoch) peerAt(i int) (int, *epochPeer) {
+	if ep.wholeWindow() {
+		return i, ep.find(i)
+	}
+	return int(ep.peers[i].rank), &ep.peers[i]
+}
+
+// inGroup reports whether rank t belongs to the epoch's group.
+func (ep *Epoch) inGroup(t int) bool {
+	if ep.wholeWindow() {
+		return t >= 0 && t < ep.win.n
+	}
+	return ep.find(t) != nil
 }
 
 // coversTarget reports whether the epoch's access side includes rank t.
 func (ep *Epoch) coversTarget(t int) bool {
-	if !ep.kind.isAccessRole() {
-		return false
-	}
-	switch ep.kind {
-	case EpochFence, EpochLockAll:
-		return t >= 0 && t < ep.win.n
-	default:
-		if ep.targetSet != nil {
-			return ep.targetSet[t]
-		}
-		for _, x := range ep.targets {
-			if x == t {
-				return true
-			}
-		}
-		return false
-	}
+	return ep.kind.isAccessRole() && ep.inGroup(t)
 }
 
-// setTargets installs the access-side target group, building the fast
-// lookup set for large groups.
-func (ep *Epoch) setTargets(ts []int) {
-	ep.targets = ts
-	if len(ts) > 8 {
-		ep.targetSet = make(map[int]bool, len(ts))
-		for _, t := range ts {
-			ep.targetSet[t] = true
-		}
-	}
-}
-
-// record appends an op to both the program-order log and its per-target
-// queue.
+// record appends an op to both the program-order log and its target's queue.
 func (ep *Epoch) record(o *rmaOp) {
-	ep.recorded = append(ep.recorded, o)
-	if ep.recByTgt == nil {
-		ep.recByTgt = make(map[int][]*rmaOp)
+	s := ep.slot(o.target)
+	s.used = true
+	if s.recTail == nil {
+		s.recHead = o
+	} else {
+		s.recTail.nextTgt = o
 	}
-	ep.recByTgt[o.target] = append(ep.recByTgt[o.target], o)
+	s.recTail = o
+	ep.logRecorded(o)
 	ep.recLive++
 }
 
-// popBucket removes o from its per-target queue (o is normally the head).
-func (ep *Epoch) popBucket(o *rmaOp) {
-	b := ep.recByTgt[o.target]
-	for i, x := range b {
-		if x == o {
-			b = append(b[:i:i], b[i+1:]...)
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(ep.recByTgt, o.target)
+// logRecorded appends o to the program-order log.
+func (ep *Epoch) logRecorded(o *rmaOp) {
+	if ep.recTail == nil {
+		ep.recHead = o
 	} else {
-		ep.recByTgt[o.target] = b
+		ep.recTail.nextRec = o
 	}
+	ep.recTail = o
 }
 
-// accessTargets returns the peers on the access side (fence and lock_all
-// cover the whole window).
-func (ep *Epoch) accessTargets() []int {
-	switch ep.kind {
-	case EpochFence, EpochLockAll:
-		all := make([]int, ep.win.n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	default:
-		return ep.targets
+// dropRecorded forgets every recorded op (epoch abort): both intrusive
+// queues are emptied and the ops unlinked from one another.
+func (ep *Epoch) dropRecorded() {
+	for o := ep.recHead; o != nil; {
+		next := o.nextRec
+		o.nextRec, o.nextTgt = nil, nil
+		o = next
 	}
-}
-
-// exposureOrigins returns the peers on the exposure side.
-func (ep *Epoch) exposureOrigins() []int {
-	if ep.kind == EpochFence {
-		all := make([]int, ep.win.n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
+	for i := range ep.peers {
+		ep.peers[i].recHead, ep.peers[i].recTail = nil, nil
 	}
-	return ep.origins
+	ep.recHead, ep.recTail, ep.recLive = nil, nil, 0
 }
 
 // granted reports whether target t has granted this epoch's access.
@@ -182,11 +256,21 @@ func (ep *Epoch) granted(t int) bool {
 	if ep.noCheck {
 		return ep.activated // MPI_MODE_NOCHECK: asserted by the caller
 	}
-	id, ok := ep.accessID[t]
-	if !ok {
+	s := ep.find(t)
+	if s == nil || !s.hasAccess {
 		return false // not activated yet
 	}
-	return ep.win.peer(t).granted(id)
+	return ep.win.peer(t).granted(s.accessID)
+}
+
+// allGranted reports whether every target of the group has granted access.
+func (ep *Epoch) allGranted() bool {
+	for i, n := 0, ep.groupSize(); i < n; i++ {
+		if t, _ := ep.peerAt(i); !ep.granted(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // accessSideDone reports whether all origin-side completion conditions
@@ -213,28 +297,22 @@ func (ep *Epoch) accessSideDone() bool {
 	return ep.doneCount == ep.doneTargetCount()
 }
 
-// doneTargetCount is len(doneTargets()) without the allocation.
+// doneTargetCount is the number of peers that must receive a done/unlock
+// packet when this epoch closes. GATS and fence epochs notify the whole group
+// (their exposure side blocks on it); lock epochs notify (unlock) only their
+// target; lock_all unlocks every peer it locked (all of them).
 func (ep *Epoch) doneTargetCount() int {
-	switch ep.kind {
-	case EpochFence, EpochLockAll:
-		return ep.win.n
-	case EpochAccess, EpochLock:
-		return len(ep.targets)
-	default:
+	if !ep.kind.isAccessRole() {
 		return 0
 	}
+	return ep.groupSize()
 }
 
-// doneTargets returns the peers that must receive a done/unlock packet when
-// this epoch closes. GATS and fence epochs notify the whole group (their
-// exposure side blocks on it); lock epochs notify (unlock) only their
-// target; lock_all unlocks every peer it actually locked (all of them).
-func (ep *Epoch) doneTargets() []int {
-	switch ep.kind {
-	case EpochAccess, EpochFence, EpochLock, EpochLockAll:
-		return ep.accessTargets()
-	default:
-		return nil
+// postDones posts every done/unlock packet whose conditions hold.
+func (ep *Epoch) postDones() {
+	for i, n := 0, ep.doneTargetCount(); i < n; i++ {
+		t, _ := ep.peerAt(i)
+		ep.maybePostDone(t)
 	}
 }
 
@@ -245,15 +323,15 @@ func (ep *Epoch) exposureSideDone() bool {
 	if !ep.kind.isExposureRole() {
 		return true
 	}
-	if !ep.activated || !ep.closedApp {
-		return false
-	}
-	for _, o := range ep.exposureOrigins() {
-		id, ok := ep.exposeID[o]
-		if !ok {
-			return false
-		}
-		if !ep.win.peer(o).exposureComplete(id) {
+	return ep.activated && ep.closedApp && ep.donesArrived()
+}
+
+// donesArrived reports whether every origin of the group has sent the done
+// packet matching this epoch's exposure toward it.
+func (ep *Epoch) donesArrived() bool {
+	for i, n := 0, ep.groupSize(); i < n; i++ {
+		o, s := ep.peerAt(i)
+		if s == nil || !s.hasExpose || !ep.win.peer(o).exposureComplete(s.exposeID) {
 			return false
 		}
 	}

@@ -133,9 +133,7 @@ func (w *Window) abortEpoch(ep *Epoch, err *RMAError) {
 			delete(w.liveOps, o)
 		}
 	}
-	ep.recorded = nil
-	ep.recByTgt = nil
-	ep.recLive = 0
+	ep.dropRecorded()
 	ep.completed = true
 	if ep.closeReq != nil {
 		ep.closeReq.Fail(err)
@@ -239,26 +237,23 @@ func (w *Window) classifyStall(ep *Epoch) *RMAError {
 // excluded — the set failover logic can act on.
 func (w *Window) blockedPeers(ep *Epoch) []int {
 	var out []int
-	add := func(p int) {
-		if p == w.rank.ID || containsRank(out, p) {
-			return
+	for i, n := 0, ep.groupSize(); i < n; i++ {
+		p, sp := ep.peerAt(i)
+		if p == w.rank.ID {
+			continue
 		}
-		out = append(out, p)
-	}
-	if ep.kind.isAccessRole() {
-		for _, t := range ep.accessTargets() {
-			if !ep.granted(t) || ep.pending[t] > 0 || len(ep.recByTgt[t]) > 0 ||
-				(ep.closedApp && !ep.donePosted[t]) {
-				add(t)
-			}
+		var s epochPeer // zero for an untouched peer: nothing assigned or posted
+		if sp != nil {
+			s = *sp
 		}
-	}
-	if ep.kind.isExposureRole() {
-		for _, o := range ep.exposureOrigins() {
-			id, ok := ep.exposeID[o]
-			if !ok || !w.peer(o).exposureComplete(id) {
-				add(o)
-			}
+		blocked := ep.kind.isAccessRole() &&
+			(!ep.granted(p) || s.pending > 0 || s.recHead != nil ||
+				(ep.closedApp && !s.donePosted))
+		if !blocked && ep.kind.isExposureRole() {
+			blocked = !s.hasExpose || !w.peer(p).exposureComplete(s.exposeID)
+		}
+		if blocked {
+			out = append(out, p)
 		}
 	}
 	sort.Ints(out)
@@ -321,18 +316,9 @@ func (w *Window) deadDependency(ep *Epoch) int {
 	if dead == nil {
 		return -1
 	}
-	if ep.kind.isAccessRole() {
-		for _, t := range ep.accessTargets() {
-			if t != w.rank.ID && dead[t] {
-				return t
-			}
-		}
-	}
-	if ep.kind.isExposureRole() {
-		for _, o := range ep.exposureOrigins() {
-			if o != w.rank.ID && dead[o] {
-				return o
-			}
+	for i, n := 0, ep.groupSize(); i < n; i++ {
+		if p, _ := ep.peerAt(i); p != w.rank.ID && dead[p] {
+			return p
 		}
 	}
 	return -1
@@ -361,9 +347,7 @@ func (w *Window) abortOnDeadPeer(peer int) {
 		if ep.completed {
 			continue
 		}
-		involved := (ep.kind.isAccessRole() && ep.coversTarget(peer)) ||
-			(ep.kind.isExposureRole() && containsRank(ep.exposureOrigins(), peer))
-		if involved {
+		if ep.inGroup(peer) {
 			e := w.newRMAError(ErrRankUnreachable, peer,
 				"%s epoch seq %d depends on unreachable peer", ep.kind, ep.seq)
 			e.Peers = []int{peer}
@@ -371,13 +355,4 @@ func (w *Window) abortOnDeadPeer(peer int) {
 			return
 		}
 	}
-}
-
-func containsRank(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -71,10 +71,10 @@ func (w *Window) requirePassiveEpoch(t int) {
 //
 // Scope invariant: addOp registers EVERY RMA call in w.liveOps at record
 // time — including ops recorded into a deferred (not-yet-activated) passive
-// epoch that sit unissued in ep.recByTgt. A flush stamped while such an
-// epoch waits for its grant therefore counts those ops and stays pending
-// until they issue and land; only abortEpoch removes ops from liveOps
-// without completing them (and that path fails the flushes too).
+// epoch that sit unissued in its recorded-op queues. A flush stamped while
+// such an epoch waits for its grant therefore counts those ops and stays
+// pending until they issue and land; only abortEpoch removes ops from
+// liveOps without completing them (and that path fails the flushes too).
 func (w *Window) newFlush(target int, local bool) *mpi.Request {
 	w.rank.ChargeCall()
 	return w.newFlushNC(target, local)

@@ -18,7 +18,11 @@ const (
 
 // rmaOp is one RMA communication call, recorded against its epoch and
 // issued to the NIC once the epoch is active and the target has granted
-// access.
+// access. It is also its own wire handle: data-path packets carry the *rmaOp
+// as payload, so the target-side NIC handler reads the transfer from it and
+// raises origin-side completion (the simulation's completion-queue event) on
+// its engine, and the response leg parks the fetched value in resp. An op is
+// never recycled — a late ack or a fabric-level duplicate may still hold it.
 type rmaOp struct {
 	ep     *Epoch
 	class  opClass
@@ -33,6 +37,11 @@ type rmaOp struct {
 	age    int64        // monotonic age, for flush stamping (Section VII-C)
 	vec    *vecShape    // strided layout; nil for contiguous ops
 	req    *mpi.Request // request-based variants; nil otherwise
+	resp   []byte       // fetched value carried by the response leg
+
+	// Intrusive links of the epoch's recorded-op queues (epoch.go): program
+	// order across targets, and program order toward this op's target.
+	nextRec, nextTgt *rmaOp
 
 	issued     bool
 	localDone  bool // payload left the origin buffer (wire transmission done)
@@ -83,17 +92,14 @@ func (w *Window) addOpNC(o *rmaOp) {
 	if w.chkCfl {
 		w.checkConflict(o)
 	}
-	if ep.usedTarget == nil {
-		ep.usedTarget = make(map[int]bool)
-	}
-	ep.usedTarget[o.target] = true
 	ep.record(o)
 	if w.mode == ModeVanilla {
 		// Vanilla issues eagerly only when the target is already known to
 		// be ready at call time (this is what gives MVAPICH in-epoch
-		// overlap for GATS/fence, per Section VIII-A); otherwise the whole
-		// batch waits for the closing synchronization.
-		if ep.activated && ep.granted(o.target) && ep.recordedFor(o.target) == 1 {
+		// overlap for GATS/fence, per Section VIII-A) and nothing older
+		// toward it is still recorded; otherwise the whole batch waits for
+		// the closing synchronization.
+		if ep.activated && ep.find(o.target).recHead == o {
 			w.eng.issueBucket(ep, o.target)
 		}
 		return
@@ -103,49 +109,68 @@ func (w *Window) addOpNC(o *rmaOp) {
 	}
 }
 
-// recordedFor counts recorded (not yet issued) ops toward target t.
-func (ep *Epoch) recordedFor(t int) int { return len(ep.recByTgt[t]) }
-
 // issueBucket issues every recorded op toward target t, in program order,
 // provided t has granted access. O(bucket) — the fast path driven by
 // grant arrivals and op calls.
 func (e *Engine) issueBucket(ep *Epoch, t int) {
-	if !ep.granted(t) {
+	s := ep.find(t)
+	if s == nil || s.recHead == nil || !ep.granted(t) {
 		return
 	}
-	b := ep.recByTgt[t]
-	if len(b) == 0 {
-		return
-	}
-	delete(ep.recByTgt, t)
-	ep.recLive -= len(b)
-	for _, o := range b {
+	o := s.recHead
+	s.recHead, s.recTail = nil, nil
+	for o != nil {
+		next := o.nextTgt
+		o.nextTgt = nil
+		ep.recLive--
 		e.issue(o)
+		o = next
 	}
 }
 
-// issueReady issues, in program order, every recorded op whose target has
-// granted access. It runs in engine (CPU) context — and in the vanilla
-// closing synchronizations, which force-issue regardless of recording.
-func (e *Engine) issueReady(ep *Epoch) {
-	if ep.recLive == 0 {
-		ep.recorded = ep.recorded[:0]
-		return
-	}
-	kept := ep.recorded[:0]
-	for _, o := range ep.recorded {
-		if o.issued {
-			continue
-		}
-		if ep.granted(o.target) {
-			ep.popBucket(o)
+// nodeScope restricts issueReady to one target locality, splitting the
+// progress sweep into the paper's steps 2 (internode) and 4 (intranode).
+type nodeScope int8
+
+const (
+	anyNode nodeScope = iota
+	interNode
+	intraNode
+)
+
+// issueReady issues, in program order, every recorded op of the given
+// locality whose target has granted access, and leaves the rest recorded.
+// It runs in engine (CPU) context — and in the vanilla closing
+// synchronizations, which force-issue regardless of recording.
+func (e *Engine) issueReady(ep *Epoch, scope nodeScope) {
+	cfg := e.rt.world.Net.Cfg
+	o := ep.recHead
+	ep.recHead, ep.recTail = nil, nil
+	for o != nil {
+		next := o.nextRec
+		o.nextRec = nil
+		switch {
+		case o.issued:
+			// Went out through its target's queue (issueBucket); drop it.
+		case (scope == anyNode || (scope == intraNode) == cfg.SameNode(e.rank.ID, o.target)) &&
+			ep.granted(o.target):
+			// Program order restricted to one target is that target's queue
+			// order, so o heads its queue.
+			s := ep.find(o.target)
+			if s.recHead != o {
+				ep.win.raisef("recorded-op queues of %s disagree toward target %d", ep, o.target)
+			}
+			if s.recHead = o.nextTgt; s.recHead == nil {
+				s.recTail = nil
+			}
+			o.nextTgt = nil
 			ep.recLive--
 			e.issue(o)
-		} else {
-			kept = append(kept, o)
+		default:
+			ep.logRecorded(o)
 		}
+		o = next
 	}
-	ep.recorded = kept
 }
 
 // issue hands one op to the fabric. Issue order per target equals program
@@ -153,13 +178,11 @@ func (e *Engine) issueReady(ep *Epoch) {
 func (e *Engine) issue(o *rmaOp) {
 	ep := o.ep
 	o.issued = true
-	ep.pending[o.target]++
+	s := ep.slot(o.target)
+	s.pending++
 	ep.pendingAll++
 	if ep.win.sigLocalGate() {
-		if ep.locPend == nil {
-			ep.locPend = make(map[int]int, len(ep.pending))
-		}
-		ep.locPend[o.target]++
+		s.locPend++
 		ep.locPendAll++
 	}
 	if o.target == e.rank.ID {
@@ -197,13 +220,23 @@ const ctrlBytes = 32
 func (e *Engine) post(o *rmaOp, kind fabric.Kind, wireSize int64) {
 	p := e.rt.world.Net.AllocPacketAt(e.rank.ID)
 	p.Src, p.Dst, p.Kind, p.Size = e.rank.ID, o.target, kind, wireSize
-	p.Payload = &wireOp{op: o, eng: e}
+	p.Payload = o
 	p.Arg = [4]int64{o.ep.win.id, 0, 0, regionKey(o.ep.win, o.target)}
 	if kind == fabric.KindPutData || kind == fabric.KindAccData {
-		op := o
-		p.OnTxDone = func() { e.opLocalDone(op) }
+		p.OnTxDone = opTxDone
 	}
 	e.rank.Send(p)
+}
+
+// engine returns the origin engine of op o.
+func (o *rmaOp) engine() *Engine { return o.ep.win.eng }
+
+// opTxDone is the shared, capture-free wire-completion callback of data
+// packets: the fabric fires it before the packet is delivered (and so before
+// the pool can recycle it), which is why reading p.Payload here is safe.
+func opTxDone(p *fabric.Packet) {
+	o := p.Payload.(*rmaOp)
+	o.engine().opLocalDone(o)
 }
 
 // regionKey identifies the local memory region backing an op for the
@@ -242,9 +275,10 @@ func (e *Engine) opSigDone(o *rmaOp) {
 		return
 	}
 	o.sigDone = true
-	ep.locPend[o.target]--
+	s := ep.slot(o.target)
+	s.locPend--
 	ep.locPendAll--
-	if ep.locPend[o.target] < 0 || ep.locPendAll < 0 {
+	if s.locPend < 0 || ep.locPendAll < 0 {
 		ep.win.raisef("local-completion accounting went negative on %s (target %d)", ep, o.target)
 	}
 	if ep.closedApp {
@@ -266,9 +300,10 @@ func (e *Engine) opDelivered(o *rmaOp) {
 		e.opLocalDone(o)
 	}
 	ep := o.ep
-	ep.pending[o.target]--
+	s := ep.slot(o.target)
+	s.pending--
 	ep.pendingAll--
-	if ep.pending[o.target] < 0 || ep.pendingAll < 0 {
+	if s.pending < 0 || ep.pendingAll < 0 {
 		ep.win.raisef("op completion accounting went negative on %s (target %d)", ep, o.target)
 	}
 	ep.win.settleFlushes(o, false)
@@ -292,20 +327,21 @@ func (ep *Epoch) maybePostDone(t int) {
 	if ep.err != nil {
 		return // aborted epochs must not signal successful completion
 	}
-	if !ep.activated || !ep.closedApp || ep.donePosted[t] {
+	if !ep.activated || !ep.closedApp {
 		return
 	}
-	if ep.recordedFor(t) > 0 {
+	s := ep.find(t)
+	if s == nil || s.donePosted || s.recHead != nil {
 		return
 	}
 	if ep.win.sigLocalGate() {
 		// Signal transport: the done/unlock may ride as soon as the last
 		// transfer toward t is on the wire — the NIC's per-peer FIFO keeps
 		// it behind the data (see opSigDone).
-		if ep.locPend[t] > 0 {
+		if s.locPend > 0 {
 			return
 		}
-	} else if ep.pending[t] > 0 {
+	} else if s.pending > 0 {
 		return
 	}
 	switch ep.kind {
@@ -313,7 +349,7 @@ func (ep *Epoch) maybePostDone(t int) {
 		if !ep.granted(t) {
 			return // cannot release a lock that was never acquired
 		}
-		ep.donePosted[t] = true
+		s.donePosted = true
 		ep.doneCount++
 		if !ep.noCheck {
 			ep.win.eng.sendUnlock(ep.win, t)
@@ -325,11 +361,11 @@ func (ep *Epoch) maybePostDone(t int) {
 			ep.win.sendUserSignal(t)
 		}
 	case EpochAccess, EpochFence:
-		if ep.usedTarget[t] && !ep.granted(t) {
+		if s.used && !ep.granted(t) {
 			return // data still owed to t; done must follow it
 		}
-		ep.donePosted[t] = true
+		s.donePosted = true
 		ep.doneCount++
-		ep.win.eng.sendDone(ep.win, t, ep.accessID[t])
+		ep.win.eng.sendDone(ep.win, t, s.accessID)
 	}
 }

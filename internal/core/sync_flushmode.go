@@ -75,14 +75,11 @@ type flushState struct {
 
 // initFlushMode installs the flush-mode state on a freshly created window.
 func (w *Window) initFlushMode(master int) {
-	ep := &Epoch{win: w, kind: EpochLockAll, seq: -1, shared: true,
+	// The perpetual epoch is noCheck and never activated through the epoch
+	// pipeline, so its slot table stays sparse: one slot per target this
+	// rank actually communicates with, never O(n) per window per rank.
+	w.flushEp = &Epoch{win: w, kind: EpochLockAll, seq: -1, shared: true,
 		noCheck: true, activated: true}
-	// Small hint, not w.n: the perpetual epoch is noCheck, so granted()
-	// never consults accessID and pending only ever holds the targets this
-	// rank actually flushes toward — presizing for the whole world would
-	// cost O(n) per window per rank at 64k ranks.
-	ep.ensureAccessMaps(8)
-	w.flushEp = ep
 	w.fm = &flushState{
 		w:          w,
 		heldShared: make(map[int]bool),

@@ -46,7 +46,7 @@ func (w *Window) buildStartEpoch(group []int) *Epoch {
 		w.raisef("Start with an empty target group")
 	}
 	ep := newEpoch(w, EpochAccess)
-	ep.setTargets(append([]int(nil), group...))
+	ep.setGroup(group)
 	ep.openReq = mpi.NewCompletedRequest(w.rank)
 	w.openAccess = append(w.openAccess, ep)
 	return ep
@@ -117,7 +117,7 @@ func (w *Window) buildPostEpoch(group []int) *Epoch {
 		w.raisef("Post with an empty origin group")
 	}
 	ep := newEpoch(w, EpochExposure)
-	ep.origins = append([]int(nil), group...)
+	ep.setGroup(group)
 	ep.openReq = mpi.NewCompletedRequest(w.rank)
 	w.openExposure = append(w.openExposure, ep)
 	return ep
@@ -175,20 +175,14 @@ func (w *Window) TestEpoch() bool {
 	ep := w.openExposure[0]
 	w.rank.Test(nil) // one progress sweep
 	if ep.err != nil {
-		w.openExposure = w.openExposure[1:]
+		w.openExposure = removeOpen(w.openExposure, 0)
 		panic(ep.err)
 	}
-	if !ep.activated {
+	// Probe completion without closing: all origins must have sent dones.
+	if !ep.activated || !ep.donesArrived() {
 		return false
 	}
-	// Probe completion without closing: all origins must have sent dones.
-	for _, o := range ep.exposureOrigins() {
-		id, ok := ep.exposeID[o]
-		if !ok || !ep.win.peer(o).exposureComplete(id) {
-			return false
-		}
-	}
-	w.openExposure = w.openExposure[1:]
+	w.openExposure = removeOpen(w.openExposure, 0)
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
 	ep.closeReq = mpi.NewRequest(w.rank)
@@ -202,6 +196,6 @@ func (w *Window) takeOldestExposure() *Epoch {
 		w.raisef("no open exposure epoch")
 	}
 	ep := w.openExposure[0]
-	w.openExposure = w.openExposure[1:]
+	w.openExposure = removeOpen(w.openExposure, 0)
 	return ep
 }

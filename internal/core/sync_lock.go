@@ -74,7 +74,8 @@ func (a *lockAgent) advance() {
 			}
 			a.exclHolder = h.origin
 		}
-		a.queue = a.queue[1:]
+		copy(a.queue, a.queue[1:]) // pop by copy-down: keep the backing array
+		a.queue = a.queue[:len(a.queue)-1]
 		a.Grants++
 		a.w.emitArrival(traceLockGrant, h.origin, 0)
 		// Granting a lock updates e locally and g remotely, exactly like
@@ -120,7 +121,7 @@ func (w *Window) ILockAssert(target int, exclusive, noCheck bool) *mpi.Request {
 	ep := newEpoch(w, EpochLock)
 	ep.shared = !exclusive
 	ep.noCheck = noCheck
-	ep.setTargets([]int{target})
+	ep.setGroup([]int{target})
 	ep.openReq = mpi.NewCompletedRequest(w.rank)
 	w.openAccess = append(w.openAccess, ep)
 	w.pushEpoch(ep)
@@ -232,7 +233,7 @@ func (w *Window) findOpenLock(target int, kind EpochKind) *Epoch {
 		if ep.kind != kind {
 			continue
 		}
-		if kind == EpochLockAll || ep.targets[0] == target {
+		if kind == EpochLockAll || int(ep.peers[0].rank) == target {
 			return ep
 		}
 	}
@@ -265,9 +266,7 @@ func (w *Window) closeAccessEpochNC(ep *Epoch) *mpi.Request {
 		return ep.closeReq
 	}
 	if ep.activated {
-		for _, t := range ep.doneTargets() {
-			ep.maybePostDone(t)
-		}
+		ep.postDones()
 		ep.maybeComplete()
 	}
 	w.armEpochTimeout(ep)

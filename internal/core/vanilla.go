@@ -36,7 +36,7 @@ func (w *Window) vanillaStart(group []int) {
 // vanillaStartNC is vanillaStart after its ChargeCall (task API).
 func (w *Window) vanillaStartNC(group []int) {
 	ep := newEpoch(w, EpochAccess)
-	ep.setTargets(append([]int(nil), group...))
+	ep.setGroup(group)
 	w.openAccess = append(w.openAccess, ep)
 	w.vanillaActivate(ep)
 }
@@ -62,10 +62,9 @@ const (
 // Wake signal when it must wait, exactly like one unrolled waitUntil
 // iteration per stage (mpi.Rank.TaskAwait).
 type VanillaDrain struct {
-	w       *Window
-	ep      *Epoch
-	targets []int // access targets to drain; unused in drainExpose
-	stage   int
+	w     *Window
+	ep    *Epoch
+	stage int
 }
 
 // vanillaCompleteBegin is vanillaComplete up to its first wait: the open
@@ -76,7 +75,7 @@ func (w *Window) vanillaCompleteBegin() *VanillaDrain {
 	w.emitEpoch(traceClose, ep)
 	w.removeOpenAccess(ep)
 	w.armEpochTimeout(ep)
-	return &VanillaDrain{w: w, ep: ep, targets: ep.targets, stage: drainGrants}
+	return &VanillaDrain{w: w, ep: ep, stage: drainGrants}
 }
 
 // vanillaWaitBegin is vanillaWaitEpoch up to its wait.
@@ -103,15 +102,7 @@ func (d *VanillaDrain) Step(p *sim.Proc) bool {
 	// driver (vanillaRun) surfaces the error as a panic after the unwind.
 	if d.stage == drainGrants {
 		ok := r.TaskAwait(p, "vanilla-grants", func() bool {
-			if ep.err != nil {
-				return true
-			}
-			for _, t := range d.targets {
-				if !ep.granted(t) {
-					return false
-				}
-			}
-			return true
+			return ep.err != nil || ep.allGranted()
 		})
 		if !ok {
 			return false
@@ -119,12 +110,12 @@ func (d *VanillaDrain) Step(p *sim.Proc) bool {
 		if ep.err != nil {
 			return true
 		}
-		w.eng.issueReady(ep)
+		w.eng.issueReady(ep, anyNode)
 		d.stage = drainData
 	}
 	if d.stage == drainData {
 		ok := r.TaskAwait(p, "vanilla-data", func() bool {
-			return ep.err != nil || (ep.pendingAll == 0 && len(ep.recorded) == 0)
+			return ep.err != nil || (ep.pendingAll == 0 && ep.recLive == 0)
 		})
 		if !ok {
 			return false
@@ -133,9 +124,7 @@ func (d *VanillaDrain) Step(p *sim.Proc) bool {
 			return true
 		}
 		ep.closedApp = true
-		for _, t := range d.targets {
-			ep.maybePostDone(t)
-		}
+		ep.postDones()
 		ep.maybeComplete()
 		return true
 	}
@@ -167,10 +156,9 @@ func (w *Window) vanillaRun(d *VanillaDrain) {
 	}
 }
 
-// vanillaDrain runs the blocking close sequence over the given access
-// targets (fence reuses it with the fence epoch's full target set).
-func (w *Window) vanillaDrain(ep *Epoch, targets []int) {
-	w.vanillaRun(&VanillaDrain{w: w, ep: ep, targets: targets, stage: drainGrants})
+// vanillaDrain runs the blocking access-side close sequence of ep.
+func (w *Window) vanillaDrain(ep *Epoch) {
+	w.vanillaRun(&VanillaDrain{w: w, ep: ep, stage: drainGrants})
 }
 
 // vanillaPost opens an exposure epoch (post notifications go out at once,
@@ -183,7 +171,7 @@ func (w *Window) vanillaPost(group []int) {
 // vanillaPostNC is vanillaPost after its ChargeCall (task API).
 func (w *Window) vanillaPostNC(group []int) {
 	ep := newEpoch(w, EpochExposure)
-	ep.origins = append([]int(nil), group...)
+	ep.setGroup(group)
 	w.openExposure = append(w.openExposure, ep)
 	w.vanillaActivate(ep)
 }
@@ -204,8 +192,7 @@ func (w *Window) vanillaFence(assert FenceAssert) {
 		w.curFence = nil
 		w.emitEpoch(traceClose, ep)
 		w.removeOpenAccess(ep)
-		all := ep.accessTargets()
-		w.vanillaDrain(ep, all)
+		w.vanillaDrain(ep)
 		// Barrier semantics: wait for every peer's done packet.
 		w.rank.WaitUntil("vanilla-fence-barrier", func() bool {
 			return ep.err != nil || ep.exposureSideDone()
@@ -228,7 +215,7 @@ func (w *Window) vanillaLock(target int, exclusive bool) {
 	w.rank.ChargeCall()
 	ep := newEpoch(w, EpochLock)
 	ep.shared = !exclusive
-	ep.setTargets([]int{target})
+	ep.setGroup([]int{target})
 	w.emitEpoch(traceOpen, ep)
 	w.openAccess = append(w.openAccess, ep)
 	w.epochs = append(w.epochs, ep)
@@ -243,7 +230,7 @@ func (w *Window) vanillaUnlock(target int) {
 	w.removeOpenAccess(ep)
 	w.vanillaLockActivate(ep)
 	w.armEpochTimeout(ep)
-	w.vanillaDrain(ep, ep.targets)
+	w.vanillaDrain(ep)
 }
 
 // vanillaLockActivate lazily activates a lock(-all) epoch if needed.
@@ -260,12 +247,7 @@ func (w *Window) vanillaLockActivate(ep *Epoch) {
 		return
 	}
 	w.emitEpoch(traceActivate, ep)
-	targets := ep.accessTargets()
-	ep.ensureAccessMaps(len(targets))
-	for _, t := range targets {
-		ep.accessID[t] = w.peer(t).nextAccessID()
-		w.eng.sendLockReq(w, t, ep.shared)
-	}
+	w.requestAccess(ep)
 }
 
 // vanillaLockAll opens a lazy shared lock on every rank.
@@ -293,15 +275,12 @@ func (w *Window) vanillaUnlockAll() {
 	w.vanillaLockActivate(ep)
 	w.armEpochTimeout(ep)
 	ep.closedApp = true
-	targets := ep.accessTargets()
 	w.rank.WaitUntil("vanilla-lockall-drain", func() bool {
 		if ep.err != nil {
 			return true
 		}
-		w.eng.issueReady(ep)
-		for _, t := range targets {
-			ep.maybePostDone(t)
-		}
+		w.eng.issueReady(ep, anyNode)
+		ep.postDones()
 		ep.maybeComplete()
 		return ep.completed
 	})
@@ -324,19 +303,11 @@ func (w *Window) vanillaForceIssue(target int) {
 		w.vanillaLockActivate(ep)
 		epoch := ep
 		w.rank.WaitUntil("vanilla-flush-grants", func() bool {
-			if epoch.err != nil {
-				return true
-			}
-			for _, t := range epoch.accessTargets() {
-				if !epoch.granted(t) {
-					return false
-				}
-			}
-			return true
+			return epoch.err != nil || epoch.allGranted()
 		})
 		if epoch.err != nil {
 			continue // flushWait's own err check surfaces the abort
 		}
-		w.eng.issueReady(ep)
+		w.eng.issueReady(ep, anyNode)
 	}
 }

@@ -119,11 +119,22 @@ func (w *Window) currentAccessEpoch(t int) *Epoch {
 func (w *Window) removeOpenAccess(ep *Epoch) {
 	for i, e := range w.openAccess {
 		if e == ep {
-			w.openAccess = append(w.openAccess[:i], w.openAccess[i+1:]...)
+			w.openAccess = removeOpen(w.openAccess, i)
 			return
 		}
 	}
 	w.raisef("closing %s access epoch seq %d that is not open", ep.kind, ep.seq)
+}
+
+// removeOpen unlinks q[i] from an open-epoch queue by copy-down, so the
+// queue keeps its backing array (reslicing from the front would shed
+// capacity on every pop and reallocate on every open), and clears the
+// vacated tail, so a closed epoch — and through it its ops and their
+// buffers — is not kept reachable by the queue.
+func removeOpen(q []*Epoch, i int) []*Epoch {
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
 }
 
 // pushEpoch registers a newly opened epoch with the deferred-epoch queue
@@ -215,6 +226,7 @@ func (w *Window) pruneCompleted() {
 			out = append(out, ep)
 		}
 	}
+	clear(w.epochs[len(out):]) // completed epochs must not stay reachable
 	w.epochs = out
 }
 
@@ -290,50 +302,40 @@ func (w *Window) scanActivate() {
 func (w *Window) activate(ep *Epoch) {
 	ep.activated = true
 	w.emitEpoch(traceActivate, ep)
-	switch ep.kind {
-	case EpochAccess:
-		ep.ensureAccessMaps(len(ep.targets))
-		for _, t := range ep.targets {
-			ep.accessID[t] = w.peer(t).nextAccessID()
-		}
-	case EpochExposure:
-		ep.ensureExposeMap(len(ep.origins))
-		for _, o := range ep.origins {
+	w.requestAccess(ep)
+	if ep.kind.isExposureRole() {
+		for i, n := 0, ep.groupSize(); i < n; i++ {
+			o, _ := ep.peerAt(i)
 			w.grantTo(ep, o)
-		}
-	case EpochFence:
-		ep.ensureAccessMaps(w.n)
-		ep.ensureExposeMap(w.n)
-		for t := 0; t < w.n; t++ {
-			ep.accessID[t] = w.peer(t).nextAccessID()
-		}
-		for o := 0; o < w.n; o++ {
-			w.grantTo(ep, o)
-		}
-	case EpochLock:
-		t := ep.targets[0]
-		ep.ensureAccessMaps(1)
-		if ep.noCheck {
-			// NOCHECK: no matching, no request — the caller vouches.
-			break
-		}
-		ep.accessID[t] = w.peer(t).nextAccessID()
-		w.eng.sendLockReq(w, t, ep.shared)
-	case EpochLockAll:
-		ep.ensureAccessMaps(w.n)
-		for t := 0; t < w.n; t++ {
-			ep.accessID[t] = w.peer(t).nextAccessID()
-			w.eng.sendLockReq(w, t, true)
 		}
 	}
 	// Replay recorded communication that is already issuable, and if the
 	// epoch was closed while deferred, replay the close too.
-	w.eng.issueReady(ep)
+	w.eng.issueReady(ep, anyNode)
 	if ep.closedApp {
-		for _, t := range ep.doneTargets() {
-			ep.maybePostDone(t)
-		}
+		ep.postDones()
 		ep.maybeComplete()
+	}
+}
+
+// requestAccess opens the access side of an activating epoch: every target
+// of the group gets its access id A_i, and lock kinds ask each target's
+// agent for the lock. MPI_MODE_NOCHECK epochs match nothing and request
+// nothing — the caller vouches.
+func (w *Window) requestAccess(ep *Epoch) {
+	if !ep.kind.isAccessRole() || ep.noCheck {
+		return
+	}
+	if ep.wholeWindow() {
+		ep.fill()
+	}
+	locks := ep.kind == EpochLock || ep.kind == EpochLockAll
+	for i, n := 0, ep.groupSize(); i < n; i++ {
+		t, s := ep.peerAt(i)
+		s.accessID, s.hasAccess = w.peer(t).nextAccessID(), true
+		if locks {
+			w.eng.sendLockReq(w, t, ep.shared)
+		}
 	}
 }
 
@@ -341,7 +343,8 @@ func (w *Window) activate(ep *Epoch) {
 // notification (remote g-counter update) to origin o.
 func (w *Window) grantTo(ep *Epoch, o int) {
 	id := w.peer(o).nextExposureID()
-	ep.exposeID[o] = id
+	s := ep.slot(o)
+	s.exposeID, s.hasExpose = id, true
 	w.eng.sendGrant(w, o, id)
 }
 

@@ -53,7 +53,7 @@ func TestCanReorderMatrix(t *testing.T) {
 func TestCoversTarget(t *testing.T) {
 	w := predicateHarness(Info{})
 	gats := epochOf(w, EpochAccess)
-	gats.targets = []int{1, 3}
+	gats.setGroup([]int{1, 3})
 	if !gats.coversTarget(1) || !gats.coversTarget(3) || gats.coversTarget(2) {
 		t.Fatal("GATS coverage wrong")
 	}
@@ -78,17 +78,31 @@ func TestCoversTarget(t *testing.T) {
 
 func TestAccessTargetsAndOrigins(t *testing.T) {
 	w := predicateHarness(Info{})
-	fence := epochOf(w, EpochFence)
-	if got := fence.accessTargets(); len(got) != 4 {
-		t.Fatalf("fence access targets %v", got)
+	group := func(ep *Epoch) (ranks []int, slots int) {
+		for i, n := 0, ep.groupSize(); i < n; i++ {
+			p, s := ep.peerAt(i)
+			ranks = append(ranks, p)
+			if s != nil {
+				slots++
+			}
+		}
+		return ranks, slots
 	}
-	if got := fence.exposureOrigins(); len(got) != 4 {
-		t.Fatalf("fence exposure origins %v", got)
+	// Whole-window kinds enumerate 0..n-1 without owning a slot per rank.
+	for _, kind := range []EpochKind{EpochFence, EpochLockAll} {
+		got, slots := group(epochOf(w, kind))
+		if len(got) != 4 || got[0] != 0 || got[3] != 3 || slots != 0 {
+			t.Fatalf("%s group %v with %d slots, want 0..3 and none", kind, got, slots)
+		}
 	}
+	// Explicit groups enumerate their slot table, in group order.
 	expo := epochOf(w, EpochExposure)
-	expo.origins = []int{2}
-	if got := expo.exposureOrigins(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("exposure origins %v", got)
+	expo.setGroup([]int{2, 0})
+	if got, slots := group(expo); len(got) != 2 || got[0] != 2 || got[1] != 0 || slots != 2 {
+		t.Fatalf("exposure group %v with %d slots", got, slots)
+	}
+	if !expo.inGroup(0) || expo.inGroup(1) || expo.coversTarget(0) {
+		t.Fatal("exposure membership wrong")
 	}
 }
 

@@ -5,15 +5,6 @@ import (
 	"math"
 )
 
-// wireOp is the payload of data-path packets: a handle back to the origin's
-// op so the target-side NIC handler can fulfil the transfer and signal
-// origin-side completion (the simulation's completion-queue event).
-type wireOp struct {
-	op   *rmaOp
-	eng  *Engine // origin engine
-	resp []byte  // fetched value carried by the response leg
-}
-
 // applyPut writes data into the window memory (no-op on shape-only
 // windows, where only timing is modeled).
 func (w *Window) applyPut(off int64, data []byte, size int64) {

@@ -279,7 +279,7 @@ func (nw *Network) Send(p *Packet) {
 func deliverLocal(x any) {
 	p := x.(*Packet)
 	if p.OnTxDone != nil {
-		p.OnTxDone()
+		p.OnTxDone(p)
 	}
 	p.nw.deliver(p)
 }

@@ -417,7 +417,7 @@ func descTxDone(x any) {
 		if g.remaining == 0 {
 			n.freeStripe(g)
 			if pkt.OnTxDone != nil {
-				pkt.OnTxDone()
+				pkt.OnTxDone(pkt)
 			}
 			n.k.AtCross(n.k.Now()+cfg.Alpha, pktDeliver, pkt, n.rank, pkt.Dst)
 		}
@@ -432,7 +432,7 @@ func descTxDone(x any) {
 		return
 	}
 	if d.pkt.OnTxDone != nil {
-		d.pkt.OnTxDone()
+		d.pkt.OnTxDone(d.pkt)
 	}
 	k := n.k
 	if fs := n.nw.faults; fs != nil {

@@ -57,7 +57,7 @@ func TestOnTxDoneFiresAtWireEnd(t *testing.T) {
 	nw.SetHandler(1, func(p *Packet) { rxAt = k.Now() })
 	nw.SetHandler(0, func(p *Packet) {})
 	k.At(0, func() {
-		nw.Send(&Packet{Src: 0, Dst: 1, Size: 5000, OnTxDone: func() { txAt = k.Now() }})
+		nw.Send(&Packet{Src: 0, Dst: 1, Size: 5000, OnTxDone: func(*Packet) { txAt = k.Now() }})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -63,8 +63,11 @@ type Packet struct {
 
 	// OnTxDone, if set, runs in kernel context the moment the packet has
 	// fully left the sender's injection pipeline (local completion: the
-	// origin buffer is reusable). Same-node packets fire it at delivery.
-	OnTxDone func()
+	// origin buffer is reusable). Same-node packets fire it at delivery. It
+	// receives the packet itself so senders can install one shared,
+	// capture-free function and recover their state from Payload/Arg: the
+	// call always precedes delivery, hence the pool's recycling of p.
+	OnTxDone func(p *Packet)
 
 	// Seq and Ack are reliability-sublayer fields, populated only when the
 	// network runs with fault injection enabled: Seq is the per-directed-link

@@ -137,7 +137,7 @@ func TestStripedBandwidthWin(t *testing.T) {
 		nw.SetHandler(1, func(p *Packet) { rxAt = k.Now() })
 		k.At(0, func() {
 			nw.Send(&Packet{Src: 0, Dst: 1, Kind: KindPutData, Size: size,
-				OnTxDone: func() { txAt = k.Now() }})
+				OnTxDone: func(*Packet) { txAt = k.Now() }})
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

@@ -30,6 +30,16 @@ func (b *barrierState) take(gen, round int64) bool {
 	return false
 }
 
+// sendToken sends the (gen, round) token to dst in a pooled packet: the
+// receiver consumes it at delivery (Rank.onDeliver), so a steady-state
+// barrier allocates nothing.
+func (r *Rank) sendToken(dst int, gen, round int64) {
+	p := r.world.Net.AllocPacketAt(r.ID)
+	p.Src, p.Dst, p.Kind, p.Size = r.ID, dst, fabric.KindBarrier, 8
+	p.Arg = [4]int64{gen, round, 0, 0}
+	r.world.Net.Send(p)
+}
+
 // Barrier blocks until every rank in the job has entered the barrier, using
 // the dissemination algorithm (ceil(log2 n) rounds of token exchanges).
 func (r *Rank) Barrier() {
@@ -41,11 +51,7 @@ func (r *Rank) Barrier() {
 	r.barrier.gen++
 	gen := r.barrier.gen
 	for round, dist := int64(0), 1; dist < n; round, dist = round+1, dist*2 {
-		dst := (r.ID + dist) % n
-		r.world.Net.Send(&fabric.Packet{
-			Src: r.ID, Dst: dst, Kind: fabric.KindBarrier, Size: 8,
-			Arg: [4]int64{gen, round, 0, 0},
-		})
+		r.sendToken((r.ID+dist)%n, gen, round)
 		rd := round
 		r.waitUntil("barrier", func() bool { return r.barrier.take(gen, rd) })
 	}
@@ -84,11 +90,7 @@ func (b *TaskBarrier) Step(p *sim.Proc) bool {
 	n := r.Size()
 	for b.dist < n {
 		if !b.sent {
-			dst := (r.ID + b.dist) % n
-			r.world.Net.Send(&fabric.Packet{
-				Src: r.ID, Dst: dst, Kind: fabric.KindBarrier, Size: 8,
-				Arg: [4]int64{b.gen, b.round, 0, 0},
-			})
+			r.sendToken((r.ID+b.dist)%n, b.gen, b.round)
 			b.sent = true
 		}
 		gen, rd := b.gen, b.round

@@ -88,13 +88,19 @@ func (r *Rank) progressTwoSided() {
 	if len(r.inbox) == 0 {
 		return
 	}
-	var keep []*fabric.Packet
-	for _, p := range r.inbox {
+	// Filter in place, on a detached slice: a handler that completes a
+	// request runs its hooks, and anything delivered from inside one must
+	// queue behind the packets kept here, not into the array being compacted.
+	in := r.inbox
+	r.inbox = nil
+	keep := in[:0]
+	for _, p := range in {
 		if !r.handleTwoSided(p) {
 			keep = append(keep, p)
 		}
 	}
-	r.inbox = keep
+	clear(in[len(keep):]) // handled packets must not stay reachable
+	r.inbox = append(keep, r.inbox...)
 }
 
 // handleTwoSided processes one packet; it reports false when the packet
@@ -139,7 +145,7 @@ func (r *Rank) handleTwoSided(p *fabric.Packet) bool {
 		// sender NIC raises once the data left the wire. It runs at the
 		// sender (r is the CTS's destination — the sender), so on a sharded
 		// world no remote rank's state is ever touched.
-		pkt.OnTxDone = func() {
+		pkt.OnTxDone = func(*fabric.Packet) {
 			if sop := r.sendOps[id]; sop != nil {
 				delete(r.sendOps, id)
 				sop.req.Complete()
@@ -158,9 +164,6 @@ func (r *Rank) handleTwoSided(p *fabric.Packet) bool {
 		}
 		r.unpost(op.req)
 		op.req.Complete()
-		return true
-	case fabric.KindBarrier:
-		r.barrier.arrive(p.Arg[0], p.Arg[1])
 		return true
 	}
 	panic(fmt.Sprintf("mpi: unexpected two-sided packet kind %d", p.Kind))

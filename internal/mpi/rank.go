@@ -25,6 +25,7 @@ type Rank struct {
 	sendOps    map[int64]*sendOp // in-flight rendezvous sends by id
 	nextSendID int64             // rendezvous send id allocator
 	barrier    barrierState
+	completed  Request              // the shared pre-completed request (NewCompletedRequest)
 	rmaHandler func(*fabric.Packet) // NIC-level RMA handler (internal/core)
 	progressFn []func()             // extra CPU progress engines (internal/core)
 
@@ -35,7 +36,9 @@ type Rank struct {
 }
 
 func newRank(w *World, id int, k *sim.Kernel) *Rank {
-	return &Rank{world: w, ID: id, k: k, Wake: sim.NewSignal(k)}
+	r := &Rank{world: w, ID: id, k: k, Wake: sim.NewSignal(k)}
+	r.completed = Request{rank: r, done: true}
+	return r
 }
 
 // World returns the job this rank belongs to.
@@ -76,8 +79,15 @@ func (r *Rank) AddProgress(fn func()) { r.progressFn = append(r.progressFn, fn) 
 // It runs in kernel context (NIC processing) and must not block.
 func (r *Rank) onDeliver(p *fabric.Packet) {
 	switch p.Kind {
-	case fabric.KindEager, fabric.KindRTS, fabric.KindCTS, fabric.KindRData, fabric.KindBarrier:
+	case fabric.KindEager, fabric.KindRTS, fabric.KindCTS, fabric.KindRData:
 		r.inbox = append(r.inbox, p)
+		r.Wake.Fire()
+	case fabric.KindBarrier:
+		// Consumed right here: a token is two integers, so nothing of the
+		// (pooled) packet is retained. Recording it in NIC context instead
+		// of at the rank's next sweep moves no virtual time — only a rank
+		// inside Barrier ever looks, and it sweeps before it looks.
+		r.barrier.arrive(p.Arg[0], p.Arg[1])
 		r.Wake.Fire()
 	default:
 		if r.rmaHandler == nil {

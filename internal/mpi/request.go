@@ -19,10 +19,20 @@ type Request struct {
 // NewRequest creates an incomplete request owned by rank r.
 func NewRequest(r *Rank) *Request { return &Request{rank: r} }
 
-// NewCompletedRequest creates a request already flagged complete. The
+// NewCompletedRequest returns a request already flagged complete. The
 // paper's nonblocking epoch-opening routines return exactly this: "a dummy
-// request object that is flagged as completed at creation time".
-func NewCompletedRequest(r *Rank) *Request { return &Request{rank: r, done: true} }
+// request object that is flagged as completed at creation time". Every call
+// on one rank returns that rank's single instance: a done request is
+// immutable — OnComplete runs its hook at once and stores nothing, Complete
+// and Fail return before touching a field — so sharing it is unobservable,
+// and epochs are opened far too often to mint a fresh dummy each time. A nil
+// rank (requests owned by no rank) gets a fresh one.
+func NewCompletedRequest(r *Rank) *Request {
+	if r == nil {
+		return &Request{done: true}
+	}
+	return &r.completed
+}
 
 // NewFailedRequest creates a request already completed unsuccessfully with
 // err as its cause. The RMA layer returns these for nonblocking calls made
