@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -264,23 +261,14 @@ func (p *KernelPerf) MeasureScaleCurve(ranks []int, iters int) {
 }
 
 func measureScalePoint(n, iters int) ScalePoint {
-	samples := make([][]sim.Time, n)
-	cfg := Config()
-	cfg.Topo = ScaleTopo(n)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	w := mpi.NewWorldShards(n, cfg, Shards())
-	rt := core.NewRuntime(w)
+	run := newScaleRun(n, SeriesNewNB, iters)
 	start := time.Now()
-	err := w.RunTasks(func(r *mpi.Rank) sim.Task {
-		return newScaleTask(rt, r, SeriesNewNB, iters, samples)
-	})
+	run.exec(true)
 	elapsed := time.Since(start)
-	if err != nil {
-		panic(fmt.Sprintf("bench: scale point (n=%d) failed: %v", n, err))
-	}
-	events := w.Events()
+	events := run.world.Events()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	pt := ScalePoint{
@@ -293,8 +281,7 @@ func measureScalePoint(n, iters int) ScalePoint {
 	if after.HeapAlloc > before.HeapAlloc {
 		pt.BytesPerRank = float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 	}
-	runtime.KeepAlive(rt)
-	runtime.KeepAlive(samples)
+	runtime.KeepAlive(run)
 	return pt
 }
 

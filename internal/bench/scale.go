@@ -150,38 +150,12 @@ func scaleWinOptions(s Series) core.WinOptions {
 // aggregate rank-major, so the cell's numbers are bit-identical at any
 // shard count.
 func scaleCell(n int, s Series, iters int) scaleMeasure {
-	return scaleCellMode(n, s, iters, true)
-}
-
-// scaleCellMode selects the rank execution form: spawn-free sim.Task state
-// machines (tasks=true, the default — 64k ranks fit one process without
-// 64k goroutine stacks) or blocking goroutine bodies (the reference
-// semantics; TestScaleTaskParity pins bit-identity between the two).
-func scaleCellMode(n int, s Series, iters int, tasks bool) scaleMeasure {
-	if n&(n-1) != 0 || n < 2 {
-		panic(fmt.Sprintf("bench: scale rank count %d is not a power of two", n))
-	}
-	samples := make([][]sim.Time, n)
-	cfg := Config()
-	cfg.Topo = ScaleTopo(n)
-	w := mpi.NewWorldShards(n, cfg, Shards())
-	rt := core.NewRuntime(w)
-	var err error
-	if tasks {
-		err = w.RunTasks(func(r *mpi.Rank) sim.Task {
-			return newScaleTask(rt, r, s, iters, samples)
-		})
-	} else {
-		err = w.Run(func(r *mpi.Rank) { scaleRankProc(rt, r, s, iters, samples) })
-	}
-	if err != nil {
-		panic(fmt.Sprintf("bench: scale (n=%d, %s) failed: %v", n, s, err))
-	}
+	run := scaleCellMode(n, s, iters, true)
 	flat := make([]sim.Time, 0, n*iters)
-	for _, ss := range samples {
+	for _, ss := range run.samples {
 		flat = append(flat, ss...)
 	}
-	sum := w.Net.TopoSummary()
+	sum := run.world.Net.TopoSummary()
 	return scaleMeasure{
 		lat:    mean(flat),
 		queued: us(sum.QueuedTime) / float64(iters),
@@ -189,60 +163,191 @@ func scaleCellMode(n int, s Series, iters int, tasks bool) scaleMeasure {
 	}
 }
 
-// scaleRankProc is the blocking (goroutine) form of the scale cell's rank
-// program — the readable reference the scaleTask state machine mirrors
-// call for call.
-func scaleRankProc(rt *core.Runtime, r *mpi.Rank, s Series, iters int, samples [][]sim.Time) {
-	n := r.Size()
-	win := rt.CreateWindow(r, int64(n)*ScaleChunk, scaleWinOptions(s))
-	tg := scaleGroup(n, r.ID, +1)
-	og := scaleGroup(n, r.ID, -1)
-	if s == SeriesFlush {
-		// Epochless idiom: lock_all once for the window's lifetime (one
-		// conditional atomic at the master, whatever n), then per
-		// iteration puts + a window-wide flush overlapped with the
-		// computation. The per-iteration barrier provides the target-side
-		// ordering an exposure epoch would.
-		win.LockAll()
-		for it := 0; it < iters; it++ {
+// scaleCellMode runs a cell in the given rank execution form: task ranks
+// (tasks=true, what the figure uses — 64k ranks fit one process without 64k
+// goroutine stacks) or goroutine ranks (TestScaleTaskParity pins
+// bit-identity between the two).
+func scaleCellMode(n int, s Series, iters int, tasks bool) *scaleRun {
+	run := newScaleRun(n, s, iters)
+	run.exec(tasks)
+	return run
+}
+
+// scaleRun is one scale cell: the world it runs on, and every rank's window
+// and per-iteration completion samples once it has run.
+type scaleRun struct {
+	s       Series
+	iters   int
+	world   *mpi.World
+	rt      *core.Runtime
+	wins    []*core.Window
+	samples [][]sim.Time
+}
+
+// newScaleRun builds the world of an n-rank cell.
+func newScaleRun(n int, s Series, iters int) *scaleRun {
+	if n&(n-1) != 0 || n < 2 {
+		panic(fmt.Sprintf("bench: scale rank count %d is not a power of two", n))
+	}
+	cfg := Config()
+	cfg.Topo = ScaleTopo(n)
+	w := mpi.NewWorldShards(n, cfg, Shards())
+	return &scaleRun{s: s, iters: iters, world: w, rt: core.NewRuntime(w),
+		wins: make([]*core.Window, n), samples: make([][]sim.Time, n)}
+}
+
+// exec runs one scaleProgram per rank to completion, as task ranks or as
+// goroutine ranks. It is the same program either way: a goroutine rank's
+// calls never return pending, so a single Step runs all of it.
+func (run *scaleRun) exec(tasks bool) {
+	n := run.world.Size()
+	program := func(r *mpi.Rank) sim.Task {
+		return &scaleProgram{run: run, r: r, tg: scaleGroup(n, r.ID, +1), og: scaleGroup(n, r.ID, -1)}
+	}
+	var err error
+	if tasks {
+		err = run.world.RunTasks(program)
+	} else {
+		err = run.world.Run(func(r *mpi.Rank) { program(r).Step(r.Proc) })
+	}
+	if err != nil {
+		panic(fmt.Sprintf("bench: scale (n=%d, %s) failed: %v", n, run.s, err))
+	}
+}
+
+// scaleProgram is the scale cell's rank program: one step per MPI call, made
+// in the order below. A call that returns pending (task ranks only) is
+// repeated at the next Step; a completed one advances the program. Each
+// iteration is
+//
+//	blocking:     Barrier; Post; Start; puts; Complete; WaitEpoch; Compute
+//	nonblocking:  Barrier; IPost; IStart; puts; IComplete; IWait; Compute; Wait
+//	flush:        Barrier; puts; IFlushAll; Compute; Wait
+//
+// between CreateWindow (flush: + LockAll) and (flush: UnlockAll +) Quiesce.
+// The flush series is the epochless idiom: lock_all once for the window's
+// lifetime (one conditional atomic at the master, whatever n), then per
+// iteration puts + a window-wide flush overlapped with the computation; the
+// per-iteration barrier provides the target-side ordering an exposure epoch
+// would.
+type scaleProgram struct {
+	run *scaleRun
+	r   *mpi.Rank
+
+	win        *core.Window
+	tg, og     []int
+	step       int // the call to make next (sc* constants)
+	it, put    int // completed iterations; puts made in the current one
+	t0         sim.Time
+	creq, wreq *mpi.Request // nonblocking closes in flight across Compute
+}
+
+// The program's steps, in program order.
+const (
+	scCreate = iota
+	scLockAll
+	scBarrier
+	scStamp
+	scPost
+	scStart
+	scPut
+	scNextPut
+	scClose
+	scWaitEpoch
+	scCompute
+	scWait
+	scSample
+	scUnlockAll
+	scQuiesce
+	scExit
+)
+
+func (t *scaleProgram) Step(p *sim.Proc) {
+	r, win, s := t.r, t.win, t.run.s
+	flush, nb := s == SeriesFlush, s.Nonblocking()
+	for {
+		switch t.step {
+		case scCreate:
+			win = t.run.rt.CreateWindow(r, int64(r.Size())*ScaleChunk, scaleWinOptions(s))
+			t.win, t.run.wins[r.ID] = win, win
+		case scLockAll:
+			if flush {
+				win.LockAll()
+			}
+		case scBarrier:
+			if t.it == t.run.iters {
+				t.step = scUnlockAll
+				continue
+			}
 			r.Barrier()
-			t0 := r.Now()
-			for _, t := range tg {
-				win.Put(t, int64(r.ID)*ScaleChunk, nil, ScaleChunk)
+		case scStamp:
+			t.t0 = r.Now()
+		case scPost:
+			switch {
+			case flush:
+			case nb:
+				win.IPost(t.og)
+			default:
+				win.Post(t.og)
 			}
-			freq := win.IFlushAll()
+		case scStart:
+			switch {
+			case flush:
+			case nb:
+				win.IStart(t.tg)
+			default:
+				win.Start(t.tg)
+			}
+		case scPut:
+			win.Put(t.tg[t.put], int64(r.ID)*ScaleChunk, nil, ScaleChunk)
+		case scNextPut:
+			if t.put++; t.put < len(t.tg) {
+				t.step = scPut
+				continue
+			}
+			t.put = 0
+		case scClose:
+			switch {
+			case flush:
+				t.creq = win.IFlushAll()
+			case nb:
+				t.creq = win.IComplete()
+			default:
+				win.Complete()
+			}
+		case scWaitEpoch:
+			switch {
+			case flush:
+			case nb:
+				t.wreq = win.IWait()
+			default:
+				win.WaitEpoch()
+			}
+		case scCompute:
 			r.Compute(ScaleWork)
-			r.Wait(freq)
-			samples[r.ID] = append(samples[r.ID], r.Now()-t0)
+		case scWait:
+			if flush || nb {
+				r.Wait(t.creq, t.wreq)
+			}
+		case scSample:
+			t.run.samples[r.ID] = append(t.run.samples[r.ID], r.Now()-t.t0)
+			t.creq, t.wreq = nil, nil
+			t.it++
+			t.step = scBarrier
+			continue
+		case scUnlockAll:
+			if flush {
+				win.UnlockAll()
+			}
+		case scQuiesce:
+			win.Quiesce()
+		case scExit:
+			p.TaskExit()
+			return
 		}
-		win.UnlockAll()
-		win.Quiesce()
-		return
-	}
-	for it := 0; it < iters; it++ {
-		r.Barrier()
-		t0 := r.Now()
-		if s.Nonblocking() {
-			win.IPost(og)
-			win.IStart(tg)
-			for _, t := range tg {
-				win.Put(t, int64(r.ID)*ScaleChunk, nil, ScaleChunk)
-			}
-			creq := win.IComplete()
-			wreq := win.IWait()
-			r.Compute(ScaleWork)
-			r.Wait(creq, wreq)
-		} else {
-			win.Post(og)
-			win.Start(tg)
-			for _, t := range tg {
-				win.Put(t, int64(r.ID)*ScaleChunk, nil, ScaleChunk)
-			}
-			win.Complete()
-			win.WaitEpoch()
-			r.Compute(ScaleWork)
+		if r.Pending() {
+			return
 		}
-		samples[r.ID] = append(samples[r.ID], r.Now()-t0)
+		t.step++
 	}
-	win.Quiesce()
 }

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/sim"
 )
 
 // TestScaleFigureShape pins the scaling figure's qualitative claim on the
@@ -61,5 +65,73 @@ func TestScaleDeterminismAcrossWorkers(t *testing.T) {
 	parallel := FigScale(2).String()
 	if serial != parallel {
 		t.Fatalf("scale figure differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	}
+}
+
+// TestScaleTaskParity pins the two execution forms of the one scale program
+// against each other: stepped as task ranks or run inline by goroutine
+// ranks, every series produces the same per-rank samples, the same MPI time
+// and window counters on every rank, the same congestion summary and the
+// same number of simulation events.
+func TestScaleTaskParity(t *testing.T) {
+	const n, iters = 64, 3
+	type observed struct {
+		samples [][]sim.Time
+		inMPI   []sim.Time
+		stats   []core.WindowStats
+		queued  sim.Time
+		stalls  int64
+		events  uint64
+	}
+	observe := func(s Series, tasks bool) observed {
+		run := scaleCellMode(n, s, iters, tasks)
+		sum := run.world.Net.TopoSummary()
+		o := observed{samples: run.samples, queued: sum.QueuedTime, stalls: sum.CreditStalls, events: run.world.Events()}
+		for i, win := range run.wins {
+			o.inMPI = append(o.inMPI, run.world.Rank(i).TimeInMPI)
+			o.stats = append(o.stats, win.Stats())
+		}
+		return o
+	}
+	for _, s := range ScaleSeries {
+		t.Run(s.String(), func(t *testing.T) {
+			t.Parallel()
+			task, proc := observe(s, true), observe(s, false)
+			if !reflect.DeepEqual(task, proc) {
+				t.Fatalf("task/goroutine divergence for %s:\n task      %+v\n goroutine %+v", s, task, proc)
+			}
+			if task.inMPI[0] == 0 {
+				t.Fatalf("%s: rank 0 reports no MPI time", s)
+			}
+		})
+	}
+}
+
+// TestScaleTaskAllocationBudget pins the heap objects a task rank costs per
+// iteration of the scale cell, per series, measured like core's epoch
+// budgets: a 2N-iteration run minus an N-iteration run cancels the world.
+// Each budget sits one object above today's reading (10.31, 12.34, 12.43,
+// 8.30: the epochs, their slot tables, closing requests and ops), so a call
+// that allocates its resume state — one object per call is +15 per
+// rank-iteration — fails here, not only in the macro benchmark's scale512
+// workload.
+func TestScaleTaskAllocationBudget(t *testing.T) {
+	const n, iters = 64, 4
+	budgets := map[Series]float64{SeriesMVAPICH: 11.29, SeriesNew: 13.34, SeriesNewNB: 13.43, SeriesFlush: 9.30}
+	for _, s := range ScaleSeries {
+		mallocs := func(iters int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			scaleCell(n, s, iters)
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		mallocs(iters) // warm-up: pools
+		m1, m2 := mallocs(iters), mallocs(2*iters)
+		got := (float64(m2) - float64(m1)) / (n * iters)
+		t.Logf("%-16s %6.2f objects per rank-iteration (budget %.2f)", s, got, budgets[s])
+		if got > budgets[s] {
+			t.Errorf("%s: %.2f heap objects per rank-iteration, budget %.2f", s, got, budgets[s])
+		}
 	}
 }

@@ -93,7 +93,7 @@ func TestEpochAllocationBudgets(t *testing.T) {
 		{"new/fence", WinOptions{Mode: ModeNew}, fence, fence, 8},
 		{"new/lock", WinOptions{Mode: ModeNew}, lock, nil, 5},
 		{"new/lock_all", WinOptions{Mode: ModeNew}, lockAll, nil, 5},
-		{"vanilla/gats", WinOptions{Mode: ModeVanilla}, gatsOrigin, gatsTarget, 8},
+		{"vanilla/gats", WinOptions{Mode: ModeVanilla}, gatsOrigin, gatsTarget, 6},
 		{"vanilla/fence", WinOptions{Mode: ModeVanilla}, fence, fence, 6},
 		{"vanilla/lock", WinOptions{Mode: ModeVanilla}, lock, nil, 4},
 		{"vanilla/lock_all", WinOptions{Mode: ModeVanilla}, lockAll, nil, 5},

@@ -8,7 +8,7 @@ import (
 // data may be nil on shape-only windows (pure traffic modeling). The local
 // buffer is reusable once the surrounding epoch closes (or after a flush).
 func (w *Window) Put(target int, off int64, data []byte, size int64) {
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
 		target: target, off: off, data: data, size: size, dtype: TByte})
 }
 
@@ -16,7 +16,7 @@ func (w *Window) Put(target int, off int64, data []byte, size int64) {
 // transfer is fulfilled at the target.
 func (w *Window) RPut(target int, off int64, data []byte, size int64) *mpi.Request {
 	req := mpi.NewRequest(w.rank)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
 		target: target, off: off, data: data, size: size, dtype: TByte, req: req})
 	return req
 }
@@ -24,14 +24,14 @@ func (w *Window) RPut(target int, off int64, data []byte, size int64) *mpi.Reque
 // Get transfers size bytes from target's window at offset off into buf. buf
 // is filled by the time the epoch completes (or the op's request, for RGet).
 func (w *Window) Get(target int, off int64, buf []byte, size int64) {
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
 		target: target, off: off, buf: buf, size: size, dtype: TByte})
 }
 
 // RGet is the request-based Get.
 func (w *Window) RGet(target int, off int64, buf []byte, size int64) *mpi.Request {
 	req := mpi.NewRequest(w.rank)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
 		target: target, off: off, buf: buf, size: size, dtype: TByte, req: req})
 	return req
 }
@@ -47,7 +47,7 @@ func (w *Window) checkTyped(dt DType, size int64) {
 // op. Element atomicity holds per (window, target, element), as in MPI.
 func (w *Window) Accumulate(target int, off int64, op AccOp, dt DType, data []byte, size int64) {
 	w.checkTyped(dt, size)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
 		target: target, off: off, data: data, size: size, dtype: dt, op: op})
 }
 
@@ -55,7 +55,7 @@ func (w *Window) Accumulate(target int, off int64, op AccOp, dt DType, data []by
 func (w *Window) RAccumulate(target int, off int64, op AccOp, dt DType, data []byte, size int64) *mpi.Request {
 	w.checkTyped(dt, size)
 	req := mpi.NewRequest(w.rank)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
 		target: target, off: off, data: data, size: size, dtype: dt, op: op, req: req})
 	return req
 }
@@ -65,7 +65,7 @@ func (w *Window) RAccumulate(target int, off int64, op AccOp, dt DType, data []b
 // get).
 func (w *Window) GetAccumulate(target int, off int64, op AccOp, dt DType, data, result []byte, size int64) {
 	w.checkTyped(dt, size)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
 		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op})
 }
 
@@ -73,20 +73,20 @@ func (w *Window) GetAccumulate(target int, off int64, op AccOp, dt DType, data, 
 func (w *Window) RGetAccumulate(target int, off int64, op AccOp, dt DType, data, result []byte, size int64) *mpi.Request {
 	w.checkTyped(dt, size)
 	req := mpi.NewRequest(w.rank)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
 		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op, req: req})
 	return req
 }
 
 // FetchAndOp is the single-element fast path of GetAccumulate.
 func (w *Window) FetchAndOp(target int, off int64, op AccOp, dt DType, operand, result []byte) {
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
 		target: target, off: off, data: operand, buf: result, size: int64(dt.Size()), dtype: dt, op: op})
 }
 
 // CompareAndSwap atomically replaces the target element with swap if it
 // equals compare, storing the previous value in result.
 func (w *Window) CompareAndSwap(target int, off int64, dt DType, compare, swap, result []byte) {
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opCAS,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opCAS,
 		target: target, off: off, cmp: compare, data: swap, buf: result, size: int64(dt.Size()), dtype: dt})
 }

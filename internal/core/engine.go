@@ -51,8 +51,25 @@ type Engine struct {
 	// a slab.
 	arena counterArena
 
+	// call is the resume state of the one call in flight on a task rank
+	// (mpi.Rank.Pending).
+	call callState
+
 	// Sweeps counts Progress invocations (diagnostics).
 	Sweeps int64
+}
+
+// callState is what a pending call had built or reached before the
+// primitive that armed the task rank's wake; the repeat of the call takes it
+// from here instead of making the transition again. A rank has one call in
+// flight, so one record per engine serves every window. Fields are written
+// only on the pending path: on a goroutine rank they stay zero.
+type callState struct {
+	win   *Window      // CreateWindow: created, inside the barrier
+	ep    *Epoch       // epoch opens: built, not yet pushed; vanilla closes: draining
+	stage int          // vanilla closes: the drain stage reached
+	req   *mpi.Request // blocking synchronizations: issued, waiting
+	lo    *lockOp      // flush-mode unlocks: registered, inside the flush
 }
 
 type fifoWordTo struct {

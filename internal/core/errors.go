@@ -172,11 +172,24 @@ func (w *Window) abortPending(first *Epoch, err *RMAError) {
 	}
 }
 
-// waitSync is the blocking tail of every synchronization call: wait for the
-// closing request, then surface any abort error as a panic (the
-// errors-are-fatal analog — world.Run returns it as a wrapped error).
-func (w *Window) waitSync(req *mpi.Request) {
-	w.rank.Wait(req)
+// waitSync is Section V's definition of every blocking synchronization: its
+// nonblocking form, then a wait for the request that form returned, then any
+// abort error surfaced as a panic (the errors-are-fatal analog — world.Run
+// returns it as a wrapped error). The repeat of a call pending in the wait
+// finds the request in the call state and does not issue again.
+func (w *Window) waitSync(issue func() *mpi.Request) {
+	r, c := w.rank, &w.eng.call
+	req := c.req
+	if req == nil {
+		if req = issue(); r.Pending() {
+			return
+		}
+	}
+	c.req = nil
+	if r.Wait(req); r.Pending() {
+		c.req = req
+		return
+	}
 	if err := req.Err(); err != nil {
 		panic(err)
 	}

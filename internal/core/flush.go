@@ -76,12 +76,9 @@ func (w *Window) requirePassiveEpoch(t int) {
 // pending until they issue and land; only abortEpoch removes ops from
 // liveOps without completing them (and that path fails the flushes too).
 func (w *Window) newFlush(target int, local bool) *mpi.Request {
-	w.rank.ChargeCall()
-	return w.newFlushNC(target, local)
-}
-
-// newFlushNC is newFlush after its ChargeCall (shared with the task API).
-func (w *Window) newFlushNC(target int, local bool) *mpi.Request {
+	if !w.rank.ChargeCall() {
+		return nil
+	}
 	if w.err != nil {
 		// Poisoned window: the abort already failed and cleared w.flushes
 		// and emptied liveOps, so stamping here would fabricate an instantly

@@ -50,16 +50,17 @@ type rmaOp struct {
 	sigDone    bool // counted out of the epoch's local-completion gate (signal.go)
 }
 
-// addOp validates, records and (when possible) immediately issues an op.
-func (w *Window) addOp(o *rmaOp) {
+// addOp is the body of every RMA communication call: charge the call, then
+// validate, record and (when possible) immediately issue the op. The op
+// arrives by value and moves to the heap only after the charge, so the
+// repeat of a pending call does not allocate it a second time.
+func (w *Window) addOp(op rmaOp) {
 	w.checkLive()
-	w.rank.ChargeCall()
-	w.addOpNC(o)
-}
-
-// addOpNC is addOp after its ChargeCall (shared with the task API).
-func (w *Window) addOpNC(o *rmaOp) {
-	w.checkLive()
+	if !w.rank.ChargeCall() {
+		return
+	}
+	o := new(rmaOp)
+	*o = op
 	w.checkRange(o.target, o.off, o.size)
 	if w.buf == nil && (o.data != nil || o.buf != nil || o.cmp != nil) {
 		w.raisef("data-carrying RMA operation on a shape-only window")

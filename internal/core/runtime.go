@@ -83,18 +83,25 @@ type WinOptions struct {
 // CreateWindow collectively creates an RMA window exposing size bytes of
 // local memory on every rank. All ranks of the job must call it in the same
 // order with the same options (as with MPI_WIN_CREATE); the call contains a
-// barrier.
+// barrier. The repeat of a call pending in that barrier finds the window it
+// created in the call state.
 func (rt *Runtime) CreateWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
-	w := rt.CreateWindowNC(r, size, opt)
-	r.Barrier()
+	c := &rt.engines[r.ID].call
+	w := c.win
+	if w == nil {
+		w = rt.newWindow(r, size, opt)
+	}
+	c.win = nil
+	if r.Barrier(); r.Pending() {
+		c.win = w
+		return nil
+	}
 	return w
 }
 
-// CreateWindowNC is CreateWindow without the trailing collective barrier:
-// the local-state half task-mode ranks call before running the barrier as
-// an explicit TaskSleep + TaskBarrier sequence. (The blocking CreateWindow
-// is exactly CreateWindowNC + Barrier.)
-func (rt *Runtime) CreateWindowNC(r *mpi.Rank, size int64, opt WinOptions) *Window {
+// newWindow builds rank r's local state of a window: CreateWindow without
+// its collective barrier.
+func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 	if size < 0 {
 		panic(fmt.Sprintf("core: rank %d: negative window size %d", r.ID, size))
 	}

@@ -220,19 +220,14 @@ func (w *Window) sendUserSignal(dst int) {
 // the signal transport is its intended home.
 func (w *Window) Signal(target int) {
 	w.checkLive()
-	w.rank.ChargeCall()
-	w.SignalNC(target)
-}
-
-// SignalNC is Signal minus its ChargeCall (task-mode form; see task_api.go).
-func (w *Window) SignalNC(target int) {
-	w.checkLive()
+	if !w.rank.ChargeCall() {
+		return
+	}
 	w.sendUserSignal(target)
 }
 
 // SignalCount returns the cumulative number of user signals received from
-// src — the local replica of src's outbound counter, re-based. Task-mode
-// ranks poll it through TaskAwait as WaitSignal's nonblocking predicate.
+// src — the local replica of src's outbound counter, re-based.
 func (w *Window) SignalCount(src int) int64 {
 	if src < 0 || src >= w.n {
 		w.raisef("SignalCount source %d out of range (n=%d)", src, w.n)
@@ -243,17 +238,21 @@ func (w *Window) SignalCount(src int) int64 {
 	return int64(w.sig.peek(src).in[sigUser] - w.sigBase)
 }
 
-// WaitSignal blocks until at least count user signals from src have been
+// WaitSignal waits until at least count user signals from src have been
 // observed in the local replica. A window abort or a fabric declaration
 // that src is unreachable unwinds the spin with the cause instead of
 // hanging forever — the dead-peer-mid-spin propagation rule: a replica that
 // can no longer be written must not be waited on.
 func (w *Window) WaitSignal(src int, count int64) {
 	w.checkLive()
-	w.rank.ChargeCall()
-	w.rank.WaitUntil("win-signal", func() bool {
+	if !w.rank.ChargeCall() {
+		return
+	}
+	if !w.rank.WaitUntil("win-signal", func() bool {
 		return w.SignalCount(src) >= count || w.err != nil || w.eng.peerDead(src)
-	})
+	}) {
+		return
+	}
 	if w.SignalCount(src) >= count {
 		return
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/fabric"
@@ -308,23 +309,82 @@ func TestSignalDeadPeerMidSpin(t *testing.T) {
 	}
 }
 
-// TestSignalNCForms exercises the charge-mirrored no-charge surface the
-// task API uses: SignalNC plus a SignalCount poll must observe exactly what
-// the blocking pair does.
-func TestSignalNCForms(t *testing.T) {
-	w, rt := testWorld(t, 2)
-	runJob(t, w, func(r *mpi.Rank) {
-		win := rt.CreateWindow(r, 64, WinOptions{Transport: TransportSignal})
-		if r.ID == 0 {
-			win.SignalNC(1)
-			win.SignalNC(1)
-		} else {
-			r.WaitUntil("test-signal", func() bool { return win.SignalCount(0) >= 2 })
-			if got := win.SignalCount(0); got != 2 {
-				t.Errorf("SignalCount = %d, want 2", got)
-			}
+// script is a rank program for tests, one call per entry: a call that
+// returns pending is repeated at the rank's next Step, so the same script
+// runs on a task rank and, in a single Step, on a goroutine rank.
+type script struct {
+	r     *mpi.Rank
+	calls []func()
+	next  int
+}
+
+func (s *script) Step(p *sim.Proc) {
+	for ; s.next < len(s.calls); s.next++ {
+		if s.calls[s.next](); s.r.Pending() {
+			return
 		}
-		win.Quiesce()
-		r.Barrier()
+	}
+	p.TaskExit()
+}
+
+// runForms runs program on every rank of a fresh n-rank world, once on
+// goroutine ranks and once on task ranks, and requires the two executions to
+// agree on the end time, the event count and every rank's MPI time.
+func runForms(t *testing.T, n int, program func(rt *Runtime, r *mpi.Rank) []func()) {
+	t.Helper()
+	type outcome struct {
+		end    sim.Time
+		events uint64
+		inMPI  []sim.Time
+	}
+	run := func(tasks bool) outcome {
+		w, rt := testWorld(t, n)
+		mk := func(r *mpi.Rank) sim.Task { return &script{r: r, calls: program(rt, r)} }
+		var err error
+		if tasks {
+			err = w.RunTasks(mk)
+		} else {
+			err = w.Run(func(r *mpi.Rank) { mk(r).Step(r.Proc) })
+		}
+		if err != nil {
+			t.Fatalf("tasks=%t: simulation failed: %v", tasks, err)
+		}
+		o := outcome{end: w.K.Now(), events: w.Events()}
+		for i := 0; i < n; i++ {
+			o.inMPI = append(o.inMPI, w.Rank(i).TimeInMPI)
+		}
+		return o
+	}
+	if gor, task := run(false), run(true); !reflect.DeepEqual(gor, task) {
+		t.Fatalf("execution forms diverge:\n goroutine %+v\n task      %+v", gor, task)
+	}
+}
+
+// TestSignalBothForms runs the user-signal pair as a goroutine-rank and as a
+// task-rank program: Signal and WaitSignal are one definition each, so the
+// waiter observes both signals — and the world ends at the same virtual
+// time, after the same events — either way.
+func TestSignalBothForms(t *testing.T) {
+	runForms(t, 2, func(rt *Runtime, r *mpi.Rank) []func() {
+		var win *Window
+		calls := []func(){
+			func() { win = rt.CreateWindow(r, 64, WinOptions{Transport: TransportSignal}) },
+		}
+		if r.ID == 0 {
+			calls = append(calls,
+				func() { win.Signal(1) },
+				func() { win.Signal(1) })
+		} else {
+			calls = append(calls,
+				func() { win.WaitSignal(0, 2) },
+				func() {
+					if got := win.SignalCount(0); got != 2 {
+						t.Errorf("SignalCount = %d, want 2", got)
+					}
+				})
+		}
+		return append(calls,
+			func() { win.Quiesce() },
+			func() { r.Barrier() })
 	})
 }

@@ -72,7 +72,7 @@ func TestWholeWindowEpochStaysSparse(t *testing.T) {
 	w, rt := testWorld(t, n)
 	wins := make([]*Window, n)
 	for i := range wins {
-		wins[i] = rt.CreateWindowNC(w.Rank(i), 64, WinOptions{Mode: ModeFlush, ShapeOnly: true})
+		wins[i] = rt.newWindow(w.Rank(i), 64, WinOptions{Mode: ModeFlush, ShapeOnly: true})
 	}
 	targets := []int{5, 1000, n - 1}
 	runJob(t, w, func(r *mpi.Rank) {

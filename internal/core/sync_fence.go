@@ -45,18 +45,18 @@ func (w *Window) Fence(assert FenceAssert) {
 		w.vanillaFence(assert)
 		return
 	}
-	w.waitSync(w.IFence(assert))
+	w.waitSync(func() *mpi.Request { return w.IFence(assert) })
 }
 
 // openFenceEpoch creates and enqueues a new fence epoch. Fence epochs play
 // both roles at once: they are access epochs toward every peer and
 // exposure epochs from every peer; closing one therefore entails barrier
 // semantics (completion needs all peers' done packets).
-func (w *Window) openFenceEpoch() *Epoch {
-	ep := newEpoch(w, EpochFence)
-	ep.openReq = mpi.NewCompletedRequest(w.rank)
-	w.curFence = ep
-	w.openAccess = append(w.openAccess, ep)
-	w.pushEpoch(ep)
-	return ep
+func (w *Window) openFenceEpoch() {
+	w.openEpoch(func() *Epoch {
+		ep := newEpoch(w, EpochFence)
+		w.curFence = ep
+		w.openAccess = append(w.openAccess, ep)
+		return ep
+	})
 }

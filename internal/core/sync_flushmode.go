@@ -96,8 +96,9 @@ func (w *Window) initFlushMode(master int) {
 type lockOp struct {
 	fm       *flushState
 	req      *mpi.Request
-	target   int // -1 for lock_all
-	attempt  int // consecutive failed conditional atomics (backoff input)
+	target   int   // -1 for lock_all
+	release  int64 // releases: the atomic to send once the flush completes
+	attempt  int   // consecutive failed conditional atomics (backoff input)
 	finished bool
 }
 
@@ -272,7 +273,9 @@ func (lo *lockOp) fail(err error) {
 func (fm *flushState) acquire(target int, exclusive bool) *mpi.Request {
 	w := fm.w
 	w.checkLive()
-	w.rank.ChargeCall()
+	if !w.rank.ChargeCall() {
+		return nil
+	}
 	if w.err != nil {
 		return mpi.NewFailedRequest(w.rank, w.err)
 	}
@@ -300,7 +303,9 @@ func (fm *flushState) acquire(target int, exclusive bool) *mpi.Request {
 func (fm *flushState) acquireNoCheck(target int) *mpi.Request {
 	w := fm.w
 	w.checkLive()
-	w.rank.ChargeCall()
+	if !w.rank.ChargeCall() {
+		return nil
+	}
 	if w.err != nil {
 		return mpi.NewFailedRequest(w.rank, w.err)
 	}
@@ -314,44 +319,64 @@ func (fm *flushState) acquireNoCheck(target int) *mpi.Request {
 	return mpi.NewCompletedRequest(w.rank)
 }
 
-// release starts a lock release toward target. MPI's unlock implies remote
-// completion of the epochless "epoch" toward the target, so the release
-// atomics are chained behind an internal IFlush(target).
+// release starts the release of the lock held on target, or of lock_all
+// when target is -1. MPI's unlock implies remote completion of the epochless
+// "epoch" toward the target, so the release atomic is chained behind an
+// internal IFlush(target) / IFlushAll. The embedded flush carries its own
+// ChargeCall — a flush-mode unlock really does pay two call overheads — so
+// the repeat of a call pending there finds its registered protocol op in the
+// call state.
 func (fm *flushState) release(target int) *mpi.Request {
 	w := fm.w
-	w.checkLive()
-	w.rank.ChargeCall()
-	if w.err != nil {
-		return mpi.NewFailedRequest(w.rank, w.err)
+	c := &w.eng.call
+	lo := c.lo
+	if lo == nil {
+		w.checkLive()
+		if !w.rank.ChargeCall() {
+			return nil
+		}
+		if w.err != nil {
+			return mpi.NewFailedRequest(w.rank, w.err)
+		}
+		// The origin's hold ends at the unlock call (a fresh Lock on the same
+		// target is legal right away — its conditional atomics simply retry
+		// until the in-flight release lands at the counters).
+		var code int64
+		switch {
+		case target == -1:
+			if !fm.lockAll {
+				w.raisef("flush mode: unlock_all without holding lock_all")
+			}
+			fm.lockAll = false
+			code = laGlobalRelS
+		case fm.noCheck[target]:
+			delete(fm.noCheck, target)
+			return mpi.NewCompletedRequest(w.rank)
+		case fm.heldExcl[target]:
+			delete(fm.heldExcl, target)
+			code = laLocalRelX
+		case fm.heldShared[target]:
+			delete(fm.heldShared, target)
+			code = laLocalRelS
+		default:
+			w.raisef("flush mode: unlocking target %d without holding its lock", target)
+		}
+		lo = &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: target, release: code}
+		fm.pending[lo] = struct{}{}
 	}
-	if fm.noCheck[target] {
-		delete(fm.noCheck, target)
-		return mpi.NewCompletedRequest(w.rank)
+	c.lo = nil
+	fq := w.newFlush(target, false)
+	if w.rank.Pending() {
+		c.lo = lo
+		return nil
 	}
-	excl := fm.heldExcl[target]
-	if !excl && !fm.heldShared[target] {
-		w.raisef("flush mode: unlocking target %d without holding its lock", target)
-	}
-	// The origin's hold ends at the unlock call (a fresh Lock on the same
-	// target is legal right away — its conditional atomics simply retry
-	// until the in-flight release lands at the counters).
-	delete(fm.heldExcl, target)
-	delete(fm.heldShared, target)
-	lo := &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: target}
-	fm.pending[lo] = struct{}{}
-	fq := w.IFlush(target)
 	fq.OnComplete(func() {
 		if err := fq.Err(); err != nil {
 			lo.fail(err)
 			return
 		}
-		if lo.finished {
-			return
-		}
-		if excl {
-			fm.sendAtom(lo, laLocalRelX)
-		} else {
-			fm.sendAtom(lo, laLocalRelS)
+		if !lo.finished {
+			fm.sendAtom(lo, lo.release)
 		}
 	})
 	return lo.req
@@ -361,16 +386,11 @@ func (fm *flushState) release(target int) *mpi.Request {
 // master's global S counter, whatever the window size — foMPI's scalability
 // argument in one line.
 func (fm *flushState) acquireAll() *mpi.Request {
-	fm.w.checkLive()
-	fm.w.rank.ChargeCall()
-	return fm.acquireAllNC()
-}
-
-// acquireAllNC is acquireAll after its ChargeCall (shared with the task
-// API).
-func (fm *flushState) acquireAllNC() *mpi.Request {
 	w := fm.w
 	w.checkLive()
+	if !w.rank.ChargeCall() {
+		return nil
+	}
 	if w.err != nil {
 		return mpi.NewFailedRequest(w.rank, w.err)
 	}
@@ -383,56 +403,6 @@ func (fm *flushState) acquireAllNC() *mpi.Request {
 	lo := &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: -1}
 	fm.pending[lo] = struct{}{}
 	fm.sendAtom(lo, laGlobalAcqS)
-	return lo.req
-}
-
-// releaseAll releases lock_all behind an internal window-wide flush.
-func (fm *flushState) releaseAll() *mpi.Request {
-	w := fm.w
-	w.checkLive()
-	w.rank.ChargeCall()
-	lo, req := fm.releaseAllBegin()
-	if lo == nil {
-		return req
-	}
-	// The embedded IFlushAll carries its own ChargeCall — the blocking
-	// unlock_all really does pay two call overheads, and the task-mode
-	// mirror (task_api.go) models both sleeps explicitly.
-	return fm.releaseAllFinish(lo, w.IFlushAll())
-}
-
-// releaseAllBegin is releaseAll up to (but excluding) the embedded
-// IFlushAll: the hold ends, the protocol op is pending. Returns a nil op
-// with a completed-failed request when the window is already poisoned.
-func (fm *flushState) releaseAllBegin() (*lockOp, *mpi.Request) {
-	w := fm.w
-	w.checkLive()
-	if w.err != nil {
-		return nil, mpi.NewFailedRequest(w.rank, w.err)
-	}
-	if !fm.lockAll {
-		w.raisef("flush mode: unlock_all without holding lock_all")
-	}
-	// As with release: the hold ends at the unlock_all call.
-	fm.lockAll = false
-	lo := &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: -1}
-	fm.pending[lo] = struct{}{}
-	return lo, lo.req
-}
-
-// releaseAllFinish chains the global release behind the flush-all request
-// fq (built by the caller with or without a charge).
-func (fm *flushState) releaseAllFinish(lo *lockOp, fq *mpi.Request) *mpi.Request {
-	fq.OnComplete(func() {
-		if err := fq.Err(); err != nil {
-			lo.fail(err)
-			return
-		}
-		if lo.finished {
-			return
-		}
-		fm.sendAtom(lo, laGlobalRelS)
-	})
 	return lo.req
 }
 

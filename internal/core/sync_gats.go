@@ -13,11 +13,12 @@ import (
 // IStart opens an access epoch toward the given target group,
 // nonblockingly; the returned request is pre-completed.
 func (w *Window) IStart(group []int) *mpi.Request {
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
-	ep := w.startEpoch(group)
-	return ep.openReq
+	return w.openEpoch(func() *Epoch {
+		if len(group) == 0 {
+			w.raisef("Start with an empty target group")
+		}
+		return w.newGATSEpoch(EpochAccess, group)
+	})
 }
 
 // Start opens an access epoch toward the given target group. Like all
@@ -25,30 +26,22 @@ func (w *Window) IStart(group []int) *mpi.Request {
 // waiting for the matching posts.
 func (w *Window) Start(group []int) {
 	if w.mode == ModeVanilla {
-		w.vanillaStart(group)
+		w.vanillaOpen(EpochAccess, group)
 		return
 	}
-	w.rank.Wait(w.IStart(group))
+	w.waitSync(func() *mpi.Request { return w.IStart(group) })
 }
 
-// startEpoch creates and enqueues a GATS access epoch.
-func (w *Window) startEpoch(group []int) *Epoch {
-	ep := w.buildStartEpoch(group)
-	w.pushEpoch(ep)
-	return ep
-}
-
-// buildStartEpoch is the pre-charge half of startEpoch: the epoch exists
-// and is registered as application-open, but has not entered the epoch
-// pipeline yet. Shared with the no-charge task API (task_api.go).
-func (w *Window) buildStartEpoch(group []int) *Epoch {
-	if len(group) == 0 {
-		w.raisef("Start with an empty target group")
-	}
-	ep := newEpoch(w, EpochAccess)
+// newGATSEpoch creates a GATS epoch of the given role (EpochAccess or
+// EpochExposure) toward group and registers it as application-open.
+func (w *Window) newGATSEpoch(kind EpochKind, group []int) *Epoch {
+	ep := newEpoch(w, kind)
 	ep.setGroup(group)
-	ep.openReq = mpi.NewCompletedRequest(w.rank)
-	w.openAccess = append(w.openAccess, ep)
+	if kind == EpochAccess {
+		w.openAccess = append(w.openAccess, ep)
+	} else {
+		w.openExposure = append(w.openExposure, ep)
+	}
 	return ep
 }
 
@@ -67,10 +60,10 @@ func (w *Window) IComplete() *mpi.Request {
 // Complete is the blocking form of IComplete.
 func (w *Window) Complete() {
 	if w.mode == ModeVanilla {
-		w.vanillaComplete()
+		w.vanillaClose(EpochAccess)
 		return
 	}
-	w.waitSync(w.IComplete())
+	w.waitSync(w.IComplete)
 }
 
 // findOpenGATSAccess locates the application-open GATS access epoch.
@@ -88,39 +81,21 @@ func (w *Window) findOpenGATSAccess() *Epoch {
 // nonblockingly. MPI_WIN_POST was already nonblocking in MPI-3.0; IPost is
 // "provided solely for uniformity and completeness" (Section V).
 func (w *Window) IPost(group []int) *mpi.Request {
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
-	ep := w.postEpoch(group)
-	return ep.openReq
+	return w.openEpoch(func() *Epoch {
+		if len(group) == 0 {
+			w.raisef("Post with an empty origin group")
+		}
+		return w.newGATSEpoch(EpochExposure, group)
+	})
 }
 
 // Post opens an exposure epoch toward the given origin group.
 func (w *Window) Post(group []int) {
 	if w.mode == ModeVanilla {
-		w.vanillaPost(group)
+		w.vanillaOpen(EpochExposure, group)
 		return
 	}
-	w.rank.Wait(w.IPost(group))
-}
-
-// postEpoch creates and enqueues a GATS exposure epoch.
-func (w *Window) postEpoch(group []int) *Epoch {
-	ep := w.buildPostEpoch(group)
-	w.pushEpoch(ep)
-	return ep
-}
-
-// buildPostEpoch is the pre-charge half of postEpoch (see buildStartEpoch).
-func (w *Window) buildPostEpoch(group []int) *Epoch {
-	if len(group) == 0 {
-		w.raisef("Post with an empty origin group")
-	}
-	ep := newEpoch(w, EpochExposure)
-	ep.setGroup(group)
-	ep.openReq = mpi.NewCompletedRequest(w.rank)
-	w.openExposure = append(w.openExposure, ep)
-	return ep
+	w.waitSync(func() *mpi.Request { return w.IPost(group) })
 }
 
 // IWait closes the oldest application-open exposure epoch nonblockingly.
@@ -132,12 +107,9 @@ func (w *Window) IWait() *mpi.Request {
 	if w.mode == ModeVanilla {
 		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
 	}
-	w.rank.ChargeCall()
-	return w.iWaitNC()
-}
-
-// iWaitNC is IWait after its ChargeCall (shared with the task API).
-func (w *Window) iWaitNC() *mpi.Request {
+	if !w.rank.ChargeCall() {
+		return nil
+	}
 	ep := w.takeOldestExposure()
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
@@ -158,10 +130,10 @@ func (w *Window) iWaitNC() *mpi.Request {
 // done packet.
 func (w *Window) WaitEpoch() {
 	if w.mode == ModeVanilla {
-		w.vanillaWaitEpoch()
+		w.vanillaClose(EpochExposure)
 		return
 	}
-	w.waitSync(w.IWait())
+	w.waitSync(w.IWait)
 }
 
 // TestEpoch is MPI_WIN_TEST: it drives progress once and reports whether

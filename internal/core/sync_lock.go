@@ -115,31 +115,33 @@ func (w *Window) ILockAssert(target int, exclusive, noCheck bool) *mpi.Request {
 		}
 		return w.fm.acquire(target, exclusive)
 	}
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
-	ep := newEpoch(w, EpochLock)
-	ep.shared = !exclusive
-	ep.noCheck = noCheck
-	ep.setGroup([]int{target})
-	ep.openReq = mpi.NewCompletedRequest(w.rank)
-	w.openAccess = append(w.openAccess, ep)
-	w.pushEpoch(ep)
-	return ep.openReq
+	return w.openEpoch(func() *Epoch {
+		ep := newEpoch(w, EpochLock)
+		ep.shared = !exclusive
+		ep.noCheck = noCheck
+		ep.setGroup([]int{target})
+		w.openAccess = append(w.openAccess, ep)
+		return ep
+	})
 }
 
 // Lock is the blocking form of ILock. Unlike MVAPICH's lazy design, the new
 // stack requests the lock right away, enabling in-epoch overlapping.
 func (w *Window) Lock(target int, exclusive bool) {
+	w.LockAssert(target, exclusive, false)
+}
+
+// LockAssert is the blocking form of ILockAssert. Vanilla mode has no
+// lock-free path: its lazy lock is the whole epoch, so NOCHECK is refused.
+func (w *Window) LockAssert(target int, exclusive, noCheck bool) {
 	if w.mode == ModeVanilla {
+		if noCheck {
+			w.raisef("MPI_MODE_NOCHECK locks are unavailable in vanilla mode")
+		}
 		w.vanillaLock(target, exclusive)
 		return
 	}
-	if w.mode == ModeFlush {
-		w.waitSync(w.fm.acquire(target, exclusive))
-		return
-	}
-	w.rank.Wait(w.ILock(target, exclusive))
+	w.waitSync(func() *mpi.Request { return w.ILockAssert(target, exclusive, noCheck) })
 }
 
 // IUnlock closes the passive-target epoch toward target nonblockingly: it
@@ -164,7 +166,7 @@ func (w *Window) Unlock(target int) {
 		w.vanillaUnlock(target)
 		return
 	}
-	w.waitSync(w.IUnlock(target))
+	w.waitSync(func() *mpi.Request { return w.IUnlock(target) })
 }
 
 // ILockAll opens a shared lock on every rank of the window, nonblockingly.
@@ -174,21 +176,12 @@ func (w *Window) ILockAll() *mpi.Request {
 		// the window size — the foMPI scalability argument.
 		return w.fm.acquireAll()
 	}
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
-	ep := w.buildLockAllEpoch()
-	w.pushEpoch(ep)
-	return ep.openReq
-}
-
-// buildLockAllEpoch is the pre-charge half of the epoch-mode ILockAll.
-func (w *Window) buildLockAllEpoch() *Epoch {
-	ep := newEpoch(w, EpochLockAll)
-	ep.shared = true
-	ep.openReq = mpi.NewCompletedRequest(w.rank)
-	w.openAccess = append(w.openAccess, ep)
-	return ep
+	return w.openEpoch(func() *Epoch {
+		ep := newEpoch(w, EpochLockAll)
+		ep.shared = true
+		w.openAccess = append(w.openAccess, ep)
+		return ep
+	})
 }
 
 // LockAll is the blocking form of ILockAll.
@@ -197,17 +190,13 @@ func (w *Window) LockAll() {
 		w.vanillaLockAll()
 		return
 	}
-	if w.mode == ModeFlush {
-		w.waitSync(w.fm.acquireAll())
-		return
-	}
-	w.rank.Wait(w.ILockAll())
+	w.waitSync(w.ILockAll)
 }
 
 // IUnlockAll closes the lock-all epoch nonblockingly.
 func (w *Window) IUnlockAll() *mpi.Request {
 	if w.mode == ModeFlush {
-		return w.fm.releaseAll()
+		return w.fm.release(-1)
 	}
 	if w.mode == ModeVanilla {
 		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
@@ -222,7 +211,7 @@ func (w *Window) UnlockAll() {
 		w.vanillaUnlockAll()
 		return
 	}
-	w.waitSync(w.IUnlockAll())
+	w.waitSync(w.IUnlockAll)
 }
 
 // findOpenLock locates the newest application-open lock epoch of the given
@@ -245,13 +234,9 @@ func (w *Window) findOpenLock(target int, kind EpochKind) *Epoch {
 // epochs: attach the closing request, mark the epoch application-closed,
 // and let the engine fulfil the rest.
 func (w *Window) closeAccessEpoch(ep *Epoch) *mpi.Request {
-	w.rank.ChargeCall()
-	return w.closeAccessEpochNC(ep)
-}
-
-// closeAccessEpochNC is closeAccessEpoch after its ChargeCall (shared with
-// the task API).
-func (w *Window) closeAccessEpochNC(ep *Epoch) *mpi.Request {
+	if !w.rank.ChargeCall() {
+		return nil
+	}
 	if ep.closedApp {
 		w.raisef("%s epoch seq %d closed twice", ep.kind, ep.seq)
 	}
@@ -271,9 +256,4 @@ func (w *Window) closeAccessEpochNC(ep *Epoch) *mpi.Request {
 	}
 	w.armEpochTimeout(ep)
 	return ep.closeReq
-}
-
-// LockAssert is the blocking form of ILockAssert.
-func (w *Window) LockAssert(target int, exclusive, noCheck bool) {
-	w.rank.Wait(w.ILockAssert(target, exclusive, noCheck))
 }

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/sim"
-
 // Vanilla mode reproduces the MVAPICH 2-1.9 behaviour the paper evaluates
 // against (Section VIII):
 //
@@ -26,160 +24,100 @@ func (w *Window) vanillaActivate(ep *Epoch) {
 	w.activate(ep)
 }
 
-// vanillaStart opens a GATS access epoch; ids are assigned immediately but
-// transfers stay recorded until Complete.
-func (w *Window) vanillaStart(group []int) {
-	w.rank.ChargeCall()
-	w.vanillaStartNC(group)
+// vanillaOpen is vanilla-mode Start (EpochAccess) and Post (EpochExposure).
+// An access epoch's ids are assigned immediately but its transfers stay
+// recorded until Complete; an exposure's post notifications go out at once,
+// as in every modern MPI library.
+func (w *Window) vanillaOpen(kind EpochKind, group []int) {
+	if !w.rank.ChargeCall() {
+		return
+	}
+	w.vanillaActivate(w.newGATSEpoch(kind, group))
 }
 
-// vanillaStartNC is vanillaStart after its ChargeCall (task API).
-func (w *Window) vanillaStartNC(group []int) {
-	ep := newEpoch(w, EpochAccess)
-	ep.setGroup(group)
-	w.openAccess = append(w.openAccess, ep)
-	w.vanillaActivate(ep)
-}
-
-// vanillaComplete is the MVAPICH-style closing synchronization: wait for
-// every target's post, then issue everything, wait for the data, notify.
-func (w *Window) vanillaComplete() {
-	w.rank.ChargeCall()
-	w.vanillaRun(w.vanillaCompleteBegin())
-}
-
-// Vanilla drain stages (VanillaDrain.stage).
+// Stages of a vanilla closing synchronization (vanillaDrain).
 const (
 	drainGrants = iota // waiting for every target's grant
 	drainData          // transfers issued; waiting for remote completion
 	drainExpose        // exposure side: waiting for every origin's done
 )
 
-// VanillaDrain is the blocking tail of a vanilla-mode closing
-// synchronization, reified so task-mode ranks can resume it across Steps.
-// Each stage is one waitUntil of the original sequence; Step advances
-// through as many stages as current progress allows and arms the rank's
-// Wake signal when it must wait, exactly like one unrolled waitUntil
-// iteration per stage (mpi.Rank.TaskAwait).
-type VanillaDrain struct {
-	w     *Window
-	ep    *Epoch
-	stage int
+// vanillaClose is vanilla-mode Complete (EpochAccess) — the MVAPICH-style
+// closing synchronization: wait for every target's post, then issue
+// everything, wait for the data, notify — and WaitEpoch (EpochExposure),
+// which waits until every origin's done packet has arrived. The epoch is
+// closed at the application level and then drained; the repeat of a pending
+// call goes straight back to the drain stage it had reached.
+func (w *Window) vanillaClose(kind EpochKind) {
+	c := &w.eng.call
+	ep, stage := c.ep, c.stage
+	if ep == nil {
+		if !w.rank.ChargeCall() {
+			return
+		}
+		if kind == EpochAccess {
+			ep, stage = w.findOpenGATSAccess(), drainGrants
+			w.emitEpoch(traceClose, ep)
+			w.removeOpenAccess(ep)
+		} else {
+			ep, stage = w.takeOldestExposure(), drainExpose
+			w.emitEpoch(traceClose, ep)
+			ep.closedApp = true
+		}
+		w.armEpochTimeout(ep)
+	}
+	c.ep = nil
+	w.vanillaDrain(ep, stage)
 }
 
-// vanillaCompleteBegin is vanillaComplete up to its first wait: the open
-// GATS access epoch is closed at the application level and handed to the
-// drain.
-func (w *Window) vanillaCompleteBegin() *VanillaDrain {
-	ep := w.findOpenGATSAccess()
-	w.emitEpoch(traceClose, ep)
-	w.removeOpenAccess(ep)
-	w.armEpochTimeout(ep)
-	return &VanillaDrain{w: w, ep: ep, stage: drainGrants}
-}
-
-// vanillaWaitBegin is vanillaWaitEpoch up to its wait.
-func (w *Window) vanillaWaitBegin() *VanillaDrain {
-	ep := w.takeOldestExposure()
-	w.emitEpoch(traceClose, ep)
-	ep.closedApp = true
-	w.armEpochTimeout(ep)
-	return &VanillaDrain{w: w, ep: ep, stage: drainExpose}
-}
-
-// Step advances the drain and reports completion. While false, the calling
-// proc has been armed on (or, for goroutine procs, woken through) the
-// rank's Wake signal. The scheduling sequence is identical to the blocking
-// form: each TaskAwait is one Progress-sweep-then-test, and a stage
-// transition falls through into the next stage's sweep just as consecutive
-// waitUntil calls do.
-func (d *VanillaDrain) Step(p *sim.Proc) bool {
-	w, ep, r := d.w, d.ep, d.w.rank
-	// Every stage's predicate admits ep.err: an abort (epoch timeout or
-	// dead-peer declaration) completes the epoch without ever satisfying the
-	// healthy-path condition — grants from a dead lock agent never arrive —
-	// so an abort-blind drain would park its proc forever. The blocking
-	// driver (vanillaRun) surfaces the error as a panic after the unwind.
-	if d.stage == drainGrants {
-		ok := r.TaskAwait(p, "vanilla-grants", func() bool {
-			return ep.err != nil || ep.allGranted()
-		})
-		if !ok {
-			return false
+// vanillaDrain runs the waits of a vanilla closing synchronization from
+// stage on: the access side goes through drainGrants and drainData, the
+// exposure side is drainExpose alone. A stage transition falls through into
+// the next stage's progress sweep, as consecutive waits do.
+//
+// Every stage's predicate admits ep.err: an abort (epoch timeout or
+// dead-peer declaration) completes the epoch without ever satisfying the
+// healthy-path condition — grants from a dead lock agent never arrive — so
+// an abort-blind drain would wait forever. The error surfaces as a panic
+// after the unwind (the errors-are-fatal analog, same as waitSync).
+func (w *Window) vanillaDrain(ep *Epoch, stage int) {
+	r, c := w.rank, &w.eng.call
+	switch stage {
+	case drainGrants:
+		if !r.WaitUntil("vanilla-grants", func() bool { return ep.err != nil || ep.allGranted() }) {
+			c.ep, c.stage = ep, drainGrants
+			return
 		}
 		if ep.err != nil {
-			return true
+			break
 		}
 		w.eng.issueReady(ep, anyNode)
-		d.stage = drainData
-	}
-	if d.stage == drainData {
-		ok := r.TaskAwait(p, "vanilla-data", func() bool {
+		fallthrough
+	case drainData:
+		if !r.WaitUntil("vanilla-data", func() bool {
 			return ep.err != nil || (ep.pendingAll == 0 && ep.recLive == 0)
-		})
-		if !ok {
-			return false
+		}) {
+			c.ep, c.stage = ep, drainData
+			return
 		}
 		if ep.err != nil {
-			return true
+			break
 		}
 		ep.closedApp = true
 		ep.postDones()
 		ep.maybeComplete()
-		return true
+	case drainExpose:
+		if !r.WaitUntil("vanilla-wait", func() bool { return ep.err != nil || ep.exposureSideDone() }) {
+			c.ep, c.stage = ep, drainExpose
+			return
+		}
+		if ep.err == nil {
+			ep.maybeComplete()
+		}
 	}
-	ok := r.TaskAwait(p, "vanilla-wait", func() bool {
-		return ep.err != nil || ep.exposureSideDone()
-	})
-	if !ok {
-		return false
+	if err := ep.err; err != nil {
+		panic(err)
 	}
-	if ep.err == nil {
-		ep.maybeComplete()
-	}
-	return true
-}
-
-// vanillaRun drives a drain to completion on the blocking (goroutine) path.
-// TaskAwait's Wake.Wait parks the goroutine inline, so the loop is the
-// original waitUntil sequence; the single TimeInMPI span equals the sum of
-// the original per-wait spans because the work between stages advances no
-// virtual time.
-func (w *Window) vanillaRun(d *VanillaDrain) {
-	r := w.rank
-	start := r.Now()
-	for !d.Step(r.Proc) {
-	}
-	r.TimeInMPI += r.Now() - start
-	if err := d.ep.err; err != nil {
-		panic(err) // errors-are-fatal analog, same as waitSync
-	}
-}
-
-// vanillaDrain runs the blocking access-side close sequence of ep.
-func (w *Window) vanillaDrain(ep *Epoch) {
-	w.vanillaRun(&VanillaDrain{w: w, ep: ep, stage: drainGrants})
-}
-
-// vanillaPost opens an exposure epoch (post notifications go out at once,
-// as in every modern MPI library).
-func (w *Window) vanillaPost(group []int) {
-	w.rank.ChargeCall()
-	w.vanillaPostNC(group)
-}
-
-// vanillaPostNC is vanillaPost after its ChargeCall (task API).
-func (w *Window) vanillaPostNC(group []int) {
-	ep := newEpoch(w, EpochExposure)
-	ep.setGroup(group)
-	w.openExposure = append(w.openExposure, ep)
-	w.vanillaActivate(ep)
-}
-
-// vanillaWaitEpoch blocks until every origin's done packet has arrived.
-func (w *Window) vanillaWaitEpoch() {
-	w.rank.ChargeCall()
-	w.vanillaRun(w.vanillaWaitBegin())
 }
 
 // vanillaFence closes the open fence epoch with the staged blocking
@@ -192,7 +130,7 @@ func (w *Window) vanillaFence(assert FenceAssert) {
 		w.curFence = nil
 		w.emitEpoch(traceClose, ep)
 		w.removeOpenAccess(ep)
-		w.vanillaDrain(ep)
+		w.vanillaDrain(ep, drainGrants)
 		// Barrier semantics: wait for every peer's done packet.
 		w.rank.WaitUntil("vanilla-fence-barrier", func() bool {
 			return ep.err != nil || ep.exposureSideDone()
@@ -212,7 +150,9 @@ func (w *Window) vanillaFence(assert FenceAssert) {
 
 // vanillaLock opens a lazy lock epoch: nothing is sent yet.
 func (w *Window) vanillaLock(target int, exclusive bool) {
-	w.rank.ChargeCall()
+	if !w.rank.ChargeCall() {
+		return
+	}
 	ep := newEpoch(w, EpochLock)
 	ep.shared = !exclusive
 	ep.setGroup([]int{target})
@@ -230,7 +170,7 @@ func (w *Window) vanillaUnlock(target int) {
 	w.removeOpenAccess(ep)
 	w.vanillaLockActivate(ep)
 	w.armEpochTimeout(ep)
-	w.vanillaDrain(ep)
+	w.vanillaDrain(ep, drainGrants)
 }
 
 // vanillaLockActivate lazily activates a lock(-all) epoch if needed.
@@ -252,7 +192,9 @@ func (w *Window) vanillaLockActivate(ep *Epoch) {
 
 // vanillaLockAll opens a lazy shared lock on every rank.
 func (w *Window) vanillaLockAll() {
-	w.rank.ChargeCall()
+	if !w.rank.ChargeCall() {
+		return
+	}
 	ep := newEpoch(w, EpochLockAll)
 	ep.shared = true
 	w.emitEpoch(traceOpen, ep)

@@ -49,7 +49,7 @@ func (w *Window) checkVector(target int, off int64, v vecShape) {
 func (w *Window) PutVector(target int, off int64, count, blockLen, stride int64, data []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
 	w.checkVector(target, off, v)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
 		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v})
 }
 
@@ -58,7 +58,7 @@ func (w *Window) RPutVector(target int, off int64, count, blockLen, stride int64
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
 	w.checkVector(target, off, v)
 	req := mpi.NewRequest(w.rank)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
 		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v, req: req})
 	return req
 }
@@ -68,7 +68,7 @@ func (w *Window) RPutVector(target int, off int64, count, blockLen, stride int64
 func (w *Window) GetVector(target int, off int64, count, blockLen, stride int64, buf []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
 	w.checkVector(target, off, v)
-	w.addOp(&rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
+	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
 		target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: &v})
 }
 

@@ -137,20 +137,24 @@ func removeOpen(q []*Epoch, i int) []*Epoch {
 	return q[:len(q)-1]
 }
 
-// pushEpoch registers a newly opened epoch with the deferred-epoch queue
-// and triggers an activation scan (the epoch may activate immediately).
-func (w *Window) pushEpoch(ep *Epoch) {
-	w.pushEpochCharged(ep, true)
-}
-
-// pushEpochNC is pushEpoch minus the ChargeCall, for task-mode callers that
-// model the call overhead as an explicit TaskSleep before invoking the
-// no-charge API (see task_api.go).
-func (w *Window) pushEpochNC(ep *Epoch) {
-	w.pushEpochCharged(ep, false)
-}
-
-func (w *Window) pushEpochCharged(ep *Epoch, charge bool) {
+// openEpoch is the nonblocking form of every epoch-opening call: build the
+// epoch and register it as application-open, charge the call, enter the
+// epoch into the deferred-epoch queue and trigger an activation scan (the
+// epoch may activate immediately). The returned request is pre-completed
+// (epoch-opening routines always exit immediately, Section VII-C). The epoch
+// exists before the charge, so the repeat of a pending call takes it from
+// the call state instead of building another.
+func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
+	if w.mode == ModeVanilla {
+		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
+	}
+	c := &w.eng.call
+	ep := c.ep
+	if ep == nil {
+		ep = build()
+		ep.openReq = mpi.NewCompletedRequest(w.rank)
+	}
+	c.ep = nil
 	w.checkLive()
 	if w.mode == ModeFlush {
 		w.raisef("%s synchronization is unavailable in flush mode (epochless window)", ep.kind)
@@ -160,8 +164,9 @@ func (w *Window) pushEpochCharged(ep *Epoch, charge bool) {
 		// pipeline is poisoned and new epochs would hang behind it.
 		panic(w.err)
 	}
-	if charge {
-		w.rank.ChargeCall()
+	if !w.rank.ChargeCall() {
+		c.ep = ep
+		return nil
 	}
 	w.emitEpoch(traceOpen, ep)
 	w.epochs = append(w.epochs, ep)
@@ -172,9 +177,10 @@ func (w *Window) pushEpochCharged(ep *Epoch, charge bool) {
 		// arrive. Blocking closers observe the error via waitSync, I-form
 		// closers via the failed closing request.
 		w.abortOpenedDead(ep, p)
-		return
+	} else {
+		w.scanActivate()
 	}
-	w.scanActivate()
+	return ep.openReq
 }
 
 // peer returns the counter triple toward rank i, materializing it on first
@@ -348,20 +354,19 @@ func (w *Window) grantTo(ep *Epoch, o int) {
 	w.eng.sendGrant(w, o, id)
 }
 
-// Quiesce blocks until every epoch of this window has completed internally.
+// Quiesce waits until every epoch of this window has completed internally.
 // Useful before tearing a benchmark down; it plays the role of the final
 // MPI_WIN_FREE synchronization. Flush-mode windows have no epochs; they
 // quiesce when every issued op has remotely completed and no lock-protocol
 // operation is in flight (an aborted window is quiescent by definition —
 // the abort already unwound everything).
 func (w *Window) Quiesce() {
-	w.rank.WaitUntil("win-quiesce", w.Quiesced)
+	w.rank.WaitUntil("win-quiesce", w.quiesced)
 }
 
-// Quiesced is Quiesce's predicate, evaluated once: every epoch (or, in
-// flush mode, every op and lock) of this window has completed internally.
-// Task-mode ranks poll it through TaskAwait instead of blocking.
-func (w *Window) Quiesced() bool {
+// quiesced is Quiesce's predicate: every epoch (or, in flush mode, every op
+// and lock) of this window has completed internally.
+func (w *Window) quiesced() bool {
 	if w.mode == ModeFlush {
 		return w.err != nil || (len(w.liveOps) == 0 && w.fm.idle())
 	}

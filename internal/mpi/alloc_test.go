@@ -92,37 +92,40 @@ func TestInboxFilterSurvivesDeliveryDuringSweep(t *testing.T) {
 	}
 }
 
-// barrierLoop is a task-mode rank running back-to-back TaskBarriers.
+// barrierLoop is a rank program of back-to-back Barriers: a pending call is
+// repeated at the next Step, so it runs as a task rank and, in one Step, as
+// a goroutine rank.
 type barrierLoop struct {
 	r      *Rank
-	bar    *TaskBarrier
 	rounds int
 }
 
 func (b *barrierLoop) Step(p *sim.Proc) {
-	for b.rounds > 0 {
-		if b.bar == nil {
-			b.bar = b.r.NewTaskBarrier()
-		}
-		if !b.bar.Step(p) {
+	for ; b.rounds > 0; b.rounds-- {
+		if b.r.Barrier(); b.r.Pending() {
 			return
 		}
-		b.bar = nil
-		b.rounds--
 	}
 	p.TaskExit()
 }
 
-// A steady-state barrier allocates no packet — and nothing else: tokens ride
-// in pooled packets and are consumed at delivery. The task form's only heap
-// object per barrier is its own TaskBarrier state machine.
+// A steady-state barrier allocates no packet — and nothing else, in either
+// execution form: tokens ride in pooled packets and are consumed at
+// delivery, and the barrier's position lives in the rank.
 func TestBarrierSteadyStateAllocatesNoPackets(t *testing.T) {
 	const ranks, rounds = 8, 200
-	mallocs := func(launch func(w *World, n int), n int) uint64 {
+	mallocs := func(tasks bool, n int) uint64 {
 		cfg := testCfg()
 		cfg.ProcsPerNode = 1 // every token crosses the NIC pipeline
 		w := NewWorld(ranks, cfg)
-		launch(w, n)
+		for i, r := range w.ranks {
+			loop := &barrierLoop{r: r, rounds: n}
+			if tasks {
+				w.LaunchTask(i, loop)
+			} else {
+				w.Launch(i, func(r *Rank) { loop.Step(r.Proc) })
+			}
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := w.RunLaunched()
@@ -132,31 +135,14 @@ func TestBarrierSteadyStateAllocatesNoPackets(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs
 	}
-	perBarrier := func(launch func(w *World, n int)) float64 {
-		mallocs(launch, rounds) // warm-up
-		m1, m2 := mallocs(launch, rounds), mallocs(launch, 2*rounds)
-		return (float64(m2) - float64(m1)) / (rounds * ranks)
-	}
-	blocking := perBarrier(func(w *World, n int) {
-		for i := range w.ranks {
-			w.Launch(i, func(r *Rank) {
-				for j := 0; j < n; j++ {
-					r.Barrier()
-				}
-			})
+	for _, tasks := range []bool{false, true} {
+		mallocs(tasks, rounds) // warm-up
+		m1, m2 := mallocs(tasks, rounds), mallocs(tasks, 2*rounds)
+		per := (float64(m2) - float64(m1)) / (rounds * ranks)
+		t.Logf("tasks=%t: %.3f heap objects per rank per barrier", tasks, per)
+		if per > 0.05 {
+			t.Errorf("tasks=%t: Barrier allocates %.3f objects per rank per barrier, want 0", tasks, per)
 		}
-	})
-	task := perBarrier(func(w *World, n int) {
-		for i, r := range w.ranks {
-			w.LaunchTask(i, &barrierLoop{r: r, rounds: n})
-		}
-	})
-	t.Logf("heap objects per rank per barrier: blocking %.3f, task %.3f", blocking, task)
-	if blocking > 0.05 {
-		t.Errorf("blocking Barrier allocates %.3f objects per rank per barrier, want 0", blocking)
-	}
-	if task > 1.05 {
-		t.Errorf("TaskBarrier allocates %.3f objects per rank per barrier, want 1 (its own state)", task)
 	}
 }
 

@@ -78,7 +78,7 @@ func (r *Rank) Waitany(reqs ...*Request) int {
 		panic("mpi: Waitany with no requests")
 	}
 	idx := -1
-	r.waitUntil("waitany", func() bool {
+	r.WaitUntil("waitany", func() bool {
 		for i, q := range reqs {
 			if q != nil && q.done {
 				idx = i

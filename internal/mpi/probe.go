@@ -18,7 +18,7 @@ func (r *Rank) Iprobe(src, tag int) (ok bool, size int64) {
 func (r *Rank) Probe(src, tag int) int64 {
 	r.ChargeCall()
 	var size int64
-	r.waitUntil("probe", func() bool {
+	r.WaitUntil("probe", func() bool {
 		ok, s := r.probe(src, tag)
 		size = s
 		return ok

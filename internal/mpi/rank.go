@@ -33,7 +33,22 @@ type Rank struct {
 	// MPI calls (used for the paper's Fig 13b/d communication-percentage
 	// decomposition).
 	TimeInMPI sim.Time
+
+	// pending records which primitive the call in flight on a task rank was
+	// in when it last returned pending, and waitStart when its wait began. A
+	// goroutine rank's calls never return pending, so both stay zero.
+	pending   pendingIn
+	waitStart sim.Time
 }
+
+// pendingIn is the primitive a pending call is parked in.
+type pendingIn uint8
+
+const (
+	notPending pendingIn = iota
+	inSleep              // pause (a charge, Compute)
+	inWait               // WaitUntil: every charge before it is paid
+)
 
 func newRank(w *World, id int, k *sim.Kernel) *Rank {
 	r := &Rank{world: w, ID: id, k: k, Wake: sim.NewSignal(k)}
@@ -55,17 +70,61 @@ func (r *Rank) Size() int { return len(r.world.ranks) }
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.k.Now() }
 
+// Every call of this package and of internal/core is built from three
+// primitives — charge the call overhead (ChargeCall), make a zero-time state
+// transition, wait for a predicate (WaitUntil) — and is defined once, for
+// both rank execution forms. On a goroutine rank the primitives block inline
+// and the call returns complete, always. On a task rank (sim.Task) a
+// primitive that has to wait arms the proc's wake and the call returns
+// pending at once; the task's Step must then return and make the identical
+// call again at its next Step, which resumes it: the primitives skip what
+// is already paid for, and a call guards its own transitions with state
+// kept in the rank or window — a rank has one call in flight — written only
+// on the pending path. Return values are those of the completing call.
+
+// Pending reports whether the call just made on this rank returned before
+// completing: the task rank's Step must return and repeat it at its next
+// Step. Always false on a goroutine rank.
+func (r *Rank) Pending() bool { return r.Proc.Armed() }
+
+// pause advances the rank's proc by d and reports whether that is done;
+// false means the call is pending.
+func (r *Rank) pause(d sim.Time, tag string) bool {
+	r.mustRun()
+	switch r.pending {
+	case inSleep: // the repeat of the call that armed this sleep: it is over
+		r.pending = notPending
+		return true
+	case inWait: // the repeat of a call pending in the wait that follows
+		return true
+	}
+	if r.Proc.TaskSleep(d, tag) {
+		r.pending = inSleep
+		return false
+	}
+	return true
+}
+
+// mustRun panics when a call goes on after one of its primitives armed the
+// task rank's wake: the call has no resumable form (it ignored a pending
+// result) and would run its next step early.
+func (r *Rank) mustRun() {
+	if r.Proc.Armed() {
+		panic(fmt.Sprintf("mpi: rank %d continued a call past an armed wait: the call cannot run on a task rank", r.ID))
+	}
+}
+
 // Compute models d nanoseconds of CPU-bound application work, during which
 // this rank's software progress engines do not run.
-func (r *Rank) Compute(d sim.Time) { r.Proc.Compute(d) }
+func (r *Rank) Compute(d sim.Time) { r.pause(d, "compute") }
 
-// ChargeCall models the CPU cost of entering one MPI routine. Called from
-// every application-facing entry point (two-sided and RMA alike); must
-// only run in proc context.
-func (r *Rank) ChargeCall() {
-	if d := r.world.Net.Cfg.CallOverhead; d > 0 {
-		r.Proc.Compute(d)
-	}
+// ChargeCall models the CPU cost of entering one MPI routine and reports
+// whether it is paid; false means the call is pending. Called from every
+// application-facing entry point (two-sided and RMA alike); must only run in
+// proc context. A call resumed inside its wait has paid every charge that
+// precedes the wait.
+func (r *Rank) ChargeCall() bool {
+	return r.pause(r.world.Net.Cfg.CallOverhead, "mpi-call")
 }
 
 // SetRMAHandler installs the NIC-context handler for RMA packet kinds.
@@ -107,52 +166,36 @@ func (r *Rank) Progress() {
 	}
 }
 
-// waitUntil blocks the rank's proc until pred holds, driving Progress and
-// accounting the elapsed time as MPI time. tag describes the wait for
-// deadlock diagnostics.
-func (r *Rank) waitUntil(tag string, pred func() bool) {
+// WaitUntil waits until pred holds, driving Progress and accounting the
+// elapsed time as MPI time, and reports whether it does; false means the
+// call is pending. tag describes the wait for deadlock diagnostics. Each
+// Step of a task rank is one iteration of the goroutine rank's loop.
+func (r *Rank) WaitUntil(tag string, pred func() bool) bool {
+	r.mustRun()
 	start := r.Now()
+	if r.pending == inWait {
+		start, r.pending = r.waitStart, notPending
+	}
 	for {
 		r.Progress()
 		if pred() {
-			break
+			r.TimeInMPI += r.Now() - start
+			return true
 		}
 		r.Wake.Wait(r.Proc, tag)
+		if r.Proc.Armed() {
+			r.pending, r.waitStart = inWait, start
+			return false
+		}
 	}
-	r.TimeInMPI += r.Now() - start
 }
 
-// WaitUntil is the exported form of waitUntil for use by internal/core when
-// implementing blocking RMA synchronizations.
-func (r *Rank) WaitUntil(tag string, pred func() bool) { r.waitUntil(tag, pred) }
-
-// TaskAwait is one iteration of waitUntil for task-mode ranks (sim.Task
-// bodies): it sweeps the progress engines, returns true if pred already
-// holds, and otherwise arms the rank's Wake signal and returns false — the
-// task's Step must then return and re-call TaskAwait on its next wake.
-// Scheduling-wise this is exactly the blocking waitUntil loop unrolled
-// across Steps. TimeInMPI is not accounted for task ranks: the state
-// machine has no single blocking span to attribute, and the scale paths
-// that run on tasks do not consume the Fig 13 decomposition.
-func (r *Rank) TaskAwait(p *sim.Proc, tag string, pred func() bool) bool {
-	r.Progress()
-	if pred() {
-		return true
-	}
-	r.Wake.Wait(p, tag)
-	return false
-}
-
-// CallOverhead returns the configured per-MPI-call CPU cost. Task-mode rank
-// programs model each ChargeCall of the blocking API as an explicit
-// TaskSleep of this duration (TaskSleep ignores non-positive values exactly
-// as ChargeCall does).
-func (r *Rank) CallOverhead() sim.Time { return r.world.Net.Cfg.CallOverhead }
-
-// Wait blocks until every given request has completed.
+// Wait waits until every given request has completed.
 func (r *Rank) Wait(reqs ...*Request) {
-	r.ChargeCall()
-	r.waitUntil("waitall", func() bool {
+	if !r.ChargeCall() {
+		return
+	}
+	r.WaitUntil("waitall", func() bool {
 		for _, q := range reqs {
 			if q != nil && !q.done {
 				return false
@@ -164,7 +207,9 @@ func (r *Rank) Wait(reqs ...*Request) {
 
 // Test drives progress once and reports whether req has completed.
 func (r *Rank) Test(req *Request) bool {
-	r.ChargeCall()
+	if !r.ChargeCall() {
+		return false
+	}
 	start := r.Now()
 	r.Progress()
 	r.TimeInMPI += r.Now() - start

@@ -198,8 +198,10 @@ func (w *World) Run(body func(*Rank)) error {
 
 // RunTasks launches mk(rank) on every rank as a spawn-free state machine
 // and executes the simulation to completion. Scheduling is identical to Run
-// with a blocking body making the same calls at the same virtual times, so
-// observables are bit-identical across the two forms.
+// with a body making the same calls at the same virtual times, so
+// observables are bit-identical across the two forms. A task that makes one
+// MPI call per state and returns while Rank.Pending is such a body too:
+// Run(func(r *Rank) { mk(r).Step(r.Proc) }) runs it in a single Step.
 func (w *World) RunTasks(mk func(r *Rank) sim.Task) error {
 	for i, r := range w.ranks {
 		w.LaunchTask(i, mk(r))

@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// orderTask is the task-proc member of the golden world: sleep, yield, wait
-// on the shared signal, exit — logging every Step.
+// orderTask is the member of the golden world written as a Task: sleep,
+// yield, wait on the shared signal, exit — logging each state on entry. It
+// returns whenever the proc is armed, so it runs stepped as a task proc and,
+// in a single Step, inline on a goroutine proc.
 type orderTask struct {
 	log   func(who, step string)
 	sig   *Signal
@@ -15,19 +17,20 @@ type orderTask struct {
 }
 
 func (t *orderTask) Step(p *Proc) {
-	t.log(p.Name, fmt.Sprintf("step%d", t.state))
-	switch t.state {
-	case 0:
-		t.state = 1
-		p.TaskSleep(10, "nap")
-	case 1:
-		t.state = 2
-		p.TaskYield()
-	case 2:
-		t.state = 3
-		t.sig.Wait(p, "data")
-	case 3:
-		p.TaskExit()
+	for !p.Armed() {
+		t.log(p.Name, fmt.Sprintf("step%d", t.state))
+		t.state++
+		switch t.state {
+		case 1:
+			p.TaskSleep(10, "nap")
+		case 2:
+			p.TaskYield()
+		case 3:
+			t.sig.Wait(p, "data")
+		case 4:
+			p.TaskExit()
+			return
+		}
 	}
 }
 
@@ -58,8 +61,15 @@ const goldenOrder = `0 a start
 
 // TestGoldenEventOrder runs goroutine procs, a task, At timers, same-time
 // ties and a proc spawned mid-run through every wake primitive and requires
-// the literal transcript.
+// the literal transcript — whether the task is stepped as a task proc or
+// runs inline on a goroutine proc.
 func TestGoldenEventOrder(t *testing.T) {
+	for _, form := range []string{"task", "goroutine"} {
+		t.Run(form, func(t *testing.T) { goldenEventOrder(t, form == "task") })
+	}
+}
+
+func goldenEventOrder(t *testing.T, asTask bool) {
 	k := NewKernel()
 	var b strings.Builder
 	log := func(who, step string) { fmt.Fprintf(&b, "%d %s %s\n", k.Now(), who, step) }
@@ -92,7 +102,12 @@ func TestGoldenEventOrder(t *testing.T) {
 		p.Yield()
 		log("b", "yielded")
 	})
-	k.SpawnTask("t", &orderTask{log: log, sig: sig})
+	ot := &orderTask{log: log, sig: sig}
+	if asTask {
+		k.SpawnTask("t", ot)
+	} else {
+		k.Spawn("t", ot.Step)
+	}
 	k.At(5, func() { log("timer", "fire5") })
 	k.At(10, func() { log("timer", "tie10") })
 	k.At(20, func() { log("timer", "fire20"); sig.Fire() })

@@ -44,7 +44,7 @@ type Proc struct {
 	// task is the state machine of a SpawnTask proc; nil for goroutine
 	// procs and released when the task finishes. armed records that the
 	// current Step registered exactly one wake source (TaskSleep, TaskYield
-	// or Signal.Wait) before returning.
+	// or Signal.Wait) and must return; a goroutine proc never sets it.
 	task  Task
 	armed bool
 
@@ -73,6 +73,10 @@ type procDiag struct {
 // Scheduling-wise a task is indistinguishable from a goroutine proc making
 // the same calls at the same virtual times, so observables are bit-identical
 // across the two forms.
+//
+// The three wake sources are form-agnostic: on a goroutine proc they block
+// inline and leave the proc unarmed, so a Step written as "make the call;
+// return if Armed" runs to completion when a goroutine proc invokes it once.
 type Task interface {
 	Step(p *Proc)
 }
@@ -135,9 +139,10 @@ func (p *Proc) await() {
 	}
 }
 
-// captureSite records the blocking call site when diagnostics are on.
-// Callers are exactly two frames above the application call being captured
-// (park <- Sleep/Wait <- app, or armWake <- TaskSleep/Wait <- app).
+// captureSite records the blocking call site when diagnostics are on. Its
+// callers sit at least two frames below the application call being captured
+// (park or armWake <- Sleep/Wait/wakeAt <- app), all of them in this package,
+// whose frames waitSite drops anyway.
 func (p *Proc) captureSite() {
 	if !p.k.diag {
 		return
@@ -169,39 +174,56 @@ func (p *Proc) armWake(tag string) {
 	p.captureSite()
 }
 
-// TaskSleep is Sleep for task procs: it schedules a wake after d and arms
-// it, returning true — the Step must return so the wake can fire. A
-// non-positive d matches Sleep's no-park semantics: nothing is armed, the
-// task continues inline, and TaskSleep returns false.
+// TaskSleep is the form-agnostic Sleep. On a task proc it schedules a wake
+// after d, arms it and returns true — the Step must return so the wake can
+// fire. On a goroutine proc it sleeps inline and returns false. A
+// non-positive d matches Sleep's no-park semantics in both forms: nothing is
+// scheduled and TaskSleep returns false.
 func (p *Proc) TaskSleep(d Time, tag string) bool {
 	if d <= 0 {
 		return false
 	}
-	k := p.k
-	k.AtCall(k.now+d, wakeProc, p)
-	p.armWake(tag)
-	return true
+	return p.wakeAt(p.k.now+d, tag)
 }
 
-// TaskYield is Yield for task procs: the next Step runs at the current
-// virtual time, after every other currently-runnable same-time event.
-// Unlike TaskSleep it always arms, so the Step must return.
-func (p *Proc) TaskYield() {
-	k := p.k
-	k.AtCall(k.now, wakeProc, p)
-	p.armWake("yield")
+// TaskYield is the form-agnostic Yield: the proc continues at the current
+// virtual time, after every other currently-runnable same-time event. On a
+// task proc it always arms and returns true, so the Step must return; on a
+// goroutine proc it yields inline and returns false.
+func (p *Proc) TaskYield() bool { return p.wakeAt(p.k.now, "yield") }
+
+// wakeAt schedules the proc's own wake and waits for it the way the proc's
+// form does: a task arms and reports true, a goroutine proc parks.
+func (p *Proc) wakeAt(t Time, tag string) bool {
+	p.k.AtCall(t, wakeProc, p)
+	if p.task != nil {
+		p.armWake(tag)
+		return true
+	}
+	p.park(tag)
+	return false
 }
+
+// Armed reports whether the current Step of a task proc has armed its wake
+// and must return. Always false on a goroutine proc, whose waits complete
+// inline.
+func (p *Proc) Armed() bool { return p.armed }
 
 // TaskExit finishes a task proc: the state machine is released and Step is
-// never called again. The task counterpart of the body returning.
+// never called again. The task counterpart of the body returning — which is
+// what finishes a goroutine proc, so there it does nothing.
 func (p *Proc) TaskExit() {
-	p.finished = true
+	if p.task != nil {
+		p.finished = true
+	}
 }
 
 // waitSite formats the blocking call site captured at the current park: the
 // innermost frames that are neither in this package nor in internal/mpi's
 // wait plumbing, i.e. the application (or RMA-layer) call that blocked.
-// Returns "" when diagnostics are off or the proc is not parked.
+// A task proc's own frames end at runStep; what lies beyond belongs to
+// whichever goroutine happened to drive the event loop, so the walk stops
+// there. Returns "" when diagnostics are off or the proc is not parked.
 func (p *Proc) waitSite() string {
 	if p.diag == nil || p.diag.n == 0 {
 		return ""
@@ -210,6 +232,9 @@ func (p *Proc) waitSite() string {
 	var sites []string
 	for {
 		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "sim.(*Proc).runStep") {
+			break
+		}
 		inSim := strings.Contains(f.File, "internal/sim/") && !strings.HasSuffix(f.File, "_test.go")
 		inMPIWait := strings.HasSuffix(f.File, "internal/mpi/rank.go")
 		if f.File != "" && !inSim && !inMPIWait && !strings.Contains(f.Function, "runtime.") {

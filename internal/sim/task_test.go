@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -232,5 +234,83 @@ func TestTaskStepAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("task step: %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// TestTaskWaitsInlineOnGoroutineProc pins the form-agnostic half of the wake
+// sources: called from a goroutine proc, TaskSleep and TaskYield block inline
+// for exactly their virtual duration, report "continue" and leave the proc
+// unarmed, and TaskExit is a no-op — the body goes on and ends by returning.
+func TestTaskWaitsInlineOnGoroutineProc(t *testing.T) {
+	k := NewKernel()
+	var trace []Time
+	k.Spawn("inline", func(p *Proc) {
+		if p.TaskSleep(5, "nap") || p.Armed() {
+			t.Error("TaskSleep armed a goroutine proc")
+		}
+		trace = append(trace, p.Now())
+		if p.TaskSleep(0, "no-op") {
+			t.Error("TaskSleep(0) must not arm")
+		}
+		k.At(p.Now(), func() { trace = append(trace, -1) }) // runnable now: the yield lets it go first
+		if p.TaskYield() || p.Armed() {
+			t.Error("TaskYield armed a goroutine proc")
+		}
+		trace = append(trace, p.Now())
+		p.TaskExit()
+		p.Sleep(2) // still schedulable: TaskExit did not finish the proc
+		trace = append(trace, p.Now())
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{5, -1, 5, 7}; !slices.Equal(trace, want) {
+		t.Fatalf("trace %v, want %v", trace, want)
+	}
+}
+
+// stuckTask waits, from inside a named helper frame, on a signal nobody
+// fires.
+type stuckTask struct{ sig *Signal }
+
+func (t *stuckTask) Step(p *Proc) { t.waitForever(p) }
+
+//go:noinline
+func (t *stuckTask) waitForever(p *Proc) { t.sig.Wait(p, "never") }
+
+// driverBody sleeps past the task's start, so the task's Step — and its
+// wait-site capture — runs on this goroutine, underneath these frames.
+//
+//go:noinline
+func driverBody(p *Proc) { p.Sleep(10) }
+
+// TestTaskWaitSiteStopsAtStepBoundary: with diagnostics on, a task proc's
+// captured wait site must name the task's own frames only. The task here is
+// stepped by a goroutine proc that is driving the event loop from inside its
+// own Sleep, so the raw stack continues into that proc's body.
+func TestTaskWaitSiteStopsAtStepBoundary(t *testing.T) {
+	k := NewKernel()
+	k.EnableDiagnostics()
+	k.Spawn("driver", driverBody)
+	stuck := k.SpawnTaskAt(5, "stuck", &stuckTask{sig: NewSignal(k)})
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("want deadlock error, got %v", err)
+	}
+	var raw strings.Builder
+	frames := runtime.CallersFrames(stuck.diag.pcs[:stuck.diag.n])
+	for {
+		f, more := frames.Next()
+		raw.WriteString(f.Function + "\n")
+		if !more {
+			break
+		}
+	}
+	if !strings.Contains(raw.String(), "driverBody") {
+		t.Fatalf("setup: the task was not stepped underneath the driver's frames:\n%s", raw.String())
+	}
+	site := stuck.waitSite()
+	if n := strings.Count(site, "task_test.go"); n != 2 || strings.Count(site, " <- ") != 1 {
+		t.Fatalf("wait site %q, want exactly the task's two frames (waitForever <- Step)", site)
 	}
 }
