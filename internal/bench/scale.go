@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -149,7 +150,18 @@ func scaleWinOptions(s Series) core.WinOptions {
 // land in per-rank slots (each written only by its own rank's shard) and
 // aggregate rank-major, so the cell's numbers are bit-identical at any
 // shard count.
+//
+// A cell's world is practically the process's whole live heap, and cells run
+// back to back, so the previous cell's world — garbage by now — is collected
+// here rather than whenever the pacer next decides to. Left to itself, a GC
+// cycle that starts in the last milliseconds of one cell marks that world and,
+// allocate-black, the next one's build as well, sets its heap goal from two
+// worlds, and the process peaks at two of them: 44-56 MiB against 39-41 at 512
+// ranks, in 5 benchmark runs of 24 — and in 9 of 24 once the cell ran 40 %
+// faster, which shortens the interval between cycles and fits more cell
+// boundaries into a run (EXPERIMENTS, "Event queue and credit wake-ups").
 func scaleCell(n int, s Series, iters int) scaleMeasure {
+	runtime.GC()
 	run := scaleCellMode(n, s, iters, true)
 	flat := make([]sim.Time, 0, n*iters)
 	for _, ss := range run.samples {

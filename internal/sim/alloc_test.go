@@ -1,51 +1,102 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
-// Allocation budgets for the event-scheduling hot path: once the heap's
-// backing array has warmed up, scheduling and draining events must not
-// touch the allocator at all. Any regression here (a reintroduced closure,
-// a boxed event, a per-push heap node) shows up as a nonzero count.
+// Allocation budgets for the event-scheduling hot path: once the queue's
+// storage has warmed up — the heap's backing array, and for a deep queue the
+// wheels and their node slab — scheduling and draining events must not touch
+// the allocator at all. Any regression here (a reintroduced closure, a boxed
+// event, a slab node that is not recycled) shows up as a nonzero count.
 
 func noop() {}
 
-func noopArg(any) {}
-
-func TestEventSchedulingAllocs(t *testing.T) {
-	k := NewKernel()
-	for i := 0; i < 1024; i++ { // warm the heap's backing array
-		k.At(k.Now()+Time(i%7), noop)
-	}
-	if err := k.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 64; i++ {
-			k.At(k.Now()+Time(i%7), noop)
+// schedulingAllocs measures one scheduling form in two regimes. Shallow: 64
+// events a few nanoseconds ahead, drained, over and over. Deep: 4096
+// interleaved chains, each event rescheduling itself 4096 ns ahead, so every
+// push and pop happens with 4096 events pending; a run is the next 64 of
+// them.
+func schedulingAllocs(t *testing.T, schedule func(k *Kernel, at Time, fn func())) {
+	t.Run("shallow", func(t *testing.T) {
+		k := NewKernel()
+		pump := func() {
+			for i := 0; i < 64; i++ {
+				schedule(k, k.Now()+Time(i%7), noop)
+			}
+			if err := k.Drain(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		k.Drain()
+		for i := 0; i < 16; i++ { // warm the queue's storage
+			pump()
+		}
+		if allocs := testing.AllocsPerRun(200, pump); allocs != 0 {
+			t.Errorf("%.1f allocs/run, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("At+Drain: %.1f allocs/run, want 0", allocs)
-	}
+	t.Run("4096 pending", func(t *testing.T) {
+		const chains = 4096
+		k := NewKernel()
+		var step func()
+		step = func() { schedule(k, k.Now()+chains, step) }
+		for i := 0; i < chains; i++ {
+			schedule(k, Time(1+i), step)
+		}
+		pump := func() {
+			if err := k.loop(k.Now() + 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*chains/64; i++ { // every chain through the wheels once
+			pump()
+		}
+		if k.wn < chains/2 {
+			t.Fatalf("only %d of %d pending events are in the wheels: not the deep path", k.wn, chains)
+		}
+		if allocs := testing.AllocsPerRun(200, pump); allocs != 0 {
+			t.Errorf("%.1f allocs per 64 events, want 0", allocs)
+		}
+	})
 }
 
+func TestEventSchedulingAllocs(t *testing.T) {
+	schedulingAllocs(t, func(k *Kernel, at Time, fn func()) { k.At(at, fn) })
+}
+
+// The AtCall budget holds for pointer-shaped arguments; a func value is one.
 func TestAtCallSchedulingAllocs(t *testing.T) {
+	schedulingAllocs(t, func(k *Kernel, at Time, fn func()) { k.AtCall(at, runFunc, fn) })
+}
+
+// TestShallowKernelHasNoWheels pins what a kernel that never has deepQueue
+// events pending pays for the wheels: one nil pointer. The figure worlds
+// build hundreds of such kernels per regeneration (3-4 ranks, a dozen
+// events in flight), so the wheels are allocated by the first deep push and
+// Kernel itself stays within a fixed size.
+func TestShallowKernelHasNoWheels(t *testing.T) {
 	k := NewKernel()
-	arg := new(int)
-	for i := 0; i < 1024; i++ {
-		k.AtCall(k.Now()+Time(i%7), noopArg, arg)
-	}
-	if err := k.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 64; i++ {
-			k.AtCall(k.Now()+Time(i%7), noopArg, arg)
+	fill := func() {
+		for i := 0; i < deepQueue; i++ {
+			k.At(k.Now()+Time(i%5), noop)
 		}
-		k.Drain()
-	})
-	if allocs != 0 {
-		t.Errorf("AtCall+Drain: %.1f allocs/run, want 0", allocs)
+	}
+	for round := 0; round < 100; round++ {
+		fill()
+		if err := k.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	if k.w != nil {
+		t.Error("a kernel that never had more than deepQueue events pending allocated the wheels")
+	}
+	k.At(k.Now(), noop)
+	if k.w == nil || k.wn != 1 {
+		t.Errorf("the push that found deepQueue events pending did not go to the wheels (wn=%d)", k.wn)
+	}
+	if size := unsafe.Sizeof(Kernel{}); size > 384 {
+		t.Errorf("Kernel is %d bytes, budget 384", size)
 	}
 }

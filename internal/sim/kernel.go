@@ -18,9 +18,14 @@
 // means "inside an event callback", on whatever goroutine happens to be
 // driving; the token guarantees that exactly one goroutine — the driver or
 // the proc it just resumed — touches simulation state at any instant.
-// Combined with a totally ordered event queue (time, then insertion
-// sequence) this makes every simulation bit-for-bit reproducible: which
-// goroutine pops an event never influences which event is popped.
+// Combined with a totally ordered event queue — keyed on (time, seq), where
+// seq is the insertion sequence for ordinary events and an (owner, counter)
+// pair for events that may cross shards — this makes every simulation
+// bit-for-bit reproducible: which goroutine pops an event never influences
+// which event is popped. The queue (queue.go) stores events in two
+// structures, per-nanosecond FIFOs for what is pushed in seq order and a heap
+// for the rest, and pops by merging them on that one key, so which structure
+// held an event does not influence the order either.
 //
 // Time is virtual and expressed in nanoseconds. Nothing in this package
 // consults the wall clock.
@@ -44,26 +49,31 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// event is a scheduled callback. Events with equal activation time fire in
-// insertion order (seq), which keeps runs deterministic. Exactly one of fn
-// and argFn is set; the argFn form lets hot paths schedule a shared,
-// capture-free function with a pointer argument instead of allocating a
-// fresh closure per event.
+// event is a scheduled callback: fn(arg) at virtual time at. Events with
+// equal activation time fire in seq order, which keeps runs deterministic.
+// fn is a shared, capture-free function and arg its pointer-shaped argument,
+// so hot paths schedule without allocating a closure per event; the plain
+// func() form of At rides in arg behind runFunc (a func value is pointer-
+// shaped too: boxing it allocates nothing), which keeps the event at 40
+// bytes for every storage that holds one.
 //
 // seq is a composite key with two bands (see AtCross). Band 0 — plain
-// At/AtCall events — uses the kernel's local insertion counter. Band 1 —
-// cross-owner events — sets the top bit and encodes (owner, per-owner
-// counter), a key that is a pure function of the program rather than of the
-// global interleaving, which is what makes sharded execution bit-identical
-// to serial. All band-1 events at a timestamp fire after all band-0 events
-// at that timestamp, in (owner, counter) order.
+// At/AtCall events — uses the kernel's local insertion counter, so among
+// band-0 events push order is seq order (the event queue's wheels rest on
+// exactly that). Band 1 — cross-owner events — sets the top bit and encodes
+// (owner, per-owner counter), a key that is a pure function of the program
+// rather than of the global interleaving, which is what makes sharded
+// execution bit-identical to serial. All band-1 events at a timestamp fire
+// after all band-0 events at that timestamp, in (owner, counter) order.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	argFn func(any)
-	arg   any
+	at  Time
+	seq uint64
+	fn  func(any)
+	arg any
 }
+
+// runFunc is the fn of an event scheduled with At: arg is the func() to run.
+func runFunc(x any) { x.(func())() }
 
 // Band-1 seq layout: [63]=1 | [40..62]=owner+1 (23 bits) | [0..39]=counter.
 // owner -1 (the fabric engine pseudo-owner) encodes as 0.
@@ -73,15 +83,6 @@ const (
 	crossOwnerMax          = 1<<23 - 2
 	crossCntMax            = 1<<crossOwnerShift - 1
 )
-
-// call invokes the event's callback.
-func (e *event) call() {
-	if e.fn != nil {
-		e.fn()
-	} else {
-		e.argFn(e.arg)
-	}
-}
 
 // before reports whether e fires before o in the (at, seq) total order.
 // seq values are unique, so the order is strict.
@@ -95,15 +96,19 @@ func (e *event) before(o *event) bool {
 // Kernel owns the virtual clock, the event queue and all Procs of one
 // simulation run. The zero value is not usable; call NewKernel.
 //
-// The event queue is a 4-ary min-heap of event values (not pointers): pushes
-// append into a reused backing array and pops sift values in place, so the
-// scheduling hot path performs zero allocations once the heap's capacity has
-// warmed up — no per-event box, no interface conversions. The wider fan-out
-// (4 children per node) halves the tree depth versus a binary heap, trading
-// a few extra comparisons per level for far fewer cache-missing moves.
+// The event queue (queue.go) is a 4-ary min-heap of event values in front of
+// which, once deepQueue events are pending, band-0 events are filed under
+// one-nanosecond FIFO slots instead — ordered by construction, because their
+// seq is minted in push order. Every pop merges the two sides on the full
+// (at, seq) key. Pushes append into reused storage (the heap's backing
+// array, the wheels' node slab and its free list), so the scheduling hot
+// path performs zero allocations once capacity has warmed up — no per-event
+// box, no interface conversions.
 type Kernel struct {
 	now     Time
-	heap    []event
+	heap    []event // the general side of the queue: any key, any distance
+	w       *wheels // the by-construction side; nil until the queue first gets deep
+	wn      int     // events in the wheels
 	seq     uint64
 	procs   []*Proc
 	started bool
@@ -155,8 +160,14 @@ func NewKernel() *Kernel { return &Kernel{home: make(chan struct{})} }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// push inserts e into the 4-ary heap.
+// push queues e: band-0 events go under the wheels while the queue is deep,
+// everything else — and whatever the wheels decline — into the 4-ary heap,
+// whose fan-out (4 children per node) halves the tree depth versus a binary
+// heap, trading a few extra comparisons per level for fewer moves.
 func (k *Kernel) push(e event) {
+	if len(k.heap)+k.wn >= deepQueue && e.seq < crossBand && k.wheelPush(&e) {
+		return
+	}
 	h := append(k.heap, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -170,8 +181,8 @@ func (k *Kernel) push(e event) {
 	k.heap = h
 }
 
-// pop removes and returns the earliest event. The caller must ensure the
-// heap is non-empty.
+// pop removes and returns the heap's earliest event. The caller must ensure
+// the heap is non-empty.
 func (k *Kernel) pop() event {
 	h := k.heap
 	top := h[0]
@@ -216,7 +227,7 @@ func (k *Kernel) At(t Time, fn func()) {
 		return
 	}
 	k.seq++
-	k.push(event{at: t, seq: k.seq, fn: fn})
+	k.push(event{at: t, seq: k.seq, fn: runFunc, arg: fn})
 }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
@@ -232,7 +243,7 @@ func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
 		return
 	}
 	k.seq++
-	k.push(event{at: t, seq: k.seq, argFn: fn, arg: arg})
+	k.push(event{at: t, seq: k.seq, fn: fn, arg: arg})
 }
 
 // AfterCall schedules fn(arg) d nanoseconds of virtual time from now.
@@ -257,7 +268,7 @@ func (k *Kernel) AtCross(t Time, fn func(any), arg any, owner, dst int) {
 		k.abort(fmt.Errorf("sim: event scheduled in the past: t=%d now=%d", t, k.now))
 		return
 	}
-	e := event{at: t, seq: k.crossSeq(owner), argFn: fn, arg: arg}
+	e := event{at: t, seq: k.crossSeq(owner), fn: fn, arg: arg}
 	if g := k.group; g != nil {
 		if ds := g.shardFor(dst); ds != k.shardID {
 			g.outbox[k.shardID][ds] = append(g.outbox[k.shardID][ds], e)
@@ -419,11 +430,17 @@ func (k *Kernel) drive(self *Proc) {
 			k.stop(self, k.fail)
 			return
 		}
-		if len(k.heap) == 0 || k.heap[0].at > k.until {
+		var e event
+		if k.wn == 0 {
+			if len(k.heap) == 0 || k.heap[0].at > k.until {
+				k.stop(self, nil)
+				return
+			}
+			e = k.pop()
+		} else if !k.popMerged(&e) {
 			k.stop(self, nil)
 			return
 		}
-		e := k.pop()
 		k.now = e.at
 		if k.maxTime > 0 && k.now > k.maxTime {
 			k.stop(self, fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
@@ -436,7 +453,7 @@ func (k *Kernel) drive(self *Proc) {
 				k.maxEvents, k.now, k.report()))
 			return
 		}
-		e.call()
+		e.fn(e.arg)
 		p := k.next
 		if p == nil {
 			continue
@@ -618,10 +635,19 @@ func (k *Kernel) Events() uint64 { return k.nEvents }
 
 // nextAt returns the activation time of the earliest pending event.
 func (k *Kernel) nextAt() (Time, bool) {
-	if len(k.heap) == 0 {
-		return 0, false
+	t, ok := Time(math.MaxInt64), false
+	if len(k.heap) > 0 {
+		t, ok = k.heap[0].at, true
 	}
-	return k.heap[0].at, true
+	if k.wn > 0 {
+		// front leaves a window starting after the heap's top closed and
+		// returns its start, which loses the comparison like any later event.
+		if at, _ := k.w.front(t); at < t {
+			t = at
+		}
+		ok = true
+	}
+	return t, ok
 }
 
 // runUntil executes every pending event with activation time strictly below

@@ -204,14 +204,12 @@ func (s *Shards) mergeFrom(src int) {
 // fnName names an event's callback for the lookahead-violation panic, which
 // otherwise gives no hint of which scheduling site broke the bound.
 func (e *event) fnName() string {
-	var p uintptr
-	switch {
-	case e.argFn != nil:
-		p = reflect.ValueOf(e.argFn).Pointer()
-	case e.fn != nil:
-		p = reflect.ValueOf(e.fn).Pointer()
-	default:
+	if e.fn == nil {
 		return "<none>"
+	}
+	p := reflect.ValueOf(e.fn).Pointer()
+	if fn, ok := e.arg.(func()); ok { // the At form: name what runFunc runs
+		p = reflect.ValueOf(fn).Pointer()
 	}
 	if f := runtime.FuncForPC(p); f != nil {
 		return f.Name()

@@ -13,12 +13,18 @@ type burstRec struct {
 	label string
 }
 
+// burstFan is how many times every rank of the burst program repeats each of
+// its emissions: 32 puts 96 events into every rank's t=15 instant, so even
+// with one rank per shard the instant is several times deeper than the depth
+// from which the event queue files band-0 events under its wheels.
+const burstFan = 32
+
 // burstRun executes the same-timestamp burst program on nShards kernels
 // (<= 1 = one serial kernel) and returns the per-destination record
 // sequences. The program: every rank r has a band-0 event at t=10 that
-// emits two same-instant cross events (band 1, owner r) toward ranks
-// (r+1)%n and (r+3)%n at t=15, plus a local band-0 "tick" at t=15. Every
-// t=15 slot therefore mixes a band-0 event with band-1 arrivals from
+// emits 2*burstFan same-instant cross events (band 1, owner r) toward ranks
+// (r+1)%n and (r+3)%n at t=15, plus burstFan local band-0 "ticks" at t=15.
+// Every t=15 slot therefore mixes band-0 events with band-1 arrivals from
 // several owners — the serial tiebreak (band 0 first, then owner order,
 // then per-owner emission order) must reproduce bit-for-bit at any shard
 // count.
@@ -53,12 +59,16 @@ func burstRun(t *testing.T, ranks, nShards int) [][]string {
 		r := r
 		k := kernelFor(r)
 		k.At(emitAt, func() {
-			for i, d := range []int{(r + 1) % ranks, (r + 3) % ranks} {
-				k.AtCross(emitAt+lookahead, record,
-					&burstRec{dst: d, label: fmt.Sprintf("cross %d->%d #%d", r, d, i)}, r, d)
+			for i := 0; i < burstFan; i++ {
+				for j, d := range []int{(r + 1) % ranks, (r + 3) % ranks} {
+					k.AtCross(emitAt+lookahead, record,
+						&burstRec{dst: d, label: fmt.Sprintf("cross %d->%d #%d.%d", r, d, i, j)}, r, d)
+				}
 			}
 		})
-		k.AtCall(emitAt+lookahead, record, &burstRec{dst: r, label: fmt.Sprintf("tick %d", r)})
+		for i := 0; i < burstFan; i++ {
+			k.AtCall(emitAt+lookahead, record, &burstRec{dst: r, label: fmt.Sprintf("tick %d #%d", r, i)})
+		}
 	}
 
 	var err error
@@ -80,11 +90,13 @@ func TestShardsSameTimestampBurstMatchesSerial(t *testing.T) {
 	const ranks = 8
 	want := burstRun(t, ranks, 0)
 	for r, seq := range want {
-		if len(seq) != 3 {
-			t.Fatalf("rank %d: want 3 records (1 tick + 2 cross), got %v", r, seq)
+		if len(seq) != 3*burstFan {
+			t.Fatalf("rank %d: want %d records (%d ticks + %d cross), got %v", r, 3*burstFan, burstFan, 2*burstFan, seq)
 		}
-		if !strings.HasPrefix(seq[0], "tick") {
-			t.Fatalf("rank %d: band-0 tick must fire before band-1 arrivals, got %v", r, seq)
+		for i, label := range seq {
+			if strings.HasPrefix(label, "tick") != (i < burstFan) {
+				t.Fatalf("rank %d: every band-0 tick must fire before the band-1 arrivals, got %v", r, seq)
+			}
 		}
 	}
 	for _, nShards := range []int{1, 2, 4, 8} {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -15,10 +16,11 @@ import (
 // reserved ahead of the transmission).
 //
 // Like the rest of the fabric, the engine is owned by the simulation's
-// single-threaded event loop: service order is per-link FIFO, credit
-// releases kick waiters in ascending link order, and every continuation is
-// a shared capture-free callback — so schedules are a pure function of the
-// topology spec and the offered traffic.
+// single-threaded event loop: service order is per-link FIFO, a credit
+// release kicks the upstream links stalled on that link in ascending link
+// order (see kickFeeders), and every continuation is a shared capture-free
+// callback — so schedules are a pure function of the topology spec and the
+// offered traffic.
 //
 // Deadlock freedom: fat-tree up/down routes are acyclic. Ring and torus
 // links form directed cycles, so credit waits could in principle close a
@@ -85,6 +87,10 @@ type linkState struct {
 	// reserving packet starts its own onward transmission off this link.
 	slots   int
 	stalled bool // some head currently credit-stalled (dedups CreditStalls)
+	// waiters has one bit per feeder of this link (bit feederPos[f] for
+	// upstream link f), set when a head of f failed to start for lack of a
+	// slot here and cleared just before the freed slot's kick of f.
+	waiters []uint64
 	stats   LinkStats
 }
 
@@ -109,11 +115,18 @@ type token struct {
 func NewEngine(k *sim.Kernel, g *Graph, deliver func(delay sim.Time, payload any, dst int)) *Engine {
 	e := &Engine{K: k, G: g, deliver: deliver}
 	e.links = make([]linkState, len(g.Links))
+	words := 0
+	for _, fs := range g.feeders {
+		words += (len(fs) + 63) / 64
+	}
+	arena := make([]uint64, words) // every link's waiter set, one allocation
 	for i := range e.links {
 		ls := &e.links[i]
 		ls.e = e
 		ls.link = &g.Links[i]
 		ls.slots = g.Links[i].Credits
+		n := (len(g.feeders[i]) + 63) / 64
+		ls.waiters, arena = arena[:n:n], arena[n:]
 	}
 	return e
 }
@@ -191,7 +204,8 @@ func (e *Engine) kick(ls *linkState) {
 
 // start tries to launch the head of q on ls's wire; it reports whether a
 // transmission began. On a credit stall it charges CreditStalls once per
-// episode and leaves the head queued for a later re-kick.
+// episode, registers ls as a waiter on the link it lacked a slot on, and
+// leaves the head queued for that link's next freed slot to re-kick.
 func (e *Engine) start(ls *linkState, q *[]*token) bool {
 	t := (*q)[0]
 	next := -1
@@ -204,7 +218,9 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 				ls.stats.CreditStalls++
 				e.totStalls++
 			}
-			return false // re-kicked when a downstream slot frees
+			pos := uint(e.G.feederPos[ls.link.ID])
+			ns.waiters[pos/64] |= 1 << (pos % 64)
+			return false // re-kicked when ns frees a slot
 		}
 		ns.slots--
 	}
@@ -264,11 +280,31 @@ func tokenTxDone(x any) {
 	e.K.AfterCall(ls.link.Lat, tokenArrive, t)
 }
 
-// kickFeeders retries the upstream links that may be waiting for one of
-// ls's freed slots, in ascending link order (the fixed tie-break).
+// kickFeeders retries the upstream links with a head stalled on ls, whose
+// slot was just freed, in ascending link order (the fixed tie-break). Each
+// waiter's bit is cleared before its kick; a kick that stalls on ls again
+// sets it again, below the scan position.
+//
+// Kicking only the registered waiters schedules exactly what kicking every
+// feeder of ls would, because for any other feeder f the kick changes
+// nothing: a busy or empty f returns at once, and an idle f with a non-empty
+// queue was left that way by a kick in which every head it tried failed — so
+// f.stalled is already true, and each of those heads set f's bit on the link
+// it lacked a slot on. That link is not ls (f is not registered here), and
+// had it freed a slot since, its own kickFeeders would have found the bit;
+// so the heads still lack their slots, start fails again, and with stalled
+// already true it counts nothing. Nor can a feeder become startable toward
+// ls behind the scan: ls went busy before this call and frees slots only
+// when it starts a transmission, so during the loop ls.slots can only fall.
 func (e *Engine) kickFeeders(ls *linkState) {
-	for _, f := range e.G.feeders[ls.link.ID] {
-		e.kick(&e.links[f])
+	fs := e.G.feeders[ls.link.ID]
+	for wi := range ls.waiters {
+		for m := ls.waiters[wi]; m != 0; {
+			b := bits.TrailingZeros64(m)
+			ls.waiters[wi] &^= 1 << b
+			e.kick(&e.links[fs[wi*64+b]])
+			m = ls.waiters[wi] &^ (2<<b - 1) // re-read: nested kicks may register more
+		}
 	}
 }
 

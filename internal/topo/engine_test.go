@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/sim"
@@ -183,6 +184,31 @@ func TestFatTreeContention(t *testing.T) {
 	}
 }
 
+// lcgTraffic schedules packets irregular sources, destinations, sizes and
+// injection instants drawn from a tiny deterministic LCG (no global rand):
+// draws src/dst pairs over the first nodes hosts, skipping self-sends, with
+// injection times spread over windowUs microseconds.
+func lcgTraffic(k *sim.Kernel, e *Engine, nodes, draws int, windowUs int64) {
+	seed := int64(12345)
+	next := func() int64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return (seed >> 33) & 0x7fffffff
+	}
+	id := 0
+	for i := 0; i < draws; i++ {
+		src := int(next() % int64(nodes))
+		dst := int(next() % int64(nodes))
+		if src == dst {
+			continue
+		}
+		at := sim.Time(next()%windowUs) * sim.Microsecond
+		size := next()%4096 + 1
+		pid := id
+		id++
+		k.At(at, func() { e.Send(pid, src, dst, size) })
+	}
+}
+
 // TestEngineDeterministic replays an irregular traffic mix twice and
 // requires identical delivery transcripts.
 func TestEngineDeterministic(t *testing.T) {
@@ -190,24 +216,7 @@ func TestEngineDeterministic(t *testing.T) {
 		spec := testSpec(Torus)
 		spec.LinkCredits = 3
 		k, e, got := testEngine(t, spec, 9)
-		seed := int64(12345)
-		next := func() int64 { // tiny deterministic LCG, no global rand
-			seed = seed*6364136223846793005 + 1442695040888963407
-			return (seed >> 33) & 0x7fffffff
-		}
-		id := 0
-		for i := 0; i < 200; i++ {
-			src := int(next() % 9)
-			dst := int(next() % 9)
-			if src == dst {
-				continue
-			}
-			at := sim.Time(next()%50) * sim.Microsecond
-			size := next()%4096 + 1
-			pid := id
-			id++
-			k.At(at, func() { e.Send(pid, src, dst, size) })
-		}
+		lcgTraffic(k, e, 9, 200, 50)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -215,6 +224,121 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatal("two identical runs produced different transcripts")
+	}
+}
+
+// TestGoldenSchedules pins the congestion engine's exact schedule under
+// saturation, where the order of credit wake-ups decides who transmits: a
+// hash of the delivery order and arrival times, the literal Summary and the
+// final clock, on all three topologies. The ring and the torus exercise the
+// bubble rule's two-slot entry, held slots and transit-over-inject priority,
+// which no fat-tree run (and so no benchmark digest) ever reaches. The
+// literals were captured on the engine that re-kicked every upstream link on
+// every freed credit; any change to who is woken, or in which order, that is
+// not exactly behaviour-preserving moves them.
+func TestGoldenSchedules(t *testing.T) {
+	cases := []struct {
+		name    string
+		kind    Kind
+		credits int
+		nodes   int
+		traffic func(k *sim.Kernel, e *Engine)
+		hash    uint64
+		sum     Summary
+		end     sim.Time
+	}{
+		{
+			name: "ring", kind: Ring, credits: 2, nodes: 6,
+			// Four all-to-all rounds injected at once, then the same again
+			// while the first wave still fills the ring: fresh injections
+			// compete with transit traffic holding slots.
+			traffic: func(k *sim.Kernel, e *Engine) {
+				id := 0
+				wave := func() {
+					for r := 0; r < 4; r++ {
+						for s := 0; s < 6; s++ {
+							for d := 0; d < 6; d++ {
+								if s != d {
+									e.Send(id, s, d, int64(200+97*(id%7)))
+									id++
+								}
+							}
+						}
+					}
+				}
+				k.At(0, wave)
+				k.At(8*sim.Microsecond, wave)
+			},
+			hash: 0xbe516c9a5332df9b, end: 42237,
+			sum: Summary{Links: 12, Delivered: 240, Forwarded: 432, QueuedTime: 2198102, BusyTime: 237529, CreditStalls: 145, MaxQueue: 20},
+		},
+		{
+			name: "torus", kind: Torus, credits: 3, nodes: 9,
+			traffic: func(k *sim.Kernel, e *Engine) { lcgTraffic(k, e, 9, 1500, 40) },
+			hash:    0xe72a641948f7d47e, end: 169037,
+			sum: Summary{Links: 36, Delivered: 1332, Forwarded: 1996, QueuedTime: 60900172, BusyTime: 4273105, CreditStalls: 201, MaxQueue: 54},
+		},
+		{
+			name: "fattree", kind: FatTree, credits: 2, nodes: 8,
+			// Every host streams to its counterpart on the other leaf and to
+			// one shared victim: the spine links and one down-link saturate.
+			traffic: func(k *sim.Kernel, e *Engine) {
+				k.At(0, func() {
+					id := 0
+					for i := 0; i < 12; i++ {
+						for s := 0; s < 8; s++ {
+							e.Send(id, s, (s+4)%8, int64(300+211*(i%4)))
+							id++
+							if s != 5 {
+								e.Send(id, s, 5, 128)
+								id++
+							}
+						}
+					}
+				})
+			},
+			hash: 0xe50e65a040a408fe, end: 84786,
+			sum: Summary{Links: 24, Delivered: 180, Forwarded: 648, QueuedTime: 5165904, BusyTime: 312000, CreditStalls: 213, MaxQueue: 23},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := testSpec(c.kind)
+			spec.LinkCredits = c.credits
+			if c.kind == FatTree {
+				spec.HostsPerLeaf, spec.Spines = 4, 2
+			}
+			k, e, got := testEngine(t, spec, c.nodes)
+			c.traffic(k, e)
+			k.SetWatchdog(10_000_000, 0)
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, d := range *got {
+				fmt.Fprintf(h, "%d>%d@%d;", d.id, d.dst, d.t)
+			}
+			sum := e.Summary()
+			if sum.CreditStalls == 0 {
+				t.Error("traffic never stalled on credits: the schedule does not depend on wake-up order")
+			}
+			if h.Sum64() != c.hash || sum != c.sum || k.Now() != c.end {
+				t.Errorf("schedule moved:\n got hash %#x, end %d, %+v\nwant hash %#x, end %d, %+v",
+					h.Sum64(), k.Now(), sum, c.hash, c.end, c.sum)
+			}
+			if e.InFlight() {
+				t.Error("engine not quiescent after Run")
+			}
+			// A waiter bit outlives its stall only until the next freed slot,
+			// and a head cannot start without one: a drained engine has none.
+			for i := range e.links {
+				for _, m := range e.links[i].waiters {
+					if m != 0 {
+						t.Fatalf("link %s still has waiters %#x registered after the drain", e.G.LinkName(i), m)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -270,5 +394,47 @@ func TestHostDiag(t *testing.T) {
 	quiet := NewEngine(quietK, mustBuild(t, testSpec(Ring), 4), func(sim.Time, any, int) {})
 	if d := quiet.HostDiag(0); d != "" {
 		t.Errorf("HostDiag on idle engine = %q, want empty", d)
+	}
+}
+
+// TestEngineAllocs pins where the engine's storage lives. NewEngine makes
+// three objects whatever the graph's size — the engine, its link states and
+// the one arena behind every link's waiter set — and a run allocates nothing
+// per hop once the token pool, the link queues and the kernel's event
+// storage have grown to the traffic: here a 2-credit fat-tree driven into
+// credit stalls, the same burst over and over.
+func TestEngineAllocs(t *testing.T) {
+	spec := testSpec(FatTree)
+	spec.HostsPerLeaf, spec.Spines, spec.LinkCredits = 8, 2, 2
+	deliver := func(sim.Time, any, int) {}
+	for _, nodes := range []int{16, 128} {
+		g := mustBuild(t, spec, nodes)
+		k := sim.NewKernel()
+		if n := testing.AllocsPerRun(10, func() { NewEngine(k, g, deliver) }); n != 3 {
+			t.Errorf("NewEngine over %d hosts: %.0f allocations, want 3", nodes, n)
+		}
+	}
+
+	const nodes = 32
+	k := sim.NewKernel()
+	e := NewEngine(k, mustBuild(t, spec, nodes), deliver)
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			for src := 0; src < nodes; src++ {
+				e.Send(nil, src, (src+nodes/2)%nodes, 936)
+				e.Send(nil, src, (src+1)%nodes, 200)
+			}
+		}
+		if err := k.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst() // warm-up
+	stalls := e.StallsTotal()
+	if n := testing.AllocsPerRun(5, burst); n != 0 {
+		t.Errorf("%.0f allocations per saturated burst after warm-up, want 0", n)
+	}
+	if e.StallsTotal() == stalls {
+		t.Error("the measured bursts never stalled on credits: the waiter sets were not exercised")
 	}
 }

@@ -36,7 +36,13 @@ type Graph struct {
 	// feeders[l] lists, in ascending order, the links whose To vertex is
 	// Links[l].From — the upstream links that may be waiting for one of
 	// l's credits. Precomputed so credit releases kick deterministically.
-	feeders [][]int32
+	// All links leaving one vertex share the same list (the links into that
+	// vertex), so an upstream link has one position in it whichever link it
+	// waits on: feederPos[f] is f's index in feeders[l] for every l with
+	// Links[l].From == Links[f].To — the bit the engine's per-link waiter
+	// sets keep for f.
+	feeders   [][]int32
+	feederPos []int32
 
 	// Routing state per kind.
 	w, h                    int       // torus/ring grid (ring is h == 1)
@@ -209,10 +215,13 @@ func (g *Graph) buildFatTree(perLeaf, spines int) {
 }
 
 // buildFeeders precomputes, for every link, the ascending list of upstream
-// links that transmit into its source vertex.
+// links that transmit into its source vertex, and every link's position in
+// the list it appears in.
 func (g *Graph) buildFeeders() {
 	into := make([][]int32, g.Verts)
+	g.feederPos = make([]int32, len(g.Links))
 	for _, l := range g.Links {
+		g.feederPos[l.ID] = int32(len(into[l.To]))
 		into[l.To] = append(into[l.To], int32(l.ID))
 	}
 	g.feeders = make([][]int32, len(g.Links))

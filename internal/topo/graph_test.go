@@ -194,14 +194,26 @@ func TestDeterministicShape(t *testing.T) {
 }
 
 func TestFeedersAscending(t *testing.T) {
-	g := mustBuild(t, testSpec(Torus), 9)
-	for l, fs := range g.feeders {
-		for i, f := range fs {
-			if g.Links[f].To != g.Links[l].From {
-				t.Fatalf("feeder %d of link %d does not end at its source", f, l)
-			}
-			if i > 0 && fs[i-1] >= f {
-				t.Fatalf("feeders of link %d not ascending: %v", l, fs)
+	ft := testSpec(FatTree)
+	ft.HostsPerLeaf, ft.Spines = 4, 2
+	for _, g := range []*Graph{
+		mustBuild(t, testSpec(Ring), 6),
+		mustBuild(t, testSpec(Torus), 9),
+		mustBuild(t, ft, 10),
+	} {
+		for l, fs := range g.feeders {
+			for i, f := range fs {
+				if g.Links[f].To != g.Links[l].From {
+					t.Fatalf("%s: feeder %d of link %d does not end at its source", g.Spec.Kind, f, l)
+				}
+				if i > 0 && fs[i-1] >= f {
+					t.Fatalf("%s: feeders of link %d not ascending: %v", g.Spec.Kind, l, fs)
+				}
+				// One position per upstream link, valid in the list of every
+				// link leaving its far end: the waiter sets rely on it.
+				if int(g.feederPos[f]) != i {
+					t.Fatalf("%s: feederPos[%d] = %d, but it is feeder %d of link %d", g.Spec.Kind, f, g.feederPos[f], i, l)
+				}
 			}
 		}
 	}
