@@ -68,95 +68,111 @@ import (
 	"repro/internal/topo"
 )
 
+// flags are the campaign's own flags: everything the reproduction recipe of
+// a fuzz.Failure may name.
+type flags struct {
+	n       int
+	seed    uint64
+	mode    string
+	lossy   bool
+	topo    string
+	verbose bool
+}
+
+func registerFlags(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	fs.IntVar(&f.n, "n", 100, "number of programs (consecutive seeds)")
+	fs.Uint64Var(&f.seed, "seed", 1, "first seed")
+	fs.StringVar(&f.mode, "mode", "both", "modes to run: both, new, vanilla, flush, signal, kv or all")
+	fs.BoolVar(&f.lossy, "lossy", false, "inject seeded fabric faults (recoverable schedule) under every run")
+	fs.StringVar(&f.topo, "topo", "", "route every run over a modeled interconnect: ring, torus or fattree (default: crossbar)")
+	fs.BoolVar(&f.verbose, "v", false, "describe each program as it runs")
+	return f
+}
+
+// options resolves the parsed flags to the campaign they select; kv means
+// the chaos KV-store arm, which reads only N and Seed.
+func (f *flags) options() (o fuzz.Options, kv bool, err error) {
+	o = fuzz.Options{N: f.n, Seed: f.seed, Lossy: f.lossy}
+	if o.Topo, err = topo.ParseKind(f.topo); err != nil {
+		return o, false, err
+	}
+	switch f.mode {
+	case "kv":
+		kv = true
+	case "both":
+		o.Modes = fuzz.BothModes
+	case "new":
+		o.Modes = []core.Mode{core.ModeNew}
+	case "vanilla":
+		o.Modes = []core.Mode{core.ModeVanilla}
+	case "flush":
+		o.Modes = []core.Mode{core.ModeFlush}
+	case "signal":
+		o.Modes = fuzz.BothModes
+		o.Signal = true
+	case "all":
+		o.Modes = append(append([]core.Mode(nil), fuzz.BothModes...), core.ModeFlush)
+	default:
+		err = fmt.Errorf("unknown -mode %q (want both, new, vanilla, flush, signal, kv or all)", f.mode)
+	}
+	return o, kv, err
+}
+
 func main() {
-	n := flag.Int("n", 100, "number of programs (consecutive seeds)")
-	seed := flag.Uint64("seed", 1, "first seed")
-	mode := flag.String("mode", "both", "modes to run: both, new, vanilla, flush, signal, kv or all")
-	lossy := flag.Bool("lossy", false, "inject seeded fabric faults (recoverable schedule) under every run")
-	topoFlag := flag.String("topo", "", "route every run over a modeled interconnect: ring, torus or fattree (default: crossbar)")
-	verbose := flag.Bool("v", false, "describe each program as it runs")
+	f := registerFlags(flag.CommandLine)
 	pf := bench.RegisterFlags()
 	flag.Parse()
 	stop := pf.Start()
 
-	kind, err := topo.ParseKind(*topoFlag)
+	opt, kv, err := f.options()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzz: %v\n", err)
 		stop()
 		os.Exit(2)
 	}
-
-	if *mode == "kv" {
-		runKV(*n, *seed, *verbose, stop)
+	opt.Shards = bench.Shards()
+	if kv {
+		runKV(opt, f.verbose, stop)
 		return
 	}
 
-	var modes []core.Mode
-	signal := false
-	switch *mode {
-	case "both":
-		modes = fuzz.BothModes
-	case "new":
-		modes = []core.Mode{core.ModeNew}
-	case "vanilla":
-		modes = []core.Mode{core.ModeVanilla}
-	case "flush":
-		modes = []core.Mode{core.ModeFlush}
-	case "signal":
-		modes = fuzz.BothModes
-		signal = true
-	case "all":
-		modes = append(append([]core.Mode(nil), fuzz.BothModes...), core.ModeFlush)
-	default:
-		fmt.Fprintf(os.Stderr, "fuzz: unknown -mode %q (want both, new, vanilla, flush, signal, kv or all)\n", *mode)
-		stop()
-		os.Exit(2)
+	opt.Report = func(s uint64, fs []fuzz.Failure) {
+		if f.verbose {
+			p := fuzz.Generate(s)
+			if len(opt.Modes) == 1 && opt.Modes[0] == core.ModeFlush {
+				p = fuzz.GenerateFlush(s)
+			}
+			fmt.Printf("seed %d: %d ranks (%d per node), %d windows, %d rounds, %d ops\n",
+				s, p.NRanks, p.ProcsPerNode, len(p.Windows), len(p.Rounds), p.OpCount())
+		}
+		for _, failure := range fs {
+			fmt.Printf("FAIL %s\n", failure)
+		}
 	}
-
-	failures := fuzz.Campaign(fuzz.Options{
-		N:      *n,
-		Seed:   *seed,
-		Modes:  modes,
-		Lossy:  *lossy,
-		Topo:   kind,
-		Signal: signal,
-		Shards: bench.Shards(),
-		Report: func(s uint64, fs []fuzz.Failure) {
-			if *verbose {
-				p := fuzz.Generate(s)
-				if len(modes) == 1 && modes[0] == core.ModeFlush {
-					p = fuzz.GenerateFlush(s)
-				}
-				fmt.Printf("seed %d: %d ranks (%d per node), %d windows, %d rounds, %d ops\n",
-					s, p.NRanks, p.ProcsPerNode, len(p.Windows), len(p.Rounds), p.OpCount())
-			}
-			for _, f := range fs {
-				fmt.Printf("FAIL %s\n", f)
-			}
-		},
-		Progress: func(done, failed int) {
-			if !*verbose && done%50 == 0 {
-				fmt.Printf("%d/%d programs checked, %d failures\n", done, *n, failed)
-			}
-		},
-	})
+	opt.Progress = func(done, failed int) {
+		if !f.verbose && done%50 == 0 {
+			fmt.Printf("%d/%d programs checked, %d failures\n", done, opt.N, failed)
+		}
+	}
+	failures := fuzz.Campaign(opt)
 
 	if len(failures) > 0 {
-		fmt.Printf("FAIL: %d of %d programs violated invariants\n", len(failures), *n)
+		fmt.Printf("FAIL: %d of %d programs violated invariants\n", len(failures), opt.N)
 		stop()
 		os.Exit(1)
 	}
 	fabricKind := "pristine fabric"
-	if *lossy {
+	if opt.Lossy {
 		fabricKind = "lossy fabric"
 	}
-	if kind != topo.Crossbar {
-		fabricKind += fmt.Sprintf(" (%s interconnect)", kind)
+	if opt.Topo != topo.Crossbar {
+		fabricKind += fmt.Sprintf(" (%s interconnect)", opt.Topo)
 	}
-	if signal {
+	if opt.Signal {
 		fabricKind += ", counter-signal transport"
 	}
-	fmt.Printf("ok: %d programs x %d mode(s) over %s, all invariants held\n", *n, len(modes), fabricKind)
+	fmt.Printf("ok: %d programs x %d mode(s) over %s, all invariants held\n", opt.N, len(opt.Modes), fabricKind)
 	stop()
 }
 
@@ -165,30 +181,26 @@ func main() {
 // it, and checks the sequential oracle (zero acknowledged-write loss), that
 // a replay reproduces every retry/failover decision bit for bit, and that a
 // sharded kernel matches the serial run.
-func runKV(n int, seed uint64, verbose bool, stop func()) {
-	failures := fuzz.KVCampaign(fuzz.Options{
-		N:      n,
-		Seed:   seed,
-		Shards: bench.Shards(),
-		Report: func(s uint64, fs []fuzz.Failure) {
-			if verbose {
-				fmt.Printf("seed %d: %s\n", s, fuzz.DescribeKV(s))
-			}
-			for _, f := range fs {
-				fmt.Printf("FAIL %s\n", f)
-			}
-		},
-		Progress: func(done, failed int) {
-			if !verbose && done%10 == 0 {
-				fmt.Printf("%d/%d scenarios checked, %d failures\n", done, n, failed)
-			}
-		},
-	})
+func runKV(opt fuzz.Options, verbose bool, stop func()) {
+	opt.Report = func(s uint64, fs []fuzz.Failure) {
+		if verbose {
+			fmt.Printf("seed %d: %s\n", s, fuzz.DescribeKV(s))
+		}
+		for _, f := range fs {
+			fmt.Printf("FAIL %s\n", f)
+		}
+	}
+	opt.Progress = func(done, failed int) {
+		if !verbose && done%10 == 0 {
+			fmt.Printf("%d/%d scenarios checked, %d failures\n", done, opt.N, failed)
+		}
+	}
+	failures := fuzz.KVCampaign(opt)
 	if len(failures) > 0 {
-		fmt.Printf("FAIL: %d of %d KV scenarios violated invariants\n", len(failures), n)
+		fmt.Printf("FAIL: %d of %d KV scenarios violated invariants\n", len(failures), opt.N)
 		stop()
 		os.Exit(1)
 	}
-	fmt.Printf("ok: %d KV chaos scenarios, zero acked-write loss, deterministic failover, serial/sharded parity\n", n)
+	fmt.Printf("ok: %d KV chaos scenarios, zero acked-write loss, deterministic failover, serial/sharded parity\n", opt.N)
 	stop()
 }

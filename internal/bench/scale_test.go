@@ -135,3 +135,30 @@ func TestScaleTaskAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleBytesPerRank budgets the heap a task rank retains after a run of
+// the New-nonblocking scale cell — the world, runtime, windows, per-peer
+// tables and parked task state — as a HeapAlloc delta between two forced GCs
+// with the run kept alive across the second. 1 024 ranks sit on the dense
+// side of peertab.denseMax (reads 57 070 B/rank), 4 096 on the sparse side
+// (reads 9 313), where a table that pre-pays for peers the rank never
+// addresses shows first: one 8 KiB slab per rank reads 16 977 there.
+func TestScaleBytesPerRank(t *testing.T) {
+	for _, c := range []struct {
+		ranks  int
+		budget float64
+	}{{1024, 65536}, {4096, 12288}} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		run := scaleCellMode(c.ranks, SeriesNewNB, 1, true)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		got := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(c.ranks)
+		runtime.KeepAlive(run)
+		t.Logf("%d ranks: %.0f bytes/rank (budget %.0f)", c.ranks, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%d ranks retain %.0f heap bytes per rank, budget %.0f", c.ranks, got, c.budget)
+		}
+	}
+}

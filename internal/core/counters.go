@@ -65,77 +65,3 @@ func (c *peerCounters) recordDone(accessID int64) {
 func (c *peerCounters) exposureComplete(exposureID int64) bool {
 	return c.doneRecv >= exposureID
 }
-
-// peerDenseMax is the world size up to which a window keeps one dense
-// value-typed counter slice per rank. Above it, per-window-per-rank O(n)
-// slices would make window state O(n²) across the world, so counters are
-// allocated lazily from the engine's arena instead — a rank at scale only
-// ever exchanges epochs with its O(log n) group partners.
-const peerDenseMax = 2048
-
-// peerTable resolves the ω_r counter triple toward a peer: a dense value
-// slice for small worlds (one cache-friendly allocation, stable pointers),
-// a lazily-populated sparse map over arena-backed values for large ones.
-type peerTable struct {
-	dense  []peerCounters
-	sparse map[int32]*peerCounters
-	arena  *counterArena
-}
-
-// newPeerTable sizes the table for an n-rank world, drawing sparse entries
-// from arena (shard-local — the owning engine's).
-func newPeerTable(n int, arena *counterArena) peerTable {
-	if n <= peerDenseMax {
-		return peerTable{dense: make([]peerCounters, n)}
-	}
-	return peerTable{sparse: make(map[int32]*peerCounters, 16), arena: arena}
-}
-
-// get returns the counters toward peer i, creating a zero triple on first
-// touch (identical to the dense slice's zero value, so sparse and dense
-// worlds behave the same).
-func (t *peerTable) get(i int) *peerCounters {
-	if t.dense != nil {
-		return &t.dense[i]
-	}
-	c := t.sparse[int32(i)]
-	if c == nil {
-		c = t.arena.alloc()
-		t.sparse[int32(i)] = c
-	}
-	return c
-}
-
-// peek returns a copy of the counters toward peer i without populating the
-// table — for introspection paths (diagnostics, tests) that must not
-// mutate protocol state.
-func (t *peerTable) peek(i int) peerCounters {
-	if t.dense != nil {
-		return t.dense[i]
-	}
-	if c := t.sparse[int32(i)]; c != nil {
-		return *c
-	}
-	return peerCounters{}
-}
-
-// counterArena hands out peerCounters from chunked slabs: the per-world
-// amortized allocation the scale refactor replaces per-rank slices with.
-// Owned by one engine, so shards never contend on it.
-type counterArena struct {
-	chunk []peerCounters
-}
-
-// counterArenaChunk is sized so a slab is a few cache pages: 32 B per
-// triple x 256 = 8 KiB.
-const counterArenaChunk = 256
-
-// alloc returns a pointer to a zeroed triple with stable identity.
-func (a *counterArena) alloc() *peerCounters {
-	if len(a.chunk) == 0 {
-		a.chunk = make([]peerCounters, counterArenaChunk)
-	}
-	c := &a.chunk[0]
-	a.chunk = a.chunk[1:]
-	return c
-}

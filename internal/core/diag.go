@@ -85,7 +85,7 @@ type PeerCounterState struct {
 
 // PeerState returns this window's counter snapshot toward peer.
 func (w *Window) PeerState(peer int) PeerCounterState {
-	c := w.peers.peek(peer)
+	c := w.peers.Peek(peer)
 	return PeerCounterState{A: c.a, E: c.e, G: c.g, DoneRecv: c.doneRecv}
 }
 

@@ -46,11 +46,6 @@ type Engine struct {
 	// rank (see errors.go); allocated lazily on the first declaration.
 	dead []bool
 
-	// arena backs the sparse per-peer counter tables of this engine's
-	// windows in large worlds. Engine-local, so kernel shards never share
-	// a slab.
-	arena counterArena
-
 	// call is the resume state of the one call in flight on a task rank
 	// (mpi.Rank.Pending).
 	call callState

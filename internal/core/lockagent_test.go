@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/peertab"
 )
 
 // agentHarness builds a window whose lock agent can be driven directly
@@ -21,7 +22,7 @@ func agentHarness(t *testing.T, n int) *Window {
 		id:    0,
 		mode:  ModeNew,
 		n:     n,
-		peers: newPeerTable(n, &eng.arena),
+		peers: peertab.New(n, peerCounters{}),
 	}
 	win.agent = newLockAgent(win)
 	eng.windows[0] = win

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/peertab"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -117,7 +118,7 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 		noTrig:  opt.NoTriggeredOps,
 		chkCfl:  opt.CheckConflicts,
 		timeout: opt.EpochTimeout,
-		peers:   newPeerTable(rt.world.Size(), &eng.arena),
+		peers:   peertab.New(rt.world.Size(), peerCounters{}),
 
 		transport: opt.Transport,
 		sigBase:   opt.SignalBase,

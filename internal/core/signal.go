@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
+	"repro/internal/peertab"
 )
 
 // Counter-signal epoch transport.
@@ -81,63 +82,16 @@ type sigCounters struct {
 	userOut int64
 }
 
-// sigTable resolves the signal counters toward a peer: dense for small
-// worlds, sparse above peerDenseMax (same threshold as the ω tables).
-// Unlike peerCounters, the zero value is not the initial state — replicas
-// start at the window's SignalBase — so entries are initialized on
-// construction (dense) or materialization (sparse).
-type sigTable struct {
-	dense  []sigCounters
-	sparse map[int32]*sigCounters
-	base   uint64
-}
-
-func newSigTable(n int, base uint64) *sigTable {
-	t := &sigTable{base: base}
-	if n <= peerDenseMax {
-		t.dense = make([]sigCounters, n)
-		for i := range t.dense {
-			t.dense[i].in = [sigChans]uint64{base, base, base}
-		}
-	} else {
-		t.sparse = make(map[int32]*sigCounters, 16)
-	}
-	return t
-}
-
-// get returns the counters toward peer i, materializing a base-initialized
-// entry on first touch in sparse tables.
-func (t *sigTable) get(i int) *sigCounters {
-	if t.dense != nil {
-		return &t.dense[i]
-	}
-	c := t.sparse[int32(i)]
-	if c == nil {
-		c = &sigCounters{in: [sigChans]uint64{t.base, t.base, t.base}}
-		t.sparse[int32(i)] = c
-	}
-	return c
-}
-
-// peek returns a copy of the counters toward peer i without populating the
-// table (diagnostics and wait predicates must not mutate protocol state).
-func (t *sigTable) peek(i int) sigCounters {
-	if t.dense != nil {
-		return t.dense[i]
-	}
-	if c := t.sparse[int32(i)]; c != nil {
-		return *c
-	}
-	return sigCounters{in: [sigChans]uint64{t.base, t.base, t.base}}
-}
-
 // sigPeer returns the signal counters toward peer i, building the table on
-// first use so non-signal windows never pay for it.
+// first use so non-signal windows never pay for it. Replicas start at the
+// window's SignalBase, not at zero.
 func (w *Window) sigPeer(i int) *sigCounters {
 	if w.sig == nil {
-		w.sig = newSigTable(w.n, w.sigBase)
+		b := w.sigBase
+		t := peertab.New(w.n, sigCounters{in: [sigChans]uint64{b, b, b}})
+		w.sig = &t
 	}
-	return w.sig.get(i)
+	return w.sig.Get(i)
 }
 
 // sigLocalGate reports whether this window's access epochs complete on
@@ -235,7 +189,7 @@ func (w *Window) SignalCount(src int) int64 {
 	if w.sig == nil {
 		return 0
 	}
-	return int64(w.sig.peek(src).in[sigUser] - w.sigBase)
+	return int64(w.sig.Peek(src).in[sigUser] - w.sigBase)
 }
 
 // WaitSignal waits until at least count user signals from src have been
@@ -282,7 +236,7 @@ func (w *Window) SignalPeerState(peer int) SignalState {
 	if w.sig == nil {
 		return SignalState{GrantRaw: w.sigBase, DoneRaw: w.sigBase}
 	}
-	c := w.sig.peek(peer)
+	c := w.sig.Peek(peer)
 	return SignalState{
 		GrantRaw: c.in[sigGrant],
 		DoneRaw:  c.in[sigDone],

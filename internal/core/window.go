@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/mpi"
+	"repro/internal/peertab"
 	"repro/internal/sim"
 )
 
@@ -18,9 +19,9 @@ type Window struct {
 	buf  []byte // nil for shape-only windows
 
 	// ω-triples + done counters per peer (O(1) matching state): dense
-	// values for small worlds, arena-backed sparse entries at scale so a
-	// 64k-rank world is not 64k² counter slots. Always via w.peer(i).
-	peers peerTable
+	// values for small worlds, sparse entries at scale so a 64k-rank world
+	// is not 64k² counter slots. Always via w.peer(i).
+	peers peertab.Table[peerCounters]
 
 	// Counter-signal transport state (signal.go): the control-plane
 	// representation, the base value the raw counters start from, and the
@@ -28,7 +29,7 @@ type Window struct {
 	// GATS-transport windows never allocate it.
 	transport Transport
 	sigBase   uint64
-	sig       *sigTable
+	sig       *peertab.Table[sigCounters]
 
 	// Epoch bookkeeping.
 	nextEpochSeq int64
@@ -185,7 +186,7 @@ func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 
 // peer returns the counter triple toward rank i, materializing it on first
 // touch in sparse (large-world) tables.
-func (w *Window) peer(i int) *peerCounters { return w.peers.get(i) }
+func (w *Window) peer(i int) *peerCounters { return w.peers.Get(i) }
 
 // onGrant reacts to a grant (exposure/lock) notification from peer src.
 // Recorded transfers of already-activated epochs are issued right here, in

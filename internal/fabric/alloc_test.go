@@ -13,8 +13,12 @@ import (
 // generation-stamped credit scan and the in-place RegCache LRU.
 
 func pumpPooled(t *testing.T, k *sim.Kernel, nw *Network) {
+	pumpKind(t, k, nw, KindPutData, 4096)
+}
+
+func pumpKind(t *testing.T, k *sim.Kernel, nw *Network, kind Kind, size int64) {
 	p := nw.AllocPacket()
-	p.Src, p.Dst, p.Kind, p.Size = 0, 1, KindPutData, 4096
+	p.Src, p.Dst, p.Kind, p.Size = 0, 1, kind, size
 	p.Arg[3] = 1 // stable region key: hits the registration cache after warmup
 	nw.Send(p)
 	if err := k.Drain(); err != nil {
@@ -47,6 +51,28 @@ func TestPooledIntranodeSendAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { pumpPooled(t, k, nw) })
 	if allocs != 0 {
 		t.Errorf("intranode pooled send: %.1f allocs/packet, want 0", allocs)
+	}
+}
+
+// A 16-byte KindSignal write — the wire form of every grant and done on the
+// counter-signal transport — down the dedicated control rail of a 2-channel
+// NIC: rail selection, per-rail credits and per-rail ARQ state all sit in
+// the measured path and none of them may touch the heap.
+func TestPooledSignalRailSendAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Channels = 2
+	k := sim.NewKernel()
+	nw := NewNetwork(k, 2, cfg)
+	nw.SetHandler(1, func(p *Packet) {})
+	for i := 0; i < 64; i++ {
+		pumpKind(t, k, nw, KindSignal, 16)
+	}
+	allocs := testing.AllocsPerRun(200, func() { pumpKind(t, k, nw, KindSignal, 16) })
+	if allocs != 0 {
+		t.Errorf("signal-rail pooled send: %.1f allocs/packet, want 0", allocs)
+	}
+	if ctl := nw.NIC(0).RailStats(0); ctl.Sent == 0 {
+		t.Errorf("no packet took the control rail: %+v", ctl)
 	}
 }
 

@@ -250,8 +250,9 @@ func TestFaultDiagDisabled(t *testing.T) {
 // Satellite: the injector is compiled into the NIC pipeline unconditionally;
 // disabled (the default) it must cost nothing — delivery timing
 // (TestPacketDeliveryTiming), allocation budgets (alloc_test.go) and the
-// perfgate throughput gate all exercise that configuration. Enabled with
-// all-zero rates, the ARQ machinery engages but must inject nothing.
+// fabric.packet_ns driver of benchmarks/ all exercise that configuration.
+// Enabled with all-zero rates, the ARQ machinery engages but must inject
+// nothing.
 func TestZeroRateProfileLossless(t *testing.T) {
 	k, nw, got := lossyWorld(DefaultFaultProfile(41)) // every rate zero
 	sendN(t, k, nw, 200)

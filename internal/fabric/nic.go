@@ -1,6 +1,9 @@
 package fabric
 
-import "repro/internal/sim"
+import (
+	"repro/internal/peertab"
+	"repro/internal/sim"
+)
 
 // desc is one queued send descriptor. Descriptors are recycled through a
 // per-NIC free-list and carry the back-pointers the pipeline's shared,
@@ -76,7 +79,7 @@ type NIC struct {
 type nicRail struct {
 	queue   []*desc
 	busy    bool
-	peers   nicPeerTable
+	peers   peertab.Table[nicPeer]
 	skipGen uint64
 
 	// Per-rail stats, surfaced through NIC.RailStats.
@@ -89,7 +92,7 @@ type nicRail struct {
 func newNIC(nw *Network, rank, n int, k *sim.Kernel) *NIC {
 	rails := make([]nicRail, nw.Cfg.Rails())
 	for i := range rails {
-		rails[i].peers = newNicPeerTable(n)
+		rails[i].peers = peertab.New(n, nicPeer{})
 	}
 	return &NIC{
 		nw:         nw,
@@ -101,53 +104,10 @@ func newNIC(nw *Network, rank, n int, k *sim.Kernel) *NIC {
 }
 
 // nicPeer is one destination's flow-control state; its zero value (no
-// outstanding credits, never skip-stamped) is a valid fresh entry, so
-// sparse tables behave identically to dense ones.
+// outstanding credits, never skip-stamped) is a fresh entry.
 type nicPeer struct {
 	credits int
 	skip    uint64
-}
-
-// nicPeerDenseMax is the world size up to which a NIC keeps one dense
-// per-destination slice (one allocation, no hashing on the hot path).
-const nicPeerDenseMax = 2048
-
-// nicPeerChunk sizes the slab entries are drawn from at scale: 64 entries
-// x 16 B = 1 KiB, amortizing allocation without pre-paying for peers the
-// rank never addresses.
-const nicPeerChunk = 64
-
-// nicPeerTable resolves per-destination flow-control state: a dense value
-// slice for small worlds, a lazily-populated chunk-backed map above.
-type nicPeerTable struct {
-	dense  []nicPeer
-	sparse map[int32]*nicPeer
-	chunk  []nicPeer
-}
-
-func newNicPeerTable(n int) nicPeerTable {
-	if n <= nicPeerDenseMax {
-		return nicPeerTable{dense: make([]nicPeer, n)}
-	}
-	return nicPeerTable{sparse: make(map[int32]*nicPeer, 16)}
-}
-
-// get returns the state toward peer i, materializing a zero entry on first
-// touch.
-func (t *nicPeerTable) get(i int) *nicPeer {
-	if t.dense != nil {
-		return &t.dense[i]
-	}
-	c := t.sparse[int32(i)]
-	if c == nil {
-		if len(t.chunk) == 0 {
-			t.chunk = make([]nicPeer, nicPeerChunk)
-		}
-		c = &t.chunk[0]
-		t.chunk = t.chunk[1:]
-		t.sparse[int32(i)] = c
-	}
-	return c
 }
 
 // QueueLen returns the number of descriptors waiting for a wire, across all
@@ -334,12 +294,7 @@ func regionKeyFor(p *Packet) uint64 {
 func (n *NIC) CreditsToward(dst int) int {
 	total := 0
 	for i := range n.rails {
-		t := &n.rails[i].peers
-		if t.dense != nil {
-			total += t.dense[dst].credits
-		} else if c := t.sparse[int32(dst)]; c != nil {
-			total += c.credits
-		}
+		total += n.rails[i].peers.Peek(dst).credits
 	}
 	return total
 }
@@ -356,7 +311,7 @@ func (n *NIC) tryStart(rail int) {
 	r.skipGen++
 	gen := r.skipGen
 	for i, d := range r.queue {
-		pc := r.peers.get(d.dst)
+		pc := r.peers.Get(d.dst)
 		if pc.skip == gen {
 			continue
 		}
@@ -380,7 +335,7 @@ func (n *NIC) transmit(d *desc) {
 	r := &n.rails[d.rail]
 	r.busy = true
 	if n.creditInit > 0 {
-		r.peers.get(d.dst).credits++
+		r.peers.Get(d.dst).credits++
 	}
 	n.Sent++
 	n.BytesSent += d.wire
@@ -486,7 +441,7 @@ func descCreditReturn(x any) {
 	d := x.(*desc)
 	n := d.n
 	rail := d.rail
-	n.rails[rail].peers.get(d.dst).credits--
+	n.rails[rail].peers.Get(d.dst).credits--
 	n.freeDesc(d)
 	n.tryStart(rail)
 }

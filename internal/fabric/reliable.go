@@ -65,7 +65,7 @@ func (fs *faultState) sendReliable(d *desc) {
 		// Peer already declared unreachable: reconcile the credit charged at
 		// transmit and drop the packet on the floor.
 		if n.creditInit > 0 {
-			n.rails[rail].peers.get(d.dst).credits--
+			n.rails[rail].peers.Get(d.dst).credits--
 		}
 		fs.stats[src].Drops++
 		if orig.pooled {
@@ -153,7 +153,7 @@ func (l *relLink) ackTo(upTo uint64) {
 	for i := 0; i < n; i++ {
 		l.unacked[i] = nil
 		if nic.creditInit > 0 {
-			nic.rails[l.rail].peers.get(l.dst).credits--
+			nic.rails[l.rail].peers.Get(l.dst).credits--
 		}
 	}
 	l.unacked = append(l.unacked[:0], l.unacked[n:]...)
@@ -232,7 +232,7 @@ func (l *relLink) declareUnreachable() {
 	l.timer.Stop()
 	nic := fs.nw.nics[l.src]
 	if nic.creditInit > 0 {
-		nic.rails[l.rail].peers.get(l.dst).credits -= len(l.unacked)
+		nic.rails[l.rail].peers.Get(l.dst).credits -= len(l.unacked)
 	}
 	for i := range l.unacked {
 		l.unacked[i] = nil

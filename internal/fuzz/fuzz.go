@@ -23,23 +23,27 @@ type Failure struct {
 	Problems []string
 }
 
-// String renders the failure with its reproduction recipe.
+// String renders the failure with its reproduction recipe. The recipe names
+// the arm that failed: -mode decides which generator runs (flush programs
+// come from GenerateFlush, not Generate) and under which modes, so a recipe
+// without it would replay a different program.
 func (f Failure) String() string {
-	extra := ""
-	if f.KV {
-		extra = " -mode kv"
+	arm := f.Mode.String()
+	switch {
+	case f.KV:
+		arm = "kv"
+	case f.Signal:
+		arm = "signal" // both modes on the signal transport: -mode takes one value
 	}
-	if f.Signal {
-		extra = " -mode signal"
-	}
+	recipe := fmt.Sprintf("-seed %d -n 1 -mode %s", f.Seed, arm)
 	if f.Lossy {
-		extra += " -lossy"
+		recipe += " -lossy"
 	}
 	if f.Topo != topo.Crossbar {
-		extra += fmt.Sprintf(" -topo %s", f.Topo)
+		recipe += fmt.Sprintf(" -topo %s", f.Topo)
 	}
-	return fmt.Sprintf("seed=%d mode=%s%s:\n  %s\n  reproduce: go run ./cmd/fuzz -seed %d -n 1%s",
-		f.Seed, f.Mode, extra, strings.Join(f.Problems, "\n  "), f.Seed, extra)
+	return fmt.Sprintf("seed=%d mode=%s:\n  %s\n  reproduce: go run ./cmd/fuzz %s",
+		f.Seed, f.Mode, strings.Join(f.Problems, "\n  "), recipe)
 }
 
 // Options configures a fuzzing campaign.

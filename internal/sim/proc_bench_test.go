@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkParkResume measures a wake that crosses goroutines: two procs
 // yielding in alternation, so each op is one park, the other proc's wake
 // event run by the parking proc, and one token hand-off (a single goroutine
-// switch). This is the shape cmd/perfgate gates as handoff ops/sec.
+// switch). This is the shape benchmarks/ times as sim.handoff_ns.
 func BenchmarkParkResume(b *testing.B) {
 	benchYielders(b, 2)
 }
