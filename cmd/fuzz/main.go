@@ -52,9 +52,9 @@
 // compose. Either way the schedule is a pure function of the seed and the
 // flags, so a failure replays exactly like a pristine one.
 //
-// With -shards each pristine-crossbar seed executes on a sharded event
-// kernel; the transcript is bit-identical to a serial campaign (lossy and
-// topo seeds fall back to the serial kernel automatically).
+// With -shards each crossbar seed — lossy ones included — executes on a
+// sharded event kernel; the transcript is bit-identical to a serial campaign
+// (topo seeds fall back to the serial kernel automatically).
 package main
 
 import (

@@ -70,14 +70,9 @@ func FigFaultSweep(iters int) *stats.Table {
 // SweepPuts chunked puts with OverlapWork of origin-side computation each.
 func faultSweepCell(rate float64, s Series, ri, si, iters int) float64 {
 	var samples []sim.Time
-	// Always serial: fault injection rejects sharded networks (one RNG
-	// stream), and a 2-rank cell has nothing to shard anyway.
-	w := mpi.NewWorld(2, Config())
+	w := mpi.NewWorldShards(2, Config(), Shards())
 	if rate > 0 {
-		fp := fabric.DefaultFaultProfile(0xFA_0175EE9 + uint64(ri)<<8 + uint64(si))
-		fp.Drop = rate
-		fp.MaxRetries = 0 // lossy, never unreachable: the sweep measures latency
-		w.Net.EnableFaults(fp)
+		w.Net.EnableFaults(fabric.FaultProfile{Seed: 0xFA_01A5EE9 + uint64(ri)<<8 + uint64(si), Drop: rate})
 	}
 	rt := core.NewRuntime(w)
 	err := w.Run(func(r *mpi.Rank) {

@@ -46,7 +46,7 @@ func KVScenarioOptions(mode core.Mode) kvstore.Options {
 	opt.Mode = mode
 	opt.OpsPerClient = kvOps
 	opt.BinWidth = kvBinWidth
-	opt.Schedule = fabric.FaultSchedule{
+	opt.Schedule = fabric.FaultProfile{
 		Seed:        5,
 		Deaths:      []fabric.RankDeath{{Rank: kvDeathRank, At: kvDeathAt}},
 		DetectDelay: kvDetectDelay,

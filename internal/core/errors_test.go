@@ -23,10 +23,9 @@ func faultyWorld(t *testing.T, n int, fp fabric.FaultProfile) (*mpi.World, *Runt
 // virtual time — instead of hanging the simulation.
 func TestUnreachablePeerSurfacesError(t *testing.T) {
 	fp := fabric.DefaultFaultProfile(1)
-	fp.DeadRank = 1
-	fp.DeadFrom = 200 * sim.Microsecond
-	fp.RTO = 10 * sim.Microsecond
-	fp.MaxRetries = 3
+	fp.Drop = 0.01 // engages the ARQ: the stream retries until the declaration tears it down
+	fp.Deaths = []fabric.RankDeath{{Rank: 1, At: 200 * sim.Microsecond}}
+	fp.DetectDelay = 250 * sim.Microsecond // declared while the wait below is blocked
 	w, rt := faultyWorld(t, 2, fp)
 	var deadline sim.Time
 	err := w.Run(func(r *mpi.Rank) {
@@ -37,7 +36,7 @@ func TestUnreachablePeerSurfacesError(t *testing.T) {
 		if r.ID != 0 {
 			return // rank 1 goes silent; the fabric stops delivering to it
 		}
-		r.Compute(300 * sim.Microsecond) // let DeadFrom pass first
+		r.Compute(300 * sim.Microsecond) // let the death pass first
 		deadline = r.Now() + 50*sim.Millisecond
 		win.Lock(1, true)
 		win.Put(1, 0, make([]byte, 256), 256)
@@ -209,7 +208,7 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 	fp.Drop = 0.08
 	fp.Dup = 0.05
 	fp.Corrupt = 0.02
-	fp.JitterMax = 2 * sim.Microsecond
+	fp.Jitter = 2 * sim.Microsecond
 	w, rt := faultyWorld(t, 2, fp)
 	payload := make([]byte, 1<<13)
 	for i := range payload {
@@ -351,10 +350,8 @@ func TestTimeoutCarriesBlockedPeers(t *testing.T) {
 // stays the window's error.
 func TestDoubleAbortPreservesFirstError(t *testing.T) {
 	fp := fabric.DefaultFaultProfile(43)
-	fp.DeadRank = 1
-	fp.DeadFrom = 200 * sim.Microsecond // window creation completes first
-	fp.RTO = 60 * sim.Microsecond
-	fp.MaxRetries = 5 // declaration needs ~1.9ms of backoff: the timeout wins
+	fp.Deaths = []fabric.RankDeath{{Rank: 1, At: 200 * sim.Microsecond}} // window creation completes first
+	fp.DetectDelay = 2 * sim.Millisecond                                 // the timeout wins
 	w, rt := faultyWorld(t, 2, fp)
 	var reqErr, winErr error
 	var fs FaultStats
@@ -366,7 +363,7 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 		if r.ID != 0 {
 			return
 		}
-		r.Compute(300 * sim.Microsecond) // let DeadFrom pass first
+		r.Compute(300 * sim.Microsecond) // let the death pass first
 		win.IStart([]int{1})
 		win.Put(1, 0, make([]byte, 64), 64)
 		req := win.IComplete()
@@ -398,7 +395,7 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 // with it.
 func TestScheduledDeathPoisonsOnlyDependentWindows(t *testing.T) {
 	w := mpi.NewWorld(3, fabric.DefaultConfig())
-	w.Net.EnableSchedule(fabric.FaultSchedule{
+	w.Net.EnableFaults(fabric.FaultProfile{
 		Deaths: []fabric.RankDeath{{Rank: 2, At: 100 * sim.Microsecond}},
 	})
 	rt := NewRuntime(w)

@@ -254,11 +254,11 @@ func TestFlushModeRejectsEpochSyncs(t *testing.T) {
 // completion counters — driven by the dup-idempotent opLocalDone/
 // opDelivered events — still account exactly once per op.
 func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
-	fp := fabric.DefaultFaultProfile(7)
+	fp := fabric.DefaultFaultProfile(4)
 	fp.Drop = 0.08
 	fp.Dup = 0.07
 	fp.Corrupt = 0.02
-	fp.JitterMax = 2 * sim.Microsecond
+	fp.Jitter = 2 * sim.Microsecond
 	w, rt := faultyWorld(t, 2, fp)
 	payload := make([]byte, 1<<12)
 	for i := range payload {
@@ -295,19 +295,17 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 }
 
 // A dead rank must propagate ErrRankUnreachable through a blocked Flush.
-func TestFlushModeDeadRankFailsBlockedFlush(t *testing.T) {
+func TestFlushModeDeathFailsBlockedFlush(t *testing.T) {
 	fp := fabric.DefaultFaultProfile(3)
-	fp.DeadRank = 1
-	fp.DeadFrom = 200 * sim.Microsecond
-	fp.RTO = 10 * sim.Microsecond
-	fp.MaxRetries = 3
+	fp.Deaths = []fabric.RankDeath{{Rank: 1, At: 200 * sim.Microsecond}}
+	fp.DetectDelay = 250 * sim.Microsecond // declared while the wait below is blocked
 	w, rt := faultyWorld(t, 2, fp)
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1024, WinOptions{Mode: ModeFlush})
 		if r.ID != 0 {
 			return // rank 1 goes silent
 		}
-		r.Compute(300 * sim.Microsecond) // let DeadFrom pass first
+		r.Compute(300 * sim.Microsecond) // let the death pass first
 		win.Put(1, 0, make([]byte, 256), 256)
 		win.Flush(1) // must unwind with the error, not hang
 		t.Error("Flush returned despite an unreachable target")
@@ -323,12 +321,10 @@ func TestFlushModeDeadRankFailsBlockedFlush(t *testing.T) {
 
 // Same for a blocked FlushAll, and nonblocking calls made afterwards must
 // fail their requests with the stored cause.
-func TestFlushModeDeadRankFailsBlockedFlushAll(t *testing.T) {
+func TestFlushModeDeathFailsBlockedFlushAll(t *testing.T) {
 	fp := fabric.DefaultFaultProfile(5)
-	fp.DeadRank = 1
-	fp.DeadFrom = 200 * sim.Microsecond
-	fp.RTO = 10 * sim.Microsecond
-	fp.MaxRetries = 3
+	fp.Deaths = []fabric.RankDeath{{Rank: 1, At: 200 * sim.Microsecond}}
+	fp.DetectDelay = 250 * sim.Microsecond // declared while the wait below is blocked
 	w, rt := faultyWorld(t, 2, fp)
 	var postErr error
 	err := w.Run(func(r *mpi.Rank) {

@@ -244,7 +244,7 @@ func TestSignalLossyFabric(t *testing.T) {
 		fp.Drop = 0.08
 		fp.Dup = 0.08
 		fp.Corrupt = 0.04
-		fp.JitterMax = 20 * sim.Microsecond
+		fp.Jitter = 20 * sim.Microsecond
 		w, rt := faultyWorld(t, 2, fp)
 		var retries int64
 		runJob(t, w, func(r *mpi.Rank) {
@@ -283,18 +283,16 @@ func TestSignalLossyFabric(t *testing.T) {
 // ErrRankUnreachable instead of spinning on a replica nobody can write.
 func TestSignalDeadPeerMidSpin(t *testing.T) {
 	fp := fabric.DefaultFaultProfile(1)
-	fp.DeadRank = 1
-	fp.DeadFrom = 200 * sim.Microsecond
-	fp.RTO = 10 * sim.Microsecond
-	fp.MaxRetries = 3
+	fp.Deaths = []fabric.RankDeath{{Rank: 1, At: 200 * sim.Microsecond}}
+	fp.DetectDelay = 250 * sim.Microsecond // declared while the wait below is blocked
 	w, rt := faultyWorld(t, 2, fp)
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 64, WinOptions{Mode: ModeNew, Transport: TransportSignal})
 		if r.ID != 0 {
 			return // rank 1 goes silent before ever signaling
 		}
-		// Send toward the peer after it went silent so the reliability
-		// sublayer exhausts its retries and declares it unreachable.
+		// Spin on the peer after it went silent: no epoch exists to fail the
+		// wait, so only the failure detector's declaration can end it.
 		r.Compute(300 * sim.Microsecond)
 		win.Signal(1)
 		win.WaitSignal(1, 1)

@@ -23,19 +23,18 @@ func (w *Window) Stats() WindowStats {
 }
 
 // FaultStats aggregates the window's fault-handling activity: the
-// fabric-level reliability counters of the owning rank (retransmits, dedup
-// drops, flap recoveries — rank-wide, since links are shared by all of the
-// rank's windows) plus this window's epoch-level abort counters. All zero
-// on a fault-free run.
+// fabric-level adversary and reliability counters of the owning rank
+// (retransmits, dedup drops, flap holds — rank-wide, since links are shared
+// by all of the rank's windows) plus this window's epoch-level abort
+// counters. All zero on a fault-free run.
 type FaultStats struct {
-	// Fabric reliability sublayer (per rank; see fabric.RelStats).
-	Retransmits   int64
-	PacketsLost   int64 // injector drops, down-link losses included
-	DupDrops      int64 // duplicate deliveries discarded by the receiver
-	GapDrops      int64 // out-of-order deliveries discarded (go-back-N)
-	CorruptDrops  int64 // checksum failures discarded by the receiver
-	Flaps         int64 // link-down windows this rank's links entered
-	FlapRecovered int64 // links that resumed carrying traffic after a flap
+	// Fabric adversary and go-back-N layer (per rank; see fabric.RelStats).
+	Retransmits  int64
+	PacketsLost  int64 // copies the adversary dropped on the wire
+	DupDrops     int64 // duplicate deliveries discarded by the receiver
+	GapDrops     int64 // out-of-order deliveries discarded (go-back-N)
+	CorruptDrops int64 // checksum failures discarded by the receiver
+	Held         int64 // departures a flap window held back
 
 	// Epoch-level error handling (per window; see errors.go).
 	EpochsAborted int64
@@ -79,8 +78,7 @@ func (w *Window) FaultStats() FaultStats {
 	fs.DupDrops = rs.DupDrops
 	fs.GapDrops = rs.GapDrops
 	fs.CorruptDrops = rs.CorruptDrops
-	fs.Flaps = rs.Flaps
-	fs.FlapRecovered = rs.FlapRecover
+	fs.Held = rs.Delayed
 	return fs
 }
 

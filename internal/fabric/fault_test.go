@@ -54,12 +54,26 @@ func checkExactlyOnceInOrder(t *testing.T, got []int64, n int) {
 	}
 }
 
+// checkCreditsBalanced asserts no flow-control credit leaked: with the
+// kernel drained, nothing is outstanding toward any peer.
+func checkCreditsBalanced(t *testing.T, nw *Network) {
+	t.Helper()
+	for src := 0; src < nw.N(); src++ {
+		for dst := 0; dst < nw.N(); dst++ {
+			if c := nw.NIC(src).CreditsToward(dst); c != 0 {
+				t.Errorf("%d credits outstanding %d->%d after quiescence", c, src, dst)
+			}
+		}
+	}
+}
+
 func TestReliableDeliveryUnderDrop(t *testing.T) {
 	fp := DefaultFaultProfile(7)
 	fp.Drop = 0.05
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
+	checkCreditsBalanced(t, nw)
 	st := nw.RelStats(0)
 	if st.Drops == 0 || st.Retransmits == 0 {
 		t.Errorf("drop schedule produced no losses/retransmits: %+v", st)
@@ -91,19 +105,24 @@ func TestCorruptionRecovered(t *testing.T) {
 	}
 }
 
+// A hold longer than the retransmission timeout under the ARQ: the held
+// first copies and the spurious retransmits the timer adds all leave when the
+// window lifts; delivery stays exactly-once in order, the extra copies are
+// deduped at the receiver, and every credit comes back.
 func TestFlapRecovery(t *testing.T) {
 	fp := DefaultFaultProfile(17)
-	fp.Flap = 0.01
-	fp.FlapDown = 40 * sim.Microsecond
+	fp.Drop = 0.01 // engages the ARQ
+	fp.Flaps = []LinkFlap{{Src: 0, Dst: 1, From: 20 * sim.Microsecond, For: 40 * sim.Microsecond}}
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
+	checkCreditsBalanced(t, nw)
 	st := nw.RelStats(0)
-	if st.Flaps == 0 {
-		t.Fatal("flap schedule produced no down windows")
+	if st.Delayed == 0 {
+		t.Fatal("flap window held no departures")
 	}
-	if st.FlapRecover == 0 {
-		t.Error("no link recovered after a flap")
+	if st.Retransmits == 0 || nw.RelStats(1).DupDrops == 0 {
+		t.Errorf("a 40us hold against a 16us timeout produced no deduped spurious retransmits: tx %+v rx %+v", st, nw.RelStats(1))
 	}
 }
 
@@ -112,22 +131,25 @@ func TestCombinedAdversary(t *testing.T) {
 	fp.Drop = 0.02
 	fp.Dup = 0.02
 	fp.Corrupt = 0.01
-	fp.JitterMax = 3 * sim.Microsecond
-	fp.Flap = 0.002
-	fp.FlapDown = 30 * sim.Microsecond
+	fp.Jitter = 3 * sim.Microsecond
+	fp.Flaps = []LinkFlap{
+		{Src: 0, Dst: 1, From: 50 * sim.Microsecond, For: 30 * sim.Microsecond},
+		{Src: 1, Dst: 0, From: 200 * sim.Microsecond, For: 30 * sim.Microsecond},
+	}
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 600)
 	checkExactlyOnceInOrder(t, *got, 600)
+	checkCreditsBalanced(t, nw)
 }
 
 // The same profile must produce the bit-identical fault schedule; a
 // different seed must not.
-func TestFaultScheduleDeterminism(t *testing.T) {
+func TestFaultProfileDeterminism(t *testing.T) {
 	run := func(seed uint64) (RelStats, RelStats) {
 		fp := DefaultFaultProfile(seed)
 		fp.Drop = 0.03
 		fp.Dup = 0.02
-		fp.JitterMax = 2 * sim.Microsecond
+		fp.Jitter = 2 * sim.Microsecond
 		k, nw, got := lossyWorld(fp)
 		sendN(t, k, nw, 300)
 		checkExactlyOnceInOrder(t, *got, 300)
@@ -144,12 +166,14 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// A dead rank must be declared unreachable after MaxRetries, with every
-// flow-control credit the lost packets held reconciled back to the pool.
+// A dead rank must be declared unreachable DetectDelay after its death — to
+// every survivor — with every flow-control credit the lost packets held
+// reconciled back to the pool.
 func TestUnreachableDeclaration(t *testing.T) {
 	fp := DefaultFaultProfile(29)
-	fp.DeadRank = 1
-	fp.MaxRetries = 3
+	fp.Drop = 0.01 // engages the ARQ: the declaration tears its streams down
+	fp.Deaths = []RankDeath{{Rank: 1, At: 0}}
+	fp.DetectDelay = 100 * sim.Microsecond
 	k := sim.NewKernel()
 	nw := NewNetwork(k, 3, DefaultConfig())
 	nw.EnableFaults(fp)
@@ -172,8 +196,11 @@ func TestUnreachableDeclaration(t *testing.T) {
 	if err := k.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(declared) != 2 || declared[0] != 0 || declared[1] != 1 {
-		t.Fatalf("unreachable declarations = %v, want [0 1]", declared)
+	if fmt.Sprint(declared) != "[0 1 2 1]" {
+		t.Fatalf("unreachable declarations = %v, want [0 1 2 1]", declared)
+	}
+	if k.Now() < 100*sim.Microsecond || nw.RelStats(0).Retransmits == 0 {
+		t.Errorf("stream to the dead peer did not retry until the declaration: t=%d %+v", k.Now(), nw.RelStats(0))
 	}
 	if !nw.PeerUnreachable(0, 1) {
 		t.Error("PeerUnreachable(0,1) = false after declaration")
@@ -189,49 +216,54 @@ func TestUnreachableDeclaration(t *testing.T) {
 	}
 }
 
-// A whole-rank stall window delays traffic but everything recovers once it
-// lifts.
+// A whole-rank stall — a window on each link of the rank — delays traffic
+// for many timeouts, but everything recovers once it lifts: exactly-once, in
+// order, the spurious retransmits deduped, credits balanced.
 func TestRankStallRecovers(t *testing.T) {
 	fp := DefaultFaultProfile(31)
-	fp.StallRank = 1
-	fp.StallFrom = 0
-	fp.StallFor = 200 * sim.Microsecond
+	fp.Dup = 0.01 // engages the ARQ
+	fp.Flaps = []LinkFlap{
+		{Src: 0, Dst: 1, From: 0, For: 200 * sim.Microsecond},
+		{Src: 1, Dst: 0, From: 0, For: 200 * sim.Microsecond},
+	}
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 50)
 	checkExactlyOnceInOrder(t, *got, 50)
-	if nw.RelStats(0).Retransmits == 0 {
-		t.Error("stall window forced no retransmissions")
+	checkCreditsBalanced(t, nw)
+	if nw.RelStats(0).Retransmits == 0 || nw.RelStats(1).DupDrops == 0 {
+		t.Errorf("stall window forced no deduped retransmissions: tx %+v rx %+v", nw.RelStats(0), nw.RelStats(1))
 	}
 	if k.Now() < 200*sim.Microsecond {
 		t.Errorf("recovered at t=%d, before the stall lifted", k.Now())
 	}
 }
 
-// FaultDiag must expose link state and pending retransmit timers so
+// FaultDiag must expose stream state and pending retransmit timers so
 // watchdog reports can tell fault stalls from protocol deadlocks.
 func TestFaultDiagReportsLinks(t *testing.T) {
 	fp := DefaultFaultProfile(37)
-	fp.DeadRank = 1
-	fp.MaxRetries = 2
+	fp.Drop = 0.01
+	fp.Deaths = []RankDeath{{Rank: 1, At: 30 * sim.Microsecond}}
 	k, nw, _ := lossyWorld(fp)
-	p := nw.AllocPacket()
-	p.Src, p.Dst, p.Kind, p.Size = 0, 1, KindUser, 64
-	nw.Send(p)
+	for _, at := range []sim.Time{0, 40 * sim.Microsecond} {
+		k.At(at, func() {
+			p := nw.AllocPacket()
+			p.Src, p.Dst, p.Kind, p.Size = 0, 1, KindUser, 64
+			nw.Send(p)
+		})
+	}
+	var diag, peerDiag string
+	k.At(45*sim.Microsecond, func() { diag, peerDiag = nw.FaultDiag(0), nw.FaultDiag(1) })
 	if err := k.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	diag := nw.FaultDiag(0)
-	if !strings.Contains(diag, "link 0->1") {
-		t.Errorf("diag lacks link state:\n%s", diag)
+	for _, want := range []string{"link 0->1 rail 0: nextSeq=2 unacked=1", "rto@t=", "rank 1 DEAD since t=30000 (undetected", "fault stats:"} {
+		if !strings.Contains(diag, want) {
+			t.Errorf("diag lacks %q:\n%s", want, diag)
+		}
 	}
-	if !strings.Contains(diag, "DEAD") {
-		t.Errorf("diag does not flag the dead peer:\n%s", diag)
-	}
-	if !strings.Contains(diag, "rel stats:") {
-		t.Errorf("diag lacks the stats summary:\n%s", diag)
-	}
-	if nw.FaultDiag(1) == "" {
-		t.Error("receiver side has link state but empty diag")
+	if !strings.Contains(peerDiag, "link 0->1 rail 0: expect=1") {
+		t.Errorf("receiver side lacks its stream half:\n%s", peerDiag)
 	}
 }
 
@@ -251,18 +283,17 @@ func TestFaultDiagDisabled(t *testing.T) {
 // disabled (the default) it must cost nothing — delivery timing
 // (TestPacketDeliveryTiming), allocation budgets (alloc_test.go) and the
 // fabric.packet_ns driver of benchmarks/ all exercise that configuration.
-// Enabled with all-zero rates, the ARQ machinery engages but must inject
-// nothing.
+// Enabled with all-zero rates, no ARQ is built, nothing is injected, and the
+// packet path stays allocation-free.
 func TestZeroRateProfileLossless(t *testing.T) {
 	k, nw, got := lossyWorld(DefaultFaultProfile(41)) // every rate zero
 	sendN(t, k, nw, 200)
 	checkExactlyOnceInOrder(t, *got, 200)
-	st := nw.RelStats(0)
-	if st.Drops != 0 || st.Retransmits != 0 || st.DupsSent != 0 || st.Corrupts != 0 {
-		t.Errorf("zero-rate profile injected faults: %+v", st)
+	if st := nw.RelStats(0); st != (RelStats{}) {
+		t.Errorf("zero-rate profile injected faults or engaged the ARQ: %+v", st)
 	}
-	if st.Sent == 0 || st.Acked != st.Sent {
-		t.Errorf("ARQ bookkeeping broken on the clean path: %+v", st)
+	if allocs := testing.AllocsPerRun(200, func() { pumpPooled(t, k, nw) }); allocs != 0 {
+		t.Errorf("zero-rate profile: %.1f allocs/packet, want 0", allocs)
 	}
 }
 

@@ -27,18 +27,16 @@ type Network struct {
 	regs     []*RegCache
 
 	// sharded marks a network whose ranks are spread across a sim.Shards
-	// group: pools become per-rank, the FIFO mesh is built eagerly (lazy
-	// map writes would race), and fault injection is rejected (the
-	// injector's single RNG stream is inherently serial).
+	// group: pools become per-rank and the FIFO mesh is built eagerly (lazy
+	// map writes would race).
 	sharded bool
 
 	// pktFree is the packet free-list backing AllocPacket. It is owned by
 	// the simulation's single-threaded event loop, so no locking is needed
 	// — and being per-Network, concurrent simulations in the parallel
 	// harness never share it. On a sharded network the pool splits per rank
-	// (pktFreeBy): allocation draws from the allocating rank's pool and
-	// release returns to the destination's, each touched only by its own
-	// shard.
+	// (pktFreeBy): allocation and release each go to the pool of the rank in
+	// whose context they run, so a pool is only touched by its own shard.
 	pktFree   []*Packet
 	pktFreeBy [][]*Packet
 
@@ -49,25 +47,20 @@ type Network struct {
 	bytesBy     []int64
 
 	// faults, when non-nil, routes every internode packet through the
-	// deterministic fault injector and the go-back-N reliability sublayer
-	// (fault.go, reliable.go). nil — the default — keeps the lossless
-	// zero-allocation pipeline untouched but for one pointer check.
+	// deterministic adversary (schedule.go) and — if its profile has message
+	// faults — the go-back-N layer over it (reliable.go). nil — the default
+	// — keeps the lossless zero-allocation pipeline untouched but for one
+	// pointer check.
 	faults *faultState
-
-	// sched, when non-nil, routes every internode packet through the
-	// deterministic *scheduled* fault injector (schedule.go): rank deaths
-	// and link-flap hold windows as pure functions of virtual time, legal
-	// on sharded networks (unlike faults). nil costs one pointer check.
-	sched *schedState
 
 	// topo, when non-nil, routes every internode packet hop by hop through
 	// the modeled interconnect (topo.go). nil — the default crossbar —
 	// costs the lossless pipeline one pointer check, like faults.
 	topo *topoState
 
-	// onUnreachable is invoked (in kernel context) when rank local's
-	// reliability sublayer exhausts its retries toward peer and declares it
-	// unreachable. internal/core installs its error-propagation hook here.
+	// onUnreachable is invoked (on rank local's kernel) when peer's death
+	// reaches local's failure detector. internal/core installs its
+	// error-propagation hook here.
 	onUnreachable func(local, peer int)
 }
 
@@ -185,14 +178,18 @@ func (nw *Network) AllocPacketAt(rank int) *Packet {
 	return &Packet{nw: nw, pooled: true}
 }
 
-// release zeroes a pooled packet and returns it to a free-list: the shared
-// one when serial, the destination rank's (the delivery context — the only
-// place pooled packets are released) when sharded.
-func (nw *Network) release(p *Packet) {
-	dst := p.Dst
+// release retires a packet the fabric is done with, in rank's context (the
+// destination at delivery, the source for a drop at source or an
+// acknowledged retained packet). A pooled packet is zeroed and returned to a
+// free-list — the shared one when serial, rank's own when sharded; a literal
+// is left to the collector.
+func (nw *Network) release(rank int, p *Packet) {
+	if !p.pooled {
+		return
+	}
 	*p = Packet{nw: nw, pooled: true}
 	if nw.sharded {
-		nw.pktFreeBy[dst] = append(nw.pktFreeBy[dst], p)
+		nw.pktFreeBy[rank] = append(nw.pktFreeBy[rank], p)
 		return
 	}
 	nw.pktFree = append(nw.pktFree, p)
@@ -211,46 +208,16 @@ func (nw *Network) NIC(r int) *NIC { return nw.nics[r] }
 // RegCache returns rank r's memory-registration cache.
 func (nw *Network) RegCache(r int) *RegCache { return nw.regs[r] }
 
-// EnableFaults switches the network's internode paths onto the fault
-// injector and reliability sublayer described by fp. Call before any
-// traffic flows; the schedule is fully determined by fp (including
-// fp.Seed), so runs replay bit for bit.
-func (nw *Network) EnableFaults(fp FaultProfile) {
-	if nw.faults != nil {
-		panic("fabric: EnableFaults called twice")
-	}
-	if nw.sched != nil {
-		panic("fabric: EnableFaults is mutually exclusive with EnableSchedule")
-	}
-	if nw.sharded {
-		// The injector draws every link's fate from one RNG stream and the
-		// reliability sublayer mutates both endpoints' link state on each
-		// transmission — inherently serial. Fault studies run on the serial
-		// kernel; refusing here beats silently racing.
-		panic("fabric: fault injection requires the serial kernel (network is sharded)")
-	}
-	nw.faults = newFaultState(nw, fp)
-}
-
-// FaultsEnabled reports whether the network runs with fault injection.
-func (nw *Network) FaultsEnabled() bool { return nw.faults != nil }
-
-// SetUnreachableHandler installs the callback fired when a rank declares a
-// peer unreachable (reliability-sublayer retry exhaustion).
+// SetUnreachableHandler installs the callback fired when a peer's death
+// reaches a rank's failure detector.
 func (nw *Network) SetUnreachableHandler(fn func(local, peer int)) { nw.onUnreachable = fn }
 
-// PeerUnreachable reports whether rank local has declared peer unreachable:
-// ARQ retry exhaustion under the probabilistic injector, or an elapsed
-// failure-detection window under the scheduled one. Must run in rank
-// local's context on a sharded network (it reads local's clock).
+// PeerUnreachable reports whether peer's death has reached rank local's
+// failure detector. Must run in rank local's context on a sharded network
+// (it reads local's clock).
 func (nw *Network) PeerUnreachable(local, peer int) bool {
-	if ss := nw.sched; ss != nil {
-		return ss.detected(peer, nw.nics[local].k.Now())
-	}
-	if nw.faults == nil {
-		return false
-	}
-	return nw.faults.peerDead(local, peer)
+	fs := nw.faults
+	return fs != nil && fs.detected(peer, nw.nics[local].k.Now())
 }
 
 // Send injects packet p at its source NIC. Internode packets traverse the
@@ -300,9 +267,7 @@ func (nw *Network) deliver(p *Packet) {
 		panic(fmt.Sprintf("fabric: no delivery handler for rank %d (packet kind %d from %d)", p.Dst, p.Kind, p.Src))
 	}
 	h(p)
-	if p.pooled {
-		nw.release(p)
-	}
+	nw.release(p.Dst, p)
 }
 
 // Delivered returns the total packets handed to delivery handlers.

@@ -209,12 +209,12 @@ func (n *NIC) railFor(p *Packet) int {
 
 // enqueue posts a packet to its rail's injection queue and kicks that
 // pipeline. Large stripeable transfers on a pristine multi-rail crossbar
-// split into per-rail chunks instead (the injectors and the topology model
+// split into per-rail chunks instead (the adversary and the topology model
 // own delivery on their paths and know nothing of chunk reassembly, so
 // striping stays a lossless-crossbar feature).
 func (n *NIC) enqueue(p *Packet) {
 	if len(n.rails) > 1 && p.Size >= stripeMin && stripeable(p.Kind) &&
-		n.nw.faults == nil && n.nw.sched == nil && n.nw.topo == nil {
+		n.nw.faults == nil && n.nw.topo == nil {
 		n.enqueueStriped(p)
 		return
 	}
@@ -378,11 +378,7 @@ func descTxDone(x any) {
 		}
 		d.pkt = nil
 		d.stripe = nil
-		if n.creditInit > 0 {
-			n.k.AfterCall(cfg.Alpha+cfg.AckLatency, descCreditReturn, d)
-		} else {
-			n.freeDesc(d)
-		}
+		n.returnCredit(d)
 		n.tryStart(rail)
 		return
 	}
@@ -391,18 +387,11 @@ func descTxDone(x any) {
 	}
 	k := n.k
 	if fs := n.nw.faults; fs != nil {
-		// Faulty fabric: the reliability sublayer owns delivery, credit
-		// return and the descriptor from here on (and routes surviving
-		// copies through the topology itself when one is configured).
-		// Serial-only — EnableFaults rejects sharded networks.
-		fs.sendReliable(d)
-		return
-	}
-	if ss := n.nw.sched; ss != nil {
-		// Scheduled faults: the deterministic injector owns drop/hold/
-		// jitter decisions and delivery scheduling. Shard-safe — every
-		// decision reads immutable schedule tables or source-rank state.
-		ss.send(d)
+		// Faulty fabric: the adversary (and the go-back-N layer over it,
+		// when engaged) owns drop/hold/jitter decisions, delivery, credit
+		// return and the descriptor from here on. Shard-safe — every
+		// decision reads immutable profile tables or source-rank state.
+		fs.send(d)
 		return
 	}
 	if n.nw.topo != nil {
@@ -418,13 +407,20 @@ func descTxDone(x any) {
 	pkt := d.pkt
 	d.pkt = nil
 	rail := d.rail
+	n.returnCredit(d)
+	k.AtCross(k.Now()+cfg.Alpha, pktDeliver, pkt, n.rank, pkt.Dst)
+	n.tryStart(rail)
+}
+
+// returnCredit schedules the hardware ACK of a descriptor whose packet just
+// left for the crossbar — a local event, Alpha+AckLatency out — or retires
+// the descriptor at once when flow control is off.
+func (n *NIC) returnCredit(d *desc) {
 	if n.creditInit > 0 {
-		k.AfterCall(cfg.Alpha+cfg.AckLatency, descCreditReturn, d)
+		n.k.AfterCall(n.nw.Cfg.Alpha+n.nw.Cfg.AckLatency, descCreditReturn, d)
 	} else {
 		n.freeDesc(d)
 	}
-	k.AtCross(k.Now()+cfg.Alpha, pktDeliver, pkt, n.rank, pkt.Dst)
-	n.tryStart(rail)
 }
 
 // pktDeliver propagates a detached packet to its destination; on a sharded

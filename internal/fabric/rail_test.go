@@ -246,7 +246,7 @@ func TestPerRailARQUnderFaults(t *testing.T) {
 		fp.Drop = 0.1
 		fp.Dup = 0.1
 		fp.Corrupt = 0.05
-		fp.JitterMax = 25 * sim.Microsecond
+		fp.Jitter = 25 * sim.Microsecond
 		nw.EnableFaults(fp)
 		type key struct {
 			src  int

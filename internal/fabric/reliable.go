@@ -1,143 +1,233 @@
 package fabric
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"sort"
+	"strings"
 
-// Go-back-N reliability sublayer. Active only when fault injection is
-// enabled (Network.EnableFaults): the zero-fault fast path pays one nil
-// check in descTxDone and nothing else.
+	"repro/internal/sim"
+)
+
+// Go-back-N reliability layer over the faulty wire (schedule.go). The
+// network builds it iff the fault profile has message faults — Drop, Dup or
+// Corrupt non-zero — because only those can make a receiver see something
+// other than each packet once; every other configuration pays nothing for
+// it.
 //
 // Each (directed internode link, rail) pair carries an independent sequence
 // space — multi-rail NICs run one go-back-N stream per rail, mirroring real
-// per-QP reliability. The sender keeps every unacknowledged packet in a
-// stable (non-pooled) copy and arms a per-link retransmission timer with
-// exponential backoff on the virtual clock; the receiver delivers exactly
-// the expected sequence number (duplicates and gaps are dropped — go-back-N
-// keeps no reorder buffer, preserving the per-(link, rail) FIFO order; on a
-// single rail that is exactly the per-link FIFO the RMA protocol's
-// done-after-data guarantee relies on) and acknowledges cumulatively, both
-// piggybacked on reverse same-rail traffic and via dedicated KindAck
-// packets. Flow-control credits charged at first transmission are returned
-// by the cumulative ACK — or reconciled in bulk when a flapped peer is
-// declared unreachable — so a lossy link can never leak the sender's credit
-// pool.
+// per-QP reliability. A stream has two halves with disjoint owners: the
+// transmit half (relTx) lives with the source rank, whose kernel runs its
+// retransmission timer with exponential backoff on the virtual clock; the
+// receive half is one counter, the next expected sequence number, kept by
+// the destination. The sender retains every unacknowledged packet and puts a
+// *copy* on the wire per attempt (drawn from its own packet pool), so what
+// crosses to the destination's shard is never what the sender still holds.
+// The receiver delivers exactly the expected sequence number (duplicates and
+// gaps are dropped — go-back-N keeps no reorder buffer, preserving the
+// per-(link, rail) FIFO order; on a single rail that is exactly the per-link
+// FIFO the RMA protocol's done-after-data guarantee relies on) and
+// acknowledges cumulatively, both piggybacked on reverse same-rail traffic
+// and via dedicated KindAck packets. Flow-control credits charged at first
+// transmission are returned by the cumulative ACK — or reconciled in bulk
+// when the failure detector tears the stream down — so a lossy link can
+// never leak the sender's credit pool.
 
-// relLink is the ARQ state of one (directed link, rail) stream. Transmit-
-// side fields are mutated by events at the source rank, receive-side fields
-// (expect) by events at the destination; the kernel is single-threaded, so
-// one struct safely holds both ends.
-type relLink struct {
+// RelStats counts one rank's adversary and reliability-layer activity. The
+// source-side counters (Sent..TxDrops) accumulate at the sending rank of a
+// link, the destination-side counters (RxDrops..AcksDropped) at the
+// receiver — each in that rank's own shard context.
+type RelStats struct {
+	Sent        int64 // sequenced packets handed to the wire (first copies)
+	Retransmits int64 // go-back-N resends after a timeout
+	Acked       int64 // sequenced packets confirmed by a cumulative ACK
+	Drops       int64 // copies lost on the wire
+	DupsSent    int64 // extra copies put on the wire by the duplicator
+	Corrupts    int64 // copies sent with a failing checksum
+	Delayed     int64 // departures held by a flap window
+	TxDrops     int64 // packets dropped at source: source dead, or peer declared unreachable
+
+	RxDrops      int64 // copies absorbed on arrival at a dead destination
+	DupDrops     int64 // received copies below the expected sequence (dedup)
+	GapDrops     int64 // received copies above the expected sequence (go-back-N)
+	CorruptDrops int64 // received copies discarded by the checksum
+	AcksSent     int64 // cumulative ACK packets sent
+	AcksDropped  int64 // ACK packets lost on the wire
+}
+
+// RelStats returns rank r's adversary/reliability counters (zero when fault
+// injection is disabled).
+func (nw *Network) RelStats(r int) RelStats {
+	if nw.faults == nil {
+		return RelStats{}
+	}
+	return nw.faults.rank[r].stats
+}
+
+// arqKey identifies one go-back-N stream within its owning rank: the peer at
+// the other end plus the NIC rail carrying it. Single-rail networks only
+// ever use rail 0.
+type arqKey struct{ peer, rail int }
+
+// maxBackoffShift caps exponential backoff at rto << maxBackoffShift so a
+// long hold cannot push the next retransmission beyond recovery horizons.
+const maxBackoffShift = 10
+
+// relTx is the transmit half of one stream, owned by the source rank.
+type relTx struct {
 	fs       *faultState
 	src, dst int
 	rail     int
 
-	// Transmit side.
 	nextSeq uint64
-	unacked []*Packet // stable copies, sequence order
+	unacked []*Packet // the retained packets, sequence order
 	timer   *sim.Timer
-	backoff uint // consecutive-expiry shift applied to RTO (capped)
-	retries int  // consecutive expiries since the last ACK progress
-	dead    bool // peer declared unreachable; everything is dropped
-
-	// Receive side.
-	expect uint64
+	backoff uint // consecutive-expiry shift applied to rto (capped)
 }
 
-// rto returns the current backed-off retransmission timeout.
-func (l *relLink) rto() sim.Time {
-	shift := l.backoff
-	if shift > maxBackoffShift {
-		shift = maxBackoffShift
+// txLink returns (creating lazily) the transmit half of the src->dst stream
+// on the given rail.
+func (fs *faultState) txLink(src, dst, rail int) *relTx {
+	fr := &fs.rank[src]
+	key := arqKey{dst, rail}
+	l, ok := fr.tx[key]
+	if !ok {
+		if fr.tx == nil {
+			fr.tx = make(map[arqKey]*relTx, 8)
+		}
+		l = &relTx{fs: fs, src: src, dst: dst, rail: rail}
+		l.timer = fs.nw.nics[src].k.NewTimer(l.onTimer)
+		fr.tx[key] = l
 	}
-	return l.fs.fp.RTO << shift
+	return l
 }
 
 // sendReliable takes over a descriptor whose wire occupancy just finished:
-// the packet is sequenced, copied into a stable retransmission buffer, and
-// handed to the fault injector. Replaces descDeliver/descCreditReturn on
-// the faulty path; the descriptor is retired here.
+// the packet is sequenced, retained for retransmission, and a first copy put
+// on the wire. OnTxDone already fired (local completion precedes remote
+// delivery), so the fabric owns the packet from here on.
 func (fs *faultState) sendReliable(d *desc) {
-	n := d.n
-	orig := d.pkt
-	rail := d.rail
-	src, dst := orig.Src, orig.Dst
-	l := fs.link(src, dst, rail)
-	if l.dead {
-		// Peer already declared unreachable: reconcile the credit charged at
-		// transmit and drop the packet on the floor.
+	n, p, rail := d.n, d.pkt, d.rail
+	src, dst := p.Src, p.Dst
+	st := &fs.rank[src].stats
+	if now := n.k.Now(); fs.deadBy(src, now) || fs.detected(dst, now) {
+		// Dead source, or peer already declared unreachable: reconcile the
+		// credit charged at transmit and drop the packet on the floor.
 		if n.creditInit > 0 {
-			n.rails[rail].peers.Get(d.dst).credits--
+			n.rails[rail].peers.Get(dst).credits--
 		}
-		fs.stats[src].Drops++
-		if orig.pooled {
-			fs.nw.release(orig)
-		}
+		st.TxDrops++
+		fs.nw.release(src, p)
 		n.freeDesc(d)
-		n.tryStart(rail)
 		return
 	}
-	// Stable copy: the original may be pooled and must not be retained, and
-	// OnTxDone already fired (local completion precedes remote delivery).
-	sp := &Packet{}
-	*sp = *orig
-	sp.OnTxDone = nil
-	sp.pooled = false
-	sp.rel = true
-	sp.nw = fs.nw // literal packets may carry no back-pointer; relDeliver needs one
-	sp.Seq = l.nextSeq
-	l.nextSeq++
-	sp.Ack = fs.link(dst, src, rail).expect // piggybacked cumulative ACK (same rail)
-	if orig.pooled {
-		fs.nw.release(orig)
-	}
 	n.freeDesc(d)
-	l.unacked = append(l.unacked, sp)
-	fs.stats[src].Sent++
+	l := fs.txLink(src, dst, rail)
+	p.OnTxDone = nil
+	p.rel = true
+	p.Seq = l.nextSeq
+	l.nextSeq++
+	l.unacked = append(l.unacked, p)
+	st.Sent++
 	if !l.timer.Armed() {
-		l.timer.Reset(l.rto())
+		l.timer.Reset(fs.rto << l.backoff)
 	}
-	fs.inject(sp)
-	n.tryStart(rail)
+	l.transmit(p)
 }
 
-// recvReliable runs at the destination when an injected copy arrives. It
-// validates the packet, applies the checksum model, processes the
-// cumulative ACK, dedups/orders sequenced data and acknowledges.
-func (fs *faultState) recvReliable(p *Packet) {
-	if err := p.Validate(fs.nw.N()); err != nil {
-		panic("fabric: reliability sublayer received invalid packet: " + err.Error())
+// transmit puts one attempt of retained packet sp through the adversary.
+func (l *relTx) transmit(sp *Packet) {
+	fs, fp := l.fs, &l.fs.fp
+	now := fs.nw.nics[l.src].k.Now()
+	st := &fs.rank[l.src].stats
+	at, idx := fs.depart(l.src, l.dst, now)
+	if fs.hit(fp.Drop, saltDrop, l.src, l.dst, idx) {
+		st.Drops++
+		return
 	}
-	st := &fs.stats[p.Dst]
+	corrupt := fs.hit(fp.Corrupt, saltCorrupt, l.src, l.dst, idx)
+	if corrupt {
+		// The retained packet stays pristine, so recovery delivers clean data.
+		st.Corrupts++
+	}
+	fs.fly(sp, at, corrupt)
+	if fs.hit(fp.Dup, saltDup, l.src, l.dst, idx) {
+		st.DupsSent++
+		at, _ = fs.depart(l.src, l.dst, now)
+		fs.fly(sp, at, false)
+	}
+}
+
+// fly launches one in-flight copy of sp, leaving the source at time at, with
+// the source's current cumulative receive state piggybacked. The copy is
+// pooled iff the original was: a handler that retains packets (the
+// two-sided inbox) sends literals and gets a literal it may keep.
+func (fs *faultState) fly(sp *Packet, at sim.Time, corrupt bool) {
+	nw := fs.nw
+	src, dst := sp.Src, sp.Dst
+	var cp *Packet
+	if sp.pooled {
+		cp = nw.AllocPacketAt(src)
+	} else {
+		cp = new(Packet)
+	}
+	*cp = *sp
+	cp.Ack = fs.rank[src].rx[arqKey{dst, int(sp.Rail)}] // reverse direction, same rail
+	cp.corrupt = corrupt
+	k := nw.nics[src].k
+	if nw.topo != nil {
+		k.AtCross(at, topoSendPacket, cp, src, -1)
+	} else {
+		k.AtCross(at+nw.Cfg.Alpha, faultArrive, cp, src, dst)
+	}
+}
+
+// recvReliable runs at the destination when a copy arrives. It applies the
+// checksum model, processes the cumulative ACK, dedups/orders sequenced data
+// and acknowledges.
+func (fs *faultState) recvReliable(p *Packet) {
+	src, dst, rail := p.Src, p.Dst, int(p.Rail)
+	fr := &fs.rank[dst]
 	if p.corrupt {
 		// Checksum failure: discarded before any field is trusted; the
 		// sender's retransmission recovers the clean copy.
-		st.CorruptDrops++
+		fr.stats.CorruptDrops++
+		fs.nw.release(dst, p)
 		return
 	}
 	// The cumulative ACK field covers the reverse data direction of the
 	// same rail.
-	fs.link(p.Dst, p.Src, int(p.Rail)).ackTo(p.Ack)
+	key := arqKey{src, rail}
+	if l := fr.tx[key]; l != nil {
+		l.ackTo(p.Ack)
+	}
 	if p.Kind == KindAck {
+		fs.nw.release(dst, p)
 		return
 	}
-	l := fs.link(p.Src, p.Dst, int(p.Rail))
-	switch {
-	case p.Seq == l.expect:
-		l.expect++
+	if fr.rx == nil {
+		fr.rx = make(map[arqKey]uint64, 8)
+	}
+	switch expect := fr.rx[key]; {
+	case p.Seq == expect:
+		fr.rx[key] = expect + 1
 		fs.nw.deliver(p)
-	case p.Seq < l.expect:
-		st.DupDrops++ // duplicate delivery: already consumed, drop
+	case p.Seq < expect:
+		fr.stats.DupDrops++ // duplicate delivery: already consumed, drop
+		fs.nw.release(dst, p)
 	default:
-		st.GapDrops++ // a predecessor is missing: go-back-N drops successors
+		fr.stats.GapDrops++ // a predecessor is missing: go-back-N drops successors
+		fs.nw.release(dst, p)
 	}
 	// Always acknowledge — re-ACKs after dup/gap drops are what resync a
 	// sender whose ACKs were lost.
-	fs.sendAck(p.Dst, p.Src, int(p.Rail))
+	fs.sendAck(dst, src, rail)
 }
 
 // ackTo applies a cumulative acknowledgement: every unacked packet with
 // Seq < upTo is confirmed, its flow-control credit returns, and the
 // retransmission timer resets (or stops when the window empties).
-func (l *relLink) ackTo(upTo uint64) {
+func (l *relTx) ackTo(upTo uint64) {
 	n := 0
 	for _, sp := range l.unacked {
 		if sp.Seq >= upTo {
@@ -148,99 +238,110 @@ func (l *relLink) ackTo(upTo uint64) {
 	if n == 0 {
 		return
 	}
-	fs := l.fs
-	nic := fs.nw.nics[l.src]
-	for i := 0; i < n; i++ {
-		l.unacked[i] = nil
-		if nic.creditInit > 0 {
-			nic.rails[l.rail].peers.Get(l.dst).credits--
-		}
-	}
-	l.unacked = append(l.unacked[:0], l.unacked[n:]...)
-	fs.stats[l.src].Acked += int64(n)
-	l.retries = 0
+	l.retire(n)
+	l.fs.rank[l.src].stats.Acked += int64(n)
 	l.backoff = 0
 	if len(l.unacked) == 0 {
 		l.timer.Stop()
 	} else {
-		l.timer.Reset(l.rto())
+		l.timer.Reset(l.fs.rto)
 	}
-	nic.tryStart(l.rail) // returned credits may unblock queued descriptors
+	l.fs.nw.nics[l.src].tryStart(l.rail) // returned credits may unblock queued descriptors
+}
+
+// retire releases the first n retained packets and the credits they hold.
+func (l *relTx) retire(n int) {
+	nw := l.fs.nw
+	if nic := nw.nics[l.src]; nic.creditInit > 0 {
+		nic.rails[l.rail].peers.Get(l.dst).credits -= n
+	}
+	for i, sp := range l.unacked[:n] {
+		nw.release(l.src, sp)
+		l.unacked[i] = nil
+	}
+	l.unacked = append(l.unacked[:0], l.unacked[n:]...)
 }
 
 // sendAck emits a dedicated cumulative ACK from -> to. ACKs are hardware-
-// level (they bypass the injection pipeline and flow control, like the
-// credit-return ACKs of the lossless model) but still cross the faulty
-// wire: they can be dropped or delayed, which the sender's timer absorbs.
+// level (they bypass the injection pipeline, flow control and the topology,
+// like the credit-return ACKs of the lossless model) but still cross the
+// faulty wire: they can be held, dropped or delayed, which the sender's
+// timer absorbs.
 func (fs *faultState) sendAck(from, to, rail int) {
-	now := fs.nw.K.Now()
-	key := linkKey{from, to}
-	st := &fs.stats[from]
-	if fs.linkDown(key, now) {
+	k := fs.nw.nics[from].k
+	st := &fs.rank[from].stats
+	at, idx := fs.depart(from, to, k.Now())
+	if fs.hit(fs.fp.Drop, saltDrop, from, to, idx) {
 		st.AcksDropped++
 		return
 	}
-	if fs.fp.Drop > 0 && fs.rng.Float64() < fs.fp.Drop {
-		st.AcksDropped++
-		return
-	}
-	a := &Packet{
-		Src:  from,
-		Dst:  to,
-		Kind: KindAck,
-		Ack:  fs.link(to, from, rail).expect,
-		Rail: uint8(rail),
-		rel:  true,
-		nw:   fs.nw,
-	}
+	a := fs.nw.AllocPacketAt(from)
+	a.Src, a.Dst, a.Kind, a.Rail, a.rel = from, to, KindAck, uint8(rail), true
+	a.Ack = fs.rank[from].rx[arqKey{to, rail}]
 	st.AcksSent++
-	fs.nw.K.AfterCall(fs.nw.Cfg.AckLatency+fs.jitter(), relDeliver, a)
+	k.AtCross(at+fs.ackFlight, faultArrive, a, from, to)
 }
 
-// onTimer fires when the link's RTO expires with packets still unacked:
-// go-back-N resends the whole window (each copy re-rolled through the
-// injector), doubles the timeout, and — once MaxRetries consecutive
-// expiries pass without ACK progress — declares the peer unreachable.
-func (l *relLink) onTimer() {
-	if l.dead || len(l.unacked) == 0 {
+// onTimer fires when the stream's timeout expires with packets still
+// unacked: go-back-N resends the whole window (each copy a fresh attempt
+// through the adversary) and doubles the timeout. A dead rank's own streams
+// stop at its death; a stream toward a dead peer retries until the failure
+// detector tears it down.
+func (l *relTx) onTimer() {
+	if len(l.unacked) == 0 {
 		return
 	}
 	fs := l.fs
-	l.retries++
-	if fs.fp.MaxRetries > 0 && l.retries > fs.fp.MaxRetries {
-		l.declareUnreachable()
+	if fs.deadBy(l.src, fs.nw.nics[l.src].k.Now()) {
+		l.teardown()
 		return
 	}
-	fs.stats[l.src].Retransmits += int64(len(l.unacked))
+	fs.rank[l.src].stats.Retransmits += int64(len(l.unacked))
 	for _, sp := range l.unacked {
-		sp.Ack = fs.link(l.dst, l.src, l.rail).expect // refresh the piggyback
-		fs.inject(sp)
+		l.transmit(sp)
 	}
 	if l.backoff < maxBackoffShift {
 		l.backoff++
 	}
-	l.timer.Reset(l.rto())
+	l.timer.Reset(fs.rto << l.backoff)
 }
 
-// declareUnreachable gives up on the peer: the retransmission window is
-// discarded, every credit it held is reconciled back to the sender's pool
-// (so traffic to other peers keeps flowing), and the upper layer's
-// unreachable handler — internal/core's error propagation — is notified.
-func (l *relLink) declareUnreachable() {
-	fs := l.fs
-	l.dead = true
+// teardown gives up on the stream: the retransmission window is discarded
+// and every credit it held is reconciled back to the sender's pool, so
+// traffic to other peers keeps flowing.
+func (l *relTx) teardown() {
 	l.timer.Stop()
-	nic := fs.nw.nics[l.src]
-	if nic.creditInit > 0 {
-		nic.rails[l.rail].peers.Get(l.dst).credits -= len(l.unacked)
+	l.retire(len(l.unacked))
+	l.fs.nw.nics[l.src].tryStart(l.rail)
+}
+
+// diagStreams renders rank r's ARQ stream halves in (peer, rail) order.
+func (fr *faultRank) diagStreams(b *strings.Builder, r int) {
+	keys := make([]arqKey, 0, len(fr.tx)+len(fr.rx))
+	for key := range fr.tx {
+		keys = append(keys, key)
 	}
-	for i := range l.unacked {
-		l.unacked[i] = nil
+	for key := range fr.rx {
+		if _, both := fr.tx[key]; !both {
+			keys = append(keys, key)
+		}
 	}
-	l.unacked = l.unacked[:0]
-	fs.stats[l.src].Unreachable++
-	nic.tryStart(l.rail)
-	if h := fs.nw.onUnreachable; h != nil {
-		h(l.src, l.dst)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].peer != keys[j].peer {
+			return keys[i].peer < keys[j].peer
+		}
+		return keys[i].rail < keys[j].rail
+	})
+	for _, key := range keys {
+		if l, ok := fr.tx[key]; ok {
+			fmt.Fprintf(b, "fault: link %d->%d rail %d: nextSeq=%d unacked=%d backoff=%d", r, key.peer, key.rail, l.nextSeq, len(l.unacked), l.backoff)
+			if l.timer.Armed() {
+				fmt.Fprintf(b, " rto@t=%d", l.timer.Deadline())
+			}
+			b.WriteByte('\n')
+		}
+		if expect, ok := fr.rx[key]; ok {
+			fmt.Fprintf(b, "fault: link %d->%d rail %d: expect=%d\n", key.peer, r, key.rail, expect)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // schedDelivery is one observed arrival: receiver-side timestamp plus the
@@ -16,15 +17,14 @@ type schedDelivery struct {
 	Payload  int64
 }
 
-// runSchedWorld drives one fixed traffic pattern (every rank streams
-// packets to its two successors on a staggered clock) through a scheduled
-// adversary, either on the serial kernel (shards == 0) or across a shard
-// group, and returns the per-rank delivery logs plus unreachable
-// declarations in a deterministic flat order.
-func runSchedWorld(t *testing.T, fs FaultSchedule, shards int) ([]schedDelivery, []string, *Network) {
+// runFaultWorld drives one fixed traffic pattern (every rank streams
+// packets to its two successors on a staggered clock) through an adversary,
+// either on the serial kernel (shards == 0) or across a shard group, and
+// returns the per-rank delivery logs plus unreachable declarations in a
+// deterministic flat order.
+func runFaultWorld(t *testing.T, cfg Config, fp FaultProfile, shards int) ([]schedDelivery, []string, *Network) {
 	t.Helper()
 	const n = 4
-	cfg := DefaultConfig()
 	var nw *Network
 	var sh *sim.Shards
 	var serial *sim.Kernel
@@ -40,7 +40,7 @@ func runSchedWorld(t *testing.T, fs FaultSchedule, shards int) ([]schedDelivery,
 		nw = NewNetworkShards(sh, n, cfg)
 		sh.SetLookahead(nw.Lookahead())
 	}
-	nw.EnableSchedule(fs)
+	nw.EnableFaults(fp)
 	got := make([][]schedDelivery, n)
 	decl := make([][]string, n)
 	for r := 0; r < n; r++ {
@@ -87,10 +87,10 @@ func runSchedWorld(t *testing.T, fs FaultSchedule, shards int) ([]schedDelivery,
 	return flat, flatDecl, nw
 }
 
-// kvSchedule is the adversary the tests share: one mid-run death, one flap
-// window, deterministic jitter.
-func kvSchedule() FaultSchedule {
-	return FaultSchedule{
+// kvSchedule is the ARQ-less adversary the tests share: one mid-run death,
+// one flap window, deterministic jitter.
+func kvSchedule() FaultProfile {
+	return FaultProfile{
 		Seed:   99,
 		Deaths: []RankDeath{{Rank: 2, At: 8 * sim.Microsecond}},
 		Flaps:  []LinkFlap{{Src: 0, Dst: 1, From: 3 * sim.Microsecond, For: 5 * sim.Microsecond}},
@@ -99,19 +99,18 @@ func kvSchedule() FaultSchedule {
 }
 
 func TestScheduledDeathDropsAndDetects(t *testing.T) {
-	fs := FaultSchedule{Deaths: []RankDeath{{Rank: 2, At: 8 * sim.Microsecond}}}
-	flat, decl, nw := runSchedWorld(t, fs, 0)
+	fs := FaultProfile{Deaths: []RankDeath{{Rank: 2, At: 8 * sim.Microsecond}}}
+	flat, decl, nw := runFaultWorld(t, DefaultConfig(), fs, 0)
 	for _, d := range flat {
 		if d.Dst == 2 && d.At >= 8*sim.Microsecond {
 			t.Fatalf("delivery to dead rank 2 at t=%d", d.At)
 		}
 	}
-	rx := nw.SchedStats(2).RxDrops
-	if rx == 0 {
+	if nw.RelStats(2).RxDrops == 0 {
 		t.Fatal("no arrival was absorbed at the dead rank")
 	}
 	// Rank 2's own sends after death die at the source.
-	if nw.SchedStats(2).TxDrops == 0 {
+	if nw.RelStats(2).TxDrops == 0 {
 		t.Fatal("dead rank's departures were not dropped at source")
 	}
 	// Every survivor hears exactly one declaration, at death + detect.
@@ -134,9 +133,9 @@ func TestScheduledDeathDropsAndDetects(t *testing.T) {
 }
 
 func TestScheduledFlapHoldsInOrder(t *testing.T) {
-	fs := FaultSchedule{Flaps: []LinkFlap{{Src: 0, Dst: 1, From: 0, For: 10 * sim.Microsecond}}}
-	flat, _, nw := runSchedWorld(t, fs, 0)
-	if nw.SchedStats(0).Delayed == 0 {
+	fs := FaultProfile{Flaps: []LinkFlap{{Src: 0, Dst: 1, From: 0, For: 10 * sim.Microsecond}}}
+	flat, _, nw := runFaultWorld(t, DefaultConfig(), fs, 0)
+	if nw.RelStats(0).Delayed == 0 {
 		t.Fatal("flap window held no departures")
 	}
 	lift := 10*sim.Microsecond + nw.Cfg.Alpha
@@ -159,11 +158,11 @@ func TestScheduledFlapHoldsInOrder(t *testing.T) {
 }
 
 // Jitter must perturb arrivals without ever reordering a directed link, and
-// the whole schedule must be a pure function of the FaultSchedule.
+// the whole schedule must be a pure function of the FaultProfile.
 func TestScheduledJitterDeterministicFIFO(t *testing.T) {
-	fs := FaultSchedule{Seed: 7, Jitter: 900 * sim.Nanosecond}
-	a, _, _ := runSchedWorld(t, fs, 0)
-	b, _, _ := runSchedWorld(t, fs, 0)
+	fs := FaultProfile{Seed: 7, Jitter: 900 * sim.Nanosecond}
+	a, _, _ := runFaultWorld(t, DefaultConfig(), fs, 0)
+	b, _, _ := runFaultWorld(t, DefaultConfig(), fs, 0)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatal("same schedule, different delivery logs")
 	}
@@ -176,19 +175,21 @@ func TestScheduledJitterDeterministicFIFO(t *testing.T) {
 		last[key] = d.Payload
 	}
 	fs.Seed = 8
-	c, _, _ := runSchedWorld(t, fs, 0)
+	c, _, _ := runFaultWorld(t, DefaultConfig(), fs, 0)
 	if fmt.Sprint(a) == fmt.Sprint(c) {
 		t.Error("different jitter seeds produced identical delivery logs (suspicious)")
 	}
 }
 
-// The tentpole property: the full adversary — death, flap, jitter — yields
-// bit-identical per-rank observables on the serial kernel and at any shard
-// count.
-func TestScheduleSerialShardedParity(t *testing.T) {
-	flat0, decl0, nw0 := runSchedWorld(t, kvSchedule(), 0)
-	for _, shards := range []int{1, 2, 4} {
-		flat, decl, nw := runSchedWorld(t, kvSchedule(), shards)
+// checkShardParity runs fp over cfg serially and at each shard count and
+// requires bit-identical per-rank observables: delivery order and times,
+// declarations, adversary/ARQ counters and final (balanced) credits.
+func checkShardParity(t *testing.T, cfg Config, fp FaultProfile, shardCounts ...int) *Network {
+	t.Helper()
+	flat0, decl0, nw0 := runFaultWorld(t, cfg, fp, 0)
+	checkCreditsBalanced(t, nw0)
+	for _, shards := range shardCounts {
+		flat, decl, nw := runFaultWorld(t, cfg, fp, shards)
 		if fmt.Sprint(flat) != fmt.Sprint(flat0) {
 			t.Fatalf("-shards %d delivery log diverges from serial:\n%v\nvs\n%v", shards, flat, flat0)
 		}
@@ -196,18 +197,108 @@ func TestScheduleSerialShardedParity(t *testing.T) {
 			t.Fatalf("-shards %d declarations diverge: %v vs %v", shards, decl, decl0)
 		}
 		for r := 0; r < 4; r++ {
-			if nw.SchedStats(r) != nw0.SchedStats(r) {
+			if nw.RelStats(r) != nw0.RelStats(r) {
 				t.Fatalf("-shards %d stats for rank %d diverge: %+v vs %+v",
-					shards, r, nw.SchedStats(r), nw0.SchedStats(r))
+					shards, r, nw.RelStats(r), nw0.RelStats(r))
 			}
+		}
+		checkCreditsBalanced(t, nw)
+	}
+	return nw0
+}
+
+// fatTree is the modeled topology the composition tests share: two leaves
+// under one spine, so half the pairs contend for the spine links.
+func fatTree() Config {
+	cfg := DefaultConfig()
+	cfg.Topo = topo.Spec{Kind: topo.FatTree, HostsPerLeaf: 2, Spines: 1, LinkCredits: 2}
+	return cfg
+}
+
+// The tentpole property, ARQ-less half: death, flap and jitter yield
+// bit-identical per-rank observables on the serial kernel and at any shard
+// count.
+func TestScheduleSerialShardedParity(t *testing.T) {
+	checkShardParity(t, DefaultConfig(), kvSchedule(), 1, 2, 4)
+}
+
+// The tentpole property, ARQ half: message faults, jitter that reorders and
+// a flap longer than the timeout, on the crossbar and through a fat-tree —
+// the go-back-N layer restores exactly-once per-link FIFO and does so
+// identically at every shard count.
+func TestLossySerialShardedParity(t *testing.T) {
+	fp := FaultProfile{
+		Seed: 5, Drop: 0.05, Dup: 0.05, Corrupt: 0.03, Jitter: 3 * sim.Microsecond,
+		Flaps: []LinkFlap{{Src: 0, Dst: 1, From: 3 * sim.Microsecond, For: 40 * sim.Microsecond}},
+	}
+	for name, cfg := range map[string]Config{"crossbar": DefaultConfig(), "fattree": fatTree()} {
+		nw := checkShardParity(t, cfg, fp, 2, 4)
+		var sum RelStats
+		for r := 0; r < 4; r++ {
+			st := nw.RelStats(r)
+			if st.Acked != st.Sent || st.Sent != 40 {
+				t.Errorf("%s: rank %d sent %d acked %d, want 40/40", name, r, st.Sent, st.Acked)
+			}
+			sum.Drops += st.Drops
+			sum.DupDrops += st.DupDrops
+			sum.CorruptDrops += st.CorruptDrops
+			sum.GapDrops += st.GapDrops
+			sum.Delayed += st.Delayed
+		}
+		if sum.Drops == 0 || sum.DupDrops == 0 || sum.CorruptDrops == 0 || sum.GapDrops == 0 || sum.Delayed == 0 {
+			t.Errorf("%s: adversary inactive: %+v", name, sum)
 		}
 	}
 }
 
+// A dedicated ACK is a packet on the wire: with AckLatency below the shard
+// group's lookahead (here 0) it must still not land inside the safe horizon,
+// or the sharded kernel would reject it and diverge from serial.
+func TestLossyZeroAckLatencyShardsMatchSerial(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.AckLatency = 0
+	checkShardParity(t, cfg, FaultProfile{Seed: 9, Drop: 0.05, Dup: 0.05, Jitter: sim.Microsecond}, 4)
+}
+
+// Faults compose with a modeled topology (this was an enable-time panic): a
+// flap holds departures out of the topology until it lifts, in order, and a
+// death absorbs what is mid-flight inside it — with and without the ARQ.
+func TestTopoFlapHoldAndMidFlightDeath(t *testing.T) {
+	const lift, death = 10 * sim.Microsecond, 14 * sim.Microsecond
+	for _, drop := range []float64{0, 0.02} {
+		fp := FaultProfile{
+			Seed: 3, Drop: drop,
+			Flaps:  []LinkFlap{{Src: 0, Dst: 1, From: 0, For: lift}},
+			Deaths: []RankDeath{{Rank: 2, At: death}},
+		}
+		flat, decl, nw := runFaultWorld(t, fatTree(), fp, 0)
+		var last int64 = -1
+		for _, d := range flat {
+			if d.Dst == 2 && d.At >= death {
+				t.Fatalf("drop=%g: delivery to dead rank 2 at t=%d", drop, d.At)
+			}
+			if d.Src == 0 && d.Dst == 1 {
+				if d.At < lift+nw.Cfg.Alpha || d.Payload <= last {
+					t.Fatalf("drop=%g: held link delivered %d at t=%d after %d", drop, d.Payload, d.At, last)
+				}
+				last = d.Payload
+			}
+		}
+		if last != 38 { // rank 0's even-numbered packets go to rank 1
+			t.Errorf("drop=%g: held link's last delivery is %d, want 38", drop, last)
+		}
+		if nw.RelStats(0).Delayed == 0 || nw.RelStats(2).RxDrops == 0 || len(decl) != 3 {
+			t.Errorf("drop=%g: held=%d absorbed=%d declarations=%v", drop, nw.RelStats(0).Delayed, nw.RelStats(2).RxDrops, decl)
+		}
+		checkCreditsBalanced(t, nw)
+		checkShardParity(t, fatTree(), fp, 2)
+	}
+}
+
 func TestScheduleDiag(t *testing.T) {
-	_, _, nw := runSchedWorld(t, kvSchedule(), 0)
+	_, _, nw := runFaultWorld(t, DefaultConfig(), kvSchedule(), 0)
 	diag := nw.FaultDiag(0)
-	for _, want := range []string{"rank 2 DEAD since t=8000", "detected", "link 0->1 flap", "sched stats:"} {
+	for _, want := range []string{"rank 2 DEAD since t=8000 (detected", "link 0->1 flap", "fault stats:"} {
 		if !strings.Contains(diag, want) {
 			t.Errorf("diag lacks %q:\n%s", want, diag)
 		}
@@ -227,36 +318,26 @@ func TestScheduleValidation(t *testing.T) {
 	fresh := func() *Network { return NewNetwork(sim.NewKernel(), 2, DefaultConfig()) }
 	mustPanic("twice", func() {
 		nw := fresh()
-		nw.EnableSchedule(FaultSchedule{})
-		nw.EnableSchedule(FaultSchedule{})
-	})
-	mustPanic("after EnableFaults", func() {
-		nw := fresh()
-		nw.EnableFaults(DefaultFaultProfile(1))
-		nw.EnableSchedule(FaultSchedule{})
-	})
-	mustPanic("EnableFaults after", func() {
-		nw := fresh()
-		nw.EnableSchedule(FaultSchedule{})
-		nw.EnableFaults(DefaultFaultProfile(1))
+		nw.EnableFaults(FaultProfile{})
+		nw.EnableFaults(FaultProfile{})
 	})
 	mustPanic("death out of range", func() {
-		fresh().EnableSchedule(FaultSchedule{Deaths: []RankDeath{{Rank: 5, At: 0}}})
+		fresh().EnableFaults(FaultProfile{Deaths: []RankDeath{{Rank: 5, At: 0}}})
 	})
 	mustPanic("double death", func() {
-		fresh().EnableSchedule(FaultSchedule{Deaths: []RankDeath{{Rank: 1, At: 0}, {Rank: 1, At: 5}}})
+		fresh().EnableFaults(FaultProfile{Deaths: []RankDeath{{Rank: 1, At: 0}, {Rank: 1, At: 5}}})
 	})
 	mustPanic("self flap", func() {
-		fresh().EnableSchedule(FaultSchedule{Flaps: []LinkFlap{{Src: 1, Dst: 1, From: 0, For: 1}}})
+		fresh().EnableFaults(FaultProfile{Flaps: []LinkFlap{{Src: 1, Dst: 1, From: 0, For: 1}}})
 	})
 	mustPanic("empty flap window", func() {
-		fresh().EnableSchedule(FaultSchedule{Flaps: []LinkFlap{{Src: 0, Dst: 1, From: 0, For: 0}}})
+		fresh().EnableFaults(FaultProfile{Flaps: []LinkFlap{{Src: 0, Dst: 1, From: 0, For: 0}}})
 	})
 }
 
-// A zero-value schedule must behave exactly like the lossless fabric.
+// A zero-value profile must behave exactly like the lossless fabric.
 func TestScheduleZeroValueLossless(t *testing.T) {
-	flat, decl, nw := runSchedWorld(t, FaultSchedule{}, 0)
+	flat, decl, nw := runFaultWorld(t, DefaultConfig(), FaultProfile{}, 0)
 	if len(decl) != 0 {
 		t.Fatalf("lossless schedule declared peers unreachable: %v", decl)
 	}
@@ -265,7 +346,7 @@ func TestScheduleZeroValueLossless(t *testing.T) {
 		t.Fatalf("delivered %d packets, want %d", len(flat), want)
 	}
 	for r := 0; r < 4; r++ {
-		if s := nw.SchedStats(r); s != (SchedStats{}) {
+		if s := nw.RelStats(r); s != (RelStats{}) {
 			t.Fatalf("rank %d injector activity on a lossless schedule: %+v", r, s)
 		}
 	}

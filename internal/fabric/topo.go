@@ -7,11 +7,11 @@ import (
 
 // Topology integration. When Config.Topo selects a real topology (anything
 // but the crossbar), every internode packet — after its NIC injection
-// pipeline, and after the fault injector when faults are enabled — crosses
+// pipeline, and after the adversary when faults are enabled — crosses
 // the modeled interconnect hop by hop under per-link bandwidth arbitration
 // and credit flow control, instead of the crossbar's flat Alpha hop. The
 // default crossbar builds no topoState at all: the lossless fast path pays
-// one nil check in descTxDone and nothing else, exactly like fault.go.
+// one nil check in descTxDone and nothing else, exactly like faults.
 //
 // The NIC pipeline keeps modeling the host adapter (serialization, per-peer
 // credits, registration); the topology models the switch fabric behind it.
@@ -48,33 +48,23 @@ func newTopoState(nw *Network, n int) *topoState {
 	return ts
 }
 
-// sendDesc routes a lossless-path descriptor through the topology. Local
-// completion (OnTxDone) already fired in descTxDone; the descriptor rides
-// the fabric as the packet's in-flight identity and is retired on egress.
-func (ts *topoState) sendDesc(d *desc) {
-	cfg := &ts.nw.Cfg
-	ts.eng.Send(d, cfg.NodeOf(d.pkt.Src), cfg.NodeOf(d.pkt.Dst), d.pkt.Size)
-}
-
-// sendPacket routes a reliability-sublayer copy through the topology (the
-// faulty path: the injector already rolled its dice on this copy).
-func (ts *topoState) sendPacket(p *Packet) {
-	cfg := &ts.nw.Cfg
-	ts.eng.Send(p, cfg.NodeOf(p.Src), cfg.NodeOf(p.Dst), p.Size)
-}
-
-// topoSendPacket is the shared capture-free callback that injects a
-// jitter-delayed faulty-path copy into the topology.
+// topoSendPacket injects a go-back-N copy into the topology at its
+// departure time (the adversary already decided its fate in the source
+// rank's context). Like topoIngress it runs on the engine's kernel.
 func topoSendPacket(x any) {
 	p := x.(*Packet)
-	p.nw.topo.sendPacket(p)
+	cfg := &p.nw.Cfg
+	p.nw.topo.eng.Send(p, cfg.NodeOf(p.Src), cfg.NodeOf(p.Dst), p.Size)
 }
 
-// topoIngress hands a lossless-path descriptor to the topology engine. On a
-// sharded network it runs on the fabric stage (the engine's home).
+// topoIngress hands a descriptor to the topology engine; on a sharded
+// network it runs on the fabric stage (the engine's home). Local completion
+// (OnTxDone) already fired in descTxDone; the descriptor rides the fabric as
+// the packet's in-flight identity and is retired on egress.
 func topoIngress(x any) {
 	d := x.(*desc)
-	d.n.nw.topo.sendDesc(d)
+	cfg := &d.n.nw.Cfg
+	d.n.nw.topo.eng.Send(d, cfg.NodeOf(d.pkt.Src), cfg.NodeOf(d.pkt.Dst), d.pkt.Size)
 }
 
 // egress runs on the engine's kernel when a packet starts its final-link
@@ -86,11 +76,15 @@ func topoIngress(x any) {
 func (ts *topoState) egress(delay sim.Time, payload any, _ int) {
 	nw := ts.nw
 	k := nw.K
+	arrive := pktDeliver
+	if nw.faults != nil {
+		arrive = faultArrive // a death is checked at egress too
+	}
 	switch v := payload.(type) {
 	case *desc:
 		pkt := v.pkt
 		v.pkt = nil
-		k.AtCross(k.Now()+delay, pktDeliver, pkt, -1, pkt.Dst)
+		k.AtCross(k.Now()+delay, arrive, pkt, -1, pkt.Dst)
 		if v.n.creditInit > 0 {
 			// Arrival + AckLatency later the hardware ACK lands back at the
 			// source: credit return and descriptor retirement, as before.
@@ -99,10 +93,7 @@ func (ts *topoState) egress(delay sim.Time, payload any, _ int) {
 			k.AtCross(k.Now()+delay, descRetire, v, -1, v.n.rank)
 		}
 	case *Packet:
-		// Reliability-sublayer copies ride the topology only on the faulty
-		// fabric, which is serial-only: arrival-time processing stays a
-		// local event.
-		k.AfterCall(delay, topoRelArrive, v)
+		k.AtCross(k.Now()+delay, arrive, v, -1, v.Dst) // a go-back-N copy
 	default:
 		panic("fabric: unknown payload type left the topology")
 	}
@@ -113,12 +104,6 @@ func (ts *topoState) egress(delay sim.Time, payload any, _ int) {
 func descRetire(x any) {
 	d := x.(*desc)
 	d.n.freeDesc(d)
-}
-
-// topoRelArrive completes a reliability-sublayer copy's last hop.
-func topoRelArrive(x any) {
-	p := x.(*Packet)
-	p.nw.faults.recvReliable(p)
 }
 
 // --- Observability ----------------------------------------------------- //

@@ -158,7 +158,7 @@ func TestTopoPerPeerFIFOUnderContentionAndFaults(t *testing.T) {
 		fp.Drop = 0.08
 		fp.Dup = 0.08
 		fp.Corrupt = 0.04
-		fp.JitterMax = 30 * sim.Microsecond
+		fp.Jitter = 30 * sim.Microsecond
 		nw.EnableFaults(fp)
 		got := make(map[[2]int][]int64)
 		for r := 0; r < n; r++ {
@@ -231,7 +231,7 @@ func TestTopoLossyDeterminism(t *testing.T) {
 		nw := NewNetwork(k, 9, cfg)
 		fp := DefaultFaultProfile(42)
 		fp.Drop = 0.05
-		fp.JitterMax = 20 * sim.Microsecond
+		fp.Jitter = 20 * sim.Microsecond
 		nw.EnableFaults(fp)
 		var log []string
 		for r := 0; r < 9; r++ {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/par"
 	"repro/internal/topo"
 )
@@ -63,9 +62,9 @@ type Options struct {
 	// with running totals (programs done, failures so far).
 	Progress func(done, failures int)
 	// Lossy executes every seed over a fault-injecting fabric with the
-	// recoverable schedule LossyProfile(seed) derives: drops, duplicates,
-	// corruption, jitter and link flaps, all repaired by the reliability
-	// sublayer — so the very same invariants must hold as on a pristine
+	// recoverable profile LossyProfile derives: drops, duplicates,
+	// corruption, jitter and link flaps, all repaired by the go-back-N
+	// layer — so the very same invariants must hold as on a pristine
 	// network.
 	Lossy bool
 	// Topo routes every seed over a modeled interconnect of this kind with
@@ -76,7 +75,7 @@ type Options struct {
 	// Shards executes every run on a sharded kernel with this many shards
 	// (<= 1: serial). Every failure, transcript line and invariant outcome
 	// is bit-identical to serial — sharding changes only wall-clock.
-	// Lossy/topology runs fall back to serial (see ExecuteShards).
+	// Topology runs fall back to serial (see ExecuteWith).
 	Shards int
 	// Signal creates every window on the counter-signal epoch transport
 	// (core.TransportSignal) with the seed-derived replica base SignalBase
@@ -108,12 +107,7 @@ func CheckSeedFaults(seed uint64, mode core.Mode, lossy bool) *Failure {
 // Options.Topo). Routing, arbitration and the seed-derived shape are all
 // pure functions of (kind, seed), so topology failures replay exactly too.
 func CheckSeedTopo(seed uint64, mode core.Mode, lossy bool, kind topo.Kind) *Failure {
-	return CheckSeedShards(seed, mode, lossy, kind, 0)
-}
-
-// CheckSeedShards is CheckSeedTopo on a sharded kernel (see Options.Shards).
-func CheckSeedShards(seed uint64, mode core.Mode, lossy bool, kind topo.Kind, shards int) *Failure {
-	return checkSeed(seed, mode, lossy, kind, shards, false)
+	return checkSeed(seed, mode, lossy, kind, 0, false)
 }
 
 // CheckSeedSignal is the full checker on the counter-signal epoch transport
@@ -129,12 +123,12 @@ func checkSeed(seed uint64, mode core.Mode, lossy bool, kind topo.Kind, shards i
 	if mode == core.ModeFlush {
 		p = GenerateFlush(seed) // epochless programs: lock/lock_all/flush only
 	}
-	var fp *fabric.FaultProfile
+	o := ExecOptions{Topo: kind, Shards: shards, Signal: signal}
 	if lossy {
-		prof := LossyProfile(seed)
-		fp = &prof
+		prof := LossyProfile(seed, p.NRanks)
+		o.Faults = &prof
 	}
-	res := executeOpts(p, mode, kind, shards, fp, nil, signal)
+	res := ExecuteWith(p, mode, o)
 	if problems := Verify(p, mode, res); len(problems) > 0 {
 		return &Failure{Seed: seed, Mode: mode, Lossy: lossy, Topo: kind, Signal: signal, Problems: problems}
 	}

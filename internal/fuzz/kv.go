@@ -43,7 +43,7 @@ func KVOptions(seed uint64) kvstore.Options {
 	opt.OpsPerClient = 24 + 8*int((mix>>9)%3)
 	opt.ReadPermille = 300 + 100*int((mix>>11)%5)
 
-	opt.Schedule = fabric.FaultSchedule{Seed: seed}
+	opt.Schedule = fabric.FaultProfile{Seed: seed}
 	// One server death two thirds of the seeds; the victim's key range keeps
 	// its replica alive, so acknowledged writes must survive.
 	if mix>>13%3 != 0 {

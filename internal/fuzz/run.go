@@ -25,8 +25,9 @@ type RunResult struct {
 // eventBudget bounds the kernel event count for the watchdog: generously
 // above anything a healthy program of this size needs, so only a livelock
 // (or a deadlock, which the kernel reports on its own) can exhaust it.
-// Lossy runs get 4x headroom — retransmissions, duplicate deliveries and
-// dedicated ACK packets all burn extra events on healthy executions — and
+// Faulted runs get 4x headroom — retransmissions, duplicate deliveries,
+// dedicated ACK packets and held departures all burn extra events or
+// stretch the schedule on healthy executions — and
 // topology runs 2x: every internode packet becomes a chain of per-link
 // queue/transmit/propagate events instead of one crossbar hop.
 func eventBudget(p *Program, lossy bool, kind topo.Kind) uint64 {
@@ -50,7 +51,7 @@ func TopoSpec(kind topo.Kind, seed uint64) topo.Spec {
 		return topo.Spec{}
 	}
 	// Splitmix-style mixing, offset from LossyProfile's stream so -topo and
-	// -lossy never correlate; must not consume the injector's own RNG.
+	// -lossy never correlate.
 	mix := (seed + 0x51ab_c0de) * 0x9e3779b97f4a7c15
 	mix ^= mix >> 33
 	spec := topo.Spec{Kind: kind}
@@ -65,26 +66,36 @@ func TopoSpec(kind topo.Kind, seed uint64) topo.Spec {
 	return spec
 }
 
-// LossyProfile derives a recoverable-by-construction fault schedule from a
-// seed: packet loss around 1e-3 plus light duplication, corruption, delay
-// jitter and link flaps, with an unlimited retransmission budget — so every
-// loss is eventually repaired and the sequential-memory oracle must still
-// hold. The schedule itself varies with the seed (both through the injector
-// RNG and through the seed-dependent drop rate).
-func LossyProfile(seed uint64) fabric.FaultProfile {
-	fp := fabric.DefaultFaultProfile(seed)
+// LossyProfile derives a recoverable-by-construction fault profile for an
+// nranks-rank program from a seed: packet loss around 1e-3 plus light
+// duplication, corruption, delay jitter and one or two link-flap windows,
+// and no death — so every loss is eventually repaired and the
+// sequential-memory oracle must still hold. The schedule varies with the
+// seed both through the per-copy hashes and through the seed-dependent drop
+// rate and windows.
+func LossyProfile(seed uint64, nranks int) fabric.FaultProfile {
+	fp := fabric.FaultProfile{Seed: seed}
 	// Spread the drop rate over [0.5e-3, 1.5e-3] so campaigns sweep a band
-	// of loss regimes rather than one point. Cheap splitmix-style mixing —
-	// must not consume the injector's own RNG stream.
+	// of loss regimes rather than one point.
 	mix := seed * 0x9e3779b97f4a7c15
 	mix ^= mix >> 33
 	fp.Drop = 1e-3 * (0.5 + float64(mix%1000)/1000.0)
 	fp.Dup = 1e-3
 	fp.Corrupt = 5e-4
-	fp.JitterMax = 1 * sim.Microsecond
-	fp.Flap = 1e-4
-	fp.FlapDown = 20 * sim.Microsecond
-	fp.MaxRetries = 0 // retry forever: lossy but never unreachable
+	fp.Jitter = 1 * sim.Microsecond
+	// One or two 20 us holds (longer than the ARQ's 16 us timeout) on
+	// seed-chosen directed links, early enough to land inside most programs.
+	for i := uint64(0); i <= mix>>10%2; i++ {
+		m := (mix + i) * 0xbf58476d1ce4e5b9
+		m ^= m >> 31
+		src := int(m % uint64(nranks))
+		fp.Flaps = append(fp.Flaps, fabric.LinkFlap{
+			Src:  src,
+			Dst:  (src + 1 + int(m>>8%uint64(nranks-1))) % nranks,
+			From: sim.Time(m>>16%400) * sim.Microsecond,
+			For:  20 * sim.Microsecond,
+		})
+	}
 	return fp
 }
 
@@ -103,83 +114,48 @@ func SignalBase(seed uint64) uint64 {
 	return ^uint64(0) - mix%32
 }
 
+// ExecOptions selects what a program executes over; the zero value is the
+// pristine crossbar on the serial kernel with GATS control packets.
+type ExecOptions struct {
+	// Topo routes every internode packet through the seed-derived TopoSpec
+	// shape of this kind, under link arbitration and credit flow control.
+	Topo topo.Kind
+	// Shards > 1 runs on a sharded kernel (mpi.NewWorldShards): the run's
+	// every observable — memories, stats, trace, kernel event count — must
+	// be bit-identical to the serial execution, which campaign tests pin.
+	Shards int
+	// Faults, when non-nil, runs the fabric under this adversary.
+	Faults *fabric.FaultProfile
+	// Signal creates every window as core.TransportSignal with the
+	// seed-derived replica base SignalBase(p.Seed); the transport swap must
+	// be invisible to the program's observable memory semantics.
+	Signal bool
+}
+
 // Execute runs the program under the given mode and snapshots the outcome.
 // Deadlocks and livelocks surface in RunResult.Err via the kernel watchdog
 // instead of hanging the process.
 func Execute(p *Program, mode core.Mode) *RunResult {
-	return ExecuteFaults(p, mode, nil)
+	return ExecuteWith(p, mode, ExecOptions{})
 }
 
-// ExecuteFaults is Execute over a fault-injecting fabric; fp == nil runs
-// the pristine network.
-func ExecuteFaults(p *Program, mode core.Mode, fp *fabric.FaultProfile) *RunResult {
-	return ExecuteTopo(p, mode, fp, topo.Crossbar)
-}
-
-// ExecuteTopo is ExecuteFaults over a modeled interconnect: anything but
-// the crossbar routes every internode packet through the seed-derived
-// TopoSpec shape, under link arbitration and credit flow control — and, if
-// fp is also set, under fault injection on top.
-func ExecuteTopo(p *Program, mode core.Mode, fp *fabric.FaultProfile, kind topo.Kind) *RunResult {
-	return ExecuteShards(p, mode, fp, kind, 0)
-}
-
-// ExecuteShards is ExecuteTopo on a sharded kernel (mpi.NewWorldShards):
-// the run's every observable — memories, stats, trace, kernel event count —
-// must be bit-identical to the serial execution, which campaign tests pin.
-// Two fuzz modes silently fall back to serial: fault injection (the fabric
-// rejects sharding — one RNG stream) and modeled topologies (the tracer's
-// CongWait congestion sampling is serial-only, and dropping events would
-// break the bit-identical transcript contract). The crossbar modes — the
-// bulk of a campaign — run genuinely sharded.
-func ExecuteShards(p *Program, mode core.Mode, fp *fabric.FaultProfile, kind topo.Kind, shards int) *RunResult {
-	return executeOpts(p, mode, kind, shards, fp, nil, false)
-}
-
-// ExecuteSignal is ExecuteShards on the counter-signal epoch transport:
-// every window is created as core.TransportSignal with the seed-derived
-// replica base SignalBase(p.Seed). Everything else — fabric options, shard
-// fallback, snapshotting — is identical, which is exactly the point: the
-// transport swap must be invisible to the program's observable memory
-// semantics.
-func ExecuteSignal(p *Program, mode core.Mode, fp *fabric.FaultProfile, kind topo.Kind, shards int) *RunResult {
-	return executeOpts(p, mode, kind, shards, fp, nil, true)
-}
-
-// ExecuteScheduled is ExecuteShards under the deterministic scheduled-fault
-// adversary (fabric.FaultSchedule) instead of the randomized injector.
-// Unlike EnableFaults — one injector RNG stream, serial-only — the schedule
-// hashes each packet in its owning rank's shard context, so scheduled runs
-// execute genuinely sharded and the transcript must stay bit-identical at
-// any shard count (shard_test.go pins this).
-func ExecuteScheduled(p *Program, mode core.Mode, fs fabric.FaultSchedule, shards int) *RunResult {
-	return executeOpts(p, mode, topo.Crossbar, shards, nil, &fs, false)
-}
-
-// executeOpts applies the serial-fallback rule shared by every entry point
-// (fault injection and modeled topologies reject sharding) before the run.
-func executeOpts(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.FaultProfile, fs *fabric.FaultSchedule, signal bool) *RunResult {
-	if fp != nil || kind != topo.Crossbar {
-		shards = 0
+// ExecuteWith is Execute over the fabric, kernel and transport o selects.
+func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
+	if o.Topo != topo.Crossbar {
+		// The one serial fallback left: with a modeled topology the tracer's
+		// CongWait samples a fabric-wide aggregate from rank context, which
+		// core switches off on a sharded kernel — and dropping trace events
+		// would break the bit-identical transcript contract (ROADMAP item 1).
+		o.Shards = 0
 	}
-	return execute(p, mode, kind, shards, fp, fs, signal)
-}
-
-// execute is the shared executor body behind ExecuteShards/ExecuteScheduled.
-func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.FaultProfile, fs *fabric.FaultSchedule, signal bool) *RunResult {
 	cfg := fabric.DefaultConfig()
 	cfg.ProcsPerNode = p.ProcsPerNode
-	cfg.Topo = TopoSpec(kind, p.Seed)
-	world := mpi.NewWorldShards(p.NRanks, cfg, shards)
-	if fp != nil {
-		world.Net.EnableFaults(*fp)
+	cfg.Topo = TopoSpec(o.Topo, p.Seed)
+	world := mpi.NewWorldShards(p.NRanks, cfg, o.Shards)
+	if o.Faults != nil {
+		world.Net.EnableFaults(*o.Faults)
 	}
-	if fs != nil {
-		world.Net.EnableSchedule(*fs)
-	}
-	// Scheduled flap/jitter runs get the lossy budget headroom too: held
-	// packets stretch the schedule the same way retransmissions do.
-	world.SetWatchdog(eventBudget(p, fp != nil || fs != nil, kind), 0)
+	world.SetWatchdog(eventBudget(p, o.Faults != nil, o.Topo), 0)
 	world.EnableDiagnostics()
 	rt := core.NewRuntime(world)
 	rec := trace.NewRecorder()
@@ -200,7 +176,7 @@ func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.
 			me := r.ID
 			for _, ws := range p.Windows {
 				opt := core.WinOptions{Mode: mode, Info: ws.Info}
-				if signal {
+				if o.Signal {
 					opt.Transport = core.TransportSignal
 					opt.SignalBase = SignalBase(p.Seed)
 				}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // shardFingerprint compresses everything a run exposes into a comparable
@@ -39,9 +38,9 @@ func TestShardedRunsMatchSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 7, 19, 42} {
 		p := Generate(seed)
 		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteShards(p, mode, nil, topo.Crossbar, 0))
+			serial := shardFingerprint(Execute(p, mode))
 			for _, shards := range []int{2, 4, 8} {
-				got := shardFingerprint(ExecuteShards(p, mode, nil, topo.Crossbar, shards))
+				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Shards: shards}))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: observable history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)
@@ -51,17 +50,18 @@ func TestShardedRunsMatchSerial(t *testing.T) {
 	}
 }
 
-// Scheduled faults (the deterministic adversary: link flaps and per-packet
-// jitter) run genuinely sharded — the schedule hashes packets in their
-// owning rank's shard context — so the whole observable history must stay
-// bit-identical at any shard count even while links flap mid-program.
-// Deaths are excluded here: an arbitrary generated epoch program does not
-// survive a dead collective peer; dead-rank shard parity is pinned by the
-// KV harness instead (CheckKVSeed, kvstore's TestKVSerialShardedParity).
+// Link flaps and per-packet jitter without message faults (no ARQ: the
+// departure floor keeps FIFO) run genuinely sharded — the adversary hashes
+// packets in their owning rank's shard context — so the whole observable
+// history must stay bit-identical at any shard count even while links flap
+// mid-program. Deaths are excluded here: an arbitrary generated epoch
+// program does not survive a dead collective peer; dead-rank shard parity is
+// pinned by the KV harness instead (CheckKVSeed, kvstore's
+// TestKVSerialShardedParity).
 func TestScheduledFaultShardsMatchSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		p := Generate(seed)
-		fs := fabric.FaultSchedule{
+		fs := fabric.FaultProfile{
 			Seed: seed,
 			Flaps: []fabric.LinkFlap{
 				{Src: 0, Dst: p.NRanks - 1, From: 30 * sim.Microsecond, For: 40 * sim.Microsecond},
@@ -70,11 +70,33 @@ func TestScheduledFaultShardsMatchSerial(t *testing.T) {
 			Jitter: 700 * sim.Nanosecond,
 		}
 		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteScheduled(p, mode, fs, 0))
+			serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs}))
 			for _, shards := range []int{2, 4, 8} {
-				got := shardFingerprint(ExecuteScheduled(p, mode, fs, shards))
+				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs, Shards: shards}))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: scheduled-fault history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
+						seed, mode, shards, serial, got)
+				}
+			}
+		}
+	}
+}
+
+// The house invariant extended to -lossy: with drops, duplicates,
+// corruption, reordering jitter and flap holds all repaired by the go-back-N
+// layer, a program's entire observable history is still bit-identical at
+// every shard count — each stream half, timer and counter lives with one
+// rank, and every copy and ACK crosses by AtCross.
+func TestLossyShardsMatchSerial(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 7, 19, 42} {
+		p := Generate(seed)
+		fp := LossyProfile(seed, p.NRanks)
+		for _, mode := range BothModes {
+			serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fp}))
+			for _, shards := range []int{2, 4, 8} {
+				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fp, Shards: shards}))
+				if got != serial {
+					t.Fatalf("seed %d mode %v: lossy history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)
 				}
 			}

@@ -84,9 +84,9 @@ func TestSignalShardIdentity(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 19} {
 		p := Generate(seed)
 		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteSignal(p, mode, nil, topo.Crossbar, 0))
+			serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true}))
 			for _, shards := range []int{2, 4} {
-				got := shardFingerprint(ExecuteSignal(p, mode, nil, topo.Crossbar, shards))
+				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true, Shards: shards}))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: signal-transport history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)
@@ -106,7 +106,7 @@ func TestSignalArmActuallySignals(t *testing.T) {
 	wrapped := false
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := Generate(seed)
-		res := ExecuteSignal(p, core.ModeNew, nil, topo.Crossbar, 0)
+		res := ExecuteWith(p, core.ModeNew, ExecOptions{Signal: true})
 		if res.Err != nil {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}

@@ -46,8 +46,8 @@ func TestTopoLossyCampaign(t *testing.T) {
 func TestTopoReplayDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		p := Generate(seed)
-		a := ExecuteTopo(p, core.ModeNew, nil, topo.FatTree)
-		b := ExecuteTopo(p, core.ModeNew, nil, topo.FatTree)
+		a := ExecuteWith(p, core.ModeNew, ExecOptions{Topo: topo.FatTree})
+		b := ExecuteWith(p, core.ModeNew, ExecOptions{Topo: topo.FatTree})
 		if a.Err != nil || b.Err != nil {
 			t.Fatalf("seed %d: topology runs failed: %v / %v", seed, a.Err, b.Err)
 		}
@@ -70,7 +70,7 @@ func TestTopoReplayDeterminism(t *testing.T) {
 func TestTopoActuallyRoutes(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := Generate(seed)
-		res := ExecuteTopo(p, core.ModeNew, nil, topo.FatTree)
+		res := ExecuteWith(p, core.ModeNew, ExecOptions{Topo: topo.FatTree})
 		if res.Err != nil {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}

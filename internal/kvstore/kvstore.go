@@ -106,7 +106,7 @@ type Options struct {
 
 	// Schedule injects deterministic faults (fabric layer). Zero value =
 	// pristine fabric.
-	Schedule fabric.FaultSchedule
+	Schedule fabric.FaultProfile
 
 	// BinWidth buckets completions for the throughput/latency time series.
 	BinWidth sim.Time
@@ -303,7 +303,7 @@ func Run(opt Options) *Result {
 	w := mpi.NewWorldShards(n, cfg, opt.Shards)
 	if opt.Schedule.Deaths != nil || opt.Schedule.Flaps != nil ||
 		opt.Schedule.Jitter != 0 || opt.Schedule.Seed != 0 {
-		w.Net.EnableSchedule(opt.Schedule)
+		w.Net.EnableFaults(opt.Schedule)
 	}
 	rt := core.NewRuntime(w)
 

@@ -24,8 +24,8 @@ func testOptions(mode core.Mode) Options {
 }
 
 // deathAt kills server rank 1 at the given virtual time.
-func deathAt(t sim.Time) fabric.FaultSchedule {
-	return fabric.FaultSchedule{
+func deathAt(t sim.Time) fabric.FaultProfile {
+	return fabric.FaultProfile{
 		Seed:   5,
 		Deaths: []fabric.RankDeath{{Rank: 1, At: t}},
 	}
@@ -94,7 +94,7 @@ func TestKVLinkFlapDegradesGracefully(t *testing.T) {
 			// Flap the link from client rank 4 (first client) to server 0
 			// for a window well under EpochTimeout: traffic is held, not
 			// lost, so requests ride it out inside their deadline.
-			opt.Schedule = fabric.FaultSchedule{
+			opt.Schedule = fabric.FaultProfile{
 				Seed:  11,
 				Flaps: []fabric.LinkFlap{{Src: opt.Servers, Dst: 0, From: 200 * sim.Microsecond, For: 150 * sim.Microsecond}},
 			}
@@ -115,7 +115,7 @@ func TestKVLinkFlapDegradesGracefully(t *testing.T) {
 func TestKVTotalKeyLossShedsLoad(t *testing.T) {
 	opt := testOptions(core.ModeNew)
 	opt.ErrBudget = 1
-	opt.Schedule = fabric.FaultSchedule{
+	opt.Schedule = fabric.FaultProfile{
 		Seed: 9,
 		Deaths: []fabric.RankDeath{
 			{Rank: 1, At: 300 * sim.Microsecond},

@@ -158,7 +158,7 @@ func TestBarrierTokensExactlyOnceUnderLossyARQ(t *testing.T) {
 	cfg.ProcsPerNode = 1
 	w := NewWorld(ranks, cfg)
 	fp := fabric.DefaultFaultProfile(42)
-	fp.Drop, fp.Dup, fp.JitterMax = 0.08, 0.25, 20*sim.Microsecond
+	fp.Drop, fp.Dup, fp.Jitter = 0.08, 0.25, 20*sim.Microsecond
 	w.Net.EnableFaults(fp)
 	entered := make([]int, ranks)
 	err := w.Run(func(r *Rank) {
