@@ -45,19 +45,24 @@ func (c *peerCounters) nextExposureID() int64 {
 func (c *peerCounters) granted(accessID int64) bool { return accessID <= c.g }
 
 // recordGrant merges a grant notification carrying the peer's cumulative
-// grant count. Counts are monotonic, so out-of-order delivery is harmless.
-func (c *peerCounters) recordGrant(count int64) {
-	if count > c.g {
+// grant count and reports whether it advanced g. Counts are monotonic, so
+// out-of-order delivery is harmless.
+func (c *peerCounters) recordGrant(count int64) bool {
+	fresh := count > c.g
+	if fresh {
 		c.g = count
 	}
+	return fresh
 }
 
 // recordDone merges a done packet carrying the origin's access id toward
 // us; dones are cumulative for the same reason grants are.
-func (c *peerCounters) recordDone(accessID int64) {
-	if accessID > c.doneRecv {
+func (c *peerCounters) recordDone(accessID int64) bool {
+	fresh := accessID > c.doneRecv
+	if fresh {
 		c.doneRecv = accessID
 	}
+	return fresh
 }
 
 // exposureComplete reports whether the exposure with the given per-origin

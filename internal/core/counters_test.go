@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCounterIDsMonotonic(t *testing.T) {
@@ -126,15 +127,15 @@ func TestDoneMatchingProperty(t *testing.T) {
 
 func TestPackUnpackRoundtrip(t *testing.T) {
 	cases := []struct {
-		kind  ctlKind
+		kind  channel
 		win   int64
 		src   int
 		value int64
 	}{
-		{ctlGrant, 0, 0, 0},
-		{ctlDone, 1023, 262143, 1<<32 - 1},
-		{ctlLockReq, 7, 2047, 1},
-		{ctlUnlock, 512, 100000, 123456789},
+		{chGrant, 0, 0, 0},
+		{chDone, 1023, 262143, 1<<32 - 1},
+		{chLockReq, 7, 2047, 1},
+		{chUnlock, 512, 100000, 123456789},
 	}
 	for _, c := range cases {
 		k, w, s, v := unpackWord(packWord(c.kind, c.win, c.src, c.value))
@@ -147,7 +148,7 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 // Property: pack/unpack roundtrips over the full encodable domain.
 func TestPackWordProperty(t *testing.T) {
 	f := func(kRaw, wRaw uint16, sRaw uint32, vRaw uint32) bool {
-		kind := ctlKind(kRaw%4) + 1
+		kind := channel(kRaw) % chCount
 		win := int64(wRaw % 1024)
 		src := int(sRaw % (1 << 18))
 		val := int64(vRaw)
@@ -161,10 +162,10 @@ func TestPackWordProperty(t *testing.T) {
 
 func TestPackWordBoundsPanic(t *testing.T) {
 	for _, fn := range []func(){
-		func() { packWord(ctlGrant, 1<<10, 0, 0) },
-		func() { packWord(ctlGrant, 0, 1<<18, 0) },
-		func() { packWord(ctlGrant, 0, 0, 1<<32) },
-		func() { packWord(ctlGrant, -1, 0, 0) },
+		func() { packWord(chGrant, 1<<10, 0, 0) },
+		func() { packWord(chGrant, 0, 1<<18, 0) },
+		func() { packWord(chGrant, 0, 0, 1<<32) },
+		func() { packWord(chGrant, -1, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -176,3 +177,8 @@ func TestPackWordBoundsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// peerCounters stays 32 bytes: a dense 512-rank world holds 512² of them, so
+// one more field is ~8 KiB per rank (bench.TestScaleBytesPerRank measures
+// the total). Any other size fails to compile.
+var _ = [1]struct{}{}[unsafe.Sizeof(peerCounters{})-32]

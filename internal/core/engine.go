@@ -35,9 +35,9 @@ type Engine struct {
 	// retried in step 4.
 	backlog []fifoWordTo
 
-	// lockBacklog holds intranode lock/unlock work queued by step 5 for
+	// lockBacklog holds intranode lock/unlock words queued by step 5 for
 	// batch processing in step 6.
-	lockBacklog []lockWork
+	lockBacklog []uint64
 
 	// nodePeers caches the same-node peer ranks for the FIFO sweep.
 	nodePeers []int
@@ -228,24 +228,13 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 		}
 		e.respond(p, fabric.KindCASResp, o, ctrlBytes+o.size, old)
 
-	case fabric.KindSignal:
-		// One-sided counter-replica write (signal.go): the NIC merges the
-		// raw value into the local replica and dispatches if it is newer.
-		e.win(p.Arg[0]).applySignal(p.Src, int(p.Arg[1]), uint64(p.Arg[2]))
-
-	case fabric.KindPostNotify, fabric.KindLockGrant:
-		e.applyControl(ctlGrant, e.win(p.Arg[0]), p.Src, p.Arg[1])
-
-	case fabric.KindDone:
-		e.applyControl(ctlDone, e.win(p.Arg[0]), p.Src, p.Arg[1])
-
-	case fabric.KindLockReq:
+	case fabric.KindSignal, fabric.KindPostNotify, fabric.KindDone, fabric.KindLockReq, fabric.KindUnlock:
+		// Control plane (control.go): either wire format decodes to one
+		// apply, here in NIC context — counters and the lock agent are
+		// served without the owning rank's CPU.
 		w := e.win(p.Arg[0])
-		w.agent.request(p.Src, p.Arg[1] == 1)
-
-	case fabric.KindUnlock:
-		w := e.win(p.Arg[0])
-		w.agent.unlock(p.Src)
+		ch, value := w.decode(p)
+		e.apply(w, p.Src, ch, value)
 
 	case fabric.KindLockAtomic:
 		// foMPI-style conditional atomic on a lock counter this rank hosts

@@ -287,7 +287,7 @@ func TestDuplicateLockGrantIdempotent(t *testing.T) {
 			// Replay the grant control word exactly as a duplicated
 			// KindPostNotify delivery would (same cumulative value).
 			eng := rt.Engine(0)
-			eng.applyControl(ctlGrant, win, 1, win.peer(1).g)
+			eng.apply(win, 1, chGrant, win.peer(1).g)
 			win.Unlock(1)
 		}
 		r.Barrier() // target reads only after the origin's unlock

@@ -47,7 +47,7 @@ type rmaOp struct {
 	localDone  bool // payload left the origin buffer (wire transmission done)
 	remoteDone bool // transfer fulfilled at the target (and response received)
 	ctsWait    bool // large accumulate waiting for its rendezvous CTS
-	sigDone    bool // counted out of the epoch's local-completion gate (signal.go)
+	sigDone    bool // counted out of the epoch's local-completion gate (control.go)
 }
 
 // addOp is the body of every RMA communication call: charge the call, then
@@ -265,7 +265,7 @@ func (e *Engine) opLocalDone(o *rmaOp) {
 }
 
 // opSigDone counts op o out of its epoch's local-completion gate (no-op
-// outside signal-transport ModeNew windows; see signal.go). Firing the done
+// outside signal-transport ModeNew windows; see control.go). Firing the done
 // signal here — at wire completion, before the remote ack — is safe because
 // the NIC's per-peer ordering queues the signal behind the op's data, so
 // the target still observes data before done; and MPI_WIN_COMPLETE only
@@ -353,7 +353,7 @@ func (ep *Epoch) maybePostDone(t int) {
 		s.donePosted = true
 		ep.doneCount++
 		if !ep.noCheck {
-			ep.win.eng.sendUnlock(ep.win, t)
+			ep.win.eng.notify(ep.win, t, chUnlock, 0)
 		} else if ep.win.transport == TransportSignal {
 			// Lock-free notify variant: a NOCHECK passive epoch on the
 			// signal transport closes by bumping the target's user-signal
@@ -367,6 +367,6 @@ func (ep *Epoch) maybePostDone(t int) {
 		}
 		s.donePosted = true
 		ep.doneCount++
-		ep.win.eng.sendDone(ep.win, t, s.accessID)
+		ep.win.eng.notify(ep.win, t, chDone, s.accessID)
 	}
 }

@@ -62,14 +62,14 @@ type WinOptions struct {
 	// ErrTimeout (or ErrRankUnreachable when a dead peer is implicated).
 	// 0 — the default — disables the watchdog, matching MPI semantics.
 	EpochTimeout sim.Time
-	// Transport selects the control-plane representation (signal.go):
+	// Transport selects the control-plane wire format (control.go):
 	// TransportGATS (default) carries typed 8-byte control packets;
 	// TransportSignal carries grant/done notifications as one-sided
 	// counter-replica writes and — under ModeNew — completes access
 	// epochs at local (wire) completion. Collective.
 	Transport Transport
-	// SignalBase seeds the raw signal counters (signal.go). Zero by
-	// default; tests seed it near ^uint64(0) to exercise wraparound.
+	// SignalBase offsets the signal wire format's counters (control.go).
+	// Zero by default; tests seed it near ^uint64(0) to exercise wraparound.
 	// Collective: every rank must pass the same value.
 	SignalBase uint64
 	// FlushMaster selects the rank hosting a ModeFlush window's global
@@ -137,14 +137,5 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 	}
 	eng.windows[w.id] = w
 	eng.winList = append(eng.winList, w)
-	return w
-}
-
-// window looks up a window by id on rank dst; used by packet handlers.
-func (rt *Runtime) window(dst int, id int64) *Window {
-	w := rt.engines[dst].windows[id]
-	if w == nil {
-		panic(fmt.Sprintf("core: rank %d has no window %d", dst, id))
-	}
 	return w
 }

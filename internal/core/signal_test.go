@@ -11,30 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSigNewerWraparound pins the serial-number comparison across the
-// uint64 wrap: a counter stepping past ^uint64(0) must keep ordering.
-func TestSigNewerWraparound(t *testing.T) {
-	max := ^uint64(0)
-	cases := []struct {
-		a, b uint64
-		want bool
-	}{
-		{1, 0, true},
-		{0, 1, false},
-		{5, 5, false},
-		{0, max, true}, // wrapped successor is newer
-		{max, 0, false},
-		{max - 2, max - 3, true},
-		{3, max - 3, true}, // 7 steps across the wrap
-		{max - 3, 3, false},
-	}
-	for _, c := range cases {
-		if got := sigNewer(c.a, c.b); got != c.want {
-			t.Errorf("sigNewer(%d, %d) = %t, want %t", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 // signalHandshake runs one internode GATS handshake (Start/Put/Complete vs
 // Post/Wait) and reports the target's received payload, the virtual times
 // at which origin Complete and target WaitEpoch returned, and the origin's
@@ -148,9 +124,10 @@ func TestSignalBaseWraparoundInvariance(t *testing.T) {
 	}
 }
 
-// TestSignalStaleDiscard pins replica-write idempotence directly: a
-// duplicated and a reordered (older) write must be discarded without
-// advancing the replica or re-dispatching.
+// TestSignalStaleDiscard pins replica-write idempotence at the receive
+// entry, on each counter channel: a duplicated and a reordered (older)
+// KindSignal write must be discarded without advancing the counter or
+// re-dispatching, with the base one step below the uint64 wrap.
 func TestSignalStaleDiscard(t *testing.T) {
 	w, rt := testWorld(t, 2)
 	runJob(t, w, func(r *mpi.Rank) {
@@ -158,17 +135,30 @@ func TestSignalStaleDiscard(t *testing.T) {
 			Mode: ModeNew, Transport: TransportSignal, SignalBase: ^uint64(0) - 1,
 		})
 		if r.ID == 0 {
-			base := win.sigBase
-			win.applySignal(1, sigUser, base+3) // fresh: count 3
-			win.applySignal(1, sigUser, base+3) // exact duplicate
-			win.applySignal(1, sigUser, base+1) // reordered older write
-			win.applySignal(1, sigUser, base+4) // fresh again
-			if got := win.SignalCount(1); got != 4 {
-				t.Errorf("SignalCount = %d, want 4", got)
+			for ch := chGrant; ch <= chUser; ch++ {
+				before := win.Stats()
+				for _, step := range []struct {
+					v     int64
+					fresh bool
+				}{{3, true}, {3, false}, {1, false}, {4, true}} {
+					win.dirty = false
+					p := &fabric.Packet{Src: 1, Dst: 0, Kind: fabric.KindSignal, Size: sigBytes}
+					p.Arg = [4]int64{win.id, int64(ch), int64(win.sigBase + uint64(step.v)), 0}
+					rt.Engine(0).nicDeliver(p)
+					if win.dirty != step.fresh {
+						t.Errorf("channel %d value %d: dispatched=%t, want %t", ch, step.v, win.dirty, step.fresh)
+					}
+				}
+				if got := counterOf(win, 1, ch); got != 4 {
+					t.Errorf("channel %d counter = %d, want 4", ch, got)
+				}
+				st := win.Stats()
+				if recv, stale := st.SignalsRecv-before.SignalsRecv, st.SignalsStale-before.SignalsStale; recv != 2 || stale != 2 {
+					t.Errorf("channel %d: recv=%d stale=%d, want 2/2", ch, recv, stale)
+				}
 			}
-			st := win.Stats()
-			if st.SignalsRecv != 2 || st.SignalsStale != 2 {
-				t.Errorf("recv=%d stale=%d, want 2/2", st.SignalsRecv, st.SignalsStale)
+			if ss := win.SignalPeerState(1); ss.GrantRaw != 2 || ss.DoneRaw != 2 || ss.UserRecv != 4 {
+				t.Errorf("SignalPeerState = %+v, want raw counters wrapped to 2 and 4 user signals", ss)
 			}
 		}
 		win.Quiesce()

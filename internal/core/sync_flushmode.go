@@ -112,7 +112,7 @@ func (lo *lockOp) atomDst(code int64) int {
 }
 
 // sendAtom issues one conditional atomic. Self-hosted counters are applied
-// inline (the precedent of sendLockReq); remote ones ride a KindLockAtomic
+// inline (as notify applies a self lock request); remote ones ride a KindLockAtomic
 // packet and come back as KindLockAtomicResp.
 func (fm *flushState) sendAtom(lo *lockOp, code int64) {
 	w := fm.w

@@ -4,14 +4,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// lockWork is one queued intranode lock-agent action.
-type lockWork struct {
-	w       *Window
-	src     int
-	shared  bool
-	release bool
-}
-
 // lockAgent is the target-side passive-target lock manager of one window.
 // For internode requesters it runs in NIC context (modeling the
 // network-atomics-based lock designs the paper builds on), so a target that
@@ -81,7 +73,7 @@ func (a *lockAgent) advance() {
 		// Granting a lock updates e locally and g remotely, exactly like
 		// opening an exposure (Section VII-B).
 		id := a.w.peer(h.origin).nextExposureID()
-		a.w.eng.sendGrant(a.w, h.origin, id)
+		a.w.eng.notify(a.w, h.origin, chGrant, id)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // attached the hooks cost one nil check.
 
 // SetTracer attaches a recorder capturing events from every rank. The
-// recorder is switched to per-rank buckets, which makes recording safe (and
-// the event order identical) whether the world runs serial or sharded.
+// recorder's per-rank buckets are sized for the world first, which makes
+// recording safe whether the world runs serial or sharded.
 func (rt *Runtime) SetTracer(rec *trace.Recorder) {
 	if rec != nil && rec.Len() == 0 {
 		rec.SetRanks(rt.world.Size())

@@ -23,13 +23,12 @@ type Window struct {
 	// is not 64k² counter slots. Always via w.peer(i).
 	peers peertab.Table[peerCounters]
 
-	// Counter-signal transport state (signal.go): the control-plane
-	// representation, the base value the raw counters start from, and the
-	// per-peer replica table — nil until the first signal touches it, so
-	// GATS-transport windows never allocate it.
+	// Control plane (control.go): the wire format, the base the signal
+	// format offsets its counters by, and the per-peer user-signal counters
+	// — nil until the window first sends or receives one (signal.go).
 	transport Transport
 	sigBase   uint64
-	sig       *peertab.Table[sigCounters]
+	user      *peertab.Table[userCounters]
 
 	// Epoch bookkeeping.
 	nextEpochSeq int64
@@ -337,11 +336,15 @@ func (w *Window) requestAccess(ep *Epoch) {
 		ep.fill()
 	}
 	locks := ep.kind == EpochLock || ep.kind == EpochLockAll
+	var shared int64 // chLockReq's value
+	if ep.shared {
+		shared = 1
+	}
 	for i, n := 0, ep.groupSize(); i < n; i++ {
 		t, s := ep.peerAt(i)
 		s.accessID, s.hasAccess = w.peer(t).nextAccessID(), true
 		if locks {
-			w.eng.sendLockReq(w, t, ep.shared)
+			w.eng.notify(w, t, chLockReq, shared)
 		}
 	}
 }
@@ -352,7 +355,7 @@ func (w *Window) grantTo(ep *Epoch, o int) {
 	id := w.peer(o).nextExposureID()
 	s := ep.slot(o)
 	s.exposeID, s.hasExpose = id, true
-	w.eng.sendGrant(w, o, id)
+	w.eng.notify(w, o, chGrant, id)
 }
 
 // Quiesce waits until every epoch of this window has completed internally.

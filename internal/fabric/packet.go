@@ -26,13 +26,10 @@ const (
 	KindCASResp    // compare-and-swap response
 	KindAccRTS     // large-accumulate rendezvous request (target buffer)
 	KindAccCTS     // large-accumulate clear-to-send
-	KindPostNotify // exposure opened: remote g-counter update
+	KindPostNotify // exposure opened or lock granted: remote g-counter update
 	KindDone       // access-epoch done packet (carries the access id)
-	KindFenceDone  // per-round fence completion notification
 	KindLockReq    // passive-target lock request
-	KindLockGrant  // lock granted notification
 	KindUnlock     // lock release (ordered after the epoch's RMA)
-	KindFlushAck   // remote-completion acknowledgement for flushes
 	// foMPI-style scalable lock protocol (core.ModeFlush): conditional
 	// atomic on a remote lock counter, executed in the target's NIC context.
 	KindLockAtomic     // conditional fetch-and-op request on a lock counter

@@ -103,3 +103,28 @@ func (r *Rank) AllreduceInt64(op ReduceOp, val int64) int64 {
 	buf = r.Bcast(0, buf, 8)
 	return int64(binary.LittleEndian.Uint64(buf))
 }
+
+// Gather collects each rank's data block at root; root receives the
+// blocks concatenated in rank order (non-roots return nil). size is the
+// per-rank block size.
+func (r *Rank) Gather(root int, data []byte, size int64) []byte {
+	n := r.Size()
+	tag := collTagBase - 3
+	if r.ID != root {
+		r.SendMsg(root, tag, data, size)
+		return nil
+	}
+	out := make([]byte, int64(n)*size)
+	for p := 0; p < n; p++ {
+		var blk []byte
+		if p == root {
+			blk = data
+		} else {
+			blk = r.RecvMsg(p, tag)
+		}
+		if blk != nil {
+			copy(out[int64(p)*size:], blk)
+		}
+	}
+	return out
+}

@@ -218,6 +218,49 @@ func TestAllreduceMin(t *testing.T) {
 	})
 }
 
+func TestGather(t *testing.T) {
+	var got []byte
+	run(t, 4, func(r *Rank) {
+		blk := []byte{byte(r.ID * 10), byte(r.ID*10 + 1)}
+		out := r.Gather(2, blk, 2)
+		if r.ID == 2 {
+			got = out
+		} else if out != nil {
+			t.Errorf("non-root rank %d got non-nil gather result", r.ID)
+		}
+	})
+	want := []byte{0, 1, 10, 11, 20, 21, 30, 31}
+	if string(got) != string(want) {
+		t.Fatalf("gather got %v, want %v", got, want)
+	}
+}
+
+func TestSendToSelf(t *testing.T) {
+	run(t, 2, func(r *Rank) {
+		if r.ID == 0 {
+			req := r.Isend(0, 3, []byte("self"), 4)
+			got := r.RecvMsg(0, 3)
+			r.Wait(req)
+			if string(got) != "self" {
+				t.Errorf("self message got %q", got)
+			}
+		}
+		r.Barrier()
+	})
+}
+
+func TestSingleRankCollectives(t *testing.T) {
+	run(t, 1, func(r *Rank) {
+		r.Barrier()
+		if v := r.AllreduceInt64(OpSum, 7); v != 7 {
+			t.Errorf("1-rank allreduce %d", v)
+		}
+		if out := r.Bcast(0, []byte{1}, 1); out[0] != 1 {
+			t.Error("1-rank bcast lost data")
+		}
+	})
+}
+
 func TestTimeInMPIAccounting(t *testing.T) {
 	var mpiTime sim.Time
 	run(t, 2, func(r *Rank) {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -121,6 +123,36 @@ func TestRecorder(t *testing.T) {
 	if r.Len() != 2 || r.Events()[1].T != 2 {
 		t.Fatal("recorder lost events")
 	}
+	// Buckets grow by rank; the merge is (time, rank) whatever the record
+	// order, and a pre-sized recorder gives the same stream.
+	r.Record(Event{T: 2, Rank: 3})
+	r.Record(Event{T: 1, Rank: 2})
+	sized := NewRecorder()
+	sized.SetRanks(4)
+	var got []int
+	for _, e := range r.Events() {
+		sized.Record(e)
+		got = append(got, e.Rank)
+	}
+	if want := []int{0, 2, 0, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged rank order %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(sized.Events(), r.Events()) {
+		t.Fatal("pre-sized recorder merges differently")
+	}
+	var buf bytes.Buffer
+	if err := sized.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ReadJSON(&buf); err != nil || len(back) != 4 {
+		t.Fatalf("JSON of a pre-sized recorder read back %d events (%v), want 4", len(back), err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetRanks on a non-empty recorder should panic")
+		}
+	}()
+	r.SetRanks(8)
 }
 
 func TestEventString(t *testing.T) {

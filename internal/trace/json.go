@@ -44,8 +44,9 @@ var kindByName = func() map[string]Kind {
 
 // WriteJSON streams the recording as a JSON array of events.
 func (r *Recorder) WriteJSON(w io.Writer) error {
-	out := make([]jsonEvent, len(r.events))
-	for i, e := range r.events {
+	events := r.Events()
+	out := make([]jsonEvent, len(events))
+	for i, e := range events {
 		out[i] = jsonEvent{
 			T: e.T, Rank: e.Rank, Win: e.Win, Epoch: e.Epoch,
 			Class: e.Class, Kind: kindNames[e.Kind], Peer: e.Peer, Size: e.Size,

@@ -91,27 +91,23 @@ func (e Event) String() string {
 		e.T/sim.Microsecond, e.Rank, e.Win, e.Epoch, e.Class, e.Kind, e.Peer)
 }
 
-// Recorder accumulates events. Every event is recorded from the emitting
-// rank's simulation context: single-threaded on the serial kernel, one
-// thread per shard on the sharded kernel. With SetRanks called, events land
-// in per-rank buckets — each touched only by its own rank's shard, so
-// recording needs no locking in either mode — and Events() merges them by
-// (time, rank). Without SetRanks (manual recorders in tests), events go to
-// a single slice returned in record order.
+// Recorder accumulates events in per-rank buckets. Every event is recorded
+// from the emitting rank's simulation context: single-threaded on the
+// serial kernel, one thread per shard on the sharded kernel. A bucket is
+// touched only by its own rank's shard, so recording needs no locking, and
+// Events() merges the buckets by (time, rank).
 type Recorder struct {
-	events []Event   // legacy single-stream storage (no SetRanks)
-	byRank [][]Event // per-rank buckets (SetRanks)
+	byRank [][]Event
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// SetRanks switches the recorder to per-rank buckets for a job of n ranks.
-// Must be called before any Record, and is required when the recorder is
-// attached to a sharded simulation. The merged Events() order is identical
-// whichever mode the simulation runs in.
+// SetRanks pre-sizes the recorder for a job of n ranks. Buckets otherwise
+// grow on first use, which only a single-threaded recorder may do: one
+// attached to a sharded simulation must be sized before any Record.
 func (r *Recorder) SetRanks(n int) {
-	if len(r.events) > 0 || r.Len() > 0 {
+	if r.Len() > 0 {
 		panic("trace: SetRanks on a non-empty recorder")
 	}
 	r.byRank = make([][]Event, n)
@@ -119,27 +115,18 @@ func (r *Recorder) SetRanks(n int) {
 
 // Record appends one event.
 func (r *Recorder) Record(e Event) {
-	if r.byRank != nil {
-		r.byRank[e.Rank] = append(r.byRank[e.Rank], e)
-		return
+	for e.Rank >= len(r.byRank) {
+		r.byRank = append(r.byRank, nil)
 	}
-	r.events = append(r.events, e)
+	r.byRank[e.Rank] = append(r.byRank[e.Rank], e)
 }
 
-// Events returns all recorded events in virtual-time order. Per-rank
-// buckets merge with rank as the tie-break at equal times; each bucket is
-// internally in its rank's execution order, which the sharded kernel keeps
-// bit-identical to serial, so the merged sequence is too. Legacy
-// single-stream recorders return record order (which equals virtual-time
-// order, since the simulation clock is monotonic).
+// Events returns all recorded events in virtual-time order, with rank as
+// the tie-break at equal times; each bucket is internally in its rank's
+// execution order, which the sharded kernel keeps bit-identical to serial,
+// so the merged sequence is too.
 func (r *Recorder) Events() []Event {
-	if r.byRank == nil {
-		return r.events
-	}
-	total := 0
-	for _, b := range r.byRank {
-		total += len(b)
-	}
+	total := r.Len()
 	out := make([]Event, 0, total)
 	idx := make([]int, len(r.byRank))
 	for len(out) < total {
@@ -160,12 +147,9 @@ func (r *Recorder) Events() []Event {
 
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int {
-	if r.byRank != nil {
-		n := 0
-		for _, b := range r.byRank {
-			n += len(b)
-		}
-		return n
+	n := 0
+	for _, b := range r.byRank {
+		n += len(b)
 	}
-	return len(r.events)
+	return n
 }
