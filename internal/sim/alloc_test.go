@@ -70,6 +70,37 @@ func TestAtCallSchedulingAllocs(t *testing.T) {
 	schedulingAllocs(t, func(k *Kernel, at Time, fn func()) { k.AtCall(at, runFunc, fn) })
 }
 
+// Band-1 events keep the same budget: the deep case's k.wn check is what shows
+// they are filed under the wheels too, not sifted into the heap.
+func TestAtCrossSchedulingAllocs(t *testing.T) {
+	owner := -1
+	schedulingAllocs(t, func(k *Kernel, at Time, fn func()) {
+		if owner++; owner == 7 {
+			owner = -1
+		}
+		k.AtCross(at, runFunc, fn, owner, 0)
+	})
+}
+
+// TestCrossSeqGrowsAmortised: owners first mint a key in ascending order (rank
+// 0's first packet, then rank 1's, ...), so the counter table must grow like
+// an append, not by one exact-size copy per new owner.
+func TestCrossSeqGrowsAmortised(t *testing.T) {
+	const owners = 1 << 16
+	allocs := testing.AllocsPerRun(1, func() {
+		k := NewKernel()
+		for o := -1; o < owners; o++ {
+			k.crossSeq(o)
+		}
+		if k.crossCnt[owners] != 1 {
+			t.Fatalf("owner %d minted %d keys, want 1", owners-1, k.crossCnt[owners])
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("%.0f allocations to mint for %d ascending owners, budget 32", allocs, owners)
+	}
+}
+
 // TestShallowKernelHasNoWheels pins what a kernel that never has deepQueue
 // events pending pays for the wheels: one nil pointer. The figure worlds
 // build hundreds of such kernels per regeneration (3-4 ranks, a dozen

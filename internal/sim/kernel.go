@@ -23,9 +23,9 @@
 // pair for events that may cross shards — this makes every simulation
 // bit-for-bit reproducible: which goroutine pops an event never influences
 // which event is popped. The queue (queue.go) stores events in two
-// structures, per-nanosecond FIFOs for what is pushed in seq order and a heap
-// for the rest, and pops by merging them on that one key, so which structure
-// held an event does not influence the order either.
+// structures, per-nanosecond lists for what is pushed in or nearly in seq
+// order and a heap for the rest, and pops by merging them on that one key, so
+// which structure held an event does not influence the order either.
 //
 // Time is virtual and expressed in nanoseconds. Nothing in this package
 // consults the wall clock.
@@ -59,7 +59,7 @@ const (
 //
 // seq is a composite key with two bands (see AtCross). Band 0 — plain
 // At/AtCall events — uses the kernel's local insertion counter, so among
-// band-0 events push order is seq order (the event queue's wheels rest on
+// band-0 events push order is seq order (the event queue's FIFOs rest on
 // exactly that). Band 1 — cross-owner events — sets the top bit and encodes
 // (owner, per-owner counter), a key that is a pure function of the program
 // rather than of the global interleaving, which is what makes sharded
@@ -97,13 +97,15 @@ func (e *event) before(o *event) bool {
 // simulation run. The zero value is not usable; call NewKernel.
 //
 // The event queue (queue.go) is a 4-ary min-heap of event values in front of
-// which, once deepQueue events are pending, band-0 events are filed under
-// one-nanosecond FIFO slots instead — ordered by construction, because their
-// seq is minted in push order. Every pop merges the two sides on the full
-// (at, seq) key. Pushes append into reused storage (the heap's backing
-// array, the wheels' node slab and its free list), so the scheduling hot
-// path performs zero allocations once capacity has warmed up — no per-event
-// box, no interface conversions.
+// which, once deepQueue events are pending, events are filed under
+// one-nanosecond slots instead, each a FIFO of the instant's band-0 events —
+// ordered by construction, because their seq is minted in push order — and a
+// sorted list of its band-1 events, whose keys arrive nearly in order. The
+// heap keeps what is out of the wheels' reach or too far out of order. Every
+// pop merges the two sides on the full (at, seq) key. Pushes append into
+// reused storage (the heap's backing array, the wheels' node slab and its
+// free list), so the scheduling hot path performs zero allocations once
+// capacity has warmed up — no per-event box, no interface conversions.
 type Kernel struct {
 	now     Time
 	heap    []event // the general side of the queue: any key, any distance
@@ -160,15 +162,21 @@ func NewKernel() *Kernel { return &Kernel{home: make(chan struct{})} }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// push queues e: band-0 events go under the wheels while the queue is deep,
-// everything else — and whatever the wheels decline — into the 4-ary heap,
-// whose fan-out (4 children per node) halves the tree depth versus a binary
-// heap, trading a few extra comparisons per level for fewer moves.
+// push queues e: under the wheels while the queue is deep, and whatever the
+// wheels decline into the 4-ary heap, whose fan-out (4 children per node)
+// halves the tree depth versus a binary heap, trading a few extra comparisons
+// per level for fewer moves.
 func (k *Kernel) push(e event) {
-	if len(k.heap)+k.wn >= deepQueue && e.seq < crossBand && k.wheelPush(&e) {
+	if len(k.heap)+k.wn >= deepQueue && k.wheelPush(&e) {
 		return
 	}
-	h := append(k.heap, e)
+	k.heap = append(k.heap, e)
+	k.siftUp()
+}
+
+// siftUp restores the heap's order after an append.
+func (k *Kernel) siftUp() {
+	h := k.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -178,7 +186,6 @@ func (k *Kernel) push(e event) {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	k.heap = h
 }
 
 // pop removes and returns the heap's earliest event. The caller must ensure
@@ -284,10 +291,8 @@ func (k *Kernel) crossSeq(owner int) uint64 {
 		panic(fmt.Sprintf("sim: cross-event owner %d out of range", owner))
 	}
 	i := owner + 1
-	if i >= len(k.crossCnt) {
-		cnt := make([]uint64, i+1)
-		copy(cnt, k.crossCnt)
-		k.crossCnt = cnt
+	for i >= len(k.crossCnt) {
+		k.crossCnt = append(k.crossCnt, 0)
 	}
 	c := k.crossCnt[i]
 	k.crossCnt[i] = c + 1
@@ -642,7 +647,7 @@ func (k *Kernel) nextAt() (Time, bool) {
 	if k.wn > 0 {
 		// front leaves a window starting after the heap's top closed and
 		// returns its start, which loses the comparison like any later event.
-		if at, _ := k.w.front(t); at < t {
+		if at, _ := k.front(t); at < t {
 			t = at
 		}
 		ok = true

@@ -58,3 +58,29 @@ func BenchmarkEventQueueDeep(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkCrossQueueDeep is the deep queue with every event band-1: 4096
+// chains, each rescheduling itself 4096 ns ahead (rounded down to a multiple
+// of 4, so four chains share most instants) under one of 8 owners taken in
+// rotation — ascending within an instant except where the rotation wraps.
+// One op is one event.
+func BenchmarkCrossQueueDeep(b *testing.B) {
+	const chains = 4096
+	k := NewKernel()
+	n := 0
+	var step func(any)
+	step = func(any) {
+		if n++; n > b.N {
+			return
+		}
+		k.AtCross((k.Now()+chains)&^3, step, nil, n%8, 0)
+	}
+	for i := 0; i < chains; i++ {
+		k.AtCross(Time(1+i), step, nil, i%8, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

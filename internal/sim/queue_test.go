@@ -3,6 +3,7 @@ package sim
 import (
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // queueModel is the reference the event queue is checked against: every
@@ -131,6 +132,16 @@ const (
 	opInstant        // run the next pending instant
 	opRun            // run until now+delay
 	opDrain          // run to empty
+	// Band-1 shapes the sorted slot lists must place: 2n events at one instant
+	// now+delay with owners descending (operand bit 0 clear) or interleaved
+	// (set), each pushing a child there if bit 1 is set — wide enough, past
+	// walkBound, to leave the instant on both sides of the merge.
+	opCrossBurst
+	// One band-1 event per owner at now+delay, pushed descending; the one of
+	// the owner the operand names pushes kids children at that same instant
+	// when it fires, bands alternating, band-1 children with smaller owners
+	// than events still pending there.
+	opCrossParent
 	nQueueOps
 )
 
@@ -151,7 +162,7 @@ func runQueueScript(t testing.TB, script []byte) *Kernel {
 	for pc < len(script) {
 		op := arg()
 		hi := op >> 4
-		switch op % nQueueOps {
+		switch (op & 15) % nQueueOps {
 		case opPush0:
 			m.push(k.Now()+delay(), 0, 0, 0, 0, 0)
 		case opPush1:
@@ -164,6 +175,25 @@ func runQueueScript(t testing.TB, script []byte) *Kernel {
 		case opParent:
 			kidDelay := delay()
 			m.push(k.Now()+delay(), 0, 0, 1+hi%4, arg(), kidDelay)
+		case opCrossBurst:
+			at := k.Now() + delay()
+			for i, n := 0, arg()*2; i < n; i++ {
+				owner := 6 - i%8
+				if hi&1 != 0 {
+					owner = i*3%8 - 1
+				}
+				m.push(at, 1, owner, hi>>1&1, 0, 0)
+			}
+		case opCrossParent:
+			at := k.Now() + delay()
+			kids := arg()
+			for owner := 6; owner >= -1; owner-- {
+				if owner == hi%8-1 {
+					m.push(at, 1, owner, 1+kids%8, kids>>3&3, 0)
+				} else {
+					m.push(at, 1, owner, 0, 0, 0)
+				}
+			}
 		case opPeek:
 			m.peek()
 		case opInstant:
@@ -180,14 +210,25 @@ func runQueueScript(t testing.TB, script []byte) *Kernel {
 	if len(m.pending) != 0 || len(k.heap) != 0 || k.wn != 0 {
 		t.Fatalf("after the drain: %d in the model, %d on the heap, %d in the wheels", len(m.pending), len(k.heap), k.wn)
 	}
-	if w := k.w; w != nil && (w.occ0 != 0 || w.occ1 != [len(w.occ1)]uint64{}) {
-		t.Fatalf("drained wheels still marked occupied: %#x %#x", w.occ0, w.occ1)
+	if w := k.w; w != nil {
+		if w.occ0 != 0 || w.occ1 != [len(w.occ1)]uint64{} {
+			t.Fatalf("drained wheels still marked occupied: %#x %#x", w.occ0, w.occ1)
+		}
+		for s, sl := range w.l0 {
+			if sl[0].head != 0 || sl[1].head != 0 {
+				t.Fatalf("drained wheels still list nodes under slot %d: %+v", s, sl)
+			}
+		}
 	}
 	return k
 }
 
 // queueSeeds are the scripts plain `go test` runs: each aims at one place
-// where the wheels and the heap hand over to each other.
+// where the wheels and the heap hand over to each other. The corpus under
+// testdata/fuzz/FuzzEventQueue adds the band-1 shapes: bursts with owners
+// descending and interleaved in the open window and in a later one, band-1
+// parents pushing into the instant being drained, and 510-event bursts that
+// walk past walkBound on both sorted inserts.
 var queueSeeds = map[string][]byte{
 	// 512 events at one instant, bands mixed, half of them pushing a child
 	// at that same instant while the burst drains.
@@ -249,4 +290,69 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		runQueueScript(t, script)
 	})
+}
+
+// TestSortedInsertIsBounded pins by structure — where the events ended up, not
+// a stopwatch — that one instant's band-1 events arriving in the worst order
+// cost a bounded walk each: 65 536 owners pushed descending are declined to
+// the heap, all but the walkBound the slot's list took before the walks got
+// that long, whether they are pushed into the open window (the tail-first
+// insert) or sit in a level-1 list when its window opens (the head-first
+// one). Pushed ascending, every one of them is placed without a walk and the
+// heap sees none. Either way they fire in key order.
+func TestSortedInsertIsBounded(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size != 48 {
+		t.Errorf("node is %d bytes, want 48: the prev link must fit the event's padding", size)
+	}
+	const n = 1 << 16
+	for _, tc := range []struct {
+		name       string
+		at         Time
+		descending bool
+	}{
+		{"open window, descending", 10, true},
+		{"level 1, descending", 1000, true},
+		{"open window, ascending", 10, false},
+		{"level 1, ascending", 1000, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			for i := 0; i < deepQueue; i++ { // these go to the heap and keep the queue deep
+				k.AtCall(Second, func(any) {}, nil)
+			}
+			owners := make([]int, n)
+			fired := make([]int, 0, n)
+			fire := func(x any) { fired = append(fired, *x.(*int)) }
+			for i := range owners {
+				owners[i] = i
+				if tc.descending {
+					owners[i] = n - 1 - i
+				}
+				k.AtCross(tc.at, fire, &owners[i], owners[i], 0)
+			}
+			if at, ok := k.nextAt(); !ok || at != tc.at { // opens the level-1 window
+				t.Fatalf("nextAt = (%d, %v), want %d", at, ok, tc.at)
+			}
+			if len(k.heap)+k.wn != deepQueue+n {
+				t.Fatalf("%d on the heap + %d in the wheels, want %d events", len(k.heap), k.wn, deepQueue+n)
+			}
+			if tc.descending && k.wn > walkBound {
+				t.Errorf("%d events in the wheels, want at most walkBound = %d: the rest walked further", k.wn, walkBound)
+			}
+			if !tc.descending && len(k.heap) != deepQueue {
+				t.Errorf("%d of %d in-order events were declined to the heap", len(k.heap)-deepQueue, n)
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(fired) != n {
+				t.Fatalf("%d events fired, want %d", len(fired), n)
+			}
+			for i, owner := range fired {
+				if owner != i {
+					t.Fatalf("event %d to fire was owner %d's", i, owner)
+				}
+			}
+		})
+	}
 }
