@@ -5,7 +5,8 @@
 // experiment; the vt_* metrics are the paper-comparable numbers).
 //
 // Figs 12 and 13 run reduced parameters here so `go test -bench .` stays
-// interactive; cmd/txn and cmd/lu regenerate the full-scale tables.
+// interactive; `epochbench -fig 12` and `-fig 13` regenerate the full-scale
+// tables.
 package repro_test
 
 import (

@@ -52,9 +52,8 @@
 // compose. Either way the schedule is a pure function of the seed and the
 // flags, so a failure replays exactly like a pristine one.
 //
-// With -shards each crossbar seed — lossy ones included — executes on a
-// sharded event kernel; the transcript is bit-identical to a serial campaign
-// (topo seeds fall back to the serial kernel automatically).
+// With -shards every seed — lossy and -topo ones included — executes on a
+// sharded event kernel; the transcript is bit-identical to a serial campaign.
 package main
 
 import (
@@ -121,7 +120,7 @@ func (f *flags) options() (o fuzz.Options, kv bool, err error) {
 
 func main() {
 	f := registerFlags(flag.CommandLine)
-	pf := bench.RegisterFlags()
+	pf := bench.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	stop := pf.Start()
 

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/mpi"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -22,82 +20,52 @@ import (
 //   - per-call CPU overhead: what separates "New" from "New nonblocking"
 //     in back-to-back epoch streams.
 
+// triggeredOpsLag stages the ablation's target Post behind the origin's Put
+// call (the mirror of runShape's origin staging). A grant that beats the put
+// activates the epoch before there is anything recorded, and the put then
+// issues from the origin's own call whatever the flag says — the case the
+// ablation is about is the grant that lands while the origin computes.
+// Without the lag, barrier-exit skew picks one case or the other on
+// alternate iterations and the mean depends on the iteration count.
+const triggeredOpsLag = 5 * sim.Microsecond
+
 // AblationTriggeredOps measures the Fig 3 (Late Complete) target-side
 // epoch with grant-triggered issuing on and off. Without triggered ops a
 // computing origin cannot push its recorded put when the grant lands, so
 // the target inherits the origin's work time even with nonblocking closes.
 func AblationTriggeredOps(iters int) *stats.Table {
-	t := stats.NewTable("Ablation: grant-triggered NIC issue (Fig 3 setting, nonblocking close)",
-		"us", "variant", []string{"triggered ops", "engine-only issue"}, []string{"target epoch"})
-	res := par.Map(2, func(i int) float64 {
-		noTrig := i == 1
-		var dS []sim.Time
-		runWorld(2, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-			win := rt.CreateWindow(r, BigMsg, core.WinOptions{
-				Mode: core.ModeNew, ShapeOnly: true, NoTriggeredOps: noTrig,
-			})
-			for it := 0; it < iters; it++ {
-				r.Barrier()
-				t0 := r.Now()
-				if r.ID == 0 {
-					win.IStart([]int{1})
-					win.Put(1, 0, nil, 1<<20)
-					req := win.IComplete()
-					r.Compute(Delay)
-					r.Wait(req)
-				} else {
-					win.Post([]int{0})
-					win.WaitEpoch()
-					dS = append(dS, r.Now()-t0)
-				}
-			}
-			win.Quiesce()
+	return grid("Ablation: grant-triggered NIC issue (Fig 3 setting, nonblocking close)", "us", "variant",
+		[]string{"triggered ops", "engine-only issue"}, []string{"target epoch"},
+		func(variant, _ int) float64 {
+			return mean(lateComplete(SeriesNewNB, iters, BigMsg, core.WinOptions{NoTriggeredOps: variant == 1}, triggeredOpsLag))
 		})
-		return mean(dS)
-	})
-	t.Set("triggered ops", "target epoch", res[0])
-	t.Set("engine-only issue", "target epoch", res[1])
-	return t
+}
+
+// ablationTxn is the transaction workload the three throughput ablations
+// share, at Fig 12's seed; 24 is Fig 12's pipeline depth.
+func ablationTxn(epochsPerRank, depth int) TxnParams {
+	return TxnParams{EpochsPerRank: epochsPerRank, PipelineDepth: depth, Seed: 0x5eed}
 }
 
 // AblationPipelineDepth sweeps the nonblocking pipeline depth of the
 // Fig 12 transaction workload at a fixed job size.
 func AblationPipelineDepth(n int, depths []int, epochsPerRank int) *stats.Table {
-	rows := make([]string, len(depths))
-	for i, d := range depths {
-		rows[i] = fmt.Sprintf("%d", d)
-	}
-	t := stats.NewTable(fmt.Sprintf("Ablation: pipeline depth (transactions, %d ranks, A_A_A_R)", n),
-		"thousands of transactions/s", "depth", rows, []string{"throughput"})
-	res := par.Map(len(depths), func(i int) float64 {
-		p := TxnParams{EpochsPerRank: epochsPerRank, PipelineDepth: depths[i], Seed: 0x5eed}
-		return RunTxn(n, TxnNewNBAAAR, p)
-	})
-	for i, d := range depths {
-		t.Set(fmt.Sprintf("%d", d), "throughput", res[i])
-	}
-	return t
+	return grid(fmt.Sprintf("Ablation: pipeline depth (transactions, %d ranks, A_A_A_R)", n),
+		"thousands of transactions/s", "depth", labels(depths, strconv.Itoa), []string{"throughput"},
+		func(i, _ int) float64 { return RunTxn(n, TxnNewNBAAAR, ablationTxn(epochsPerRank, depths[i])) })
 }
 
 // AblationCredits sweeps per-peer flow-control credits for the same
 // workload: starving credits reproduces the paper's 512-core ceiling at
 // any scale.
 func AblationCredits(n int, credits []int, epochsPerRank int) *stats.Table {
-	rows := make([]string, len(credits))
-	for i, c := range credits {
-		rows[i] = fmt.Sprintf("%d", c)
-	}
-	t := stats.NewTable(fmt.Sprintf("Ablation: flow-control credits per peer (transactions, %d ranks, A_A_A_R)", n),
-		"thousands of transactions/s", "credits", rows, []string{"throughput"})
-	res := par.Map(len(credits), func(i int) float64 {
-		cfg := Config()
-		cfg.CreditsPerPeer = credits[i]
-		return runTxnWithConfig(n, cfg, 24, epochsPerRank)
-	})
-	for i, c := range credits {
-		t.Set(fmt.Sprintf("%d", c), "throughput", res[i])
-	}
-	return t
+	return grid(fmt.Sprintf("Ablation: flow-control credits per peer (transactions, %d ranks, A_A_A_R)", n),
+		"thousands of transactions/s", "credits", labels(credits, strconv.Itoa), []string{"throughput"},
+		func(i, _ int) float64 {
+			cfg := Config()
+			cfg.CreditsPerPeer = credits[i]
+			return runTxn(n, cfg, TxnNewNBAAAR, ablationTxn(epochsPerRank, 24))
+		})
 }
 
 // AblationCallOverhead sweeps the modeled per-MPI-call CPU cost and
@@ -105,83 +73,13 @@ func AblationCredits(n int, credits []int, epochsPerRank int) *stats.Table {
 // "New" and "New nonblocking" for back-to-back epochs is exactly the
 // serialized call overhead.
 func AblationCallOverhead(n int, overheadsNs []int64, epochsPerRank int) *stats.Table {
-	rows := make([]string, len(overheadsNs))
-	for i, o := range overheadsNs {
-		rows[i] = fmt.Sprintf("%dns", o)
-	}
-	t := stats.NewTable(fmt.Sprintf("Ablation: per-call CPU overhead (transactions, %d ranks)", n),
-		"thousands of transactions/s", "overhead", rows, []string{"New", "New nonblocking"})
 	series := []TxnSeries{TxnNew, TxnNewNB}
-	cells := gridCell(len(overheadsNs), len(series), func(oi, si int) float64 {
-		cfg := Config()
-		cfg.CallOverhead = overheadsNs[oi]
-		return runTxnSeriesWithConfig(n, cfg, series[si], 24, epochsPerRank)
-	})
-	for oi, o := range overheadsNs {
-		row := fmt.Sprintf("%dns", o)
-		t.Set(row, "New", cells[oi][0])
-		t.Set(row, "New nonblocking", cells[oi][1])
-	}
-	return t
-}
-
-// runTxnWithConfig runs the A_A_A_R transaction workload under a custom
-// fabric configuration.
-func runTxnWithConfig(n int, cfg fabric.Config, depth, epochs int) float64 {
-	return runTxnSeriesWithConfig(n, cfg, TxnNewNBAAAR, depth, epochs)
-}
-
-// runTxnSeriesWithConfig is RunTxn with an explicit fabric config.
-func runTxnSeriesWithConfig(n int, cfg fabric.Config, series TxnSeries, depth, epochs int) float64 {
-	mode := core.ModeVanilla
-	var info core.Info
-	nonblocking := false
-	switch series {
-	case TxnNew:
-		mode = core.ModeNew
-	case TxnNewNB:
-		mode = core.ModeNew
-		nonblocking = true
-	case TxnNewNBAAAR:
-		mode = core.ModeNew
-		info = core.Info{AAAR: true}
-		nonblocking = true
-	}
-	var elapsed sim.Time
-	runWorld(n, cfg, func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, 4096, core.WinOptions{Mode: mode, Info: info, ShapeOnly: true})
-		rng := sim.NewRNG(0x5eed ^ uint64(r.ID)*0x9e3779b97f4a7c15)
-		r.Barrier()
-		t0 := r.Now()
-		if nonblocking {
-			var pending []*mpi.Request
-			for i := 0; i < epochs; i++ {
-				tgt := rng.Intn(n)
-				off := int64(rng.Intn(512)) * 8
-				win.ILock(tgt, true)
-				win.Accumulate(tgt, off, core.OpSum, core.TUint64, nil, 8)
-				pending = append(pending, win.IUnlock(tgt))
-				if len(pending) >= depth {
-					r.Wait(pending[0])
-					pending = pending[1:]
-				}
-			}
-			r.Wait(pending...)
-		} else {
-			for i := 0; i < epochs; i++ {
-				tgt := rng.Intn(n)
-				off := int64(rng.Intn(512)) * 8
-				win.Lock(tgt, true)
-				win.Accumulate(tgt, off, core.OpSum, core.TUint64, nil, 8)
-				win.Unlock(tgt)
-			}
-		}
-		r.Barrier()
-		if r.ID == 0 {
-			elapsed = r.Now() - t0
-		}
-		win.Quiesce()
-	})
-	total := float64(n * epochs)
-	return total / (float64(elapsed) / float64(sim.Second)) / 1000
+	return grid(fmt.Sprintf("Ablation: per-call CPU overhead (transactions, %d ranks)", n),
+		"thousands of transactions/s", "overhead",
+		labels(overheadsNs, func(o int64) string { return fmt.Sprintf("%dns", o) }), labels(series, TxnSeries.String),
+		func(oi, si int) float64 {
+			cfg := Config()
+			cfg.CallOverhead = overheadsNs[oi]
+			return runTxn(n, cfg, series[si], ablationTxn(epochsPerRank, 24))
+		})
 }

@@ -1,17 +1,44 @@
 package bench
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+)
 
 func TestAblationTriggeredOpsShape(t *testing.T) {
-	tb := AblationTriggeredOps(2)
+	tb := AblationTriggeredOps(4)
 	t.Log("\n" + tb.String())
 	trig := tb.Get("triggered ops", "target epoch")
 	engOnly := tb.Get("engine-only issue", "target epoch")
 	if trig > 500 {
 		t.Fatalf("triggered-ops target epoch %v us, want ~transfer time", trig)
 	}
-	if engOnly < trig+300 {
+	if engOnly < trig+900 {
 		t.Fatalf("engine-only issue should inherit the origin's compute: %v vs %v", engOnly, trig)
+	}
+	// The table must not depend on the iteration count beyond the first
+	// iteration's warm-up (a few us, averaged over >= 4 iterations).
+	long := AblationTriggeredOps(40)
+	for _, row := range tb.Rows {
+		if a, b := tb.Get(row, "target epoch"), long.Get(row, "target epoch"); math.Abs(a-b) > 2 {
+			t.Errorf("%s: %v us at 4 iterations, %v us at 40", row, a, b)
+		}
+	}
+
+	// Every engine-only iteration must be the same experiment: the grant
+	// lands after the origin's Put call, so the recorded put waits for the
+	// origin's engine. Unstaged (targetLag 0), barrier-exit skew lets the
+	// grant win on alternate iterations and the samples split ~1000 us apart.
+	samples := lateComplete(SeriesNewNB, 8, BigMsg, core.WinOptions{NoTriggeredOps: true}, triggeredOpsLag)[1:]
+	lo, hi := samples[0], samples[0]
+	for _, s := range samples {
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	if hi-lo > 10*sim.Microsecond {
+		t.Fatalf("engine-only steady-state samples spread %v us: %v", us(hi-lo), samples)
 	}
 }
 

@@ -3,7 +3,16 @@
 // microbenchmarks (Figs 2-6), the four progress-engine optimization-flag
 // microbenchmarks (Figs 7-11), the massive unstructured atomic-transaction
 // pattern (Fig 12) and the LU-decomposition application study (Fig 13),
-// plus the generic latency/overlap observations of Section VIII-A.
+// plus the generic latency/overlap observations of Section VIII-A — and
+// this repo's extensions: the design-choice ablations, the fault sweep
+// (FigFaultSweep), the chaos-serving KV figure (FigKV), the window-mode
+// comparison (FigModes), the counter-signal transport figure (FigSignal)
+// and the fat-tree scaling figure (FigScale).
+//
+// A figure is a rows x cols table of virtual-time readings: grid builds
+// the ones whose every cell is its own simulation, gridColumns the ones
+// where one simulation yields a whole column. Each workload has one rank
+// body, shared by every figure that runs it.
 //
 // Measurements are virtual-time latencies, deterministic across runs. The
 // calibration (fabric.DefaultConfig) makes a 1 MB put cost about 340 us and
@@ -18,6 +27,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Series identifies one of the paper's test series.
@@ -91,25 +101,58 @@ func Config() fabric.Config { return fabric.DefaultConfig() }
 // sharded across Shards() kernels when the -shards flag is set — every
 // figure value stays bit-identical either way.
 func runWorld(n int, cfg fabric.Config, body func(r *mpi.Rank, rt *core.Runtime)) {
+	runWorldSetup(n, cfg, nil, body)
+}
+
+// runWorldSetup is runWorld with a hook on the built world before any rank
+// launches (nil: none) — where a figure arms the fabric's fault schedule.
+func runWorldSetup(n int, cfg fabric.Config, setup func(w *mpi.World), body func(r *mpi.Rank, rt *core.Runtime)) {
 	w := mpi.NewWorldShards(n, cfg, Shards())
+	if setup != nil {
+		setup(w)
+	}
 	rt := core.NewRuntime(w)
 	if err := w.Run(func(r *mpi.Rank) { body(r, rt) }); err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))
 	}
 }
 
-// gridCell fans the |rows| x |cols| measurement grid of one figure across
-// the parallel harness: every cell is an independent simulation, so cells
-// run on par.Workers() CPUs while the returned values — and therefore the
-// rendered table — stay bit-for-bit identical to a serial sweep. cell must
-// not touch shared state.
-func gridCell(rows, cols int, cell func(row, col int) float64) [][]float64 {
-	flat := par.Map(rows*cols, func(j int) float64 {
-		return cell(j/cols, j%cols)
+// grid builds the figure whose every cell is an independent simulation. The
+// |rows| x |cols| cells fan across the parallel harness in row-major order,
+// so they run on par.Workers() CPUs while the rendered table stays
+// bit-for-bit identical to a serial sweep. cell must not touch shared state.
+func grid(title, unit, rowHeader string, rows, cols []string, cell func(row, col int) float64) *stats.Table {
+	t := stats.NewTable(title, unit, rowHeader, rows, cols)
+	flat := par.Map(len(rows)*len(cols), func(j int) float64 {
+		return cell(j/len(cols), j%len(cols))
 	})
-	out := make([][]float64, rows)
-	for i := range out {
-		out[i] = flat[i*cols : (i+1)*cols]
+	for i := range t.Cells {
+		copy(t.Cells[i], flat[i*len(cols):])
+	}
+	return t
+}
+
+// gridColumns is grid for the figures where one simulation yields a whole
+// column (one series' reading of every row): the columns fan across the
+// harness, and column(col) must return exactly len(rows) values.
+func gridColumns(title, unit, rowHeader string, rows, cols []string, column func(col int) []float64) *stats.Table {
+	t := stats.NewTable(title, unit, rowHeader, rows, cols)
+	for j, vals := range par.Map(len(cols), column) {
+		if len(vals) != len(rows) {
+			panic(fmt.Sprintf("bench: %q: column %q has %d values for %d rows", title, cols[j], len(vals), len(rows)))
+		}
+		for i, v := range vals {
+			t.Cells[i][j] = v
+		}
+	}
+	return t
+}
+
+// labels renders one axis of a figure: label(x) for every x, in order.
+func labels[T any](xs []T, label func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = label(x)
 	}
 	return out
 }

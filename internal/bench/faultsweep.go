@@ -46,36 +46,21 @@ func rateLabel(r float64) string {
 
 // FigFaultSweep measures the sweep, averaging iters epochs per cell.
 func FigFaultSweep(iters int) *stats.Table {
-	rows := make([]string, len(FaultRates))
-	for i, r := range FaultRates {
-		rows[i] = rateLabel(r)
-	}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Fault sweep: epoch + overlap completion vs drop rate", "us", "drop", rows, cols)
-	cells := gridCell(len(FaultRates), len(AllSeries), func(ri, si int) float64 {
-		return faultSweepCell(FaultRates[ri], AllSeries[si], ri, si, iters)
-	})
-	for ri := range FaultRates {
-		for si, s := range AllSeries {
-			t.Set(rows[ri], s.String(), cells[ri][si])
-		}
-	}
-	return t
+	return grid("Fault sweep: epoch + overlap completion vs drop rate", "us", "drop",
+		labels(FaultRates, rateLabel), labels(AllSeries, Series.String),
+		func(ri, si int) float64 { return faultSweepCell(FaultRates[ri], AllSeries[si], ri, si, iters) })
 }
 
 // faultSweepCell runs one (rate, series) cell: iters GATS epochs of
 // SweepPuts chunked puts with OverlapWork of origin-side computation each.
 func faultSweepCell(rate float64, s Series, ri, si, iters int) float64 {
 	var samples []sim.Time
-	w := mpi.NewWorldShards(2, Config(), Shards())
-	if rate > 0 {
-		w.Net.EnableFaults(fabric.FaultProfile{Seed: 0xFA_01A5EE9 + uint64(ri)<<8 + uint64(si), Drop: rate})
+	arm := func(w *mpi.World) {
+		if rate > 0 {
+			w.Net.EnableFaults(fabric.FaultProfile{Seed: 0xFA_01A5EE9 + uint64(ri)<<8 + uint64(si), Drop: rate})
+		}
 	}
-	rt := core.NewRuntime(w)
-	err := w.Run(func(r *mpi.Rank) {
+	runWorldSetup(2, Config(), arm, func(r *mpi.Rank, rt *core.Runtime) {
 		win := rt.CreateWindow(r, SweepPuts*SweepChunk, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
 		puts := func() {
 			for i := int64(0); i < SweepPuts; i++ {
@@ -106,8 +91,5 @@ func faultSweepCell(rate float64, s Series, ri, si, iters int) float64 {
 		}
 		win.Quiesce()
 	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: fault sweep (drop=%g, %s) failed: %v", rate, s, err))
-	}
 	return mean(samples)
 }

@@ -130,6 +130,39 @@ func TestModesShape(t *testing.T) {
 	if fl, nbv := tb.Get("second lock (O1)", fl), tb.Get("second lock (O1)", nb); fl < nbv {
 		t.Fatalf("flush O1 (%v) unexpectedly beats the queued nonblocking lock (%v); retry cost vanished", fl, nbv)
 	}
+	// Modes is Fig 6 plus the Flush column: one rank body, so the shared
+	// series agree exactly.
+	fig6 := Fig6LateUnlock(iters)
+	for _, row := range fig6.Rows {
+		for _, col := range fig6.Cols {
+			if a, b := tb.Get(row, col), fig6.Get(row, col); a != b {
+				t.Errorf("(%s, %s): Modes %v != Fig 6 %v", row, col, a, b)
+			}
+		}
+	}
+}
+
+// The two table builders fill cells by index, and the column form refuses
+// a column that does not have one value per row.
+func TestGridFillsByIndex(t *testing.T) {
+	rows, cols := []string{"r0", "r1", "r2"}, []string{"c0", "c1"}
+	byCell := grid("g", "", "row", rows, cols, func(r, c int) float64 { return float64(10*r + c) })
+	byCol := gridColumns("g", "", "row", rows, cols, func(c int) []float64 {
+		return []float64{float64(c), float64(10 + c), float64(20 + c)}
+	})
+	for r, row := range rows {
+		for c, col := range cols {
+			if want := float64(10*r + c); byCell.Get(row, col) != want || byCol.Get(row, col) != want {
+				t.Errorf("(%s, %s): grid %v, gridColumns %v, want %v", row, col, byCell.Get(row, col), byCol.Get(row, col), want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("gridColumns accepted a two-value column for three rows")
+		}
+	}()
+	gridColumns("g", "", "row", rows, cols, func(int) []float64 { return []float64{1, 2} })
 }
 
 func testFlagFigure(t *testing.T, tb interface {

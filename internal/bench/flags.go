@@ -11,10 +11,10 @@ import (
 	"repro/internal/par"
 )
 
-// Flags bundles the profiling and parallelism flags shared by every binary
-// in cmd/. Register them before flag.Parse, then Start after:
+// Flags bundles the profiling and parallelism flags shared by the binaries
+// in cmd/. Register them before parsing, then Start after:
 //
-//	pf := bench.RegisterFlags()
+//	pf := bench.RegisterFlags(flag.CommandLine)
 //	flag.Parse()
 //	stop := pf.Start()
 //	defer stop()
@@ -31,14 +31,14 @@ type Flags struct {
 }
 
 // RegisterFlags registers -cpuprofile, -memprofile, -trace, -workers and
-// -shards on the default flag set.
-func RegisterFlags() *Flags {
+// -shards on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to `file`")
-	flag.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to `file` on exit")
-	flag.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to `file`")
-	flag.IntVar(&f.Workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
-	flag.IntVar(&f.Shards, "shards", 0, "kernel shards per simulation (<= 1 = serial kernel); results are bit-identical at any count")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to `file`")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to `file` on exit")
+	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to `file`")
+	fs.IntVar(&f.Workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&f.Shards, "shards", 0, "kernel shards per simulation (<= 1 = serial kernel); results are bit-identical at any count")
 	return f
 }
 

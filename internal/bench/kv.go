@@ -85,10 +85,9 @@ func FigKV(iters int) *KVReport {
 	results := par.Map(len(kvModes), func(i int) *kvstore.Result {
 		return kvstore.Run(KVScenarioOptions(kvModes[i]))
 	})
-	cols := make([]string, len(kvModes))
+	cols := labels(kvModes, core.Mode.String)
 	nbins := 0
 	for i, m := range kvModes {
-		cols[i] = m.String()
 		if res := results[i]; len(res.OracleViolations) > 0 {
 			panic(fmt.Sprintf("bench: kv oracle violated under %s: %s", m, res.OracleViolations[0]))
 		}

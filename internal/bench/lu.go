@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -48,26 +49,17 @@ type LUResult struct {
 // Fig13LU reproduces Fig 13: overall time and communication percentage per
 // job size for all three series, for one matrix size.
 func Fig13LU(sizes []int, p LUParams) (timeTable, commTable *stats.Table) {
-	rows := make([]string, len(sizes))
-	for i, n := range sizes {
-		rows[i] = fmt.Sprintf("%d", n)
-	}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
+	rows, cols := labels(sizes, strconv.Itoa), labels(AllSeries, Series.String)
 	title := fmt.Sprintf("Fig 13: LU decomposition, matrix %dx%d", p.M, p.M)
 	timeTable = stats.NewTable(title+" - overall time", "s", "processes", rows, cols)
 	commTable = stats.NewTable(title+" - communication time", "% of overall", "processes", rows, cols)
 	results := par.Map(len(sizes)*len(AllSeries), func(j int) LUResult {
 		return RunLU(sizes[j/len(AllSeries)], AllSeries[j%len(AllSeries)], p)
 	})
-	for ni, n := range sizes {
-		for si, s := range AllSeries {
-			res := results[ni*len(AllSeries)+si]
-			timeTable.Set(fmt.Sprintf("%d", n), s.String(), res.PerRankS)
-			commTable.Set(fmt.Sprintf("%d", n), s.String(), res.CommPct)
-		}
+	for j, res := range results {
+		ni, si := j/len(AllSeries), j%len(AllSeries)
+		timeTable.Cells[ni][si] = res.PerRankS
+		commTable.Cells[ni][si] = res.CommPct
 	}
 	return timeTable, commTable
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -18,16 +17,12 @@ const (
 	flagOn  = "flag on"
 )
 
-func flagTable(title string, rows []string) *stats.Table {
-	return stats.NewTable(title, "us", "measure", rows, []string{flagOff, flagOn})
-}
-
-// flagPair measures one flag benchmark with the flag off and on — two
-// independent simulations fanned across the parallel harness. measure
-// returns the figure's (up to two) row values for one flag state.
-func flagPair(measure func(on bool) [2]float64) (off, on [2]float64) {
-	res := par.Map(2, func(i int) [2]float64 { return measure(i == 1) })
-	return res[0], res[1]
+// flagFigure measures one flag benchmark with the flag off and on — two
+// independent simulations, one per column. measure returns the figure's row
+// values for one flag state.
+func flagFigure(title string, rows []string, measure func(on bool) []float64) *stats.Table {
+	return gridColumns(title, "us", "measure", rows, []string{flagOff, flagOn},
+		func(col int) []float64 { return measure(col == 1) })
 }
 
 // Fig7AAARGats: single origin, two targets; T0's exposure is 1000 us late.
@@ -35,8 +30,7 @@ func flagPair(measure func(on bool) [2]float64) (off, on [2]float64) {
 // not inherit T0's delay and the origin overlaps the delay with its second
 // epoch.
 func Fig7AAARGats(iters int) *stats.Table {
-	t := flagTable("Fig 7: out-of-order GATS access epochs with A_A_A_R", []string{"target T1", "origin cumulative"})
-	off, on := flagPair(func(on bool) [2]float64 {
+	return flagFigure("Fig 7: out-of-order GATS access epochs with A_A_A_R", []string{"target T1", "origin cumulative"}, func(on bool) []float64 {
 		var t1S, cumS []sim.Time
 		runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
 			win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: core.ModeNew, ShapeOnly: true, Info: core.Info{AAAR: on}})
@@ -65,21 +59,15 @@ func Fig7AAARGats(iters int) *stats.Table {
 			}
 			win.Quiesce()
 		})
-		return [2]float64{mean(t1S), mean(cumS)}
+		return []float64{mean(t1S), mean(cumS)}
 	})
-	t.Set("target T1", flagOff, off[0])
-	t.Set("origin cumulative", flagOff, off[1])
-	t.Set("target T1", flagOn, on[0])
-	t.Set("origin cumulative", flagOn, on[1])
-	return t
 }
 
 // Fig8AAARLock: O1 queues behind O0 on T0's exclusive lock, then locks T1.
 // With A_A_A_R, O1's second epoch completes while the first is still
 // waiting for O0's 1000 us of in-epoch work.
 func Fig8AAARLock(iters int) *stats.Table {
-	t := flagTable("Fig 8: out-of-order lock epochs with A_A_A_R", []string{"O1 cumulative"})
-	off, on := flagPair(func(on bool) [2]float64 {
+	return flagFigure("Fig 8: out-of-order lock epochs with A_A_A_R", []string{"O1 cumulative"}, func(on bool) []float64 {
 		var cumS []sim.Time
 		runWorld(4, Config(), func(r *mpi.Rank, rt *core.Runtime) {
 			win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: core.ModeNew, ShapeOnly: true, Info: core.Info{AAAR: on}})
@@ -107,19 +95,15 @@ func Fig8AAARLock(iters int) *stats.Table {
 			}
 			win.Quiesce()
 		})
-		return [2]float64{mean(cumS)}
+		return []float64{mean(cumS)}
 	})
-	t.Set("O1 cumulative", flagOff, off[0])
-	t.Set("O1 cumulative", flagOn, on[0])
-	return t
 }
 
 // Fig9AAER: P2 is a target for late P0 and then an origin for P1. With
 // A_A_E_R, P2's access epoch progresses past its still-active exposure, so
 // P1 avoids the transitive delay.
 func Fig9AAER(iters int) *stats.Table {
-	t := flagTable("Fig 9: out-of-order GATS epochs with A_A_E_R", []string{"target P1", "P2 cumulative"})
-	off, on := flagPair(func(on bool) [2]float64 {
+	return flagFigure("Fig 9: out-of-order GATS epochs with A_A_E_R", []string{"target P1", "P2 cumulative"}, func(on bool) []float64 {
 		var p1S, cumS []sim.Time
 		runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
 			win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: core.ModeNew, ShapeOnly: true, Info: core.Info{AAER: on}})
@@ -148,20 +132,14 @@ func Fig9AAER(iters int) *stats.Table {
 			}
 			win.Quiesce()
 		})
-		return [2]float64{mean(p1S), mean(cumS)}
+		return []float64{mean(p1S), mean(cumS)}
 	})
-	t.Set("target P1", flagOff, off[0])
-	t.Set("P2 cumulative", flagOff, off[1])
-	t.Set("target P1", flagOn, on[0])
-	t.Set("P2 cumulative", flagOn, on[1])
-	return t
 }
 
 // Fig10EAER: a target exposes to late O0 and then to O1. With E_A_E_R the
 // second exposure progresses out of order, so O1 avoids O0's delay.
 func Fig10EAER(iters int) *stats.Table {
-	t := flagTable("Fig 10: out-of-order exposure epochs with E_A_E_R", []string{"origin O1", "target cumulative"})
-	off, on := flagPair(func(on bool) [2]float64 {
+	return flagFigure("Fig 10: out-of-order exposure epochs with E_A_E_R", []string{"origin O1", "target cumulative"}, func(on bool) []float64 {
 		var o1S, cumS []sim.Time
 		runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
 			win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: core.ModeNew, ShapeOnly: true, Info: core.Info{EAER: on}})
@@ -190,20 +168,14 @@ func Fig10EAER(iters int) *stats.Table {
 			}
 			win.Quiesce()
 		})
-		return [2]float64{mean(o1S), mean(cumS)}
+		return []float64{mean(o1S), mean(cumS)}
 	})
-	t.Set("origin O1", flagOff, off[0])
-	t.Set("target cumulative", flagOff, off[1])
-	t.Set("origin O1", flagOn, on[0])
-	t.Set("target cumulative", flagOn, on[1])
-	return t
 }
 
 // Fig11EAAR: P2 is an origin toward late P0 and then a target for P1. With
 // E_A_A_R, P2's exposure progresses past its still-active access epoch.
 func Fig11EAAR(iters int) *stats.Table {
-	t := flagTable("Fig 11: out-of-order GATS epochs with E_A_A_R", []string{"origin P1", "P2 cumulative"})
-	off, on := flagPair(func(on bool) [2]float64 {
+	return flagFigure("Fig 11: out-of-order GATS epochs with E_A_A_R", []string{"origin P1", "P2 cumulative"}, func(on bool) []float64 {
 		var p1S, cumS []sim.Time
 		runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
 			win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: core.ModeNew, ShapeOnly: true, Info: core.Info{EAAR: on}})
@@ -232,11 +204,6 @@ func Fig11EAAR(iters int) *stats.Table {
 			}
 			win.Quiesce()
 		})
-		return [2]float64{mean(p1S), mean(cumS)}
+		return []float64{mean(p1S), mean(cumS)}
 	})
-	t.Set("origin P1", flagOff, off[0])
-	t.Set("P2 cumulative", flagOff, off[1])
-	t.Set("origin P1", flagOn, on[0])
-	t.Set("P2 cumulative", flagOn, on[1])
-	return t
 }

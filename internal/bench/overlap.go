@@ -28,67 +28,47 @@ const (
 // LatencyParity measures the bare epoch latency (one put of the given size,
 // no delays, no overlap work) per epoch style and series.
 func LatencyParity(iters int, size int64) *stats.Table {
-	rows := []string{"GATS", "fence", "lock"}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Section VIII-A: epoch latency parity (single put of "+sizeLabel(size)+")", "us", "epoch kind", rows, cols)
 	shapes := []epochShape{shapeGATS, shapeFence, shapeLock}
-	cells := gridCell(len(shapes), len(AllSeries), func(hi, si int) float64 {
-		return runShape(AllSeries[si], shapes[hi], iters, size, 0)
-	})
-	for hi, row := range rows {
-		for si, s := range AllSeries {
-			t.Set(row, s.String(), cells[hi][si])
-		}
-	}
-	return t
+	return grid("Section VIII-A: epoch latency parity (single put of "+sizeLabel(size)+")", "us", "epoch kind",
+		[]string{"GATS", "fence", "lock"}, labels(AllSeries, Series.String),
+		func(hi, si int) float64 { return runShape(AllSeries[si], shapes[hi], iters, size, 0) })
 }
 
 // OverlapTable measures communication/computation overlapping: the work
 // placed inside each epoch equals the pure communication latency, and the
 // overlap percentage is (Tcomm + Twork - Ttotal) / Twork * 100.
 func OverlapTable(iters int) *stats.Table {
-	rows := []string{"GATS put 1MB", "fence put 1MB", "lock put 1MB", "lock acc 4KB", "lock acc 64KB"}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Section VIII-A: communication/computation overlap", "%", "scenario", rows, cols)
-	scenarios := []struct {
+	type scenario struct {
+		row   string
 		shape epochShape
 		size  int64
-	}{
-		{shapeGATS, 1 << 20},
-		{shapeFence, 1 << 20},
-		{shapeLock, 1 << 20},
-		{shapeLockAcc, 4 << 10},
-		{shapeLockAcc, 64 << 10},
+	}
+	scenarios := []scenario{
+		{"GATS put 1MB", shapeGATS, 1 << 20},
+		{"fence put 1MB", shapeFence, 1 << 20},
+		{"lock put 1MB", shapeLock, 1 << 20},
+		{"lock acc 4KB", shapeLockAcc, 4 << 10},
+		{"lock acc 64KB", shapeLockAcc, 64 << 10},
 	}
 	// Each cell runs its pure-latency calibration and then the overlapped
 	// run sequentially — the pair is one job, so the dependency stays inside
 	// the cell and cells fan out across the harness.
-	cells := gridCell(len(scenarios), len(AllSeries), func(ci, si int) float64 {
-		sc, s := scenarios[ci], AllSeries[si]
-		pure := runShape(s, sc.shape, iters, sc.size, 0)
-		work := pure // calibrate work to the communication time
-		total := runShape(s, sc.shape, iters, sc.size, sim.Time(work*float64(sim.Microsecond)))
-		ov := (pure + work - total) / work * 100
-		if ov < 0 {
-			ov = 0
-		}
-		if ov > 100 {
-			ov = 100
-		}
-		return ov
-	})
-	for ci, row := range rows {
-		for si, s := range AllSeries {
-			t.Set(row, s.String(), cells[ci][si])
-		}
-	}
-	return t
+	return grid("Section VIII-A: communication/computation overlap", "%", "scenario",
+		labels(scenarios, func(sc scenario) string { return sc.row }), labels(AllSeries, Series.String),
+		func(ci, si int) float64 {
+			sc, s := scenarios[ci], AllSeries[si]
+			pure := runShape(s, sc.shape, iters, sc.size, 0)
+			work := pure // calibrate work to the communication time
+			total := runShape(s, sc.shape, iters, sc.size, sim.Time(work*float64(sim.Microsecond)))
+			ov := (pure + work - total) / work * 100
+			if ov < 0 {
+				ov = 0
+			}
+			if ov > 100 {
+				ov = 100
+			}
+			return ov
+		})
 }
 
 // runShape measures the origin's epoch latency (us) for one scenario with

@@ -3,7 +3,6 @@ package bench
 import (
 	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -18,25 +17,14 @@ import (
 // the access epoch, of the two-sided activity, and of everything
 // (cumulative), per series.
 func Fig2LatePost(iters int) *stats.Table {
-	rows := []string{"access epoch", "two-sided", "cumulative"}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Fig 2: Late Post - delay propagation in an origin process", "us", "activity", rows, cols)
-	res := par.Map(len(AllSeries), func(i int) [3]float64 {
-		access, two, cum := fig2Series(AllSeries[i], iters)
-		return [3]float64{access, two, cum}
-	})
-	for i, s := range AllSeries {
-		t.Set("access epoch", s.String(), res[i][0])
-		t.Set("two-sided", s.String(), res[i][1])
-		t.Set("cumulative", s.String(), res[i][2])
-	}
-	return t
+	return gridColumns("Fig 2: Late Post - delay propagation in an origin process", "us", "activity",
+		[]string{"access epoch", "two-sided", "cumulative"}, labels(AllSeries, Series.String),
+		func(i int) []float64 { return fig2Series(AllSeries[i], iters) })
 }
 
-func fig2Series(s Series, iters int) (access, two, cum float64) {
+// fig2Series returns one series' access-epoch, two-sided and cumulative
+// completion times.
+func fig2Series(s Series, iters int) []float64 {
 	var aS, tS, cS []sim.Time
 	runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
 		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
@@ -77,7 +65,7 @@ func fig2Series(s Series, iters int) (access, two, cum float64) {
 		}
 		win.Quiesce()
 	})
-	return mean(aS), mean(tS), mean(cS)
+	return []float64{mean(aS), mean(tS), mean(cS)}
 }
 
 // Fig3LateComplete reproduces Fig 3: the origin issues one put and overlaps
@@ -86,30 +74,23 @@ func fig2Series(s Series, iters int) (access, two, cum float64) {
 // origin's work to the target; the nonblocking series closes early
 // (IComplete before the work), so the target waits only for the transfers.
 func Fig3LateComplete(iters int, sizes []int64) *stats.Table {
-	rows := make([]string, len(sizes))
-	for i, s := range sizes {
-		rows[i] = sizeLabel(s)
-	}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Fig 3: Late Complete - target-side epoch length", "us", "size", rows, cols)
-	cells := gridCell(len(AllSeries), len(sizes), func(si, zi int) float64 {
-		return fig3Series(AllSeries[si], iters, sizes[zi])
-	})
-	for si, s := range AllSeries {
-		for zi, size := range sizes {
-			t.Set(sizeLabel(size), s.String(), cells[si][zi])
-		}
-	}
-	return t
+	return grid("Fig 3: Late Complete - target-side epoch length", "us", "size",
+		labels(sizes, sizeLabel), labels(AllSeries, Series.String),
+		func(zi, si int) float64 {
+			return mean(lateComplete(AllSeries[si], iters, sizes[zi], core.WinOptions{}, 0))
+		})
 }
 
-func fig3Series(s Series, iters int, size int64) float64 {
+// lateComplete is the Late Complete rank body (Fig 3 and the triggered-ops
+// ablation): per iteration, the target's epoch completion time relative to
+// the barrier. opt adds window options on top of the series' mode. targetLag
+// stages the target's Post that long after the barrier, so its grant reaches
+// the origin after the origin's put was recorded (0: no staging).
+func lateComplete(s Series, iters int, size int64, opt core.WinOptions, targetLag sim.Time) []sim.Time {
+	opt.Mode, opt.ShapeOnly = s.Mode(), true
 	var dS []sim.Time
 	runWorld(2, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
+		win := rt.CreateWindow(r, BigMsg, opt)
 		for it := 0; it < iters; it++ {
 			r.Barrier()
 			t0 := r.Now()
@@ -127,6 +108,7 @@ func fig3Series(s Series, iters int, size int64) float64 {
 					win.Complete()
 				}
 			} else { // target
+				r.Compute(targetLag)
 				win.Post([]int{0})
 				win.WaitEpoch()
 				dS = append(dS, r.Now()-t0)
@@ -134,7 +116,7 @@ func fig3Series(s Series, iters int, size int64) float64 {
 		}
 		win.Quiesce()
 	})
-	return mean(dS)
+	return dS
 }
 
 // Fig4EarlyFence reproduces Fig 4: one origin puts into one target inside a
@@ -144,24 +126,9 @@ func fig3Series(s Series, iters int, size int64) float64 {
 // though the epoch is already closed.
 func Fig4EarlyFence(iters int) *stats.Table {
 	sizes := []int64{256 << 10, 1 << 20}
-	rows := make([]string, len(sizes))
-	for i, s := range sizes {
-		rows[i] = sizeLabel(s)
-	}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Fig 4: Early Fence - cumulative epoch + subsequent work at target", "us", "size", rows, cols)
-	cells := gridCell(len(AllSeries), len(sizes), func(si, zi int) float64 {
-		return fig4Series(AllSeries[si], iters, sizes[zi])
-	})
-	for si, s := range AllSeries {
-		for zi, size := range sizes {
-			t.Set(sizeLabel(size), s.String(), cells[si][zi])
-		}
-	}
-	return t
+	return grid("Fig 4: Early Fence - cumulative epoch + subsequent work at target", "us", "size",
+		labels(sizes, sizeLabel), labels(AllSeries, Series.String),
+		func(zi, si int) float64 { return fig4Series(AllSeries[si], iters, sizes[zi]) })
 }
 
 func fig4Series(s Series, iters int, size int64) float64 {
@@ -205,24 +172,9 @@ func fig4Series(s Series, iters int, size int64) float64 {
 // reported. With nonblocking fences the origin issues its closing IFence
 // before the work, so no delay propagates.
 func Fig5WaitAtFence(iters int, sizes []int64) *stats.Table {
-	rows := make([]string, len(sizes))
-	for i, s := range sizes {
-		rows[i] = sizeLabel(s)
-	}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Fig 5: Wait at Fence - target-side epoch length", "us", "size", rows, cols)
-	cells := gridCell(len(AllSeries), len(sizes), func(si, zi int) float64 {
-		return fig5Series(AllSeries[si], iters, sizes[zi])
-	})
-	for si, s := range AllSeries {
-		for zi, size := range sizes {
-			t.Set(sizeLabel(size), s.String(), cells[si][zi])
-		}
-	}
-	return t
+	return grid("Fig 5: Wait at Fence - target-side epoch length", "us", "size",
+		labels(sizes, sizeLabel), labels(AllSeries, Series.String),
+		func(zi, si int) float64 { return fig5Series(AllSeries[si], iters, sizes[zi]) })
 }
 
 func fig5Series(s Series, iters int, size int64) float64 {
@@ -267,62 +219,79 @@ func fig5Series(s Series, iters int, size int64) float64 {
 // new blocking design suffers Late Unlock on the second lock; the
 // nonblocking design releases as soon as the transfers finish.
 func Fig6LateUnlock(iters int) *stats.Table {
-	rows := []string{"first lock (O0)", "second lock (O1)"}
-	cols := make([]string, len(AllSeries))
-	for i, s := range AllSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Fig 6: Late Unlock - delay propagation to a subsequent lock requester", "us", "epoch", rows, cols)
-	res := par.Map(len(AllSeries), func(i int) [2]float64 {
-		first, second := fig6Series(AllSeries[i], iters)
-		return [2]float64{first, second}
-	})
-	for i, s := range AllSeries {
-		t.Set("first lock (O0)", s.String(), res[i][0])
-		t.Set("second lock (O1)", s.String(), res[i][1])
-	}
-	return t
+	return lateUnlockFigure("Fig 6: Late Unlock - delay propagation to a subsequent lock requester", AllSeries, iters)
 }
 
-func fig6Series(s Series, iters int) (first, second float64) {
+// FigModes: the headline three-way mode comparison — Fig 6's Late Unlock
+// pattern with one more column, so every window implementation mode has one:
+//
+//   - MVAPICH: vanilla lazy locks, blocking synchronizations;
+//   - New (blocking / nonblocking): the paper's deferred-epoch design;
+//   - Flush: the epochless design (core.ModeFlush) — foMPI's scalable
+//     global/local lock protocol for mutual exclusion, with completion
+//     coming from the flush family instead of epoch closure.
+//
+// Flush mode releases like the nonblocking series — IUnlock's release
+// atomics chase the data, not the work — but pays the conditional-atomic
+// protocol instead of the GATS-style lock queue, so the second origin's
+// latency also exposes the retry/backoff cost of a contended conditional
+// acquire.
+func FigModes(iters int) *stats.Table {
+	return lateUnlockFigure("Modes: Late Unlock across window modes (vanilla / new / flush)", ScaleSeries, iters)
+}
+
+// lateUnlockFigure runs the Late Unlock pattern once per series: every
+// column is an independent simulation, so the table is bit-identical at any
+// -workers or -shards count.
+func lateUnlockFigure(title string, series []Series, iters int) *stats.Table {
+	return gridColumns(title, "us", "epoch",
+		[]string{"first lock (O0)", "second lock (O1)"}, labels(series, Series.String),
+		func(i int) []float64 { return lateUnlock(series[i], iters) })
+}
+
+// lateUnlock is the Late Unlock rank body: two origins run an exclusive
+// critical section on rank 0 — a 1 MB put, plus 1000 us of work for the
+// first — and it returns the mean section latency of each.
+func lateUnlock(s Series, iters int) []float64 {
 	var fS, sS []sim.Time
 	runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
 		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
+		section := func(work sim.Time) sim.Time {
+			t0 := r.Now()
+			if s.Nonblocking() || s == SeriesFlush {
+				// Close early: the release follows the data, not the work.
+				// Flush acquires by the foMPI protocol (there is no deferred
+				// lock to open), and its unlock's release atomics are chained
+				// behind an internal flush.
+				if s == SeriesFlush {
+					win.Lock(0, true)
+				} else {
+					win.ILock(0, true)
+				}
+				win.Put(0, 0, nil, BigMsg)
+				req := win.IUnlock(0)
+				r.Compute(work)
+				r.Wait(req)
+			} else {
+				win.Lock(0, true)
+				win.Put(0, 0, nil, BigMsg)
+				r.Compute(work)
+				win.Unlock(0)
+			}
+			return r.Now() - t0
+		}
 		for it := 0; it < iters; it++ {
 			r.Barrier()
 			switch r.ID {
-			case 1: // O0: locks first, works 1000 us in the epoch
-				t0 := r.Now()
-				if s.Nonblocking() {
-					win.ILock(0, true)
-					win.Put(0, 0, nil, BigMsg)
-					req := win.IUnlock(0) // close early: release follows the data
-					r.Compute(Delay)
-					r.Wait(req)
-				} else {
-					win.Lock(0, true)
-					win.Put(0, 0, nil, BigMsg)
-					r.Compute(Delay)
-					win.Unlock(0)
-				}
-				fS = append(fS, r.Now()-t0)
+			case 1: // O0: locks first, works 1000 us in the critical section
+				fS = append(fS, section(Delay))
 			case 2: // O1: requests the same lock shortly after O0
 				r.Compute(50 * sim.Microsecond)
-				t0 := r.Now()
-				if s.Nonblocking() {
-					win.ILock(0, true)
-					win.Put(0, 0, nil, BigMsg)
-					r.Wait(win.IUnlock(0))
-				} else {
-					win.Lock(0, true)
-					win.Put(0, 0, nil, BigMsg)
-					win.Unlock(0)
-				}
-				sS = append(sS, r.Now()-t0)
+				sS = append(sS, section(0))
 			}
 			r.Barrier()
 		}
 		win.Quiesce()
 	})
-	return mean(fS), mean(sS)
+	return []float64{mean(fS), mean(sS)}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -87,14 +88,7 @@ func FigScale(iters int) *ScaleReport { return FigScaleRanks(ScaleRanks, iters) 
 // (each a power of two). cmd/epochbench's "scale1k" experiment uses it for
 // the deep 1024-rank point the sharded kernel makes affordable.
 func FigScaleRanks(ranks []int, iters int) *ScaleReport {
-	rows := make([]string, len(ranks))
-	for i, n := range ranks {
-		rows[i] = fmt.Sprintf("%d", n)
-	}
-	cols := make([]string, len(ScaleSeries))
-	for i, s := range ScaleSeries {
-		cols[i] = s.String()
-	}
+	rows, cols := labels(ranks, strconv.Itoa), labels(ScaleSeries, Series.String)
 	rep := &ScaleReport{
 		Latency: stats.NewTable("Scale: epoch/flush + overlap completion vs ranks (fat-tree, fixed core)", "us", "ranks", rows, cols),
 		Queued:  stats.NewTable("Scale: fabric link-queue time per iteration", "us", "ranks", rows, cols),
@@ -104,13 +98,11 @@ func FigScaleRanks(ranks []int, iters int) *ScaleReport {
 		ni, si := j/len(ScaleSeries), j%len(ScaleSeries)
 		return scaleCell(ranks[ni], ScaleSeries[si], iters)
 	})
-	for ni := range ranks {
-		for si, s := range ScaleSeries {
-			m := cells[ni*len(ScaleSeries)+si]
-			rep.Latency.Set(rows[ni], s.String(), m.lat)
-			rep.Queued.Set(rows[ni], s.String(), m.queued)
-			rep.Stalls.Set(rows[ni], s.String(), m.stalls)
-		}
+	for j, m := range cells {
+		ni, si := j/len(ScaleSeries), j%len(ScaleSeries)
+		rep.Latency.Cells[ni][si] = m.lat
+		rep.Queued.Cells[ni][si] = m.queued
+		rep.Stalls.Cells[ni][si] = m.stalls
 	}
 	return rep
 }

@@ -36,24 +36,11 @@ func FigSignal(iters int) *stats.Table {
 		{"signal 2 rails", core.TransportSignal, 2},
 		{"signal 4 rails", core.TransportSignal, 4},
 	}
-	rows := make([]string, len(SweepSizes))
-	for i, s := range SweepSizes {
-		rows[i] = sizeLabel(s)
-	}
-	cols := make([]string, len(vs))
-	for i, v := range vs {
-		cols[i] = v.col
-	}
-	t := stats.NewTable("Signal: epoch open/close latency, GATS vs counter-signal transport x NIC rails", "us", "size", rows, cols)
-	grid := gridCell(len(SweepSizes), len(vs), func(row, col int) float64 {
-		return signalCell(SweepSizes[row], vs[col].tr, vs[col].channels, iters)
-	})
-	for i := range rows {
-		for j := range cols {
-			t.Set(rows[i], cols[j], grid[i][j])
-		}
-	}
-	return t
+	return grid("Signal: epoch open/close latency, GATS vs counter-signal transport x NIC rails", "us", "size",
+		labels(SweepSizes, sizeLabel), labels(vs, func(v variant) string { return v.col }),
+		func(row, col int) float64 {
+			return signalCell(SweepSizes[row], vs[col].tr, vs[col].channels, iters)
+		})
 }
 
 // signalCell measures one (size, transport, rails) point: the mean origin

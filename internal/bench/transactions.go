@@ -1,9 +1,10 @@
 package bench
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -74,29 +75,20 @@ func DefaultTxnParams() TxnParams {
 // Fig12Transactions reproduces Fig 12: transaction throughput (thousands
 // of transactions per second) per job size and series.
 func Fig12Transactions(sizes []int, p TxnParams) *stats.Table {
-	rows := make([]string, len(sizes))
-	for i, n := range sizes {
-		rows[i] = fmt.Sprintf("%d", n)
-	}
-	cols := make([]string, len(AllTxnSeries))
-	for i, s := range AllTxnSeries {
-		cols[i] = s.String()
-	}
-	t := stats.NewTable("Fig 12: massive unstructured atomic transactions", "thousands of transactions/s", "job size", rows, cols)
-	cells := gridCell(len(sizes), len(AllTxnSeries), func(ni, si int) float64 {
-		return RunTxn(sizes[ni], AllTxnSeries[si], p)
-	})
-	for ni, n := range sizes {
-		for si, s := range AllTxnSeries {
-			t.Set(fmt.Sprintf("%d", n), s.String(), cells[ni][si])
-		}
-	}
-	return t
+	return grid("Fig 12: massive unstructured atomic transactions", "thousands of transactions/s", "job size",
+		labels(sizes, strconv.Itoa), labels(AllTxnSeries, TxnSeries.String),
+		func(ni, si int) float64 { return RunTxn(sizes[ni], AllTxnSeries[si], p) })
 }
 
 // RunTxn runs the transaction workload on n ranks for one series and
 // returns the throughput in thousands of transactions per second.
 func RunTxn(n int, series TxnSeries, p TxnParams) float64 {
+	return runTxn(n, Config(), series, p)
+}
+
+// runTxn is RunTxn under an explicit fabric calibration (the ablations
+// sweep credits and call overhead): the transaction workload's rank body.
+func runTxn(n int, cfg fabric.Config, series TxnSeries, p TxnParams) float64 {
 	mode := core.ModeVanilla
 	var info core.Info
 	nonblocking := false
@@ -116,7 +108,7 @@ func RunTxn(n int, series TxnSeries, p TxnParams) float64 {
 		depth = 1
 	}
 	var elapsed sim.Time
-	runWorld(n, Config(), func(r *mpi.Rank, rt *core.Runtime) {
+	runWorld(n, cfg, func(r *mpi.Rank, rt *core.Runtime) {
 		win := rt.CreateWindow(r, 4096, core.WinOptions{Mode: mode, Info: info, ShapeOnly: true})
 		rng := sim.NewRNG(p.Seed ^ uint64(r.ID)*0x9e3779b97f4a7c15)
 		r.Barrier()

@@ -70,12 +70,6 @@ type Epoch struct {
 	// err is set when the epoch was aborted instead of completing cleanly
 	// (see errors.go); completed is also set so waiters unwind.
 	err *RMAError
-
-	// congOpen snapshots the fabric-wide link-queue time at epoch open so
-	// completion can emit the contention accumulated over the epoch's
-	// lifetime (tracing.go; only set when a tracer is attached and the
-	// interconnect models a real topology).
-	congOpen int64
 }
 
 // epochPeer is one peer's slot in an epoch: everything the epoch knows about

@@ -34,16 +34,12 @@ const (
 	traceLockGrant = trace.LockGranted
 )
 
-// emitEpoch records an epoch-lifecycle event. When the interconnect models
-// a real topology, epoch completion additionally emits a CongWait event
-// carrying the fabric-wide link-queue time accumulated since the epoch
-// opened, so trace analysis can attribute closing waits to contention.
+// emitEpoch records an epoch-lifecycle event.
 func (w *Window) emitEpoch(kind trace.Kind, ep *Epoch) {
 	rec := w.eng.rt.tracer
 	if rec == nil {
 		return
 	}
-	net := w.eng.rt.world.Net
 	rec.Record(trace.Event{
 		T:     w.rank.Now(),
 		Rank:  w.rank.ID,
@@ -53,28 +49,6 @@ func (w *Window) emitEpoch(kind trace.Kind, ep *Epoch) {
 		Kind:  kind,
 		Peer:  -1,
 	})
-	// Congestion attribution samples the topology engine's running
-	// aggregate from rank context — only coherent on the serial kernel,
-	// where the engine shares it. A sharded run skips the CongWait events
-	// (congestion-tracing studies run serial; see internal/fuzz).
-	if !net.TopoEnabled() || net.Sharded() {
-		return
-	}
-	switch kind {
-	case traceOpen:
-		ep.congOpen = int64(net.QueuedTotal())
-	case traceComplete:
-		rec.Record(trace.Event{
-			T:     w.rank.Now(),
-			Rank:  w.rank.ID,
-			Win:   w.id,
-			Epoch: ep.seq,
-			Class: trace.EpochClass(ep.kind.String()),
-			Kind:  trace.CongWait,
-			Peer:  -1,
-			Size:  int64(net.QueuedTotal()) - ep.congOpen,
-		})
-	}
 }
 
 // emitArrival records a window-level arrival event (grant, done, data).

@@ -122,19 +122,16 @@ func newNetwork(kernelFor func(int) *sim.Kernel, fabK *sim.Kernel, n int, cfg Co
 	return nw
 }
 
-// Sharded reports whether the network's ranks are spread across a shard
-// group.
-func (nw *Network) Sharded() bool { return nw.sharded }
-
 // Lookahead returns the minimum virtual latency of any cross-shard edge the
 // simulation can schedule: the crossbar's wire latency Alpha, or — with a
 // modeled topology — the smaller of the minimum link latency and Alpha (the
 // upper layers' internode completion-ACK edge runs target->origin at Alpha
-// regardless of topology). This is the bound a shard group needs for its
-// safe horizon (sim.Shards.SetLookahead).
+// regardless of topology). A topology with no links (every rank on one
+// node) has no edge of its own to bound, so Alpha stands. This is the bound
+// a shard group needs for its safe horizon (sim.Shards.SetLookahead).
 func (nw *Network) Lookahead() sim.Time {
 	if nw.topo != nil {
-		if l := nw.topo.eng.MinLinkLat(); l < nw.Cfg.Alpha {
+		if l := nw.topo.eng.MinLinkLat(); l > 0 && l < nw.Cfg.Alpha {
 			return l
 		}
 	}

@@ -121,15 +121,6 @@ func (nw *Network) TopoSummary() topo.Summary {
 	return nw.topo.eng.Summary()
 }
 
-// QueuedTotal returns the accumulated fabric-wide link-queue waiting time,
-// O(1) so tracing can sample it at every epoch boundary.
-func (nw *Network) QueuedTotal() sim.Time {
-	if nw.topo == nil {
-		return 0
-	}
-	return nw.topo.eng.QueuedTotal()
-}
-
 // TopoDiag renders the congestion state relevant to rank r's node for
 // watchdog and deadlock reports. Returns "" when the crossbar is in use or
 // nothing ever queued.

@@ -141,13 +141,6 @@ func Execute(p *Program, mode core.Mode) *RunResult {
 
 // ExecuteWith is Execute over the fabric, kernel and transport o selects.
 func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
-	if o.Topo != topo.Crossbar {
-		// The one serial fallback left: with a modeled topology the tracer's
-		// CongWait samples a fabric-wide aggregate from rank context, which
-		// core switches off on a sharded kernel — and dropping trace events
-		// would break the bit-identical transcript contract (ROADMAP item 1).
-		o.Shards = 0
-	}
 	cfg := fabric.DefaultConfig()
 	cfg.ProcsPerNode = p.ProcsPerNode
 	cfg.Topo = TopoSpec(o.Topo, p.Seed)

@@ -7,14 +7,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // shardFingerprint compresses everything a run exposes into a comparable
 // string: final window memories, per-window statistics, the full trace
-// event stream and the kernel event count. Two runs with equal
-// fingerprints executed the same observable history.
+// event stream, the kernel event count and the topology engine's congestion
+// summary. Two runs with equal fingerprints executed the same observable
+// history.
 func shardFingerprint(r *RunResult) string {
-	out := fmt.Sprintf("err=%v kernel_events=%d\n", r.Err, r.KernelEvents)
+	out := fmt.Sprintf("err=%v kernel_events=%d congestion=%+v\n", r.Err, r.KernelEvents, r.Congestion)
 	for wi, byRank := range r.Mems {
 		for rk, mem := range byRank {
 			out += fmt.Sprintf("mem w%d r%d %x\n", wi, rk, mem)
@@ -33,17 +35,20 @@ func shardFingerprint(r *RunResult) string {
 
 // The fuzzer-level shard guarantee: a program's entire observable history —
 // memory, statistics, trace stream, even the number of kernel events — is
-// bit-identical at every shard count, including serial.
+// bit-identical at every shard count, including serial, on the crossbar and
+// on every modeled topology (the engine's congestion counters included).
 func TestShardedRunsMatchSerial(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 7, 19, 42} {
-		p := Generate(seed)
-		for _, mode := range BothModes {
-			serial := shardFingerprint(Execute(p, mode))
-			for _, shards := range []int{2, 4, 8} {
-				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Shards: shards}))
-				if got != serial {
-					t.Fatalf("seed %d mode %v: observable history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
-						seed, mode, shards, serial, got)
+	for _, kind := range []topo.Kind{topo.Crossbar, topo.Ring, topo.Torus, topo.FatTree} {
+		for _, seed := range []uint64{1, 2, 7, 19, 42} {
+			p := Generate(seed)
+			for _, mode := range BothModes {
+				serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind}))
+				for _, shards := range []int{2, 4, 8} {
+					got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Shards: shards}))
+					if got != serial {
+						t.Fatalf("%v seed %d mode %v: observable history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
+							kind, seed, mode, shards, serial, got)
+					}
 				}
 			}
 		}
@@ -86,18 +91,21 @@ func TestScheduledFaultShardsMatchSerial(t *testing.T) {
 // corruption, reordering jitter and flap holds all repaired by the go-back-N
 // layer, a program's entire observable history is still bit-identical at
 // every shard count — each stream half, timer and counter lives with one
-// rank, and every copy and ACK crosses by AtCross.
+// rank, and every copy and ACK crosses by AtCross — over the crossbar and
+// over the torus (CI's -lossy -topo arm).
 func TestLossyShardsMatchSerial(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 7, 19, 42} {
-		p := Generate(seed)
-		fp := LossyProfile(seed, p.NRanks)
-		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fp}))
-			for _, shards := range []int{2, 4, 8} {
-				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fp, Shards: shards}))
-				if got != serial {
-					t.Fatalf("seed %d mode %v: lossy history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
-						seed, mode, shards, serial, got)
+	for _, kind := range []topo.Kind{topo.Crossbar, topo.Torus} {
+		for _, seed := range []uint64{1, 2, 7, 19, 42} {
+			p := Generate(seed)
+			fp := LossyProfile(seed, p.NRanks)
+			for _, mode := range BothModes {
+				serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp}))
+				for _, shards := range []int{2, 4, 8} {
+					got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp, Shards: shards}))
+					if got != serial {
+						t.Fatalf("%v seed %d mode %v: lossy history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
+							kind, seed, mode, shards, serial, got)
+					}
 				}
 			}
 		}

@@ -46,15 +46,9 @@ type Engine struct {
 	// Delivered counts packets handed to deliver.
 	Delivered int64
 
-	// Running aggregates, maintained O(1) per event so callers can sample
-	// congestion at epoch boundaries without walking every link.
-	totQueued sim.Time
+	// totStalls is the running count of credit-stall episodes.
 	totStalls int64
 }
-
-// QueuedTotal returns the accumulated time packets have spent waiting in
-// link queues, fabric-wide.
-func (e *Engine) QueuedTotal() sim.Time { return e.totQueued }
 
 // StallsTotal returns the accumulated credit-stall episodes, fabric-wide.
 func (e *Engine) StallsTotal() int64 { return e.totStalls }
@@ -233,7 +227,6 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 	ls.busy = true
 	waited := e.K.Now() - t.enqT
 	ls.stats.QueuedTime += waited
-	e.totQueued += waited
 	ls.stats.Forwarded++
 	ls.stats.Bytes += t.size
 	occ := ls.occupancy(t.size)
@@ -317,7 +310,8 @@ func tokenArrive(x any) {
 }
 
 // MinLinkLat returns the smallest latency of any link — the lookahead bound
-// a sharded fabric may rely on between final-link handoff and arrival.
+// a sharded fabric may rely on between final-link handoff and arrival — or 0
+// when the graph has no links.
 func (e *Engine) MinLinkLat() sim.Time {
 	var min sim.Time
 	for i := range e.links {

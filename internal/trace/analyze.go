@@ -32,7 +32,6 @@ type epochTimeline struct {
 	hasClose, hasComplete              bool
 	lastGrant, lastDone, lastDataIn    sim.Time // arrivals within the epoch's lifetime
 	grantAfterClose, doneAfterClose    bool
-	congWait                           sim.Time // fabric queued time over the epoch (CongWait)
 }
 
 // Analyze reconstructs epoch timelines and decomposes closing-wait times
@@ -49,9 +48,6 @@ type epochTimeline struct {
 //     make any late peer stall everyone).
 //   - Late Unlock: for lock epochs, the wait between activation (request
 //     sent) and the grant — time spent queued behind the current holder.
-//   - Link Contention: fabric link-queue time accumulated while the epoch
-//     was open (CongWait events; only topology-modeled runs emit them) —
-//     wait caused by the interconnect, not by peers' call timing.
 func Analyze(events []Event) Report {
 	type key struct {
 		rank int
@@ -85,8 +81,6 @@ func Analyze(events []Event) Report {
 			tl := get(key{e.Rank, e.Win, e.Epoch})
 			tl.complete = e.T
 			tl.hasComplete = true
-		case CongWait:
-			get(key{e.Rank, e.Win, e.Epoch}).congWait = sim.Time(e.Size)
 		case GrantRecv, DoneRecv, DataIn:
 			// Window-level arrival: attribute to every epoch of the window
 			// that is open-but-incomplete at this instant.
@@ -121,7 +115,6 @@ func Analyze(events []Event) Report {
 	lateComplete := PatternReport{Name: "Late Complete"}
 	waitAtFence := PatternReport{Name: "Wait at Fence"}
 	lateUnlock := PatternReport{Name: "Late Unlock"}
-	linkContention := PatternReport{Name: "Link Contention"}
 
 	add := func(p *PatternReport, d sim.Time) {
 		if d <= 0 {
@@ -165,14 +158,11 @@ func Analyze(events []Event) Report {
 				add(&lateUnlock, tl.lastGrant-tl.activate)
 			}
 		}
-		// Orthogonal to the protocol patterns: fabric link-queue time that
-		// accumulated while the epoch was open (topology-modeled runs only).
-		add(&linkContention, tl.congWait)
 	}
 
 	return Report{
 		Epochs:   len(order),
-		Patterns: []PatternReport{latePost, earlyWait, lateComplete, waitAtFence, lateUnlock, linkContention},
+		Patterns: []PatternReport{latePost, earlyWait, lateComplete, waitAtFence, lateUnlock},
 	}
 }
 

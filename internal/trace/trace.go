@@ -28,11 +28,6 @@ const (
 	DataIn    // an RMA transfer landed in this window from Peer
 	// Lock-agent service.
 	LockGranted // the local agent granted its lock to Peer
-	// Fabric congestion. Emitted at epoch completion when the interconnect
-	// models a real topology: Size carries the fabric-wide link-queue
-	// waiting time (ns) accumulated over the epoch's lifetime, so closing
-	// waits can be attributed to link contention vs. the paper's patterns.
-	CongWait
 )
 
 // String implements fmt.Stringer.
@@ -54,8 +49,6 @@ func (k Kind) String() string {
 		return "data-in"
 	case LockGranted:
 		return "lock-granted"
-	case CongWait:
-		return "cong-wait"
 	}
 	return "unknown"
 }
