@@ -85,9 +85,6 @@ const (
 	Delay = 1000 * sim.Microsecond
 	// BigMsg is the 1 MB payload of the delay-propagation tests.
 	BigMsg = 1 << 20
-	// DefaultIters matches the paper's 100-iteration averaging; the
-	// simulator is deterministic, so tests may use fewer.
-	DefaultIters = 100
 )
 
 // us converts virtual nanoseconds to microseconds.

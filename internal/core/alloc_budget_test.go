@@ -108,3 +108,17 @@ func TestEpochAllocationBudgets(t *testing.T) {
 		}
 	}
 }
+
+// An 8-byte accumulate element combines in registers: applying an
+// 8-element TUint64 sum to a data-carrying window allocates nothing, even
+// when every result is too large for Go's small-integer interface cache.
+func TestAccumulateAllocs(t *testing.T) {
+	w := &Window{buf: make([]byte, 64)}
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(0xf0 + i)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.applyAcc(0, data, 64, OpSum, TUint64) }); n != 0 {
+		t.Errorf("8-element TUint64 accumulate: %.1f allocations, want 0", n)
+	}
+}

@@ -74,19 +74,27 @@ func (e *Engine) dumpState() string {
 
 // --- Introspection accessors (invariant checking, internal/fuzz) -------- //
 
-// PeerCounterState is a snapshot of the ω_r triple toward one peer, plus the
-// received-done high-water mark.
+// PeerCounterState is a snapshot of the ω_r triple toward one peer, the
+// received-done high-water mark and the user-signal counters. On the signal
+// transport G and DoneRecv travel as WinOptions.SignalBase plus the count.
 type PeerCounterState struct {
 	A        int64 // accesses activated toward the peer (a_l)
 	E        int64 // exposures/lock grants opened toward the peer (e_l)
 	G        int64 // accesses granted by the peer (g, remote-updated)
 	DoneRecv int64 // highest access id whose done packet arrived
+	UserRecv int64 // user signals received from the peer
+	UserSent int64 // user signals sent toward the peer
 }
 
 // PeerState returns this window's counter snapshot toward peer.
 func (w *Window) PeerState(peer int) PeerCounterState {
 	c := w.peers.Peek(peer)
-	return PeerCounterState{A: c.a, E: c.e, G: c.g, DoneRecv: c.doneRecv}
+	s := PeerCounterState{A: c.a, E: c.e, G: c.g, DoneRecv: c.doneRecv}
+	if w.user != nil {
+		u := w.user.Peek(peer)
+		s.UserRecv, s.UserSent = u.in, u.out
+	}
+	return s
 }
 
 // LockAgentState reports the target-side lock state of this window: the
@@ -125,10 +133,6 @@ func (w *Window) PendingEpochs() int {
 	w.pruneCompleted()
 	return len(w.epochs)
 }
-
-// ID returns the window's per-rank id (stable across the collective job, as
-// windows are created collectively in the same order on every rank).
-func (w *Window) ID() int64 { return w.id }
 
 // debugFlipReorder, when set, inverts the Section VI-B reorder predicate.
 // It exists purely to validate the correctness tooling: a fuzzer that

@@ -49,9 +49,6 @@ type Engine struct {
 	// call is the resume state of the one call in flight on a task rank
 	// (mpi.Rank.Pending).
 	call callState
-
-	// Sweeps counts Progress invocations (diagnostics).
-	Sweeps int64
 }
 
 // callState is what a pending call had built or reached before the
@@ -98,7 +95,6 @@ func newEngine(rt *Runtime, r *mpi.Rank) *Engine {
 // Progress performs one comprehensive nonblocking sweep of all pending RMA
 // activity, following the seven steps of Section VII-D.
 func (e *Engine) Progress() {
-	e.Sweeps++
 	// Step 1: verification of the completion of outgoing and incoming
 	// internode messages. Completion-queue processing (credit recovery,
 	// registration-cache put-back) is NIC-modeled; what remains for the

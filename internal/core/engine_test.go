@@ -70,23 +70,27 @@ func TestSmallAccumulateOverlaps(t *testing.T) {
 }
 
 // TestEngineSweepsAccounted checks the progress engine actually runs
-// during blocking calls (the Sweeps diagnostic).
+// during blocking calls: the origin's put is recorded at Put and issued by
+// an engine sweep inside the blocking Unlock, so it has landed by the time
+// the barrier releases the target.
 func TestEngineSweepsAccounted(t *testing.T) {
 	w, rt := testWorld(t, 2)
+	var got byte
 	runJob(t, w, func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 8, WinOptions{Mode: ModeNew})
 		if r.ID == 0 {
 			win.Lock(1, true)
-			win.Put(1, 0, []byte{1}, 1)
+			win.Put(1, 0, []byte{7}, 1)
 			win.Unlock(1)
 		}
 		r.Barrier()
+		if r.ID == 1 {
+			got = win.Bytes()[0]
+		}
 		win.Quiesce()
 	})
-	for i := 0; i < 2; i++ {
-		if rt.Engine(i).Sweeps == 0 {
-			t.Fatalf("rank %d engine never swept", i)
-		}
+	if got != 7 {
+		t.Fatalf("target holds %d after the origin's Unlock, want 7: the engine never swept the put out", got)
 	}
 }
 

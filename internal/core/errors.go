@@ -11,8 +11,8 @@ import (
 // MPI-style error semantics (the MPI_ERRORS_ARE_FATAL analog over a faulty
 // fabric). Three things can go wrong underneath an epoch:
 //
-//   - the fabric declares a peer unreachable (reliability-sublayer retry
-//     exhaustion) -> ErrRankUnreachable;
+//   - the fabric's failure detector declares a peer unreachable, at the
+//     peer's death plus DetectDelay -> ErrRankUnreachable;
 //   - a window's configured epoch timeout expires with the epoch still
 //     incomplete and no peer provably dead -> ErrTimeout;
 //   - a sibling epoch failed and the window's serial pipeline cannot make
@@ -31,8 +31,8 @@ const (
 	// ErrTimeout: a window's per-epoch operation timeout expired before the
 	// epoch's completion conditions were met.
 	ErrTimeout ErrClass = iota + 1
-	// ErrRankUnreachable: the fabric exhausted its retransmission budget
-	// toward a peer this epoch depends on.
+	// ErrRankUnreachable: the fabric's failure detector declared a peer this
+	// epoch depends on dead (at its death plus DetectDelay).
 	ErrRankUnreachable
 	// ErrEpochAborted: the epoch was unwound because an earlier epoch on the
 	// same window failed (cascade), not because of its own traffic.
@@ -119,7 +119,7 @@ func (w *Window) abortEpoch(ep *Epoch, err *RMAError) {
 	if w.err == nil {
 		w.err = err
 	}
-	w.fstats.EpochsAborted++
+	w.stats.EpochsAborted++
 	// Forget this epoch's transfers: recorded ones must never issue, and
 	// in-flight ones toward a dead peer will never complete — neither may
 	// keep a flush or quiesce waiting. Request-based ops fail rather than
@@ -209,7 +209,7 @@ func (w *Window) armEpochTimeout(ep *Epoch) {
 		if ep.completed {
 			return
 		}
-		w.fstats.Timeouts++
+		w.stats.Timeouts++
 		w.abortPending(ep, w.classifyStall(ep))
 	})
 }
@@ -286,10 +286,10 @@ func fmtTime(t sim.Time) string {
 
 // --- Unreachable-peer propagation -------------------------------------- //
 
-// peerUnreachable runs (in kernel context) when this rank's reliability
-// sublayer declares peer dead: every window aborts the pending epochs that
-// depend on the peer — without waiting for a timeout, since the fabric has
-// already proven the peer gone.
+// peerUnreachable runs (in kernel context) when the fabric's failure
+// detector declares peer dead to this rank, at the death plus DetectDelay:
+// every window aborts the pending epochs that depend on the peer — without
+// waiting for a timeout, since the fabric has already proven the peer gone.
 func (e *Engine) peerUnreachable(peer int) {
 	if e.dead == nil {
 		e.dead = make([]bool, e.rt.world.Size())
@@ -306,8 +306,9 @@ func (e *Engine) peerUnreachable(peer int) {
 	e.rank.Wake.Fire()
 }
 
-// peerDead reports whether this rank knows peer to be unreachable, either
-// from its own sublayer or from the fabric's link state.
+// peerDead reports whether this rank knows peer to be unreachable: the
+// declaration has run (peerUnreachable), or the failure detector's deadline
+// has passed at this rank's clock and the declaration event is still due.
 func (e *Engine) peerDead(peer int) bool {
 	if e.dead != nil && e.dead[peer] {
 		return true

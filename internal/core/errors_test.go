@@ -98,11 +98,11 @@ func TestEpochTimeoutClassifiesStall(t *testing.T) {
 }
 
 // Nonblocking closes must not panic: the failure travels through the
-// closing request's Err, and the window records the abort in FaultStats.
+// closing request's Err, and the window records the abort in its Stats.
 func TestNonblockingAbortFailsRequest(t *testing.T) {
 	w, rt := testWorld(t, 2)
 	var reqErr error
-	var fs FaultStats
+	var fs WindowStats
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 64, WinOptions{
 			Mode:         ModeNew,
@@ -116,7 +116,7 @@ func TestNonblockingAbortFailsRequest(t *testing.T) {
 		req := win.IComplete()
 		r.Wait(req) // returns (completed-with-error) instead of deadlocking
 		reqErr = req.Err()
-		fs = win.FaultStats()
+		fs = win.Stats()
 	})
 	if err != nil {
 		t.Fatalf("nonblocking abort escalated to a run failure: %v", err)
@@ -126,7 +126,7 @@ func TestNonblockingAbortFailsRequest(t *testing.T) {
 		t.Fatalf("request error = %v, want an ErrTimeout *RMAError", reqErr)
 	}
 	if fs.Timeouts != 1 || fs.EpochsAborted == 0 {
-		t.Errorf("FaultStats = %+v, want Timeouts=1 and EpochsAborted>0", fs)
+		t.Errorf("Stats = %+v, want Timeouts=1 and EpochsAborted>0", fs)
 	}
 }
 
@@ -202,7 +202,8 @@ func TestAbortedEpochRejectsNewOps(t *testing.T) {
 }
 
 // End-to-end GATS correctness over an adversarial-but-recoverable fabric:
-// data lands intact, and the window's FaultStats expose the recovery work.
+// data lands intact, the rank's RelStats expose the recovery work and the
+// window records no abort.
 func TestLossyGATSEndToEnd(t *testing.T) {
 	fp := fabric.DefaultFaultProfile(99)
 	fp.Drop = 0.08
@@ -215,7 +216,8 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	var got []byte
-	var fs FaultStats
+	var rel fabric.RelStats
+	var fs WindowStats
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1<<13, WinOptions{Mode: ModeNew})
 		for round := 0; round < 16; round++ {
@@ -232,7 +234,7 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 			got = append([]byte(nil), win.Bytes()...)
 		}
 		if r.ID == 0 {
-			fs = win.FaultStats()
+			rel, fs = w.Net.RelStats(r.ID), win.Stats()
 		}
 		win.Quiesce()
 	})
@@ -242,8 +244,8 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatal("payload corrupted across the lossy fabric")
 	}
-	if fs.PacketsLost == 0 || fs.Retransmits == 0 {
-		t.Errorf("FaultStats show no recovery work on a lossy run: %+v", fs)
+	if rel.Drops == 0 || rel.Retransmits == 0 {
+		t.Errorf("RelStats show no recovery work on a lossy run: %+v", rel)
 	}
 	if fs.EpochsAborted != 0 || fs.Timeouts != 0 {
 		t.Errorf("recoverable loss escalated to aborts: %+v", fs)
@@ -354,7 +356,7 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 	fp.DetectDelay = 2 * sim.Millisecond                                 // the timeout wins
 	w, rt := faultyWorld(t, 2, fp)
 	var reqErr, winErr error
-	var fs FaultStats
+	var fs WindowStats
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 256, WinOptions{
 			Mode:         ModeNew,
@@ -371,7 +373,7 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 		reqErr = req.Err()
 		r.Compute(5 * sim.Millisecond) // let the unreachable declaration land too
 		winErr = win.Err()
-		fs = win.FaultStats()
+		fs = win.Stats()
 	})
 	if err != nil {
 		t.Fatalf("run failed (double abort escalated?): %v", err)
@@ -442,7 +444,7 @@ func TestScheduledDeathPoisonsOnlyDependentWindows(t *testing.T) {
 // aborts, and the armed timers do not prevent kernel quiescence.
 func TestEpochTimeoutInertOnHealthyRun(t *testing.T) {
 	w, rt := testWorld(t, 2)
-	var fs FaultStats
+	var fs WindowStats
 	runJob(t, w, func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1024, WinOptions{
 			Mode:         ModeNew,
@@ -452,7 +454,7 @@ func TestEpochTimeoutInertOnHealthyRun(t *testing.T) {
 			win.Start([]int{1})
 			win.Put(1, 0, make([]byte, 512), 512)
 			win.Complete()
-			fs = win.FaultStats()
+			fs = win.Stats()
 		} else {
 			win.Post([]int{0})
 			win.WaitEpoch()

@@ -265,7 +265,7 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 		payload[i] = byte(i * 13)
 	}
 	var got []byte
-	var fs FaultStats
+	var fs fabric.RelStats
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1<<12, WinOptions{Mode: ModeFlush})
 		if r.ID == 0 {
@@ -275,7 +275,7 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 				win.FlushAll()
 			}
 			win.UnlockAll()
-			fs = win.FaultStats()
+			fs = w.Net.RelStats(r.ID)
 		}
 		r.Barrier()
 		if r.ID == 1 {
@@ -289,8 +289,8 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatal("payload corrupted across the lossy fabric")
 	}
-	if fs.PacketsLost == 0 && fs.Retransmits == 0 {
-		t.Errorf("FaultStats show no recovery work on a lossy run: %+v", fs)
+	if fs.Drops == 0 && fs.Retransmits == 0 {
+		t.Errorf("RelStats show no recovery work on a lossy run: %+v", fs)
 	}
 }
 

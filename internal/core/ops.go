@@ -222,7 +222,7 @@ func (e *Engine) post(o *rmaOp, kind fabric.Kind, wireSize int64) {
 	p := e.rt.world.Net.AllocPacketAt(e.rank.ID)
 	p.Src, p.Dst, p.Kind, p.Size = e.rank.ID, o.target, kind, wireSize
 	p.Payload = o
-	p.Arg = [4]int64{o.ep.win.id, 0, 0, regionKey(o.ep.win, o.target)}
+	p.Arg = [4]int64{o.ep.win.id, 0, 0, regionKey(o.ep.win)}
 	if kind == fabric.KindPutData || kind == fabric.KindAccData {
 		p.OnTxDone = opTxDone
 	}
@@ -244,7 +244,7 @@ func opTxDone(p *fabric.Packet) {
 // registration-cache model. Registration (pinning) is a property of local
 // memory, so the key is the window — one pin covers transfers to any
 // number of targets.
-func regionKey(w *Window, _ int) int64 {
+func regionKey(w *Window) int64 {
 	return w.id + 1
 }
 

@@ -24,18 +24,16 @@ func NewRuntime(w *mpi.World) *Runtime {
 	for i := 0; i < w.Size(); i++ {
 		rt.engines[i] = newEngine(rt, w.Rank(i))
 	}
-	// When the fabric runs with fault injection, an exhausted retransmission
-	// budget surfaces here: the local engine aborts the epochs that depend
-	// on the dead peer (errors.go) instead of letting waiters hang.
+	// When the fabric runs with fault injection, its one failure detector
+	// declares a dead peer here at the death plus DetectDelay: the local
+	// engine aborts the epochs that depend on that peer (errors.go) instead
+	// of letting waiters hang.
 	w.Net.SetUnreachableHandler(func(local, peer int) {
 		rt.engines[local].peerUnreachable(peer)
 	})
 	rt.registerDiagnostics()
 	return rt
 }
-
-// World returns the job this runtime serves.
-func (rt *Runtime) World() *mpi.World { return rt.world }
 
 // Engine returns rank i's RMA progress engine.
 func (rt *Runtime) Engine(i int) *Engine { return rt.engines[i] }

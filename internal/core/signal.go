@@ -86,23 +86,3 @@ func (w *Window) WaitSignal(src int, count int64) {
 
 // Transport returns the window's control-plane transport.
 func (w *Window) Transport() Transport { return w.transport }
-
-// SignalState snapshots the counters a peer writes one-sidedly
-// (introspection for tests and the fuzzer's oracle).
-type SignalState struct {
-	GrantRaw uint64 // grants received, as on the signal wire (SignalBase + count)
-	DoneRaw  uint64 // dones received, as on the signal wire
-	UserRecv int64  // user signals received from the peer
-	UserSent int64  // user signals sent toward the peer
-}
-
-// SignalPeerState returns the signal-counter snapshot toward peer.
-func (w *Window) SignalPeerState(peer int) SignalState {
-	c := w.peers.Peek(peer)
-	s := SignalState{GrantRaw: w.sigBase + uint64(c.g), DoneRaw: w.sigBase + uint64(c.doneRecv)}
-	if w.user != nil {
-		u := w.user.Peek(peer)
-		s.UserRecv, s.UserSent = u.in, u.out
-	}
-	return s
-}

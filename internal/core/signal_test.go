@@ -157,8 +157,9 @@ func TestSignalStaleDiscard(t *testing.T) {
 					t.Errorf("channel %d: recv=%d stale=%d, want 2/2", ch, recv, stale)
 				}
 			}
-			if ss := win.SignalPeerState(1); ss.GrantRaw != 2 || ss.DoneRaw != 2 || ss.UserRecv != 4 {
-				t.Errorf("SignalPeerState = %+v, want raw counters wrapped to 2 and 4 user signals", ss)
+			ps := win.PeerState(1)
+			if g, d := win.sigBase+uint64(ps.G), win.sigBase+uint64(ps.DoneRecv); g != 2 || d != 2 || ps.UserRecv != 4 {
+				t.Errorf("PeerState = %+v (wire grant %d, done %d), want wire counters wrapped to 2 and 4 user signals", ps, g, d)
 			}
 		}
 		win.Quiesce()
@@ -257,7 +258,7 @@ func TestSignalLossyFabric(t *testing.T) {
 						t.Errorf("seed %d: byte %d = %x, want %x", seed, i, win.Bytes()[i], 0xa0+i)
 					}
 				}
-				retries = win.FaultStats().Retransmits
+				retries = w.Net.RelStats(r.ID).Retransmits
 			}
 			win.Quiesce()
 			r.Barrier()

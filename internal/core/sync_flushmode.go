@@ -34,10 +34,6 @@ import (
 // memory-model relaxation the epochless idiom is built on), so the memory-
 // consistency tool remains the flush family.
 
-// flushMaster is the default rank hosting the global lock counters;
-// WinOptions.FlushMaster moves them per window.
-const flushMaster = 0
-
 // Conditional-atomic codes of the lock protocol (fabric packet Arg[1]).
 const (
 	laGlobalAcqX int64 = iota + 1 // X++ iff S == 0 (exclusive intent)
@@ -51,13 +47,13 @@ const (
 )
 
 // flushState is one rank's view of the scalable lock protocol: the counters
-// it hosts (local always; global only on flushMaster) plus its origin-side
+// it hosts (local always; global only on the master) plus its origin-side
 // bookkeeping of held locks and in-flight protocol operations.
 type flushState struct {
 	w *Window
 
 	// Hosted counters, manipulated in NIC context by remote atomics.
-	gX, gS int  // global pair (meaningful on flushMaster only)
+	gX, gS int  // global pair (meaningful on the master only)
 	lX     bool // local exclusive holder present
 	lS     int  // local shared holders
 
@@ -471,7 +467,7 @@ func (w *Window) flushAbortPeer(peer int) {
 	err.Peers = []int{peer}
 	w.err = err
 	w.flushEp.err = err
-	w.fstats.EpochsAborted++
+	w.stats.EpochsAborted++
 	for o := range w.liveOps {
 		if o.req != nil {
 			o.req.Fail(err)

@@ -19,9 +19,6 @@ func (rt *Runtime) SetTracer(rec *trace.Recorder) {
 	rt.tracer = rec
 }
 
-// Tracer returns the attached recorder, if any.
-func (rt *Runtime) Tracer() *trace.Recorder { return rt.tracer }
-
 // Local aliases so emission sites stay terse.
 const (
 	traceOpen      = trace.EpochOpen

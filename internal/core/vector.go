@@ -1,9 +1,5 @@
 package core
 
-import (
-	"repro/internal/mpi"
-)
-
 // Strided (vector) RMA operations — the equivalent of MPI's vector target
 // datatypes, which Section VI-C highlights as one of the programmer's
 // tools for reasoning about disjoint memory accesses under the reorder
@@ -51,16 +47,6 @@ func (w *Window) PutVector(target int, off int64, count, blockLen, stride int64,
 	w.checkVector(target, off, v)
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
 		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v})
-}
-
-// RPutVector is the request-based PutVector.
-func (w *Window) RPutVector(target int, off int64, count, blockLen, stride int64, data []byte) *mpi.Request {
-	v := vecShape{count: count, blockLen: blockLen, stride: stride}
-	w.checkVector(target, off, v)
-	req := mpi.NewRequest(w.rank)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
-		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v, req: req})
-	return req
 }
 
 // GetVector reads count strided blocks from target's window into buf

@@ -63,11 +63,9 @@ type Window struct {
 	chkCfl bool
 
 	// timeout is the per-epoch operation timeout (WinOptions.EpochTimeout);
-	// 0 disables it. err records the first abort (see errors.go) and fstats
-	// the window-level fault counters.
+	// 0 disables it. err records the first abort (see errors.go).
 	timeout sim.Time
 	err     *RMAError
-	fstats  FaultStats
 
 	// stats and lifecycle.
 	stats WindowStats

@@ -57,11 +57,11 @@ func (w *Window) combine(dst, src []byte, op AccOp, dt DType) {
 	}
 	switch dt {
 	case TByte:
-		dst[0] = w.combineU64(uint64(dst[0]), uint64(src[0]), op, dt).(byte)
+		dst[0] = byte(w.combineU64(uint64(dst[0]), uint64(src[0]), op, dt))
 	case TInt64, TUint64:
 		a := binary.LittleEndian.Uint64(dst)
 		b := binary.LittleEndian.Uint64(src)
-		binary.LittleEndian.PutUint64(dst, w.combineU64(a, b, op, dt).(uint64))
+		binary.LittleEndian.PutUint64(dst, w.combineU64(a, b, op, dt))
 	case TFloat64:
 		a := math.Float64frombits(binary.LittleEndian.Uint64(dst))
 		b := math.Float64frombits(binary.LittleEndian.Uint64(src))
@@ -83,8 +83,8 @@ func (w *Window) combine(dst, src []byte, op AccOp, dt DType) {
 }
 
 // combineU64 implements the integer operators; for TInt64 the ordered
-// operators compare as signed values.
-func (w *Window) combineU64(a, b uint64, op AccOp, dt DType) interface{} {
+// operators compare as signed values. TByte callers truncate the result.
+func (w *Window) combineU64(a, b uint64, op AccOp, dt DType) uint64 {
 	signed := dt == TInt64
 	less := func(x, y uint64) bool {
 		if signed {
@@ -118,9 +118,6 @@ func (w *Window) combineU64(a, b uint64, op AccOp, dt DType) interface{} {
 		r = a ^ b
 	default:
 		w.raisef("unsupported integer operator %d", op)
-	}
-	if dt == TByte {
-		return byte(r)
 	}
 	return r
 }

@@ -238,7 +238,7 @@ func TestRankStallRecovers(t *testing.T) {
 	}
 }
 
-// FaultDiag must expose stream state and pending retransmit timers so
+// Diag must expose stream state and pending retransmit timers so
 // watchdog reports can tell fault stalls from protocol deadlocks.
 func TestFaultDiagReportsLinks(t *testing.T) {
 	fp := DefaultFaultProfile(37)
@@ -253,7 +253,7 @@ func TestFaultDiagReportsLinks(t *testing.T) {
 		})
 	}
 	var diag, peerDiag string
-	k.At(45*sim.Microsecond, func() { diag, peerDiag = nw.FaultDiag(0), nw.FaultDiag(1) })
+	k.At(45*sim.Microsecond, func() { diag, peerDiag = nw.Diag(0), nw.Diag(1) })
 	if err := k.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +267,11 @@ func TestFaultDiagReportsLinks(t *testing.T) {
 	}
 }
 
-// Without fault injection, FaultDiag and RelStats are inert.
+// Without fault injection, Diag and RelStats are inert.
 func TestFaultDiagDisabled(t *testing.T) {
 	k := sim.NewKernel()
 	nw := NewNetwork(k, 2, DefaultConfig())
-	if d := nw.FaultDiag(0); d != "" {
+	if d := nw.Diag(0); d != "" {
 		t.Errorf("diag on a lossless network: %q", d)
 	}
 	if s := nw.RelStats(0); s != (RelStats{}) {

@@ -40,12 +40,6 @@ type Network struct {
 	pktFree   []*Packet
 	pktFreeBy [][]*Packet
 
-	// deliveredBy / bytesBy count deliveries per destination rank, so
-	// concurrent shards never share a counter; Delivered and BytesMoved sum
-	// them on demand.
-	deliveredBy []int64
-	bytesBy     []int64
-
 	// faults, when non-nil, routes every internode packet through the
 	// deterministic adversary (schedule.go) and — if its profile has message
 	// faults — the go-back-N layer over it (reliable.go). nil — the default
@@ -88,14 +82,12 @@ func newNetwork(kernelFor func(int) *sim.Kernel, fabK *sim.Kernel, n int, cfg Co
 		panic("fabric: invalid config: " + err.Error())
 	}
 	nw := &Network{
-		K:           fabK,
-		Cfg:         cfg,
-		handlers:    make([]func(*Packet), n),
-		fifos:       make(map[fifoKey]*Fifo),
-		regs:        make([]*RegCache, n),
-		sharded:     sharded,
-		deliveredBy: make([]int64, n),
-		bytesBy:     make([]int64, n),
+		K:        fabK,
+		Cfg:      cfg,
+		handlers: make([]func(*Packet), n),
+		fifos:    make(map[fifoKey]*Fifo),
+		regs:     make([]*RegCache, n),
+		sharded:  sharded,
 	}
 	nw.nics = make([]*NIC, n)
 	for r := 0; r < n; r++ {
@@ -202,9 +194,6 @@ func (nw *Network) SetHandler(r int, h func(*Packet)) { nw.handlers[r] = h }
 // NIC returns rank r's network interface.
 func (nw *Network) NIC(r int) *NIC { return nw.nics[r] }
 
-// RegCache returns rank r's memory-registration cache.
-func (nw *Network) RegCache(r int) *RegCache { return nw.regs[r] }
-
 // SetUnreachableHandler installs the callback fired when a peer's death
 // reaches a rank's failure detector.
 func (nw *Network) SetUnreachableHandler(fn func(local, peer int)) { nw.onUnreachable = fn }
@@ -248,8 +237,8 @@ func deliverLocal(x any) {
 	p.nw.deliver(p)
 }
 
-// deliver hands p to the destination handler and updates statistics. A
-// pooled packet is recycled as soon as the handler returns.
+// deliver hands p to the destination handler. A pooled packet is recycled
+// as soon as the handler returns.
 func (nw *Network) deliver(p *Packet) {
 	// Receive-side validation: a packet whose framing was mangled anywhere
 	// between injection and delivery fails here with fabric context instead
@@ -257,32 +246,12 @@ func (nw *Network) deliver(p *Packet) {
 	if err := p.Validate(len(nw.nics)); err != nil {
 		panic("fabric: deliver: " + err.Error())
 	}
-	nw.deliveredBy[p.Dst]++
-	nw.bytesBy[p.Dst] += p.Size
 	h := nw.handlers[p.Dst]
 	if h == nil {
 		panic(fmt.Sprintf("fabric: no delivery handler for rank %d (packet kind %d from %d)", p.Dst, p.Kind, p.Src))
 	}
 	h(p)
 	nw.release(p.Dst, p)
-}
-
-// Delivered returns the total packets handed to delivery handlers.
-func (nw *Network) Delivered() int64 {
-	var n int64
-	for _, c := range nw.deliveredBy {
-		n += c
-	}
-	return n
-}
-
-// BytesMoved returns the total payload bytes delivered.
-func (nw *Network) BytesMoved() int64 {
-	var n int64
-	for _, c := range nw.bytesBy {
-		n += c
-	}
-	return n
 }
 
 // Fifo returns the intranode 64-bit notification FIFO carrying packets from

@@ -64,12 +64,6 @@ type NIC struct {
 
 	descFree   []*desc
 	stripeFree []*stripeGroup
-
-	// Aggregate stats across rails (per-rail breakdowns via RailStats).
-	Sent       int64
-	BytesSent  int64
-	Stalls     int64 // times a pipeline found only credit-stalled peers
-	MaxQueue   int
 	creditInit int
 }
 
@@ -81,12 +75,6 @@ type nicRail struct {
 	busy    bool
 	peers   peertab.Table[nicPeer]
 	skipGen uint64
-
-	// Per-rail stats, surfaced through NIC.RailStats.
-	sent     int64
-	bytes    int64
-	stalls   int64
-	maxQueue int
 }
 
 func newNIC(nw *Network, rank, n int, k *sim.Kernel) *NIC {
@@ -110,33 +98,8 @@ type nicPeer struct {
 	skip    uint64
 }
 
-// QueueLen returns the number of descriptors waiting for a wire, across all
-// rails.
-func (n *NIC) QueueLen() int {
-	total := 0
-	for i := range n.rails {
-		total += len(n.rails[i].queue)
-	}
-	return total
-}
-
-// RailStats is one rail's congestion/throughput snapshot.
-type RailStats struct {
-	Sent      int64
-	BytesSent int64
-	Stalls    int64
-	MaxQueue  int
-}
-
 // Rails returns the number of injection rails this NIC runs.
 func (n *NIC) Rails() int { return len(n.rails) }
-
-// RailStats returns rail r's counters — the rail-aware view of the NIC
-// aggregates (Sent, BytesSent, Stalls, MaxQueue).
-func (n *NIC) RailStats(r int) RailStats {
-	rl := &n.rails[r]
-	return RailStats{Sent: rl.sent, BytesSent: rl.bytes, Stalls: rl.stalls, MaxQueue: rl.maxQueue}
-}
 
 // allocDesc takes a descriptor from the free-list (or allocates one).
 func (n *NIC) allocDesc() *desc {
@@ -269,16 +232,10 @@ func (n *NIC) enqueueStriped(p *Packet) {
 	}
 }
 
-// push appends a descriptor to its rail's queue and updates depth stats.
+// push appends a descriptor to its rail's queue.
 func (n *NIC) push(d *desc) {
 	r := &n.rails[d.rail]
 	r.queue = append(r.queue, d)
-	if len(r.queue) > r.maxQueue {
-		r.maxQueue = len(r.queue)
-	}
-	if len(r.queue) > n.MaxQueue {
-		n.MaxQueue = len(r.queue)
-	}
 }
 
 // regionKeyFor derives a registration-cache key from a packet. Payload
@@ -325,8 +282,6 @@ func (n *NIC) tryStart(rail int) {
 		n.transmit(d)
 		return
 	}
-	r.stalls++
-	n.Stalls++
 }
 
 // transmit occupies the rail's wire for the descriptor's duration, then
@@ -337,10 +292,6 @@ func (n *NIC) transmit(d *desc) {
 	if n.creditInit > 0 {
 		r.peers.Get(d.dst).credits++
 	}
-	n.Sent++
-	n.BytesSent += d.wire
-	r.sent++
-	r.bytes += d.wire
 	wire := n.nw.Cfg.WireTime(d.wire) + d.regCost
 	n.k.AfterCall(wire, descTxDone, d)
 }

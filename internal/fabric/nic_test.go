@@ -129,18 +129,15 @@ func TestCreditStallAndSkip(t *testing.T) {
 	}
 	// First to 1: wire 1 + alpha 10 = 11us. Packet to 2 transmits from 1us
 	// to 2us, delivered at 12us. Credit for peer 1 returns at
-	// 1 (wire) + 10 (alpha) + 5 (ack) = 16us; second delivery ~17+10us.
+	// 1 (wire) + 10 (alpha) + 5 (ack) = 16us; second delivery 17+10us.
 	if to2 != 12*sim.Microsecond {
 		t.Fatalf("peer-2 delivery at %dus, want 12us (skip-ahead)", to2/sim.Microsecond)
 	}
 	if len(to1) != 2 {
 		t.Fatalf("rank 1 received %d packets, want 2", len(to1))
 	}
-	if to1[1] < 26*sim.Microsecond {
-		t.Fatalf("stalled packet delivered at %dus, want >= 26us", to1[1]/sim.Microsecond)
-	}
-	if nw.NIC(0).Stalls == 0 {
-		t.Fatal("expected the pipeline to record a credit stall")
+	if to1[1] != 27*sim.Microsecond {
+		t.Fatalf("stalled packet delivered at %dus, want 27us (credit stall)", to1[1]/sim.Microsecond)
 	}
 }
 
@@ -157,10 +154,7 @@ func TestIntranodePathBypassesPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if at != cfg.AlphaIntra {
-		t.Fatalf("intranode delivery at %d, want alphaIntra %d", at, cfg.AlphaIntra)
-	}
-	if nw.NIC(0).Sent != 0 {
-		t.Fatal("intranode packet should not use the NIC pipeline")
+		t.Fatalf("intranode delivery at %d, want alphaIntra %d (no NIC pipeline)", at, cfg.AlphaIntra)
 	}
 }
 
@@ -175,9 +169,12 @@ func TestNodeMapping(t *testing.T) {
 	}
 }
 
+// TestDeliveryStats checks what the delivery path hands its handler: every
+// packet exactly once, with its size intact.
 func TestDeliveryStats(t *testing.T) {
 	k, nw := testNet(2, 0)
-	nw.SetHandler(1, func(p *Packet) {})
+	var delivered, bytes int64
+	nw.SetHandler(1, func(p *Packet) { delivered, bytes = delivered+1, bytes+p.Size })
 	nw.SetHandler(0, func(p *Packet) {})
 	k.At(0, func() {
 		nw.Send(&Packet{Src: 0, Dst: 1, Size: 100})
@@ -186,8 +183,8 @@ func TestDeliveryStats(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if nw.Delivered() != 2 || nw.BytesMoved() != 300 {
-		t.Fatalf("stats delivered=%d bytes=%d, want 2/300", nw.Delivered(), nw.BytesMoved())
+	if delivered != 2 || bytes != 300 {
+		t.Fatalf("handler saw %d packets / %d bytes, want 2/300", delivered, bytes)
 	}
 }
 

@@ -352,13 +352,13 @@ func faultArrive(x any) {
 	}
 }
 
-// FaultDiag renders rank r's view of the adversary for watchdog and abort
-// reports: which peers are dead (and whether detection has fired), which of
-// r's links are inside or facing a flap window, the state of r's ARQ
-// streams (unacked depths, pending retransmit timers), and r's counters —
-// so a fault-induced stall is distinguishable from a protocol deadlock.
-// Returns "" when fault injection is disabled.
-func (nw *Network) FaultDiag(r int) string {
+// faultDiag renders rank r's view of the adversary for Diag: which peers
+// are dead (and whether detection has fired), which of r's links are inside
+// or facing a flap window, the state of r's ARQ streams (unacked depths,
+// pending retransmit timers), and r's counters — so a fault-induced stall
+// is distinguishable from a protocol deadlock. Returns "" when fault
+// injection is disabled.
+func (nw *Network) faultDiag(r int) string {
 	fs := nw.faults
 	if fs == nil {
 		return ""

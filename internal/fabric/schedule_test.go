@@ -297,7 +297,7 @@ func TestTopoFlapHoldAndMidFlightDeath(t *testing.T) {
 
 func TestScheduleDiag(t *testing.T) {
 	_, _, nw := runFaultWorld(t, DefaultConfig(), kvSchedule(), 0)
-	diag := nw.FaultDiag(0)
+	diag := nw.Diag(0)
 	for _, want := range []string{"rank 2 DEAD since t=8000 (detected", "link 0->1 flap", "fault stats:"} {
 		if !strings.Contains(diag, want) {
 			t.Errorf("diag lacks %q:\n%s", want, diag)

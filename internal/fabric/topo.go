@@ -108,10 +108,6 @@ func descRetire(x any) {
 
 // --- Observability ----------------------------------------------------- //
 
-// TopoEnabled reports whether the network models a real topology (anything
-// but the default crossbar).
-func (nw *Network) TopoEnabled() bool { return nw.topo != nil }
-
 // TopoSummary returns the fabric-wide congestion aggregate (zero when the
 // crossbar is in use).
 func (nw *Network) TopoSummary() topo.Summary {
@@ -121,12 +117,23 @@ func (nw *Network) TopoSummary() topo.Summary {
 	return nw.topo.eng.Summary()
 }
 
-// TopoDiag renders the congestion state relevant to rank r's node for
-// watchdog and deadlock reports. Returns "" when the crossbar is in use or
-// nothing ever queued.
-func (nw *Network) TopoDiag(r int) string {
+// Diag renders rank r's fabric state for watchdog and deadlock reports: the
+// adversary's view (faultDiag) and, with a modeled topology, the congestion
+// around r's node (queue depths, credit stalls, hottest links), so a fault-
+// or congestion-induced stall reads differently from a protocol deadlock.
+// Returns "" when faults are off and the crossbar is in use or nothing ever
+// queued.
+func (nw *Network) Diag(r int) string {
+	fd := nw.faultDiag(r)
 	if nw.topo == nil {
-		return ""
+		return fd
 	}
-	return nw.topo.eng.HostDiag(nw.Cfg.NodeOf(r))
+	td := nw.topo.eng.HostDiag(nw.Cfg.NodeOf(r))
+	switch {
+	case fd == "":
+		return td
+	case td == "":
+		return fd
+	}
+	return fd + "\n" + td
 }

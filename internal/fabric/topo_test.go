@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -30,17 +31,16 @@ func topoNet(n int, spec topo.Spec) (*sim.Kernel, *Network) {
 // TestCrossbarBuildsNoTopology pins the default: the zero-value Topo spec
 // must leave the network on the untouched crossbar path.
 func TestCrossbarBuildsNoTopology(t *testing.T) {
-	k, nw := testNet(2, 0)
-	if nw.TopoEnabled() {
+	_, nw := testNet(2, 0)
+	if nw.topo != nil {
 		t.Fatal("default config built a topology engine")
 	}
 	if s := nw.TopoSummary(); s != (topo.Summary{}) {
 		t.Fatalf("crossbar TopoSummary = %+v, want zero", s)
 	}
-	if d := nw.TopoDiag(0); d != "" {
-		t.Fatalf("crossbar TopoDiag = %q, want empty", d)
+	if d := nw.Diag(0); d != "" {
+		t.Fatalf("crossbar Diag = %q, want empty", d)
 	}
-	_ = k
 }
 
 // TestFatTreeBaseLatencyMatchesCrossbar pins the calibration default: with
@@ -61,9 +61,6 @@ func TestFatTreeBaseLatencyMatchesCrossbar(t *testing.T) {
 	want := 5*sim.Microsecond + 2*(5*sim.Microsecond+5064*sim.Nanosecond)
 	if at != want {
 		t.Fatalf("delivered at %d ns, want %d ns", at, want)
-	}
-	if !nw.TopoEnabled() {
-		t.Fatal("TopoEnabled false with a fat-tree configured")
 	}
 }
 
@@ -134,8 +131,41 @@ func TestTopoIncastCongests(t *testing.T) {
 	if s.QueuedTime == 0 || s.Delivered != 7 {
 		t.Fatalf("incast left no congestion footprint: %+v", s)
 	}
-	if d := nw.TopoDiag(0); d == "" {
-		t.Fatal("TopoDiag empty after congestion at rank 0's node")
+	if d := nw.Diag(0); d == "" {
+		t.Fatal("Diag empty after congestion at rank 0's node")
+	}
+}
+
+// TestDiagJoinsFaultAndTopo pins the fabric's one watchdog report: on a
+// lossy fat-tree after an incast, Diag holds the adversary's lines and then
+// the congestion block around the rank's node, each exactly once.
+func TestDiagJoinsFaultAndTopo(t *testing.T) {
+	k, nw := topoNet(8, topo.Spec{Kind: topo.FatTree, HostsPerLeaf: 2, Spines: 1})
+	fp := DefaultFaultProfile(5)
+	fp.Drop = 0.1
+	fp.Flaps = []LinkFlap{{Src: 1, Dst: 0, From: 0, For: 20 * sim.Microsecond}}
+	nw.EnableFaults(fp)
+	for r := 0; r < 8; r++ {
+		nw.SetHandler(r, func(*Packet) {})
+	}
+	k.At(0, func() {
+		for r := 1; r < 8; r++ {
+			p := nw.AllocPacket()
+			p.Src, p.Dst, p.Kind, p.Size = r, 0, KindUser, 10000
+			nw.Send(p)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	d := nw.Diag(0)
+	const flap, block = "fault: link 1->0 flap", "topo fattree: "
+	if strings.Count(d, flap) != 1 || strings.Count(d, block) != 1 {
+		t.Fatalf("Diag(0) holds %q %d times and %q %d times, want once each:\n%s",
+			flap, strings.Count(d, flap), block, strings.Count(d, block), d)
+	}
+	if strings.Index(d, flap) > strings.Index(d, block) {
+		t.Fatalf("topology block precedes the fault lines:\n%s", d)
 	}
 }
 

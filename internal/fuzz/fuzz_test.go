@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/topo"
 )
 
@@ -106,7 +107,7 @@ func TestLossyActuallyInjects(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	var sum core.FaultStats
+	var sum fabric.RelStats
 	var lossyRuns, heldRuns int
 	for seed := uint64(1); seed <= n; seed++ {
 		p := Generate(seed)
@@ -117,28 +118,27 @@ func TestLossyActuallyInjects(t *testing.T) {
 				t.Fatalf("seed %d mode %s: %v", seed, mode, res.Err)
 			}
 			before := sum
-			for r := 0; r < p.NRanks; r++ {
-				fs := res.Wins[r][0].FaultStats() // rank-wide counters: any window reads them
-				sum.PacketsLost += fs.PacketsLost
+			for _, fs := range res.Faults {
+				sum.Drops += fs.Drops
 				sum.DupDrops += fs.DupDrops
 				sum.CorruptDrops += fs.CorruptDrops
 				sum.GapDrops += fs.GapDrops
 				sum.Retransmits += fs.Retransmits
-				sum.Held += fs.Held
+				sum.Delayed += fs.Delayed
 			}
-			if sum.PacketsLost+sum.CorruptDrops > before.PacketsLost+before.CorruptDrops {
+			if sum.Drops+sum.CorruptDrops > before.Drops+before.CorruptDrops {
 				lossyRuns++
 			}
-			if sum.Held > before.Held {
+			if sum.Delayed > before.Delayed {
 				heldRuns++
 			}
 		}
 	}
 	t.Logf("seeds 1-%d x %d modes: lost=%d dup-dropped=%d corrupt-dropped=%d gap-dropped=%d retransmitted=%d held=%d; runs losing or corrupting a packet=%d, runs with a held departure=%d",
-		n, len(BothModes), sum.PacketsLost, sum.DupDrops, sum.CorruptDrops, sum.GapDrops, sum.Retransmits, sum.Held, lossyRuns, heldRuns)
+		n, len(BothModes), sum.Drops, sum.DupDrops, sum.CorruptDrops, sum.GapDrops, sum.Retransmits, sum.Delayed, lossyRuns, heldRuns)
 	for class, count := range map[string]int64{
-		"lost": sum.PacketsLost, "duplicate-dropped": sum.DupDrops, "corrupt-dropped": sum.CorruptDrops,
-		"gap-dropped": sum.GapDrops, "retransmitted": sum.Retransmits, "held": sum.Held,
+		"lost": sum.Drops, "duplicate-dropped": sum.DupDrops, "corrupt-dropped": sum.CorruptDrops,
+		"gap-dropped": sum.GapDrops, "retransmitted": sum.Retransmits, "held": sum.Delayed,
 	} {
 		if count == 0 {
 			t.Errorf("fault class %q never fired over %d lossy seeds — profile or adversary is inert", class, n)

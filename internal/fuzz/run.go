@@ -19,7 +19,8 @@ type RunResult struct {
 	Stats        [][]core.WindowStats // [rank][window]
 	Events       []trace.Event
 	KernelEvents uint64
-	Congestion   topo.Summary // zero on the crossbar
+	Congestion   topo.Summary      // zero on the crossbar
+	Faults       []fabric.RelStats // [rank]; nil unless ExecOptions.Faults is set
 }
 
 // eventBudget bounds the kernel event count for the watchdog: generously
@@ -191,6 +192,12 @@ func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
 	res.Events = rec.Events()
 	res.KernelEvents = world.Events()
 	res.Congestion = world.Net.TopoSummary()
+	if o.Faults != nil {
+		res.Faults = make([]fabric.RelStats, p.NRanks)
+		for r := range res.Faults {
+			res.Faults[r] = world.Net.RelStats(r)
+		}
+	}
 	if res.Err == nil {
 		res.Mems = make([][][]byte, len(p.Windows))
 		res.Stats = make([][]core.WindowStats, p.NRanks)

@@ -118,8 +118,8 @@ func TestSignalArmActuallySignals(t *testing.T) {
 					continue
 				}
 				for peer := 0; peer < p.NRanks; peer++ {
-					ss := win.SignalPeerState(peer)
-					if ss.GrantRaw != 0 && ss.GrantRaw < base && ss.GrantRaw < 1<<32 {
+					grant := base + uint64(win.PeerState(peer).G) // as on the signal wire
+					if grant != 0 && grant < base && grant < 1<<32 {
 						wrapped = true // merged counters landed past the wrap
 					}
 				}

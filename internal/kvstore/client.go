@@ -68,15 +68,11 @@ func newClient(r *mpi.Rank, opt Options, wins []*core.Window) *client {
 // draw materializes the arrival plan: Zipfian keys, read/write mix, bursty
 // open-loop arrivals.
 func (c *client) draw() {
-	cdf := zipfCDF(c.opt.Keys, float64(c.opt.ZipfS)/100)
+	cdf := zipfCDF(c.opt.Keys, float64(zipfS)/100)
 	t := c.r.Now()
-	burstLen := c.opt.BurstLen
-	if burstLen <= 0 {
-		burstLen = 1
-	}
 	for i := 0; i < c.opt.OpsPerClient; i++ {
-		gap := c.opt.MeanGap
-		if c.opt.BurstEvery > 0 && (i/burstLen)%c.opt.BurstEvery == 0 {
+		gap := meanGap
+		if (i/burstLen)%burstEvery == 0 {
 			gap /= 8 // burst: 8x arrival rate
 		}
 		t += gap + sim.Time(c.rng.Int63n(int64(gap/2)+1))
@@ -118,7 +114,7 @@ func sampleCDF(cdf []float64, x float64) int {
 }
 
 // run services the plan in arrival order. Open loop: a request's deadline
-// is fixed at arrival + OpDeadline no matter how far behind the client is,
+// is fixed at arrival + opDeadline no matter how far behind the client is,
 // so sustained trouble turns into shed load, not unbounded queueing.
 func (c *client) run() {
 	for i, op := range c.plan {
@@ -127,7 +123,7 @@ func (c *client) run() {
 		}
 		rec := opRec{Idx: i, Key: op.key, Write: op.write, Arrival: op.arr,
 			Holders: [2]int{-1, -1}}
-		deadline := op.arr + c.opt.OpDeadline
+		deadline := op.arr + opDeadline
 		if c.r.Now() > deadline {
 			rec.Outcome, rec.Done = Shed, c.r.Now()
 			c.log = append(c.log, rec)
@@ -148,7 +144,7 @@ func (c *client) maxAttempts() int {
 	if c.degradedMode {
 		return 1 // budget exhausted: single attempt, no backoff
 	}
-	return c.opt.MaxRetries + 1
+	return maxRetries + 1
 }
 
 // backoff sleeps the exponential-backoff interval for the given attempt
@@ -158,11 +154,11 @@ func (c *client) backoff(att int, deadline sim.Time) bool {
 	if c.degradedMode {
 		return false
 	}
-	d := c.opt.BackoffBase << uint(att)
-	if d > c.opt.BackoffCap {
-		d = c.opt.BackoffCap
+	d := backoffBase << uint(att)
+	if d > backoffCap {
+		d = backoffCap
 	}
-	d += sim.Time(c.rng.Int63n(int64(c.opt.BackoffBase) + 1))
+	d += sim.Time(c.rng.Int63n(int64(backoffBase) + 1))
 	if c.r.Now()+d > deadline {
 		return false
 	}

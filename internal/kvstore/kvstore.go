@@ -67,6 +67,28 @@ func primOff(k int) int64 { return int64(k) * slotBytes }
 // replOff is the offset of key k's replica slot in the replica's window.
 func replOff(keys, k int) int64 { return int64(keys+k) * slotBytes }
 
+// Scenario constants every run shares. Open-loop arrivals: mean
+// inter-arrival meanGap, and every burstEvery-th group of burstLen requests
+// arrives at meanGap/8 (a burst). Key popularity is Zipfian: the i-th
+// hottest key is drawn in proportion to 1/(i+1)^(zipfS/100), the classic
+// 0.99. Robustness: epochTimeout is the window watchdog (core layer);
+// opDeadline bounds a request's total latency including retries — a request
+// that cannot start (or restart) before its deadline is shed; maxRetries
+// bounds attempts per request, and backoff doubles from backoffBase up to
+// backoffCap with seeded jitter. Together they ride out one server death
+// with sub-deadline failover.
+const (
+	meanGap      = 20 * sim.Microsecond
+	burstEvery   = 4
+	burstLen     = 8
+	zipfS        = 99
+	epochTimeout = 400 * sim.Microsecond
+	opDeadline   = 4 * sim.Millisecond
+	maxRetries   = 4
+	backoffBase  = 10 * sim.Microsecond
+	backoffCap   = 160 * sim.Microsecond
+)
+
 // Options configures one KV serving run. The zero value is not runnable;
 // start from DefaultOptions.
 type Options struct {
@@ -76,33 +98,16 @@ type Options struct {
 	Mode    core.Mode
 	Seed    uint64
 
-	// Open-loop arrival process: OpsPerClient requests per client, mean
-	// inter-arrival MeanGap; every BurstEvery-th group of BurstLen requests
-	// arrives at MeanGap/8 (a burst). Arrivals are a pure function of the
-	// seed, independent of service times.
+	// OpsPerClient requests per client arrive open-loop, a pure function of
+	// the seed independent of service times.
 	OpsPerClient int
-	MeanGap      sim.Time
-	BurstEvery   int
-	BurstLen     int
 	// ReadPermille of requests are reads (0..1000); the rest are writes.
 	ReadPermille int
-	// ZipfS is the Zipfian skew numerator: popularity of the i-th hottest
-	// key is proportional to 1/(i+1)^(ZipfS/100). 99 gives the classic 0.99.
-	ZipfS int
 
-	// Robustness knobs. EpochTimeout is the window watchdog (core layer);
-	// OpDeadline bounds a request's total latency including retries — a
-	// request that cannot start (or restart) before its deadline is shed.
-	// MaxRetries bounds attempts per request; backoff doubles from
-	// BackoffBase up to BackoffCap with seeded jitter. ErrBudget is the
-	// per-client error budget: once that many attempts have failed the
-	// client degrades to single-attempt service (no retries, no backoff).
-	EpochTimeout sim.Time
-	OpDeadline   sim.Time
-	MaxRetries   int
-	BackoffBase  sim.Time
-	BackoffCap   sim.Time
-	ErrBudget    int
+	// ErrBudget is the per-client error budget: once that many attempts
+	// have failed the client degrades to single-attempt service (no
+	// retries, no backoff).
+	ErrBudget int
 
 	// Schedule injects deterministic faults (fabric layer). Zero value =
 	// pristine fabric.
@@ -114,14 +119,10 @@ type Options struct {
 	// Shards runs the simulation on a sharded kernel (0/1 = serial). Every
 	// observable of the Result is bit-identical across shard counts.
 	Shards int
-
-	// Cfg is the fabric configuration; zero value means fabric.DefaultConfig.
-	Cfg fabric.Config
 }
 
 // DefaultOptions returns a small but representative serving scenario:
-// 4 servers, 8 clients, a skewed 128-key space, and robustness settings
-// that ride out one server death with sub-deadline failover.
+// 4 servers, 8 clients and a skewed 128-key space.
 func DefaultOptions() Options {
 	return Options{
 		Servers:      4,
@@ -130,16 +131,7 @@ func DefaultOptions() Options {
 		Mode:         core.ModeNew,
 		Seed:         1,
 		OpsPerClient: 48,
-		MeanGap:      20 * sim.Microsecond,
-		BurstEvery:   4,
-		BurstLen:     8,
 		ReadPermille: 500,
-		ZipfS:        99,
-		EpochTimeout: 400 * sim.Microsecond,
-		OpDeadline:   4 * sim.Millisecond,
-		MaxRetries:   4,
-		BackoffBase:  10 * sim.Microsecond,
-		BackoffCap:   160 * sim.Microsecond,
 		ErrBudget:    24,
 		BinWidth:     sim.Millisecond,
 	}
@@ -160,8 +152,8 @@ func (o Options) validate() {
 	if o.Keys < 1 {
 		panic("kvstore: need at least 1 key")
 	}
-	if o.OpsPerClient < 1 || o.MeanGap <= 0 || o.BinWidth <= 0 {
-		panic("kvstore: OpsPerClient, MeanGap and BinWidth must be positive")
+	if o.OpsPerClient < 1 || o.BinWidth <= 0 {
+		panic("kvstore: OpsPerClient and BinWidth must be positive")
 	}
 }
 
@@ -295,12 +287,8 @@ func fmtDur(t sim.Time) string {
 // simulation is self-contained; faults come only from opt.Schedule.
 func Run(opt Options) *Result {
 	opt.validate()
-	cfg := opt.Cfg
-	if cfg.Alpha == 0 {
-		cfg = fabric.DefaultConfig()
-	}
 	n := opt.Servers + opt.Clients
-	w := mpi.NewWorldShards(n, cfg, opt.Shards)
+	w := mpi.NewWorldShards(n, fabric.DefaultConfig(), opt.Shards)
 	if opt.Schedule.Deaths != nil || opt.Schedule.Flaps != nil ||
 		opt.Schedule.Jitter != 0 || opt.Schedule.Seed != 0 {
 		w.Net.EnableFaults(opt.Schedule)
@@ -320,7 +308,7 @@ func Run(opt Options) *Result {
 		for s := 0; s < opt.Servers; s++ {
 			ws[s] = rt.CreateWindow(r, int64(2*opt.Keys)*slotBytes, core.WinOptions{
 				Mode:         opt.Mode,
-				EpochTimeout: opt.EpochTimeout,
+				EpochTimeout: epochTimeout,
 				FlushMaster:  s,
 			})
 		}

@@ -1,10 +1,12 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func testCfg() fabric.Config { return fabric.DefaultConfig() }
@@ -329,5 +331,44 @@ func TestDeadlockSurfaces(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected a deadlock error")
+	}
+}
+
+// TestDeadlockReportJoinsFabricDiag checks the watchdog's view of a stall on
+// a lossy fat-tree: after an incast into rank 0, rank 0 waits for a message
+// nobody sends, and its section of the deadlock report carries both the
+// adversary's lines and the congestion block around its node.
+func TestDeadlockReportJoinsFabricDiag(t *testing.T) {
+	const n = 8
+	cfg := testCfg()
+	cfg.Topo = topo.Spec{Kind: topo.FatTree, HostsPerLeaf: 2, Spines: 1}
+	w := NewWorld(n, cfg)
+	fp := fabric.DefaultFaultProfile(5)
+	fp.Drop = 0.1
+	fp.Flaps = []fabric.LinkFlap{{Src: 1, Dst: 0, From: 0, For: 20 * sim.Microsecond}}
+	w.Net.EnableFaults(fp)
+	err := w.Run(func(r *Rank) {
+		if r.ID != 0 {
+			r.SendMsg(0, 1, nil, 4096)
+			return
+		}
+		for src := 1; src < n; src++ {
+			r.RecvMsg(src, 1)
+		}
+		r.RecvMsg(1, 2) // never sent
+	})
+	if err == nil {
+		t.Fatal("expected a deadlock error")
+	}
+	msg := err.Error()
+	i := strings.Index(msg, "rank0: waiting on")
+	if i < 0 {
+		t.Fatalf("report has no section for rank 0:\n%s", msg)
+	}
+	section := msg[i:]
+	for _, want := range []string{"fault: link 1->0 flap", "topo fattree: "} {
+		if !strings.Contains(section, want) {
+			t.Errorf("rank 0's section lacks %q:\n%s", want, section)
+		}
 	}
 }

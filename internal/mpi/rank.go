@@ -56,9 +56,6 @@ func newRank(w *World, id int, k *sim.Kernel) *Rank {
 	return r
 }
 
-// World returns the job this rank belongs to.
-func (r *Rank) World() *World { return r.world }
-
 // Kernel returns the kernel this rank lives on — rank-local work (timers,
 // self-deliveries, epoch timeouts) must schedule here, never on a global
 // kernel, so it holds on a sharded world.

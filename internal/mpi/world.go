@@ -66,24 +66,14 @@ func NewWorldShards(n int, cfg fabric.Config, shards int) *World {
 		r := w.ranks[i]
 		w.Net.SetHandler(i, r.onDeliver)
 	}
-	// Deadlock/watchdog reports include the fabric's per-link reliability
-	// state (retransmit timers, flap windows, dead peers) and, with a
-	// modeled topology, the congestion state around the blocked rank's node
-	// (queue depths, credit stalls, hottest links), so a fault- or
-	// congestion-induced stall reads differently from a protocol deadlock.
-	// Contributes nothing when faults are off and the crossbar is in use.
+	// Deadlock/watchdog reports include the fabric's view of the blocked
+	// rank (Network.Diag): reliability state and the congestion around its
+	// node. Contributes nothing when faults are off and the crossbar is in
+	// use.
 	w.AddDiagProvider(func(p *sim.Proc) string {
 		for _, r := range w.ranks {
 			if r.Proc == p {
-				fd, td := w.Net.FaultDiag(r.ID), w.Net.TopoDiag(r.ID)
-				switch {
-				case fd == "":
-					return td
-				case td == "":
-					return fd
-				default:
-					return fd + "\n" + td
-				}
+				return w.Net.Diag(r.ID)
 			}
 		}
 		return ""
@@ -103,17 +93,6 @@ func shardAssign(n int, cfg fabric.Config, shards int) []int {
 		assign[r] = cfg.NodeOf(r) * shards / nodes
 	}
 	return assign
-}
-
-// Sharded reports whether the world executes across kernel shards.
-func (w *World) Sharded() bool { return w.sh != nil }
-
-// NumShards returns the number of rank shards (1 when serial).
-func (w *World) NumShards() int {
-	if w.sh == nil {
-		return 1
-	}
-	return w.sh.NumShards()
 }
 
 // KernelFor returns the kernel that owns rank i.

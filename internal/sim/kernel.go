@@ -710,6 +710,3 @@ func (k *Kernel) reportInto(b *strings.Builder) int {
 	}
 	return n
 }
-
-// Procs returns all processes ever spawned, in spawn order.
-func (k *Kernel) Procs() []*Proc { return k.procs }

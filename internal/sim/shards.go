@@ -106,12 +106,6 @@ func (s *Shards) SetLookahead(l Time) {
 	s.lookahead = l
 }
 
-// NumShards returns the number of rank shards (the fabric stage excluded).
-func (s *Shards) NumShards() int { return s.n }
-
-// Shard returns rank shard i's kernel.
-func (s *Shards) Shard(i int) *Kernel { return s.ks[i] }
-
 // KernelFor returns the kernel owning rank r.
 func (s *Shards) KernelFor(r int) *Kernel { return s.ks[s.shardOf[r]] }
 

@@ -1,74 +1,11 @@
-// Package stats provides the small amount of descriptive statistics and
-// table rendering the benchmark harness needs to report paper-style
-// results.
+// Package stats renders the benchmark harness's paper-style result tables.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Summary describes a sample of measurements.
-type Summary struct {
-	N    int
-	Mean float64
-	Min  float64
-	Max  float64
-	Std  float64
-}
-
-// Summarize computes a Summary over xs. An empty sample yields zeros.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using nearest-rank
-// on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(c)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return c[rank]
-}
 
 // Table is a simple labeled grid for paper-style reporting: one row per
 // x-axis point, one column per test series.

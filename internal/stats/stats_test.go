@@ -1,51 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary %+v wrong", s)
-	}
-	if math.Abs(s.Std-1.2909944) > 1e-6 {
-		t.Fatalf("std %v, want ~1.29099", s.Std)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary %+v", s)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.Min != 7 || s.Max != 7 || s.Std != 0 {
-		t.Fatalf("single-sample summary %+v", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0=%v", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Fatalf("p100=%v", p)
-	}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Fatalf("p50=%v", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatalf("nil percentile %v", p)
-	}
-}
 
 func TestTableSetGetString(t *testing.T) {
 	tb := NewTable("title", "us", "size", []string{"a", "b"}, []string{"x", "y"})
@@ -70,48 +28,4 @@ func TestTableUnknownLabelPanics(t *testing.T) {
 		}
 	}()
 	tb.Set("nope", "x", 1)
-}
-
-// Property: mean lies within [min, max] and min <= max.
-func TestSummarizeProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				return true // skip pathological inputs
-			}
-		}
-		s := Summarize(xs)
-		if s.N == 0 {
-			return true
-		}
-		return s.Min <= s.Max && s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9 && s.Std >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: percentile is monotone in p and bounded by min/max.
-func TestPercentileProperty(t *testing.T) {
-	f := func(xs []float64, aRaw, bRaw uint8) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				return true
-			}
-		}
-		a := float64(aRaw) / 255 * 100
-		b := float64(bRaw) / 255 * 100
-		if a > b {
-			a, b = b, a
-		}
-		pa, pb := Percentile(xs, a), Percentile(xs, b)
-		lo, hi := Percentile(xs, 0), Percentile(xs, 100)
-		return pa <= pb && pa >= lo && pb <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

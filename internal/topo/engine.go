@@ -45,18 +45,11 @@ type Engine struct {
 
 	// Delivered counts packets handed to deliver.
 	Delivered int64
-
-	// totStalls is the running count of credit-stall episodes.
-	totStalls int64
 }
 
-// StallsTotal returns the accumulated credit-stall episodes, fabric-wide.
-func (e *Engine) StallsTotal() int64 { return e.totStalls }
-
-// LinkStats counts one directed link's congestion activity.
-type LinkStats struct {
+// linkStats counts one directed link's congestion activity.
+type linkStats struct {
 	Forwarded    int64    // packets transmitted on the link
-	Bytes        int64    // payload bytes transmitted (excl. overhead)
 	BusyTime     sim.Time // total wire occupancy
 	QueuedTime   sim.Time // total time packets waited in the link's queue
 	CreditStalls int64    // head-of-queue episodes stalled on downstream credits
@@ -85,7 +78,7 @@ type linkState struct {
 	// upstream link f), set when a head of f failed to start for lack of a
 	// slot here and cleared just before the freed slot's kick of f.
 	waiters []uint64
-	stats   LinkStats
+	stats   linkStats
 }
 
 // token is one packet in flight through the topology.
@@ -210,7 +203,6 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 			if !ls.stalled {
 				ls.stalled = true
 				ls.stats.CreditStalls++
-				e.totStalls++
 			}
 			pos := uint(e.G.feederPos[ls.link.ID])
 			ns.waiters[pos/64] |= 1 << (pos % 64)
@@ -228,7 +220,6 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 	waited := e.K.Now() - t.enqT
 	ls.stats.QueuedTime += waited
 	ls.stats.Forwarded++
-	ls.stats.Bytes += t.size
 	occ := ls.occupancy(t.size)
 	ls.stats.BusyTime += occ
 	e.K.AfterCall(occ, tokenTxDone, t)
@@ -350,9 +341,6 @@ func (e *Engine) Summary() Summary {
 	}
 	return s
 }
-
-// LinkStats returns link i's counters.
-func (e *Engine) LinkStats(i int) LinkStats { return e.links[i].stats }
 
 // InFlight reports whether any packet is queued or crossing a link
 // (testing helper: quiescence means all queues drained).

@@ -430,11 +430,11 @@ func TestEngineAllocs(t *testing.T) {
 		}
 	}
 	burst() // warm-up
-	stalls := e.StallsTotal()
+	stalls := e.Summary().CreditStalls
 	if n := testing.AllocsPerRun(5, burst); n != 0 {
 		t.Errorf("%.0f allocations per saturated burst after warm-up, want 0", n)
 	}
-	if e.StallsTotal() == stalls {
+	if e.Summary().CreditStalls == stalls {
 		t.Error("the measured bursts never stalled on credits: the waiter sets were not exercised")
 	}
 }

@@ -24,7 +24,7 @@ type Report struct {
 
 // epochTimeline is one epoch reconstructed from its lifecycle events.
 type epochTimeline struct {
-	rank, peerless                     int
+	rank                               int
 	win                                int64
 	seq                                int64
 	class                              EpochClass
