@@ -102,7 +102,6 @@ func TestRepeatedWaitOnEpochRequests(t *testing.T) {
 // hanging the simulation.
 func TestNeverGrantedLockReported(t *testing.T) {
 	w, rt := testWorld(t, 3)
-	w.K.EnableDiagnostics()
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 8, WinOptions{Mode: ModeNew})
 		switch r.ID {

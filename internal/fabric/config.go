@@ -12,6 +12,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -85,11 +86,6 @@ type Config struct {
 	Topo topo.Spec
 }
 
-// Validate checks the configuration a Network is about to be built from.
-// Non-positive latency or bandwidth terms would silently produce nonsense
-// schedules (zero or negative wire times), so construction refuses them;
-// fields where zero means "disabled" (CreditsPerPeer, RegCacheEntries,
-// ProcsPerNode, AckLatency, ...) only reject negatives.
 // RankBits is the width of the rank-id fields packed into control-message
 // words (internal/core packs kind|win|src|value into one uint64) and the
 // reason MaxRanks exists: a world larger than 1<<RankBits would silently
@@ -101,6 +97,25 @@ const RankBits = 18
 // contextual error instead of corrupting keys at runtime.
 const MaxRanks = 1 << RankBits
 
+// The timing model's range. Validate vouches for transfers of up to
+// maxWireBytes: it bounds each base latency, and the wire or copy time of
+// such a transfer, by maxTerm — a quarter of the virtual clock's range — so
+// WireTime, IntraCopyTime and Latency (their sum) can neither overflow nor
+// wrap negative. minBytesPerUs is the bandwidth that moves maxWireBytes in
+// exactly maxTerm.
+const (
+	maxWireBytes  = 1 << 30
+	maxTerm       = sim.Time(math.MaxInt64 / 4)
+	minBytesPerUs = float64(maxWireBytes) * float64(sim.Microsecond) / float64(maxTerm)
+)
+
+// Validate checks the configuration a Network is about to be built from.
+// Non-positive latency or bandwidth terms would silently produce nonsense
+// schedules (zero or negative wire times), and so would a NaN, infinite or
+// vanishingly small bandwidth (a wire time of MinInt64 or zero), so
+// construction refuses them along with terms past the timing model's range;
+// fields where zero means "disabled" (CreditsPerPeer, RegCacheEntries,
+// ProcsPerNode, AckLatency, ...) only reject negatives.
 func (c Config) Validate(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("network needs at least one rank, got %d", n)
@@ -109,17 +124,17 @@ func (c Config) Validate(n int) error {
 		return fmt.Errorf("world size %d exceeds the %d-rank addressing limit (rank ids are packed into %d-bit packet-key fields)",
 			n, MaxRanks, RankBits)
 	}
-	if c.Alpha <= 0 {
-		return fmt.Errorf("non-positive internode base latency Alpha %d ns", c.Alpha)
+	if c.Alpha <= 0 || c.Alpha > maxTerm {
+		return fmt.Errorf("internode base latency Alpha %d ns is not in (0, %d]", c.Alpha, maxTerm)
 	}
-	if c.BytesPerUs <= 0 {
-		return fmt.Errorf("non-positive internode bandwidth BytesPerUs %g", c.BytesPerUs)
+	if !usableBandwidth(c.BytesPerUs) {
+		return fmt.Errorf("internode bandwidth BytesPerUs %g is not a finite rate of at least %g bytes/us", c.BytesPerUs, minBytesPerUs)
 	}
-	if c.AlphaIntra <= 0 {
-		return fmt.Errorf("non-positive intranode base latency AlphaIntra %d ns", c.AlphaIntra)
+	if c.AlphaIntra <= 0 || c.AlphaIntra > maxTerm {
+		return fmt.Errorf("intranode base latency AlphaIntra %d ns is not in (0, %d]", c.AlphaIntra, maxTerm)
 	}
-	if c.BytesPerUsIntra <= 0 {
-		return fmt.Errorf("non-positive intranode bandwidth BytesPerUsIntra %g", c.BytesPerUsIntra)
+	if !usableBandwidth(c.BytesPerUsIntra) {
+		return fmt.Errorf("intranode bandwidth BytesPerUsIntra %g is not a finite rate of at least %g bytes/us", c.BytesPerUsIntra, minBytesPerUs)
 	}
 	if c.ProcsPerNode < 0 {
 		return fmt.Errorf("negative ProcsPerNode %d", c.ProcsPerNode)
@@ -152,11 +167,15 @@ func (c Config) Validate(n int) error {
 	if c.Channels > 1 && c.Topo.Kind != topo.Crossbar {
 		return fmt.Errorf("Channels %d with a modeled topology (%v): multi-rail NICs model parallel crossbar ports and cannot ride the hop-by-hop link model", c.Channels, c.Topo.Kind)
 	}
-	if err := c.Topo.Validate(c.NodeOf(n-1) + 1); err != nil {
+	if err := c.topoSpec().Validate(c.NodeOf(n-1) + 1); err != nil {
 		return err
 	}
 	return nil
 }
+
+// usableBandwidth reports whether x is finite and at least minBytesPerUs.
+// NaN fails every comparison, so the test accepts rather than rejects.
+func usableBandwidth(x float64) bool { return x >= minBytesPerUs && !math.IsInf(x, 1) }
 
 // Rails returns the number of injection pipelines each NIC runs: the single
 // shared rail of the classic model, or — with Channels > 1 — the Channels

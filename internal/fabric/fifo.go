@@ -53,11 +53,3 @@ func (f *Fifo) Pop() (v uint64, ok bool) {
 	f.Popped++
 	return v, true
 }
-
-// Peek returns the oldest packet without removing it.
-func (f *Fifo) Peek() (v uint64, ok bool) {
-	if f.n == 0 {
-		return 0, false
-	}
-	return f.buf[f.head], true
-}

@@ -29,20 +29,6 @@ func TestFifoBasic(t *testing.T) {
 	}
 }
 
-func TestFifoPeek(t *testing.T) {
-	f := NewFifo(2)
-	if _, ok := f.Peek(); ok {
-		t.Fatal("peek on empty ring succeeded")
-	}
-	f.Push(42)
-	if v, ok := f.Peek(); !ok || v != 42 {
-		t.Fatalf("peek got %d ok=%t", v, ok)
-	}
-	if f.Len() != 1 {
-		t.Fatal("peek consumed the element")
-	}
-}
-
 func TestFifoWraparound(t *testing.T) {
 	f := NewFifo(3)
 	for round := uint64(0); round < 10; round++ {

@@ -24,21 +24,29 @@ type topoState struct {
 	eng *topo.Engine
 }
 
-// newTopoState resolves the calibration defaults and builds the graph and
-// engine for the configured topology over the network's node count.
-func newTopoState(nw *Network, n int) *topoState {
-	cfg := &nw.Cfg
-	spec := cfg.Topo
+// topoSpec returns the configured topology with the zero link-model fields
+// resolved from the fabric calibration — what Validate checks and
+// newTopoState builds.
+func (c Config) topoSpec() topo.Spec {
+	spec := c.Topo
 	if spec.LinkBytesPerUs == 0 {
-		spec.LinkBytesPerUs = cfg.BytesPerUs
+		spec.LinkBytesPerUs = c.BytesPerUs
 	}
 	if spec.HopLatency == 0 {
 		// Half the crossbar's flat hop, so the shortest real route (two
-		// hops: host->switch->host) reproduces the crossbar's base latency.
-		spec.HopLatency = cfg.Alpha / 2
+		// hops: host->switch->host) reproduces the crossbar's base latency;
+		// at least 1 ns, which a 1 ns Alpha would otherwise halve to zero.
+		spec.HopLatency = max(c.Alpha/2, 1)
 	}
+	return spec
+}
+
+// newTopoState builds the graph and engine for the configured topology over
+// the network's node count.
+func newTopoState(nw *Network, n int) *topoState {
+	cfg := &nw.Cfg
 	nodes := cfg.NodeOf(n-1) + 1
-	g, err := topo.Build(spec, nodes)
+	g, err := topo.Build(cfg.topoSpec(), nodes)
 	if err != nil {
 		panic("fabric: " + err.Error())
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 )
 
 // TestConfigValidation pins the construction-time guard: non-positive
-// latency/bandwidth terms and negative counts are refused with contextual
-// errors instead of silently producing nonsense schedules.
+// latency/bandwidth terms, NaN or infinite bandwidths and negative counts
+// are refused with contextual errors instead of silently producing nonsense
+// schedules.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,6 +25,21 @@ func TestConfigValidation(t *testing.T) {
 		{"negative bandwidth", func(c *Config) { c.BytesPerUs = -3100 }, "BytesPerUs"},
 		{"zero intra alpha", func(c *Config) { c.AlphaIntra = 0 }, "AlphaIntra"},
 		{"zero intra bandwidth", func(c *Config) { c.BytesPerUsIntra = 0 }, "BytesPerUsIntra"},
+		{"NaN bandwidth", func(c *Config) { c.BytesPerUs = math.NaN() }, "BytesPerUs"},
+		{"infinite bandwidth", func(c *Config) { c.BytesPerUs = math.Inf(1) }, "BytesPerUs"},
+		{"NaN intra bandwidth", func(c *Config) { c.BytesPerUsIntra = math.NaN() }, "BytesPerUsIntra"},
+		{"infinite intra bandwidth", func(c *Config) { c.BytesPerUsIntra = math.Inf(1) }, "BytesPerUsIntra"},
+		{"vanishing bandwidth", func(c *Config) { c.BytesPerUs = 1e-300 }, "BytesPerUs"},
+		{"alpha past the clock range", func(c *Config) { c.Alpha = math.MaxInt64 }, "Alpha"},
+		{"intra alpha past the clock range", func(c *Config) { c.AlphaIntra = math.MaxInt64 }, "AlphaIntra"},
+		{"NaN link bandwidth", func(c *Config) {
+			c.Topo.Kind = topo.Ring
+			c.Topo.LinkBytesPerUs = math.NaN()
+		}, "link bandwidth"},
+		{"infinite link bandwidth", func(c *Config) {
+			c.Topo.Kind = topo.FatTree
+			c.Topo.LinkBytesPerUs = math.Inf(1)
+		}, "link bandwidth"},
 		{"negative ppn", func(c *Config) { c.ProcsPerNode = -1 }, "ProcsPerNode"},
 		{"negative credits", func(c *Config) { c.CreditsPerPeer = -1 }, "CreditsPerPeer"},
 		{"negative ack latency", func(c *Config) { c.AckLatency = -1 }, "AckLatency"},

@@ -150,7 +150,6 @@ func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
 		world.Net.EnableFaults(*o.Faults)
 	}
 	world.SetWatchdog(eventBudget(p, o.Faults != nil, o.Topo), 0)
-	world.EnableDiagnostics()
 	rt := core.NewRuntime(world)
 	rec := trace.NewRecorder()
 	rt.SetTracer(rec)

@@ -19,7 +19,7 @@ import (
 type World struct {
 	// K is the single serial kernel; nil when the world is sharded. Code
 	// that must work in both modes goes through KernelFor / the World-level
-	// SetWatchdog, EnableDiagnostics, Events and AddDiagProvider wrappers.
+	// SetWatchdog, Events and AddDiagProvider wrappers.
 	K   *sim.Kernel
 	Net *fabric.Network
 
@@ -111,15 +111,6 @@ func (w *World) SetWatchdog(maxEvents uint64, maxTime sim.Time) {
 		return
 	}
 	w.sh.SetWatchdog(maxEvents, maxTime)
-}
-
-// EnableDiagnostics enables blocking-call-site capture for hang reports.
-func (w *World) EnableDiagnostics() {
-	if w.sh == nil {
-		w.K.EnableDiagnostics()
-		return
-	}
-	w.sh.EnableDiagnostics()
 }
 
 // Events returns the total number of simulation events processed.

@@ -137,13 +137,15 @@ type Kernel struct {
 	maxTime   Time   // 0 = unlimited
 	nEvents   uint64
 
-	// diag enables blocking-call-site capture in Proc.park (small per-park
-	// cost, so opt-in via EnableDiagnostics).
-	diag bool
-
 	// diagProviders contribute extra per-proc state (e.g. RMA epoch dumps)
 	// to deadlock and watchdog reports. Only invoked when building a report.
 	diagProviders []func(*Proc) string
+
+	// visiting is non-nil only while reportInto collects wait sites: a
+	// goroutine proc handed the token with it set formats its own call site,
+	// sends it back here and waits again (Proc.await), so a park costs no
+	// stack walk until a report asks for one.
+	visiting chan string
 
 	// Sharded execution (see shards.go). group is non-nil when this kernel
 	// is one shard of a Shards run; shardID is its index there (the fabric
@@ -417,7 +419,8 @@ func (k *Kernel) handTo(p *Proc) {
 //   - The loop must stop — a failure is recorded, nothing is left at or
 //     below k.until, or a watchdog budget is spent. The reason goes into
 //     k.stopErr; a proc driver wakes home and then waits like any parked
-//     proc, home just returns.
+//     proc, home just returns. A spent budget's report is built by loop,
+//     back on home, where every started goroutine proc can be visited.
 //
 // So drive returns to a parked proc exactly when that proc has been resumed,
 // and to home exactly when the loop has stopped. Mutual exclusion needs no
@@ -448,14 +451,14 @@ func (k *Kernel) drive(self *Proc) {
 		}
 		k.now = e.at
 		if k.maxTime > 0 && k.now > k.maxTime {
-			k.stop(self, fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
-				k.now, k.maxTime, k.report()))
+			k.stop(self, fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d",
+				k.now, k.maxTime))
 			return
 		}
 		k.nEvents++
 		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
-			k.stop(self, fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)\n%s",
-				k.maxEvents, k.now, k.report()))
+			k.stop(self, fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)",
+				k.maxEvents, k.now))
 			return
 		}
 		e.fn(e.arg)
@@ -523,6 +526,10 @@ func (k *Kernel) loop(until Time) error {
 		k.crash = nil
 		panic(r)
 	}
+	if err := k.stopErr; err != nil && err != k.fail {
+		// A spent watchdog budget: drive recorded only the reason.
+		return fmt.Errorf("%v\n%s", err, k.report())
+	}
 	return k.stopErr
 }
 
@@ -549,7 +556,7 @@ func (k *Kernel) stepTask(p *Proc) {
 		return
 	}
 	p.armed = false
-	p.clearWait()
+	p.waitTag = ""
 	p.runStep()
 	if !p.finished && !p.armed {
 		k.abort(fmt.Errorf("sim: task %q returned from Step without arming a wake or exiting", p.Name))
@@ -585,11 +592,6 @@ func (k *Kernel) SetWatchdog(maxEvents uint64, maxTime Time) {
 	k.maxEvents = maxEvents
 	k.maxTime = maxTime
 }
-
-// EnableDiagnostics turns on blocking-call-site capture: every Proc.park
-// records a short stack so deadlock reports can point at the application
-// call that blocked. Costs a runtime.Callers per park, so it is opt-in.
-func (k *Kernel) EnableDiagnostics() { k.diag = true }
 
 // AddDiagProvider registers fn to contribute extra state (one string, may be
 // multi-line) about a proc to deadlock/watchdog reports. Providers returning
@@ -675,7 +677,9 @@ func (k *Kernel) parked() []string {
 
 // report builds the per-proc diagnostic block of deadlock/watchdog errors:
 // one section per unfinished proc with its wait tag, the blocking call site
-// (when EnableDiagnostics was set) and any diag-provider state.
+// of a started goroutine proc and any diag-provider state. It runs on home
+// only (Run, loop, Shards.Run), where the token is back and every started
+// goroutine proc is blocked in await.
 func (k *Kernel) report() string {
 	var b strings.Builder
 	b.WriteString("blocked procs:\n")
@@ -687,8 +691,12 @@ func (k *Kernel) report() string {
 
 // reportInto appends this kernel's blocked-proc sections to b and returns
 // how many it wrote (shared by Kernel.report and the aggregated
-// Shards.report, which must render byte-identical text).
+// Shards.report, which must render byte-identical text). Each started
+// goroutine proc is visited the way reap visits it — handed the token, one
+// at a time — and sends back its own call site; task procs and procs that
+// never started have no stack to ask.
 func (k *Kernel) reportInto(b *strings.Builder) int {
+	k.visiting = make(chan string)
 	n := 0
 	for _, p := range k.procs {
 		if p.finished {
@@ -696,8 +704,11 @@ func (k *Kernel) reportInto(b *strings.Builder) int {
 		}
 		n++
 		fmt.Fprintf(b, "  %s: waiting on %q", p.Name, p.waitTag)
-		if site := p.waitSite(); site != "" {
-			fmt.Fprintf(b, " at %s", site)
+		if p.tok != nil {
+			p.tok <- struct{}{}
+			if site := <-k.visiting; site != "" {
+				fmt.Fprintf(b, " at %s", site)
+			}
 		}
 		b.WriteByte('\n')
 		for _, fn := range k.diagProviders {
@@ -708,5 +719,6 @@ func (k *Kernel) reportInto(b *strings.Builder) int {
 			}
 		}
 	}
+	k.visiting = nil
 	return n
 }

@@ -47,19 +47,6 @@ type Proc struct {
 	// or Signal.Wait) and must return; a goroutine proc never sets it.
 	task  Task
 	armed bool
-
-	// diag points at the blocking-call-site capture for the current park,
-	// allocated lazily and only when the kernel runs with diagnostics
-	// enabled — idle ranks at scale carry one pointer, not a PC array.
-	diag *procDiag
-}
-
-// procDiag is the compact wait-diagnostic state behind the kernel's diag
-// flag: the program counters captured at the current park, formatted lazily
-// by waitSite only when a report is built.
-type procDiag struct {
-	pcs [16]uintptr
-	n   int
 }
 
 // Task is a resumable proc body: a state machine whose Step is invoked in
@@ -123,41 +110,34 @@ func (p *Proc) park(tag string) {
 		runtime.Goexit()
 	}
 	p.waitTag = tag
-	p.captureSite()
 	p.k.drive(p)
-	p.clearWait()
+	p.waitTag = ""
 }
 
 // await blocks a proc that has given the token away until it comes back,
 // which means the proc's wake event has just run on the sender's goroutine —
-// or that Run is reaping, in which case the goroutine unwinds through the
-// body's defers to run's epilogue without resuming the body.
+// unless Run is reaping or a report is visiting (serve). It stays small
+// enough to inline into the handoff path.
 func (p *Proc) await() {
 	<-p.tok
-	if p.k.reaping {
-		runtime.Goexit()
+	if k := p.k; k.reaping || k.visiting != nil {
+		p.serve()
 	}
 }
 
-// captureSite records the blocking call site when diagnostics are on. Its
-// callers sit at least two frames below the application call being captured
-// (park or armWake <- Sleep/Wait/wakeAt <- app), all of them in this package,
-// whose frames waitSite drops anyway.
-func (p *Proc) captureSite() {
-	if !p.k.diag {
-		return
-	}
-	if p.diag == nil {
-		p.diag = new(procDiag)
-	}
-	p.diag.n = runtime.Callers(3, p.diag.pcs[:])
-}
-
-// clearWait resets the wait diagnostics after a resume.
-func (p *Proc) clearWait() {
-	p.waitTag = ""
-	if p.diag != nil {
-		p.diag.n = 0
+// serve handles a token that is not the proc's wake. While Run is reaping,
+// the goroutine unwinds through the body's defers to run's epilogue without
+// resuming the body. While a report is visiting, the proc sends its call
+// site back to the report and waits for the token again.
+func (p *Proc) serve() {
+	for k := p.k; ; <-p.tok {
+		if k.reaping {
+			runtime.Goexit()
+		}
+		if k.visiting == nil {
+			return
+		}
+		k.visiting <- waitSite()
 	}
 }
 
@@ -171,7 +151,6 @@ func (p *Proc) armWake(tag string) {
 	}
 	p.armed = true
 	p.waitTag = tag
-	p.captureSite()
 }
 
 // TaskSleep is the form-agnostic Sleep. On a task proc it schedules a wake
@@ -218,23 +197,18 @@ func (p *Proc) TaskExit() {
 	}
 }
 
-// waitSite formats the blocking call site captured at the current park: the
-// innermost frames that are neither in this package nor in internal/mpi's
-// wait plumbing, i.e. the application (or RMA-layer) call that blocked.
-// A task proc's own frames end at runStep; what lies beyond belongs to
-// whichever goroutine happened to drive the event loop, so the walk stops
-// there. Returns "" when diagnostics are off or the proc is not parked.
-func (p *Proc) waitSite() string {
-	if p.diag == nil || p.diag.n == 0 {
-		return ""
-	}
-	frames := runtime.CallersFrames(p.diag.pcs[:p.diag.n])
+// waitSite formats the blocking call site of the goroutine proc calling it
+// from serve: the innermost frames that are neither in this package nor in
+// internal/mpi's wait plumbing, i.e. the application (or RMA-layer) call
+// that blocked. The walk starts in serve, up to six frames of this package
+// (serve, await, wakeHome, stop, drive, park) below the call that parked, so
+// 24 frames reach at least 16 beyond park.
+func waitSite() string {
+	var pcs [24]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
 	var sites []string
 	for {
 		f, more := frames.Next()
-		if strings.HasSuffix(f.Function, "sim.(*Proc).runStep") {
-			break
-		}
 		inSim := strings.Contains(f.File, "internal/sim/") && !strings.HasSuffix(f.File, "_test.go")
 		inMPIWait := strings.HasSuffix(f.File, "internal/mpi/rank.go")
 		if f.File != "" && !inSim && !inMPIWait && !strings.Contains(f.Function, "runtime.") {

@@ -133,13 +133,6 @@ func (s *Shards) SetWatchdog(maxEvents uint64, maxTime Time) {
 	s.maxTime = maxTime
 }
 
-// EnableDiagnostics enables blocking-call-site capture on every shard.
-func (s *Shards) EnableDiagnostics() {
-	for _, k := range s.ks {
-		k.EnableDiagnostics()
-	}
-}
-
 // AddDiagProvider registers fn on every shard (reports are built by the
 // coordinator, one shard at a time, so fn needs no locking).
 func (s *Shards) AddDiagProvider(fn func(*Proc) string) {

@@ -143,6 +143,63 @@ func TestShardsWatchdogTimeErrorMatchesSerial(t *testing.T) {
 	}
 }
 
+// Deadlock and virtual-time watchdog reports of a two-shard run are
+// byte-identical to the serial kernel's, call sites included: each shard's
+// goroutine procs are visited from the coordinator, in rank order. Ranks 0-2
+// are goroutine procs (rank 1 spins under the watchdog), rank 3 a task.
+func TestShardsReportsMatchSerial(t *testing.T) {
+	run := func(nShards int, watchdog bool) string {
+		var sh *Shards
+		serial := NewKernel()
+		kernelFor := func(int) *Kernel { return serial }
+		if nShards > 1 {
+			sh = NewShards([]int{0, 0, 1, 1})
+			sh.SetLookahead(5)
+			kernelFor = sh.KernelFor
+		}
+		for r := 0; r < 3; r++ {
+			never := NewSignal(kernelFor(r))
+			spin := watchdog && r == 1
+			kernelFor(r).Spawn(fmt.Sprintf("rank%d", r), func(p *Proc) {
+				for spin {
+					p.Sleep(7)
+				}
+				p.Sleep(Time(r + 1))
+				never.Wait(p, "never-fired")
+			})
+		}
+		kernelFor(3).SpawnTask("rank3", &parityTask{sig: NewSignal(kernelFor(3)), done: new([]Time), state: 1})
+		provider := func(p *Proc) string { return "state of " + p.Name }
+		horizon := Time(0) // disabled
+		if watchdog {
+			horizon = 40
+		}
+		var err error
+		if sh != nil {
+			sh.AddDiagProvider(provider)
+			sh.SetWatchdog(0, horizon)
+			err = sh.Run()
+		} else {
+			serial.AddDiagProvider(provider)
+			serial.SetWatchdog(0, horizon)
+			err = serial.Run()
+		}
+		if err == nil {
+			t.Fatalf("%d shards, watchdog %v: want an error", nShards, watchdog)
+		}
+		return err.Error()
+	}
+	for _, watchdog := range []bool{false, true} {
+		want, got := run(0, watchdog), run(2, watchdog)
+		if got != want {
+			t.Fatalf("watchdog %v: reports diverged\nserial:\n%s\nsharded:\n%s", watchdog, want, got)
+		}
+		if n := strings.Count(want, " at internal/sim/shards_test.go:"); n != 3 {
+			t.Fatalf("watchdog %v: %d call sites, want one per goroutine proc (3):\n%s", watchdog, n, want)
+		}
+	}
+}
+
 // A lookahead violation — a cross event activating below its destination
 // shard's clock — is a scheduling-site bug and must panic loudly rather
 // than silently reorder history.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -167,7 +166,6 @@ func (t *parityTask) Step(p *Proc) {
 // and must report "not yet started", not an empty wait tag.
 func TestNeverStartedProcDiagnostics(t *testing.T) {
 	k := NewKernel()
-	k.EnableDiagnostics()
 	k.SetWatchdog(0, 50)
 	k.SpawnAt(1000, "late", func(p *Proc) {})
 	k.Spawn("spinner", func(p *Proc) {
@@ -278,39 +276,27 @@ func (t *stuckTask) Step(p *Proc) { t.waitForever(p) }
 //go:noinline
 func (t *stuckTask) waitForever(p *Proc) { t.sig.Wait(p, "never") }
 
-// driverBody sleeps past the task's start, so the task's Step — and its
-// wait-site capture — runs on this goroutine, underneath these frames.
+// driverBody sleeps past the task's start, so the task's Step runs on this
+// goroutine, underneath these frames.
 //
 //go:noinline
 func driverBody(p *Proc) { p.Sleep(10) }
 
-// TestTaskWaitSiteStopsAtStepBoundary: with diagnostics on, a task proc's
-// captured wait site must name the task's own frames only. The task here is
-// stepped by a goroutine proc that is driving the event loop from inside its
-// own Sleep, so the raw stack continues into that proc's body.
-func TestTaskWaitSiteStopsAtStepBoundary(t *testing.T) {
+// TestTaskReportIsTagAndProviderState: a task proc has no stack while it
+// waits, so its report section is its wait tag plus the diag providers'
+// state — no call site, not even when its last Step ran underneath a
+// goroutine proc's frames (the driver here steps it from inside its Sleep).
+func TestTaskReportIsTagAndProviderState(t *testing.T) {
 	k := NewKernel()
-	k.EnableDiagnostics()
+	k.AddDiagProvider(func(p *Proc) string { return "state of " + p.Name })
 	k.Spawn("driver", driverBody)
-	stuck := k.SpawnTaskAt(5, "stuck", &stuckTask{sig: NewSignal(k)})
+	k.SpawnTaskAt(5, "stuck", &stuckTask{sig: NewSignal(k)})
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
 	}
-	var raw strings.Builder
-	frames := runtime.CallersFrames(stuck.diag.pcs[:stuck.diag.n])
-	for {
-		f, more := frames.Next()
-		raw.WriteString(f.Function + "\n")
-		if !more {
-			break
-		}
-	}
-	if !strings.Contains(raw.String(), "driverBody") {
-		t.Fatalf("setup: the task was not stepped underneath the driver's frames:\n%s", raw.String())
-	}
-	site := stuck.waitSite()
-	if n := strings.Count(site, "task_test.go"); n != 2 || strings.Count(site, " <- ") != 1 {
-		t.Fatalf("wait site %q, want exactly the task's two frames (waitForever <- Step)", site)
+	want := "blocked procs:\n  stuck: waiting on \"never\"\n    state of stuck"
+	if _, report, _ := strings.Cut(err.Error(), "\n"); report != want {
+		t.Fatalf("report\n%s\nwant\n%s", report, want)
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,11 +69,10 @@ func TestWatchdogBudgetsAllowHealthyRuns(t *testing.T) {
 	}
 }
 
-// With diagnostics enabled, a deadlock report names the blocking call site
-// of each parked proc (a frame outside internal/sim, i.e. this test file).
+// A deadlock report names the blocking call site of each parked proc (a
+// frame outside internal/sim, i.e. this test file).
 func TestDeadlockReportNamesCallSite(t *testing.T) {
 	k := NewKernel()
-	k.EnableDiagnostics()
 	s := NewSignal(k)
 	k.Spawn("stuck", func(p *Proc) {
 		s.Wait(p, "never-fired")
@@ -82,6 +83,30 @@ func TestDeadlockReportNamesCallSite(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "watchdog_test.go") {
 		t.Fatalf("report should include the blocking call site: %v", err)
+	}
+}
+
+// A watchdog that fires while a proc goroutine is driving the event loop —
+// the only proc here, so every event after its start runs inside its Sleep
+// — still names that proc's own call site: the report is built on home, once
+// the driver has handed the token back and is itself waiting.
+func TestWatchdogReportNamesDriverSite(t *testing.T) {
+	k := NewKernel()
+	k.SetWatchdog(0, 50)
+	var line int
+	k.Spawn("spinner", func(p *Proc) {
+		for {
+			_, _, line, _ = runtime.Caller(0)
+			p.Sleep(7)
+		}
+	})
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Fatalf("want horizon error, got %v", err)
+	}
+	want := fmt.Sprintf(`spinner: waiting on "sleep" at internal/sim/watchdog_test.go:%d`, line+1)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("report should contain %q: %v", want, err)
 	}
 }
 

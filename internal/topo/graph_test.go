@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -59,6 +60,8 @@ func TestValidateRejects(t *testing.T) {
 		{"negative dimx", func() Spec { s := testSpec(Torus); s.DimX = -1; return s }(), 4},
 		{"negative spines", func() Spec { s := testSpec(FatTree); s.Spines = -2; return s }(), 4},
 		{"negative bandwidth", func() Spec { s := testSpec(Ring); s.LinkBytesPerUs = -1; return s }(), 4},
+		{"NaN bandwidth", func() Spec { s := testSpec(Ring); s.LinkBytesPerUs = math.NaN(); return s }(), 4},
+		{"infinite bandwidth", func() Spec { s := testSpec(Ring); s.LinkBytesPerUs = math.Inf(1); return s }(), 4},
 		{"negative hop latency", func() Spec { s := testSpec(Ring); s.HopLatency = -1; return s }(), 4},
 		{"negative credits", func() Spec { s := testSpec(Ring); s.LinkCredits = -3; return s }(), 4},
 		{"ring single credit", func() Spec { s := testSpec(Ring); s.LinkCredits = 1; return s }(), 4},

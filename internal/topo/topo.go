@@ -15,6 +15,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -124,8 +125,8 @@ func (s Spec) Validate(nodes int) error {
 	if s.HostsPerLeaf < 0 || s.Spines < 0 {
 		return fmt.Errorf("topo: negative fat-tree shape (hosts/leaf %d, spines %d)", s.HostsPerLeaf, s.Spines)
 	}
-	if s.LinkBytesPerUs < 0 {
-		return fmt.Errorf("topo: negative link bandwidth %g bytes/us", s.LinkBytesPerUs)
+	if !(s.LinkBytesPerUs >= 0) || math.IsInf(s.LinkBytesPerUs, 1) { // NaN fails every comparison
+		return fmt.Errorf("topo: link bandwidth %g bytes/us is negative or not finite", s.LinkBytesPerUs)
 	}
 	if s.HopLatency < 0 {
 		return fmt.Errorf("topo: negative hop latency %d", s.HopLatency)
