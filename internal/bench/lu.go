@@ -66,67 +66,197 @@ func Fig13LU(sizes []int, p LUParams) (timeTable, commTable *stats.Table) {
 
 // RunLU runs the LU communication skeleton on n ranks.
 func RunLU(n int, series Series, p LUParams) LUResult {
-	m := p.M
-	rowBytes := int64(m) * 8
-	var total sim.Time
+	return luCell(n, series, p, true).result()
+}
+
+// luRun is one LU cell: the parameters every rank's program reads, and the
+// world, windows and readings once it has run.
+type luRun struct {
+	n      int
+	series Series
+	p      LUParams
+	world  *mpi.World
+	rt     *core.Runtime
+	wins   []*core.Window
+	total  sim.Time
 	// Per-rank slots, each written only by its own rank (shard-safe), summed
-	// in fixed rank order below so the result is shard-count invariant.
-	comm := make([]float64, n)
-	runWorld(n, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, rowBytes, core.WinOptions{Mode: series.Mode(), ShapeOnly: true})
-		group := others(n, r.ID)
-		r.Barrier()
-		t0 := r.Now()
-		mpiT0 := r.TimeInMPI
-		for k := 0; k < m; k++ {
-			owner := k % n
-			size := int64(m-k) * 8 // nonzero cells of row k
-			work := luWorkTime(r.ID, n, m, k, p.FlopNs)
-			if r.ID == owner {
-				if n == 1 {
-					r.Compute(work)
-					continue
-				}
-				if series.Nonblocking() {
-					win.IStart(group)
-					for _, t := range group {
-						win.Put(t, 0, nil, size)
-					}
-					req := win.IComplete()
-					// Overlap both with the transfers (epoch already
-					// closed) and with the peers' update work.
-					r.Compute(work)
-					r.Wait(req)
-				} else {
-					win.Start(group)
-					for _, t := range group {
-						win.Put(t, 0, nil, size)
-					}
-					r.Compute(work) // in-epoch overlap -> Late Complete
-					win.Complete()
-				}
-			} else {
-				win.Post([]int{owner})
-				win.WaitEpoch()
-				r.Compute(work)
-			}
-		}
-		win.Quiesce()
-		r.Barrier()
-		if r.ID == 0 {
-			total = r.Now() - t0
-		}
-		comm[r.ID] = float64(r.TimeInMPI-mpiT0) / float64(r.Now()-t0)
+	// in fixed rank order by result so the reading is shard-count invariant.
+	comm []float64
+}
+
+// luCell runs one LU cell in the given rank execution form (runProgram;
+// TestAppTaskParity pins the two against each other).
+func luCell(n int, series Series, p LUParams, tasks bool) *luRun {
+	run := &luRun{n: n, series: series, p: p, wins: make([]*core.Window, n), comm: make([]float64, n)}
+	run.world = mpi.NewWorldShards(n, Config(), Shards())
+	run.rt = core.NewRuntime(run.world)
+	err := runProgram(run.world, tasks, func(r *mpi.Rank) sim.Task {
+		return &luProgram{run: run, r: r, group: others(n, r.ID)}
 	})
+	if err != nil {
+		panic(fmt.Sprintf("bench: simulation failed: %v", err))
+	}
+	return run
+}
+
+// result aggregates the cell's readings.
+func (run *luRun) result() LUResult {
 	var commSum float64
-	for _, c := range comm {
+	for _, c := range run.comm {
 		commSum += c
 	}
 	return LUResult{
-		N: n, M: m, Series: series,
-		Total:    total,
-		CommPct:  commSum / float64(n) * 100,
-		PerRankS: float64(total) / float64(sim.Second),
+		N: run.n, M: run.p.M, Series: run.series,
+		Total:    run.total,
+		CommPct:  commSum / float64(run.n) * 100,
+		PerRankS: float64(run.total) / float64(sim.Second),
+	}
+}
+
+// luProgram is the LU skeleton's rank program, one step per MPI call (see
+// scaleProgram). CreateWindow and Barrier, then for every row k the rank's
+// role in it:
+//
+//	owner, blocking:     Start; puts; Compute; Complete  (in-epoch overlap -> Late Complete)
+//	owner, nonblocking:  IStart; puts; IComplete; Compute; Wait
+//	every other rank:    Post; WaitEpoch; Compute
+//	the only rank:       Compute
+//
+// then Quiesce and Barrier. The nonblocking owner overlaps its update work
+// both with the transfers (the epoch is already closed) and with the peers'.
+type luProgram struct {
+	run   *luRun
+	r     *mpi.Rank
+	group []int // every other rank: the owner's access group
+
+	win        *core.Window
+	step       int // the call to make next (lu* constants)
+	k, put     int // the current row; puts made in it
+	role       int // the rank's part in row k (lu* roles)
+	owner      [1]int
+	size       int64    // nonzero bytes of row k
+	work       sim.Time // the rank's update work after row k
+	t0, mpiT0  sim.Time
+	closingReq *mpi.Request // the nonblocking owner's IComplete
+}
+
+// The program's steps, in program order.
+const (
+	luCreate = iota
+	luBarrier
+	luStamp
+	luRow
+	luOpen
+	luPut
+	luNextPut
+	luClose
+	luCompute
+	luFinish
+	luNextRow
+	luQuiesce
+	luEndBarrier
+	luSample
+	luExit
+)
+
+// A rank's part in one row.
+const (
+	luPeer  = iota // receives the row
+	luOwner        // broadcasts the row to every peer
+	luSolo         // owns it in a one-rank job: nothing to send
+)
+
+func (t *luProgram) Step(p *sim.Proc) {
+	r, win, run := t.r, t.win, t.run
+	nb := run.series.Nonblocking()
+	for {
+		switch t.step {
+		case luCreate:
+			win = run.rt.CreateWindow(r, int64(run.p.M)*8, core.WinOptions{Mode: run.series.Mode(), ShapeOnly: true})
+			t.win, run.wins[r.ID] = win, win
+		case luBarrier:
+			r.Barrier()
+		case luStamp:
+			t.t0, t.mpiT0 = r.Now(), r.TimeInMPI
+		case luRow:
+			m, n, k := run.p.M, run.n, t.k
+			if k == m {
+				t.step = luQuiesce
+				continue
+			}
+			t.size = int64(m-k) * 8
+			t.work = luWorkTime(r.ID, n, m, k, run.p.FlopNs)
+			switch owner := k % n; {
+			case r.ID != owner:
+				t.role, t.owner[0] = luPeer, owner
+			case n == 1:
+				t.role = luSolo
+			default:
+				t.role = luOwner
+			}
+		case luOpen:
+			switch {
+			case t.role == luPeer:
+				win.Post(t.owner[:])
+			case t.role == luSolo:
+			case nb:
+				win.IStart(t.group)
+			default:
+				win.Start(t.group)
+			}
+		case luPut:
+			if t.role != luOwner {
+				t.step = luClose
+				continue
+			}
+			win.Put(t.group[t.put], 0, nil, t.size)
+		case luNextPut:
+			if t.put++; t.put < len(t.group) {
+				t.step = luPut
+				continue
+			}
+			t.put = 0
+		case luClose:
+			switch {
+			case t.role == luPeer:
+				win.WaitEpoch()
+			case t.role == luOwner && nb:
+				if q := win.IComplete(); !r.Pending() {
+					t.closingReq = q
+				}
+			}
+		case luCompute:
+			r.Compute(t.work)
+		case luFinish:
+			switch {
+			case t.role != luOwner:
+			case nb:
+				r.Wait(t.closingReq)
+			default:
+				win.Complete()
+			}
+		case luNextRow:
+			t.k++
+			t.closingReq = nil
+			t.step = luRow
+			continue
+		case luQuiesce:
+			win.Quiesce()
+		case luEndBarrier:
+			r.Barrier()
+		case luSample:
+			if r.ID == 0 {
+				run.total = r.Now() - t.t0
+			}
+			run.comm[r.ID] = float64(r.TimeInMPI-t.mpiT0) / float64(r.Now()-t.t0)
+		case luExit:
+			p.TaskExit()
+			return
+		}
+		if r.Pending() {
+			return
+		}
+		t.step++
 	}
 }
 

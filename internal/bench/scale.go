@@ -201,19 +201,12 @@ func newScaleRun(n int, s Series, iters int) *scaleRun {
 }
 
 // exec runs one scaleProgram per rank to completion, as task ranks or as
-// goroutine ranks. It is the same program either way: a goroutine rank's
-// calls never return pending, so a single Step runs all of it.
+// goroutine ranks (runProgram).
 func (run *scaleRun) exec(tasks bool) {
 	n := run.world.Size()
-	program := func(r *mpi.Rank) sim.Task {
+	err := runProgram(run.world, tasks, func(r *mpi.Rank) sim.Task {
 		return &scaleProgram{run: run, r: r, tg: scaleGroup(n, r.ID, +1), og: scaleGroup(n, r.ID, -1)}
-	}
-	var err error
-	if tasks {
-		err = run.world.RunTasks(program)
-	} else {
-		err = run.world.Run(func(r *mpi.Rank) { program(r).Step(r.Proc) })
-	}
+	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: scale (n=%d, %s) failed: %v", n, run.s, err))
 	}

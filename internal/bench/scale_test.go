@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -103,6 +104,70 @@ func TestScaleTaskParity(t *testing.T) {
 			if task.inMPI[0] == 0 {
 				t.Fatalf("%s: rank 0 reports no MPI time", s)
 			}
+		})
+	}
+}
+
+// formObservation is what the parity tests require to be identical between
+// the two execution forms of one program: the cell's reading, every rank's
+// MPI time and window counters, and the number of simulation events.
+type formObservation struct {
+	result any
+	inMPI  []sim.Time
+	stats  []core.WindowStats
+	events uint64
+}
+
+func observeForm(result any, w *mpi.World, wins []*core.Window) formObservation {
+	o := formObservation{result: result, events: w.Events()}
+	for i, win := range wins {
+		o.inMPI = append(o.inMPI, w.Rank(i).TimeInMPI)
+		o.stats = append(o.stats, win.Stats())
+	}
+	return o
+}
+
+// TestAppTaskParity pins the two execution forms of the application
+// programs against each other, as TestScaleTaskParity does the scale
+// program's: every transaction series at 16 ranks and every LU series at 8,
+// stepped as task ranks or run inline by goroutine ranks, and one cell of
+// each on a 2-shard world.
+func TestAppTaskParity(t *testing.T) {
+	txnP := TxnParams{EpochsPerRank: 12, PipelineDepth: 4, Seed: 7}
+	luP := LUParams{M: 64, FlopNs: 20}
+	txn := func(s TxnSeries, tasks bool) formObservation {
+		run := txnCell(16, Config(), s, txnP, tasks)
+		return observeForm(run.throughput(), run.world, run.wins)
+	}
+	lu := func(s Series, tasks bool) formObservation {
+		run := luCell(8, s, luP, tasks)
+		return observeForm(run.result(), run.world, run.wins)
+	}
+	same := func(t *testing.T, task, proc formObservation) {
+		t.Helper()
+		if !reflect.DeepEqual(task, proc) {
+			t.Fatalf("task/goroutine divergence:\n task      %+v\n goroutine %+v", task, proc)
+		}
+		if task.inMPI[0] == 0 {
+			t.Fatal("rank 0 reports no MPI time")
+		}
+	}
+	t.Run("sharded", func(t *testing.T) {
+		defer SetShards(0)
+		SetShards(2)
+		same(t, txn(TxnMVAPICH, true), txn(TxnMVAPICH, false))
+		same(t, lu(SeriesNewNB, true), lu(SeriesNewNB, false))
+	})
+	for _, s := range AllTxnSeries {
+		t.Run("txn/"+s.String(), func(t *testing.T) {
+			t.Parallel()
+			same(t, txn(s, true), txn(s, false))
+		})
+	}
+	for _, s := range AllSeries {
+		t.Run("lu/"+s.String(), func(t *testing.T) {
+			t.Parallel()
+			same(t, lu(s, true), lu(s, false))
 		})
 	}
 }

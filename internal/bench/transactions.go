@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/core"
@@ -87,62 +88,162 @@ func RunTxn(n int, series TxnSeries, p TxnParams) float64 {
 }
 
 // runTxn is RunTxn under an explicit fabric calibration (the ablations
-// sweep credits and call overhead): the transaction workload's rank body.
+// sweep credits and call overhead).
 func runTxn(n int, cfg fabric.Config, series TxnSeries, p TxnParams) float64 {
-	mode := core.ModeVanilla
-	var info core.Info
-	nonblocking := false
+	return txnCell(n, cfg, series, p, true).throughput()
+}
+
+// txnRun is one transaction cell: the series' shape, which every rank's
+// program reads, and the world, windows and rank 0's elapsed time once it
+// has run.
+type txnRun struct {
+	n, epochs, depth int
+	nonblocking      bool
+	opt              core.WinOptions
+	world            *mpi.World
+	rt               *core.Runtime
+	wins             []*core.Window
+	elapsed          sim.Time
+}
+
+// txnCell runs one transaction cell in the given rank execution form
+// (runProgram; TestAppTaskParity pins the two against each other).
+func txnCell(n int, cfg fabric.Config, series TxnSeries, p TxnParams, tasks bool) *txnRun {
+	run := &txnRun{n: n, epochs: p.EpochsPerRank, depth: p.PipelineDepth,
+		opt: core.WinOptions{Mode: core.ModeNew, ShapeOnly: true}, wins: make([]*core.Window, n)}
 	switch series {
-	case TxnNew:
-		mode = core.ModeNew
+	case TxnMVAPICH:
+		run.opt.Mode = core.ModeVanilla
 	case TxnNewNB:
-		mode = core.ModeNew
-		nonblocking = true
+		run.nonblocking = true
 	case TxnNewNBAAAR:
-		mode = core.ModeNew
-		info = core.Info{AAAR: true}
-		nonblocking = true
+		run.opt.Info = core.Info{AAAR: true}
+		run.nonblocking = true
 	}
-	depth := p.PipelineDepth
-	if p.CreditConstrained && n >= 512 && depth > 1 {
-		depth = 1
+	if p.CreditConstrained && n >= 512 && run.depth > 1 {
+		run.depth = 1
 	}
-	var elapsed sim.Time
-	runWorld(n, cfg, func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, 4096, core.WinOptions{Mode: mode, Info: info, ShapeOnly: true})
-		rng := sim.NewRNG(p.Seed ^ uint64(r.ID)*0x9e3779b97f4a7c15)
-		r.Barrier()
-		t0 := r.Now()
-		if nonblocking {
-			var pending []*mpi.Request
-			for i := 0; i < p.EpochsPerRank; i++ {
-				t := rng.Intn(n)
-				off := int64(rng.Intn(512)) * 8
-				win.ILock(t, true)
-				win.Accumulate(t, off, core.OpSum, core.TUint64, nil, 8)
-				pending = append(pending, win.IUnlock(t))
-				if len(pending) >= depth {
-					r.Wait(pending[0])
-					pending = pending[1:]
+	run.world = mpi.NewWorldShards(n, cfg, Shards())
+	run.rt = core.NewRuntime(run.world)
+	err := runProgram(run.world, tasks, func(r *mpi.Rank) sim.Task {
+		return &txnProgram{run: run, r: r, rng: sim.NewRNG(p.Seed ^ uint64(r.ID)*0x9e3779b97f4a7c15)}
+	})
+	if err != nil {
+		panic(fmt.Sprintf("bench: simulation failed: %v", err))
+	}
+	return run
+}
+
+// throughput is the cell's reading: thousands of transactions per second.
+func (run *txnRun) throughput() float64 {
+	total := float64(run.n * run.epochs)
+	seconds := float64(run.elapsed) / float64(sim.Second)
+	return total / seconds / 1000
+}
+
+// txnProgram is the transaction workload's rank program, one step per MPI
+// call (see scaleProgram):
+//
+//	CreateWindow; Barrier; then per transaction
+//	  blocking:     Lock; Accumulate; Unlock
+//	  nonblocking:  ILock; Accumulate; IUnlock; Wait(oldest) at depth
+//	then Wait(rest); Barrier; Quiesce
+//
+// on a random exclusive target. The target is drawn in a step that makes no
+// call, so the repeat of a pending call never draws again.
+type txnProgram struct {
+	run *txnRun
+	r   *mpi.Rank
+	rng *sim.RNG
+
+	win     *core.Window
+	step    int // the call to make next (tx* constants)
+	i       int // transactions begun
+	target  int
+	off     int64
+	t0      sim.Time
+	pending []*mpi.Request // nonblocking unlocks in flight, oldest first
+}
+
+// The program's steps, in program order.
+const (
+	txCreate = iota
+	txBarrier
+	txStamp
+	txPick
+	txLock
+	txAcc
+	txUnlock
+	txRetire
+	txNext
+	txDrain
+	txEndBarrier
+	txSample
+	txQuiesce
+	txExit
+)
+
+func (t *txnProgram) Step(p *sim.Proc) {
+	r, win, run := t.r, t.win, t.run
+	for {
+		switch t.step {
+		case txCreate:
+			win = run.rt.CreateWindow(r, 4096, run.opt)
+			t.win, run.wins[r.ID] = win, win
+		case txBarrier:
+			r.Barrier()
+		case txStamp:
+			t.t0 = r.Now()
+		case txPick:
+			if t.i == run.epochs {
+				t.step = txDrain
+				continue
+			}
+			t.target = t.rng.Intn(run.n)
+			t.off = int64(t.rng.Intn(512)) * 8
+		case txLock:
+			if run.nonblocking {
+				win.ILock(t.target, true)
+			} else {
+				win.Lock(t.target, true)
+			}
+		case txAcc:
+			win.Accumulate(t.target, t.off, core.OpSum, core.TUint64, nil, 8)
+		case txUnlock:
+			if !run.nonblocking {
+				win.Unlock(t.target)
+			} else if q := win.IUnlock(t.target); !r.Pending() {
+				t.pending = append(t.pending, q)
+			}
+		case txRetire:
+			if run.nonblocking && len(t.pending) >= run.depth {
+				if r.Wait(t.pending[0]); !r.Pending() {
+					t.pending = t.pending[1:]
 				}
 			}
-			r.Wait(pending...)
-		} else {
-			for i := 0; i < p.EpochsPerRank; i++ {
-				t := rng.Intn(n)
-				off := int64(rng.Intn(512)) * 8
-				win.Lock(t, true)
-				win.Accumulate(t, off, core.OpSum, core.TUint64, nil, 8)
-				win.Unlock(t)
+		case txNext:
+			t.i++
+			t.step = txPick
+			continue
+		case txDrain:
+			if run.nonblocking {
+				r.Wait(t.pending...)
 			}
+		case txEndBarrier:
+			r.Barrier()
+		case txSample:
+			if r.ID == 0 {
+				run.elapsed = r.Now() - t.t0
+			}
+		case txQuiesce:
+			win.Quiesce()
+		case txExit:
+			p.TaskExit()
+			return
 		}
-		r.Barrier()
-		if r.ID == 0 {
-			elapsed = r.Now() - t0
+		if r.Pending() {
+			return
 		}
-		win.Quiesce()
-	})
-	total := float64(n * p.EpochsPerRank)
-	seconds := float64(elapsed) / float64(sim.Second)
-	return total / seconds / 1000
+		t.step++
+	}
 }

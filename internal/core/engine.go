@@ -270,7 +270,7 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 // Serial kernels execute the same event at the same instant, so the two
 // modes stay bit-identical.
 func (e *Engine) ackOp(origin int, o *rmaOp) {
-	cfg := e.rt.world.Net.Cfg
+	cfg := &e.rt.world.Net.Cfg
 	if cfg.SameNode(e.rank.ID, origin) {
 		o.engine().opDelivered(o)
 		return

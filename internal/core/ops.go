@@ -144,7 +144,7 @@ const (
 // It runs in engine (CPU) context — and in the vanilla closing
 // synchronizations, which force-issue regardless of recording.
 func (e *Engine) issueReady(ep *Epoch, scope nodeScope) {
-	cfg := e.rt.world.Net.Cfg
+	cfg := &e.rt.world.Net.Cfg
 	o := ep.recHead
 	ep.recHead, ep.recTail = nil, nil
 	for o != nil {

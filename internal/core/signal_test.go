@@ -316,6 +316,16 @@ func (s *script) Step(p *sim.Proc) {
 	p.TaskExit()
 }
 
+// runForm runs program on every rank of w as task ranks (tasks=true) or as
+// goroutine ranks, where one Step runs the whole script.
+func runForm(w *mpi.World, rt *Runtime, tasks bool, program func(rt *Runtime, r *mpi.Rank) []func()) error {
+	mk := func(r *mpi.Rank) sim.Task { return &script{r: r, calls: program(rt, r)} }
+	if tasks {
+		return w.RunTasks(mk)
+	}
+	return w.Run(func(r *mpi.Rank) { mk(r).Step(r.Proc) })
+}
+
 // runForms runs program on every rank of a fresh n-rank world, once on
 // goroutine ranks and once on task ranks, and requires the two executions to
 // agree on the end time, the event count and every rank's MPI time.
@@ -328,14 +338,7 @@ func runForms(t *testing.T, n int, program func(rt *Runtime, r *mpi.Rank) []func
 	}
 	run := func(tasks bool) outcome {
 		w, rt := testWorld(t, n)
-		mk := func(r *mpi.Rank) sim.Task { return &script{r: r, calls: program(rt, r)} }
-		var err error
-		if tasks {
-			err = w.RunTasks(mk)
-		} else {
-			err = w.Run(func(r *mpi.Rank) { mk(r).Step(r.Proc) })
-		}
-		if err != nil {
+		if err := runForm(w, rt, tasks, program); err != nil {
 			t.Fatalf("tasks=%t: simulation failed: %v", tasks, err)
 		}
 		o := outcome{end: w.K.Now(), events: w.Events()}

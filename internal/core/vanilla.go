@@ -162,15 +162,24 @@ func (w *Window) vanillaLock(target int, exclusive bool) {
 }
 
 // vanillaUnlock fulfils the whole lazy lock epoch: request the lock, wait
-// for the grant, issue the recorded transfers, drain them, release.
+// for the grant, issue the recorded transfers, drain them, release. Like
+// vanillaClose, the repeat of a pending call goes straight back to the drain
+// stage it had reached.
 func (w *Window) vanillaUnlock(target int) {
-	w.rank.ChargeCall()
-	ep := w.findOpenLock(target, EpochLock)
-	w.emitEpoch(traceClose, ep)
-	w.removeOpenAccess(ep)
-	w.vanillaLockActivate(ep)
-	w.armEpochTimeout(ep)
-	w.vanillaDrain(ep, drainGrants)
+	c := &w.eng.call
+	ep, stage := c.ep, c.stage
+	if ep == nil {
+		if !w.rank.ChargeCall() {
+			return
+		}
+		ep, stage = w.findOpenLock(target, EpochLock), drainGrants
+		w.emitEpoch(traceClose, ep)
+		w.removeOpenAccess(ep)
+		w.vanillaLockActivate(ep)
+		w.armEpochTimeout(ep)
+	}
+	c.ep = nil
+	w.vanillaDrain(ep, stage)
 }
 
 // vanillaLockActivate lazily activates a lock(-all) epoch if needed.
@@ -209,15 +218,24 @@ func (w *Window) vanillaLockAll() {
 // every granted lock while blocked on the rest is a hold-and-wait pattern
 // that deadlocks against concurrent exclusive locks; real lazy
 // implementations acquire and release per target for exactly this reason.
+// The repeat of a call pending in the drain finds the closed epoch in the
+// call state.
 func (w *Window) vanillaUnlockAll() {
-	w.rank.ChargeCall()
-	ep := w.findOpenLock(-1, EpochLockAll)
-	w.emitEpoch(traceClose, ep)
-	w.removeOpenAccess(ep)
-	w.vanillaLockActivate(ep)
-	w.armEpochTimeout(ep)
-	ep.closedApp = true
-	w.rank.WaitUntil("vanilla-lockall-drain", func() bool {
+	c := &w.eng.call
+	ep := c.ep
+	if ep == nil {
+		if !w.rank.ChargeCall() {
+			return
+		}
+		ep = w.findOpenLock(-1, EpochLockAll)
+		w.emitEpoch(traceClose, ep)
+		w.removeOpenAccess(ep)
+		w.vanillaLockActivate(ep)
+		w.armEpochTimeout(ep)
+		ep.closedApp = true
+	}
+	c.ep = nil
+	if !w.rank.WaitUntil("vanilla-lockall-drain", func() bool {
 		if ep.err != nil {
 			return true
 		}
@@ -225,7 +243,10 @@ func (w *Window) vanillaUnlockAll() {
 		ep.postDones()
 		ep.maybeComplete()
 		return ep.completed
-	})
+	}) {
+		c.ep = ep
+		return
+	}
 	if err := ep.err; err != nil {
 		panic(err)
 	}

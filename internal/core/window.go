@@ -222,10 +222,20 @@ func (w *Window) onDoneRecv(src int) {
 	w.rank.Wake.Fire()
 }
 
-// pruneCompleted drops completed epochs from the pending queue.
+// pruneCompleted drops completed epochs from the pending queue. The leading
+// run of live epochs stays where it is, so a queue with nothing completed is
+// not written at all (every slot store is a pointer store, which takes a
+// write barrier while the GC marks).
 func (w *Window) pruneCompleted() {
-	out := w.epochs[:0]
-	for _, ep := range w.epochs {
+	i := 0
+	for i < len(w.epochs) && !w.epochs[i].completed {
+		i++
+	}
+	if i == len(w.epochs) {
+		return
+	}
+	out := w.epochs[:i]
+	for _, ep := range w.epochs[i+1:] {
 		if !ep.completed {
 			out = append(out, ep)
 		}

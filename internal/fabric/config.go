@@ -209,8 +209,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// NodeOf returns the node index hosting rank r.
-func (c Config) NodeOf(r int) int {
+// NodeOf returns the node index hosting rank r. It and SameNode take a
+// pointer: they sit on the per-op issue and delivery paths, where a value
+// receiver copies the whole Config at every inlined call.
+func (c *Config) NodeOf(r int) int {
 	ppn := c.ProcsPerNode
 	if ppn <= 0 {
 		ppn = 1
@@ -219,7 +221,7 @@ func (c Config) NodeOf(r int) int {
 }
 
 // SameNode reports whether ranks a and b share a node.
-func (c Config) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
+func (c *Config) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
 
 // WireTime returns how long a packet of size bytes occupies the injection
 // pipeline on the internode path.

@@ -34,6 +34,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -83,6 +84,17 @@ const (
 	crossOwnerMax          = 1<<23 - 2
 	crossCntMax            = 1<<crossOwnerShift - 1
 )
+
+// yieldEvery is how many events the event loop runs between two yields of
+// its OS thread to the Go scheduler (drive). A world of task ranks runs
+// entirely inside one loop that never blocks, so it reaches no scheduling
+// point of its own: at GOMAXPROCS 1 the garbage collector's fractional mark
+// worker then runs only when the loop is preempted, a mark phase stretches
+// over tens of milliseconds, and everything allocated meanwhile survives the
+// cycle — the heap overshoots its goal and the next goal doubles. Goroutine
+// ranks block on a channel at every hand-off, which is why they never showed
+// it. A yield moves no event; one per 4096 costs nothing measurable.
+const yieldEvery = 1 << 12
 
 // before reports whether e fires before o in the (at, seq) total order.
 // seq values are unique, so the order is strict.
@@ -456,6 +468,9 @@ func (k *Kernel) drive(self *Proc) {
 			return
 		}
 		k.nEvents++
+		if k.nEvents%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
 			k.stop(self, fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)",
 				k.maxEvents, k.now))
