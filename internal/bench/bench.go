@@ -114,19 +114,6 @@ func runWorldSetup(n int, cfg fabric.Config, setup func(w *mpi.World), body func
 	}
 }
 
-// runProgram runs mk's rank program — a sim.Task making one MPI call per
-// state and returning while the call is pending, like scaleProgram — on
-// every rank of w. Figures run it as task ranks (tasks=true): no goroutine
-// and no hand-off per rank. The parity tests also run it on goroutine ranks,
-// whose calls never return pending, so a single Step runs the whole program;
-// the two forms are bit-identical.
-func runProgram(w *mpi.World, tasks bool, mk func(r *mpi.Rank) sim.Task) error {
-	if tasks {
-		return w.RunTasks(mk)
-	}
-	return w.Run(func(r *mpi.Rank) { mk(r).Step(r.Proc) })
-}
-
 // grid builds the figure whose every cell is an independent simulation. The
 // |rows| x |cols| cells fan across the parallel harness in row-major order,
 // so they run on par.Workers() CPUs while the rendered table stays

@@ -84,15 +84,15 @@ type luRun struct {
 	comm []float64
 }
 
-// luCell runs one LU cell in the given rank execution form (runProgram;
-// TestAppTaskParity pins the two against each other).
+// luCell runs one LU cell in the given rank execution form
+// (mpi.World.RunProgram; TestAppTaskParity pins the two against each other).
 func luCell(n int, series Series, p LUParams, tasks bool) *luRun {
 	run := &luRun{n: n, series: series, p: p, wins: make([]*core.Window, n), comm: make([]float64, n)}
 	run.world = mpi.NewWorldShards(n, Config(), Shards())
 	run.rt = core.NewRuntime(run.world)
-	err := runProgram(run.world, tasks, func(r *mpi.Rank) sim.Task {
+	err := run.world.RunProgram(func(r *mpi.Rank) sim.Task {
 		return &luProgram{run: run, r: r, group: others(n, r.ID)}
-	})
+	}, tasks)
 	if err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))
 	}

@@ -201,12 +201,12 @@ func newScaleRun(n int, s Series, iters int) *scaleRun {
 }
 
 // exec runs one scaleProgram per rank to completion, as task ranks or as
-// goroutine ranks (runProgram).
+// goroutine ranks (mpi.World.RunProgram).
 func (run *scaleRun) exec(tasks bool) {
 	n := run.world.Size()
-	err := runProgram(run.world, tasks, func(r *mpi.Rank) sim.Task {
+	err := run.world.RunProgram(func(r *mpi.Rank) sim.Task {
 		return &scaleProgram{run: run, r: r, tg: scaleGroup(n, r.ID, +1), og: scaleGroup(n, r.ID, -1)}
-	})
+	}, tasks)
 	if err != nil {
 		panic(fmt.Sprintf("bench: scale (n=%d, %s) failed: %v", n, run.s, err))
 	}

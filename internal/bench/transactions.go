@@ -107,7 +107,7 @@ type txnRun struct {
 }
 
 // txnCell runs one transaction cell in the given rank execution form
-// (runProgram; TestAppTaskParity pins the two against each other).
+// (mpi.World.RunProgram; TestAppTaskParity pins the two against each other).
 func txnCell(n int, cfg fabric.Config, series TxnSeries, p TxnParams, tasks bool) *txnRun {
 	run := &txnRun{n: n, epochs: p.EpochsPerRank, depth: p.PipelineDepth,
 		opt: core.WinOptions{Mode: core.ModeNew, ShapeOnly: true}, wins: make([]*core.Window, n)}
@@ -125,9 +125,9 @@ func txnCell(n int, cfg fabric.Config, series TxnSeries, p TxnParams, tasks bool
 	}
 	run.world = mpi.NewWorldShards(n, cfg, Shards())
 	run.rt = core.NewRuntime(run.world)
-	err := runProgram(run.world, tasks, func(r *mpi.Rank) sim.Task {
+	err := run.world.RunProgram(func(r *mpi.Rank) sim.Task {
 		return &txnProgram{run: run, r: r, rng: sim.NewRNG(p.Seed ^ uint64(r.ID)*0x9e3779b97f4a7c15)}
-	})
+	}, tasks)
 	if err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))
 	}

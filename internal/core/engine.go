@@ -57,11 +57,19 @@ type Engine struct {
 // flight, so one record per engine serves every window. Fields are written
 // only on the pending path: on a goroutine rank they stay zero.
 type callState struct {
-	win   *Window      // CreateWindow: created, inside the barrier
-	ep    *Epoch       // epoch opens: built, not yet pushed; vanilla closes: draining
-	stage int          // vanilla closes: the drain stage reached
-	req   *mpi.Request // blocking synchronizations: issued, waiting
-	lo    *lockOp      // flush-mode unlocks: registered, inside the flush
+	win   *Window // CreateWindow: created, inside the barrier; Free: quiesced, inside it
+	ep    *Epoch  // epoch opens: built, not yet pushed; staged calls: the epoch waited on
+	stage int     // staged calls (vanilla closes, blocking flushes): the wait reached; 0 = fresh
+	fence *Epoch  // IFence: the fence epoch it closed, inside the next one's open
+	lo    *lockOp // flush-mode unlocks: registered, inside the flush
+}
+
+// resume takes a staged call's saved epoch and stage (stage 0: a fresh call)
+// and clears them: they are written again only if the call pends again.
+func (c *callState) resume() (*Epoch, int) {
+	ep, stage := c.ep, c.stage
+	c.ep, c.stage = nil, 0
+	return ep, stage
 }
 
 type fifoWordTo struct {

@@ -173,24 +173,11 @@ func (w *Window) abortPending(first *Epoch, err *RMAError) {
 }
 
 // waitSync is Section V's definition of every blocking synchronization: its
-// nonblocking form, then a wait for the request that form returned, then any
-// abort error surfaced as a panic (the errors-are-fatal analog — world.Run
-// returns it as a wrapped error). The repeat of a call pending in the wait
-// finds the request in the call state and does not issue again.
+// nonblocking form, then a wait for the request that form returned
+// (mpi.Rank.IssueWait), then any abort error surfaced as a panic (the
+// errors-are-fatal analog — world.Run returns it as a wrapped error).
 func (w *Window) waitSync(issue func() *mpi.Request) {
-	r, c := w.rank, &w.eng.call
-	req := c.req
-	if req == nil {
-		if req = issue(); r.Pending() {
-			return
-		}
-	}
-	c.req = nil
-	if r.Wait(req); r.Pending() {
-		c.req = req
-		return
-	}
-	if err := req.Err(); err != nil {
+	if err := w.rank.IssueWait(issue).Err(); err != nil {
 		panic(err)
 	}
 }

@@ -125,18 +125,30 @@ func (w *Window) IFlushAll() *mpi.Request { return w.newFlush(-1, false) }
 // IFlushLocalAll is the local-completion variant of IFlushAll.
 func (w *Window) IFlushLocalAll() *mpi.Request { return w.newFlush(-1, true) }
 
+// Stages of a blocking flush (callState.stage; zero is a fresh call).
+const (
+	flushGrants = iota + 1 // vanilla: forcing the lazy epoch c.ep, waiting for its grants
+	flushOps               // waiting for the in-scope ops
+)
+
 // flushWait drives the engine until every in-scope op reaches the wanted
-// completion level; vanilla windows first force lazy epochs forward.
+// completion level; vanilla windows first force lazy epochs forward. The
+// repeat of a pending call resumes the wait it had reached.
 func (w *Window) flushWait(target int, local bool) {
-	w.rank.ChargeCall()
-	if w.err != nil {
-		panic(w.err) // poisoned window: surface the abort, not an epoch panic
+	ep, stage := w.eng.call.resume()
+	if stage == 0 {
+		if !w.rank.ChargeCall() {
+			return
+		}
+		if w.err != nil {
+			panic(w.err) // poisoned window: surface the abort, not an epoch panic
+		}
+		w.requirePassiveEpoch(target)
 	}
-	w.requirePassiveEpoch(target)
-	if w.mode == ModeVanilla {
-		w.vanillaForceIssue(target)
+	if stage != flushOps && w.mode == ModeVanilla && !w.vanillaForceIssue(target, ep) {
+		return
 	}
-	w.rank.WaitUntil("flush", func() bool {
+	if !w.rank.WaitUntil("flush", func() bool {
 		if w.err != nil {
 			return true // aborted window: unwind instead of waiting forever
 		}
@@ -152,7 +164,10 @@ func (w *Window) flushWait(target int, local bool) {
 			}
 		}
 		return true
-	})
+	}) {
+		w.eng.call.stage = flushOps
+		return
+	}
 	if w.err != nil {
 		panic(w.err)
 	}

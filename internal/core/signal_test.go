@@ -319,29 +319,32 @@ func (s *script) Step(p *sim.Proc) {
 // runForm runs program on every rank of w as task ranks (tasks=true) or as
 // goroutine ranks, where one Step runs the whole script.
 func runForm(w *mpi.World, rt *Runtime, tasks bool, program func(rt *Runtime, r *mpi.Rank) []func()) error {
-	mk := func(r *mpi.Rank) sim.Task { return &script{r: r, calls: program(rt, r)} }
-	if tasks {
-		return w.RunTasks(mk)
-	}
-	return w.Run(func(r *mpi.Rank) { mk(r).Step(r.Proc) })
+	return w.RunProgram(func(r *mpi.Rank) sim.Task { return &script{r: r, calls: program(rt, r)} }, tasks)
 }
 
 // runForms runs program on every rank of a fresh n-rank world, once on
 // goroutine ranks and once on task ranks, and requires the two executions to
-// agree on the end time, the event count and every rank's MPI time.
+// agree on the end time, the event count and every rank's MPI time and
+// number of progress sweeps — a resumed call that re-sweeps a wait it had
+// already passed differs in the last.
 func runForms(t *testing.T, n int, program func(rt *Runtime, r *mpi.Rank) []func()) {
 	t.Helper()
 	type outcome struct {
 		end    sim.Time
 		events uint64
 		inMPI  []sim.Time
+		sweeps []int
 	}
 	run := func(tasks bool) outcome {
 		w, rt := testWorld(t, n)
+		o := outcome{sweeps: make([]int, n)}
+		for i := 0; i < n; i++ {
+			w.Rank(i).AddProgress(func() { o.sweeps[i]++ })
+		}
 		if err := runForm(w, rt, tasks, program); err != nil {
 			t.Fatalf("tasks=%t: simulation failed: %v", tasks, err)
 		}
-		o := outcome{end: w.K.Now(), events: w.Events()}
+		o.end, o.events = w.K.Now(), w.Events()
 		for i := 0; i < n; i++ {
 			o.inMPI = append(o.inMPI, w.Rank(i).TimeInMPI)
 		}

@@ -20,23 +20,33 @@ const (
 // semantics are fulfilled — i.e. when this rank's transfers are done and
 // every peer's completion notification has arrived. Per Section VI rule 5,
 // the new epoch is internally delayed until then, but the call itself
-// never blocks.
+// never blocks. The close and the open each pay a call overhead; the repeat
+// of a call pending in the open's finds the closed epoch in the call state.
 func (w *Window) IFence(assert FenceAssert) *mpi.Request {
 	if w.mode == ModeVanilla {
 		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
 	}
-	var closeReq *mpi.Request
-	if w.curFence != nil {
-		ep := w.curFence
-		w.curFence = nil
-		closeReq = w.closeAccessEpoch(ep)
-	} else {
-		closeReq = mpi.NewCompletedRequest(w.rank)
+	c := &w.eng.call
+	closed := c.fence
+	c.fence = nil
+	if c.ep == nil { // not pending in the open (openEpoch holds its epoch there)
+		if closed = w.curFence; closed != nil {
+			if w.closeAccessEpoch(closed); w.rank.Pending() {
+				return nil
+			}
+			w.curFence = nil
+		}
 	}
 	if assert&AssertNoSucceed == 0 {
-		w.openFenceEpoch()
+		if w.openFenceEpoch(); w.rank.Pending() {
+			c.fence = closed
+			return nil
+		}
 	}
-	return closeReq
+	if closed == nil {
+		return mpi.NewCompletedRequest(w.rank)
+	}
+	return closed.closeReq
 }
 
 // Fence is the blocking MPI_WIN_FENCE.

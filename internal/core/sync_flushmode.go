@@ -265,8 +265,10 @@ func (lo *lockOp) fail(err error) {
 
 // acquire starts a lock acquisition toward target; the returned request
 // completes when the lock is held. Shared locks are one local atomic at the
-// target; exclusive locks are global-then-local.
-func (fm *flushState) acquire(target int, exclusive bool) *mpi.Request {
+// target; exclusive locks are global-then-local. An MPI_MODE_NOCHECK
+// pseudo-lock (noCheck) generates no protocol traffic at all: the caller
+// vouches that no conflicting lock exists.
+func (fm *flushState) acquire(target int, exclusive, noCheck bool) *mpi.Request {
 	w := fm.w
 	w.checkLive()
 	if !w.rank.ChargeCall() {
@@ -280,6 +282,10 @@ func (fm *flushState) acquire(target int, exclusive bool) *mpi.Request {
 	}
 	if fm.heldShared[target] || fm.heldExcl[target] || fm.noCheck[target] {
 		w.raisef("flush mode: target %d is already locked by this origin", target)
+	}
+	if noCheck {
+		fm.noCheck[target] = true
+		return mpi.NewCompletedRequest(w.rank)
 	}
 	if err := fm.deadAcquire(target); err != nil {
 		return mpi.NewFailedRequest(w.rank, err)
@@ -292,27 +298,6 @@ func (fm *flushState) acquire(target int, exclusive bool) *mpi.Request {
 		fm.sendAtom(lo, laLocalAcqS)
 	}
 	return lo.req
-}
-
-// acquireNoCheck installs an MPI_MODE_NOCHECK pseudo-lock: the caller vouches
-// that no conflicting lock exists, so no protocol traffic is generated.
-func (fm *flushState) acquireNoCheck(target int) *mpi.Request {
-	w := fm.w
-	w.checkLive()
-	if !w.rank.ChargeCall() {
-		return nil
-	}
-	if w.err != nil {
-		return mpi.NewFailedRequest(w.rank, w.err)
-	}
-	if target < 0 || target >= w.n {
-		w.raisef("lock target %d out of range (n=%d)", target, w.n)
-	}
-	if fm.heldShared[target] || fm.heldExcl[target] || fm.noCheck[target] {
-		w.raisef("flush mode: target %d is already locked by this origin", target)
-	}
-	fm.noCheck[target] = true
-	return mpi.NewCompletedRequest(w.rank)
 }
 
 // release starts the release of the lock held on target, or of lock_all

@@ -138,14 +138,16 @@ func (w *Window) WaitEpoch() {
 
 // TestEpoch is MPI_WIN_TEST: it drives progress once and reports whether
 // the oldest open exposure epoch has completed; when it has, the epoch is
-// closed exactly as WaitEpoch would.
+// closed exactly as WaitEpoch would. One call, one call overhead.
 func (w *Window) TestEpoch() bool {
-	w.rank.ChargeCall()
+	if !w.rank.ChargeCall() {
+		return false
+	}
 	if len(w.openExposure) == 0 {
 		w.raisef("no open exposure epoch to test")
 	}
 	ep := w.openExposure[0]
-	w.rank.Test(nil) // one progress sweep
+	w.rank.Progress()
 	if ep.err != nil {
 		w.openExposure = removeOpen(w.openExposure, 0)
 		panic(ep.err)

@@ -102,10 +102,7 @@ func (w *Window) ILockAssert(target int, exclusive, noCheck bool) *mpi.Request {
 	if w.mode == ModeFlush {
 		// foMPI protocol: no epoch is opened; the request completes when the
 		// lock is held (shared: one local atomic; exclusive: global+local).
-		if noCheck {
-			return w.fm.acquireNoCheck(target)
-		}
-		return w.fm.acquire(target, exclusive)
+		return w.fm.acquire(target, exclusive, noCheck)
 	}
 	return w.openEpoch(func() *Epoch {
 		ep := newEpoch(w, EpochLock)
@@ -179,7 +176,7 @@ func (w *Window) ILockAll() *mpi.Request {
 // LockAll is the blocking form of ILockAll.
 func (w *Window) LockAll() {
 	if w.mode == ModeVanilla {
-		w.vanillaLockAll()
+		w.vanillaLock(-1, false)
 		return
 	}
 	w.waitSync(w.ILockAll)
@@ -200,7 +197,7 @@ func (w *Window) IUnlockAll() *mpi.Request {
 // UnlockAll is the blocking form of IUnlockAll.
 func (w *Window) UnlockAll() {
 	if w.mode == ModeVanilla {
-		w.vanillaUnlockAll()
+		w.vanillaUnlock(-1)
 		return
 	}
 	w.waitSync(w.IUnlockAll)

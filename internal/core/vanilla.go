@@ -35,11 +35,13 @@ func (w *Window) vanillaOpen(kind EpochKind, group []int) {
 	w.vanillaActivate(w.newGATSEpoch(kind, group))
 }
 
-// Stages of a vanilla closing synchronization (vanillaDrain).
+// Stages of a vanilla closing synchronization (vanillaDrain): the wait a
+// pending call had reached (callState.stage; zero is a fresh call).
 const (
-	drainGrants = iota // waiting for every target's grant
-	drainData          // transfers issued; waiting for remote completion
-	drainExpose        // exposure side: waiting for every origin's done
+	drainGrants = iota + 1 // waiting for every target's grant
+	drainData              // transfers issued; waiting for remote completion
+	drainExpose            // exposure side (and a fence's barrier): every origin's done
+	drainEach              // lock-all: each target drained as its grant lands
 )
 
 // vanillaClose is vanilla-mode Complete (EpochAccess) — the MVAPICH-style
@@ -49,9 +51,8 @@ const (
 // closed at the application level and then drained; the repeat of a pending
 // call goes straight back to the drain stage it had reached.
 func (w *Window) vanillaClose(kind EpochKind) {
-	c := &w.eng.call
-	ep, stage := c.ep, c.stage
-	if ep == nil {
+	ep, stage := w.eng.call.resume()
+	if stage == 0 {
 		if !w.rank.ChargeCall() {
 			return
 		}
@@ -66,14 +67,15 @@ func (w *Window) vanillaClose(kind EpochKind) {
 		}
 		w.armEpochTimeout(ep)
 	}
-	c.ep = nil
 	w.vanillaDrain(ep, stage)
 }
 
 // vanillaDrain runs the waits of a vanilla closing synchronization from
-// stage on: the access side goes through drainGrants and drainData, the
-// exposure side is drainExpose alone. A stage transition falls through into
-// the next stage's progress sweep, as consecutive waits do.
+// stage on: the access side goes through drainGrants and drainData, a fence
+// (both roles) on through drainExpose, the exposure side is drainExpose
+// alone and a lock-all close drainEach alone. A stage transition falls
+// through into the next stage's progress sweep, as consecutive waits do; a
+// pending wait saves its epoch and stage in the call state.
 //
 // Every stage's predicate admits ep.err: an abort (epoch timeout or
 // dead-peer declaration) completes the epoch without ever satisfying the
@@ -106,6 +108,10 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) {
 		ep.closedApp = true
 		ep.postDones()
 		ep.maybeComplete()
+		if ep.kind != EpochFence {
+			break
+		}
+		fallthrough
 	case drainExpose:
 		if !r.WaitUntil("vanilla-wait", func() bool { return ep.err != nil || ep.exposureSideDone() }) {
 			c.ep, c.stage = ep, drainExpose
@@ -113,6 +119,19 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) {
 		}
 		if ep.err == nil {
 			ep.maybeComplete()
+		}
+	case drainEach:
+		if !r.WaitUntil("vanilla-lockall-drain", func() bool {
+			if ep.err != nil {
+				return true
+			}
+			w.eng.issueReady(ep, anyNode)
+			ep.postDones()
+			ep.maybeComplete()
+			return ep.completed
+		}) {
+			c.ep, c.stage = ep, drainEach
+			return
 		}
 	}
 	if err := ep.err; err != nil {
@@ -122,23 +141,24 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) {
 
 // vanillaFence closes the open fence epoch with the staged blocking
 // sequence (all-ready, issue, drain, notify, collect) and opens the next
-// round unless AssertNoSucceed.
+// round unless AssertNoSucceed. The repeat of a call pending in the drain
+// resumes the stage it had reached.
 func (w *Window) vanillaFence(assert FenceAssert) {
-	w.rank.ChargeCall()
-	if w.curFence != nil {
-		ep := w.curFence
-		w.curFence = nil
-		w.emitEpoch(traceClose, ep)
-		w.removeOpenAccess(ep)
-		w.vanillaDrain(ep, drainGrants)
-		// Barrier semantics: wait for every peer's done packet.
-		w.rank.WaitUntil("vanilla-fence-barrier", func() bool {
-			return ep.err != nil || ep.exposureSideDone()
-		})
-		if err := ep.err; err != nil {
-			panic(err)
+	ep, stage := w.eng.call.resume()
+	if stage == 0 {
+		if !w.rank.ChargeCall() {
+			return
 		}
-		ep.maybeComplete()
+		if ep, stage = w.curFence, drainGrants; ep != nil {
+			w.curFence = nil
+			w.emitEpoch(traceClose, ep)
+			w.removeOpenAccess(ep)
+		}
+	}
+	if ep != nil {
+		if w.vanillaDrain(ep, stage); w.rank.Pending() {
+			return
+		}
 	}
 	if assert&AssertNoSucceed == 0 {
 		ep := newEpoch(w, EpochFence)
@@ -148,37 +168,56 @@ func (w *Window) vanillaFence(assert FenceAssert) {
 	}
 }
 
-// vanillaLock opens a lazy lock epoch: nothing is sent yet.
+// vanillaLock opens a lazy lock epoch toward target — or a lazy shared lock
+// on every rank, for target -1: nothing is sent yet.
 func (w *Window) vanillaLock(target int, exclusive bool) {
 	if !w.rank.ChargeCall() {
 		return
 	}
-	ep := newEpoch(w, EpochLock)
+	kind := EpochLockAll
+	if target != -1 {
+		kind = EpochLock
+	}
+	ep := newEpoch(w, kind)
 	ep.shared = !exclusive
-	ep.setGroup([]int{target})
+	if target != -1 {
+		ep.setGroup([]int{target})
+	}
 	w.emitEpoch(traceOpen, ep)
 	w.openAccess = append(w.openAccess, ep)
 	w.epochs = append(w.epochs, ep)
 }
 
-// vanillaUnlock fulfils the whole lazy lock epoch: request the lock, wait
-// for the grant, issue the recorded transfers, drain them, release. Like
-// vanillaClose, the repeat of a pending call goes straight back to the drain
-// stage it had reached.
+// vanillaUnlock fulfils the whole lazy lock epoch toward target — or the
+// lock-all epoch, for target -1: request the lock, wait for the grant, issue
+// the recorded transfers, drain them, release. Like vanillaClose, the repeat
+// of a pending call goes straight back to the drain stage it had reached.
+//
+// The lock-all epoch is drained incrementally (drainEach): each target's
+// transfers are issued the moment its grant arrives and its unlock is sent
+// as soon as they drain, without waiting for the remaining grants. Holding
+// every granted lock while blocked on the rest is a hold-and-wait pattern
+// that deadlocks against concurrent exclusive locks; real lazy
+// implementations acquire and release per target for exactly this reason.
 func (w *Window) vanillaUnlock(target int) {
-	c := &w.eng.call
-	ep, stage := c.ep, c.stage
-	if ep == nil {
+	ep, stage := w.eng.call.resume()
+	if stage == 0 {
 		if !w.rank.ChargeCall() {
 			return
 		}
-		ep, stage = w.findOpenLock(target, EpochLock), drainGrants
+		if target == -1 {
+			ep, stage = w.findOpenLock(-1, EpochLockAll), drainEach
+		} else {
+			ep, stage = w.findOpenLock(target, EpochLock), drainGrants
+		}
 		w.emitEpoch(traceClose, ep)
 		w.removeOpenAccess(ep)
 		w.vanillaLockActivate(ep)
 		w.armEpochTimeout(ep)
+		if stage == drainEach {
+			ep.closedApp = true // each target's unlock goes out as it drains
+		}
 	}
-	c.ep = nil
 	w.vanillaDrain(ep, stage)
 }
 
@@ -199,64 +238,17 @@ func (w *Window) vanillaLockActivate(ep *Epoch) {
 	w.requestAccess(ep)
 }
 
-// vanillaLockAll opens a lazy shared lock on every rank.
-func (w *Window) vanillaLockAll() {
-	if !w.rank.ChargeCall() {
-		return
-	}
-	ep := newEpoch(w, EpochLockAll)
-	ep.shared = true
-	w.emitEpoch(traceOpen, ep)
-	w.openAccess = append(w.openAccess, ep)
-	w.epochs = append(w.epochs, ep)
-}
-
-// vanillaUnlockAll fulfils the lazy lock-all epoch. Unlike the single-lock
-// close, the multi-target epoch is drained incrementally: each target's
-// transfers are issued the moment its grant arrives and its unlock is sent
-// as soon as they drain, without waiting for the remaining grants. Holding
-// every granted lock while blocked on the rest is a hold-and-wait pattern
-// that deadlocks against concurrent exclusive locks; real lazy
-// implementations acquire and release per target for exactly this reason.
-// The repeat of a call pending in the drain finds the closed epoch in the
-// call state.
-func (w *Window) vanillaUnlockAll() {
-	c := &w.eng.call
-	ep := c.ep
-	if ep == nil {
-		if !w.rank.ChargeCall() {
-			return
-		}
-		ep = w.findOpenLock(-1, EpochLockAll)
-		w.emitEpoch(traceClose, ep)
-		w.removeOpenAccess(ep)
-		w.vanillaLockActivate(ep)
-		w.armEpochTimeout(ep)
-		ep.closedApp = true
-	}
-	c.ep = nil
-	if !w.rank.WaitUntil("vanilla-lockall-drain", func() bool {
-		if ep.err != nil {
-			return true
-		}
-		w.eng.issueReady(ep, anyNode)
-		ep.postDones()
-		ep.maybeComplete()
-		return ep.completed
-	}) {
-		c.ep = ep
-		return
-	}
-	if err := ep.err; err != nil {
-		panic(err)
-	}
-}
-
-// vanillaForceIssue pushes a lazy passive epoch far enough for a blocking
-// flush: acquire the lock(s) and issue what is recorded toward target
-// (target == -1 means every target).
-func (w *Window) vanillaForceIssue(target int) {
+// vanillaForceIssue pushes the lazy passive epochs covering target (-1:
+// every target) far enough for a blocking flush: acquire the lock(s) and
+// issue what is recorded. It reports false when the call is pending in an
+// epoch's grant wait; the repeat resumes at that epoch (from; nil: the
+// first), never re-sweeping a wait it had already passed.
+func (w *Window) vanillaForceIssue(target int, from *Epoch) bool {
 	for _, ep := range w.openAccess {
+		if from != nil && ep != from {
+			continue
+		}
+		from = nil
 		if ep.kind != EpochLock && ep.kind != EpochLockAll {
 			continue
 		}
@@ -264,13 +256,13 @@ func (w *Window) vanillaForceIssue(target int) {
 			continue
 		}
 		w.vanillaLockActivate(ep)
-		epoch := ep
-		w.rank.WaitUntil("vanilla-flush-grants", func() bool {
-			return epoch.err != nil || epoch.allGranted()
-		})
-		if epoch.err != nil {
-			continue // flushWait's own err check surfaces the abort
+		if !w.rank.WaitUntil("vanilla-flush-grants", func() bool { return ep.err != nil || ep.allGranted() }) {
+			w.eng.call.ep, w.eng.call.stage = ep, flushGrants
+			return false
 		}
-		w.eng.issueReady(ep, anyNode)
+		if ep.err == nil { // flushWait's own err check surfaces an abort
+			w.eng.issueReady(ep, anyNode)
+		}
 	}
+	return true
 }

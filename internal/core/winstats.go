@@ -29,11 +29,20 @@ func (w *Window) Stats() WindowStats {
 // engine. Using a freed window panics. Mirrors MPI_WIN_FREE's "all RMA on
 // the window must be complete" requirement.
 func (w *Window) Free() {
-	if w.freed {
-		w.raisef("window freed twice")
+	c := &w.eng.call
+	if c.win != w { // not the repeat of a call pending in the barrier
+		if w.freed {
+			w.raisef("window freed twice")
+		}
+		if w.Quiesce(); w.rank.Pending() {
+			return
+		}
 	}
-	w.Quiesce()
-	w.rank.Barrier()
+	c.win = nil
+	if w.rank.Barrier(); w.rank.Pending() {
+		c.win = w
+		return
+	}
 	w.freed = true
 	delete(w.eng.windows, w.id)
 	for i, x := range w.eng.winList {

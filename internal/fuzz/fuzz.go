@@ -75,7 +75,6 @@ type Options struct {
 	// Shards executes every run on a sharded kernel with this many shards
 	// (<= 1: serial). Every failure, transcript line and invariant outcome
 	// is bit-identical to serial — sharding changes only wall-clock.
-	// Topology runs fall back to serial (see ExecuteWith).
 	Shards int
 	// Signal creates every window on the counter-signal epoch transport
 	// (core.TransportSignal) with the seed-derived replica base SignalBase

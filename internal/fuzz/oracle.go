@@ -52,15 +52,13 @@ func applyOracleOp(p *Program, wi, origin int, o OpSpec, mems [][][]byte) {
 		}
 	case OpGet:
 		// no memory effect
-	case OpAcc, OpFAO:
-		oracleAcc(mem[o.Off:o.Off+o.Size], accPayload(o.Val, o.Size, ws.DT), ws.Op, ws.DT)
-	case OpGetAcc:
+	case OpAcc, OpGetAcc, OpFAO:
 		if !o.NoOp {
-			oracleAcc(mem[o.Off:o.Off+o.Size], accPayload(o.Val, o.Size, ws.DT), ws.Op, ws.DT)
+			oracleAcc(mem[o.Off:o.Off+o.Size], accPayload(make([]byte, 0, o.Size), o.Val, o.Size, ws.DT), ws.Op, ws.DT)
 		}
 	case OpCAS:
 		if o.Match {
-			copy(mem[o.Off:o.Off+8], casSwap(o.Val))
+			binary.LittleEndian.PutUint64(mem[o.Off:], casSwap(o.Val))
 		}
 	}
 }

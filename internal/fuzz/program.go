@@ -37,6 +37,8 @@
 package fuzz
 
 import (
+	"encoding/binary"
+
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -168,34 +170,7 @@ var accDTs = []core.DType{core.TInt64, core.TUint64, core.TByte}
 
 // Generate derives a complete program from seed. The same seed always yields
 // the same program (sim.RNG is stable across Go releases).
-func Generate(seed uint64) *Program {
-	rng := sim.NewRNG(seed)
-	n := 2 + rng.Intn(4) // 2..5 ranks
-	ppn := []int{1, 2, n}[rng.Intn(3)]
-	p := &Program{Seed: seed, NRanks: n, ProcsPerNode: ppn}
-
-	nw := 1 + rng.Intn(2)
-	for i := 0; i < nw; i++ {
-		p.Windows = append(p.Windows, genWindow(rng))
-	}
-	// With two windows, force one of each family so every program still
-	// exercises both; a single window picks its family at random.
-	if nw == 2 && p.Windows[0].Passive == p.Windows[1].Passive {
-		p.Windows[1].Passive = !p.Windows[0].Passive
-	}
-
-	// CAS slots are single-use per (window, origin) across the program.
-	casUsed := make([][]int, nw)
-	for i := range casUsed {
-		casUsed[i] = make([]int, n)
-	}
-
-	rounds := 3 + rng.Intn(8)
-	for i := 0; i < rounds; i++ {
-		p.Rounds = append(p.Rounds, genRound(rng, p, casUsed))
-	}
-	return p
-}
+func Generate(seed uint64) *Program { return generate(seed, false) }
 
 // GenerateFlush derives a flush-mode (core.ModeFlush) program from seed.
 // Same shape discipline as Generate, restricted to what the epochless design
@@ -210,7 +185,9 @@ func Generate(seed uint64) *Program {
 // most one lock per round and acquires it before blocking on anything else,
 // and in-flight releases complete autonomously (NIC-driven), so a
 // back-to-back re-acquire spins briefly rather than deadlocking.
-func GenerateFlush(seed uint64) *Program {
+func GenerateFlush(seed uint64) *Program { return generate(seed, true) }
+
+func generate(seed uint64, flush bool) *Program {
 	rng := sim.NewRNG(seed)
 	n := 2 + rng.Intn(4) // 2..5 ranks
 	ppn := []int{1, 2, n}[rng.Intn(3)]
@@ -219,72 +196,26 @@ func GenerateFlush(seed uint64) *Program {
 	nw := 1 + rng.Intn(2)
 	for i := 0; i < nw; i++ {
 		ws := genWindow(rng)
-		ws.Passive = true
+		ws.Passive = ws.Passive || flush
 		p.Windows = append(p.Windows, ws)
 	}
+	// With two windows, force one of each family so every program still
+	// exercises both; a single window picks its family at random.
+	if nw == 2 && !flush && p.Windows[0].Passive == p.Windows[1].Passive {
+		p.Windows[1].Passive = !p.Windows[0].Passive
+	}
+
+	// CAS slots are single-use per (window, origin) across the program.
 	casUsed := make([][]int, nw)
 	for i := range casUsed {
 		casUsed[i] = make([]int, n)
 	}
+
 	rounds := 3 + rng.Intn(8)
 	for i := 0; i < rounds; i++ {
-		p.Rounds = append(p.Rounds, genFlushRound(rng, p, casUsed))
+		p.Rounds = append(p.Rounds, genRound(rng, p, casUsed, flush))
 	}
 	return p
-}
-
-// genFlushRound draws one flush-mode round: lock (40%), lock_all (30%) or a
-// bare epochless flush burst (30%).
-func genFlushRound(rng *sim.RNG, p *Program, casUsed [][]int) Round {
-	n := p.NRanks
-	rd := Round{
-		Win:         rng.Intn(len(p.Windows)),
-		Nonblocking: make([]bool, n),
-		Compute:     make([]int64, n),
-	}
-	for r := 0; r < n; r++ {
-		rd.Nonblocking[r] = rng.Intn(2) == 0
-		rd.Compute[r] = int64(rng.Intn(4001)) // 0..4 us
-	}
-	switch roll := rng.Intn(100); {
-	case roll < 40:
-		rd.Kind = RLock
-		rd.LockTarget = make([]int, n)
-		rd.LockShared = make([]bool, n)
-		rd.Ops = make([][]OpSpec, n)
-		for r := 0; r < n; r++ {
-			rd.LockTarget[r] = -1
-			if rng.Intn(100) < 70 {
-				t := rng.Intn(n)
-				rd.LockTarget[r] = t
-				rd.LockShared[r] = rng.Intn(2) == 0
-				rd.Ops[r] = genOps(rng, p, rd.Win, r, []int{t}, casUsed)
-			}
-		}
-	case roll < 70:
-		rd.Kind = RLockAll
-		rd.Member = make([]bool, n)
-		rd.Ops = make([][]OpSpec, n)
-		all := allRanks(n)
-		for r := 0; r < n; r++ {
-			if rng.Intn(2) == 0 {
-				rd.Member[r] = true
-				rd.Ops[r] = genOps(rng, p, rd.Win, r, all, casUsed)
-			}
-		}
-	default:
-		rd.Kind = RFlush
-		rd.Member = make([]bool, n)
-		rd.Ops = make([][]OpSpec, n)
-		all := allRanks(n)
-		for r := 0; r < n; r++ {
-			if rng.Intn(100) < 70 {
-				rd.Member[r] = true
-				rd.Ops[r] = genOps(rng, p, rd.Win, r, all, casUsed)
-			}
-		}
-	}
-	return rd
 }
 
 func genWindow(rng *sim.RNG) WindowSpec {
@@ -305,7 +236,11 @@ func genWindow(rng *sim.RNG) WindowSpec {
 	}
 }
 
-func genRound(rng *sim.RNG, p *Program, casUsed [][]int) Round {
+// genRound draws one round. Flush-mode rounds are lock (40%), lock_all
+// (30%) or a bare epochless flush burst (30%); the others draw from the
+// window's family, fence or GATS on an active window, lock or lock_all on a
+// passive one.
+func genRound(rng *sim.RNG, p *Program, casUsed [][]int, flush bool) Round {
 	n := p.NRanks
 	rd := Round{
 		Win:         rng.Intn(len(p.Windows)),
@@ -318,14 +253,26 @@ func genRound(rng *sim.RNG, p *Program, casUsed [][]int) Round {
 	}
 
 	roll := rng.Intn(100)
-	if p.Windows[rd.Win].Passive {
-		roll = 60 + roll*40/100 // remap into the lock/lock_all range
-	} else {
-		roll = roll * 60 / 100 // remap into the fence/GATS range
-	}
 	switch {
-	case roll < 25:
-		rd.Kind = RFence
+	case flush && roll < 40:
+		rd.Kind = RLock
+	case flush && roll < 70:
+		rd.Kind = RLockAll
+	case flush:
+		rd.Kind = RFlush
+	case p.Windows[rd.Win].Passive: // remap into the lock (25) / lock_all (15) range
+		rd.Kind = RLock
+		if 60+roll*40/100 >= 85 {
+			rd.Kind = RLockAll
+		}
+	default: // remap into the fence (25) / GATS (35) range
+		rd.Kind = RGATS
+		if roll*60/100 < 25 {
+			rd.Kind = RFence
+		}
+	}
+	switch rd.Kind {
+	case RFence:
 		rd.Phases = 1 + rng.Intn(2)
 		all := allRanks(n)
 		for ph := 0; ph < rd.Phases; ph++ {
@@ -335,8 +282,7 @@ func genRound(rng *sim.RNG, p *Program, casUsed [][]int) Round {
 			}
 			rd.PhaseOps = append(rd.PhaseOps, phase)
 		}
-	case roll < 60:
-		rd.Kind = RGATS
+	case RGATS:
 		perm := rng.Perm(n)
 		no := 1 + rng.Intn(n-1)
 		nt := 1 + rng.Intn(n-no)
@@ -346,8 +292,7 @@ func genRound(rng *sim.RNG, p *Program, casUsed [][]int) Round {
 		for _, o := range rd.Origins {
 			rd.Ops[o] = genOps(rng, p, rd.Win, o, rd.Targets, casUsed)
 		}
-	case roll < 85:
-		rd.Kind = RLock
+	case RLock:
 		rd.LockTarget = make([]int, n)
 		rd.LockShared = make([]bool, n)
 		rd.Ops = make([][]OpSpec, n)
@@ -360,13 +305,12 @@ func genRound(rng *sim.RNG, p *Program, casUsed [][]int) Round {
 				rd.Ops[r] = genOps(rng, p, rd.Win, r, []int{t}, casUsed)
 			}
 		}
-	default:
-		rd.Kind = RLockAll
+	default: // RLockAll: half the ranks; RFlush: 70%
 		rd.Member = make([]bool, n)
 		rd.Ops = make([][]OpSpec, n)
 		all := allRanks(n)
 		for r := 0; r < n; r++ {
-			if rng.Intn(2) == 0 {
+			if rd.Kind == RFlush && rng.Intn(100) < 70 || rd.Kind == RLockAll && rng.Intn(2) == 0 {
 				rd.Member[r] = true
 				rd.Ops[r] = genOps(rng, p, rd.Win, r, all, casUsed)
 			}
@@ -398,7 +342,7 @@ func genOps(rng *sim.RNG, p *Program, win, origin int, targets []int, casUsed []
 			o.Kind = OpGet
 			total := ws.TotalSize(p.NRanks)
 			o.Off = rng.Int63n(total)
-			o.Size = 1 + rng.Int63n(min64(128, total-o.Off))
+			o.Size = 1 + rng.Int63n(min(128, total-o.Off))
 		case roll < 70:
 			o.Kind = OpAcc
 			genAccRange(rng, &o, ws)
@@ -409,7 +353,7 @@ func genOps(rng *sim.RNG, p *Program, win, origin int, targets []int, casUsed []
 				o.NoOp = true
 				es := int64(ws.DT.Size())
 				total := ws.TotalSize(p.NRanks)
-				nelem := 1 + rng.Int63n(min64(16, total/es))
+				nelem := 1 + rng.Int63n(min(16, total/es))
 				o.Size = nelem * es
 				o.Off = es * rng.Int63n((total-o.Size)/es+1)
 			} else {
@@ -443,7 +387,7 @@ func genPut(rng *sim.RNG, o *OpSpec, ws WindowSpec, origin int) {
 	area := ws.SliceSz - casSlotArea
 	rel := rng.Int63n(area)
 	o.Off = ws.SliceBase(origin) + casSlotArea + rel
-	o.Size = 1 + rng.Int63n(min64(64, area-rel))
+	o.Size = 1 + rng.Int63n(min(64, area-rel))
 }
 
 // genAccRange picks an element-aligned range in the shared accumulate
@@ -455,16 +399,9 @@ func genAccRange(rng *sim.RNG, o *OpSpec, ws WindowSpec) {
 		o.Off, o.Size = 0, ws.AccSize
 		return
 	}
-	nelem := 1 + rng.Int63n(min64(16, ws.AccSize/es))
+	nelem := 1 + rng.Int63n(min(16, ws.AccSize/es))
 	o.Size = nelem * es
 	o.Off = es * rng.Int63n((ws.AccSize-o.Size)/es+1)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- Deterministic payloads (shared by the runner and the oracle) ------- //
@@ -485,27 +422,22 @@ func putByteAt(win, origin int, absOff int64) byte {
 	return byte(mix64(uint64(win+1)<<40 ^ uint64(origin+1)<<20 ^ uint64(absOff)))
 }
 
-// putPayload materializes a put operand.
-func putPayload(win, origin int, off, size int64) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = putByteAt(win, origin, off+int64(i))
+// putPayload appends a put operand to b.
+func putPayload(b []byte, win, origin int, off, size int64) []byte {
+	for i := int64(0); i < size; i++ {
+		b = append(b, putByteAt(win, origin, off+i))
 	}
 	return b
 }
 
-// accPayload materializes an accumulate-class operand from its seed.
-func accPayload(val uint64, size int64, dt core.DType) []byte {
-	b := make([]byte, size)
-	es := int64(dt.Size())
-	for e := int64(0); e*es < size; e++ {
-		v := mix64(val + uint64(e))
-		if es == 1 {
-			b[e] = byte(v)
-			continue
-		}
-		for j := int64(0); j < 8; j++ {
-			b[e*8+j] = byte(v >> (8 * j))
+// accPayload appends an accumulate-class operand, materialized from its
+// seed, to b.
+func accPayload(b []byte, val uint64, size int64, dt core.DType) []byte {
+	for e := int64(0); e*int64(dt.Size()) < size; e++ {
+		if v := mix64(val + uint64(e)); dt.Size() == 1 {
+			b = append(b, byte(v))
+		} else {
+			b = binary.LittleEndian.AppendUint64(b, v)
 		}
 	}
 	return b
@@ -513,11 +445,4 @@ func accPayload(val uint64, size int64, dt core.DType) []byte {
 
 // casSwap is the swap operand of a CAS (always nonzero, so a successful
 // swap is visible against the zero-initialized slot).
-func casSwap(val uint64) []byte {
-	v := mix64(val) | 1
-	b := make([]byte, 8)
-	for j := 0; j < 8; j++ {
-		b[j] = byte(v >> (8 * j))
-	}
-	return b
-}
+func casSwap(val uint64) uint64 { return mix64(val) | 1 }

@@ -1,7 +1,9 @@
 package fuzz
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -141,7 +143,14 @@ func Execute(p *Program, mode core.Mode) *RunResult {
 }
 
 // ExecuteWith is Execute over the fabric, kernel and transport o selects.
+// Every rank runs its compiled program (rankProgram) as a task rank.
 func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
+	return execute(p, mode, o, true)
+}
+
+// execute is ExecuteWith on task ranks or, as the reference the tests pin
+// them against, on goroutine ranks.
+func execute(p *Program, mode core.Mode, o ExecOptions, tasks bool) *RunResult {
 	cfg := fabric.DefaultConfig()
 	cfg.ProcsPerNode = p.ProcsPerNode
 	cfg.Topo = TopoSpec(o.Topo, p.Seed)
@@ -155,7 +164,7 @@ func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
 	rt.SetTracer(rec)
 
 	res := &RunResult{Wins: make([][]*core.Window, p.NRanks)}
-	// world.Run recovers panics raised in rank bodies, but core can also
+	// A panic in a rank program becomes the run's error, but core can also
 	// raise from NIC/kernel context (e.g. a malformed unlock at a lock
 	// agent); recover those here so a fuzzed bug becomes a reported failure
 	// with its seed instead of a process abort.
@@ -165,27 +174,10 @@ func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
 				err = fmt.Errorf("panic outside rank context: %v", r)
 			}
 		}()
-		return world.Run(func(r *mpi.Rank) {
-			me := r.ID
-			for _, ws := range p.Windows {
-				opt := core.WinOptions{Mode: mode, Info: ws.Info}
-				if o.Signal {
-					opt.Transport = core.TransportSignal
-					opt.SignalBase = SignalBase(p.Seed)
-				}
-				win := rt.CreateWindow(r, ws.TotalSize(p.NRanks), opt)
-				res.Wins[me] = append(res.Wins[me], win)
-			}
-			var pending []*mpi.Request
-			for _, rd := range p.Rounds {
-				execRound(p, rd, r, res.Wins[me], mode, &pending)
-			}
-			r.Wait(pending...)
-			for _, win := range res.Wins[me] {
-				win.Quiesce()
-			}
-			r.Barrier()
-		})
+		return world.RunProgram(func(r *mpi.Rank) sim.Task {
+			res.Wins[r.ID] = make([]*core.Window, len(p.Windows))
+			return &rankProgram{r: r, rt: rt, p: p, mode: mode, signal: o.Signal, wins: res.Wins[r.ID], calls: compile(p, mode, r.ID)}
+		}, tasks)
 	}()
 
 	res.Events = rec.Events()
@@ -202,12 +194,10 @@ func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
 		res.Stats = make([][]core.WindowStats, p.NRanks)
 		for wi := range p.Windows {
 			res.Mems[wi] = make([][]byte, p.NRanks)
-			for r := 0; r < p.NRanks; r++ {
-				res.Mems[wi][r] = append([]byte(nil), res.Wins[r][wi].Bytes()...)
-			}
 		}
-		for r := 0; r < p.NRanks; r++ {
-			for _, win := range res.Wins[r] {
+		for r, wins := range res.Wins {
+			for wi, win := range wins {
+				res.Mems[wi][r] = append([]byte(nil), win.Bytes()...)
 				res.Stats[r] = append(res.Stats[r], win.Stats())
 			}
 		}
@@ -215,177 +205,264 @@ func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
 	return res
 }
 
-func execRound(p *Program, rd Round, r *mpi.Rank, wins []*core.Window, mode core.Mode, pending *[]*mpi.Request) {
-	me := r.ID
-	if d := rd.Compute[me]; d > 0 {
-		r.Compute(sim.Time(d))
-	}
-	win := wins[rd.Win]
-	if mode == core.ModeFlush {
-		execFlushRound(p, rd, r, win, pending)
-		return
-	}
-	nb := rd.Nonblocking[me] && mode == core.ModeNew
+// callKind names the MPI call a program record makes. The RMA operations
+// are the OpKinds; a synchronization with an I-form comes in a pair, the
+// nonblocking kind right above the blocking one.
+type callKind uint8
 
-	switch rd.Kind {
-	case RFence:
-		for ph := 0; ph < rd.Phases; ph++ {
-			if nb {
-				*pending = append(*pending, win.IFence(core.AssertNone))
-			} else {
-				win.Fence(core.AssertNone)
+const (
+	cFence callKind = iota + callKind(OpCAS) + 1
+	cIFence
+	cStart
+	cIStart
+	cComplete
+	cIComplete
+	cPost
+	cIPost
+	cWaitEpoch
+	cIWait
+	cLock
+	cILock
+	cUnlock
+	cIUnlock
+	cLockAll
+	cILockAll
+	cUnlockAll
+	cIUnlockAll
+	cFlush
+	cIFlush
+	cFlushAll
+	cIFlushAll
+	cCreate
+	cCompute
+	cWaitAll // every kept nonblocking close
+	cQuiesce
+	cBarrier
+)
+
+// call is one MPI call of a rank's program, a small value record: a program
+// is one flat slice, and stepping it allocates nothing per call.
+type call struct {
+	kind      callKind
+	noSucceed bool // Fence: the sequence's last
+	win       int32
+	rd        *Round  // the round, for what the call reads of it: group, lock target, delay
+	o         *OpSpec // operations
+	mem       []byte  // operations: operand, CAS compare value, result — one allocation the op owns
+}
+
+// compile lays out rank me's calls of p under mode: the program is walked
+// twice, to count and then to fill, so it is one exact-size allocation.
+func compile(p *Program, mode core.Mode, me int) []call {
+	n := 0
+	layout(p, mode, me, func(call) { n++ })
+	cs := make([]call, 0, n)
+	layout(p, mode, me, func(c call) {
+		if c.o != nil {
+			c.mem = opMem(p.Windows[c.win], int(c.win), me, c.o)
+		}
+		cs = append(cs, c)
+	})
+	return cs
+}
+
+// layout emits rank me's calls of p under mode in program order:
+// CreateWindow per window; per round its Compute, synchronizations and
+// operations; then Wait for the kept nonblocking closes, Quiesce per window
+// and a Barrier. A rank takes the I-forms in the rounds that make it
+// nonblocking — never under vanilla, which has none. Flush-mode locks are
+// pure mutual exclusion, so their acquire is always awaited before the ops,
+// and completion comes from the flush family: an explicit flush before the
+// unlock, or the one a blocking unlock_all implies.
+func layout(p *Program, mode core.Mode, me int, emit func(call)) {
+	for wi := range p.Windows {
+		emit(call{kind: cCreate, win: int32(wi)})
+	}
+	for i := range p.Rounds {
+		rd := &p.Rounds[i]
+		flush, nb := mode == core.ModeFlush, rd.Nonblocking[me] && mode != core.ModeVanilla
+		add := func(k callKind, nb bool, c call) {
+			if c.kind, c.win, c.rd = k, int32(rd.Win), rd; nb {
+				c.kind++
 			}
-			doOps(p, rd.Win, me, rd.PhaseOps[ph][me], win)
+			emit(c)
 		}
-		if nb {
-			*pending = append(*pending, win.IFence(core.AssertNoSucceed))
-		} else {
-			win.Fence(core.AssertNoSucceed)
+		ops := func(ops []OpSpec) {
+			for j := range ops {
+				add(callKind(ops[j].Kind), false, call{o: &ops[j]})
+			}
 		}
-
-	case RGATS:
+		if rd.Compute[me] > 0 {
+			add(cCompute, false, call{})
+		}
 		switch {
-		case contains(rd.Origins, me):
-			if nb {
-				win.IStart(rd.Targets)
-				doOps(p, rd.Win, me, rd.Ops[me], win)
-				*pending = append(*pending, win.IComplete())
-			} else {
-				win.Start(rd.Targets)
-				doOps(p, rd.Win, me, rd.Ops[me], win)
-				win.Complete()
+		case rd.Kind == RFence:
+			for ph := 0; ph < rd.Phases; ph++ {
+				add(cFence, nb, call{})
+				ops(rd.PhaseOps[ph][me])
 			}
-		case contains(rd.Targets, me):
-			if nb {
-				win.IPost(rd.Origins)
-				*pending = append(*pending, win.IWait())
-			} else {
-				win.Post(rd.Origins)
-				win.WaitEpoch()
+			add(cFence, nb, call{noSucceed: true})
+		case rd.Kind == RGATS && slices.Contains(rd.Origins, me):
+			add(cStart, nb, call{})
+			ops(rd.Ops[me])
+			add(cComplete, nb, call{})
+		case rd.Kind == RGATS && slices.Contains(rd.Targets, me):
+			add(cPost, nb, call{})
+			add(cWaitEpoch, nb, call{})
+		case rd.Kind == RLock && rd.LockTarget[me] >= 0:
+			add(cLock, nb && !flush, call{})
+			ops(rd.Ops[me])
+			if flush {
+				add(cFlush, nb, call{})
 			}
-		}
-
-	case RLock:
-		t := rd.LockTarget[me]
-		if t < 0 {
-			return
-		}
-		exclusive := !rd.LockShared[me]
-		if nb {
-			win.ILock(t, exclusive)
-			doOps(p, rd.Win, me, rd.Ops[me], win)
-			*pending = append(*pending, win.IUnlock(t))
-		} else {
-			win.Lock(t, exclusive)
-			doOps(p, rd.Win, me, rd.Ops[me], win)
-			win.Unlock(t)
-		}
-
-	case RLockAll:
-		if !rd.Member[me] {
-			return
-		}
-		if nb {
-			win.ILockAll()
-			doOps(p, rd.Win, me, rd.Ops[me], win)
-			*pending = append(*pending, win.IUnlockAll())
-		} else {
-			win.LockAll()
-			doOps(p, rd.Win, me, rd.Ops[me], win)
-			win.UnlockAll()
+			add(cUnlock, nb, call{})
+		case rd.Kind == RLockAll && rd.Member[me]:
+			add(cLockAll, nb && !flush, call{})
+			ops(rd.Ops[me])
+			if flush && !nb {
+				add(cFlushAll, false, call{})
+			}
+			add(cUnlockAll, nb, call{})
+		case rd.Kind == RFlush && rd.Member[me]: // the epochless idiom: issue, then flush
+			ops(rd.Ops[me])
+			add(cFlushAll, nb, call{})
 		}
 	}
-}
-
-// execFlushRound runs one round of a GenerateFlush program under ModeFlush.
-// Locks are pure mutual exclusion (never gating transfer issue), so the
-// acquire is always awaited before ops — required anyway for the unlock's
-// held-lock check — and completion comes from the flush family: either an
-// explicit flush before unlock (nonblocking arm) or the flush the blocking
-// unlock implies.
-func execFlushRound(p *Program, rd Round, r *mpi.Rank, win *core.Window, pending *[]*mpi.Request) {
-	me := r.ID
-	nb := rd.Nonblocking[me]
-	switch rd.Kind {
-	case RLock:
-		t := rd.LockTarget[me]
-		if t < 0 {
-			return
-		}
-		r.Wait(win.ILock(t, !rd.LockShared[me]))
-		doOps(p, rd.Win, me, rd.Ops[me], win)
-		if nb {
-			*pending = append(*pending, win.IFlush(t), win.IUnlock(t))
-		} else {
-			win.Flush(t)
-			win.Unlock(t)
-		}
-	case RLockAll:
-		if !rd.Member[me] {
-			return
-		}
-		r.Wait(win.ILockAll())
-		doOps(p, rd.Win, me, rd.Ops[me], win)
-		if nb {
-			*pending = append(*pending, win.IUnlockAll())
-		} else {
-			win.FlushAll()
-			win.UnlockAll()
-		}
-	case RFlush:
-		// The epochless idiom: no lock at all — issue, then flush.
-		if !rd.Member[me] {
-			return
-		}
-		doOps(p, rd.Win, me, rd.Ops[me], win)
-		if nb {
-			*pending = append(*pending, win.IFlushAll())
-		} else {
-			win.FlushAll()
-		}
-	default:
-		panic(fmt.Sprintf("fuzz: round kind %d in a flush-mode program", rd.Kind))
+	emit(call{kind: cWaitAll})
+	for wi := range p.Windows {
+		emit(call{kind: cQuiesce, win: int32(wi)})
 	}
+	emit(call{kind: cBarrier})
 }
 
-// doOps issues one epoch's generated operations.
-func doOps(p *Program, wi, origin int, ops []OpSpec, win *core.Window) {
-	ws := p.Windows[wi]
-	for _, o := range ops {
-		switch o.Kind {
-		case OpPut:
-			win.Put(o.Target, o.Off, putPayload(wi, origin, o.Off, o.Size), o.Size)
-		case OpGet:
-			win.Get(o.Target, o.Off, make([]byte, o.Size), o.Size)
-		case OpAcc:
-			win.Accumulate(o.Target, o.Off, ws.Op, ws.DT, accPayload(o.Val, o.Size, ws.DT), o.Size)
-		case OpGetAcc:
+// opMem materializes an operation's buffers as one allocation the op owns:
+// its operand (a CAS's swap value, then its compare value), then room for
+// its result.
+func opMem(ws WindowSpec, wi, origin int, o *OpSpec) []byte {
+	switch o.Kind {
+	case OpPut:
+		return putPayload(make([]byte, 0, o.Size), wi, origin, o.Off, o.Size)
+	case OpGet:
+		return make([]byte, o.Size)
+	case OpAcc:
+		return accPayload(make([]byte, 0, o.Size), o.Val, o.Size, ws.DT)
+	case OpCAS:
+		b := binary.LittleEndian.AppendUint64(make([]byte, 0, 24), casSwap(o.Val))[:24]
+		if !o.Match {
+			binary.LittleEndian.PutUint64(b[8:], ^uint64(0)) // slots are single-use and zero-initialized: never matches
+		}
+		return b
+	}
+	return accPayload(make([]byte, 0, 2*o.Size), o.Val, o.Size, ws.DT)[:2*o.Size] // GetAcc, FAO
+}
+
+// rankProgram is one rank's compiled program. Step makes the call of one
+// record at a time and returns while it is pending (task ranks only), so the
+// repeat at the next Step is the identical call.
+type rankProgram struct {
+	r       *mpi.Rank
+	rt      *core.Runtime
+	p       *Program
+	mode    core.Mode
+	signal  bool
+	wins    []*core.Window
+	calls   []call
+	pc      int            // the record to make next
+	pending []*mpi.Request // kept nonblocking closes
+}
+
+func (x *rankProgram) Step(p *sim.Proc) {
+	r := x.r
+	for ; x.pc < len(x.calls); x.pc++ {
+		c := &x.calls[x.pc]
+		win, ws, o := x.wins[c.win], &x.p.Windows[c.win], c.o
+		assert := core.AssertNone
+		if c.noSucceed {
+			assert = core.AssertNoSucceed
+		}
+		var closed *mpi.Request // a nonblocking close's request, kept for cWaitAll
+		switch c.kind {
+		case callKind(OpPut):
+			win.Put(o.Target, o.Off, c.mem, o.Size)
+		case callKind(OpGet):
+			win.Get(o.Target, o.Off, c.mem, o.Size)
+		case callKind(OpAcc):
+			win.Accumulate(o.Target, o.Off, ws.Op, ws.DT, c.mem, o.Size)
+		case callKind(OpGetAcc):
 			op := ws.Op
 			if o.NoOp {
 				op = core.OpNoOp
 			}
-			win.GetAccumulate(o.Target, o.Off, op, ws.DT,
-				accPayload(o.Val, o.Size, ws.DT), make([]byte, o.Size), o.Size)
-		case OpFAO:
-			win.FetchAndOp(o.Target, o.Off, ws.Op, ws.DT,
-				accPayload(o.Val, o.Size, ws.DT), make([]byte, o.Size))
-		case OpCAS:
-			cmp := make([]byte, 8)
-			if !o.Match {
-				for i := range cmp {
-					cmp[i] = 0xff // slots are single-use and zero-initialized: never matches
-				}
+			win.GetAccumulate(o.Target, o.Off, op, ws.DT, c.mem[:o.Size:o.Size], c.mem[o.Size:], o.Size)
+		case callKind(OpFAO):
+			win.FetchAndOp(o.Target, o.Off, ws.Op, ws.DT, c.mem[:o.Size:o.Size], c.mem[o.Size:])
+		case callKind(OpCAS):
+			win.CompareAndSwap(o.Target, o.Off, core.TUint64, c.mem[8:16:16], c.mem[:8:8], c.mem[16:])
+		case cFence:
+			win.Fence(assert)
+		case cIFence:
+			closed = win.IFence(assert)
+		case cStart:
+			win.Start(c.rd.Targets)
+		case cIStart:
+			win.IStart(c.rd.Targets)
+		case cComplete:
+			win.Complete()
+		case cIComplete:
+			closed = win.IComplete()
+		case cPost:
+			win.Post(c.rd.Origins)
+		case cIPost:
+			win.IPost(c.rd.Origins)
+		case cWaitEpoch:
+			win.WaitEpoch()
+		case cIWait:
+			closed = win.IWait()
+		case cLock:
+			win.Lock(c.rd.LockTarget[r.ID], !c.rd.LockShared[r.ID])
+		case cILock:
+			win.ILock(c.rd.LockTarget[r.ID], !c.rd.LockShared[r.ID])
+		case cUnlock:
+			win.Unlock(c.rd.LockTarget[r.ID])
+		case cIUnlock:
+			closed = win.IUnlock(c.rd.LockTarget[r.ID])
+		case cLockAll:
+			win.LockAll()
+		case cILockAll:
+			win.ILockAll()
+		case cUnlockAll:
+			win.UnlockAll()
+		case cIUnlockAll:
+			closed = win.IUnlockAll()
+		case cFlush:
+			win.Flush(c.rd.LockTarget[r.ID])
+		case cIFlush:
+			closed = win.IFlush(c.rd.LockTarget[r.ID])
+		case cFlushAll:
+			win.FlushAll()
+		case cIFlushAll:
+			closed = win.IFlushAll()
+		case cCreate:
+			opt := core.WinOptions{Mode: x.mode, Info: ws.Info}
+			if x.signal {
+				opt.Transport, opt.SignalBase = core.TransportSignal, SignalBase(x.p.Seed)
 			}
-			win.CompareAndSwap(o.Target, o.Off, core.TUint64, cmp, casSwap(o.Val), make([]byte, 8))
+			x.wins[c.win] = x.rt.CreateWindow(r, ws.TotalSize(x.p.NRanks), opt)
+		case cCompute:
+			r.Compute(sim.Time(c.rd.Compute[r.ID]))
+		case cWaitAll:
+			r.Wait(x.pending...)
+		case cQuiesce:
+			win.Quiesce()
+		case cBarrier:
+			r.Barrier()
+		}
+		if r.Pending() {
+			return
+		}
+		if closed != nil {
+			x.pending = append(x.pending, closed)
 		}
 	}
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	p.TaskExit()
 }

@@ -10,29 +10,6 @@ import (
 	"repro/internal/topo"
 )
 
-// shardFingerprint compresses everything a run exposes into a comparable
-// string: final window memories, per-window statistics, the full trace
-// event stream, the kernel event count and the topology engine's congestion
-// summary. Two runs with equal fingerprints executed the same observable
-// history.
-func shardFingerprint(r *RunResult) string {
-	out := fmt.Sprintf("err=%v kernel_events=%d congestion=%+v\n", r.Err, r.KernelEvents, r.Congestion)
-	for wi, byRank := range r.Mems {
-		for rk, mem := range byRank {
-			out += fmt.Sprintf("mem w%d r%d %x\n", wi, rk, mem)
-		}
-	}
-	for rk, wins := range r.Stats {
-		for wi, st := range wins {
-			out += fmt.Sprintf("stats r%d w%d %+v\n", rk, wi, st)
-		}
-	}
-	for _, e := range r.Events {
-		out += fmt.Sprintf("ev %+v\n", e)
-	}
-	return out
-}
-
 // The fuzzer-level shard guarantee: a program's entire observable history —
 // memory, statistics, trace stream, even the number of kernel events — is
 // bit-identical at every shard count, including serial, on the crossbar and
@@ -42,9 +19,9 @@ func TestShardedRunsMatchSerial(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 7, 19, 42} {
 			p := Generate(seed)
 			for _, mode := range BothModes {
-				serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind}))
+				serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind}))
 				for _, shards := range []int{2, 4, 8} {
-					got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Shards: shards}))
+					got := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Shards: shards}))
 					if got != serial {
 						t.Fatalf("%v seed %d mode %v: observable history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 							kind, seed, mode, shards, serial, got)
@@ -75,9 +52,9 @@ func TestScheduledFaultShardsMatchSerial(t *testing.T) {
 			Jitter: 700 * sim.Nanosecond,
 		}
 		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs}))
+			serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs}))
 			for _, shards := range []int{2, 4, 8} {
-				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs, Shards: shards}))
+				got := fingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs, Shards: shards}))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: scheduled-fault history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)
@@ -99,9 +76,9 @@ func TestLossyShardsMatchSerial(t *testing.T) {
 			p := Generate(seed)
 			fp := LossyProfile(seed, p.NRanks)
 			for _, mode := range BothModes {
-				serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp}))
+				serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp}))
 				for _, shards := range []int{2, 4, 8} {
-					got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp, Shards: shards}))
+					got := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp, Shards: shards}))
 					if got != serial {
 						t.Fatalf("%v seed %d mode %v: lossy history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 							kind, seed, mode, shards, serial, got)

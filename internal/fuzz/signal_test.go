@@ -84,9 +84,9 @@ func TestSignalShardIdentity(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 19} {
 		p := Generate(seed)
 		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true}))
+			serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true}))
 			for _, shards := range []int{2, 4} {
-				got := shardFingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true, Shards: shards}))
+				got := fingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true, Shards: shards}))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: signal-transport history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)

@@ -34,7 +34,7 @@ func TestCompletedRequestIsSharedAndImmutable(t *testing.T) {
 	}
 	a.Fail(errTest{})
 	a.Complete()
-	if fired != 1 || a.Err() != nil || !a.Done() || a.Data() != nil {
+	if fired != 1 || a.Err() != nil || !a.Done() || a.data != nil {
 		t.Errorf("Fail/Complete changed the shared request: fired=%d err=%v", fired, a.Err())
 	}
 	if b.Err() != nil {
@@ -118,17 +118,9 @@ func TestBarrierSteadyStateAllocatesNoPackets(t *testing.T) {
 		cfg := testCfg()
 		cfg.ProcsPerNode = 1 // every token crosses the NIC pipeline
 		w := NewWorld(ranks, cfg)
-		for i, r := range w.ranks {
-			loop := &barrierLoop{r: r, rounds: n}
-			if tasks {
-				w.LaunchTask(i, loop)
-			} else {
-				w.Launch(i, func(r *Rank) { loop.Step(r.Proc) })
-			}
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := w.RunLaunched()
+		err := w.RunProgram(func(r *Rank) sim.Task { return &barrierLoop{r: r, rounds: n} }, tasks)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("simulation failed: %v", err)

@@ -29,7 +29,9 @@ type recvOp struct {
 // Isend starts a nonblocking send of size bytes (data may be nil when only
 // the traffic shape matters) and returns its request.
 func (r *Rank) Isend(dst, tag int, data []byte, size int64) *Request {
-	r.ChargeCall()
+	if !r.ChargeCall() {
+		return nil
+	}
 	if size < 0 {
 		panic("mpi: negative send size")
 	}
@@ -61,24 +63,28 @@ func (r *Rank) Isend(dst, tag int, data []byte, size int64) *Request {
 
 // Irecv posts a nonblocking receive for a message from src with tag.
 func (r *Rank) Irecv(src, tag int) *Request {
-	r.ChargeCall()
+	if !r.ChargeCall() {
+		return nil
+	}
 	req := NewRequest(r)
 	r.posted = append(r.posted, req)
 	req.recv = &recvOp{req: req, src: src, tag: tag}
 	return req
 }
 
-// SendMsg is the blocking send.
+// SendMsg is the blocking send: Isend, then a wait for its request.
 func (r *Rank) SendMsg(dst, tag int, data []byte, size int64) {
-	r.Wait(r.Isend(dst, tag, data, size))
+	r.IssueWait(func() *Request { return r.Isend(dst, tag, data, size) })
 }
 
-// RecvMsg is the blocking receive; it returns the received payload (nil for
-// shape-only traffic).
+// RecvMsg is the blocking receive: Irecv, then a wait for its request. It
+// returns the received payload (nil for shape-only traffic, and while the
+// call is pending).
 func (r *Rank) RecvMsg(src, tag int) []byte {
-	req := r.Irecv(src, tag)
-	r.Wait(req)
-	return req.data
+	if req := r.IssueWait(func() *Request { return r.Irecv(src, tag) }); req != nil {
+		return req.data
+	}
+	return nil
 }
 
 // progressTwoSided is the CPU part of the two-sided engine: it matches

@@ -372,3 +372,70 @@ func TestDeadlockReportJoinsFabricDiag(t *testing.T) {
 		}
 	}
 }
+
+// sendProbe is a rank program of one Isend to rank 1.
+type sendProbe struct{ r *Rank }
+
+func (s *sendProbe) Step(p *sim.Proc) {
+	if s.r.Isend(1, 0, nil, 8); s.r.Pending() {
+		return
+	}
+	p.TaskExit()
+}
+
+// arrivalProbe posts a receive that is never matched, then records when the
+// first packet reaches its rank.
+type arrivalProbe struct {
+	r    *Rank
+	step int
+	at   sim.Time
+}
+
+func (a *arrivalProbe) Step(p *sim.Proc) {
+	for ; a.step < 3; a.step++ {
+		switch a.step {
+		case 0:
+			if a.r.Irecv(0, 99); a.r.Pending() {
+				return
+			}
+		case 1:
+			if a.r.Wake.Wait(p, "arrival"); p.Armed() {
+				a.step++ // the wake is the wait's completion
+				return
+			}
+		case 2:
+			a.at = a.r.Now()
+		}
+	}
+	p.TaskExit()
+}
+
+// Isend and Irecv act only once their call overhead has elapsed: stepped on
+// a task rank, the send departs at CallOverhead — its packet arrives when a
+// goroutine rank's does — and each call registers exactly one message or
+// receive, however many Steps it takes.
+func TestIFormsChargeFirstInTaskForm(t *testing.T) {
+	run := func(tasks bool) (at sim.Time, inbox, posted int) {
+		w := NewWorld(2, testCfg())
+		probe := &arrivalProbe{}
+		err := w.RunProgram(func(r *Rank) sim.Task {
+			if r.ID == 0 {
+				return &sendProbe{r: r}
+			}
+			probe.r = r
+			return probe
+		}, tasks)
+		if err != nil {
+			t.Fatalf("tasks=%t: simulation failed: %v", tasks, err)
+		}
+		return probe.at, len(w.Rank(1).inbox), len(w.Rank(1).posted)
+	}
+	gAt, _, _ := run(false)
+	if gAt <= testCfg().CallOverhead {
+		t.Fatalf("goroutine ranks: the packet arrived at %d ns, before the send's %d ns charge", gAt, testCfg().CallOverhead)
+	}
+	if at, inbox, posted := run(true); at != gAt || inbox != 1 || posted != 1 {
+		t.Fatalf("task ranks: packet arrived at %d ns (goroutine ranks: %d), %d packets and %d receives registered, want 1 and 1",
+			at, gAt, inbox, posted)
+	}
+}

@@ -35,10 +35,12 @@ type Rank struct {
 	TimeInMPI sim.Time
 
 	// pending records which primitive the call in flight on a task rank was
-	// in when it last returned pending, and waitStart when its wait began. A
-	// goroutine rank's calls never return pending, so both stay zero.
+	// in when it last returned pending, waitStart when its wait began, and
+	// waitReq the request a blocking call waits on (IssueWait). A goroutine
+	// rank's calls never return pending, so all three stay zero.
 	pending   pendingIn
 	waitStart sim.Time
+	waitReq   *Request
 }
 
 // pendingIn is the primitive a pending call is parked in.
@@ -104,10 +106,11 @@ func (r *Rank) pause(d sim.Time, tag string) bool {
 
 // mustRun panics when a call goes on after one of its primitives armed the
 // task rank's wake: the call has no resumable form (it ignored a pending
-// result) and would run its next step early.
+// result) and would run its next step early. Only the collectives are such
+// calls.
 func (r *Rank) mustRun() {
 	if r.Proc.Armed() {
-		panic(fmt.Sprintf("mpi: rank %d continued a call past an armed wait: the call cannot run on a task rank", r.ID))
+		panic(fmt.Sprintf("mpi: rank %d continued a call past an armed wait: the collectives (Bcast, AllreduceInt64, Gather) cannot run on a task rank", r.ID))
 	}
 }
 
@@ -202,15 +205,24 @@ func (r *Rank) Wait(reqs ...*Request) {
 	})
 }
 
-// Test drives progress once and reports whether req has completed.
-func (r *Rank) Test(req *Request) bool {
-	if !r.ChargeCall() {
-		return false
+// IssueWait is Section V's definition of a blocking call: its nonblocking
+// form (issue), then a wait for the request that form returned. It returns
+// that request once complete, nil while the call is pending. The repeat of a
+// call pending in the wait finds the request in the rank and does not issue
+// again.
+func (r *Rank) IssueWait(issue func() *Request) *Request {
+	req := r.waitReq
+	if req == nil {
+		if req = issue(); r.Pending() {
+			return nil
+		}
 	}
-	start := r.Now()
-	r.Progress()
-	r.TimeInMPI += r.Now() - start
-	return req == nil || req.done
+	r.waitReq = nil
+	if r.Wait(req); r.Pending() {
+		r.waitReq = req
+		return nil
+	}
+	return req
 }
 
 // Send injects a packet built by the caller. Exposed for internal/core.

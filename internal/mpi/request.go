@@ -42,11 +42,8 @@ func NewFailedRequest(r *Rank, err error) *Request {
 	return &Request{rank: r, done: true, err: err}
 }
 
-// Done reports completion without driving progress (use Rank.Test to poll).
+// Done reports completion without driving progress.
 func (q *Request) Done() bool { return q == nil || q.done }
-
-// Data returns the payload attached at completion (receives only).
-func (q *Request) Data() []byte { return q.data }
 
 // OnComplete registers fn to run when the request completes. If the request
 // is already complete, fn runs immediately.

@@ -1,5 +1,5 @@
 // Package mpi is a minimal MPI-like runtime over the simulated fabric:
-// ranks, request objects with the Wait/Test family, two-sided point-to-point
+// ranks, request objects and Wait, two-sided point-to-point
 // communication (eager + rendezvous), a dissemination barrier and a few
 // collectives. The one-sided (RMA) layer lives in internal/core and plugs
 // into each rank's progress loop so that, as in the paper's design, "an
@@ -9,6 +9,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -136,52 +137,43 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// Launch spawns rank i's application body as a simulated process on the
-// rank's kernel.
-func (w *World) Launch(i int, body func(*Rank)) {
-	r := w.ranks[i]
-	if r.Proc != nil {
-		panic(fmt.Sprintf("mpi: rank %d launched twice", i))
-	}
-	r.Proc = r.k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) { body(r) })
-}
-
-// LaunchTask spawns rank i's application as a resumable state machine
-// (sim.Task) on the rank's kernel: no goroutine, no stack — the fast path
-// for worlds of many thousands of ranks.
-func (w *World) LaunchTask(i int, t sim.Task) {
-	r := w.ranks[i]
-	if r.Proc != nil {
-		panic(fmt.Sprintf("mpi: rank %d launched twice", i))
-	}
-	r.Proc = r.k.SpawnTask(fmt.Sprintf("rank%d", i), t)
-}
-
-// Run launches body on every rank and executes the simulation to
-// completion. It returns the kernel error, if any (panic or deadlock).
+// Run launches body on every rank as a goroutine proc and executes the
+// simulation to completion. It returns the kernel error, if any (panic or
+// deadlock).
 func (w *World) Run(body func(*Rank)) error {
-	for i := range w.ranks {
-		w.Launch(i, body)
+	for _, r := range w.ranks {
+		r.Proc = r.k.Spawn(fmt.Sprintf("rank%d", r.ID), func(*sim.Proc) { body(r) })
 	}
-	return w.RunLaunched()
+	return w.run()
 }
 
 // RunTasks launches mk(rank) on every rank as a spawn-free state machine
-// and executes the simulation to completion. Scheduling is identical to Run
-// with a body making the same calls at the same virtual times, so
-// observables are bit-identical across the two forms. A task that makes one
-// MPI call per state and returns while Rank.Pending is such a body too:
-// Run(func(r *Rank) { mk(r).Step(r.Proc) }) runs it in a single Step.
+// (sim.Task: no goroutine, no stack — the fast path for worlds of many
+// thousands of ranks) and executes the simulation to completion. Scheduling
+// is identical to Run with a body making the same calls at the same virtual
+// times, so observables are bit-identical across the two forms.
 func (w *World) RunTasks(mk func(r *Rank) sim.Task) error {
-	for i, r := range w.ranks {
-		w.LaunchTask(i, mk(r))
+	for _, r := range w.ranks {
+		r.Proc = r.k.SpawnTask(fmt.Sprintf("rank%d", r.ID), mk(r))
 	}
-	return w.RunLaunched()
+	defer runtime.Gosched() // the world never blocked: let the GC's mark worker run (sim.yieldEvery)
+	return w.run()
 }
 
-// RunLaunched executes the simulation with whatever mix of Launch /
-// LaunchTask ranks has been registered.
-func (w *World) RunLaunched() error {
+// RunProgram runs mk's rank program — a sim.Task that makes one MPI call per
+// state and returns while Rank.Pending — on every rank: as task ranks
+// (RunTasks) when tasks is set, else as goroutine ranks, whose calls never
+// return pending, so a single Step runs the whole program. The two forms are
+// bit-identical.
+func (w *World) RunProgram(mk func(r *Rank) sim.Task, tasks bool) error {
+	if tasks {
+		return w.RunTasks(mk)
+	}
+	return w.Run(func(r *Rank) { mk(r).Step(r.Proc) })
+}
+
+// run executes the simulation of the launched ranks.
+func (w *World) run() error {
 	if w.sh != nil {
 		return w.sh.Run()
 	}
