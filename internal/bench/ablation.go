@@ -37,7 +37,7 @@ func AblationTriggeredOps(iters int) *stats.Table {
 	return grid("Ablation: grant-triggered NIC issue (Fig 3 setting, nonblocking close)", "us", "variant",
 		[]string{"triggered ops", "engine-only issue"}, []string{"target epoch"},
 		func(variant, _ int) float64 {
-			return mean(lateComplete(SeriesNewNB, iters, BigMsg, core.WinOptions{NoTriggeredOps: variant == 1}, triggeredOpsLag))
+			return lateComplete(SeriesNewNB, iters, BigMsg, core.WinOptions{NoTriggeredOps: variant == 1}, triggeredOpsLag).measure()[0]
 		})
 }
 

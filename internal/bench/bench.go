@@ -12,7 +12,11 @@
 // A figure is a rows x cols table of virtual-time readings: grid builds
 // the ones whose every cell is its own simulation, gridColumns the ones
 // where one simulation yields a whole column. Each workload has one rank
-// body, shared by every figure that runs it.
+// program, shared by every figure that runs it, and every figure runs it
+// on task ranks (mpi.World.RunProgram): the small-world figures — Figs
+// 2-11, Modes, Signal, the Section VIII-A tables and the fault sweep — as
+// lists of call records walked by one program (pattern), the scale cell,
+// Fig 12 and Fig 13 as their own.
 //
 // Measurements are virtual-time latencies, deterministic across runs. The
 // calibration (fabric.DefaultConfig) makes a 1 MB put cost about 340 us and
@@ -24,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -92,27 +95,6 @@ func us(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 
 // Config returns the interconnect calibration used by all experiments.
 func Config() fabric.Config { return fabric.DefaultConfig() }
-
-// runWorld executes body on a fresh n-rank world and panics on simulation
-// errors (benchmark harness convention: a deadlock is a bug). The world is
-// sharded across Shards() kernels when the -shards flag is set — every
-// figure value stays bit-identical either way.
-func runWorld(n int, cfg fabric.Config, body func(r *mpi.Rank, rt *core.Runtime)) {
-	runWorldSetup(n, cfg, nil, body)
-}
-
-// runWorldSetup is runWorld with a hook on the built world before any rank
-// launches (nil: none) — where a figure arms the fabric's fault schedule.
-func runWorldSetup(n int, cfg fabric.Config, setup func(w *mpi.World), body func(r *mpi.Rank, rt *core.Runtime)) {
-	w := mpi.NewWorldShards(n, cfg, Shards())
-	if setup != nil {
-		setup(w)
-	}
-	rt := core.NewRuntime(w)
-	if err := w.Run(func(r *mpi.Rank) { body(r, rt) }); err != nil {
-		panic(fmt.Sprintf("bench: simulation failed: %v", err))
-	}
-}
 
 // grid builds the figure whose every cell is an independent simulation. The
 // |rows| x |cols| cells fan across the parallel harness in row-major order,

@@ -2,10 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -48,48 +48,26 @@ func rateLabel(r float64) string {
 func FigFaultSweep(iters int) *stats.Table {
 	return grid("Fault sweep: epoch + overlap completion vs drop rate", "us", "drop",
 		labels(FaultRates, rateLabel), labels(AllSeries, Series.String),
-		func(ri, si int) float64 { return faultSweepCell(FaultRates[ri], AllSeries[si], ri, si, iters) })
+		func(ri, si int) float64 {
+			return faultSweepCell(FaultRates[ri], AllSeries[si], ri, si, iters).measure()[0]
+		})
 }
 
-// faultSweepCell runs one (rate, series) cell: iters GATS epochs of
+// faultSweepCell is one (rate, series) cell: iters GATS epochs of
 // SweepPuts chunked puts with OverlapWork of origin-side computation each.
-func faultSweepCell(rate float64, s Series, ri, si, iters int) float64 {
-	var samples []sim.Time
-	arm := func(w *mpi.World) {
-		if rate > 0 {
-			w.Net.EnableFaults(fabric.FaultProfile{Seed: 0xFA_01A5EE9 + uint64(ri)<<8 + uint64(si), Drop: rate})
-		}
+func faultSweepCell(rate float64, s Series, ri, si, iters int) pattern {
+	puts := make([]op, SweepPuts)
+	for i := range puts {
+		puts[i] = op{kind: oPut, peer: 1, size: SweepChunk, slot: i} // the i-th chunk
 	}
-	runWorldSetup(2, Config(), arm, func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, SweepPuts*SweepChunk, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
-		puts := func() {
-			for i := int64(0); i < SweepPuts; i++ {
-				win.Put(1, i*SweepChunk, nil, SweepChunk)
-			}
-		}
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			t0 := r.Now()
-			if r.ID == 0 { // origin
-				if s.Nonblocking() {
-					win.IStart([]int{1})
-					puts()
-					req := win.IComplete()
-					r.Compute(OverlapWork)
-					r.Wait(req)
-				} else {
-					win.Start([]int{1})
-					puts()
-					win.Complete()
-					r.Compute(OverlapWork)
-				}
-				samples = append(samples, r.Now()-t0)
-			} else { // target
-				win.Post([]int{0})
-				win.WaitEpoch()
-			}
-		}
-		win.Quiesce()
-	})
-	return mean(samples)
+	origin := slices.Concat([]op{barrier, stamp, start(1)}, puts, []op{complete, compute(OverlapWork), sample(0)})
+	if s.Nonblocking() {
+		origin = slices.Concat([]op{barrier, stamp, istart(1)}, puts, []op{icomplete(0), compute(OverlapWork), wait, sample(0)})
+	}
+	pt := pattern{winSize: SweepPuts * SweepChunk, opt: core.WinOptions{Mode: s.Mode()}, iters: iters,
+		lists: [][]op{origin, {barrier, post(0), waitEpoch}}}
+	if rate > 0 {
+		pt.faults = &fabric.FaultProfile{Seed: 0xFA_01A5EE9 + uint64(ri)<<8 + uint64(si), Drop: rate}
+	}
+	return pt
 }

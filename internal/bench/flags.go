@@ -43,7 +43,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 }
 
 // shards is the process-wide kernel shard count applied by Flags.Start;
-// bench.runWorld and the fuzzer read it through Shards().
+// every figure's world and the fuzzer read it through Shards().
 var shards int
 
 // Shards returns the process-wide kernel shard count (-shards flag; 0 when

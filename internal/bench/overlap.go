@@ -2,7 +2,6 @@ package bench
 
 import (
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -31,7 +30,7 @@ func LatencyParity(iters int, size int64) *stats.Table {
 	shapes := []epochShape{shapeGATS, shapeFence, shapeLock}
 	return grid("Section VIII-A: epoch latency parity (single put of "+sizeLabel(size)+")", "us", "epoch kind",
 		[]string{"GATS", "fence", "lock"}, labels(AllSeries, Series.String),
-		func(hi, si int) float64 { return runShape(AllSeries[si], shapes[hi], iters, size, 0) })
+		func(hi, si int) float64 { return runShape(AllSeries[si], shapes[hi], iters, size, 0).measure()[0] })
 }
 
 // OverlapTable measures communication/computation overlapping: the work
@@ -57,9 +56,9 @@ func OverlapTable(iters int) *stats.Table {
 		labels(scenarios, func(sc scenario) string { return sc.row }), labels(AllSeries, Series.String),
 		func(ci, si int) float64 {
 			sc, s := scenarios[ci], AllSeries[si]
-			pure := runShape(s, sc.shape, iters, sc.size, 0)
+			pure := runShape(s, sc.shape, iters, sc.size, 0).measure()[0]
 			work := pure // calibrate work to the communication time
-			total := runShape(s, sc.shape, iters, sc.size, sim.Time(work*float64(sim.Microsecond)))
+			total := runShape(s, sc.shape, iters, sc.size, sim.Time(work*float64(sim.Microsecond))).measure()[0]
 			ov := (pure + work - total) / work * 100
 			if ov < 0 {
 				ov = 0
@@ -71,92 +70,38 @@ func OverlapTable(iters int) *stats.Table {
 		})
 }
 
-// runShape measures the origin's epoch latency (us) for one scenario with
-// `work` of in-epoch computation.
-func runShape(s Series, shape epochShape, iters int, size int64, work sim.Time) float64 {
-	var dS []sim.Time
-	runWorld(2, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			t0 := r.Now()
-			switch shape {
-			case shapeGATS:
-				if r.ID == 0 {
-					// Stage the origin a few microseconds so the target's
-					// post notification precedes the first RMA call, as on
-					// the paper's testbed where call overheads exceed the
-					// notification latency.
-					r.Compute(5 * sim.Microsecond)
-					t0 = r.Now()
-					if s.Nonblocking() {
-						win.IStart([]int{1})
-						win.Put(1, 0, nil, size)
-						req := win.IComplete()
-						r.Compute(work)
-						r.Wait(req)
-					} else {
-						win.Start([]int{1})
-						win.Put(1, 0, nil, size)
-						r.Compute(work)
-						win.Complete()
-					}
-					dS = append(dS, r.Now()-t0)
-				} else {
-					win.Post([]int{0})
-					win.WaitEpoch()
-				}
-			case shapeFence:
-				if s.Nonblocking() {
-					win.IFence(core.AssertNone)
-					if r.ID == 0 {
-						r.Compute(5 * sim.Microsecond) // see shapeGATS
-						win.Put(1, 0, nil, size)
-					}
-					req := win.IFence(core.AssertNoSucceed)
-					if r.ID == 0 {
-						r.Compute(work)
-					}
-					r.Wait(req)
-				} else {
-					win.Fence(core.AssertNone)
-					if r.ID == 0 {
-						r.Compute(5 * sim.Microsecond) // see shapeGATS
-						win.Put(1, 0, nil, size)
-						r.Compute(work)
-					}
-					win.Fence(core.AssertNoSucceed)
-				}
-				if r.ID == 0 {
-					dS = append(dS, r.Now()-t0)
-				}
-			case shapeLock, shapeLockAcc:
-				if r.ID == 0 {
-					doOp := func() {
-						if shape == shapeLock {
-							win.Put(1, 0, nil, size)
-						} else {
-							win.Accumulate(1, 0, core.OpSum, core.TUint64, nil, size)
-						}
-					}
-					if s.Nonblocking() {
-						win.ILock(1, false)
-						doOp()
-						req := win.IUnlock(1)
-						r.Compute(work)
-						r.Wait(req)
-					} else {
-						win.Lock(1, false)
-						doOp()
-						r.Compute(work)
-						win.Unlock(1)
-					}
-					dS = append(dS, r.Now()-t0)
-				}
-				r.Barrier()
-			}
+// runShape is one scenario's cell: the origin samples its epoch latency
+// with `work` of in-epoch computation.
+func runShape(s Series, shape epochShape, iters int, size int64, work sim.Time) pattern {
+	// Stage the origin a few microseconds so the target's post notification
+	// precedes the first RMA call, as on the paper's testbed where call
+	// overheads exceed the notification latency.
+	const lag = 5 * sim.Microsecond
+	var origin, target []op
+	switch nb := s.Nonblocking(); shape {
+	case shapeGATS:
+		origin = []op{barrier, compute(lag), stamp, start(1), put(1, size), compute(work), complete, sample(0)}
+		if nb {
+			origin = []op{barrier, compute(lag), stamp, istart(1), put(1, size), icomplete(0), compute(work), wait, sample(0)}
 		}
-		win.Quiesce()
-	})
-	return mean(dS)
+		target = []op{barrier, post(0), waitEpoch}
+	case shapeFence:
+		origin = []op{barrier, stamp, fence(core.AssertNone), compute(lag), put(1, size), compute(work), fence(core.AssertNoSucceed), sample(0)}
+		target = []op{barrier, fence(core.AssertNone), fence(core.AssertNoSucceed)}
+		if nb {
+			origin = []op{barrier, stamp, ifence(core.AssertNone), compute(lag), put(1, size), ifence(core.AssertNoSucceed), compute(work), wait, sample(0)}
+			target = []op{barrier, ifence(core.AssertNone), ifence(core.AssertNoSucceed), wait}
+		}
+	case shapeLock, shapeLockAcc:
+		rma := put(1, size)
+		if shape == shapeLockAcc {
+			rma = acc(1, size)
+		}
+		origin = []op{barrier, stamp, lock(1, false), rma, compute(work), unlock(1), sample(0), barrier}
+		if nb {
+			origin = []op{barrier, stamp, ilock(1, false), rma, iunlock(1, 0), compute(work), wait, sample(0), barrier}
+		}
+		target = []op{barrier, barrier}
+	}
+	return pattern{opt: core.WinOptions{Mode: s.Mode()}, iters: iters, lists: [][]op{origin, target}}
 }

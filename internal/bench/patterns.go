@@ -1,8 +1,9 @@
 package bench
 
 import (
+	"slices"
+
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -19,53 +20,22 @@ import (
 func Fig2LatePost(iters int) *stats.Table {
 	return gridColumns("Fig 2: Late Post - delay propagation in an origin process", "us", "activity",
 		[]string{"access epoch", "two-sided", "cumulative"}, labels(AllSeries, Series.String),
-		func(i int) []float64 { return fig2Series(AllSeries[i], iters) })
+		func(i int) []float64 { return fig2Series(AllSeries[i], iters).measure() })
 }
 
-// fig2Series returns one series' access-epoch, two-sided and cumulative
-// completion times.
-func fig2Series(s Series, iters int) []float64 {
-	var aS, tS, cS []sim.Time
-	runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			t0 := r.Now()
-			switch r.ID {
-			case 0: // late target
-				r.Compute(Delay)
-				win.Post([]int{2})
-				win.WaitEpoch()
-			case 1: // two-sided peer
-				r.RecvMsg(2, 7)
-			case 2: // origin
-				if s.Nonblocking() {
-					win.IStart([]int{0})
-					win.Put(0, 0, nil, BigMsg)
-					req := win.IComplete()
-					var tAccess sim.Time
-					req.OnComplete(func() { tAccess = r.Now() })
-					r.SendMsg(1, 7, nil, BigMsg)
-					tTwo := r.Now()
-					r.Wait(req)
-					aS = append(aS, tAccess-t0)
-					tS = append(tS, tTwo-t0)
-					cS = append(cS, r.Now()-t0)
-				} else {
-					win.Start([]int{0})
-					win.Put(0, 0, nil, BigMsg)
-					win.Complete()
-					tAccess := r.Now()
-					r.SendMsg(1, 7, nil, BigMsg)
-					aS = append(aS, tAccess-t0)
-					tS = append(tS, r.Now()-t0)
-					cS = append(cS, r.Now()-t0)
-				}
-			}
-		}
-		win.Quiesce()
-	})
-	return []float64{mean(aS), mean(tS), mean(cS)}
+// fig2Series is one series' cell: its origin samples the access-epoch,
+// two-sided and cumulative completion times.
+func fig2Series(s Series, iters int) pattern {
+	origin := []op{barrier, stamp, start(0), put(0, BigMsg), complete, sample(0), send(1, BigMsg), sample(1), sample(2)}
+	if s.Nonblocking() { // the access epoch completes during the send
+		origin = []op{barrier, stamp, istart(0), put(0, BigMsg), icomplete(0), {kind: oStampDone},
+			send(1, BigMsg), sample(1), wait, {kind: oSampleDone}, sample(2)}
+	}
+	return pattern{opt: core.WinOptions{Mode: s.Mode()}, iters: iters, lists: [][]op{
+		{barrier, compute(Delay), post(2), waitEpoch}, // late target
+		{barrier, recv(2)},                            // two-sided peer
+		origin,
+	}}
 }
 
 // Fig3LateComplete reproduces Fig 3: the origin issues one put and overlaps
@@ -77,46 +47,25 @@ func Fig3LateComplete(iters int, sizes []int64) *stats.Table {
 	return grid("Fig 3: Late Complete - target-side epoch length", "us", "size",
 		labels(sizes, sizeLabel), labels(AllSeries, Series.String),
 		func(zi, si int) float64 {
-			return mean(lateComplete(AllSeries[si], iters, sizes[zi], core.WinOptions{}, 0))
+			return lateComplete(AllSeries[si], iters, sizes[zi], core.WinOptions{}, 0).measure()[0]
 		})
 }
 
-// lateComplete is the Late Complete rank body (Fig 3 and the triggered-ops
+// lateComplete is the Late Complete cell (Fig 3 and the triggered-ops
 // ablation): per iteration, the target's epoch completion time relative to
 // the barrier. opt adds window options on top of the series' mode. targetLag
 // stages the target's Post that long after the barrier, so its grant reaches
 // the origin after the origin's put was recorded (0: no staging).
-func lateComplete(s Series, iters int, size int64, opt core.WinOptions, targetLag sim.Time) []sim.Time {
-	opt.Mode, opt.ShapeOnly = s.Mode(), true
-	var dS []sim.Time
-	runWorld(2, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, BigMsg, opt)
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			t0 := r.Now()
-			if r.ID == 0 { // origin
-				if s.Nonblocking() {
-					win.IStart([]int{1})
-					win.Put(1, 0, nil, size)
-					req := win.IComplete()
-					r.Compute(Delay)
-					r.Wait(req)
-				} else {
-					win.Start([]int{1})
-					win.Put(1, 0, nil, size)
-					r.Compute(Delay) // in-epoch overlap (scenario 3) -> Late Complete
-					win.Complete()
-				}
-			} else { // target
-				r.Compute(targetLag)
-				win.Post([]int{0})
-				win.WaitEpoch()
-				dS = append(dS, r.Now()-t0)
-			}
-		}
-		win.Quiesce()
-	})
-	return dS
+func lateComplete(s Series, iters int, size int64, opt core.WinOptions, targetLag sim.Time) pattern {
+	opt.Mode = s.Mode()
+	origin := []op{barrier, start(1), put(1, size), compute(Delay), complete} // in-epoch overlap (scenario 3) -> Late Complete
+	if s.Nonblocking() {
+		origin = []op{barrier, istart(1), put(1, size), icomplete(0), compute(Delay), wait}
+	}
+	return pattern{opt: opt, iters: iters, lists: [][]op{
+		origin,
+		{barrier, stamp, compute(targetLag), post(0), waitEpoch, sample(0)}, // target
+	}}
 }
 
 // Fig4EarlyFence reproduces Fig 4: one origin puts into one target inside a
@@ -128,43 +77,21 @@ func Fig4EarlyFence(iters int) *stats.Table {
 	sizes := []int64{256 << 10, 1 << 20}
 	return grid("Fig 4: Early Fence - cumulative epoch + subsequent work at target", "us", "size",
 		labels(sizes, sizeLabel), labels(AllSeries, Series.String),
-		func(zi, si int) float64 { return fig4Series(AllSeries[si], iters, sizes[zi]) })
+		func(zi, si int) float64 { return fig4Series(AllSeries[si], iters, sizes[zi]).measure()[0] })
 }
 
-func fig4Series(s Series, iters int, size int64) float64 {
-	var dS []sim.Time
-	runWorld(2, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			t0 := r.Now()
-			if s.Nonblocking() {
-				win.IFence(core.AssertNone)
-				if r.ID == 0 {
-					win.Put(1, 0, nil, size)
-				}
-				req := win.IFence(core.AssertNoSucceed)
-				if r.ID == 1 {
-					r.Compute(Delay) // overlaps the epoch's transfers
-				}
-				r.Wait(req)
-			} else {
-				win.Fence(core.AssertNone)
-				if r.ID == 0 {
-					win.Put(1, 0, nil, size)
-				}
-				win.Fence(core.AssertNoSucceed)
-				if r.ID == 1 {
-					r.Compute(Delay) // serialized after the blocking fence
-				}
-			}
-			if r.ID == 1 {
-				dS = append(dS, r.Now()-t0)
-			}
+func fig4Series(s Series, iters int, size int64) pattern {
+	lists := [][]op{
+		{barrier, fence(core.AssertNone), put(1, size), fence(core.AssertNoSucceed)},
+		{barrier, stamp, fence(core.AssertNone), fence(core.AssertNoSucceed), compute(Delay), sample(0)}, // work serialized after the blocking fence
+	}
+	if s.Nonblocking() {
+		lists = [][]op{
+			{barrier, ifence(core.AssertNone), put(1, size), ifence(core.AssertNoSucceed), wait},
+			{barrier, stamp, ifence(core.AssertNone), ifence(core.AssertNoSucceed), compute(Delay), wait, sample(0)}, // work overlaps the epoch's transfers
 		}
-		win.Quiesce()
-	})
-	return mean(dS)
+	}
+	return pattern{opt: core.WinOptions{Mode: s.Mode()}, iters: iters, lists: lists}
 }
 
 // Fig5WaitAtFence reproduces Fig 5: the origin delays its closing fence by
@@ -174,42 +101,21 @@ func fig4Series(s Series, iters int, size int64) float64 {
 func Fig5WaitAtFence(iters int, sizes []int64) *stats.Table {
 	return grid("Fig 5: Wait at Fence - target-side epoch length", "us", "size",
 		labels(sizes, sizeLabel), labels(AllSeries, Series.String),
-		func(zi, si int) float64 { return fig5Series(AllSeries[si], iters, sizes[zi]) })
+		func(zi, si int) float64 { return fig5Series(AllSeries[si], iters, sizes[zi]).measure()[0] })
 }
 
-func fig5Series(s Series, iters int, size int64) float64 {
-	var dS []sim.Time
-	runWorld(2, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			t0 := r.Now()
-			if s.Nonblocking() {
-				win.IFence(core.AssertNone)
-				var req *mpi.Request
-				if r.ID == 0 { // origin: close early, then work
-					win.Put(1, 0, nil, size)
-					req = win.IFence(core.AssertNoSucceed)
-					r.Compute(Delay)
-				} else {
-					req = win.IFence(core.AssertNoSucceed)
-				}
-				r.Wait(req)
-			} else {
-				win.Fence(core.AssertNone)
-				if r.ID == 0 { // origin: work, then the late closing fence
-					win.Put(1, 0, nil, size)
-					r.Compute(Delay)
-				}
-				win.Fence(core.AssertNoSucceed)
-			}
-			if r.ID == 1 {
-				dS = append(dS, r.Now()-t0)
-			}
+func fig5Series(s Series, iters int, size int64) pattern {
+	lists := [][]op{
+		{barrier, fence(core.AssertNone), put(1, size), compute(Delay), fence(core.AssertNoSucceed)}, // origin: work, then the late closing fence
+		{barrier, stamp, fence(core.AssertNone), fence(core.AssertNoSucceed), sample(0)},
+	}
+	if s.Nonblocking() {
+		lists = [][]op{
+			{barrier, ifence(core.AssertNone), put(1, size), ifence(core.AssertNoSucceed), compute(Delay), wait}, // origin: close early, then work
+			{barrier, stamp, ifence(core.AssertNone), ifence(core.AssertNoSucceed), wait, sample(0)},
 		}
-		win.Quiesce()
-	})
-	return mean(dS)
+	}
+	return pattern{opt: core.WinOptions{Mode: s.Mode()}, iters: iters, lists: lists}
 }
 
 // Fig6LateUnlock reproduces Fig 6: two origins lock the same target
@@ -246,52 +152,30 @@ func FigModes(iters int) *stats.Table {
 func lateUnlockFigure(title string, series []Series, iters int) *stats.Table {
 	return gridColumns(title, "us", "epoch",
 		[]string{"first lock (O0)", "second lock (O1)"}, labels(series, Series.String),
-		func(i int) []float64 { return lateUnlock(series[i], iters) })
+		func(i int) []float64 { return lateUnlock(series[i], iters).measure() })
 }
 
-// lateUnlock is the Late Unlock rank body: two origins run an exclusive
-// critical section on rank 0 — a 1 MB put, plus 1000 us of work for the
-// first — and it returns the mean section latency of each.
-func lateUnlock(s Series, iters int) []float64 {
-	var fS, sS []sim.Time
-	runWorld(3, Config(), func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, BigMsg, core.WinOptions{Mode: s.Mode(), ShapeOnly: true})
-		section := func(work sim.Time) sim.Time {
-			t0 := r.Now()
-			if s.Nonblocking() || s == SeriesFlush {
-				// Close early: the release follows the data, not the work.
-				// Flush acquires by the foMPI protocol (there is no deferred
-				// lock to open), and its unlock's release atomics are chained
-				// behind an internal flush.
-				if s == SeriesFlush {
-					win.Lock(0, true)
-				} else {
-					win.ILock(0, true)
-				}
-				win.Put(0, 0, nil, BigMsg)
-				req := win.IUnlock(0)
-				r.Compute(work)
-				r.Wait(req)
-			} else {
-				win.Lock(0, true)
-				win.Put(0, 0, nil, BigMsg)
-				r.Compute(work)
-				win.Unlock(0)
-			}
-			return r.Now() - t0
+// lateUnlock is the Late Unlock cell: two origins run an exclusive critical
+// section on rank 0 — a 1 MB put, plus 1000 us of work for the first — and
+// sample its latency.
+func lateUnlock(s Series, iters int) pattern {
+	section := func(work sim.Time, slot int) []op {
+		if !s.Nonblocking() && s != SeriesFlush {
+			return []op{stamp, lock(0, true), put(0, BigMsg), compute(work), unlock(0), sample(slot), barrier}
 		}
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			switch r.ID {
-			case 1: // O0: locks first, works 1000 us in the critical section
-				fS = append(fS, section(Delay))
-			case 2: // O1: requests the same lock shortly after O0
-				r.Compute(50 * sim.Microsecond)
-				sS = append(sS, section(0))
-			}
-			r.Barrier()
+		// Close early: the release follows the data, not the work. Flush
+		// acquires by the foMPI protocol (there is no deferred lock to
+		// open), and its unlock's release atomics are chained behind an
+		// internal flush.
+		acquire := ilock(0, true)
+		if s == SeriesFlush {
+			acquire = lock(0, true)
 		}
-		win.Quiesce()
-	})
-	return []float64{mean(fS), mean(sS)}
+		return []op{stamp, acquire, put(0, BigMsg), iunlock(0, 0), compute(work), wait, sample(slot), barrier}
+	}
+	return pattern{opt: core.WinOptions{Mode: s.Mode()}, iters: iters, lists: [][]op{
+		{barrier, barrier},
+		slices.Concat([]op{barrier}, section(Delay, 0)),                            // O0: locks first, works 1000 us in the critical section
+		slices.Concat([]op{barrier, compute(50 * sim.Microsecond)}, section(0, 1)), // O1: requests the same lock shortly after O0
+	}}
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"repro/internal/core"
-	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -39,33 +37,15 @@ func FigSignal(iters int) *stats.Table {
 	return grid("Signal: epoch open/close latency, GATS vs counter-signal transport x NIC rails", "us", "size",
 		labels(SweepSizes, sizeLabel), labels(vs, func(v variant) string { return v.col }),
 		func(row, col int) float64 {
-			return signalCell(SweepSizes[row], vs[col].tr, vs[col].channels, iters)
+			return signalCell(SweepSizes[row], vs[col].tr, vs[col].channels, iters).measure()[0]
 		})
 }
 
-// signalCell measures one (size, transport, rails) point: the mean origin
+// signalCell is one (size, transport, rails) point: the origin samples the
 // latency of a Start / Put(size) / Complete epoch against a posted target.
-func signalCell(size int64, tr core.Transport, channels, iters int) float64 {
-	cfg := Config()
-	cfg.Channels = channels
-	var lat []sim.Time
-	runWorld(2, cfg, func(r *mpi.Rank, rt *core.Runtime) {
-		win := rt.CreateWindow(r, size, core.WinOptions{Mode: core.ModeNew, ShapeOnly: true, Transport: tr})
-		for it := 0; it < iters; it++ {
-			r.Barrier()
-			switch r.ID {
-			case 0:
-				win.Post([]int{1})
-				win.WaitEpoch()
-			case 1:
-				t0 := r.Now()
-				win.Start([]int{0})
-				win.Put(0, 0, nil, size)
-				win.Complete()
-				lat = append(lat, r.Now()-t0)
-			}
-		}
-		win.Quiesce()
-	})
-	return mean(lat)
+func signalCell(size int64, tr core.Transport, channels, iters int) pattern {
+	return pattern{winSize: size, opt: core.WinOptions{Mode: core.ModeNew, Transport: tr}, channels: channels, iters: iters, lists: [][]op{
+		{barrier, post(1), waitEpoch},
+		{barrier, stamp, start(0), put(0, size), complete, sample(0)},
+	}}
 }
