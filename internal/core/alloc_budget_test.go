@@ -89,16 +89,16 @@ func TestEpochAllocationBudgets(t *testing.T) {
 		origin, target func(*Window, *mpi.Rank)
 		budget         float64 // heap objects per epoch, both ranks together
 	}{
-		{"new/gats", WinOptions{Mode: ModeNew}, gatsOrigin, gatsTarget, 8},
-		{"new/fence", WinOptions{Mode: ModeNew}, fence, fence, 8},
-		{"new/lock", WinOptions{Mode: ModeNew}, lock, nil, 5},
-		{"new/lock_all", WinOptions{Mode: ModeNew}, lockAll, nil, 5},
-		{"vanilla/gats", WinOptions{Mode: ModeVanilla}, gatsOrigin, gatsTarget, 6},
-		{"vanilla/fence", WinOptions{Mode: ModeVanilla}, fence, fence, 6},
-		{"vanilla/lock", WinOptions{Mode: ModeVanilla}, lock, nil, 4},
-		{"vanilla/lock_all", WinOptions{Mode: ModeVanilla}, lockAll, nil, 5},
-		{"flush/put+flush", WinOptions{Mode: ModeFlush}, flushPut, nil, 4},
-		{"signal/gats", WinOptions{Mode: ModeNew, Transport: TransportSignal}, gatsOrigin, gatsTarget, 8},
+		{"new/gats", WinOptions{Mode: ModeNew}, gatsOrigin, gatsTarget, 3},
+		{"new/fence", WinOptions{Mode: ModeNew}, fence, fence, 5},
+		{"new/lock", WinOptions{Mode: ModeNew}, lock, nil, 2},
+		{"new/lock_all", WinOptions{Mode: ModeNew}, lockAll, nil, 3},
+		{"vanilla/gats", WinOptions{Mode: ModeVanilla}, gatsOrigin, gatsTarget, 3},
+		{"vanilla/fence", WinOptions{Mode: ModeVanilla}, fence, fence, 5},
+		{"vanilla/lock", WinOptions{Mode: ModeVanilla}, lock, nil, 2},
+		{"vanilla/lock_all", WinOptions{Mode: ModeVanilla}, lockAll, nil, 3},
+		{"flush/put+flush", WinOptions{Mode: ModeFlush}, flushPut, nil, 2},
+		{"signal/gats", WinOptions{Mode: ModeNew, Transport: TransportSignal}, gatsOrigin, gatsTarget, 3},
 	}
 	for _, c := range cases {
 		got := epochMallocs(t, c.opt, c.origin, c.target)

@@ -9,31 +9,28 @@ import (
 // buffer is reusable once the surrounding epoch closes (or after a flush).
 func (w *Window) Put(target int, off int64, data []byte, size int64) {
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
-		target: target, off: off, data: data, size: size, dtype: TByte})
+		target: target, off: off, data: data, size: size, dtype: TByte}, false)
 }
 
 // RPut is the request-based Put; the returned request completes when the
-// transfer is fulfilled at the target.
+// transfer is fulfilled at the target. A call pending on a task rank
+// returns nil, and its repeat returns the request.
 func (w *Window) RPut(target int, off int64, data []byte, size int64) *mpi.Request {
-	req := mpi.NewRequest(w.rank)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
-		target: target, off: off, data: data, size: size, dtype: TByte, req: req})
-	return req
+	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+		target: target, off: off, data: data, size: size, dtype: TByte}, true)
 }
 
 // Get transfers size bytes from target's window at offset off into buf. buf
 // is filled by the time the epoch completes (or the op's request, for RGet).
 func (w *Window) Get(target int, off int64, buf []byte, size int64) {
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
-		target: target, off: off, buf: buf, size: size, dtype: TByte})
+		target: target, off: off, buf: buf, size: size, dtype: TByte}, false)
 }
 
 // RGet is the request-based Get.
 func (w *Window) RGet(target int, off int64, buf []byte, size int64) *mpi.Request {
-	req := mpi.NewRequest(w.rank)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
-		target: target, off: off, buf: buf, size: size, dtype: TByte, req: req})
-	return req
+	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
+		target: target, off: off, buf: buf, size: size, dtype: TByte}, true)
 }
 
 // checkTyped validates a typed accumulate-class operand.
@@ -48,16 +45,14 @@ func (w *Window) checkTyped(dt DType, size int64) {
 func (w *Window) Accumulate(target int, off int64, op AccOp, dt DType, data []byte, size int64) {
 	w.checkTyped(dt, size)
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
-		target: target, off: off, data: data, size: size, dtype: dt, op: op})
+		target: target, off: off, data: data, size: size, dtype: dt, op: op}, false)
 }
 
 // RAccumulate is the request-based Accumulate.
 func (w *Window) RAccumulate(target int, off int64, op AccOp, dt DType, data []byte, size int64) *mpi.Request {
 	w.checkTyped(dt, size)
-	req := mpi.NewRequest(w.rank)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
-		target: target, off: off, data: data, size: size, dtype: dt, op: op, req: req})
-	return req
+	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
+		target: target, off: off, data: data, size: size, dtype: dt, op: op}, true)
 }
 
 // GetAccumulate atomically fetches the previous target contents into result
@@ -66,27 +61,25 @@ func (w *Window) RAccumulate(target int, off int64, op AccOp, dt DType, data []b
 func (w *Window) GetAccumulate(target int, off int64, op AccOp, dt DType, data, result []byte, size int64) {
 	w.checkTyped(dt, size)
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
-		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op})
+		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op}, false)
 }
 
 // RGetAccumulate is the request-based GetAccumulate.
 func (w *Window) RGetAccumulate(target int, off int64, op AccOp, dt DType, data, result []byte, size int64) *mpi.Request {
 	w.checkTyped(dt, size)
-	req := mpi.NewRequest(w.rank)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
-		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op, req: req})
-	return req
+	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
+		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op}, true)
 }
 
 // FetchAndOp is the single-element fast path of GetAccumulate.
 func (w *Window) FetchAndOp(target int, off int64, op AccOp, dt DType, operand, result []byte) {
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
-		target: target, off: off, data: operand, buf: result, size: int64(dt.Size()), dtype: dt, op: op})
+		target: target, off: off, data: operand, buf: result, size: int64(dt.Size()), dtype: dt, op: op}, false)
 }
 
 // CompareAndSwap atomically replaces the target element with swap if it
 // equals compare, storing the previous value in result.
 func (w *Window) CompareAndSwap(target int, off int64, dt DType, compare, swap, result []byte) {
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opCAS,
-		target: target, off: off, cmp: compare, data: swap, buf: result, size: int64(dt.Size()), dtype: dt})
+		target: target, off: off, cmp: compare, data: swap, buf: result, size: int64(dt.Size()), dtype: dt}, false)
 }

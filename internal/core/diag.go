@@ -46,8 +46,12 @@ func (e *Engine) dumpState() string {
 	for _, w := range e.winList {
 		if w.fm != nil {
 			fm := w.fm
+			live := 0
+			for o := w.liveHead; o != nil; o = o.nextLive {
+				live++
+			}
 			fmt.Fprintf(&b, "win %d (mode=%s): liveOps=%d flushes=%d; flush-lock gX=%d gS=%d lX=%t lS=%d held=%d pending=%d\n",
-				w.id, w.mode, len(w.liveOps), len(w.flushes), fm.gX, fm.gS, fm.lX, fm.lS, fm.held(), len(fm.pending))
+				w.id, w.mode, live, len(w.flushes), fm.gX, fm.gS, fm.lX, fm.lS, fm.held(), len(fm.pending))
 			continue
 		}
 		excl, shared, queued := w.agent.holders()
@@ -142,3 +146,13 @@ var debugFlipReorder bool
 // SetDebugFlipReorder toggles the deliberately-broken reorder predicate.
 // Testing hook — never set in production code.
 func SetDebugFlipReorder(v bool) { debugFlipReorder = v }
+
+// debugPoisonRetired, when set, makes retirement poison an op (nil epoch,
+// invalid class and target) instead of recycling it, so anything that still
+// touches a retired op crashes or trips an invariant: the check that the
+// retirement rule frees an op only once nothing can reach it.
+var debugPoisonRetired bool
+
+// SetDebugPoisonRetired toggles poisoning retired ops in place of recycling.
+// Testing hook — never set in production code.
+func SetDebugPoisonRetired(v bool) { debugPoisonRetired = v }

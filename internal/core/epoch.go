@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 )
@@ -27,7 +29,8 @@ import (
 //
 // The epoch owns its slots; nothing outside this package's epoch/ops code
 // keeps a *epochPeer, and none survives a call to slot (append may move the
-// table).
+// table). It also owns its closing request and, for a one-peer table, the
+// table itself, so a steady-state epoch is one heap object (DESIGN §5).
 type Epoch struct {
 	win  *Window
 	kind EpochKind
@@ -42,16 +45,21 @@ type Epoch struct {
 	closedApp bool // the application issued the closing synchronization
 	completed bool // internal lifetime over; successors may activate
 
-	// peers is the slot table; index maps rank -> slot once a sparse table
-	// outgrows a linear scan (nil before); dense marks slot i == rank i.
+	// peers is the slot table, in group order (done packets go out in it);
+	// index lists its slots in rank order once a sparse table outgrows a
+	// linear scan (nil before) and is binary searched; dense marks slot i ==
+	// rank i. one is the table of a one-peer group, and holds a whole-window
+	// epoch's first touched slot.
 	peers []epochPeer
-	index map[int]int32
+	index []int32
 	dense bool
+	one   [1]epochPeer
 
-	// Recorded-but-unissued ops, threaded through the ops themselves:
-	// recHead/recTail is the program-order log (rmaOp.nextRec; entries issued
-	// through their per-target queue stay linked until the next traversal
-	// skips them), and each slot heads its target's queue (rmaOp.nextTgt).
+	// Recorded ops, threaded through the ops themselves: recHead/recTail is
+	// the program-order log (rmaOp.nextRec; entries issued through their
+	// per-target queue stay logged until the next traversal skips them or
+	// the epoch completes), and each slot heads its target's queue
+	// (rmaOp.nextTgt).
 	recHead, recTail *rmaOp
 	recLive          int // recorded-but-unissued op count
 
@@ -63,9 +71,12 @@ type Epoch struct {
 	// extents records access ranges when conflict checking is enabled.
 	extents []opExtent
 
-	// Requests (Section VII-C: specialized request objects).
-	openReq  *mpi.Request // the rank's shared pre-completed request
-	closeReq *mpi.Request // completes when the epoch completes
+	// closeReq completes when the epoch completes (Section VII-C's closing
+	// request, which exists only for that). It is the zero value until the
+	// application closes the epoch — and for good in vanilla mode, whose
+	// closes are blocking — and completing or failing the zero value wakes
+	// no rank.
+	closeReq mpi.Request
 
 	// err is set when the epoch was aborted instead of completing cleanly
 	// (see errors.go); completed is also set so waiters unwind.
@@ -91,12 +102,12 @@ type epochPeer struct {
 // slotScanMax is the table size up to which lookups scan linearly. Groups of
 // one to three peers are the common case, and the log2(n) partner groups of
 // dissemination-style patterns (9 at 512 ranks, 16 at 64k) still fit: a scan
-// of that length costs less than a hash, and the index map costs four heap
-// objects per epoch.
+// of that length costs less than a binary search.
 const slotScanMax = 16
 
 func newEpoch(w *Window, kind EpochKind) *Epoch {
 	ep := &Epoch{win: w, kind: kind, seq: w.nextEpochSeq}
+	ep.peers = ep.one[:0]
 	w.nextEpochSeq++
 	w.stats.EpochsOpened++
 	return ep
@@ -104,7 +115,11 @@ func newEpoch(w *Window, kind EpochKind) *Epoch {
 
 // setGroup installs the peer group of an explicit-group epoch.
 func (ep *Epoch) setGroup(group []int) {
-	ep.peers = make([]epochPeer, len(group))
+	if len(group) == 1 {
+		ep.peers = ep.one[:]
+	} else {
+		ep.peers = make([]epochPeer, len(group))
+	}
 	for i, p := range group {
 		ep.peers[i].rank = int32(p)
 	}
@@ -113,11 +128,30 @@ func (ep *Epoch) setGroup(group []int) {
 	}
 }
 
-func (ep *Epoch) buildIndex(hint int) {
-	ep.index = make(map[int]int32, hint)
-	for i := range ep.peers {
-		ep.index[int(ep.peers[i].rank)] = int32(i)
+// buildIndex sorts the table's slot numbers by rank; capacity is a hint.
+func (ep *Epoch) buildIndex(capacity int) {
+	ep.index = make([]int32, len(ep.peers), capacity)
+	for i := range ep.index {
+		ep.index[i] = int32(i)
 	}
+	slices.SortFunc(ep.index, func(a, b int32) int {
+		return cmp.Compare(ep.peers[a].rank, ep.peers[b].rank)
+	})
+}
+
+// search returns the position in index of rank t's slot, or the position
+// where it would go.
+func (ep *Epoch) search(t int) int {
+	lo, hi := 0, len(ep.index)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(ep.peers[ep.index[m]].rank) < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // find returns rank t's slot, or nil if the epoch holds none for it.
@@ -129,8 +163,8 @@ func (ep *Epoch) find(t int) *epochPeer {
 		return nil
 	}
 	if ep.index != nil {
-		if i, ok := ep.index[t]; ok {
-			return &ep.peers[i]
+		if k := ep.search(t); k < len(ep.index) && int(ep.peers[ep.index[k]].rank) == t {
+			return &ep.peers[ep.index[k]]
 		}
 		return nil
 	}
@@ -151,7 +185,10 @@ func (ep *Epoch) slot(t int) *epochPeer {
 	i := len(ep.peers)
 	ep.peers = append(ep.peers, epochPeer{rank: int32(t)})
 	if ep.index != nil {
-		ep.index[t] = int32(i)
+		k := ep.search(t)
+		ep.index = append(ep.index, 0)
+		copy(ep.index[k+1:], ep.index[k:])
+		ep.index[k] = int32(i)
 	} else if i >= slotScanMax {
 		ep.buildIndex(2 * len(ep.peers))
 	}
@@ -223,6 +260,7 @@ func (ep *Epoch) record(o *rmaOp) {
 
 // logRecorded appends o to the program-order log.
 func (ep *Epoch) logRecorded(o *rmaOp) {
+	o.logged = true
 	if ep.recTail == nil {
 		ep.recHead = o
 	} else {
@@ -231,18 +269,28 @@ func (ep *Epoch) logRecorded(o *rmaOp) {
 	ep.recTail = o
 }
 
+// drainLog empties the program-order log, unlinking the ops from one another
+// and retiring each whose delivery already returned. At completion the log
+// holds only ops issued through their target's queue; the rest of them
+// retire when their delivery returns. An aborted epoch's ops never retire.
+func (ep *Epoch) drainLog() {
+	for o := ep.recHead; o != nil; {
+		next := o.nextRec
+		o.nextRec, o.nextTgt, o.logged = nil, nil, false
+		ep.win.retire(o)
+		o = next
+	}
+	ep.recHead, ep.recTail = nil, nil
+}
+
 // dropRecorded forgets every recorded op (epoch abort): both intrusive
 // queues are emptied and the ops unlinked from one another.
 func (ep *Epoch) dropRecorded() {
-	for o := ep.recHead; o != nil; {
-		next := o.nextRec
-		o.nextRec, o.nextTgt = nil, nil
-		o = next
-	}
+	ep.drainLog()
 	for i := range ep.peers {
 		ep.peers[i].recHead, ep.peers[i].recTail = nil, nil
 	}
-	ep.recHead, ep.recTail, ep.recLive = nil, nil, 0
+	ep.recLive = 0
 }
 
 // granted reports whether target t has granted this epoch's access.
@@ -333,9 +381,9 @@ func (ep *Epoch) donesArrived() bool {
 }
 
 // maybeComplete checks all completion conditions and, when they hold,
-// completes the epoch: the closing request fires, and the window is marked
-// for an activation scan so successors can proceed. Safe to call from both
-// NIC and engine context.
+// completes the epoch: the program-order log is drained, the closing request
+// fires, and the window is marked for an activation scan so successors can
+// proceed. Safe to call from both NIC and engine context.
 func (ep *Epoch) maybeComplete() {
 	if ep.completed {
 		return
@@ -346,9 +394,8 @@ func (ep *Epoch) maybeComplete() {
 	ep.completed = true
 	ep.win.stats.EpochsCompleted++
 	ep.win.emitEpoch(traceComplete, ep)
-	if ep.closeReq != nil {
-		ep.closeReq.Complete()
-	}
+	ep.drainLog()
+	ep.closeReq.Complete()
 	ep.win.dirty = true
 	ep.win.rank.Wake.Fire()
 }

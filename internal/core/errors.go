@@ -124,20 +124,15 @@ func (w *Window) abortEpoch(ep *Epoch, err *RMAError) {
 	// in-flight ones toward a dead peer will never complete — neither may
 	// keep a flush or quiesce waiting. Request-based ops fail rather than
 	// vanish, so a Wait on an RPut/RGet against the aborted epoch observes
-	// the cause instead of hanging.
-	for o := range w.liveOps {
-		if o.ep == ep {
-			if o.req != nil {
-				o.req.Fail(err)
-			}
-			delete(w.liveOps, o)
+	// the cause instead of hanging — in issue order.
+	for o := w.detachLive(ep); o != nil; o = o.nextLive {
+		if o.req != nil {
+			o.req.Fail(err)
 		}
 	}
 	ep.dropRecorded()
 	ep.completed = true
-	if ep.closeReq != nil {
-		ep.closeReq.Fail(err)
-	}
+	ep.closeReq.Fail(err)
 	w.dirty = true
 	w.rank.Wake.Fire()
 }

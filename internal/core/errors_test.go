@@ -61,6 +61,46 @@ func TestUnreachablePeerSurfacesError(t *testing.T) {
 	}
 }
 
+// An abort fails request-based ops in the order the application issued them
+// — the window's live ops are a list in age order — so their completion
+// hooks run in issue order, whether a lock epoch aborts (abortEpoch) or a
+// flush-mode window is poisoned (flushAbortPeer).
+func TestAbortFailsOpsInIssueOrder(t *testing.T) {
+	for _, mode := range []Mode{ModeNew, ModeFlush} {
+		fp := fabric.DefaultFaultProfile(1)
+		fp.Deaths = []fabric.RankDeath{{Rank: 1, At: 200 * sim.Microsecond}}
+		fp.DetectDelay = 250 * sim.Microsecond // declared while the flush below waits
+		w, rt := faultyWorld(t, 2, fp)
+		var order []int
+		err := w.Run(func(r *mpi.Rank) {
+			win := rt.CreateWindow(r, 1024, WinOptions{Mode: mode})
+			if r.ID != 0 {
+				return
+			}
+			r.Compute(300 * sim.Microsecond) // dead, not yet declared
+			if mode == ModeNew {
+				win.ILock(1, true) // never granted: the puts stay recorded
+			}
+			for i := 0; i < 8; i++ {
+				win.RPut(1, int64(8*i), make([]byte, 8), 8).OnComplete(func() { order = append(order, i) })
+			}
+			win.FlushAll() // unwinds with the abort
+		})
+		var rma *RMAError
+		if !errors.As(err, &rma) || rma.Class != ErrRankUnreachable {
+			t.Fatalf("mode %s: run error %v, want ERR_RANK_UNREACHABLE", mode, err)
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("mode %s: hooks ran in order %v, want issue order", mode, order)
+			}
+		}
+		if len(order) != 8 {
+			t.Fatalf("mode %s: %d of 8 hooks ran", mode, len(order))
+		}
+	}
+}
+
 // A stalled-but-not-provably-dead epoch times out with ErrTimeout.
 func TestEpochTimeoutClassifiesStall(t *testing.T) {
 	w, rt := testWorld(t, 2)

@@ -27,7 +27,7 @@ type flushReq struct {
 // (fulfilled) completion.
 func (w *Window) settleFlushes(o *rmaOp, localEvent bool) {
 	if !localEvent {
-		delete(w.liveOps, o)
+		w.unlinkLive(o)
 	}
 	if len(w.flushes) == 0 {
 		return
@@ -69,28 +69,28 @@ func (w *Window) requirePassiveEpoch(t int) {
 // newFlush builds a stamped flush request over the currently incomplete
 // RMA calls in scope.
 //
-// Scope invariant: addOp registers EVERY RMA call in w.liveOps at record
+// Scope invariant: addOp links EVERY RMA call into the live list at record
 // time — including ops recorded into a deferred (not-yet-activated) passive
 // epoch that sit unissued in its recorded-op queues. A flush stamped while
 // such an epoch waits for its grant therefore counts those ops and stays
-// pending until they issue and land; only abortEpoch removes ops from
-// liveOps without completing them (and that path fails the flushes too).
+// pending until they issue and land; only the aborts unlink ops from the
+// live list without completing them (and they fail the flushes too).
 func (w *Window) newFlush(target int, local bool) *mpi.Request {
 	if !w.rank.ChargeCall() {
 		return nil
 	}
 	if w.err != nil {
 		// Poisoned window: the abort already failed and cleared w.flushes
-		// and emptied liveOps, so stamping here would fabricate an instantly
-		// "successful" flush over transfers that never happened (or trip the
+		// and emptied the live list, so stamping here would fabricate an
+		// instantly "successful" flush over transfers that never happened (or trip the
 		// no-passive-epoch panic if the abort closed the epoch). Fail the
 		// request with the window's error instead.
 		return mpi.NewFailedRequest(w.rank, w.err)
 	}
 	w.requirePassiveEpoch(target)
 	req := mpi.NewRequest(w.rank)
-	f := &flushReq{req: req, target: target, local: local, stamp: w.opAge}
-	for o := range w.liveOps {
+	f := flushReq{req: req, target: target, local: local, stamp: w.opAge}
+	for o := w.liveHead; o != nil; o = o.nextLive {
 		if f.target != -1 && o.target != f.target {
 			continue
 		}
@@ -152,7 +152,7 @@ func (w *Window) flushWait(target int, local bool) {
 		if w.err != nil {
 			return true // aborted window: unwind instead of waiting forever
 		}
-		for o := range w.liveOps {
+		for o := w.liveHead; o != nil; o = o.nextLive {
 			if target != -1 && o.target != target {
 				continue
 			}

@@ -124,6 +124,52 @@ func fenceProgram(t *testing.T, mode Mode) func(rt *Runtime, r *mpi.Rank) []func
 	}
 }
 
+// TestRequestOpsBothForms: a request-based op mints its request after the
+// call's charge, so a call pending on a task rank returns nil and its repeat
+// returns the one request — one request per call in both rank forms, each
+// completed by the unlock.
+func TestRequestOpsBothForms(t *testing.T) {
+	runForms(t, 2, func(rt *Runtime, r *mpi.Rank) []func() {
+		var win *Window
+		var reqs []*mpi.Request
+		buf, res := make([]byte, 8), make([]byte, 8)
+		call := func(issue func() *mpi.Request) func() {
+			return func() {
+				q := issue()
+				switch {
+				case r.Pending() && q != nil:
+					t.Error("pending request-based call returned a request")
+				case !r.Pending() && q == nil:
+					t.Error("request-based call returned no request")
+				case q != nil:
+					reqs = append(reqs, q)
+				}
+			}
+		}
+		calls := []func(){func() { win = rt.CreateWindow(r, 64, WinOptions{Mode: ModeNew}) }}
+		if r.ID == 0 {
+			calls = append(calls,
+				func() { win.Lock(1, true) },
+				call(func() *mpi.Request { return win.RPut(1, 0, buf, 8) }),
+				call(func() *mpi.Request { return win.RGet(1, 8, res, 8) }),
+				call(func() *mpi.Request { return win.RAccumulate(1, 16, OpSum, TUint64, buf, 8) }),
+				call(func() *mpi.Request { return win.RGetAccumulate(1, 24, OpSum, TUint64, buf, res, 8) }),
+				func() { win.Unlock(1) },
+				func() {
+					if len(reqs) != 4 {
+						t.Errorf("%d requests for 4 request-based calls", len(reqs))
+					}
+					for i, q := range reqs {
+						if !q.Done() || q.Err() != nil {
+							t.Errorf("request %d: done=%t err=%v after the unlock", i, q.Done(), q.Err())
+						}
+					}
+				})
+		}
+		return append(calls, func() { win.Quiesce() }, func() { r.Barrier() })
+	})
+}
+
 // TestTestEpochChargesOnce pins MPI_WIN_TEST as one call: a TestEpoch that
 // finds the exposure incomplete costs exactly one call overhead, in both
 // execution forms.

@@ -21,8 +21,8 @@ const (
 // access. It is also its own wire handle: data-path packets carry the *rmaOp
 // as payload, so the target-side NIC handler reads the transfer from it and
 // raises origin-side completion (the simulation's completion-queue event) on
-// its engine, and the response leg parks the fetched value in resp. An op is
-// never recycled — a late ack or a fabric-level duplicate may still hold it.
+// its engine, and the response leg parks the fetched value in resp. A
+// finished op goes back to its window's free list (Window.retire).
 type rmaOp struct {
 	ep     *Epoch
 	class  opClass
@@ -42,35 +42,49 @@ type rmaOp struct {
 	// Intrusive links of the epoch's recorded-op queues (epoch.go): program
 	// order across targets, and program order toward this op's target.
 	nextRec, nextTgt *rmaOp
+	// Intrusive links of the window's live list, oldest first (window.go);
+	// nextLive also chains the window's free list.
+	prevLive, nextLive *rmaOp
 
 	issued     bool
 	localDone  bool // payload left the origin buffer (wire transmission done)
 	remoteDone bool // transfer fulfilled at the target (and response received)
 	ctsWait    bool // large accumulate waiting for its rendezvous CTS
 	sigDone    bool // counted out of the epoch's local-completion gate (control.go)
+	live       bool // on the window's live list
+	logged     bool // on the epoch's program-order log
+	settled    bool // opDelivered has returned
 }
 
 // addOp is the body of every RMA communication call: charge the call, then
 // validate, record and (when possible) immediately issue the op. The op
-// arrives by value and moves to the heap only after the charge, so the
-// repeat of a pending call does not allocate it a second time.
-func (w *Window) addOp(op rmaOp) {
+// arrives by value and takes its heap slot — a retired op of the window when
+// there is one — only after the charge, so the repeat of a pending call does
+// not take a second one. A request-based call (withReq) gets its request
+// here too, after the charge: a pending call returns nil, like every I-form.
+func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 	w.checkLive()
 	if !w.rank.ChargeCall() {
-		return
+		return nil
 	}
-	o := new(rmaOp)
+	o := w.freeOps
+	if o != nil {
+		w.freeOps = o.nextLive
+	} else {
+		o = new(rmaOp)
+	}
 	*o = op
+	if withReq {
+		o.req = mpi.NewRequest(w.rank)
+	}
+	req := o.req
 	w.checkRange(o.target, o.off, o.size)
 	if w.buf == nil && (o.data != nil || o.buf != nil || o.cmp != nil) {
 		w.raisef("data-carrying RMA operation on a shape-only window")
 	}
 	w.opAge++
 	o.age = w.opAge
-	if w.liveOps == nil {
-		w.liveOps = make(map[*rmaOp]struct{})
-	}
-	w.liveOps[o] = struct{}{}
+	w.linkLive(o)
 	w.stats.OpsIssued++
 	if o.class == opPut || o.class == opAcc {
 		w.stats.BytesOut += o.size
@@ -86,9 +100,9 @@ func (w *Window) addOp(op rmaOp) {
 		// the op goes to the NIC the moment the application calls. The
 		// perpetual flushEp it is attached to is always granted, and its
 		// pending counters never gate anything; completion tracking lives
-		// entirely in w.liveOps and the flush stamps above.
+		// entirely in the live list and the flush stamps above.
 		w.eng.issue(o)
-		return
+		return req
 	}
 	if w.chkCfl {
 		w.checkConflict(o)
@@ -103,11 +117,46 @@ func (w *Window) addOp(op rmaOp) {
 		if ep.activated && ep.find(o.target).recHead == o {
 			w.eng.issueBucket(ep, o.target)
 		}
-		return
+		return req
 	}
 	if ep.activated {
 		w.eng.issueBucket(ep, o.target)
 	}
+	return req
+}
+
+// retire returns op o to its window's free list once nothing can reach it
+// any more, which takes all four of:
+//
+//  1. opDelivered has returned (settled). remoteDone is not enough: the
+//     completions opDelivered raises (request hooks, opSigDone ->
+//     maybeComplete) run while it still uses the op;
+//  2. o is off its epoch's program-order log (an op issued through its
+//     target's queue stays logged until the next issueReady pass or the
+//     epoch's completion) and off its target queue (true from issue on);
+//  3. o is off the window's live list (its delivery unlinks it);
+//  4. its epoch did not abort: an aborted epoch's ops still in flight may be
+//     delivered later, so they are left to the GC.
+//
+// Every place that can make the last of these true calls retire, so it runs
+// exactly once per op. The free list needs no lock on a sharded kernel:
+// every caller runs on the origin rank's shard. opDelivered does — the ack is
+// an AtCross event to the origin (inline only intranode, and shards are
+// node-granular), the fetch response is delivered at the origin, and self
+// delivery is a local event — and so do the log's traversals, which are
+// origin engine state. The fabric hands each packet to its handler once (the
+// ARQ drops duplicates, OnTxDone fires once), so no late copy reaches a
+// recycled op.
+func (w *Window) retire(o *rmaOp) {
+	if !o.settled || o.logged || o.ep.err != nil {
+		return
+	}
+	if debugPoisonRetired {
+		o.ep, o.class, o.target = nil, -1, -1
+		return
+	}
+	*o = rmaOp{nextLive: w.freeOps}
+	w.freeOps = o
 }
 
 // issueBucket issues every recorded op toward target t, in program order,
@@ -149,10 +198,11 @@ func (e *Engine) issueReady(ep *Epoch, scope nodeScope) {
 	ep.recHead, ep.recTail = nil, nil
 	for o != nil {
 		next := o.nextRec
-		o.nextRec = nil
+		o.nextRec, o.logged = nil, false
 		switch {
 		case o.issued:
 			// Went out through its target's queue (issueBucket); drop it.
+			ep.win.retire(o)
 		case (scope == anyNode || (scope == intraNode) == cfg.SameNode(e.rank.ID, o.target)) &&
 			ep.granted(o.target):
 			// Program order restricted to one target is that target's queue
@@ -290,8 +340,9 @@ func (e *Engine) opSigDone(o *rmaOp) {
 }
 
 // opDelivered marks remote completion: the transfer (and any response) is
-// fulfilled. It may post the target's done packet and complete the epoch.
-// Runs in NIC context (completion-queue processing).
+// fulfilled. It may post the target's done packet and complete the epoch,
+// and retires the op once it no longer uses it. Runs in NIC context
+// (completion-queue processing).
 func (e *Engine) opDelivered(o *rmaOp) {
 	if o.remoteDone {
 		return
@@ -317,6 +368,8 @@ func (e *Engine) opDelivered(o *rmaOp) {
 		ep.maybeComplete()
 	}
 	e.rank.Wake.Fire()
+	o.settled = true
+	ep.win.retire(o)
 }
 
 // maybePostDone posts the done/unlock packet for target t once every

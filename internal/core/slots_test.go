@@ -12,8 +12,8 @@ import (
 )
 
 // Up to slotScanMax slots are found by linear scan (no index is built);
-// beyond, one rank->slot map takes over — whether the table was installed as
-// an explicit group or grew one touch at a time.
+// beyond, a rank-sorted slot index takes over — whether the table was
+// installed as an explicit group or grew one touch at a time.
 func TestSlotTableScanThenIndex(t *testing.T) {
 	w := predicateHarness(Info{})
 	w.n = 4 * slotScanMax
@@ -181,8 +181,8 @@ func TestAbortEmptiesRecordedQueues(t *testing.T) {
 		if first.nextRec != nil || first.nextTgt != nil || first.issued {
 			t.Errorf("aborted op still linked (or issued=%t)", first.issued)
 		}
-		if len(win.liveOps) != 0 {
-			t.Errorf("%d live ops after the abort", len(win.liveOps))
+		if win.liveHead != nil || win.liveTail != nil {
+			t.Error("live ops after the abort")
 		}
 	})
 	if err != nil {

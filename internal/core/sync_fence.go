@@ -46,7 +46,7 @@ func (w *Window) IFence(assert FenceAssert) *mpi.Request {
 	if closed == nil {
 		return mpi.NewCompletedRequest(w.rank)
 	}
-	return closed.closeReq
+	return &closed.closeReq
 }
 
 // Fence is the blocking MPI_WIN_FENCE.

@@ -15,7 +15,7 @@ import (
 //
 //   - a perpetual, always-granted internal epoch (w.flushEp) that every RMA
 //     call attaches to: addOp skips recording entirely and hands the op to
-//     the NIC at call time, so completion is tracked purely by w.liveOps and
+//     the NIC at call time, so completion is tracked purely by the live list and
 //     the op age stamps — exactly the counters the flush family rides;
 //   - foMPI's scalable global/local lock protocol: one global counter pair
 //     at a master rank (X = exclusive-lock intents, S = lock_all holders)
@@ -453,11 +453,10 @@ func (w *Window) flushAbortPeer(peer int) {
 	w.err = err
 	w.flushEp.err = err
 	w.stats.EpochsAborted++
-	for o := range w.liveOps {
+	for o := w.detachLive(w.flushEp); o != nil; o = o.nextLive {
 		if o.req != nil {
 			o.req.Fail(err)
 		}
-		delete(w.liveOps, o)
 	}
 	for _, f := range w.flushes {
 		f.req.Fail(err)
@@ -484,7 +483,7 @@ func (w *Window) flushDependsOn(peer int) bool {
 			return true
 		}
 	}
-	for o := range w.liveOps {
+	for o := w.liveHead; o != nil; o = o.nextLive {
 		if o.target == peer {
 			return true
 		}

@@ -113,16 +113,16 @@ func (w *Window) IWait() *mpi.Request {
 	ep := w.takeOldestExposure()
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
-	ep.closeReq = mpi.NewRequest(w.rank)
+	ep.closeReq.Init(w.rank)
 	if ep.err != nil {
 		ep.closeReq.Fail(ep.err)
-		return ep.closeReq
+		return &ep.closeReq
 	}
 	if ep.activated {
 		ep.maybeComplete()
 	}
 	w.armEpochTimeout(ep)
-	return ep.closeReq
+	return &ep.closeReq
 }
 
 // WaitEpoch is the blocking MPI_WIN_WAIT: it closes the oldest open
@@ -159,7 +159,7 @@ func (w *Window) TestEpoch() bool {
 	w.openExposure = removeOpen(w.openExposure, 0)
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
-	ep.closeReq = mpi.NewRequest(w.rank)
+	ep.closeReq.Init(w.rank)
 	ep.maybeComplete()
 	return true
 }

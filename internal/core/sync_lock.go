@@ -231,18 +231,18 @@ func (w *Window) closeAccessEpoch(ep *Epoch) *mpi.Request {
 	}
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
-	ep.closeReq = mpi.NewRequest(w.rank)
+	ep.closeReq.Init(w.rank)
 	w.removeOpenAccess(ep)
 	if ep.err != nil {
 		// The epoch was aborted before the application closed it: fail the
 		// closing request immediately so the waiter unwinds with the cause.
 		ep.closeReq.Fail(ep.err)
-		return ep.closeReq
+		return &ep.closeReq
 	}
 	if ep.activated {
 		ep.postDones()
 		ep.maybeComplete()
 	}
 	w.armEpochTimeout(ep)
-	return ep.closeReq
+	return &ep.closeReq
 }

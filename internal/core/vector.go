@@ -46,7 +46,7 @@ func (w *Window) PutVector(target int, off int64, count, blockLen, stride int64,
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
 	w.checkVector(target, off, v)
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
-		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v})
+		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v}, false)
 }
 
 // GetVector reads count strided blocks from target's window into buf
@@ -55,7 +55,7 @@ func (w *Window) GetVector(target int, off int64, count, blockLen, stride int64,
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
 	w.checkVector(target, off, v)
 	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
-		target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: &v})
+		target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: &v}, false)
 }
 
 // applyPutVector scatters packed data into the strided target region.

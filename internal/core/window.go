@@ -47,11 +47,15 @@ type Window struct {
 	flushEp *Epoch
 	fm      *flushState
 
-	// Flush support: monotonic op ages, the set of not-yet-remotely-
-	// complete ops, and outstanding flush requests.
-	opAge   int64
-	liveOps map[*rmaOp]struct{}
-	flushes []*flushReq
+	// Flush support: monotonic op ages, the not-yet-remotely-complete ops
+	// as an intrusive list in age order (rmaOp.prevLive/nextLive), and
+	// outstanding flush requests.
+	opAge              int64
+	liveHead, liveTail *rmaOp
+	flushes            []flushReq
+
+	// freeOps chains retired ops for addOp to reuse (ops.go, retire).
+	freeOps *rmaOp
 
 	// dirty asks the engine for an activation/completion scan.
 	dirty bool
@@ -150,7 +154,6 @@ func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 	ep := c.ep
 	if ep == nil {
 		ep = build()
-		ep.openReq = mpi.NewCompletedRequest(w.rank)
 	}
 	c.ep = nil
 	w.checkLive()
@@ -178,12 +181,63 @@ func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 	} else {
 		w.scanActivate()
 	}
-	return ep.openReq
+	return mpi.NewCompletedRequest(w.rank)
 }
 
 // peer returns the counter triple toward rank i, materializing it on first
 // touch in sparse (large-world) tables.
 func (w *Window) peer(i int) *peerCounters { return w.peers.Get(i) }
+
+// linkLive appends o to the live list: ages increase along it.
+func (w *Window) linkLive(o *rmaOp) {
+	o.live, o.prevLive = true, w.liveTail
+	if w.liveTail == nil {
+		w.liveHead = o
+	} else {
+		w.liveTail.nextLive = o
+	}
+	w.liveTail = o
+}
+
+// unlinkLive removes o from the live list; a no-op once it is off.
+func (w *Window) unlinkLive(o *rmaOp) {
+	if !o.live {
+		return
+	}
+	if o.prevLive == nil {
+		w.liveHead = o.nextLive
+	} else {
+		o.prevLive.nextLive = o.nextLive
+	}
+	if o.nextLive == nil {
+		w.liveTail = o.prevLive
+	} else {
+		o.nextLive.prevLive = o.prevLive
+	}
+	o.prevLive, o.nextLive, o.live = nil, nil, false
+}
+
+// detachLive unlinks every live op of epoch ep and returns them oldest
+// first, chained through nextLive. Aborts fail the ops' requests from this
+// private chain, so a completion hook that re-enters the window cannot
+// disturb the walk.
+func (w *Window) detachLive(ep *Epoch) *rmaOp {
+	var head, tail *rmaOp
+	for o := w.liveHead; o != nil; {
+		next := o.nextLive
+		if o.ep == ep {
+			w.unlinkLive(o)
+			if tail == nil {
+				head = o
+			} else {
+				tail.nextLive = o
+			}
+			tail = o
+		}
+		o = next
+	}
+	return head
+}
 
 // onGrant reacts to a grant (exposure/lock) notification from peer src.
 // Recorded transfers of already-activated epochs are issued right here, in
@@ -380,7 +434,7 @@ func (w *Window) Quiesce() {
 // and lock) of this window has completed internally.
 func (w *Window) quiesced() bool {
 	if w.mode == ModeFlush {
-		return w.err != nil || (len(w.liveOps) == 0 && w.fm.idle())
+		return w.err != nil || (w.liveHead == nil && w.fm.idle())
 	}
 	w.pruneCompleted()
 	if len(w.epochs) != 0 {
@@ -388,7 +442,7 @@ func (w *Window) quiesced() bool {
 	}
 	// Local-completion gating lets signal-transport epochs complete with
 	// remote completions still in flight; freeing the window under them
-	// would strand their acks, so quiescence also drains the live-op set
+	// would strand their acks, so quiescence also drains the live list
 	// (emptied exactly at remote completion; an abort empties it too).
-	return w.transport != TransportSignal || len(w.liveOps) == 0
+	return w.transport != TransportSignal || w.liveHead == nil
 }

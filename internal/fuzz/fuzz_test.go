@@ -46,6 +46,32 @@ func TestFlippedReorderCaught(t *testing.T) {
 	t.Fatal("flipped canReorder survived 200 programs undetected")
 }
 
+// TestRetiredOpsPoisoned runs six fuzz arms with op recycling replaced by
+// poisoning: a retired op loses its epoch, class and target instead of going
+// back to its window's free list, so anything that still touches an op after
+// retirement crashes or trips an invariant. Every arm must stay clean — the
+// check that the retirement rule frees an op only once nothing can reach it.
+func TestRetiredOpsPoisoned(t *testing.T) {
+	core.SetDebugPoisonRetired(true)
+	defer core.SetDebugPoisonRetired(false)
+	const n = 50
+	for _, arm := range []struct {
+		name string
+		run  func() []Failure
+	}{
+		{"plain", func() []Failure { return Campaign(Options{N: n, Seed: 1}) }},
+		{"lossy", func() []Failure { return Campaign(Options{N: n, Seed: 1, Lossy: true}) }},
+		{"fattree", func() []Failure { return Campaign(Options{N: n, Seed: 1, Topo: topo.FatTree}) }},
+		{"signal", func() []Failure { return Campaign(Options{N: n, Seed: 1, Signal: true}) }},
+		{"flush", func() []Failure { return Campaign(Options{N: n, Seed: 1, Modes: []core.Mode{core.ModeFlush}}) }},
+		{"kv", func() []Failure { return KVCampaign(Options{N: n, Seed: 1}) }},
+	} {
+		for _, f := range arm.run() {
+			t.Errorf("%s arm: %s", arm.name, f)
+		}
+	}
+}
+
 // TestLossyCampaign is the ISSUE's acceptance campaign: 200 seeds over a
 // fabric injecting drops, duplicates, corruption, jitter and link flaps.
 // The reliability sublayer must repair every fault, so the sequential-

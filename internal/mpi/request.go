@@ -19,6 +19,11 @@ type Request struct {
 // NewRequest creates an incomplete request owned by rank r.
 func NewRequest(r *Rank) *Request { return &Request{rank: r} }
 
+// Init makes q an incomplete request owned by rank r: the NewRequest of a
+// request embedded in a longer-lived object (an RMA epoch owns its closing
+// request) instead of allocated on its own.
+func (q *Request) Init(r *Rank) { *q = Request{rank: r} }
+
 // NewCompletedRequest returns a request already flagged complete. The
 // paper's nonblocking epoch-opening routines return exactly this: "a dummy
 // request object that is flagged as completed at creation time". Every call
