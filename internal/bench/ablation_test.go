@@ -32,7 +32,7 @@ func TestAblationTriggeredOpsShape(t *testing.T) {
 	// lands after the origin's Put call, so the recorded put waits for the
 	// origin's engine. Unstaged (targetLag 0), barrier-exit skew lets the
 	// grant win on alternate iterations and the samples split ~1000 us apart.
-	samples := lateComplete(SeriesNewNB, 8, BigMsg, core.WinOptions{NoTriggeredOps: true}, triggeredOpsLag).run(true).samples[0][1:]
+	samples := lateComplete(SeriesNewNB, 8, BigMsg, core.WinOptions{NoTriggeredOps: true}, triggeredOpsLag).run(true).Samples[0][1:]
 	lo, hi := samples[0], samples[0]
 	for _, s := range samples {
 		lo, hi = min(lo, s), max(hi, s)

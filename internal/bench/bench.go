@@ -11,12 +11,12 @@
 //
 // A figure is a rows x cols table of virtual-time readings: grid builds
 // the ones whose every cell is its own simulation, gridColumns the ones
-// where one simulation yields a whole column. Each workload has one rank
-// program, shared by every figure that runs it, and every figure runs it
-// on task ranks (mpi.World.RunProgram): the small-world figures — Figs
-// 2-11, Modes, Signal, the Section VIII-A tables and the fault sweep — as
-// lists of call records walked by one program (pattern), the scale cell,
-// Fig 12 and Fig 13 as their own.
+// where one simulation yields a whole column. Every cell is a prog.Program
+// per rank — call records built once per cell, made by the one interpreter
+// in internal/prog — run on task ranks: the small-world figures (Figs 2-11,
+// Modes, Signal, the Section VIII-A tables and the fault sweep) as one list
+// per rank (pattern), the scale cell as its own records, and Figs 12 and 13
+// through a per-rank prog.Generator (txnGen's random draw, luGen's rows).
 //
 // Measurements are virtual-time latencies, deterministic across runs. The
 // calibration (fabric.DefaultConfig) makes a 1 MB put cost about 340 us and

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -58,11 +59,11 @@ func FigFaultSweep(iters int) *stats.Table {
 func faultSweepCell(rate float64, s Series, ri, si, iters int) pattern {
 	puts := make([]op, SweepPuts)
 	for i := range puts {
-		puts[i] = op{kind: oPut, peer: 1, size: SweepChunk, slot: i} // the i-th chunk
+		puts[i] = op{Kind: prog.Put, Peer: 1, Off: int64(i) * SweepChunk, Size: SweepChunk} // the i-th chunk
 	}
 	origin := slices.Concat([]op{barrier, stamp, start(1)}, puts, []op{complete, compute(OverlapWork), sample(0)})
 	if s.Nonblocking() {
-		origin = slices.Concat([]op{barrier, stamp, istart(1)}, puts, []op{icomplete(0), compute(OverlapWork), wait, sample(0)})
+		origin = slices.Concat([]op{barrier, stamp, istart(1)}, puts, []op{icomplete, compute(OverlapWork), wait, sample(0)})
 	}
 	pt := pattern{winSize: SweepPuts * SweepChunk, opt: core.WinOptions{Mode: s.Mode()}, iters: iters,
 		lists: [][]op{origin, {barrier, post(0), waitEpoch}}}

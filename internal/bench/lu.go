@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/par"
+	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -69,53 +70,18 @@ func RunLU(n int, series Series, p LUParams) LUResult {
 	return luCell(n, series, p, true).result()
 }
 
-// luRun is one LU cell: the parameters every rank's program reads, and the
-// world, windows and readings once it has run.
+// luRun is one LU cell once it has run: its world, windows and samples —
+// rank r's elapsed time in slot r and its MPI time in slot n+r.
 type luRun struct {
+	*prog.Run
 	n      int
 	series Series
 	p      LUParams
-	world  *mpi.World
-	rt     *core.Runtime
-	wins   []*core.Window
-	total  sim.Time
-	// Per-rank slots, each written only by its own rank (shard-safe), summed
-	// in fixed rank order by result so the reading is shard-count invariant.
-	comm []float64
 }
 
-// luCell runs one LU cell in the given rank execution form
-// (mpi.World.RunProgram; TestAppTaskParity pins the two against each other).
-func luCell(n int, series Series, p LUParams, tasks bool) *luRun {
-	run := &luRun{n: n, series: series, p: p, wins: make([]*core.Window, n), comm: make([]float64, n)}
-	run.world = mpi.NewWorldShards(n, Config(), Shards())
-	run.rt = core.NewRuntime(run.world)
-	err := run.world.RunProgram(func(r *mpi.Rank) sim.Task {
-		return &luProgram{run: run, r: r, group: others(n, r.ID)}
-	}, tasks)
-	if err != nil {
-		panic(fmt.Sprintf("bench: simulation failed: %v", err))
-	}
-	return run
-}
-
-// result aggregates the cell's readings.
-func (run *luRun) result() LUResult {
-	var commSum float64
-	for _, c := range run.comm {
-		commSum += c
-	}
-	return LUResult{
-		N: run.n, M: run.p.M, Series: run.series,
-		Total:    run.total,
-		CommPct:  commSum / float64(run.n) * 100,
-		PerRankS: float64(run.total) / float64(sim.Second),
-	}
-}
-
-// luProgram is the LU skeleton's rank program, one step per MPI call (see
-// scaleProgram). CreateWindow and Barrier, then for every row k the rank's
-// role in it:
+// luCell runs one LU cell in the given rank execution form (prog.Run.Exec;
+// TestAppTaskParity pins the two against each other). A rank's program is
+// CreateWindow and Barrier, then for every row k the rank's role in it:
 //
 //	owner, blocking:     Start; puts; Compute; Complete  (in-epoch overlap -> Late Complete)
 //	owner, nonblocking:  IStart; puts; IComplete; Compute; Wait
@@ -124,140 +90,77 @@ func (run *luRun) result() LUResult {
 //
 // then Quiesce and Barrier. The nonblocking owner overlaps its update work
 // both with the transfers (the epoch is already closed) and with the peers'.
-type luProgram struct {
-	run   *luRun
-	r     *mpi.Rank
-	group []int // every other rank: the owner's access group
-
-	win        *core.Window
-	step       int // the call to make next (lu* constants)
-	k, put     int // the current row; puts made in it
-	role       int // the rank's part in row k (lu* roles)
-	owner      [1]int
-	size       int64    // nonzero bytes of row k
-	work       sim.Time // the rank's update work after row k
-	t0, mpiT0  sim.Time
-	closingReq *mpi.Request // the nonblocking owner's IComplete
+func luCell(n int, series Series, p LUParams, tasks bool) *luRun {
+	win := prog.Window{Size: int64(p.M) * 8, Opt: core.WinOptions{Mode: series.Mode(), ShapeOnly: true}}
+	run := &luRun{Run: prog.NewRun(mpi.NewWorldShards(n, Config(), Shards()), win), n: n, series: series, p: p}
+	run.Slots(2*n, 1)
+	pre, body := []op{create, barrier, stamp}, []op{{Kind: prog.Gen}}
+	open, finish := start(0), []op{compute(0), complete}
+	if series.Nonblocking() {
+		open, finish = istart(0), []op{icomplete, compute(0), wait}
+	}
+	err := run.Exec(func(r *mpi.Rank) prog.Program {
+		group := others(n, r.ID)
+		g := &luGen{rank: r.ID, n: n, p: p, owner: append(make([]op, 0, n+3), open),
+			peer: []op{post(1), waitEpoch, compute(0)}, solo: []op{compute(0)}}
+		for _, peer := range group {
+			g.owner = append(g.owner, put(peer, 0))
+		}
+		g.owner = append(g.owner, finish...)
+		epi := []op{quiesce, barrier, sample(r.ID), {Kind: prog.SampleMPI, Arg: int32(n + r.ID)}}
+		return prog.Program{Pre: pre, Body: body, Post: epi, Iters: p.M, Groups: [][]int{group, g.rowOwner[:]}, Gen: g}
+	}, tasks)
+	if err != nil {
+		panic(fmt.Sprintf("bench: simulation failed: %v", err))
+	}
+	return run
 }
 
-// The program's steps, in program order.
-const (
-	luCreate = iota
-	luBarrier
-	luStamp
-	luRow
-	luOpen
-	luPut
-	luNextPut
-	luClose
-	luCompute
-	luFinish
-	luNextRow
-	luQuiesce
-	luEndBarrier
-	luSample
-	luExit
-)
-
-// A rank's part in one row.
-const (
-	luPeer  = iota // receives the row
-	luOwner        // broadcasts the row to every peer
-	luSolo         // owns it in a one-rank job: nothing to send
-)
-
-func (t *luProgram) Step(p *sim.Proc) {
-	r, win, run := t.r, t.win, t.run
-	nb := run.series.Nonblocking()
-	for {
-		switch t.step {
-		case luCreate:
-			win = run.rt.CreateWindow(r, int64(run.p.M)*8, core.WinOptions{Mode: run.series.Mode(), ShapeOnly: true})
-			t.win, run.wins[r.ID] = win, win
-		case luBarrier:
-			r.Barrier()
-		case luStamp:
-			t.t0, t.mpiT0 = r.Now(), r.TimeInMPI
-		case luRow:
-			m, n, k := run.p.M, run.n, t.k
-			if k == m {
-				t.step = luQuiesce
-				continue
-			}
-			t.size = int64(m-k) * 8
-			t.work = luWorkTime(r.ID, n, m, k, run.p.FlopNs)
-			switch owner := k % n; {
-			case r.ID != owner:
-				t.role, t.owner[0] = luPeer, owner
-			case n == 1:
-				t.role = luSolo
-			default:
-				t.role = luOwner
-			}
-		case luOpen:
-			switch {
-			case t.role == luPeer:
-				win.Post(t.owner[:])
-			case t.role == luSolo:
-			case nb:
-				win.IStart(t.group)
-			default:
-				win.Start(t.group)
-			}
-		case luPut:
-			if t.role != luOwner {
-				t.step = luClose
-				continue
-			}
-			win.Put(t.group[t.put], 0, nil, t.size)
-		case luNextPut:
-			if t.put++; t.put < len(t.group) {
-				t.step = luPut
-				continue
-			}
-			t.put = 0
-		case luClose:
-			switch {
-			case t.role == luPeer:
-				win.WaitEpoch()
-			case t.role == luOwner && nb:
-				if q := win.IComplete(); !r.Pending() {
-					t.closingReq = q
-				}
-			}
-		case luCompute:
-			r.Compute(t.work)
-		case luFinish:
-			switch {
-			case t.role != luOwner:
-			case nb:
-				r.Wait(t.closingReq)
-			default:
-				win.Complete()
-			}
-		case luNextRow:
-			t.k++
-			t.closingReq = nil
-			t.step = luRow
-			continue
-		case luQuiesce:
-			win.Quiesce()
-		case luEndBarrier:
-			r.Barrier()
-		case luSample:
-			if r.ID == 0 {
-				run.total = r.Now() - t.t0
-			}
-			run.comm[r.ID] = float64(r.TimeInMPI-t.mpiT0) / float64(r.Now()-t.t0)
-		case luExit:
-			p.TaskExit()
-			return
-		}
-		if r.Pending() {
-			return
-		}
-		t.step++
+// result aggregates the cell's readings, summing the per-rank communication
+// shares in fixed rank order so the reading is shard-count invariant.
+func (run *luRun) result() LUResult {
+	var commSum float64
+	for r := range run.n {
+		commSum += float64(run.Samples[run.n+r][0]) / float64(run.Samples[r][0])
 	}
+	total := run.Samples[0][0]
+	return LUResult{
+		N: run.n, M: run.p.M, Series: run.series,
+		Total:    total,
+		CommPct:  commSum / float64(run.n) * 100,
+		PerRankS: float64(total) / float64(sim.Second),
+	}
+}
+
+// luGen is a rank's walk over the rows: every Next picks the rank's block for
+// the next row — owner, peer or solo, each built once — and patches its put
+// sizes and update work in place.
+type luGen struct {
+	rank, n, k        int
+	p                 LUParams
+	rowOwner          [1]int // the peer block's Post group
+	owner, peer, solo []op
+}
+
+func (g *luGen) Next() []op {
+	m, k := g.p.M, g.k
+	g.k++
+	blk := g.owner
+	switch owner := k % g.n; {
+	case g.rank != owner:
+		g.rowOwner[0], blk = owner, g.peer
+	case g.n == 1:
+		blk = g.solo
+	}
+	for i := range blk {
+		switch blk[i].Kind {
+		case prog.Put:
+			blk[i].Size = int64(m-k) * 8
+		case prog.Compute:
+			blk[i].Size = luWorkTime(g.rank, g.n, m, k, g.p.FlopNs)
+		}
+	}
+	return blk
 }
 
 // luWorkTime models the time rank r spends updating its own rows below k

@@ -47,9 +47,9 @@ func Fig7AAARGats(iters int) *stats.Table {
 }
 
 var fig7 = flagBench{core.Info{AAAR: true}, [][]op{
-	{barrier, stamp, istart(1), put(1, BigMsg), icomplete(0), istart(2), put(2, BigMsg), icomplete(1), wait, sample(1)}, // origin: two back-to-back access epochs
-	{barrier, compute(Delay), post(0), waitEpoch},   // T0, late
-	{barrier, stamp, post(0), waitEpoch, sample(0)}, // T1
+	{barrier, stamp, istart(1), put(1, BigMsg), icomplete, istart(2), put(2, BigMsg), icomplete, wait, sample(1)}, // origin: two back-to-back access epochs
+	{barrier, compute(Delay), post(0), waitEpoch},                                                                 // T0, late
+	{barrier, stamp, post(0), waitEpoch, sample(0)},                                                               // T1
 }}
 
 // Fig8AAARLock: O1 queues behind O0 on T0's exclusive lock, then locks T1.
@@ -60,9 +60,9 @@ func Fig8AAARLock(iters int) *stats.Table {
 }
 
 var fig8 = flagBench{core.Info{AAAR: true}, [][]op{
-	{barrier, ilock(2, true), put(2, BigMsg), compute(Delay), iunlock(2, 0), wait, barrier}, // O0: holds T0's lock through 1000 us of work
-	{barrier, compute(50 * sim.Microsecond), stamp, ilock(2, true), put(2, BigMsg), iunlock(2, 0), // O1: lock T0 (queued), then lock T1
-		ilock(3, true), put(3, BigMsg), iunlock(3, 1), wait, sample(0), barrier},
+	{barrier, ilock(2, true), put(2, BigMsg), compute(Delay), iunlock(2), wait, barrier}, // O0: holds T0's lock through 1000 us of work
+	{barrier, compute(50 * sim.Microsecond), stamp, ilock(2, true), put(2, BigMsg), iunlock(2), // O1: lock T0 (queued), then lock T1
+		ilock(3, true), put(3, BigMsg), iunlock(3), wait, sample(0), barrier},
 	{barrier, barrier},
 	{barrier, barrier},
 }}
@@ -75,9 +75,9 @@ func Fig9AAER(iters int) *stats.Table {
 }
 
 var fig9 = flagBench{core.Info{AAER: true}, [][]op{
-	{barrier, compute(Delay), istart(2), put(2, BigMsg), icomplete(0), wait},                       // late origin toward P2
-	{barrier, stamp, post(2), waitEpoch, sample(0)},                                                // final target
-	{barrier, stamp, ipost(0), iwait(0), istart(1), put(1, BigMsg), icomplete(1), wait, sample(1)}, // target first, then origin
+	{barrier, compute(Delay), istart(2), put(2, BigMsg), icomplete, wait},                    // late origin toward P2
+	{barrier, stamp, post(2), waitEpoch, sample(0)},                                          // final target
+	{barrier, stamp, ipost(0), iwait, istart(1), put(1, BigMsg), icomplete, wait, sample(1)}, // target first, then origin
 }}
 
 // Fig10EAER: a target exposes to late O0 and then to O1. With E_A_E_R the
@@ -87,9 +87,9 @@ func Fig10EAER(iters int) *stats.Table {
 }
 
 var fig10 = flagBench{core.Info{EAER: true}, [][]op{
-	{barrier, stamp, ipost(1), iwait(0), ipost(2), iwait(1), wait, sample(1)},  // target with two exposures
-	{barrier, compute(Delay), istart(0), put(0, BigMsg), icomplete(0), wait},   // O0, late
-	{barrier, stamp, istart(0), put(0, BigMsg), icomplete(0), wait, sample(0)}, // O1
+	{barrier, stamp, ipost(1), iwait, ipost(2), iwait, wait, sample(1)},     // target with two exposures
+	{barrier, compute(Delay), istart(0), put(0, BigMsg), icomplete, wait},   // O0, late
+	{barrier, stamp, istart(0), put(0, BigMsg), icomplete, wait, sample(0)}, // O1
 }}
 
 // Fig11EAAR: P2 is an origin toward late P0 and then a target for P1. With
@@ -99,7 +99,7 @@ func Fig11EAAR(iters int) *stats.Table {
 }
 
 var fig11 = flagBench{core.Info{EAAR: true}, [][]op{
-	{barrier, compute(Delay), post(2), waitEpoch},                                                  // late target of P2's access epoch
-	{barrier, stamp, istart(2), put(2, BigMsg), icomplete(0), wait, sample(0)},                     // origin toward P2
-	{barrier, stamp, istart(0), put(0, BigMsg), icomplete(0), ipost(1), iwait(1), wait, sample(1)}, // origin first, then target
+	{barrier, compute(Delay), post(2), waitEpoch},                                            // late target of P2's access epoch
+	{barrier, stamp, istart(2), put(2, BigMsg), icomplete, wait, sample(0)},                  // origin toward P2
+	{barrier, stamp, istart(0), put(0, BigMsg), icomplete, ipost(1), iwait, wait, sample(1)}, // origin first, then target
 }}

@@ -82,7 +82,7 @@ func runShape(s Series, shape epochShape, iters int, size int64, work sim.Time) 
 	case shapeGATS:
 		origin = []op{barrier, compute(lag), stamp, start(1), put(1, size), compute(work), complete, sample(0)}
 		if nb {
-			origin = []op{barrier, compute(lag), stamp, istart(1), put(1, size), icomplete(0), compute(work), wait, sample(0)}
+			origin = []op{barrier, compute(lag), stamp, istart(1), put(1, size), icomplete, compute(work), wait, sample(0)}
 		}
 		target = []op{barrier, post(0), waitEpoch}
 	case shapeFence:
@@ -99,7 +99,7 @@ func runShape(s Series, shape epochShape, iters int, size int64, work sim.Time) 
 		}
 		origin = []op{barrier, stamp, lock(1, false), rma, compute(work), unlock(1), sample(0), barrier}
 		if nb {
-			origin = []op{barrier, stamp, ilock(1, false), rma, iunlock(1, 0), compute(work), wait, sample(0), barrier}
+			origin = []op{barrier, stamp, ilock(1, false), rma, iunlock(1), compute(work), wait, sample(0), barrier}
 		}
 		target = []op{barrier, barrier}
 	}

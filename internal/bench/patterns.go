@@ -28,8 +28,8 @@ func Fig2LatePost(iters int) *stats.Table {
 func fig2Series(s Series, iters int) pattern {
 	origin := []op{barrier, stamp, start(0), put(0, BigMsg), complete, sample(0), send(1, BigMsg), sample(1), sample(2)}
 	if s.Nonblocking() { // the access epoch completes during the send
-		origin = []op{barrier, stamp, istart(0), put(0, BigMsg), icomplete(0), {kind: oStampDone},
-			send(1, BigMsg), sample(1), wait, {kind: oSampleDone}, sample(2)}
+		origin = []op{barrier, stamp, istart(0), put(0, BigMsg), icomplete, stampDone,
+			send(1, BigMsg), sample(1), wait, sampleDone, sample(2)}
 	}
 	return pattern{opt: core.WinOptions{Mode: s.Mode()}, iters: iters, lists: [][]op{
 		{barrier, compute(Delay), post(2), waitEpoch}, // late target
@@ -60,7 +60,7 @@ func lateComplete(s Series, iters int, size int64, opt core.WinOptions, targetLa
 	opt.Mode = s.Mode()
 	origin := []op{barrier, start(1), put(1, size), compute(Delay), complete} // in-epoch overlap (scenario 3) -> Late Complete
 	if s.Nonblocking() {
-		origin = []op{barrier, istart(1), put(1, size), icomplete(0), compute(Delay), wait}
+		origin = []op{barrier, istart(1), put(1, size), icomplete, compute(Delay), wait}
 	}
 	return pattern{opt: opt, iters: iters, lists: [][]op{
 		origin,
@@ -171,7 +171,7 @@ func lateUnlock(s Series, iters int) pattern {
 		if s == SeriesFlush {
 			acquire = lock(0, true)
 		}
-		return []op{stamp, acquire, put(0, BigMsg), iunlock(0, 0), compute(work), wait, sample(slot), barrier}
+		return []op{stamp, acquire, put(0, BigMsg), iunlock(0), compute(work), wait, sample(slot), barrier}
 	}
 	return pattern{opt: core.WinOptions{Mode: s.Mode()}, iters: iters, lists: [][]op{
 		{barrier, barrier},

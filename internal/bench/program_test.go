@@ -52,11 +52,11 @@ func TestPatternTaskParity(t *testing.T) {
 	}
 	observe := func(pt pattern, tasks bool) formObservation {
 		run := pt.run(tasks)
-		res := reading{samples: run.samples}
-		for i := range run.wins {
-			res.rel = append(res.rel, run.world.Net.RelStats(i))
+		res := reading{samples: run.Samples}
+		for i := range run.Wins {
+			res.rel = append(res.rel, run.World.Net.RelStats(i))
 		}
-		return observeForm(res, run.world, run.wins)
+		return observeForm(res, run)
 	}
 	same := func(t *testing.T, pt pattern) {
 		t.Helper()

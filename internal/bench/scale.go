@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/par"
+	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -156,10 +157,10 @@ func scaleCell(n int, s Series, iters int) scaleMeasure {
 	runtime.GC()
 	run := scaleCellMode(n, s, iters, true)
 	flat := make([]sim.Time, 0, n*iters)
-	for _, ss := range run.samples {
+	for _, ss := range run.Samples {
 		flat = append(flat, ss...)
 	}
-	sum := run.world.Net.TopoSummary()
+	sum := run.World.Net.TopoSummary()
 	return scaleMeasure{
 		lat:    mean(flat),
 		queued: us(sum.QueuedTime) / float64(iters),
@@ -171,51 +172,8 @@ func scaleCell(n int, s Series, iters int) scaleMeasure {
 // (tasks=true, what the figure uses — 64k ranks fit one process without 64k
 // goroutine stacks) or goroutine ranks (TestScaleTaskParity pins
 // bit-identity between the two).
-func scaleCellMode(n int, s Series, iters int, tasks bool) *scaleRun {
-	run := newScaleRun(n, s, iters)
-	run.exec(tasks)
-	return run
-}
-
-// scaleRun is one scale cell: the world it runs on, and every rank's window
-// and per-iteration completion samples once it has run.
-type scaleRun struct {
-	s       Series
-	iters   int
-	world   *mpi.World
-	rt      *core.Runtime
-	wins    []*core.Window
-	samples [][]sim.Time
-}
-
-// newScaleRun builds the world of an n-rank cell.
-func newScaleRun(n int, s Series, iters int) *scaleRun {
-	if n&(n-1) != 0 || n < 2 {
-		panic(fmt.Sprintf("bench: scale rank count %d is not a power of two", n))
-	}
-	cfg := Config()
-	cfg.Topo = ScaleTopo(n)
-	w := mpi.NewWorldShards(n, cfg, Shards())
-	return &scaleRun{s: s, iters: iters, world: w, rt: core.NewRuntime(w),
-		wins: make([]*core.Window, n), samples: make([][]sim.Time, n)}
-}
-
-// exec runs one scaleProgram per rank to completion, as task ranks or as
-// goroutine ranks (mpi.World.RunProgram).
-func (run *scaleRun) exec(tasks bool) {
-	n := run.world.Size()
-	err := run.world.RunProgram(func(r *mpi.Rank) sim.Task {
-		return &scaleProgram{run: run, r: r, tg: scaleGroup(n, r.ID, +1), og: scaleGroup(n, r.ID, -1)}
-	}, tasks)
-	if err != nil {
-		panic(fmt.Sprintf("bench: scale (n=%d, %s) failed: %v", n, run.s, err))
-	}
-}
-
-// scaleProgram is the scale cell's rank program: one step per MPI call, made
-// in the order below. A call that returns pending (task ranks only) is
-// repeated at the next Step; a completed one advances the program. Each
-// iteration is
+//
+// A rank's program is, per iteration,
 //
 //	blocking:     Barrier; Post; Start; puts; Complete; WaitEpoch; Compute
 //	nonblocking:  Barrier; IPost; IStart; puts; IComplete; IWait; Compute; Wait
@@ -227,124 +185,45 @@ func (run *scaleRun) exec(tasks bool) {
 // iteration puts + a window-wide flush overlapped with the computation; the
 // per-iteration barrier provides the target-side ordering an exposure epoch
 // would.
-type scaleProgram struct {
-	run *scaleRun
-	r   *mpi.Rank
-
-	win        *core.Window
-	tg, og     []int
-	step       int // the call to make next (sc* constants)
-	it, put    int // completed iterations; puts made in the current one
-	t0         sim.Time
-	creq, wreq *mpi.Request // nonblocking closes in flight across Compute
-}
-
-// The program's steps, in program order.
-const (
-	scCreate = iota
-	scLockAll
-	scBarrier
-	scStamp
-	scPost
-	scStart
-	scPut
-	scNextPut
-	scClose
-	scWaitEpoch
-	scCompute
-	scWait
-	scSample
-	scUnlockAll
-	scQuiesce
-	scExit
-)
-
-func (t *scaleProgram) Step(p *sim.Proc) {
-	r, win, s := t.r, t.win, t.run.s
-	flush, nb := s == SeriesFlush, s.Nonblocking()
-	for {
-		switch t.step {
-		case scCreate:
-			win = t.run.rt.CreateWindow(r, int64(r.Size())*ScaleChunk, scaleWinOptions(s))
-			t.win, t.run.wins[r.ID] = win, win
-		case scLockAll:
-			if flush {
-				win.LockAll()
-			}
-		case scBarrier:
-			if t.it == t.run.iters {
-				t.step = scUnlockAll
-				continue
-			}
-			r.Barrier()
-		case scStamp:
-			t.t0 = r.Now()
-		case scPost:
-			switch {
-			case flush:
-			case nb:
-				win.IPost(t.og)
-			default:
-				win.Post(t.og)
-			}
-		case scStart:
-			switch {
-			case flush:
-			case nb:
-				win.IStart(t.tg)
-			default:
-				win.Start(t.tg)
-			}
-		case scPut:
-			win.Put(t.tg[t.put], int64(r.ID)*ScaleChunk, nil, ScaleChunk)
-		case scNextPut:
-			if t.put++; t.put < len(t.tg) {
-				t.step = scPut
-				continue
-			}
-			t.put = 0
-		case scClose:
-			switch {
-			case flush:
-				t.creq = win.IFlushAll()
-			case nb:
-				t.creq = win.IComplete()
-			default:
-				win.Complete()
-			}
-		case scWaitEpoch:
-			switch {
-			case flush:
-			case nb:
-				t.wreq = win.IWait()
-			default:
-				win.WaitEpoch()
-			}
-		case scCompute:
-			r.Compute(ScaleWork)
-		case scWait:
-			if flush || nb {
-				r.Wait(t.creq, t.wreq)
-			}
-		case scSample:
-			t.run.samples[r.ID] = append(t.run.samples[r.ID], r.Now()-t.t0)
-			t.creq, t.wreq = nil, nil
-			t.it++
-			t.step = scBarrier
-			continue
-		case scUnlockAll:
-			if flush {
-				win.UnlockAll()
-			}
-		case scQuiesce:
-			win.Quiesce()
-		case scExit:
-			p.TaskExit()
-			return
-		}
-		if r.Pending() {
-			return
-		}
-		t.step++
+func scaleCellMode(n int, s Series, iters int, tasks bool) *prog.Run {
+	if n&(n-1) != 0 || n < 2 {
+		panic(fmt.Sprintf("bench: scale rank count %d is not a power of two", n))
 	}
+	cfg := Config()
+	cfg.Topo = ScaleTopo(n)
+	run := prog.NewRun(mpi.NewWorldShards(n, cfg, Shards()), prog.Window{Size: int64(n) * ScaleChunk, Opt: scaleWinOptions(s)})
+	run.Slots(n, iters)
+	pre, epi := createOnly, quiesceOnly
+	if s == SeriesFlush {
+		pre, epi = []op{create, {Kind: prog.LockAll}}, []op{{Kind: prog.UnlockAll}, quiesce}
+	}
+	err := run.Exec(func(r *mpi.Rank) prog.Program {
+		tg := scaleGroup(n, r.ID, +1)
+		body := make([]op, 0, len(tg)+9)
+		body = append(body, barrier, stamp)
+		switch {
+		case s == SeriesFlush:
+		case s.Nonblocking():
+			body = append(body, ipost(1), istart(0))
+		default:
+			body = append(body, post(1), start(0))
+		}
+		for _, peer := range tg {
+			body = append(body, op{Kind: prog.Put, Peer: int32(peer), Off: int64(r.ID) * ScaleChunk, Size: ScaleChunk})
+		}
+		switch {
+		case s == SeriesFlush:
+			body = append(body, op{Kind: prog.IFlushAll}, compute(ScaleWork), wait)
+		case s.Nonblocking():
+			body = append(body, icomplete, iwait, compute(ScaleWork), wait)
+		default:
+			body = append(body, complete, waitEpoch, compute(ScaleWork))
+		}
+		body = append(body, sample(r.ID))
+		return prog.Program{Pre: pre, Body: body, Post: epi, Iters: iters, Groups: [][]int{tg, scaleGroup(n, r.ID, -1)}}
+	}, tasks)
+	if err != nil {
+		panic(fmt.Sprintf("bench: scale (n=%d, %s) failed: %v", n, s, err))
+	}
+	return run
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/par"
+	"repro/internal/prog"
 	"repro/internal/sim"
 )
 
@@ -86,11 +86,11 @@ func TestScaleTaskParity(t *testing.T) {
 	}
 	observe := func(s Series, tasks bool) observed {
 		run := scaleCellMode(n, s, iters, tasks)
-		sum := run.world.Net.TopoSummary()
-		o := observed{samples: run.samples, queued: sum.QueuedTime, stalls: sum.CreditStalls, events: run.world.Events()}
-		for i, win := range run.wins {
-			o.inMPI = append(o.inMPI, run.world.Rank(i).TimeInMPI)
-			o.stats = append(o.stats, win.Stats())
+		sum := run.World.Net.TopoSummary()
+		o := observed{samples: run.Samples, queued: sum.QueuedTime, stalls: sum.CreditStalls, events: run.World.Events()}
+		for i, wins := range run.Wins {
+			o.inMPI = append(o.inMPI, run.World.Rank(i).TimeInMPI)
+			o.stats = append(o.stats, wins[0].Stats())
 		}
 		return o
 	}
@@ -118,11 +118,11 @@ type formObservation struct {
 	events uint64
 }
 
-func observeForm(result any, w *mpi.World, wins []*core.Window) formObservation {
-	o := formObservation{result: result, events: w.Events()}
-	for i, win := range wins {
-		o.inMPI = append(o.inMPI, w.Rank(i).TimeInMPI)
-		o.stats = append(o.stats, win.Stats())
+func observeForm(result any, run *prog.Run) formObservation {
+	o := formObservation{result: result, events: run.World.Events()}
+	for i, wins := range run.Wins {
+		o.inMPI = append(o.inMPI, run.World.Rank(i).TimeInMPI)
+		o.stats = append(o.stats, wins[0].Stats())
 	}
 	return o
 }
@@ -137,11 +137,11 @@ func TestAppTaskParity(t *testing.T) {
 	luP := LUParams{M: 64, FlopNs: 20}
 	txn := func(s TxnSeries, tasks bool) formObservation {
 		run := txnCell(16, Config(), s, txnP, tasks)
-		return observeForm(run.throughput(), run.world, run.wins)
+		return observeForm(run.throughput(), run.Run)
 	}
 	lu := func(s Series, tasks bool) formObservation {
 		run := luCell(8, s, luP, tasks)
-		return observeForm(run.result(), run.world, run.wins)
+		return observeForm(run.result(), run.Run)
 	}
 	same := func(t *testing.T, task, proc formObservation) {
 		t.Helper()
@@ -175,7 +175,8 @@ func TestAppTaskParity(t *testing.T) {
 // TestScaleTaskAllocationBudget pins the heap objects a task rank costs per
 // iteration of the scale cell, per series, measured like core's epoch
 // budgets: a 2N-iteration run minus an N-iteration run cancels the world.
-// Each budget sits one object above today's reading (4.25, 4.34, 4.44, 1.31:
+// Each budget sits one object above the reading it was set at (4.25, 4.34,
+// 4.44, 1.31; today 3.99, 4.10, 4.20, 1.06 with the samples preallocated:
 // the epochs and their multi-peer slot tables — closing requests live in
 // their epochs and ops are recycled), so a call that allocates its resume
 // state — one object per call is +15 per rank-iteration — fails here, not

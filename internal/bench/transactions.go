@@ -2,11 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -93,40 +95,54 @@ func runTxn(n int, cfg fabric.Config, series TxnSeries, p TxnParams) float64 {
 	return txnCell(n, cfg, series, p, true).throughput()
 }
 
-// txnRun is one transaction cell: the series' shape, which every rank's
-// program reads, and the world, windows and rank 0's elapsed time once it
-// has run.
+// txnRun is one transaction cell once it has run: its world, windows and
+// rank 0's elapsed time, sample slot 0.
 type txnRun struct {
-	n, epochs, depth int
-	nonblocking      bool
-	opt              core.WinOptions
-	world            *mpi.World
-	rt               *core.Runtime
-	wins             []*core.Window
-	elapsed          sim.Time
+	*prog.Run
+	epochs int
 }
 
 // txnCell runs one transaction cell in the given rank execution form
-// (mpi.World.RunProgram; TestAppTaskParity pins the two against each other).
+// (prog.Run.Exec; TestAppTaskParity pins the two against each other). A
+// rank's program is
+//
+//	CreateWindow; Barrier; then per transaction
+//	  blocking:     Lock; Accumulate; Unlock
+//	  nonblocking:  ILock; Accumulate; IUnlock; Wait(oldest) at depth
+//	then Wait(rest); Barrier; Quiesce
+//
+// on a random exclusive target, drawn by the rank's txnGen.
 func txnCell(n int, cfg fabric.Config, series TxnSeries, p TxnParams, tasks bool) *txnRun {
-	run := &txnRun{n: n, epochs: p.EpochsPerRank, depth: p.PipelineDepth,
-		opt: core.WinOptions{Mode: core.ModeNew, ShapeOnly: true}, wins: make([]*core.Window, n)}
+	opt, nb, depth := core.WinOptions{Mode: core.ModeNew, ShapeOnly: true}, false, p.PipelineDepth
 	switch series {
 	case TxnMVAPICH:
-		run.opt.Mode = core.ModeVanilla
+		opt.Mode = core.ModeVanilla
 	case TxnNewNB:
-		run.nonblocking = true
+		nb = true
 	case TxnNewNBAAAR:
-		run.opt.Info = core.Info{AAAR: true}
-		run.nonblocking = true
+		opt.Info = core.Info{AAAR: true}
+		nb = true
 	}
-	if p.CreditConstrained && n >= 512 && run.depth > 1 {
-		run.depth = 1
+	if p.CreditConstrained && n >= 512 && depth > 1 {
+		depth = 1
 	}
-	run.world = mpi.NewWorldShards(n, cfg, Shards())
-	run.rt = core.NewRuntime(run.world)
-	err := run.world.RunProgram(func(r *mpi.Rank) sim.Task {
-		return &txnProgram{run: run, r: r, rng: sim.NewRNG(p.Seed ^ uint64(r.ID)*0x9e3779b97f4a7c15)}
+	run := &txnRun{Run: prog.NewRun(mpi.NewWorldShards(n, cfg, Shards()), prog.Window{Size: 4096, Opt: opt}), epochs: p.EpochsPerRank}
+	run.Slots(1, 1)
+	block := []op{lock(0, true), acc(0, 8), unlock(0)}
+	epi := []op{barrier, quiesce}
+	if nb {
+		block = []op{ilock(0, true), acc(0, 8), iunlock(0), {Kind: prog.WaitOldest, Arg: int32(depth)}}
+		epi = []op{wait, barrier, quiesce}
+	}
+	pre, body := []op{create, barrier, stamp}, []op{{Kind: prog.Gen}}
+	epi0 := slices.Insert(slices.Clone(epi), len(epi)-1, sample(0)) // rank 0 samples the elapsed time
+	err := run.Exec(func(r *mpi.Rank) prog.Program {
+		g := &txnGen{n: n, rng: sim.NewRNG(p.Seed ^ uint64(r.ID)*0x9e3779b97f4a7c15), blk: slices.Clone(block)}
+		pg := prog.Program{Pre: pre, Body: body, Post: epi, Iters: p.EpochsPerRank, Gen: g}
+		if r.ID == 0 {
+			pg.Post = epi0
+		}
+		return pg
 	}, tasks)
 	if err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))
@@ -134,116 +150,24 @@ func txnCell(n int, cfg fabric.Config, series TxnSeries, p TxnParams, tasks bool
 	return run
 }
 
+// txnGen is a rank's transaction draw: every Next patches the target and
+// offset of its one block in place.
+type txnGen struct {
+	n   int
+	rng *sim.RNG
+	blk []op // lock, accumulate, unlock (and the nonblocking retire)
+}
+
+func (g *txnGen) Next() []op {
+	target := int32(g.rng.Intn(g.n))
+	g.blk[0].Peer, g.blk[1].Peer, g.blk[2].Peer = target, target, target
+	g.blk[1].Off = int64(g.rng.Intn(512)) * 8
+	return g.blk
+}
+
 // throughput is the cell's reading: thousands of transactions per second.
 func (run *txnRun) throughput() float64 {
-	total := float64(run.n * run.epochs)
-	seconds := float64(run.elapsed) / float64(sim.Second)
+	total := float64(run.World.Size() * run.epochs)
+	seconds := float64(run.Samples[0][0]) / float64(sim.Second)
 	return total / seconds / 1000
-}
-
-// txnProgram is the transaction workload's rank program, one step per MPI
-// call (see scaleProgram):
-//
-//	CreateWindow; Barrier; then per transaction
-//	  blocking:     Lock; Accumulate; Unlock
-//	  nonblocking:  ILock; Accumulate; IUnlock; Wait(oldest) at depth
-//	then Wait(rest); Barrier; Quiesce
-//
-// on a random exclusive target. The target is drawn in a step that makes no
-// call, so the repeat of a pending call never draws again.
-type txnProgram struct {
-	run *txnRun
-	r   *mpi.Rank
-	rng *sim.RNG
-
-	win     *core.Window
-	step    int // the call to make next (tx* constants)
-	i       int // transactions begun
-	target  int
-	off     int64
-	t0      sim.Time
-	pending []*mpi.Request // nonblocking unlocks in flight, oldest first
-}
-
-// The program's steps, in program order.
-const (
-	txCreate = iota
-	txBarrier
-	txStamp
-	txPick
-	txLock
-	txAcc
-	txUnlock
-	txRetire
-	txNext
-	txDrain
-	txEndBarrier
-	txSample
-	txQuiesce
-	txExit
-)
-
-func (t *txnProgram) Step(p *sim.Proc) {
-	r, win, run := t.r, t.win, t.run
-	for {
-		switch t.step {
-		case txCreate:
-			win = run.rt.CreateWindow(r, 4096, run.opt)
-			t.win, run.wins[r.ID] = win, win
-		case txBarrier:
-			r.Barrier()
-		case txStamp:
-			t.t0 = r.Now()
-		case txPick:
-			if t.i == run.epochs {
-				t.step = txDrain
-				continue
-			}
-			t.target = t.rng.Intn(run.n)
-			t.off = int64(t.rng.Intn(512)) * 8
-		case txLock:
-			if run.nonblocking {
-				win.ILock(t.target, true)
-			} else {
-				win.Lock(t.target, true)
-			}
-		case txAcc:
-			win.Accumulate(t.target, t.off, core.OpSum, core.TUint64, nil, 8)
-		case txUnlock:
-			if !run.nonblocking {
-				win.Unlock(t.target)
-			} else if q := win.IUnlock(t.target); !r.Pending() {
-				t.pending = append(t.pending, q)
-			}
-		case txRetire:
-			if run.nonblocking && len(t.pending) >= run.depth {
-				if r.Wait(t.pending[0]); !r.Pending() {
-					t.pending = t.pending[1:]
-				}
-			}
-		case txNext:
-			t.i++
-			t.step = txPick
-			continue
-		case txDrain:
-			if run.nonblocking {
-				r.Wait(t.pending...)
-			}
-		case txEndBarrier:
-			r.Barrier()
-		case txSample:
-			if r.ID == 0 {
-				run.elapsed = r.Now() - t.t0
-			}
-		case txQuiesce:
-			win.Quiesce()
-		case txExit:
-			p.TaskExit()
-			return
-		}
-		if r.Pending() {
-			return
-		}
-		t.step++
-	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // fingerprint compresses everything a run exposes into a comparable string:
-// final window memories, per-window statistics, the full trace event
-// stream, the kernel event count, the topology engine's congestion summary
+// final window memories, every fetched result, per-window statistics, the
+// full trace event stream, the kernel event count, the topology engine's congestion summary
 // and, on a lossy fabric, every rank's reliability counters. Two runs with
 // equal fingerprints executed the same observable history.
 func fingerprint(r *RunResult) string {
@@ -18,6 +18,11 @@ func fingerprint(r *RunResult) string {
 	for wi, byRank := range r.Mems {
 		for rk, mem := range byRank {
 			out += fmt.Sprintf("mem w%d r%d %x\n", wi, rk, mem)
+		}
+	}
+	for rk, bufs := range r.Fetched {
+		for i, b := range bufs {
+			out += fmt.Sprintf("fetched r%d #%d %x\n", rk, i, b)
 		}
 	}
 	for rk, wins := range r.Stats {

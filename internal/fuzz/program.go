@@ -33,7 +33,8 @@
 // origin's puts land in a private per-origin slice whose payload bytes are a
 // pure function of (window, origin, offset); all accumulate-class writes
 // share one region and one commutative-associative operator per window; each
-// CompareAndSwap uses a program-unique slot. Gets are unchecked.
+// CompareAndSwap uses a program-unique slot. What the fetching operations
+// return is recorded (RunResult.Fetched) but not yet checked.
 package fuzz
 
 import (

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -23,6 +24,10 @@ type RunResult struct {
 	KernelEvents uint64
 	Congestion   topo.Summary      // zero on the crossbar
 	Faults       []fabric.RelStats // [rank]; nil unless ExecOptions.Faults is set
+	// Fetched is, per rank in program order, the result bytes of every Get,
+	// GetAccumulate, FetchAndOp and CompareAndSwap: views of the operations'
+	// own buffers.
+	Fetched [][][]byte
 }
 
 // eventBudget bounds the kernel event count for the watchdog: generously
@@ -143,7 +148,7 @@ func Execute(p *Program, mode core.Mode) *RunResult {
 }
 
 // ExecuteWith is Execute over the fabric, kernel and transport o selects.
-// Every rank runs its compiled program (rankProgram) as a task rank.
+// Every rank runs its compiled program (compile) as a task rank.
 func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
 	return execute(p, mode, o, true)
 }
@@ -159,11 +164,20 @@ func execute(p *Program, mode core.Mode, o ExecOptions, tasks bool) *RunResult {
 		world.Net.EnableFaults(*o.Faults)
 	}
 	world.SetWatchdog(eventBudget(p, o.Faults != nil, o.Topo), 0)
-	rt := core.NewRuntime(world)
+	windows := make([]prog.Window, len(p.Windows))
+	for wi, ws := range p.Windows {
+		opt := core.WinOptions{Mode: mode, Info: ws.Info}
+		if o.Signal {
+			opt.Transport, opt.SignalBase = core.TransportSignal, SignalBase(p.Seed)
+		}
+		windows[wi] = prog.Window{Size: ws.TotalSize(p.NRanks), Opt: opt}
+	}
+	run := prog.NewRun(world, windows...)
 	rec := trace.NewRecorder()
-	rt.SetTracer(rec)
+	run.RT.SetTracer(rec)
 
-	res := &RunResult{Wins: make([][]*core.Window, p.NRanks)}
+	res := &RunResult{Wins: run.Wins}
+	groups, progs := roundGroups(p), make([]prog.Program, p.NRanks)
 	// A panic in a rank program becomes the run's error, but core can also
 	// raise from NIC/kernel context (e.g. a malformed unlock at a lock
 	// agent); recover those here so a fuzzed bug becomes a reported failure
@@ -174,9 +188,9 @@ func execute(p *Program, mode core.Mode, o ExecOptions, tasks bool) *RunResult {
 				err = fmt.Errorf("panic outside rank context: %v", r)
 			}
 		}()
-		return world.RunProgram(func(r *mpi.Rank) sim.Task {
-			res.Wins[r.ID] = make([]*core.Window, len(p.Windows))
-			return &rankProgram{r: r, rt: rt, p: p, mode: mode, signal: o.Signal, wins: res.Wins[r.ID], calls: compile(p, mode, r.ID)}
+		return run.Exec(func(r *mpi.Rank) prog.Program {
+			progs[r.ID] = compile(p, mode, r.ID, groups)
+			return progs[r.ID]
 		}, tasks)
 	}()
 
@@ -201,143 +215,120 @@ func execute(p *Program, mode core.Mode, o ExecOptions, tasks bool) *RunResult {
 				res.Stats[r] = append(res.Stats[r], win.Stats())
 			}
 		}
+		res.Fetched = fetched(progs)
 	}
 	return res
 }
 
-// callKind names the MPI call a program record makes. The RMA operations
-// are the OpKinds; a synchronization with an I-form comes in a pair, the
-// nonblocking kind right above the blocking one.
-type callKind uint8
-
-const (
-	cFence callKind = iota + callKind(OpCAS) + 1
-	cIFence
-	cStart
-	cIStart
-	cComplete
-	cIComplete
-	cPost
-	cIPost
-	cWaitEpoch
-	cIWait
-	cLock
-	cILock
-	cUnlock
-	cIUnlock
-	cLockAll
-	cILockAll
-	cUnlockAll
-	cIUnlockAll
-	cFlush
-	cIFlush
-	cFlushAll
-	cIFlushAll
-	cCreate
-	cCompute
-	cWaitAll // every kept nonblocking close
-	cQuiesce
-	cBarrier
-)
-
-// call is one MPI call of a rank's program, a small value record: a program
-// is one flat slice, and stepping it allocates nothing per call.
-type call struct {
-	kind      callKind
-	noSucceed bool // Fence: the sequence's last
-	win       int32
-	rd        *Round  // the round, for what the call reads of it: group, lock target, delay
-	o         *OpSpec // operations
-	mem       []byte  // operations: operand, CAS compare value, result — one allocation the op owns
+// roundGroups is every round's two groups as the records name them: round
+// i's targets (what its origins start toward) at 2i, its origins at 2i+1.
+func roundGroups(p *Program) [][]int {
+	gs := make([][]int, 2*len(p.Rounds))
+	for i := range p.Rounds {
+		gs[2*i], gs[2*i+1] = p.Rounds[i].Targets, p.Rounds[i].Origins
+	}
+	return gs
 }
 
-// compile lays out rank me's calls of p under mode: the program is walked
-// twice, to count and then to fill, so it is one exact-size allocation.
-func compile(p *Program, mode core.Mode, me int) []call {
+// compile lays out rank me's program of p under mode: the records are walked
+// twice, to count and then to fill, so they are one exact-size allocation,
+// and each operation owns one buffer.
+func compile(p *Program, mode core.Mode, me int, groups [][]int) prog.Program {
 	n := 0
-	layout(p, mode, me, func(call) { n++ })
-	cs := make([]call, 0, n)
-	layout(p, mode, me, func(c call) {
-		if c.o != nil {
-			c.mem = opMem(p.Windows[c.win], int(c.win), me, c.o)
+	layout(p, mode, me, func(prog.Call, *OpSpec) { n++ })
+	cs := make([]prog.Call, 0, n)
+	layout(p, mode, me, func(c prog.Call, o *OpSpec) {
+		if o != nil {
+			c.Buf = opMem(p.Windows[c.Win], int(c.Win), me, o)
 		}
 		cs = append(cs, c)
 	})
-	return cs
+	return prog.Program{Body: cs, Iters: 1, Groups: groups}
 }
 
-// layout emits rank me's calls of p under mode in program order:
-// CreateWindow per window; per round its Compute, synchronizations and
-// operations; then Wait for the kept nonblocking closes, Quiesce per window
-// and a Barrier. A rank takes the I-forms in the rounds that make it
-// nonblocking — never under vanilla, which has none. Flush-mode locks are
-// pure mutual exclusion, so their acquire is always awaited before the ops,
-// and completion comes from the flush family: an explicit flush before the
-// unlock, or the one a blocking unlock_all implies.
-func layout(p *Program, mode core.Mode, me int, emit func(call)) {
+// layout emits rank me's records of p under mode in program order, with the
+// OpSpec of each operation: CreateWindow per window; per round its Compute,
+// synchronizations and operations; then Wait for the kept nonblocking
+// closes, Quiesce per window and a Barrier. A rank takes the I-forms in the
+// rounds that make it nonblocking — never under vanilla, which has none.
+// Flush-mode locks are pure mutual exclusion, so their acquire is always
+// awaited before the ops, and completion comes from the flush family: an
+// explicit flush before the unlock, or the one a blocking unlock_all implies.
+func layout(p *Program, mode core.Mode, me int, emit func(prog.Call, *OpSpec)) {
 	for wi := range p.Windows {
-		emit(call{kind: cCreate, win: int32(wi)})
+		emit(prog.Call{Kind: prog.Create, Win: int32(wi)}, nil)
 	}
 	for i := range p.Rounds {
 		rd := &p.Rounds[i]
+		ws, win := &p.Windows[rd.Win], int32(rd.Win)
 		flush, nb := mode == core.ModeFlush, rd.Nonblocking[me] && mode != core.ModeVanilla
-		add := func(k callKind, nb bool, c call) {
-			if c.kind, c.win, c.rd = k, int32(rd.Win), rd; nb {
-				c.kind++
+		add := func(k prog.Kind, nb bool, c prog.Call) {
+			if c.Kind, c.Win = k, win; nb {
+				c.Kind++
 			}
-			emit(c)
+			emit(c, nil)
 		}
 		ops := func(ops []OpSpec) {
 			for j := range ops {
-				add(callKind(ops[j].Kind), false, call{o: &ops[j]})
+				o := &ops[j]
+				c := prog.Call{Kind: prog.Put + prog.Kind(o.Kind), Op: uint8(ws.Op), DT: uint8(ws.DT),
+					Win: win, Peer: int32(o.Target), Off: o.Off, Size: o.Size}
+				switch {
+				case o.Kind == OpGetAcc && o.NoOp:
+					c.Op = uint8(core.OpNoOp)
+				case o.Kind == OpCAS:
+					c.DT = uint8(core.TUint64)
+				}
+				emit(c, o)
 			}
 		}
 		if rd.Compute[me] > 0 {
-			add(cCompute, false, call{})
+			add(prog.Compute, false, prog.Call{Size: rd.Compute[me]})
 		}
 		switch {
 		case rd.Kind == RFence:
 			for ph := 0; ph < rd.Phases; ph++ {
-				add(cFence, nb, call{})
+				add(prog.Fence, nb, prog.Call{})
 				ops(rd.PhaseOps[ph][me])
 			}
-			add(cFence, nb, call{noSucceed: true})
+			add(prog.Fence, nb, prog.Call{Flag: true})
 		case rd.Kind == RGATS && slices.Contains(rd.Origins, me):
-			add(cStart, nb, call{})
+			add(prog.Start, nb, prog.Call{Arg: int32(2 * i)})
 			ops(rd.Ops[me])
-			add(cComplete, nb, call{})
+			add(prog.Complete, nb, prog.Call{})
 		case rd.Kind == RGATS && slices.Contains(rd.Targets, me):
-			add(cPost, nb, call{})
-			add(cWaitEpoch, nb, call{})
+			add(prog.Post, nb, prog.Call{Arg: int32(2*i + 1)})
+			add(prog.WaitEpoch, nb, prog.Call{})
 		case rd.Kind == RLock && rd.LockTarget[me] >= 0:
-			add(cLock, nb && !flush, call{})
+			target := int32(rd.LockTarget[me])
+			add(prog.Lock, nb && !flush, prog.Call{Peer: target, Flag: !rd.LockShared[me]})
 			ops(rd.Ops[me])
 			if flush {
-				add(cFlush, nb, call{})
+				add(prog.Flush, nb, prog.Call{Peer: target})
 			}
-			add(cUnlock, nb, call{})
+			add(prog.Unlock, nb, prog.Call{Peer: target})
 		case rd.Kind == RLockAll && rd.Member[me]:
-			add(cLockAll, nb && !flush, call{})
+			add(prog.LockAll, nb && !flush, prog.Call{})
 			ops(rd.Ops[me])
 			if flush && !nb {
-				add(cFlushAll, false, call{})
+				add(prog.FlushAll, false, prog.Call{})
 			}
-			add(cUnlockAll, nb, call{})
+			add(prog.UnlockAll, nb, prog.Call{})
 		case rd.Kind == RFlush && rd.Member[me]: // the epochless idiom: issue, then flush
 			ops(rd.Ops[me])
-			add(cFlushAll, nb, call{})
+			add(prog.FlushAll, nb, prog.Call{})
 		}
 	}
-	emit(call{kind: cWaitAll})
+	emit(prog.Call{Kind: prog.Wait}, nil)
 	for wi := range p.Windows {
-		emit(call{kind: cQuiesce, win: int32(wi)})
+		emit(prog.Call{Kind: prog.Quiesce, Win: int32(wi)}, nil)
 	}
-	emit(call{kind: cBarrier})
+	emit(prog.Call{Kind: prog.Barrier}, nil)
 }
 
-// opMem materializes an operation's buffers as one allocation the op owns:
-// its operand (a CAS's swap value, then its compare value), then room for
-// its result.
+// opMem materializes an operation's buffers as one allocation the op owns,
+// laid out as prog.Call's Buf: its operand (a CAS's swap value, then its
+// compare value), then room for its result.
 func opMem(ws WindowSpec, wi, origin int, o *OpSpec) []byte {
 	switch o.Kind {
 	case OpPut:
@@ -356,113 +347,26 @@ func opMem(ws WindowSpec, wi, origin int, o *OpSpec) []byte {
 	return accPayload(make([]byte, 0, 2*o.Size), o.Val, o.Size, ws.DT)[:2*o.Size] // GetAcc, FAO
 }
 
-// rankProgram is one rank's compiled program. Step makes the call of one
-// record at a time and returns while it is pending (task ranks only), so the
-// repeat at the next Step is the identical call.
-type rankProgram struct {
-	r       *mpi.Rank
-	rt      *core.Runtime
-	p       *Program
-	mode    core.Mode
-	signal  bool
-	wins    []*core.Window
-	calls   []call
-	pc      int            // the record to make next
-	pending []*mpi.Request // kept nonblocking closes
-}
-
-func (x *rankProgram) Step(p *sim.Proc) {
-	r := x.r
-	for ; x.pc < len(x.calls); x.pc++ {
-		c := &x.calls[x.pc]
-		win, ws, o := x.wins[c.win], &x.p.Windows[c.win], c.o
-		assert := core.AssertNone
-		if c.noSucceed {
-			assert = core.AssertNoSucceed
-		}
-		var closed *mpi.Request // a nonblocking close's request, kept for cWaitAll
-		switch c.kind {
-		case callKind(OpPut):
-			win.Put(o.Target, o.Off, c.mem, o.Size)
-		case callKind(OpGet):
-			win.Get(o.Target, o.Off, c.mem, o.Size)
-		case callKind(OpAcc):
-			win.Accumulate(o.Target, o.Off, ws.Op, ws.DT, c.mem, o.Size)
-		case callKind(OpGetAcc):
-			op := ws.Op
-			if o.NoOp {
-				op = core.OpNoOp
+// fetched collects every rank's fetched results in program order, all rank
+// lists cut from one allocation.
+func fetched(progs []prog.Program) [][][]byte {
+	n := 0
+	for _, pg := range progs {
+		for i := range pg.Body {
+			if pg.Body[i].Result() != nil {
+				n++
 			}
-			win.GetAccumulate(o.Target, o.Off, op, ws.DT, c.mem[:o.Size:o.Size], c.mem[o.Size:], o.Size)
-		case callKind(OpFAO):
-			win.FetchAndOp(o.Target, o.Off, ws.Op, ws.DT, c.mem[:o.Size:o.Size], c.mem[o.Size:])
-		case callKind(OpCAS):
-			win.CompareAndSwap(o.Target, o.Off, core.TUint64, c.mem[8:16:16], c.mem[:8:8], c.mem[16:])
-		case cFence:
-			win.Fence(assert)
-		case cIFence:
-			closed = win.IFence(assert)
-		case cStart:
-			win.Start(c.rd.Targets)
-		case cIStart:
-			win.IStart(c.rd.Targets)
-		case cComplete:
-			win.Complete()
-		case cIComplete:
-			closed = win.IComplete()
-		case cPost:
-			win.Post(c.rd.Origins)
-		case cIPost:
-			win.IPost(c.rd.Origins)
-		case cWaitEpoch:
-			win.WaitEpoch()
-		case cIWait:
-			closed = win.IWait()
-		case cLock:
-			win.Lock(c.rd.LockTarget[r.ID], !c.rd.LockShared[r.ID])
-		case cILock:
-			win.ILock(c.rd.LockTarget[r.ID], !c.rd.LockShared[r.ID])
-		case cUnlock:
-			win.Unlock(c.rd.LockTarget[r.ID])
-		case cIUnlock:
-			closed = win.IUnlock(c.rd.LockTarget[r.ID])
-		case cLockAll:
-			win.LockAll()
-		case cILockAll:
-			win.ILockAll()
-		case cUnlockAll:
-			win.UnlockAll()
-		case cIUnlockAll:
-			closed = win.IUnlockAll()
-		case cFlush:
-			win.Flush(c.rd.LockTarget[r.ID])
-		case cIFlush:
-			closed = win.IFlush(c.rd.LockTarget[r.ID])
-		case cFlushAll:
-			win.FlushAll()
-		case cIFlushAll:
-			closed = win.IFlushAll()
-		case cCreate:
-			opt := core.WinOptions{Mode: x.mode, Info: ws.Info}
-			if x.signal {
-				opt.Transport, opt.SignalBase = core.TransportSignal, SignalBase(x.p.Seed)
-			}
-			x.wins[c.win] = x.rt.CreateWindow(r, ws.TotalSize(x.p.NRanks), opt)
-		case cCompute:
-			r.Compute(sim.Time(c.rd.Compute[r.ID]))
-		case cWaitAll:
-			r.Wait(x.pending...)
-		case cQuiesce:
-			win.Quiesce()
-		case cBarrier:
-			r.Barrier()
-		}
-		if r.Pending() {
-			return
-		}
-		if closed != nil {
-			x.pending = append(x.pending, closed)
 		}
 	}
-	p.TaskExit()
+	all, out := make([][]byte, 0, n), make([][][]byte, len(progs))
+	for r, pg := range progs {
+		from := len(all)
+		for i := range pg.Body {
+			if b := pg.Body[i].Result(); b != nil {
+				all = append(all, b)
+			}
+		}
+		out[r] = all[from:len(all):len(all)]
+	}
+	return out
 }
