@@ -71,7 +71,7 @@ func FuzzControlCodec(f *testing.F) {
 			var max, recv, stale int64
 			for _, b := range stream {
 				_, v := wire(int64(b))
-				rt.Engine(0).apply(win, 1, ch, v)
+				rt.engines[0].apply(win, 1, ch, v)
 				if v > max {
 					max, recv = v, recv+1
 				} else {
@@ -121,7 +121,7 @@ func TestControlDelivery(t *testing.T) {
 				var seen [stages]string
 				runJob(t, w, func(r *mpi.Rank) {
 					win := rt.CreateWindow(r, 64, WinOptions{Transport: tr})
-					eng := rt.Engine(r.ID)
+					eng := rt.engines[r.ID]
 					if r.ID == src {
 						r.Compute(20 * sim.Microsecond) // rank 0 has left CreateWindow's barrier
 						if ch == chUnlock {

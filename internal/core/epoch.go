@@ -30,7 +30,7 @@ import (
 // The epoch owns its slots; nothing outside this package's epoch/ops code
 // keeps a *epochPeer, and none survives a call to slot (append may move the
 // table). It also owns its closing request and, for a one-peer table, the
-// table itself, so a steady-state epoch is one heap object (DESIGN §5).
+// table itself, so a steady-state epoch is one heap object (DESIGN.md, core).
 type Epoch struct {
 	win  *Window
 	kind EpochKind

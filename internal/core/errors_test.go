@@ -328,7 +328,7 @@ func TestDuplicateLockGrantIdempotent(t *testing.T) {
 			win.Flush(1) // lock is granted and used by now
 			// Replay the grant control word exactly as a duplicated
 			// KindPostNotify delivery would (same cumulative value).
-			eng := rt.Engine(0)
+			eng := rt.engines[0]
 			eng.apply(win, 1, chGrant, win.peer(1).g)
 			win.Unlock(1)
 		}

@@ -15,7 +15,7 @@ func agentHarness(t *testing.T, n int) *Window {
 	t.Helper()
 	w := mpi.NewWorld(1, fabric.DefaultConfig())
 	rt := NewRuntime(w)
-	eng := rt.Engine(0)
+	eng := rt.engines[0]
 	win := &Window{
 		rank:  w.Rank(0),
 		eng:   eng,

@@ -91,7 +91,7 @@ func TestLockAssertFailsLikeLock(t *testing.T) {
 			if r.ID != 0 {
 				return
 			}
-			rt.Engine(0).peerUnreachable(1) // no dependency on 1 yet: the window stays healthy
+			rt.engines[0].peerUnreachable(1) // no dependency on 1 yet: the window stays healthy
 			if win.Err() != nil {
 				t.Errorf("%s: window poisoned by an unrelated death: %v", name, win.Err())
 			}

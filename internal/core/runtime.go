@@ -35,9 +35,6 @@ func NewRuntime(w *mpi.World) *Runtime {
 	return rt
 }
 
-// Engine returns rank i's RMA progress engine.
-func (rt *Runtime) Engine(i int) *Engine { return rt.engines[i] }
-
 // WinOptions configures window creation.
 type WinOptions struct {
 	Mode Mode

@@ -144,7 +144,7 @@ func TestSignalStaleDiscard(t *testing.T) {
 					win.dirty = false
 					p := &fabric.Packet{Src: 1, Dst: 0, Kind: fabric.KindSignal, Size: sigBytes}
 					p.Arg = [4]int64{win.id, int64(ch), int64(win.sigBase + uint64(step.v)), 0}
-					rt.Engine(0).nicDeliver(p)
+					rt.engines[0].nicDeliver(p)
 					if win.dirty != step.fresh {
 						t.Errorf("channel %d value %d: dispatched=%t, want %t", ch, step.v, win.dirty, step.fresh)
 					}

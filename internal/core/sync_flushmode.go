@@ -58,16 +58,23 @@ type flushState struct {
 	lS     int  // local shared holders
 
 	// Origin-side state.
-	heldShared map[int]bool         // targets locked shared by this origin
-	heldExcl   map[int]bool         // targets locked exclusive by this origin
-	noCheck    map[int]bool         // MPI_MODE_NOCHECK pseudo-locks (no protocol)
-	lockAll    bool                 // lock_all held
-	pending    map[*lockOp]struct{} // in-flight protocol operations
+	holds   map[int]holdKind     // per target: the lock this origin holds on it
+	lockAll bool                 // lock_all held
+	pending map[*lockOp]struct{} // in-flight protocol operations
 
 	// master is the rank hosting this window's global counter pair
 	// (WinOptions.FlushMaster; identical on every rank by collectivity).
 	master int
 }
+
+// holdKind is how an origin holds one target's lock.
+type holdKind uint8
+
+const (
+	holdShared  holdKind = iota + 1 // granted shared
+	holdExcl                        // granted exclusive
+	holdNoCheck                     // MPI_MODE_NOCHECK pseudo-lock (no protocol)
+)
 
 // initFlushMode installs the flush-mode state on a freshly created window.
 func (w *Window) initFlushMode(master int) {
@@ -77,12 +84,10 @@ func (w *Window) initFlushMode(master int) {
 	w.flushEp = &Epoch{win: w, kind: EpochLockAll, seq: -1, shared: true,
 		noCheck: true, activated: true}
 	w.fm = &flushState{
-		w:          w,
-		heldShared: make(map[int]bool),
-		heldExcl:   make(map[int]bool),
-		noCheck:    make(map[int]bool),
-		pending:    make(map[*lockOp]struct{}),
-		master:     master,
+		w:       w,
+		holds:   make(map[int]holdKind),
+		pending: make(map[*lockOp]struct{}),
+		master:  master,
 	}
 }
 
@@ -214,10 +219,10 @@ func (lo *lockOp) advance(code int64, ok bool) {
 		// Exclusive phase 2: the per-target counter.
 		fm.sendAtom(lo, laLocalAcqX)
 	case laLocalAcqX:
-		fm.heldExcl[lo.target] = true
+		fm.holds[lo.target] = holdExcl
 		lo.finish()
 	case laLocalAcqS:
-		fm.heldShared[lo.target] = true
+		fm.holds[lo.target] = holdShared
 		lo.finish()
 	case laGlobalAcqS:
 		fm.lockAll = true
@@ -280,11 +285,11 @@ func (fm *flushState) acquire(target int, exclusive, noCheck bool) *mpi.Request 
 	if target < 0 || target >= w.n {
 		w.raisef("lock target %d out of range (n=%d)", target, w.n)
 	}
-	if fm.heldShared[target] || fm.heldExcl[target] || fm.noCheck[target] {
+	if fm.holds[target] != 0 {
 		w.raisef("flush mode: target %d is already locked by this origin", target)
 	}
 	if noCheck {
-		fm.noCheck[target] = true
+		fm.holds[target] = holdNoCheck
 		return mpi.NewCompletedRequest(w.rank)
 	}
 	if err := fm.deadAcquire(target); err != nil {
@@ -323,24 +328,24 @@ func (fm *flushState) release(target int) *mpi.Request {
 		// target is legal right away — its conditional atomics simply retry
 		// until the in-flight release lands at the counters).
 		var code int64
-		switch {
+		switch hold := fm.holds[target]; {
 		case target == -1:
 			if !fm.lockAll {
 				w.raisef("flush mode: unlock_all without holding lock_all")
 			}
 			fm.lockAll = false
 			code = laGlobalRelS
-		case fm.noCheck[target]:
-			delete(fm.noCheck, target)
-			return mpi.NewCompletedRequest(w.rank)
-		case fm.heldExcl[target]:
-			delete(fm.heldExcl, target)
-			code = laLocalRelX
-		case fm.heldShared[target]:
-			delete(fm.heldShared, target)
-			code = laLocalRelS
-		default:
+		case hold == 0:
 			w.raisef("flush mode: unlocking target %d without holding its lock", target)
+		case hold == holdNoCheck:
+			delete(fm.holds, target)
+			return mpi.NewCompletedRequest(w.rank)
+		default:
+			delete(fm.holds, target)
+			code = laLocalRelS
+			if hold == holdExcl {
+				code = laLocalRelX
+			}
 		}
 		lo = &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: target, release: code}
 		fm.pending[lo] = struct{}{}
@@ -389,7 +394,7 @@ func (fm *flushState) acquireAll() *mpi.Request {
 
 // held counts the locks this origin currently holds (diagnostics/fuzz).
 func (fm *flushState) held() int {
-	n := len(fm.heldShared) + len(fm.heldExcl) + len(fm.noCheck)
+	n := len(fm.holds)
 	if fm.lockAll {
 		n++
 	}
@@ -475,7 +480,7 @@ func (w *Window) flushDependsOn(peer int) bool {
 	if peer == fm.master || fm.lockAll {
 		return true
 	}
-	if fm.heldShared[peer] || fm.heldExcl[peer] || fm.noCheck[peer] {
+	if fm.holds[peer] != 0 {
 		return true
 	}
 	for lo := range fm.pending {

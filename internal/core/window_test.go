@@ -11,7 +11,7 @@ import (
 func predicateHarness(info Info) *Window {
 	w := mpi.NewWorld(1, fabric.DefaultConfig())
 	rt := NewRuntime(w)
-	win := &Window{rank: w.Rank(0), eng: rt.Engine(0), n: 4, info: info}
+	win := &Window{rank: w.Rank(0), eng: rt.engines[0], n: 4, info: info}
 	return win
 }
 

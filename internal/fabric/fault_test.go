@@ -60,7 +60,7 @@ func checkCreditsBalanced(t *testing.T, nw *Network) {
 	t.Helper()
 	for src := 0; src < nw.N(); src++ {
 		for dst := 0; dst < nw.N(); dst++ {
-			if c := nw.NIC(src).CreditsToward(dst); c != 0 {
+			if c := nw.nics[src].creditsToward(dst); c != 0 {
 				t.Errorf("%d credits outstanding %d->%d after quiescence", c, src, dst)
 			}
 		}
@@ -208,7 +208,7 @@ func TestUnreachableDeclaration(t *testing.T) {
 	if nw.PeerUnreachable(0, 2) {
 		t.Error("healthy peer 2 reported unreachable")
 	}
-	if c := nw.NIC(0).CreditsToward(1); c != 0 {
+	if c := nw.nics[0].creditsToward(1); c != 0 {
 		t.Errorf("credits toward dead peer not reconciled: %d outstanding", c)
 	}
 	if healthy != 10 {

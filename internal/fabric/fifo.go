@@ -24,12 +24,6 @@ func NewFifo(capacity int) *Fifo {
 	return &Fifo{buf: make([]uint64, capacity)}
 }
 
-// Cap returns the ring capacity.
-func (f *Fifo) Cap() int { return len(f.buf) }
-
-// Len returns the number of packets currently queued.
-func (f *Fifo) Len() int { return f.n }
-
 // Push appends one packet; it reports false (and queues nothing) when full.
 func (f *Fifo) Push(v uint64) bool {
 	if f.n == len(f.buf) {

@@ -7,8 +7,8 @@ import (
 
 func TestFifoBasic(t *testing.T) {
 	f := NewFifo(4)
-	if f.Cap() != 4 || f.Len() != 0 {
-		t.Fatalf("fresh fifo cap=%d len=%d", f.Cap(), f.Len())
+	if len(f.buf) != 4 || f.n != 0 {
+		t.Fatalf("fresh fifo cap=%d len=%d", len(f.buf), f.n)
 	}
 	for i := uint64(0); i < 4; i++ {
 		if !f.Push(i) {
@@ -47,8 +47,8 @@ func TestFifoWraparound(t *testing.T) {
 
 func TestFifoMinimumCapacity(t *testing.T) {
 	f := NewFifo(0)
-	if f.Cap() != 1 {
-		t.Fatalf("capacity %d, want clamped to 1", f.Cap())
+	if len(f.buf) != 1 {
+		t.Fatalf("capacity %d, want clamped to 1", len(f.buf))
 	}
 }
 
@@ -81,7 +81,7 @@ func TestFifoModelProperty(t *testing.T) {
 					model = model[1:]
 				}
 			}
-			if fifo.Len() != len(model) {
+			if fifo.n != len(model) {
 				return false
 			}
 		}

@@ -191,9 +191,6 @@ func (nw *Network) N() int { return len(nw.nics) }
 // kernel (event) context — it models NIC/HCA processing and must not block.
 func (nw *Network) SetHandler(r int, h func(*Packet)) { nw.handlers[r] = h }
 
-// NIC returns rank r's network interface.
-func (nw *Network) NIC(r int) *NIC { return nw.nics[r] }
-
 // SetUnreachableHandler installs the callback fired when a peer's death
 // reaches a rank's failure detector.
 func (nw *Network) SetUnreachableHandler(fn func(local, peer int)) { nw.onUnreachable = fn }

@@ -37,7 +37,7 @@ type stripeGroup struct {
 //
 // Delivery order is FIFO per (peer, rail) — the single-rail case is exactly
 // the per-peer FIFO the RMA protocol relies on for done-after-data ordering;
-// the multi-rail ordering contract is documented in DESIGN §13. Two-sided
+// DESIGN.md ("Rails") documents the multi-rail ordering contract. Two-sided
 // and accumulate traffic keeps a fixed per-peer rail affinity so MPI's
 // non-overtaking and accumulate-ordering rules survive striping. A peer
 // whose flow-control credits are exhausted is skipped without blocking
@@ -97,9 +97,6 @@ type nicPeer struct {
 	credits int
 	skip    uint64
 }
-
-// Rails returns the number of injection rails this NIC runs.
-func (n *NIC) Rails() int { return len(n.rails) }
 
 // allocDesc takes a descriptor from the free-list (or allocates one).
 func (n *NIC) allocDesc() *desc {
@@ -245,10 +242,10 @@ func regionKeyFor(p *Packet) uint64 {
 	return uint64(p.Arg[3])
 }
 
-// CreditsToward reports the outstanding unacknowledged packets toward dst
+// creditsToward reports the outstanding unacknowledged packets toward dst
 // across all rails without materializing sparse state — diagnostics and
 // tests only.
-func (n *NIC) CreditsToward(dst int) int {
+func (n *NIC) creditsToward(dst int) int {
 	total := 0
 	for i := range n.rails {
 		total += n.rails[i].peers.Peek(dst).credits

@@ -78,7 +78,7 @@ func TestRailsCount(t *testing.T) {
 		}
 	}
 	_, nw := railNet(2, 4, 0)
-	if got := nw.NIC(0).Rails(); got != 5 {
+	if got := len(nw.nics[0].rails); got != 5 {
 		t.Errorf("NIC built %d rails for Channels=4, want 5", got)
 	}
 }

@@ -56,6 +56,3 @@ func (c *RegCache) reindex(pos int) {
 		c.index[c.lru[i]] = i
 	}
 }
-
-// Len returns the number of registered regions.
-func (c *RegCache) Len() int { return len(c.lru) }

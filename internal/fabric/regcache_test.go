@@ -27,8 +27,8 @@ func TestRegCacheLRUEviction(t *testing.T) {
 	if c.Touch(2) {
 		t.Fatal("2 should have been evicted")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.Len())
+	if len(c.lru) != 2 {
+		t.Fatalf("cache holds %d entries, want 2", len(c.lru))
 	}
 }
 
@@ -46,7 +46,7 @@ func TestRegCacheUntrackedKey(t *testing.T) {
 	if !c.Touch(0) {
 		t.Fatal("key 0 (untracked) should always hit")
 	}
-	if c.Len() != 0 {
+	if len(c.lru) != 0 {
 		t.Fatal("key 0 should not occupy a slot")
 	}
 }

@@ -251,11 +251,7 @@ func (fs *faultState) flapEnd(src, dst int, now sim.Time) sim.Time {
 // schedHash is a splitmix64-style finalizer over (seed, link, attempt
 // index): the entire per-copy schedule in one pure function.
 func schedHash(seed uint64, src, dst int, seq uint64) uint64 {
-	z := seed
-	z += uint64(src)*0x9E3779B97F4A7C15 + uint64(dst)*0xC2B2AE3D27D4EB4F + seq*0x165667B19E3779F9
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return sim.Mix64(seed + uint64(src)*0x9E3779B97F4A7C15 + uint64(dst)*0xC2B2AE3D27D4EB4F + seq*0x165667B19E3779F9)
 }
 
 // Salts decorrelating the message-fault draws of one attempt from its jitter

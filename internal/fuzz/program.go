@@ -34,7 +34,10 @@
 // pure function of (window, origin, offset); all accumulate-class writes
 // share one region and one commutative-associative operator per window; each
 // CompareAndSwap uses a program-unique slot. What the fetching operations
-// return is recorded (RunResult.Fetched) but not yet checked.
+// return (RunResult.Fetched) is checked where that discipline makes it exact:
+// every CAS returns its slot's initial zero, and every byte a Get or a NoOp
+// GetAccumulate returns from beyond the accumulate region is zero or the one
+// value a write can leave there. Accumulate-region results are unchecked.
 package fuzz
 
 import (
@@ -146,7 +149,7 @@ type Program struct {
 	Rounds       []Round
 }
 
-// Ops returns the total number of generated RMA operations.
+// OpCount returns the total number of generated RMA operations.
 func (p *Program) OpCount() int {
 	n := 0
 	for _, rd := range p.Rounds {
@@ -407,13 +410,8 @@ func genAccRange(rng *sim.RNG, o *OpSpec, ws WindowSpec) {
 
 // --- Deterministic payloads (shared by the runner and the oracle) ------- //
 
-// mix64 is splitmix64's output stage — a cheap, well-mixed hash.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// mix64 is splitmix64's first output for seed x — a cheap, well-mixed hash.
+func mix64(x uint64) uint64 { return sim.Mix64(x + 0x9e3779b97f4a7c15) }
 
 // putByteAt is the put-payload function: byte value as a pure function of
 // (window, origin, absolute offset). Two puts from the same origin to

@@ -289,8 +289,8 @@ func Run(opt Options) *Result {
 	opt.validate()
 	n := opt.Servers + opt.Clients
 	w := mpi.NewWorldShards(n, fabric.DefaultConfig(), opt.Shards)
-	if opt.Schedule.Deaths != nil || opt.Schedule.Flaps != nil ||
-		opt.Schedule.Jitter != 0 || opt.Schedule.Seed != 0 {
+	if fs := opt.Schedule; fs.Deaths != nil || fs.Flaps != nil || fs.Drop != 0 || fs.Dup != 0 ||
+		fs.Corrupt != 0 || fs.Jitter != 0 || fs.Seed != 0 || fs.DetectDelay != 0 {
 		w.Net.EnableFaults(opt.Schedule)
 	}
 	rt := core.NewRuntime(w)
@@ -413,23 +413,17 @@ func aggregate(res *Result, logs [][]opRec) {
 			continue
 		}
 		sort.Slice(lat[i], func(a, b int) bool { return lat[i][a] < lat[i][b] })
-		bins[i].P50 = percentile(lat[i], 50)
-		bins[i].P99 = percentile(lat[i], 99)
-		bins[i].P999 = percentile(lat[i], 99.9)
+		bins[i].P50 = percentile(lat[i], 500)
+		bins[i].P99 = percentile(lat[i], 990)
+		bins[i].P999 = percentile(lat[i], 999)
 	}
 	res.Bins = bins
 }
 
-// percentile picks the nearest-rank percentile from a sorted sample.
-func percentile(sorted []sim.Time, p float64) sim.Time {
-	idx := int(p/100*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+// percentile picks the nearest-rank percentile, given in per-mille, from a
+// non-empty sorted sample: the element at rank ceil(pm/1000 * N).
+func percentile(sorted []sim.Time, pm int) sim.Time {
+	return sorted[(pm*len(sorted)+999)/1000-1]
 }
 
 // le8 encodes v little-endian into a fresh 8-byte slice (the fabric's

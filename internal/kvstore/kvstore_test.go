@@ -201,3 +201,40 @@ func TestKVLatencySeriesShowsFault(t *testing.T) {
 			maxP99(healthy), maxP99(faulty))
 	}
 }
+
+// percentile is nearest-rank: the element at rank ceil(p·N). Below N = 100
+// p99 is the largest sample; rounding instead of taking the ceiling picked
+// the second-largest for N = 51–99.
+func TestPercentileNearestRank(t *testing.T) {
+	for _, c := range []struct{ n, p50, p99, p999 int }{
+		{50, 25, 50, 50},
+		{58, 29, 58, 58},
+		{100, 50, 99, 100},
+		{160, 80, 159, 160},
+	} {
+		s := make([]sim.Time, c.n)
+		for i := range s {
+			s[i] = sim.Time(i + 1) // rank i+1 holds value i+1
+		}
+		for _, pc := range []struct{ pm, want int }{{500, c.p50}, {990, c.p99}, {999, c.p999}} {
+			if got := percentile(s, pc.pm); got != sim.Time(pc.want) {
+				t.Errorf("N=%d: percentile(%d‰) = rank %d, want rank %d", c.n, pc.pm, got, pc.want)
+			}
+		}
+	}
+}
+
+// A schedule of message faults alone — no death, flap, jitter or seed — is
+// still a fault schedule: it must reach the fabric, not run pristine.
+func TestKVMessageFaultsAtSeedZero(t *testing.T) {
+	opt := testOptions(core.ModeNew)
+	pristine := Run(opt)
+	opt.Schedule = fabric.FaultProfile{Drop: 0.05}
+	lossy := Run(opt)
+	for _, v := range lossy.OracleViolations {
+		t.Errorf("oracle: %s", v)
+	}
+	if fmt.Sprint(lossy.Bins) == fmt.Sprint(pristine.Bins) {
+		t.Error("a 5% drop schedule at seed 0 left every latency bin unchanged: faults were not enabled")
+	}
+}

@@ -53,9 +53,9 @@ func TestProcSleepAndCompute(t *testing.T) {
 	var wake, done Time
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(100)
-		wake = p.Now()
-		p.Compute(50)
-		done = p.Now()
+		wake = p.now()
+		p.Sleep(50)
+		done = p.now()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -116,14 +116,14 @@ func TestSignalWaitForPreSatisfied(t *testing.T) {
 	s := NewSignal(k)
 	ran := false
 	k.Spawn("p", func(p *Proc) {
-		s.WaitFor(p, "pre", func() bool { return true })
+		s.waitFor(p, "pre", func() bool { return true })
 		ran = true
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
-		t.Fatal("WaitFor blocked on a pre-satisfied predicate")
+		t.Fatal("waitFor blocked on a pre-satisfied predicate")
 	}
 }
 
@@ -133,8 +133,8 @@ func TestSignalWaitForRechecks(t *testing.T) {
 	x := 0
 	var doneAt Time
 	k.Spawn("waiter", func(p *Proc) {
-		s.WaitFor(p, "x==2", func() bool { return x == 2 })
-		doneAt = p.Now()
+		s.waitFor(p, "x==2", func() bool { return x == 2 })
+		doneAt = p.now()
 	})
 	k.Spawn("setter", func(p *Proc) {
 		p.Sleep(10)
@@ -189,7 +189,7 @@ func TestKernelRunsOnce(t *testing.T) {
 func TestSpawnAtFuture(t *testing.T) {
 	k := NewKernel()
 	var started Time
-	k.SpawnAt(500, "late", func(p *Proc) { started = p.Now() })
+	k.SpawnAt(500, "late", func(p *Proc) { started = p.now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDeterminism(t *testing.T) {
 			k.Spawn("p", func(p *Proc) {
 				for j := 0; j < 10; j++ {
 					p.Sleep(Time(rng.Intn(100) + 1))
-					trace = append(trace, p.Now())
+					trace = append(trace, p.now())
 				}
 			})
 		}

@@ -89,7 +89,7 @@ func goldenEventOrder(t *testing.T, asTask bool) {
 		})
 		sig.Wait(p, "data")
 		log("a", "signalled")
-		p.Compute(5)
+		p.Sleep(5)
 		log("a", "done")
 	})
 	k.Spawn("b", func(p *Proc) {

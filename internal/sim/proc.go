@@ -95,11 +95,8 @@ func (p *Proc) run(body func(*Proc)) {
 	body(p)
 }
 
-// Kernel returns the kernel this proc belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
+// now returns the current virtual time.
+func (p *Proc) now() Time { return p.k.now }
 
 // park blocks until some event resumes this proc, driving the event loop
 // meanwhile. tag describes the wait for deadlock diagnostics. During reaping
@@ -244,11 +241,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park("sleep")
 }
 
-// Compute models CPU-bound work of duration d: virtually identical to Sleep
-// from the kernel's perspective, but callers use it to document that the
-// process CPU is busy and therefore not polling any progress engine.
-func (p *Proc) Compute(d Time) { p.Sleep(d) }
-
 // Yield gives every other currently-runnable same-time event a chance to run
 // before this proc continues.
 func (p *Proc) Yield() {
@@ -304,11 +296,11 @@ func (s *Signal) Wait(p *Proc, tag string) {
 	p.park(tag)
 }
 
-// WaitFor parks p on the signal until pred() holds, re-evaluating after
+// waitFor parks p on the signal until pred() holds, re-evaluating after
 // every Fire. pred is evaluated immediately first, so a pre-satisfied
 // condition never blocks. Goroutine procs only; tasks re-check their
 // predicate across Steps instead.
-func (s *Signal) WaitFor(p *Proc, tag string, pred func() bool) {
+func (s *Signal) waitFor(p *Proc, tag string, pred func() bool) {
 	for !pred() {
 		s.Wait(p, tag)
 	}

@@ -7,19 +7,18 @@ type RNG struct {
 	s0, s1 uint64
 }
 
+// Mix64 is splitmix64's finalizer: a cheap, well-mixed bijection on 64 bits.
+// Splitmix64's n-th output for seed s is Mix64(s + n·0x9e3779b97f4a7c15).
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // NewRNG returns a generator seeded from seed via splitmix64.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
-	sm := seed
-	next := func() uint64 {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	r.s0 = next()
-	r.s1 = next()
+	const golden = 0x9e3779b97f4a7c15 // splitmix64's state increment
+	r := &RNG{s0: Mix64(seed + golden), s1: Mix64(seed + golden + golden)}
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s0 = 1
 	}

@@ -15,7 +15,7 @@ type pingTask struct {
 }
 
 func (t *pingTask) Step(p *Proc) {
-	t.trace = append(t.trace, p.Now())
+	t.trace = append(t.trace, p.now())
 	switch t.state {
 	case 0:
 		t.state = 1
@@ -123,7 +123,7 @@ func TestTaskProcParity(t *testing.T) {
 			k.Spawn("r", func(p *Proc) {
 				p.Sleep(3)
 				sig.Wait(p, "data")
-				done = append(done, p.Now())
+				done = append(done, p.now())
 			})
 		}
 		k.At(10, sig.Fire)
@@ -156,7 +156,7 @@ func (t *parityTask) Step(p *Proc) {
 		t.state = 2
 		t.sig.Wait(p, "data")
 	case 2:
-		*t.done = append(*t.done, p.Now())
+		*t.done = append(*t.done, p.now())
 		p.TaskExit()
 	}
 }
@@ -246,18 +246,18 @@ func TestTaskWaitsInlineOnGoroutineProc(t *testing.T) {
 		if p.TaskSleep(5, "nap") || p.Armed() {
 			t.Error("TaskSleep armed a goroutine proc")
 		}
-		trace = append(trace, p.Now())
+		trace = append(trace, p.now())
 		if p.TaskSleep(0, "no-op") {
 			t.Error("TaskSleep(0) must not arm")
 		}
-		k.At(p.Now(), func() { trace = append(trace, -1) }) // runnable now: the yield lets it go first
+		k.At(p.now(), func() { trace = append(trace, -1) }) // runnable now: the yield lets it go first
 		if p.TaskYield() || p.Armed() {
 			t.Error("TaskYield armed a goroutine proc")
 		}
-		trace = append(trace, p.Now())
+		trace = append(trace, p.now())
 		p.TaskExit()
 		p.Sleep(2) // still schedulable: TaskExit did not finish the proc
-		trace = append(trace, p.Now())
+		trace = append(trace, p.now())
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

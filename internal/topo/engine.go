@@ -342,9 +342,9 @@ func (e *Engine) Summary() Summary {
 	return s
 }
 
-// InFlight reports whether any packet is queued or crossing a link
+// inFlight reports whether any packet is queued or crossing a link
 // (testing helper: quiescence means all queues drained).
-func (e *Engine) InFlight() bool {
+func (e *Engine) inFlight() bool {
 	for i := range e.links {
 		if ls := &e.links[i]; ls.busy || len(ls.transit) > 0 || len(ls.inject) > 0 {
 			return true

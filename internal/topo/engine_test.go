@@ -114,7 +114,7 @@ func TestCreditBackpressure(t *testing.T) {
 	if s.CreditStalls == 0 {
 		t.Error("no credit stalls under a 20-packet burst with 2 credits/link")
 	}
-	if e.InFlight() {
+	if e.inFlight() {
 		t.Error("engine not quiescent after Run")
 	}
 }
@@ -148,7 +148,7 @@ func TestRingSaturationDrains(t *testing.T) {
 			if len(*got) != sent {
 				t.Fatalf("%d of %d packets delivered", len(*got), sent)
 			}
-			if e.InFlight() {
+			if e.inFlight() {
 				t.Error("packets still in flight after drain")
 			}
 		})
@@ -326,7 +326,7 @@ func TestGoldenSchedules(t *testing.T) {
 				t.Errorf("schedule moved:\n got hash %#x, end %d, %+v\nwant hash %#x, end %d, %+v",
 					h.Sum64(), k.Now(), sum, c.hash, c.end, c.sum)
 			}
-			if e.InFlight() {
+			if e.inFlight() {
 				t.Error("engine not quiescent after Run")
 			}
 			// A waiter bit outlives its stall only until the next freed slot,

@@ -270,9 +270,9 @@ func (g *Graph) NextHop(v, dst int) int {
 	panic(fmt.Sprintf("topo: NextHop on kind %v", g.Spec.Kind))
 }
 
-// PathLen returns the number of links on the route from host src to host
+// pathLen returns the number of links on the route from host src to host
 // dst (diagnostic/testing helper; the engine never materializes paths).
-func (g *Graph) PathLen(src, dst int) int {
+func (g *Graph) pathLen(src, dst int) int {
 	hops, v := 0, src
 	for v != dst {
 		l := g.Links[g.NextHop(v, dst)]

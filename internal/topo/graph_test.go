@@ -104,7 +104,7 @@ func TestRoutingReachesDestination(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					hops := g.PathLen(src, dst) // panics on a routing loop
+					hops := g.pathLen(src, dst) // panics on a routing loop
 					if hops < 1 {
 						t.Fatalf("%d->%d: %d hops", src, dst, hops)
 					}
@@ -128,8 +128,8 @@ func TestRingPathLengths(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			if got := g.PathLen(src, dst); got != want(src, dst) {
-				t.Errorf("PathLen(%d,%d) = %d, want %d", src, dst, got, want(src, dst))
+			if got := g.pathLen(src, dst); got != want(src, dst) {
+				t.Errorf("pathLen(%d,%d) = %d, want %d", src, dst, got, want(src, dst))
 			}
 		}
 	}
@@ -152,8 +152,8 @@ func TestFatTreePathLengths(t *testing.T) {
 			if src/4 != dst/4 {
 				want = 4 // host -> leaf -> spine -> leaf -> host
 			}
-			if got := g.PathLen(src, dst); got != want {
-				t.Errorf("PathLen(%d,%d) = %d, want %d", src, dst, got, want)
+			if got := g.pathLen(src, dst); got != want {
+				t.Errorf("pathLen(%d,%d) = %d, want %d", src, dst, got, want)
 			}
 		}
 	}

@@ -144,7 +144,7 @@ func TestRecorder(t *testing.T) {
 	if err := sized.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if back, err := ReadJSON(&buf); err != nil || len(back) != 4 {
+	if back, err := readJSON(&buf); err != nil || len(back) != 4 {
 		t.Fatalf("JSON of a pre-sized recorder read back %d events (%v), want 4", len(back), err)
 	}
 	defer func() {

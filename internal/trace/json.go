@@ -56,8 +56,8 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON parses a recording previously written with WriteJSON.
-func ReadJSON(rd io.Reader) ([]Event, error) {
+// readJSON parses a recording previously written with WriteJSON.
+func readJSON(rd io.Reader) ([]Event, error) {
 	var in []jsonEvent
 	if err := json.NewDecoder(rd).Decode(&in); err != nil {
 		return nil, fmt.Errorf("trace: decoding JSON recording: %w", err)

@@ -14,7 +14,7 @@ func TestJSONRoundtrip(t *testing.T) {
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadJSON(&buf)
+	events, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestJSONAnalyzeAfterReload(t *testing.T) {
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadJSON(&buf)
+	events, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,14 @@ func TestJSONAnalyzeAfterReload(t *testing.T) {
 }
 
 func TestJSONBadKindRejected(t *testing.T) {
-	_, err := ReadJSON(strings.NewReader(`[{"kind":"nonsense"}]`))
+	_, err := readJSON(strings.NewReader(`[{"kind":"nonsense"}]`))
 	if err == nil {
 		t.Fatal("unknown kind should be rejected")
 	}
 }
 
 func TestJSONBadInputRejected(t *testing.T) {
-	_, err := ReadJSON(strings.NewReader(`{not json`))
+	_, err := readJSON(strings.NewReader(`{not json`))
 	if err == nil {
 		t.Fatal("malformed JSON should be rejected")
 	}
