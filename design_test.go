@@ -410,3 +410,36 @@ func readFile(t *testing.T, name string) []byte {
 	}
 	return b
 }
+
+// TestDocModeSeam holds DESIGN's claim that a window's mode plugs in at one
+// seam: outside internal/core/mode.go, no non-test file of core names a Mode
+// constant or reads a .mode field. Comments do not count.
+func TestDocModeSeam(t *testing.T) {
+	names, err := filepath.Glob("internal/core/*.go")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no core sources: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") || filepath.Base(name) == "mode.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "mode" {
+					t.Errorf("%s reads .mode: ask the window's mode implementation (mode.go) instead", fset.Position(n.Pos()))
+				}
+			case *ast.Ident:
+				if n.Name == "ModeNew" || n.Name == "ModeVanilla" || n.Name == "ModeFlush" {
+					t.Errorf("%s names %s: mode policy belongs behind the seam in mode.go", fset.Position(n.Pos()), n.Name)
+				}
+			}
+			return true
+		})
+	}
+}

@@ -8,7 +8,7 @@ import (
 // data may be nil on shape-only windows (pure traffic modeling). The local
 // buffer is reusable once the surrounding epoch closes (or after a flush).
 func (w *Window) Put(target int, off int64, data []byte, size int64) {
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opPut,
 		target: target, off: off, data: data, size: size, dtype: TByte}, false)
 }
 
@@ -16,20 +16,20 @@ func (w *Window) Put(target int, off int64, data []byte, size int64) {
 // transfer is fulfilled at the target. A call pending on a task rank
 // returns nil, and its repeat returns the request.
 func (w *Window) RPut(target int, off int64, data []byte, size int64) *mpi.Request {
-	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+	return w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opPut,
 		target: target, off: off, data: data, size: size, dtype: TByte}, true)
 }
 
 // Get transfers size bytes from target's window at offset off into buf. buf
 // is filled by the time the epoch completes (or the op's request, for RGet).
 func (w *Window) Get(target int, off int64, buf []byte, size int64) {
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opGet,
 		target: target, off: off, buf: buf, size: size, dtype: TByte}, false)
 }
 
 // RGet is the request-based Get.
 func (w *Window) RGet(target int, off int64, buf []byte, size int64) *mpi.Request {
-	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
+	return w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opGet,
 		target: target, off: off, buf: buf, size: size, dtype: TByte}, true)
 }
 
@@ -44,14 +44,14 @@ func (w *Window) checkTyped(dt DType, size int64) {
 // op. Element atomicity holds per (window, target, element), as in MPI.
 func (w *Window) Accumulate(target int, off int64, op AccOp, dt DType, data []byte, size int64) {
 	w.checkTyped(dt, size)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opAcc,
 		target: target, off: off, data: data, size: size, dtype: dt, op: op}, false)
 }
 
 // RAccumulate is the request-based Accumulate.
 func (w *Window) RAccumulate(target int, off int64, op AccOp, dt DType, data []byte, size int64) *mpi.Request {
 	w.checkTyped(dt, size)
-	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opAcc,
+	return w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opAcc,
 		target: target, off: off, data: data, size: size, dtype: dt, op: op}, true)
 }
 
@@ -60,26 +60,26 @@ func (w *Window) RAccumulate(target int, off int64, op AccOp, dt DType, data []b
 // get).
 func (w *Window) GetAccumulate(target int, off int64, op AccOp, dt DType, data, result []byte, size int64) {
 	w.checkTyped(dt, size)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opGetAcc,
 		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op}, false)
 }
 
 // RGetAccumulate is the request-based GetAccumulate.
 func (w *Window) RGetAccumulate(target int, off int64, op AccOp, dt DType, data, result []byte, size int64) *mpi.Request {
 	w.checkTyped(dt, size)
-	return w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
+	return w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opGetAcc,
 		target: target, off: off, data: data, buf: result, size: size, dtype: dt, op: op}, true)
 }
 
 // FetchAndOp is the single-element fast path of GetAccumulate.
 func (w *Window) FetchAndOp(target int, off int64, op AccOp, dt DType, operand, result []byte) {
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGetAcc,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opGetAcc,
 		target: target, off: off, data: operand, buf: result, size: int64(dt.Size()), dtype: dt, op: op}, false)
 }
 
 // CompareAndSwap atomically replaces the target element with swap if it
 // equals compare, storing the previous value in result.
 func (w *Window) CompareAndSwap(target int, off int64, dt DType, compare, swap, result []byte) {
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opCAS,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opCAS,
 		target: target, off: off, cmp: compare, data: swap, buf: result, size: int64(dt.Size()), dtype: dt}, false)
 }

@@ -97,11 +97,11 @@ func (t Transport) String() string {
 
 // sigLocalGate reports whether this window's access epochs complete on
 // local (wire) completion instead of remote completion. Only the paper's
-// design (ModeNew) on the signal transport takes the relaxation: vanilla
-// keeps its remote gating so the signal transport changes only its wire
+// design on the signal transport takes the relaxation: vanilla keeps its
+// remote gating so the signal transport changes only its wire
 // representation, and flush-mode completion semantics are flush-defined.
 func (w *Window) sigLocalGate() bool {
-	return w.transport == TransportSignal && w.mode == ModeNew
+	return w.transport == TransportSignal && w.rules.localGate
 }
 
 // signalled reports whether channel ch between this rank and peer is a

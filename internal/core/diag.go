@@ -44,36 +44,31 @@ func (rt *Runtime) registerDiagnostics() {
 func (e *Engine) dumpState() string {
 	var b strings.Builder
 	for _, w := range e.winList {
-		if w.fm != nil {
-			fm := w.fm
-			live := 0
-			for o := w.liveHead; o != nil; o = o.nextLive {
-				live++
+		w.impl.dump(w, &b)
+	}
+	return strings.TrimRight(b.String(), "\n")
+}
+
+// dump renders the window's pending epochs and lock-agent state.
+func (newMode) dump(w *Window, b *strings.Builder) {
+	excl, shared, queued := w.agent.holders()
+	fmt.Fprintf(b, "win %d (mode=%s): %d pending epochs; lock agent excl=%d shared=%d queued=%d\n",
+		w.id, w.Mode(), len(w.epochs), excl, shared, queued)
+	for _, ep := range w.epochs {
+		fmt.Fprintf(b, "  %s recLive=%d pending=%d done=%d/%d\n",
+			ep, ep.recLive, ep.pendingAll, ep.doneCount, ep.doneTargetCount())
+		if ep.kind.isAccessRole() && ep.activated {
+			var ungranted []int
+			for i, n := 0, ep.groupSize(); i < n; i++ {
+				if t, _ := ep.peerAt(i); !ep.granted(t) {
+					ungranted = append(ungranted, t)
+				}
 			}
-			fmt.Fprintf(&b, "win %d (mode=%s): liveOps=%d flushes=%d; flush-lock gX=%d gS=%d lX=%t lS=%d held=%d pending=%d\n",
-				w.id, w.mode, live, len(w.flushes), fm.gX, fm.gS, fm.lX, fm.lS, fm.held(), len(fm.pending))
-			continue
-		}
-		excl, shared, queued := w.agent.holders()
-		fmt.Fprintf(&b, "win %d (mode=%s): %d pending epochs; lock agent excl=%d shared=%d queued=%d\n",
-			w.id, w.mode, len(w.epochs), excl, shared, queued)
-		for _, ep := range w.epochs {
-			fmt.Fprintf(&b, "  %s recLive=%d pending=%d done=%d/%d\n",
-				ep, ep.recLive, ep.pendingAll, ep.doneCount, ep.doneTargetCount())
-			if ep.kind.isAccessRole() && ep.activated {
-				var ungranted []int
-				for i, n := 0, ep.groupSize(); i < n; i++ {
-					if t, _ := ep.peerAt(i); !ep.granted(t) {
-						ungranted = append(ungranted, t)
-					}
-				}
-				if len(ungranted) > 0 {
-					fmt.Fprintf(&b, "    awaiting grants from %v\n", ungranted)
-				}
+			if len(ungranted) > 0 {
+				fmt.Fprintf(b, "    awaiting grants from %v\n", ungranted)
 			}
 		}
 	}
-	return strings.TrimRight(b.String(), "\n")
 }
 
 // --- Introspection accessors (invariant checking, internal/fuzz) -------- //
@@ -122,13 +117,14 @@ type FlushLockState struct {
 
 // FlushState returns this window's flush-mode lock-protocol snapshot.
 func (w *Window) FlushState() FlushLockState {
-	if w.fm == nil {
+	fm, isFlush := w.impl.(*flushState)
+	if !isFlush {
 		return FlushLockState{}
 	}
 	return FlushLockState{
-		GlobalX: w.fm.gX, GlobalS: w.fm.gS,
-		LocalX: w.fm.lX, LocalS: w.fm.lS,
-		Held: w.fm.held(), Pending: len(w.fm.pending),
+		GlobalX: fm.gX, GlobalS: fm.gS,
+		LocalX: fm.lX, LocalS: fm.lS,
+		Held: fm.held(), Pending: len(fm.pending),
 	}
 }
 

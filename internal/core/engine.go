@@ -141,11 +141,9 @@ func (e *Engine) drainCPUQueue() {
 // 4); ops toward the other locality stay recorded for the other step.
 func (e *Engine) postReady(scope nodeScope) {
 	for _, w := range e.winList {
-		if w.mode == ModeVanilla {
-			continue // vanilla issues only from its closing synchronizations
-		}
 		for _, ep := range w.epochs {
-			if ep.activated && ep.recLive > 0 {
+			// Vanilla issues only from its closing synchronizations.
+			if ep.activated && ep.recLive > 0 && w.rules.engineDriven {
 				e.issueReady(ep, scope)
 			}
 		}
@@ -242,14 +240,15 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 
 	case fabric.KindLockAtomic:
 		// foMPI-style conditional atomic on a lock counter this rank hosts
-		// (ModeFlush). Executed right here in NIC context — the hardware-
+		// (flush mode). Executed right here in NIC context — the hardware-
 		// atomics model: the target CPU is never involved.
 		w := e.win(p.Arg[0])
-		if w.fm == nil {
+		fm, isFlush := w.impl.(*flushState)
+		if !isFlush {
 			e.raisef("lock atomic from %d on non-flush-mode window %d", p.Src, w.id)
 		}
 		ok := int64(0)
-		if w.fm.applyAtomic(p.Arg[1]) {
+		if fm.applyAtomic(p.Arg[1]) {
 			ok = 1
 		}
 		q := e.rt.world.Net.AllocPacketAt(e.rank.ID)

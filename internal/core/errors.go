@@ -281,7 +281,7 @@ func (e *Engine) peerUnreachable(peer int) {
 	}
 	e.dead[peer] = true
 	for _, w := range e.winList {
-		w.abortOnDeadPeer(peer)
+		w.impl.abortPeer(w, peer)
 	}
 	// Wake the rank even when no epoch aborted: a WaitSignal spin on the
 	// dead peer has no epoch to fail it and must re-evaluate its predicate.
@@ -300,7 +300,7 @@ func (e *Engine) peerDead(peer int) bool {
 
 // deadDependency returns a peer in the epoch's dependency set that this
 // rank already knows to be unreachable, or -1. Consulted at epoch-open
-// time: abortOnDeadPeer unwinds the epochs that exist when a death is
+// time: abortPeer unwinds the epochs that exist when a death is
 // declared, but an epoch opened afterwards would wait on the dead peer
 // forever — its lock request, grant or done packet is never answered — so
 // it must abort at the door. Only e.dead is consulted (not the fabric link
@@ -329,16 +329,10 @@ func (w *Window) abortOpenedDead(ep *Epoch, p int) {
 	w.abortPending(ep, e)
 }
 
-// abortOnDeadPeer aborts the window's pending epochs if any of them depends
-// on the dead peer. The whole pending queue unwinds — the window's serial
-// activation pipeline cannot skip a wedged epoch. Flush-mode windows have
-// no epochs to scan; they poison when their current lock/transfer/master
-// state depends on the peer (flushDependsOn) and stay healthy otherwise.
-func (w *Window) abortOnDeadPeer(peer int) {
-	if w.mode == ModeFlush {
-		w.flushAbortPeer(peer)
-		return
-	}
+// abortPeer aborts the window's pending epochs if any of them depends on
+// the dead peer. The whole pending queue unwinds — the window's serial
+// activation pipeline cannot skip a wedged epoch.
+func (newMode) abortPeer(w *Window, peer int) {
 	for _, ep := range w.epochs {
 		if ep.completed {
 			continue

@@ -64,7 +64,7 @@ func TestUnreachablePeerSurfacesError(t *testing.T) {
 // An abort fails request-based ops in the order the application issued them
 // — the window's live ops are a list in age order — so their completion
 // hooks run in issue order, whether a lock epoch aborts (abortEpoch) or a
-// flush-mode window is poisoned (flushAbortPeer).
+// flush-mode window is poisoned (flushState.abortPeer).
 func TestAbortFailsOpsInIssueOrder(t *testing.T) {
 	for _, mode := range []Mode{ModeNew, ModeFlush} {
 		fp := fabric.DefaultFaultProfile(1)

@@ -46,15 +46,10 @@ func (w *Window) settleFlushes(o *rmaOp, localEvent bool) {
 	w.flushes = kept
 }
 
-// requirePassiveEpoch panics unless an open passive-target epoch covers t
+// requirePassive panics unless an open passive-target epoch covers t
 // (t == -1 accepts any passive epoch), mirroring MPI's restriction of the
-// flush family to passive target. ModeFlush windows are epochless: the
-// whole window lifetime is one implicit passive-target span, so every
-// flush is legal there.
-func (w *Window) requirePassiveEpoch(t int) {
-	if w.mode == ModeFlush {
-		return
-	}
+// flush family to passive target.
+func (newMode) requirePassive(w *Window, t int) {
 	for _, ep := range w.openAccess {
 		if ep.kind != EpochLock && ep.kind != EpochLockAll {
 			continue
@@ -87,19 +82,11 @@ func (w *Window) newFlush(target int, local bool) *mpi.Request {
 		// request with the window's error instead.
 		return mpi.NewFailedRequest(w.rank, w.err)
 	}
-	w.requirePassiveEpoch(target)
+	w.impl.requirePassive(w, target)
 	req := mpi.NewRequest(w.rank)
 	f := flushReq{req: req, target: target, local: local, stamp: w.opAge}
 	for o := w.liveHead; o != nil; o = o.nextLive {
-		if f.target != -1 && o.target != f.target {
-			continue
-		}
-		if o.age > f.stamp {
-			continue
-		}
-		if local && !o.localDone {
-			f.counter++
-		} else if !local && !o.remoteDone {
+		if o.age <= f.stamp && o.inFlush(target, local) {
 			f.counter++
 		}
 	}
@@ -109,6 +96,17 @@ func (w *Window) newFlush(target int, local bool) *mpi.Request {
 	}
 	w.flushes = append(w.flushes, f)
 	return req
+}
+
+// inFlush reports whether a flush toward target (-1: all) waits for o.
+func (o *rmaOp) inFlush(target int, local bool) bool {
+	if target != -1 && o.target != target {
+		return false
+	}
+	if local {
+		return !o.localDone
+	}
+	return !o.remoteDone
 }
 
 // IFlush completes, nonblockingly, all RMA calls so far issued toward
@@ -143,9 +141,9 @@ func (w *Window) flushWait(target int, local bool) {
 		if w.err != nil {
 			panic(w.err) // poisoned window: surface the abort, not an epoch panic
 		}
-		w.requirePassiveEpoch(target)
+		w.impl.requirePassive(w, target)
 	}
-	if stage != flushOps && w.mode == ModeVanilla && !w.vanillaForceIssue(target, ep) {
+	if stage != flushOps && !w.impl.forceIssue(w, target, ep) {
 		return
 	}
 	if !w.rank.WaitUntil("flush", func() bool {
@@ -153,13 +151,7 @@ func (w *Window) flushWait(target int, local bool) {
 			return true // aborted window: unwind instead of waiting forever
 		}
 		for o := w.liveHead; o != nil; o = o.nextLive {
-			if target != -1 && o.target != target {
-				continue
-			}
-			if local && !o.localDone {
-				return false
-			}
-			if !local && !o.remoteDone {
+			if o.inFlush(target, local) {
 				return false
 			}
 		}

@@ -20,7 +20,8 @@ func agentHarness(t *testing.T, n int) *Window {
 		rank:  w.Rank(0),
 		eng:   eng,
 		id:    0,
-		mode:  ModeNew,
+		impl:  newMode{},
+		rules: &modes[ModeNew],
 		n:     n,
 		peers: peertab.New(n, peerCounters{}),
 	}

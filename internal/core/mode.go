@@ -1,5 +1,12 @@
 package core
 
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/mpi"
+)
+
 // Mode selects the RMA implementation a window runs on.
 type Mode int
 
@@ -13,14 +20,9 @@ const (
 	// Nonblocking synchronizations are not available in this mode.
 	ModeVanilla
 	// ModeFlush is the epochless passive-target style of Gerstenberger et
-	// al. (foMPI) and the MPI-3 lock_all+flush idiom: every RMA call issues
-	// eagerly the moment it is made — no epoch queue, no activation, no
-	// grant matching — and completion is driven entirely by the flush
-	// family riding the NIC completion counters. Lock/Unlock/LockAll use
-	// foMPI's scalable global/local protocol (sync_flushmode.go) instead of
-	// the GATS-style queued lock agent; they provide mutual exclusion only
-	// and never gate transfer issue. Epoch synchronizations (fence, GATS,
-	// the I-lock epoch forms) are unavailable in this mode.
+	// al. (foMPI) and the MPI-3 lock_all+flush idiom (sync_flushmode.go):
+	// RMA calls issue at once, the flush family completes them, and locks
+	// only exclude. Fence and GATS are not available in this mode.
 	ModeFlush
 )
 
@@ -34,8 +36,101 @@ func (m Mode) String() string {
 	case ModeFlush:
 		return "flush"
 	}
-	return "unknown"
+	return fmt.Sprintf("Mode(%d)", int(m))
 }
+
+// Nonblocking reports whether the mode has the I-form synchronizations.
+func (m Mode) Nonblocking() bool { return modes[m].nonblocking }
+
+// modeRules is one row of the seam's table, what a mode decides by value. A
+// window keeps a pointer to its row, so the engine's per-sweep tests make no
+// interface call. The refusal table is families, nonblocking and noCheck:
+// every synchronization entry point consults them (Window.allow) before it
+// builds or touches any epoch.
+type modeRules struct {
+	mode                 Mode
+	families             uint8 // epoch families admitted, bit k for EpochKind k
+	nonblocking, noCheck bool  // I-forms and MPI_MODE_NOCHECK locks admitted
+	engineDriven         bool  // the engine, not the closing calls alone, activates and issues
+	localGate            bool  // signal-transport epochs complete locally (sigLocalGate)
+}
+
+var modes = [...]modeRules{
+	ModeNew:     {ModeNew, allFamilies, true, true, true, true},
+	ModeVanilla: {ModeVanilla, allFamilies, false, false, false, false},
+	ModeFlush:   {ModeFlush, 1<<EpochLock | 1<<EpochLockAll, true, true, true, false},
+}
+
+const allFamilies = 1<<(EpochLockAll+1) - 1 // the bit of every EpochKind
+
+// Mode returns the window's implementation mode.
+func (w *Window) Mode() Mode { return w.rules.mode }
+
+// allow raises unless the window's mode admits a synchronization of family
+// k, made as an I-form when nonblocking, asserting MPI_MODE_NOCHECK when
+// noCheck.
+func (w *Window) allow(k EpochKind, nonblocking, noCheck bool) {
+	switch r := w.rules; {
+	case r.families&(1<<k) == 0:
+		w.raisef("%s synchronizations are unavailable in %s mode", k, r.mode)
+	case nonblocking && !r.nonblocking:
+		w.raisef("nonblocking synchronizations are unavailable in %s mode", r.mode)
+	case noCheck && !r.noCheck:
+		w.raisef("MPI_MODE_NOCHECK locks are unavailable in %s mode", r.mode)
+	}
+}
+
+// modeImpl is the seam a window's mode plugs in at, chosen at creation
+// (newModeImpl). newMode, the paper's design, is the default the others
+// embed: vanillaMode overrides it with MVAPICH's lazy, staged calls
+// (vanilla.go), *flushState with foMPI's locks and one perpetual epoch.
+type modeImpl interface {
+	// Blocking synchronizations (the default waits on the I-form), then the
+	// passive-target I-forms. A target of -1 is the lock-all epoch.
+	openGATS(w *Window, kind EpochKind, group []int) // Start, Post
+	closeGATS(w *Window, kind EpochKind)             // Complete, WaitEpoch
+	fence(w *Window, assert FenceAssert)
+	lock(w *Window, target int, exclusive, noCheck bool)
+	unlock(w *Window, target int)
+	ilock(w *Window, target int, exclusive, noCheck bool) *mpi.Request
+	iunlock(w *Window, target int) *mpi.Request
+
+	// The epoch an RMA call toward t joins, and the call's op: issued now,
+	// recorded, or left for the closing synchronization.
+	accessEpoch(w *Window, t int) *Epoch
+	admit(w *Window, ep *Epoch, o *rmaOp)
+	// Flushes: a blocking flush first forces lazy epochs (false: pending).
+	forceIssue(w *Window, target int, from *Epoch) bool
+	requirePassive(w *Window, t int)
+
+	quiesced(w *Window) bool
+	abortPeer(w *Window, peer int)
+	dump(w *Window, b *strings.Builder)
+}
+
+// newModeImpl chooses the implementation and the table row of the window's
+// mode.
+func newModeImpl(w *Window, opt WinOptions) (modeImpl, *modeRules) {
+	switch opt.Mode {
+	case ModeNew:
+		return newMode{}, &modes[ModeNew]
+	case ModeVanilla:
+		return vanillaMode{}, &modes[ModeVanilla]
+	case ModeFlush:
+		return newFlushState(w, opt.FlushMaster), &modes[ModeFlush]
+	}
+	w.raisef("unknown %s", opt.Mode)
+	return nil, nil
+}
+
+// newMode is the paper's design; vanillaMode is the MVAPICH 2-1.9 baseline
+// (vanilla.go).
+type (
+	newMode     struct{}
+	vanillaMode struct{ newMode }
+)
+
+func (newMode) forceIssue(*Window, int, *Epoch) bool { return true }
 
 // Info carries the window's info-object key/value pairs: the four Boolean
 // progress-engine optimization flags of Section VI-B. All default to false

@@ -95,34 +95,20 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 		// further communication on it is erroneous. Errors are fatal.
 		panic(ep.err)
 	}
-	if w.mode == ModeFlush {
-		// Epochless: no recording, no grant gating, no conflict extents —
-		// the op goes to the NIC the moment the application calls. The
-		// perpetual flushEp it is attached to is always granted, and its
-		// pending counters never gate anything; completion tracking lives
-		// entirely in the live list and the flush stamps above.
-		w.eng.issue(o)
-		return req
-	}
+	w.impl.admit(w, ep, o)
+	return req
+}
+
+// admit records the op and issues it at once if its epoch is active and
+// the target has granted.
+func (newMode) admit(w *Window, ep *Epoch, o *rmaOp) {
 	if w.chkCfl {
 		w.checkConflict(o)
 	}
 	ep.record(o)
-	if w.mode == ModeVanilla {
-		// Vanilla issues eagerly only when the target is already known to
-		// be ready at call time (this is what gives MVAPICH in-epoch
-		// overlap for GATS/fence, per Section VIII-A) and nothing older
-		// toward it is still recorded; otherwise the whole batch waits for
-		// the closing synchronization.
-		if ep.activated && ep.find(o.target).recHead == o {
-			w.eng.issueBucket(ep, o.target)
-		}
-		return req
-	}
 	if ep.activated {
 		w.eng.issueBucket(ep, o.target)
 	}
-	return req
 }
 
 // retire returns op o to its window's free list once nothing can reach it
@@ -315,7 +301,7 @@ func (e *Engine) opLocalDone(o *rmaOp) {
 }
 
 // opSigDone counts op o out of its epoch's local-completion gate (no-op
-// outside signal-transport ModeNew windows; see control.go). Firing the done
+// unless the window's mode completes locally; see control.go). Firing the done
 // signal here — at wire completion, before the remote ack — is safe because
 // the NIC's per-peer ordering queues the signal behind the op's data, so
 // the target still observes data before done; and MPI_WIN_COMPLETE only
@@ -363,7 +349,7 @@ func (e *Engine) opDelivered(o *rmaOp) {
 		o.req.Complete()
 	}
 	e.opSigDone(o) // fetch classes reach local completion with the response
-	if ep.win.mode != ModeVanilla && ep.closedApp {
+	if ep.closedApp && ep.win.rules.engineDriven {
 		ep.maybePostDone(o.target)
 		ep.maybeComplete()
 	}

@@ -106,7 +106,6 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 		rank:    r,
 		eng:     eng,
 		id:      eng.nextWinID,
-		mode:    opt.Mode,
 		info:    opt.Info,
 		n:       rt.world.Size(),
 		size:    size,
@@ -123,12 +122,9 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 		w.buf = make([]byte, size)
 	}
 	w.agent = newLockAgent(w)
-	if opt.Mode == ModeFlush {
-		if opt.FlushMaster < 0 || opt.FlushMaster >= w.n {
-			panic(fmt.Sprintf("core: rank %d win %d: FlushMaster %d out of range (n=%d)",
-				r.ID, w.id, opt.FlushMaster, w.n))
-		}
-		w.initFlushMode(opt.FlushMaster)
+	w.impl, w.rules = newModeImpl(w, opt)
+	if opt.Transport != TransportGATS && opt.Transport != TransportSignal {
+		w.raisef("unknown %s", opt.Transport)
 	}
 	eng.windows[w.id] = w
 	eng.winList = append(eng.winList, w)

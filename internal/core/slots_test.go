@@ -86,7 +86,7 @@ func TestWholeWindowEpochStaysSparse(t *testing.T) {
 			wins[0].FlushAll()
 		}
 	})
-	ep := wins[0].flushEp
+	ep := wins[0].impl.accessEpoch(wins[0], 0)
 	if len(ep.peers) != len(targets) || ep.index != nil || ep.dense {
 		t.Fatalf("perpetual epoch holds %d slots (index %t, dense %t), want %d scanned slots",
 			len(ep.peers), ep.index != nil, ep.dense, len(targets))
@@ -100,7 +100,7 @@ func TestWholeWindowEpochStaysSparse(t *testing.T) {
 		t.Fatalf("untouched peer 77: covered=%t slot=%v pendingAll=%d", ep.coversTarget(77), ep.find(77), ep.pendingAll)
 	}
 	for i := 1; i < n; i++ {
-		if k := len(wins[i].flushEp.peers); k != 0 {
+		if k := len(wins[i].impl.accessEpoch(wins[i], 0).peers); k != 0 {
 			t.Fatalf("idle rank %d holds %d slots", i, k)
 		}
 	}

@@ -23,9 +23,7 @@ const (
 // never blocks. The close and the open each pay a call overhead; the repeat
 // of a call pending in the open's finds the closed epoch in the call state.
 func (w *Window) IFence(assert FenceAssert) *mpi.Request {
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
+	w.allow(EpochFence, true, false)
 	c := &w.eng.call
 	closed := c.fence
 	c.fence = nil
@@ -38,7 +36,7 @@ func (w *Window) IFence(assert FenceAssert) *mpi.Request {
 		}
 	}
 	if assert&AssertNoSucceed == 0 {
-		if w.openFenceEpoch(); w.rank.Pending() {
+		if w.openEpoch(w.newFenceEpoch); w.rank.Pending() {
 			c.fence = closed
 			return nil
 		}
@@ -51,22 +49,21 @@ func (w *Window) IFence(assert FenceAssert) *mpi.Request {
 
 // Fence is the blocking MPI_WIN_FENCE.
 func (w *Window) Fence(assert FenceAssert) {
-	if w.mode == ModeVanilla {
-		w.vanillaFence(assert)
-		return
-	}
+	w.allow(EpochFence, false, false)
+	w.impl.fence(w, assert)
+}
+
+func (newMode) fence(w *Window, assert FenceAssert) {
 	w.waitSync(func() *mpi.Request { return w.IFence(assert) })
 }
 
-// openFenceEpoch creates and enqueues a new fence epoch. Fence epochs play
-// both roles at once: they are access epochs toward every peer and
-// exposure epochs from every peer; closing one therefore entails barrier
-// semantics (completion needs all peers' done packets).
-func (w *Window) openFenceEpoch() {
-	w.openEpoch(func() *Epoch {
-		ep := newEpoch(w, EpochFence)
-		w.curFence = ep
-		w.openAccess = append(w.openAccess, ep)
-		return ep
-	})
+// newFenceEpoch creates a fence epoch and registers it as application-open.
+// Fence epochs play both roles at once: they are access epochs toward every
+// peer and exposure epochs from every peer; closing one therefore entails
+// barrier semantics (completion needs all peers' done packets).
+func (w *Window) newFenceEpoch() *Epoch {
+	ep := newEpoch(w, EpochFence)
+	w.curFence = ep
+	w.openAccess = append(w.openAccess, ep)
+	return ep
 }

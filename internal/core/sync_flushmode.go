@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -13,7 +16,7 @@ import (
 //
 // Two pieces replace the epoch machinery:
 //
-//   - a perpetual, always-granted internal epoch (w.flushEp) that every RMA
+//   - a perpetual, always-granted internal epoch (flushState.ep) that every RMA
 //     call attaches to: addOp skips recording entirely and hands the op to
 //     the NIC at call time, so completion is tracked purely by the live list and
 //     the op age stamps — exactly the counters the flush family rides;
@@ -46,11 +49,13 @@ const (
 	laLocalRelS                   // lS--
 )
 
-// flushState is one rank's view of the scalable lock protocol: the counters
-// it hosts (local always; global only on the master) plus its origin-side
-// bookkeeping of held locks and in-flight protocol operations.
+// flushState is the flush mode's implementation (mode.go): the perpetual
+// epoch, the lock counters this rank hosts (local always; global only on the
+// master), and its origin-side held locks and in-flight protocol operations.
 type flushState struct {
-	w *Window
+	newMode
+	w  *Window
+	ep *Epoch // the perpetual epoch every RMA call joins
 
 	// Hosted counters, manipulated in NIC context by remote atomics.
 	gX, gS int  // global pair (meaningful on the master only)
@@ -76,15 +81,18 @@ const (
 	holdNoCheck                     // MPI_MODE_NOCHECK pseudo-lock (no protocol)
 )
 
-// initFlushMode installs the flush-mode state on a freshly created window.
-func (w *Window) initFlushMode(master int) {
+// newFlushState builds a freshly created window's flush-mode state.
+func newFlushState(w *Window, master int) *flushState {
+	if master < 0 || master >= w.n {
+		w.raisef("FlushMaster %d out of range (n=%d)", master, w.n)
+	}
 	// The perpetual epoch is noCheck and never activated through the epoch
 	// pipeline, so its slot table stays sparse: one slot per target this
 	// rank actually communicates with, never O(n) per window per rank.
-	w.flushEp = &Epoch{win: w, kind: EpochLockAll, seq: -1, shared: true,
-		noCheck: true, activated: true}
-	w.fm = &flushState{
-		w:       w,
+	return &flushState{
+		w: w,
+		ep: &Epoch{win: w, kind: EpochLockAll, seq: -1, shared: true,
+			noCheck: true, activated: true},
 		holds:   make(map[int]holdKind),
 		pending: make(map[*lockOp]struct{}),
 		master:  master,
@@ -266,15 +274,10 @@ func (lo *lockOp) fail(err error) {
 	lo.req.Fail(err)
 }
 
-// --- Origin-side API (dispatched to from sync_lock.go) ------------------ //
-
-// acquire starts a lock acquisition toward target; the returned request
-// completes when the lock is held. Shared locks are one local atomic at the
-// target; exclusive locks are global-then-local. An MPI_MODE_NOCHECK
-// pseudo-lock (noCheck) generates no protocol traffic at all: the caller
-// vouches that no conflicting lock exists.
-func (fm *flushState) acquire(target int, exclusive, noCheck bool) *mpi.Request {
-	w := fm.w
+// ilock starts acquiring target's lock (-1: lock_all) by the protocol above;
+// the request completes when it is held. A NOCHECK pseudo-lock sends
+// nothing: the caller vouches that no conflicting lock exists.
+func (fm *flushState) ilock(w *Window, target int, exclusive, noCheck bool) *mpi.Request {
 	w.checkLive()
 	if !w.rank.ChargeCall() {
 		return nil
@@ -282,38 +285,41 @@ func (fm *flushState) acquire(target int, exclusive, noCheck bool) *mpi.Request 
 	if w.err != nil {
 		return mpi.NewFailedRequest(w.rank, w.err)
 	}
-	if target < 0 || target >= w.n {
+	code, dep := laGlobalAcqS, w.rank.ID // lock_all: the master alone
+	switch {
+	case target == -1:
+		if fm.lockAll {
+			w.raisef("flush mode: lock_all is already held")
+		}
+	case target < 0 || target >= w.n:
 		w.raisef("lock target %d out of range (n=%d)", target, w.n)
-	}
-	if fm.holds[target] != 0 {
+	case fm.holds[target] != 0:
 		w.raisef("flush mode: target %d is already locked by this origin", target)
-	}
-	if noCheck {
+	case noCheck:
 		fm.holds[target] = holdNoCheck
 		return mpi.NewCompletedRequest(w.rank)
+	case exclusive:
+		code, dep = laGlobalAcqX, target
+	default:
+		code, dep = laLocalAcqS, target
 	}
-	if err := fm.deadAcquire(target); err != nil {
+	if err := fm.deadAcquire(dep); err != nil {
 		return mpi.NewFailedRequest(w.rank, err)
 	}
 	lo := &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: target}
 	fm.pending[lo] = struct{}{}
-	if exclusive {
-		fm.sendAtom(lo, laGlobalAcqX)
-	} else {
-		fm.sendAtom(lo, laLocalAcqS)
-	}
+	fm.sendAtom(lo, code)
 	return lo.req
 }
 
-// release starts the release of the lock held on target, or of lock_all
+// iunlock starts the release of the lock held on target, or of lock_all
 // when target is -1. MPI's unlock implies remote completion of the epochless
 // "epoch" toward the target, so the release atomic is chained behind an
 // internal IFlush(target) / IFlushAll. The embedded flush carries its own
 // ChargeCall — a flush-mode unlock really does pay two call overheads — so
 // the repeat of a call pending there finds its registered protocol op in the
 // call state.
-func (fm *flushState) release(target int) *mpi.Request {
-	w := fm.w
+func (fm *flushState) iunlock(w *Window, target int) *mpi.Request {
 	c := &w.eng.call
 	lo := c.lo
 	if lo == nil {
@@ -368,28 +374,28 @@ func (fm *flushState) release(target int) *mpi.Request {
 	return lo.req
 }
 
-// acquireAll starts a lock_all acquisition: one conditional atomic on the
-// master's global S counter, whatever the window size — foMPI's scalability
-// argument in one line.
-func (fm *flushState) acquireAll() *mpi.Request {
-	w := fm.w
-	w.checkLive()
-	if !w.rank.ChargeCall() {
-		return nil
+// accessEpoch is the perpetual epoch: the window's lifetime is one passive span.
+func (fm *flushState) accessEpoch(*Window, int) *Epoch { return fm.ep }
+
+// admit hands the op to the NIC at call time: no recording, no gating.
+func (fm *flushState) admit(w *Window, _ *Epoch, o *rmaOp) { w.eng.issue(o) }
+
+// requirePassive admits every flush: the window lifetime is one passive span.
+func (fm *flushState) requirePassive(*Window, int) {}
+
+// quiesced: no op or lock operation is in flight, or the window aborted.
+func (fm *flushState) quiesced(w *Window) bool {
+	return w.err != nil || (w.liveHead == nil && len(fm.pending) == 0)
+}
+
+// dump renders the window's ops and lock-protocol state.
+func (fm *flushState) dump(w *Window, b *strings.Builder) {
+	live := 0
+	for o := w.liveHead; o != nil; o = o.nextLive {
+		live++
 	}
-	if w.err != nil {
-		return mpi.NewFailedRequest(w.rank, w.err)
-	}
-	if fm.lockAll {
-		w.raisef("flush mode: lock_all is already held")
-	}
-	if err := fm.deadAcquire(w.rank.ID); err != nil {
-		return mpi.NewFailedRequest(w.rank, err)
-	}
-	lo := &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: -1}
-	fm.pending[lo] = struct{}{}
-	fm.sendAtom(lo, laGlobalAcqS)
-	return lo.req
+	fmt.Fprintf(b, "win %d (mode=%s): liveOps=%d flushes=%d; flush-lock gX=%d gS=%d lX=%t lS=%d held=%d pending=%d\n",
+		w.id, w.Mode(), live, len(w.flushes), fm.gX, fm.gS, fm.lX, fm.lS, fm.held(), len(fm.pending))
 }
 
 // held counts the locks this origin currently holds (diagnostics/fuzz).
@@ -401,12 +407,9 @@ func (fm *flushState) held() int {
 	return n
 }
 
-// idle reports that no lock-protocol operation is in flight.
-func (fm *flushState) idle() bool { return len(fm.pending) == 0 }
-
 // deadAcquire rejects a lock acquisition whose protocol would wait on a
 // rank this origin already knows unreachable (the target's local counters
-// or the master's global pair). Unlike flushAbortPeer this does NOT poison
+// or the master's global pair). Unlike abortPeer this does NOT poison
 // the window: a refused acquisition wedges nothing, so the window stays
 // usable toward live peers — the failure domain stays as small as the
 // request.
@@ -436,47 +439,32 @@ func (fm *flushState) failPending(err *RMAError) {
 	fm.pending = make(map[*lockOp]struct{})
 }
 
-// flushAbortPeer poisons a flush-mode window when the fabric declares peer
-// unreachable — but only when the window actually depends on the peer
-// (flushDependsOn): every live op's request fails, outstanding flushes
-// fail, and in-flight lock operations fail — so blocked Flush/FlushAll
-// callers panic with ErrRankUnreachable instead of waiting on transfers
-// that will never complete. The perpetual epoch records the error too,
-// making subsequent RMA calls raise it (addOp's ep.err check). A window
-// with no dependency on the dead peer stays healthy — the property a
-// serving scenario's per-home windows recover around.
-func (w *Window) flushAbortPeer(peer int) {
-	if w.err != nil {
-		return // already poisoned; first abort did the unwinding
-	}
-	if !w.flushDependsOn(peer) {
-		return
+// abortPeer poisons the window when the fabric declares a peer it depends
+// on (dependsOn) unreachable: the perpetual epoch aborts, and so do the
+// outstanding flushes and lock operations, so blocked callers panic with
+// ErrRankUnreachable instead of waiting forever. A window that does not
+// depend on the peer stays healthy — what a serving scenario's per-home
+// windows recover around.
+func (fm *flushState) abortPeer(w *Window, peer int) {
+	if w.err != nil || !fm.dependsOn(peer) {
+		return // already poisoned (the first abort did the unwinding), or unaffected
 	}
 	err := w.newRMAError(ErrRankUnreachable, peer,
 		"flush-mode window depends on unreachable peer")
 	err.Peers = []int{peer}
-	w.err = err
-	w.flushEp.err = err
-	w.stats.EpochsAborted++
-	for o := w.detachLive(w.flushEp); o != nil; o = o.nextLive {
-		if o.req != nil {
-			o.req.Fail(err)
-		}
-	}
+	w.abortEpoch(fm.ep, err)
 	for _, f := range w.flushes {
 		f.req.Fail(err)
 	}
 	w.flushes = nil
-	w.fm.failPending(err)
-	w.rank.Wake.Fire()
+	fm.failPending(err)
 }
 
-// flushDependsOn reports whether the flush-mode window currently depends on
+// dependsOn reports whether the flush-mode window currently depends on
 // peer: in-flight transfers toward it, a held or in-flight lock involving
 // it, lock_all (which spans every peer by construction), or the global-
 // counter master (every future acquire must reach it).
-func (w *Window) flushDependsOn(peer int) bool {
-	fm := w.fm
+func (fm *flushState) dependsOn(peer int) bool {
 	if peer == fm.master || fm.lockAll {
 		return true
 	}
@@ -488,7 +476,7 @@ func (w *Window) flushDependsOn(peer int) bool {
 			return true
 		}
 	}
-	for o := w.liveHead; o != nil; o = o.nextLive {
+	for o := fm.w.liveHead; o != nil; o = o.nextLive {
 		if o.target == peer {
 			return true
 		}

@@ -13,23 +13,40 @@ import (
 // IStart opens an access epoch toward the given target group,
 // nonblockingly; the returned request is pre-completed.
 func (w *Window) IStart(group []int) *mpi.Request {
-	return w.openEpoch(func() *Epoch {
-		if len(group) == 0 {
-			w.raisef("Start with an empty target group")
-		}
-		return w.newGATSEpoch(EpochAccess, group)
-	})
+	w.allow(EpochAccess, true, false)
+	return w.iopenGATS(EpochAccess, group)
 }
 
 // Start opens an access epoch toward the given target group. Like all
 // modern MPI libraries (and both of the paper's designs) it does not block
 // waiting for the matching posts.
 func (w *Window) Start(group []int) {
-	if w.mode == ModeVanilla {
-		w.vanillaOpen(EpochAccess, group)
-		return
+	w.allow(EpochAccess, false, false)
+	w.impl.openGATS(w, EpochAccess, group)
+}
+
+// iopenGATS is IStart (EpochAccess) and IPost (EpochExposure).
+func (w *Window) iopenGATS(kind EpochKind, group []int) *mpi.Request {
+	return w.openEpoch(func() *Epoch {
+		if len(group) == 0 {
+			w.raisef("%s epoch with an empty group", kind)
+		}
+		return w.newGATSEpoch(kind, group)
+	})
+}
+
+// openGATS is the blocking Start and Post.
+func (newMode) openGATS(w *Window, kind EpochKind, group []int) {
+	w.waitSync(func() *mpi.Request { return w.iopenGATS(kind, group) })
+}
+
+// closeGATS is the blocking Complete and WaitEpoch.
+func (newMode) closeGATS(w *Window, kind EpochKind) {
+	if kind == EpochAccess {
+		w.waitSync(w.IComplete)
+	} else {
+		w.waitSync(w.IWait)
 	}
-	w.waitSync(func() *mpi.Request { return w.IStart(group) })
 }
 
 // newGATSEpoch creates a GATS epoch of the given role (EpochAccess or
@@ -50,52 +67,28 @@ func (w *Window) newGATSEpoch(kind EpochKind, group []int) *Epoch {
 // proceed inside the progress engine. Buffers touched by the epoch remain
 // unsafe until the returned request completes.
 func (w *Window) IComplete() *mpi.Request {
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
-	ep := w.findOpenGATSAccess()
-	return w.closeAccessEpoch(ep)
+	w.allow(EpochAccess, true, false)
+	return w.closeAccessEpoch(w.findOpen(EpochAccess, -1))
 }
 
 // Complete is the blocking form of IComplete.
 func (w *Window) Complete() {
-	if w.mode == ModeVanilla {
-		w.vanillaClose(EpochAccess)
-		return
-	}
-	w.waitSync(w.IComplete)
-}
-
-// findOpenGATSAccess locates the application-open GATS access epoch.
-func (w *Window) findOpenGATSAccess() *Epoch {
-	for i := len(w.openAccess) - 1; i >= 0; i-- {
-		if w.openAccess[i].kind == EpochAccess {
-			return w.openAccess[i]
-		}
-	}
-	w.raisef("no open GATS access epoch")
-	return nil
+	w.allow(EpochAccess, false, false)
+	w.impl.closeGATS(w, EpochAccess)
 }
 
 // IPost opens an exposure epoch toward the given origin group,
 // nonblockingly. MPI_WIN_POST was already nonblocking in MPI-3.0; IPost is
 // "provided solely for uniformity and completeness" (Section V).
 func (w *Window) IPost(group []int) *mpi.Request {
-	return w.openEpoch(func() *Epoch {
-		if len(group) == 0 {
-			w.raisef("Post with an empty origin group")
-		}
-		return w.newGATSEpoch(EpochExposure, group)
-	})
+	w.allow(EpochExposure, true, false)
+	return w.iopenGATS(EpochExposure, group)
 }
 
 // Post opens an exposure epoch toward the given origin group.
 func (w *Window) Post(group []int) {
-	if w.mode == ModeVanilla {
-		w.vanillaOpen(EpochExposure, group)
-		return
-	}
-	w.waitSync(func() *mpi.Request { return w.IPost(group) })
+	w.allow(EpochExposure, false, false)
+	w.impl.openGATS(w, EpochExposure, group)
 }
 
 // IWait closes the oldest application-open exposure epoch nonblockingly.
@@ -104,9 +97,7 @@ func (w *Window) Post(group []int) {
 // subsequent epochs, eliminating application-level epoch serialization
 // (Section V).
 func (w *Window) IWait() *mpi.Request {
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
+	w.allow(EpochExposure, true, false)
 	if !w.rank.ChargeCall() {
 		return nil
 	}
@@ -129,17 +120,15 @@ func (w *Window) IWait() *mpi.Request {
 // exposure epoch and blocks until every origin in its group has sent its
 // done packet.
 func (w *Window) WaitEpoch() {
-	if w.mode == ModeVanilla {
-		w.vanillaClose(EpochExposure)
-		return
-	}
-	w.waitSync(w.IWait)
+	w.allow(EpochExposure, false, false)
+	w.impl.closeGATS(w, EpochExposure)
 }
 
 // TestEpoch is MPI_WIN_TEST: it drives progress once and reports whether
 // the oldest open exposure epoch has completed; when it has, the epoch is
 // closed exactly as WaitEpoch would. One call, one call overhead.
 func (w *Window) TestEpoch() bool {
+	w.allow(EpochExposure, false, false)
 	if !w.rank.ChargeCall() {
 		return false
 	}

@@ -99,19 +99,8 @@ func (w *Window) ILock(target int, exclusive bool) *mpi.Request {
 // the lock-acquisition protocol entirely — transfers may start at once
 // and no unlock packet is sent.
 func (w *Window) ILockAssert(target int, exclusive, noCheck bool) *mpi.Request {
-	if w.mode == ModeFlush {
-		// foMPI protocol: no epoch is opened; the request completes when the
-		// lock is held (shared: one local atomic; exclusive: global+local).
-		return w.fm.acquire(target, exclusive, noCheck)
-	}
-	return w.openEpoch(func() *Epoch {
-		ep := newEpoch(w, EpochLock)
-		ep.shared = !exclusive
-		ep.noCheck = noCheck
-		ep.setGroup([]int{target})
-		w.openAccess = append(w.openAccess, ep)
-		return ep
-	})
+	w.allow(EpochLock, true, noCheck)
+	return w.impl.ilock(w, target, exclusive, noCheck)
 }
 
 // Lock is the blocking form of ILock. Unlike MVAPICH's lazy design, the new
@@ -120,102 +109,99 @@ func (w *Window) Lock(target int, exclusive bool) {
 	w.LockAssert(target, exclusive, false)
 }
 
-// LockAssert is the blocking form of ILockAssert. Vanilla mode has no
-// lock-free path: its lazy lock is the whole epoch, so NOCHECK is refused.
+// LockAssert is the blocking form of ILockAssert.
 func (w *Window) LockAssert(target int, exclusive, noCheck bool) {
-	if w.mode == ModeVanilla {
-		if noCheck {
-			w.raisef("MPI_MODE_NOCHECK locks are unavailable in vanilla mode")
-		}
-		w.vanillaLock(target, exclusive)
-		return
-	}
-	w.waitSync(func() *mpi.Request { return w.ILockAssert(target, exclusive, noCheck) })
+	w.allow(EpochLock, false, noCheck)
+	w.impl.lock(w, target, exclusive, noCheck)
 }
 
 // IUnlock closes the passive-target epoch toward target nonblockingly: it
 // returns at once, and the epoch (lock release included) completes inside
 // the progress engine; completion is detected through the returned request.
 func (w *Window) IUnlock(target int) *mpi.Request {
-	if w.mode == ModeFlush {
-		// Release rides behind an internal IFlush(target): MPI's unlock
-		// implies remote completion toward the target.
-		return w.fm.release(target)
-	}
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
-	ep := w.findOpenLock(target, EpochLock)
-	return w.closeAccessEpoch(ep)
+	w.allow(EpochLock, true, false)
+	return w.impl.iunlock(w, target)
 }
 
 // Unlock is the blocking form of IUnlock.
 func (w *Window) Unlock(target int) {
-	if w.mode == ModeVanilla {
-		w.vanillaUnlock(target)
-		return
-	}
-	w.waitSync(func() *mpi.Request { return w.IUnlock(target) })
+	w.allow(EpochLock, false, false)
+	w.impl.unlock(w, target)
 }
 
 // ILockAll opens a shared lock on every rank of the window, nonblockingly.
 func (w *Window) ILockAll() *mpi.Request {
-	if w.mode == ModeFlush {
-		// One conditional atomic on the master's global counter, whatever
-		// the window size — the foMPI scalability argument.
-		return w.fm.acquireAll()
-	}
-	return w.openEpoch(func() *Epoch {
-		ep := newEpoch(w, EpochLockAll)
-		ep.shared = true
-		w.openAccess = append(w.openAccess, ep)
-		return ep
-	})
+	w.allow(EpochLockAll, true, false)
+	return w.impl.ilock(w, -1, false, false)
 }
 
 // LockAll is the blocking form of ILockAll.
 func (w *Window) LockAll() {
-	if w.mode == ModeVanilla {
-		w.vanillaLock(-1, false)
-		return
-	}
-	w.waitSync(w.ILockAll)
+	w.allow(EpochLockAll, false, false)
+	w.impl.lock(w, -1, false, false)
 }
 
 // IUnlockAll closes the lock-all epoch nonblockingly.
 func (w *Window) IUnlockAll() *mpi.Request {
-	if w.mode == ModeFlush {
-		return w.fm.release(-1)
-	}
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
-	ep := w.findOpenLock(-1, EpochLockAll)
-	return w.closeAccessEpoch(ep)
+	w.allow(EpochLockAll, true, false)
+	return w.impl.iunlock(w, -1)
 }
 
 // UnlockAll is the blocking form of IUnlockAll.
 func (w *Window) UnlockAll() {
-	if w.mode == ModeVanilla {
-		w.vanillaUnlock(-1)
-		return
-	}
-	w.waitSync(w.IUnlockAll)
+	w.allow(EpochLockAll, false, false)
+	w.impl.unlock(w, -1)
 }
 
-// findOpenLock locates the newest application-open lock epoch of the given
-// kind (and target, for single-target locks).
-func (w *Window) findOpenLock(target int, kind EpochKind) *Epoch {
+// ilock opens a lock epoch toward target (-1: a lock-all epoch).
+func (newMode) ilock(w *Window, target int, exclusive, noCheck bool) *mpi.Request {
+	return w.openEpoch(func() *Epoch { return w.newLockEpoch(target, exclusive, noCheck) })
+}
+
+// iunlock closes the lock epoch toward target (-1: the lock-all epoch).
+func (newMode) iunlock(w *Window, target int) *mpi.Request {
+	return w.closeAccessEpoch(w.findOpen(lockKind(target), target))
+}
+
+func (newMode) lock(w *Window, target int, exclusive, noCheck bool) {
+	w.waitSync(func() *mpi.Request { return w.impl.ilock(w, target, exclusive, noCheck) })
+}
+
+func (newMode) unlock(w *Window, target int) {
+	w.waitSync(func() *mpi.Request { return w.impl.iunlock(w, target) })
+}
+
+// newLockEpoch creates and registers an application-open lock epoch.
+func (w *Window) newLockEpoch(target int, exclusive, noCheck bool) *Epoch {
+	ep := newEpoch(w, lockKind(target))
+	ep.shared, ep.noCheck = !exclusive, noCheck
+	if target != -1 {
+		ep.setGroup([]int{target})
+	}
+	w.openAccess = append(w.openAccess, ep)
+	return ep
+}
+
+// lockKind is the kind of a lock epoch toward target: -1 is lock_all.
+func lockKind(target int) EpochKind {
+	if target == -1 {
+		return EpochLockAll
+	}
+	return EpochLock
+}
+
+// findOpen locates the newest application-open access epoch of kind: for a
+// single-target lock, the one toward target.
+func (w *Window) findOpen(kind EpochKind, target int) *Epoch {
 	for i := len(w.openAccess) - 1; i >= 0; i-- {
-		ep := w.openAccess[i]
-		if ep.kind != kind {
-			continue
-		}
-		if kind == EpochLockAll || int(ep.peers[0].rank) == target {
+		if ep := w.openAccess[i]; ep.kind == kind && (kind != EpochLock || int(ep.peers[0].rank) == target) {
 			return ep
 		}
 	}
-	w.raisef("no open %s epoch toward %d", kind, target)
+	if kind == EpochLock {
+		w.raisef("no open lock epoch toward %d", target)
+	}
+	w.raisef("no open %s epoch", kind)
 	return nil
 }
 

@@ -10,29 +10,20 @@ package core
 //   - deferred transfers everywhere: "after it reaches its epoch-closing
 //     routine, MVAPICH waits for all internode targets to be ready before
 //     issuing communication to any internode target";
-//   - blocking synchronizations only.
+//   - blocking synchronizations only (the refusal table, mode.go).
 
-// vanillaActivate registers and activates an epoch outside the deferred
-// queue machinery (vanilla has no deferral: one epoch at a time).
-func (w *Window) vanillaActivate(ep *Epoch) {
-	w.emitEpoch(traceOpen, ep)
-	w.epochs = append(w.epochs, ep)
-	if p := w.deadDependency(ep); p >= 0 {
-		w.abortOpenedDead(ep, p)
-		return
-	}
-	w.activate(ep)
-}
-
-// vanillaOpen is vanilla-mode Start (EpochAccess) and Post (EpochExposure).
-// An access epoch's ids are assigned immediately but its transfers stay
+// openGATS is vanilla-mode Start (EpochAccess) and Post (EpochExposure),
+// activated at once (vanilla has no deferral: one epoch at a time). An
+// access epoch's ids are assigned immediately but its transfers stay
 // recorded until Complete; an exposure's post notifications go out at once,
 // as in every modern MPI library.
-func (w *Window) vanillaOpen(kind EpochKind, group []int) {
+func (vanillaMode) openGATS(w *Window, kind EpochKind, group []int) {
 	if !w.rank.ChargeCall() {
 		return
 	}
-	w.vanillaActivate(w.newGATSEpoch(kind, group))
+	if ep := w.newGATSEpoch(kind, group); w.enter(ep) {
+		w.activate(ep)
+	}
 }
 
 // Stages of a vanilla closing synchronization (vanillaDrain): the wait a
@@ -44,27 +35,26 @@ const (
 	drainEach              // lock-all: each target drained as its grant lands
 )
 
-// vanillaClose is vanilla-mode Complete (EpochAccess) — the MVAPICH-style
+// closeGATS is vanilla-mode Complete (EpochAccess) — the MVAPICH-style
 // closing synchronization: wait for every target's post, then issue
 // everything, wait for the data, notify — and WaitEpoch (EpochExposure),
 // which waits until every origin's done packet has arrived. The epoch is
 // closed at the application level and then drained; the repeat of a pending
 // call goes straight back to the drain stage it had reached.
-func (w *Window) vanillaClose(kind EpochKind) {
+func (vanillaMode) closeGATS(w *Window, kind EpochKind) {
 	ep, stage := w.eng.call.resume()
 	if stage == 0 {
 		if !w.rank.ChargeCall() {
 			return
 		}
 		if kind == EpochAccess {
-			ep, stage = w.findOpenGATSAccess(), drainGrants
-			w.emitEpoch(traceClose, ep)
+			ep, stage = w.findOpen(EpochAccess, -1), drainGrants
 			w.removeOpenAccess(ep)
 		} else {
 			ep, stage = w.takeOldestExposure(), drainExpose
-			w.emitEpoch(traceClose, ep)
 			ep.closedApp = true
 		}
+		w.emitEpoch(traceClose, ep)
 		w.armEpochTimeout(ep)
 	}
 	w.vanillaDrain(ep, stage)
@@ -139,11 +129,11 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) {
 	}
 }
 
-// vanillaFence closes the open fence epoch with the staged blocking
+// fence closes the open fence epoch with the staged blocking
 // sequence (all-ready, issue, drain, notify, collect) and opens the next
 // round unless AssertNoSucceed. The repeat of a call pending in the drain
 // resumes the stage it had reached.
-func (w *Window) vanillaFence(assert FenceAssert) {
+func (vanillaMode) fence(w *Window, assert FenceAssert) {
 	ep, stage := w.eng.call.resume()
 	if stage == 0 {
 		if !w.rank.ChargeCall() {
@@ -161,36 +151,28 @@ func (w *Window) vanillaFence(assert FenceAssert) {
 		}
 	}
 	if assert&AssertNoSucceed == 0 {
-		ep := newEpoch(w, EpochFence)
-		w.curFence = ep
-		w.openAccess = append(w.openAccess, ep)
-		w.vanillaActivate(ep)
+		if ep := w.newFenceEpoch(); w.enter(ep) {
+			w.activate(ep)
+		}
 	}
 }
 
-// vanillaLock opens a lazy lock epoch toward target — or a lazy shared lock
-// on every rank, for target -1: nothing is sent yet.
-func (w *Window) vanillaLock(target int, exclusive bool) {
+// lock opens a lazy lock epoch toward target — or a lazy shared lock on
+// every rank, for target -1: nothing is sent yet. The refusal table keeps
+// NOCHECK out: the lazy lock is the whole epoch, so there is no lock-free
+// path.
+func (vanillaMode) lock(w *Window, target int, exclusive, _ bool) {
 	if !w.rank.ChargeCall() {
 		return
 	}
-	kind := EpochLockAll
-	if target != -1 {
-		kind = EpochLock
-	}
-	ep := newEpoch(w, kind)
-	ep.shared = !exclusive
-	if target != -1 {
-		ep.setGroup([]int{target})
-	}
+	ep := w.newLockEpoch(target, exclusive, false)
 	w.emitEpoch(traceOpen, ep)
-	w.openAccess = append(w.openAccess, ep)
 	w.epochs = append(w.epochs, ep)
 }
 
-// vanillaUnlock fulfils the whole lazy lock epoch toward target — or the
+// unlock fulfils the whole lazy lock epoch toward target — or the
 // lock-all epoch, for target -1: request the lock, wait for the grant, issue
-// the recorded transfers, drain them, release. Like vanillaClose, the repeat
+// the recorded transfers, drain them, release. Like closeGATS, the repeat
 // of a pending call goes straight back to the drain stage it had reached.
 //
 // The lock-all epoch is drained incrementally (drainEach): each target's
@@ -199,16 +181,15 @@ func (w *Window) vanillaLock(target int, exclusive bool) {
 // every granted lock while blocked on the rest is a hold-and-wait pattern
 // that deadlocks against concurrent exclusive locks; real lazy
 // implementations acquire and release per target for exactly this reason.
-func (w *Window) vanillaUnlock(target int) {
+func (vanillaMode) unlock(w *Window, target int) {
 	ep, stage := w.eng.call.resume()
 	if stage == 0 {
 		if !w.rank.ChargeCall() {
 			return
 		}
+		ep, stage = w.findOpen(lockKind(target), target), drainGrants
 		if target == -1 {
-			ep, stage = w.findOpenLock(-1, EpochLockAll), drainEach
-		} else {
-			ep, stage = w.findOpenLock(target, EpochLock), drainGrants
+			stage = drainEach
 		}
 		w.emitEpoch(traceClose, ep)
 		w.removeOpenAccess(ep)
@@ -238,12 +219,12 @@ func (w *Window) vanillaLockActivate(ep *Epoch) {
 	w.requestAccess(ep)
 }
 
-// vanillaForceIssue pushes the lazy passive epochs covering target (-1:
+// forceIssue pushes the lazy passive epochs covering target (-1:
 // every target) far enough for a blocking flush: acquire the lock(s) and
 // issue what is recorded. It reports false when the call is pending in an
 // epoch's grant wait; the repeat resumes at that epoch (from; nil: the
 // first), never re-sweeping a wait it had already passed.
-func (w *Window) vanillaForceIssue(target int, from *Epoch) bool {
+func (vanillaMode) forceIssue(w *Window, target int, from *Epoch) bool {
 	for _, ep := range w.openAccess {
 		if from != nil && ep != from {
 			continue
@@ -265,4 +246,17 @@ func (w *Window) vanillaForceIssue(target int, from *Epoch) bool {
 		}
 	}
 	return true
+}
+
+// admit records the op and issues it only if its target is already ready and
+// nothing older toward it is recorded (MVAPICH's in-epoch overlap for
+// GATS/fence, Section VIII-A); else the batch waits for the closing call.
+func (vanillaMode) admit(w *Window, ep *Epoch, o *rmaOp) {
+	if w.chkCfl {
+		w.checkConflict(o)
+	}
+	ep.record(o)
+	if ep.activated && ep.find(o.target).recHead == o {
+		w.eng.issueBucket(ep, o.target)
+	}
 }

@@ -45,7 +45,7 @@ func (w *Window) checkVector(target int, off int64, v vecShape) {
 func (w *Window) PutVector(target int, off int64, count, blockLen, stride int64, data []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
 	w.checkVector(target, off, v)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opPut,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opPut,
 		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v}, false)
 }
 
@@ -54,7 +54,7 @@ func (w *Window) PutVector(target int, off int64, count, blockLen, stride int64,
 func (w *Window) GetVector(target int, off int64, count, blockLen, stride int64, buf []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
 	w.checkVector(target, off, v)
-	w.addOp(rmaOp{ep: w.currentAccessEpoch(target), class: opGet,
+	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opGet,
 		target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: &v}, false)
 }
 

@@ -9,14 +9,15 @@ import (
 // Window is one rank's view of a collectively created RMA window: the
 // exposed local memory region plus all epoch-matching and epoch-queue state.
 type Window struct {
-	rank *mpi.Rank
-	eng  *Engine
-	id   int64
-	mode Mode
-	info Info
-	n    int
-	size int64
-	buf  []byte // nil for shape-only windows
+	rank  *mpi.Rank
+	eng   *Engine
+	id    int64
+	impl  modeImpl   // the mode's implementation (mode.go)
+	rules *modeRules // and its row of the seam's table
+	info  Info
+	n     int
+	size  int64
+	buf   []byte // nil for shape-only windows
 
 	// ω-triples + done counters per peer (O(1) matching state): dense
 	// values for small worlds, sparse entries at scale so a 64k-rank world
@@ -40,12 +41,6 @@ type Window struct {
 	// Passive-target lock agent (target side; runs in NIC context for
 	// internode requesters, engine context for intranode ones).
 	agent *lockAgent
-
-	// Flush-mode (epochless) state: the perpetual always-granted epoch ops
-	// attach to, and the foMPI-style scalable lock protocol. Both nil unless
-	// mode == ModeFlush (sync_flushmode.go).
-	flushEp *Epoch
-	fm      *flushState
 
 	// Flush support: monotonic op ages, the not-yet-remotely-complete ops
 	// as an intrusive list in age order (rmaOp.prevLive/nextLive), and
@@ -79,9 +74,6 @@ type Window struct {
 // Rank returns the owning rank.
 func (w *Window) Rank() *mpi.Rank { return w.rank }
 
-// Mode returns the window's implementation mode.
-func (w *Window) Mode() Mode { return w.mode }
-
 // Size returns the exposed region size in bytes.
 func (w *Window) Size() int64 { return w.size }
 
@@ -100,14 +92,9 @@ func (w *Window) checkRange(target int, off, size int64) {
 	}
 }
 
-// currentAccessEpoch returns the newest application-open access epoch
-// covering target t; RMA communication calls must happen inside one. Flush-
-// mode windows are epochless: the whole window lifetime is one implicit
-// passive span, represented by the perpetual flushEp.
-func (w *Window) currentAccessEpoch(t int) *Epoch {
-	if w.mode == ModeFlush {
-		return w.flushEp
-	}
+// accessEpoch is the newest application-open access epoch covering target
+// t; RMA communication calls must happen inside one.
+func (newMode) accessEpoch(w *Window, t int) *Epoch {
 	for i := len(w.openAccess) - 1; i >= 0; i-- {
 		if w.openAccess[i].coversTarget(t) {
 			return w.openAccess[i]
@@ -147,9 +134,6 @@ func removeOpen(q []*Epoch, i int) []*Epoch {
 // exists before the charge, so the repeat of a pending call takes it from
 // the call state instead of building another.
 func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
-	if w.mode == ModeVanilla {
-		w.raisef("nonblocking synchronizations are unavailable in vanilla mode")
-	}
 	c := &w.eng.call
 	ep := c.ep
 	if ep == nil {
@@ -157,9 +141,6 @@ func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 	}
 	c.ep = nil
 	w.checkLive()
-	if w.mode == ModeFlush {
-		w.raisef("%s synchronization is unavailable in flush mode (epochless window)", ep.kind)
-	}
 	if w.err != nil {
 		// Errors are fatal for the window: once an epoch aborted, the serial
 		// pipeline is poisoned and new epochs would hang behind it.
@@ -169,19 +150,22 @@ func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 		c.ep = ep
 		return nil
 	}
-	w.emitEpoch(traceOpen, ep)
-	w.epochs = append(w.epochs, ep)
-	w.dirty = true
-	if p := w.deadDependency(ep); p >= 0 {
-		// The epoch depends on a peer this rank already knows dead: abort it
-		// at the door instead of letting it wait on packets that will never
-		// arrive. Blocking closers observe the error via waitSync, I-form
-		// closers via the failed closing request.
-		w.abortOpenedDead(ep, p)
-	} else {
+	if w.dirty = true; w.enter(ep) {
 		w.scanActivate()
 	}
 	return mpi.NewCompletedRequest(w.rank)
+}
+
+// enter queues a just-opened epoch and reports whether it stands: one that
+// depends on a peer known dead aborts at the door (its closer sees the error).
+func (w *Window) enter(ep *Epoch) bool {
+	w.emitEpoch(traceOpen, ep)
+	w.epochs = append(w.epochs, ep)
+	if p := w.deadDependency(ep); p >= 0 {
+		w.abortOpenedDead(ep, p)
+		return false
+	}
+	return true
 }
 
 // peer returns the counter triple toward rank i, materializing it on first
@@ -248,7 +232,7 @@ func (w *Window) detachLive(ep *Epoch) *rmaOp {
 // even while the application computes. Deferred (not yet activated) epochs
 // still wait for the CPU-side engine scan.
 func (w *Window) onGrant(src int) {
-	if w.mode != ModeVanilla && !w.noTrig {
+	if w.rules.engineDriven && !w.noTrig {
 		for _, ep := range w.epochs {
 			if !ep.activated || !ep.coversTarget(src) {
 				continue
@@ -333,12 +317,12 @@ func (w *Window) canReorderRules(prev, next *Epoch) bool {
 // conditions." Vanilla-mode windows activate at open and never defer.
 func (w *Window) scanActivate() {
 	w.pruneCompleted()
-	if w.mode == ModeVanilla {
-		return
-	}
 	for i, ep := range w.epochs {
 		if ep.activated {
 			continue
+		}
+		if !w.rules.engineDriven {
+			return
 		}
 		ok := true
 		for _, prev := range w.epochs[:i] {
@@ -427,15 +411,12 @@ func (w *Window) grantTo(ep *Epoch, o int) {
 // operation is in flight (an aborted window is quiescent by definition —
 // the abort already unwound everything).
 func (w *Window) Quiesce() {
-	w.rank.WaitUntil("win-quiesce", w.quiesced)
+	w.rank.WaitUntil("win-quiesce", func() bool { return w.impl.quiesced(w) })
 }
 
-// quiesced is Quiesce's predicate: every epoch (or, in flush mode, every op
-// and lock) of this window has completed internally.
-func (w *Window) quiesced() bool {
-	if w.mode == ModeFlush {
-		return w.err != nil || (w.liveHead == nil && w.fm.idle())
-	}
+// quiesced is Quiesce's predicate: every epoch of the window has completed
+// internally.
+func (newMode) quiesced(w *Window) bool {
 	w.pruneCompleted()
 	if len(w.epochs) != 0 {
 		return false

@@ -250,7 +250,7 @@ func compile(p *Program, mode core.Mode, me int, groups [][]int) prog.Program {
 // OpSpec of each operation: CreateWindow per window; per round its Compute,
 // synchronizations and operations; then Wait for the kept nonblocking
 // closes, Quiesce per window and a Barrier. A rank takes the I-forms in the
-// rounds that make it nonblocking — never under vanilla, which has none.
+// rounds that make it nonblocking, where its mode has them (vanilla has none).
 // Flush-mode locks are pure mutual exclusion, so their acquire is always
 // awaited before the ops, and completion comes from the flush family: an
 // explicit flush before the unlock, or the one a blocking unlock_all implies.
@@ -261,7 +261,7 @@ func layout(p *Program, mode core.Mode, me int, emit func(prog.Call, *OpSpec)) {
 	for i := range p.Rounds {
 		rd := &p.Rounds[i]
 		ws, win := &p.Windows[rd.Win], int32(rd.Win)
-		flush, nb := mode == core.ModeFlush, rd.Nonblocking[me] && mode != core.ModeVanilla
+		flush, nb := mode == core.ModeFlush, rd.Nonblocking[me] && mode.Nonblocking()
 		add := func(k prog.Kind, nb bool, c prog.Call) {
 			if c.Kind, c.Win = k, win; nb {
 				c.Kind++
