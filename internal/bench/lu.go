@@ -142,7 +142,7 @@ type luGen struct {
 	owner, peer, solo []op
 }
 
-func (g *luGen) Next() []op {
+func (g *luGen) Next(error) []op {
 	m, k := g.p.M, g.k
 	g.k++
 	blk := g.owner

@@ -158,7 +158,7 @@ type txnGen struct {
 	blk []op // lock, accumulate, unlock (and the nonblocking retire)
 }
 
-func (g *txnGen) Next() []op {
+func (g *txnGen) Next(error) []op {
 	target := int32(g.rng.Intn(g.n))
 	g.blk[0].Peer, g.blk[1].Peer, g.blk[2].Peer = target, target, target
 	g.blk[1].Off = int64(g.rng.Intn(512)) * 8

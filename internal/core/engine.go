@@ -54,14 +54,18 @@ type Engine struct {
 // callState is what a pending call had built or reached before the
 // primitive that armed the task rank's wake; the repeat of the call takes it
 // from here instead of making the transition again. A rank has one call in
-// flight, so one record per engine serves every window. Fields are written
-// only on the pending path: on a goroutine rank they stay zero.
+// flight, so one record per engine serves every window. Fields but err are
+// written only on the pending path: on a goroutine rank they stay zero.
 type callState struct {
 	win   *Window // CreateWindow: created, inside the barrier; Free: quiesced, inside it
 	ep    *Epoch  // epoch opens: built, not yet pushed; staged calls: the epoch waited on
 	stage int     // staged calls (vanilla closes, blocking flushes): the wait reached; 0 = fresh
 	fence *Epoch  // IFence: the fence epoch it closed, inside the next one's open
 	lo    *lockOp // flush-mode unlocks: registered, inside the flush
+
+	// err is what the last call that failed under WinOptions.ErrorsReturn
+	// recorded, until Window.TakeErr reads it.
+	err error
 }
 
 // resume takes a staged call's saved epoch and stage (stage 0: a fresh call)

@@ -21,8 +21,9 @@ import (
 // In every case the window aborts its pending epochs: each epoch is marked
 // complete-with-error so no waiter deadlocks — blocking synchronizations
 // observe the error and panic with the *RMAError (which world.Run converts
-// into a returned error via the kernel's %w wrapping), and nonblocking
-// closing requests fail so Request.Err reports the cause.
+// into a returned error via the kernel's %w wrapping) or, on a window created
+// with WinOptions.ErrorsReturn, record it for TakeErr (Window.fail), and
+// nonblocking closing requests fail so Request.Err reports the cause.
 
 // ErrClass partitions RMA failures, mirroring MPI error classes.
 type ErrClass int
@@ -163,17 +164,42 @@ func (w *Window) abortPending(first *Epoch, err *RMAError) {
 	fl := w.flushes
 	w.flushes = nil
 	for _, f := range fl {
-		f.req.Fail(cascade)
+		f.fail(cascade)
 	}
+}
+
+// TakeErr returns the error the last call on the window recorded under
+// WinOptions.ErrorsReturn, or nil, and clears it. A rank has one call in
+// flight, so the error waits in the rank's engine until the next call's
+// TakeErr.
+func (w *Window) TakeErr() error {
+	if !w.errorsReturn {
+		return nil // errors are fatal: nothing was recorded
+	}
+	c := &w.eng.call
+	err := c.err
+	c.err = nil
+	return err
+}
+
+// fail is the window's error handler, for a call that cannot go on because
+// its epoch or window aborted: it panics with err (MPI_ERRORS_ARE_FATAL) or,
+// under WinOptions.ErrorsReturn, records err for TakeErr. Either way the call
+// makes no further step.
+func (w *Window) fail(err error) {
+	if !w.errorsReturn {
+		panic(err)
+	}
+	w.eng.call.err = err
 }
 
 // waitSync is Section V's definition of every blocking synchronization: its
 // nonblocking form, then a wait for the request that form returned
-// (mpi.Rank.IssueWait), then any abort error surfaced as a panic (the
-// errors-are-fatal analog — world.Run returns it as a wrapped error).
+// (mpi.Rank.IssueWait), then any abort error raised (fail). A nonblocking
+// form that failed returns no request, and nothing is waited for.
 func (w *Window) waitSync(issue func() *mpi.Request) {
-	if err := w.rank.IssueWait(issue).Err(); err != nil {
-		panic(err)
+	if req := w.rank.IssueWait(issue); req != nil && req.Err() != nil {
+		w.fail(req.Err())
 	}
 }
 
@@ -186,14 +212,19 @@ func (w *Window) armEpochTimeout(ep *Epoch) {
 	if w.timeout <= 0 || ep.completed {
 		return
 	}
-	k := w.rank.Kernel()
-	k.After(w.timeout, func() {
-		if ep.completed {
-			return
-		}
-		w.stats.Timeouts++
-		w.abortPending(ep, w.classifyStall(ep))
-	})
+	w.rank.Kernel().AfterCall(w.timeout, epochTimedOut, ep)
+}
+
+// epochTimedOut is the epoch timeout's event: it aborts the epoch, and the
+// window's pending epochs behind it, unless the epoch completed first.
+func epochTimedOut(arg any) {
+	ep := arg.(*Epoch)
+	if ep.completed {
+		return
+	}
+	w := ep.win
+	w.stats.Timeouts++
+	w.abortPending(ep, w.classifyStall(ep))
 }
 
 // classifyStall attributes a timed-out epoch. The blocked peer set — every

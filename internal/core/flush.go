@@ -13,13 +13,38 @@ import (
 // holding the number of older incomplete calls in scope; each completing
 // call decrements the counters of the flush requests it is older than.
 
-// flushReq is one outstanding nonblocking flush.
+// flushReq is one outstanding nonblocking flush: an application IFlush's
+// request, or the flush-mode unlock (lo) it continues, with no request.
 type flushReq struct {
 	req     *mpi.Request
+	lo      *lockOp
 	target  int // -1 = all targets
 	local   bool
 	stamp   int64
 	counter int
+}
+
+// complete ends the flush successfully: its request completes, or the
+// unlock it continues sends its release atomic.
+func (f *flushReq) complete() {
+	if f.lo == nil {
+		f.req.Complete()
+		return
+	}
+	if !f.lo.finished {
+		f.lo.fm.sendAtom(f.lo, f.lo.release)
+	}
+	f.lo.fm.w.rank.Wake.Fire()
+}
+
+// fail ends the flush, and the unlock it continues, with err.
+func (f *flushReq) fail(err error) {
+	if f.lo == nil {
+		f.req.Fail(err)
+		return
+	}
+	f.lo.fail(err)
+	f.lo.fm.w.rank.Wake.Fire()
 }
 
 // settleFlushes lets op completion events decrement matching outstanding
@@ -37,7 +62,7 @@ func (w *Window) settleFlushes(o *rmaOp, localEvent bool) {
 		if f.local == localEvent && o.age <= f.stamp && (f.target == -1 || f.target == o.target) {
 			f.counter--
 			if f.counter == 0 {
-				f.req.Complete()
+				f.complete()
 				continue
 			}
 		}
@@ -84,18 +109,24 @@ func (w *Window) newFlush(target int, local bool) *mpi.Request {
 	}
 	w.impl.requirePassive(w, target)
 	req := mpi.NewRequest(w.rank)
-	f := flushReq{req: req, target: target, local: local, stamp: w.opAge}
+	w.addFlush(flushReq{req: req, target: target, local: local})
+	return req
+}
+
+// addFlush stamps f with the age of the newest call and counts the older
+// incomplete calls in its scope; with none, f completes at once.
+func (w *Window) addFlush(f flushReq) {
+	f.stamp = w.opAge
 	for o := w.liveHead; o != nil; o = o.nextLive {
-		if o.age <= f.stamp && o.inFlush(target, local) {
+		if o.age <= f.stamp && o.inFlush(f.target, f.local) {
 			f.counter++
 		}
 	}
 	if f.counter == 0 {
-		req.Complete()
-		return req
+		f.complete()
+		return
 	}
 	w.flushes = append(w.flushes, f)
-	return req
 }
 
 // inFlush reports whether a flush toward target (-1: all) waits for o.
@@ -139,7 +170,8 @@ func (w *Window) flushWait(target int, local bool) {
 			return
 		}
 		if w.err != nil {
-			panic(w.err) // poisoned window: surface the abort, not an epoch panic
+			w.fail(w.err) // poisoned window: surface the abort, not an epoch panic
+			return
 		}
 		w.impl.requirePassive(w, target)
 	}
@@ -161,7 +193,7 @@ func (w *Window) flushWait(target int, local bool) {
 		return
 	}
 	if w.err != nil {
-		panic(w.err)
+		w.fail(w.err)
 	}
 }
 

@@ -61,10 +61,21 @@ type rmaOp struct {
 // arrives by value and takes its heap slot — a retired op of the window when
 // there is one — only after the charge, so the repeat of a pending call does
 // not take a second one. A request-based call (withReq) gets its request
-// here too, after the charge: a pending call returns nil, like every I-form.
+// here too, after the charge: a pending call returns nil, like every I-form,
+// and so does one whose epoch aborted.
 func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 	w.checkLive()
 	if !w.rank.ChargeCall() {
+		return nil
+	}
+	w.checkRange(op.target, op.off, op.size)
+	if w.buf == nil && (op.data != nil || op.buf != nil || op.cmp != nil) {
+		w.raisef("data-carrying RMA operation on a shape-only window")
+	}
+	if op.ep.err != nil {
+		// The surrounding epoch was aborted (dead peer / timeout): issuing
+		// further communication on it is erroneous.
+		w.fail(op.ep.err)
 		return nil
 	}
 	o := w.freeOps
@@ -78,10 +89,6 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 		o.req = mpi.NewRequest(w.rank)
 	}
 	req := o.req
-	w.checkRange(o.target, o.off, o.size)
-	if w.buf == nil && (o.data != nil || o.buf != nil || o.cmp != nil) {
-		w.raisef("data-carrying RMA operation on a shape-only window")
-	}
 	w.opAge++
 	o.age = w.opAge
 	w.linkLive(o)
@@ -89,13 +96,7 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 	if o.class == opPut || o.class == opAcc {
 		w.stats.BytesOut += o.size
 	}
-	ep := o.ep
-	if ep.err != nil {
-		// The surrounding epoch was aborted (dead peer / timeout): issuing
-		// further communication on it is erroneous. Errors are fatal.
-		panic(ep.err)
-	}
-	w.impl.admit(w, ep, o)
+	w.impl.admit(w, o.ep, o)
 	return req
 }
 

@@ -74,6 +74,11 @@ type WinOptions struct {
 	// the death of an unrelated rank never implicates the window via its
 	// master dependency.
 	FlushMaster int
+	// ErrorsReturn is MPI_ERRORS_RETURN for the window: a blocking
+	// synchronization or RMA call that meets an aborted epoch records the
+	// *RMAError it would panic with for Window.TakeErr and returns at once.
+	// False — the default — is MPI_ERRORS_ARE_FATAL.
+	ErrorsReturn bool
 }
 
 // CreateWindow collectively creates an RMA window exposing size bytes of
@@ -116,6 +121,8 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 
 		transport: opt.Transport,
 		sigBase:   opt.SignalBase,
+
+		errorsReturn: opt.ErrorsReturn,
 	}
 	eng.nextWinID++
 	if !opt.ShapeOnly {

@@ -76,12 +76,13 @@ func (w *Window) WaitSignal(src int, count int64) {
 		return
 	}
 	if w.err != nil {
-		panic(w.err)
+		w.fail(w.err)
+		return
 	}
 	err := w.newRMAError(ErrRankUnreachable, src,
 		"WaitSignal spinning on unreachable peer (observed %d of %d)", w.SignalCount(src), count)
 	err.Peers = []int{src}
-	panic(err)
+	w.fail(err)
 }
 
 // Transport returns the window's control-plane transport.

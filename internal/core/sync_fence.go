@@ -35,11 +35,11 @@ func (w *Window) IFence(assert FenceAssert) *mpi.Request {
 			w.curFence = nil
 		}
 	}
-	if assert&AssertNoSucceed == 0 {
-		if w.openEpoch(w.newFenceEpoch); w.rank.Pending() {
+	if assert&AssertNoSucceed == 0 && w.openEpoch(w.newFenceEpoch) == nil {
+		if w.rank.Pending() {
 			c.fence = closed
-			return nil
 		}
+		return nil
 	}
 	if closed == nil {
 		return mpi.NewCompletedRequest(w.rank)

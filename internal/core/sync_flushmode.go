@@ -101,14 +101,25 @@ func newFlushState(w *Window, master int) *flushState {
 
 // lockOp is one origin-side lock-protocol operation (an acquire or release,
 // possibly two-phase). It travels as the payload of the protocol's atomic
-// packets so the response handler finds its continuation without lookup.
+// packets so the response handler finds its continuation without lookup, and
+// owns the request its caller waits on.
 type lockOp struct {
 	fm       *flushState
-	req      *mpi.Request
+	req      mpi.Request
 	target   int   // -1 for lock_all
 	release  int64 // releases: the atomic to send once the flush completes
+	retry    int64 // the failed conditional atomic a backoff timer resends
 	attempt  int   // consecutive failed conditional atomics (backoff input)
 	finished bool
+}
+
+// newLockOp registers a protocol operation toward target (-1: lock_all)
+// whose release code, for a release, is the atomic it ends with.
+func (fm *flushState) newLockOp(target int, release int64) *lockOp {
+	lo := &lockOp{fm: fm, target: target, release: release}
+	lo.req.Init(fm.w.rank)
+	fm.pending[lo] = struct{}{}
+	return lo
 }
 
 // atomDst resolves the rank hosting the counter an atomic code addresses.
@@ -218,7 +229,7 @@ func (lo *lockOp) advance(code int64, ok bool) {
 		return // aborted underneath (failPending) — drop the stale response
 	}
 	if !ok {
-		lo.retry(code)
+		lo.backOff(code)
 		return
 	}
 	lo.attempt = 0
@@ -243,17 +254,24 @@ func (lo *lockOp) advance(code int64, ok bool) {
 	}
 }
 
-// retry reissues a failed conditional atomic after the backoff delay.
-func (lo *lockOp) retry(code int64) {
+// backOff reissues a failed conditional atomic after the backoff delay. An
+// operation has one atomic in flight, so one retry field serves it.
+func (lo *lockOp) backOff(code int64) {
 	fm := lo.fm
 	d := fm.backoff(lo.attempt)
 	lo.attempt++
-	fm.w.rank.Kernel().After(d, func() {
-		if lo.finished || fm.w.err != nil {
-			return
-		}
-		fm.sendAtom(lo, code)
-	})
+	lo.retry = code
+	fm.w.rank.Kernel().AfterCall(d, resendAtom, lo)
+}
+
+// resendAtom is a backoff timer's event: the retry goes out unless the
+// operation ended or the window aborted meanwhile.
+func resendAtom(arg any) {
+	lo := arg.(*lockOp)
+	if lo.finished || lo.fm.w.err != nil {
+		return
+	}
+	lo.fm.sendAtom(lo, lo.retry)
 }
 
 // finish completes the operation's request successfully.
@@ -306,16 +324,16 @@ func (fm *flushState) ilock(w *Window, target int, exclusive, noCheck bool) *mpi
 	if err := fm.deadAcquire(dep); err != nil {
 		return mpi.NewFailedRequest(w.rank, err)
 	}
-	lo := &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: target}
-	fm.pending[lo] = struct{}{}
+	lo := fm.newLockOp(target, 0)
 	fm.sendAtom(lo, code)
-	return lo.req
+	return &lo.req
 }
 
 // iunlock starts the release of the lock held on target, or of lock_all
 // when target is -1. MPI's unlock implies remote completion of the epochless
 // "epoch" toward the target, so the release atomic is chained behind an
-// internal IFlush(target) / IFlushAll. The embedded flush carries its own
+// internal flush toward target (all targets), which continues the protocol
+// op when it completes (flushReq.lo). The embedded flush carries its own
 // ChargeCall — a flush-mode unlock really does pay two call overheads — so
 // the repeat of a call pending there finds its registered protocol op in the
 // call state.
@@ -353,25 +371,19 @@ func (fm *flushState) iunlock(w *Window, target int) *mpi.Request {
 				code = laLocalRelX
 			}
 		}
-		lo = &lockOp{fm: fm, req: mpi.NewRequest(w.rank), target: target, release: code}
-		fm.pending[lo] = struct{}{}
+		lo = fm.newLockOp(target, code)
 	}
 	c.lo = nil
-	fq := w.newFlush(target, false)
-	if w.rank.Pending() {
+	if !w.rank.ChargeCall() {
 		c.lo = lo
 		return nil
 	}
-	fq.OnComplete(func() {
-		if err := fq.Err(); err != nil {
-			lo.fail(err)
-			return
-		}
-		if !lo.finished {
-			fm.sendAtom(lo, lo.release)
-		}
-	})
-	return lo.req
+	if w.err != nil {
+		lo.fail(w.err) // the flush fails on a poisoned window, and the release with it
+	} else {
+		w.addFlush(flushReq{lo: lo, target: target})
+	}
+	return &lo.req
 }
 
 // accessEpoch is the perpetual epoch: the window's lifetime is one passive span.
@@ -454,7 +466,7 @@ func (fm *flushState) abortPeer(w *Window, peer int) {
 	err.Peers = []int{peer}
 	w.abortEpoch(fm.ep, err)
 	for _, f := range w.flushes {
-		f.req.Fail(err)
+		f.fail(err)
 	}
 	w.flushes = nil
 	fm.failPending(err)

@@ -139,7 +139,8 @@ func (w *Window) TestEpoch() bool {
 	w.rank.Progress()
 	if ep.err != nil {
 		w.openExposure = removeOpen(w.openExposure, 0)
-		panic(ep.err)
+		w.fail(ep.err)
+		return false
 	}
 	// Probe completion without closing: all origins must have sent dones.
 	if !ep.activated || !ep.donesArrived() {

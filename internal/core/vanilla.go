@@ -70,15 +70,16 @@ func (vanillaMode) closeGATS(w *Window, kind EpochKind) {
 // Every stage's predicate admits ep.err: an abort (epoch timeout or
 // dead-peer declaration) completes the epoch without ever satisfying the
 // healthy-path condition — grants from a dead lock agent never arrive — so
-// an abort-blind drain would wait forever. The error surfaces as a panic
-// after the unwind (the errors-are-fatal analog, same as waitSync).
-func (w *Window) vanillaDrain(ep *Epoch, stage int) {
+// an abort-blind drain would wait forever. The error is raised after the
+// unwind (Window.fail, as in waitSync). It reports whether the drain
+// finished cleanly: false means pending or failed.
+func (w *Window) vanillaDrain(ep *Epoch, stage int) bool {
 	r, c := w.rank, &w.eng.call
 	switch stage {
 	case drainGrants:
 		if !r.WaitUntil("vanilla-grants", func() bool { return ep.err != nil || ep.allGranted() }) {
 			c.ep, c.stage = ep, drainGrants
-			return
+			return false
 		}
 		if ep.err != nil {
 			break
@@ -90,7 +91,7 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) {
 			return ep.err != nil || (ep.pendingAll == 0 && ep.recLive == 0)
 		}) {
 			c.ep, c.stage = ep, drainData
-			return
+			return false
 		}
 		if ep.err != nil {
 			break
@@ -105,7 +106,7 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) {
 	case drainExpose:
 		if !r.WaitUntil("vanilla-wait", func() bool { return ep.err != nil || ep.exposureSideDone() }) {
 			c.ep, c.stage = ep, drainExpose
-			return
+			return false
 		}
 		if ep.err == nil {
 			ep.maybeComplete()
@@ -121,12 +122,14 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) {
 			return ep.completed
 		}) {
 			c.ep, c.stage = ep, drainEach
-			return
+			return false
 		}
 	}
 	if err := ep.err; err != nil {
-		panic(err)
+		w.fail(err)
+		return false
 	}
+	return true
 }
 
 // fence closes the open fence epoch with the staged blocking
@@ -145,10 +148,8 @@ func (vanillaMode) fence(w *Window, assert FenceAssert) {
 			w.removeOpenAccess(ep)
 		}
 	}
-	if ep != nil {
-		if w.vanillaDrain(ep, stage); w.rank.Pending() {
-			return
-		}
+	if ep != nil && !w.vanillaDrain(ep, stage) {
+		return
 	}
 	if assert&AssertNoSucceed == 0 {
 		if ep := w.newFenceEpoch(); w.enter(ep) {

@@ -61,6 +61,9 @@ type Window struct {
 	// chkCfl enables the Section VI-C disjointness conflict checker.
 	chkCfl bool
 
+	// errorsReturn: a failed call records its error (WinOptions.ErrorsReturn).
+	errorsReturn bool
+
 	// timeout is the per-epoch operation timeout (WinOptions.EpochTimeout);
 	// 0 disables it. err records the first abort (see errors.go).
 	timeout sim.Time
@@ -130,21 +133,23 @@ func removeOpen(q []*Epoch, i int) []*Epoch {
 // epoch and register it as application-open, charge the call, enter the
 // epoch into the deferred-epoch queue and trigger an activation scan (the
 // epoch may activate immediately). The returned request is pre-completed
-// (epoch-opening routines always exit immediately, Section VII-C). The epoch
-// exists before the charge, so the repeat of a pending call takes it from
-// the call state instead of building another.
+// (epoch-opening routines always exit immediately, Section VII-C); nil means
+// the call is pending or failed. The epoch exists before the charge, so the
+// repeat of a pending call takes it from the call state instead of building
+// another.
 func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 	c := &w.eng.call
 	ep := c.ep
-	if ep == nil {
-		ep = build()
-	}
 	c.ep = nil
 	w.checkLive()
 	if w.err != nil {
-		// Errors are fatal for the window: once an epoch aborted, the serial
-		// pipeline is poisoned and new epochs would hang behind it.
-		panic(w.err)
+		// Once an epoch aborted, the serial pipeline is poisoned and new
+		// epochs would hang behind it.
+		w.fail(w.err)
+		return nil
+	}
+	if ep == nil {
+		ep = build()
 	}
 	if !w.rank.ChargeCall() {
 		c.ep = ep

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -77,41 +75,34 @@ func TestKVFailSuspects(t *testing.T) {
 	}
 }
 
-// backoff sleeps base<<att capped at backoffCap plus up to backoffBase of
-// jitter, and refuses — sleeping nothing — when degraded or when the sleep
-// would end past the deadline.
+// backoff is base<<att capped at backoffCap plus up to backoffBase of
+// jitter, and refuses — no retry — when degraded or when the sleep would end
+// past the deadline.
 func TestKVBackoff(t *testing.T) {
-	w := mpi.NewWorld(1, fabric.DefaultConfig())
-	err := w.Run(func(r *mpi.Rank) {
-		c := &client{r: r, rng: sim.NewRNG(1)}
-		slept := func(att int, deadline sim.Time) (sim.Time, bool) {
-			t0 := r.Now()
-			ok := c.backoff(att, deadline)
-			return r.Now() - t0, ok
+	c := &client{rng: sim.NewRNG(1)}
+	const now = sim.Time(5 * sim.Millisecond)
+	far := sim.Time(math.MaxInt64 / 2)
+	jitters := map[sim.Time]bool{}
+	for _, att := range []int{0, 0, 0, 0, 1, 2, 3, 4, 5, 10} {
+		d, ok := c.backoff(att, now, far)
+		base := min(backoffBase<<uint(att), backoffCap)
+		if !ok || d < base || d > base+backoffBase {
+			t.Errorf("attempt %d: sleeps %v (ok %v), want [%v, %v]", att, d, ok, base, base+backoffBase)
 		}
-		far := sim.Time(math.MaxInt64 / 2)
-		jitters := map[sim.Time]bool{}
-		for _, att := range []int{0, 0, 0, 0, 1, 2, 3, 4, 5, 10} {
-			d, ok := slept(att, far)
-			base := min(backoffBase<<uint(att), backoffCap)
-			if !ok || d < base || d > base+backoffBase {
-				t.Errorf("attempt %d: slept %v (ok %v), want [%v, %v]", att, d, ok, base, base+backoffBase)
-			}
-			jitters[d-base] = true
-		}
-		if len(jitters) < 2 {
-			t.Errorf("backoff is not jittered: offsets %v", jitters)
-		}
-		if d, ok := slept(0, r.Now()+backoffBase-1); ok || d != 0 {
-			t.Errorf("past the deadline: slept %v, ok %v; want a refusal", d, ok)
-		}
-		c.degradedMode = true
-		if d, ok := slept(0, far); ok || d != 0 {
-			t.Errorf("degraded: slept %v, ok %v; want a refusal", d, ok)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		jitters[d-base] = true
+	}
+	if len(jitters) < 2 {
+		t.Errorf("backoff is not jittered: offsets %v", jitters)
+	}
+	if d, ok := c.backoff(0, now, now+backoffBase-1); ok {
+		t.Errorf("past the deadline: sleeps %v, ok %v; want a refusal", d, ok)
+	}
+	if d, ok := c.backoff(0, now, now+backoffBase+backoffBase); !ok {
+		t.Errorf("a sleep ending at the deadline at the latest: sleeps %v, refused", d)
+	}
+	c.degradedMode = true
+	if d, ok := c.backoff(0, now, far); ok || d != 0 {
+		t.Errorf("degraded: sleeps %v, ok %v; want a refusal", d, ok)
 	}
 }
 

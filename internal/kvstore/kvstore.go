@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/prog"
 	"repro/internal/sim"
 )
 
@@ -285,7 +286,12 @@ func fmtDur(t sim.Time) string {
 
 // Run executes one KV serving scenario and returns its Result. The
 // simulation is self-contained; faults come only from opt.Schedule.
-func Run(opt Options) *Result {
+func Run(opt Options) *Result { return serve(opt, true) }
+
+// serve runs the scenario with its ranks as task ranks or, as the parity
+// tests' reference, as goroutine ranks (prog.Run.Exec); the two Results are
+// identical.
+func serve(opt Options, tasks bool) *Result {
 	opt.validate()
 	n := opt.Servers + opt.Clients
 	w := mpi.NewWorldShards(n, fabric.DefaultConfig(), opt.Shards)
@@ -293,63 +299,58 @@ func Run(opt Options) *Result {
 		fs.Corrupt != 0 || fs.Jitter != 0 || fs.Seed != 0 || fs.DetectDelay != 0 {
 		w.Net.EnableFaults(opt.Schedule)
 	}
-	rt := core.NewRuntime(w)
-
-	wins := make([][]*core.Window, n) // wins[rank][server]
-	logs := make([][]opRec, opt.Clients)
-	atts := make([][]attempt, opt.Clients)
-	degraded := make([]bool, opt.Clients)
-	err := w.Run(func(r *mpi.Rank) {
-		// Collective setup: every rank creates all S windows in the same
-		// order; window s's memory is authoritative on rank s only. The
-		// flush master is pinned to the home rank so a ModeFlush window
-		// depends on no rank but its own server.
-		ws := make([]*core.Window, opt.Servers)
-		for s := 0; s < opt.Servers; s++ {
-			ws[s] = rt.CreateWindow(r, int64(2*opt.Keys)*slotBytes, core.WinOptions{
-				Mode:         opt.Mode,
-				EpochTimeout: epochTimeout,
-				FlushMaster:  s,
-			})
-		}
-		wins[r.ID] = ws
+	// Collective setup: every rank creates all S windows in the same order;
+	// window s's memory is authoritative on rank s only. The flush master is
+	// pinned to the home rank so a ModeFlush window depends on no rank but
+	// its own server. Errors return: a client recovers from a failed epoch.
+	specs := make([]prog.Window, opt.Servers)
+	create := make([]prog.Call, opt.Servers)
+	for s := range specs {
+		specs[s] = prog.Window{Size: int64(2*opt.Keys) * slotBytes, Opt: core.WinOptions{
+			Mode:         opt.Mode,
+			EpochTimeout: epochTimeout,
+			FlushMaster:  s,
+			ErrorsReturn: true,
+		}}
+		create[s] = prog.Call{Kind: prog.Create, Win: int32(s)}
+	}
+	run := prog.NewRun(w, specs...)
+	clients := make([]*client, opt.Clients)
+	body := []prog.Call{{Kind: prog.Gen}}
+	err := run.Exec(func(r *mpi.Rank) prog.Program {
 		if r.ID < opt.Servers {
 			// Servers are passive: the NIC, lock agent and progress engine
-			// serve requests in kernel context. Returning here (instead of
-			// blocking on a final barrier) keeps a dead server from wedging
-			// the run's teardown.
-			return
+			// serve requests in kernel context. Ending after setup (instead
+			// of blocking on a final barrier) keeps a dead server from
+			// wedging the run's teardown.
+			return prog.Program{Pre: create}
 		}
-		c := newClient(r, opt, ws)
-		c.run()
-		logs[r.ID-opt.Servers] = c.log
-		atts[r.ID-opt.Servers] = c.attempted
-		degraded[r.ID-opt.Servers] = c.degradedMode
-	})
+		c := newClient(r, opt, run.Wins[r.ID])
+		clients[r.ID-opt.Servers] = c
+		return prog.Program{Pre: create, Body: body, Iters: 1, Gen: c}
+	}, tasks)
 	if err != nil {
-		// Rank bodies recover RMA errors themselves; anything that escapes
-		// is a harness bug, not a scenario outcome.
+		// Clients take RMA errors as values; anything that escapes is a
+		// harness bug, not a scenario outcome.
 		panic(fmt.Sprintf("kvstore: simulation failed: %v", err))
 	}
 
 	res := &Result{Opt: opt}
-	for ci := range logs {
-		if degraded[ci] {
+	logs := make([][]opRec, opt.Clients)
+	atts := make([][]attempt, opt.Clients)
+	for ci, c := range clients {
+		logs[ci], atts[ci] = c.log, c.attempted
+		if c.degradedMode {
 			res.DegradedCli++
 		}
-	}
-	for ci := range wins {
-		if ci < opt.Servers {
-			continue
-		}
-		for _, win := range wins[ci] {
+		for _, win := range c.wins {
 			if win.Err() != nil {
 				res.WinsPoisoned++
 			}
 		}
 	}
 	aggregate(res, logs)
-	res.OracleViolations = verify(opt, logs, atts, snapshots(opt, wins))
+	res.OracleViolations = verify(opt, logs, atts, snapshots(opt, run.Wins))
 	return res
 }
 
@@ -424,14 +425,6 @@ func aggregate(res *Result, logs [][]opRec) {
 // non-empty sorted sample: the element at rank ceil(pm/1000 * N).
 func percentile(sorted []sim.Time, pm int) sim.Time {
 	return sorted[(pm*len(sorted)+999)/1000-1]
-}
-
-// le8 encodes v little-endian into a fresh 8-byte slice (the fabric's
-// typed-atomics convention).
-func le8(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
 }
 
 // leU64 decodes a little-endian 8-byte slot.

@@ -238,3 +238,30 @@ func TestKVMessageFaultsAtSeedZero(t *testing.T) {
 		t.Error("a 5% drop schedule at seed 0 left every latency bin unchanged: faults were not enabled")
 	}
 }
+
+// The clients are one prog.Program each, so a run on goroutine ranks and one
+// on task ranks are the same run: byte-identical Results in every mode,
+// healthy, across a server death and across a link flap.
+func TestKVTaskParity(t *testing.T) {
+	for _, mode := range allModes {
+		opt := testOptions(mode)
+		for _, fault := range []struct {
+			name string
+			fp   fabric.FaultProfile
+		}{
+			{"healthy", fabric.FaultProfile{}},
+			{"server-death", deathAt(400 * sim.Microsecond)},
+			{"link-flap", fabric.FaultProfile{Seed: 11,
+				Flaps: []fabric.LinkFlap{{Src: opt.Servers, Dst: 0, From: 200 * sim.Microsecond, For: 150 * sim.Microsecond}}}},
+		} {
+			t.Run(mode.String()+"/"+fault.name, func(t *testing.T) {
+				o := opt
+				o.Schedule = fault.fp
+				goroutines, tasks := serve(o, false).String(), serve(o, true).String()
+				if goroutines != tasks {
+					t.Fatalf("goroutine ranks:\n%s\ntask ranks:\n%s", goroutines, tasks)
+				}
+			})
+		}
+	}
+}

@@ -178,63 +178,121 @@ func TestRepeatedBarriers(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
+// script is a rank program for tests, one call per entry: a call that
+// returns pending is repeated at the rank's next Step, so the same script
+// runs on a task rank and, in a single Step, on a goroutine rank.
+type script struct {
+	r     *Rank
+	calls []func()
+	next  int
+}
+
+func (s *script) Step(p *sim.Proc) {
+	for ; s.next < len(s.calls); s.next++ {
+		if s.calls[s.next](); s.r.Pending() {
+			return
+		}
+	}
+	p.TaskExit()
+}
+
+// bothForms runs program on every rank of a fresh n-rank world as goroutine
+// ranks and as task ranks, calling check after each; the two runs must end
+// at the same virtual time after the same events.
+func bothForms(t *testing.T, n int, program func(r *Rank) []func(), check func(tasks bool)) {
+	t.Helper()
+	var end [2]sim.Time
+	var events [2]uint64
+	for i, tasks := range []bool{false, true} {
+		w := NewWorld(n, testCfg())
+		w.SetWatchdog(100_000, 0) // a livelocked collective fails instead of hanging
+		if err := w.RunProgram(func(r *Rank) sim.Task { return &script{r: r, calls: program(r)} }, tasks); err != nil {
+			t.Fatalf("tasks=%t: simulation failed: %v", tasks, err)
+		}
+		check(tasks)
+		end[i], events[i] = w.K.Now(), w.Events()
+	}
+	if end[0] != end[1] || events[0] != events[1] {
+		t.Fatalf("forms diverge: goroutine ranks end at %v after %d events, task ranks at %v after %d",
+			end[0], events[0], end[1], events[1])
+	}
+}
+
+func TestBcastBothForms(t *testing.T) {
 	data := []byte("broadcast payload")
 	got := make([][]byte, 5)
-	run(t, 5, func(r *Rank) {
+	bothForms(t, 5, func(r *Rank) []func() {
 		var in []byte
 		if r.ID == 2 {
 			in = data
 		}
-		got[r.ID] = r.Bcast(2, in, int64(len(data)))
-	})
-	for i, g := range got {
-		if string(g) != string(data) {
-			t.Fatalf("rank %d got %q", i, g)
+		return []func(){func() { got[r.ID] = r.Bcast(2, in, int64(len(data))) }}
+	}, func(tasks bool) {
+		for i, g := range got {
+			if string(g) != string(data) {
+				t.Fatalf("tasks=%t: rank %d got %q", tasks, i, g)
+			}
 		}
-	}
+		clear(got)
+	})
 }
 
-func TestAllreduce(t *testing.T) {
+func TestAllreduceBothForms(t *testing.T) {
 	sums := make([]int64, 6)
 	maxs := make([]int64, 6)
-	run(t, 6, func(r *Rank) {
-		sums[r.ID] = r.AllreduceInt64(OpSum, int64(r.ID+1))
-		maxs[r.ID] = r.AllreduceInt64(OpMax, int64(r.ID*10))
-	})
-	for i := range sums {
-		if sums[i] != 21 {
-			t.Fatalf("rank %d sum %d, want 21", i, sums[i])
+	bothForms(t, 6, func(r *Rank) []func() {
+		return []func(){
+			func() { sums[r.ID] = r.AllreduceInt64(OpSum, int64(r.ID+1)) },
+			func() { r.Compute(sim.Time(r.ID) * sim.Microsecond) }, // stagger the second round's arrivals
+			func() { maxs[r.ID] = r.AllreduceInt64(OpMax, int64(r.ID*10)) },
 		}
-		if maxs[i] != 50 {
-			t.Fatalf("rank %d max %d, want 50", i, maxs[i])
+	}, func(tasks bool) {
+		for i := range sums {
+			if sums[i] != 21 {
+				t.Fatalf("tasks=%t: rank %d sum %d, want 21", tasks, i, sums[i])
+			}
+			if maxs[i] != 50 {
+				t.Fatalf("tasks=%t: rank %d max %d, want 50", tasks, i, maxs[i])
+			}
 		}
-	}
-}
-
-func TestAllreduceMin(t *testing.T) {
-	run(t, 3, func(r *Rank) {
-		if got := r.AllreduceInt64(OpMin, int64(5-r.ID)); got != 3 {
-			t.Errorf("rank %d min %d, want 3", r.ID, got)
-		}
+		clear(sums)
+		clear(maxs)
 	})
 }
 
-func TestGather(t *testing.T) {
-	var got []byte
-	run(t, 4, func(r *Rank) {
+func TestAllreduceMinBothForms(t *testing.T) {
+	got := make([]int64, 3)
+	bothForms(t, 3, func(r *Rank) []func() {
+		return []func(){func() { got[r.ID] = r.AllreduceInt64(OpMin, int64(5-r.ID)) }}
+	}, func(tasks bool) {
+		for i, v := range got {
+			if v != 3 {
+				t.Errorf("tasks=%t: rank %d min %d, want 3", tasks, i, v)
+			}
+		}
+	})
+}
+
+func TestGatherBothForms(t *testing.T) {
+	outs := make([][]byte, 4)
+	bothForms(t, 4, func(r *Rank) []func() {
 		blk := []byte{byte(r.ID * 10), byte(r.ID*10 + 1)}
-		out := r.Gather(2, blk, 2)
-		if r.ID == 2 {
-			got = out
-		} else if out != nil {
-			t.Errorf("non-root rank %d got non-nil gather result", r.ID)
+		return []func(){
+			func() { r.Compute(sim.Time(4-r.ID) * sim.Microsecond) }, // blocks arrive out of rank order
+			func() { outs[r.ID] = r.Gather(2, blk, 2) },
 		}
+	}, func(tasks bool) {
+		want := []byte{0, 1, 10, 11, 20, 21, 30, 31}
+		for i, out := range outs {
+			switch {
+			case i == 2 && string(out) != string(want):
+				t.Fatalf("tasks=%t: gather got %v, want %v", tasks, out, want)
+			case i != 2 && out != nil:
+				t.Errorf("tasks=%t: non-root rank %d got non-nil gather result", tasks, i)
+			}
+		}
+		clear(outs)
 	})
-	want := []byte{0, 1, 10, 11, 20, 21, 30, 31}
-	if string(got) != string(want) {
-		t.Fatalf("gather got %v, want %v", got, want)
-	}
 }
 
 func TestSendToSelf(t *testing.T) {
@@ -251,16 +309,27 @@ func TestSendToSelf(t *testing.T) {
 	})
 }
 
-func TestSingleRankCollectives(t *testing.T) {
-	run(t, 1, func(r *Rank) {
-		r.Barrier()
-		if v := r.AllreduceInt64(OpSum, 7); v != 7 {
-			t.Errorf("1-rank allreduce %d", v)
+func TestSingleRankCollectivesBothForms(t *testing.T) {
+	bothForms(t, 1, func(r *Rank) []func() {
+		return []func(){
+			r.Barrier,
+			func() {
+				if v := r.AllreduceInt64(OpSum, 7); v != 7 {
+					t.Errorf("1-rank allreduce %d", v)
+				}
+			},
+			func() {
+				if out := r.Bcast(0, []byte{1}, 1); out[0] != 1 {
+					t.Error("1-rank bcast lost data")
+				}
+			},
+			func() {
+				if out := r.Gather(0, []byte{2}, 1); len(out) != 1 || out[0] != 2 {
+					t.Errorf("1-rank gather %v", out)
+				}
+			},
 		}
-		if out := r.Bcast(0, []byte{1}, 1); out[0] != 1 {
-			t.Error("1-rank bcast lost data")
-		}
-	})
+	}, func(bool) {})
 }
 
 func TestTimeInMPIAccounting(t *testing.T) {

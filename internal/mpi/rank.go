@@ -41,6 +41,7 @@ type Rank struct {
 	pending   pendingIn
 	waitStart sim.Time
 	waitReq   *Request
+	coll      *collState // the progress of a pending collective (coll.go)
 }
 
 // pendingIn is the primitive a pending call is parked in.
@@ -89,7 +90,6 @@ func (r *Rank) Pending() bool { return r.Proc.Armed() }
 // pause advances the rank's proc by d and reports whether that is done;
 // false means the call is pending.
 func (r *Rank) pause(d sim.Time, tag string) bool {
-	r.mustRun()
 	switch r.pending {
 	case inSleep: // the repeat of the call that armed this sleep: it is over
 		r.pending = notPending
@@ -102,16 +102,6 @@ func (r *Rank) pause(d sim.Time, tag string) bool {
 		return false
 	}
 	return true
-}
-
-// mustRun panics when a call goes on after one of its primitives armed the
-// task rank's wake: the call has no resumable form (it ignored a pending
-// result) and would run its next step early. Only the collectives are such
-// calls.
-func (r *Rank) mustRun() {
-	if r.Proc.Armed() {
-		panic(fmt.Sprintf("mpi: rank %d continued a call past an armed wait: the collectives (Bcast, AllreduceInt64, Gather) cannot run on a task rank", r.ID))
-	}
 }
 
 // Compute models d nanoseconds of CPU-bound application work, during which
@@ -171,7 +161,6 @@ func (r *Rank) Progress() {
 // call is pending. tag describes the wait for deadlock diagnostics. Each
 // Step of a task rank is one iteration of the goroutine rank's loop.
 func (r *Rank) WaitUntil(tag string, pred func() bool) bool {
-	r.mustRun()
 	start := r.Now()
 	if r.pending == inWait {
 		start, r.pending = r.waitStart, notPending
@@ -207,13 +196,14 @@ func (r *Rank) Wait(reqs ...*Request) {
 
 // IssueWait is Section V's definition of a blocking call: its nonblocking
 // form (issue), then a wait for the request that form returned. It returns
-// that request once complete, nil while the call is pending. The repeat of a
-// call pending in the wait finds the request in the rank and does not issue
-// again.
+// that request once complete, nil while the call is pending — or when issue
+// returned no request, which is how a nonblocking form that failed reports
+// it: nothing is waited for. The repeat of a call pending in the wait finds
+// the request in the rank and does not issue again.
 func (r *Rank) IssueWait(issue func() *Request) *Request {
 	req := r.waitReq
 	if req == nil {
-		if req = issue(); r.Pending() {
+		if req = issue(); req == nil || r.Pending() {
 			return nil
 		}
 	}

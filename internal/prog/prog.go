@@ -4,9 +4,11 @@
 // returns while the call is pending (task ranks only), so the repeat at the
 // next Step is the identical call; a closing call's request is kept only once
 // the call is not pending, and a record that makes no call — a sample, a Gen
-// — is never run twice. Every figure and every fuzzed program is a Program,
-// run on task ranks or, as the parity tests' reference, on goroutine ranks
-// (mpi.World.RunProgram).
+// — is never run twice. A window call that fails under
+// core.WinOptions.ErrorsReturn ends its Gen block and its error goes to the
+// Generator; outside a Gen block it is fatal. Every figure, every fuzzed
+// program and the kv store's clients are Programs, run on task ranks or, as
+// the parity tests' reference, on goroutine ranks (mpi.World.RunProgram).
 package prog
 
 import (
@@ -102,10 +104,14 @@ func (c *Call) Result() []byte {
 }
 
 // Generator is a workload's per-rank state behind its Gen records: Next
-// returns the block of records to make in the Gen record's place. It makes
-// no call, so the repeat of a pending call in the block never runs it again.
+// returns the block of records to make in the Gen record's place. A Gen
+// record inside a block asks for the next block in its place, so a block
+// ending in one continues the Gen record and one without ends it. A record
+// whose call fails ends its block, and Next is asked for the replacement
+// with the call's error; err is nil otherwise. Next makes no call, so the
+// repeat of a pending call in the block never runs it again.
 type Generator interface {
-	Next() []Call
+	Next(err error) []Call
 }
 
 // Program is one rank's program.
@@ -195,25 +201,47 @@ func (t *task) Step(p *sim.Proc) {
 		for ; t.pass < passes; t.pass, t.pc = t.pass+1, 0 {
 			for ; t.pc < len(calls); t.pc++ {
 				c := &calls[t.pc]
-				if c.Kind != Gen {
-					if !t.call(c) {
+				if c.Kind == Gen {
+					if !t.gen() {
 						return
 					}
 					continue
 				}
-				if t.blk == nil {
-					t.blk, t.bpc = t.Gen.Next(), 0
+				if !t.call(c) {
+					return
 				}
-				for ; t.bpc < len(t.blk); t.bpc++ {
-					if !t.call(&t.blk[t.bpc]) {
-						return
-					}
+				if err := t.failed(c); err != nil {
+					panic(err)
 				}
-				t.blk = nil
 			}
 		}
 	}
 	p.TaskExit()
+}
+
+// gen runs a Gen record's blocks and reports whether they are done; false
+// means a call in one is pending.
+func (t *task) gen() bool {
+	if t.blk == nil {
+		t.blk, t.bpc = t.Gen.Next(nil), 0
+	}
+	for t.bpc < len(t.blk) {
+		c := &t.blk[t.bpc]
+		if c.Kind == Gen {
+			t.blk, t.bpc = t.Gen.Next(nil), 0
+			continue
+		}
+		if !t.call(c) {
+			return false
+		}
+		if err := t.failed(c); err != nil {
+			t.blk, t.bpc = t.Gen.Next(err), 0
+			continue
+		}
+		t.bpc++
+	}
+	t.blk = nil
+	return true
 }
 
 // call makes c's call and reports whether it is done; false means it is
@@ -328,6 +356,15 @@ func (t *task) call(c *Call) bool {
 		t.kept = append(t.kept, closed)
 	}
 	return true
+}
+
+// failed returns the error c's call, just made, recorded on its window under
+// core.WinOptions.ErrorsReturn, or nil.
+func (t *task) failed(c *Call) error {
+	if int(c.Win) < len(t.wins) && t.wins[c.Win] != nil {
+		return t.wins[c.Win].TakeErr()
+	}
+	return nil
 }
 
 func (t *task) sample(slot int32, d sim.Time) {

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -127,7 +128,7 @@ var flushKinds = map[Kind]bool{Flush: true, IFlush: true, FlushAll: true, IFlush
 // countingGen hands out block and counts the passes that asked.
 type countingGen struct{ passes int }
 
-func (g *countingGen) Next() []Call {
+func (g *countingGen) Next(error) []Call {
 	g.passes++
 	return block
 }
@@ -208,5 +209,66 @@ func TestEveryKindBothForms(t *testing.T) {
 				t.Errorf("samples %v: want two positive readings per slot", task.samples)
 			}
 		}
+	}
+}
+
+// failingGen hands out a block that fails at its Put (the lock epoch aborted
+// while the block computed) and records what each Next was given.
+type failingGen struct {
+	errs []error
+}
+
+func (g *failingGen) Next(err error) []Call {
+	g.errs = append(g.errs, err)
+	switch len(g.errs) {
+	case 1:
+		return []Call{{Kind: Compute, Size: 1000}, {Kind: Gen}} // continues
+	case 2:
+		return []Call{{Kind: Lock, Peer: 1, Flag: true}, {Kind: Compute, Size: 100_000}, toTarget,
+			{Kind: Unlock, Peer: 1}, {Kind: Gen}}
+	case 3:
+		return []Call{{Kind: Compute, Size: 1000}} // ends the Gen record
+	}
+	panic("Next asked past the end of the Gen record")
+}
+
+// A block ending in a Gen record continues; a call that fails under
+// ErrorsReturn ends its block at once — the Unlock behind the failed Put is
+// never made — and Next gets that call's error. The two rank forms agree.
+// Without a Gen block to take it, the error is fatal.
+func TestGenContinuesAndTakesErrorsBothForms(t *testing.T) {
+	run := func(body []Call, g Generator, tasks bool) (sim.Time, error) {
+		w := mpi.NewWorld(2, fabric.DefaultConfig())
+		w.Net.EnableFaults(fabric.FaultProfile{
+			Deaths: []fabric.RankDeath{{Rank: 1, At: 40 * sim.Microsecond}}, DetectDelay: 10 * sim.Microsecond})
+		r := NewRun(w, Window{Size: 64, Opt: core.WinOptions{ErrorsReturn: true}})
+		err := r.Exec(func(rk *mpi.Rank) Program {
+			pg := Program{Pre: []Call{{Kind: Create}}}
+			if rk.ID == 0 {
+				pg.Body, pg.Iters, pg.Gen = body, 1, g
+			}
+			return pg
+		}, tasks)
+		return w.K.Now(), err
+	}
+	var ends []sim.Time
+	for _, tasks := range []bool{false, true} {
+		g := &failingGen{}
+		end, err := run([]Call{{Kind: Gen}}, g, tasks)
+		if err != nil {
+			t.Fatalf("tasks=%t: %v", tasks, err)
+		}
+		var rma *core.RMAError
+		if len(g.errs) != 3 || g.errs[0] != nil || g.errs[1] != nil || !errors.As(g.errs[2], &rma) {
+			t.Fatalf("tasks=%t: Next got %v, want nil, nil, then the Put's *RMAError", tasks, g.errs)
+		}
+		ends = append(ends, end)
+		_, err = run([]Call{{Kind: Lock, Peer: 1, Flag: true}, {Kind: Compute, Size: 100_000}, toTarget}, nil, tasks)
+		if !errors.As(err, &rma) {
+			t.Errorf("tasks=%t: a failed call outside a Gen block: run error %v, want the *RMAError", tasks, err)
+		}
+	}
+	if ends[0] != ends[1] {
+		t.Errorf("forms diverge: goroutine ranks end at %v, task ranks at %v", ends[0], ends[1])
 	}
 }

@@ -251,9 +251,6 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.push(event{at: t, seq: k.seq, fn: runFunc, arg: fn})
 }
 
-// After schedules fn to run d nanoseconds of virtual time from now.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
 // AtCall schedules fn(arg) at virtual time t. fn should be a shared,
 // capture-free function: unlike At, this form allocates nothing when arg is
 // a pointer, which is what keeps the NIC pipeline and proc wakeups off the

@@ -12,12 +12,12 @@ func BenchmarkEventChain(b *testing.B) {
 	step = func() {
 		n++
 		if n < b.N {
-			k.After(1, step)
+			k.At(k.Now()+1, step)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.After(1, step)
+	k.At(k.Now()+1, step)
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -232,8 +232,8 @@ func TestDrainHonorsWatchdog(t *testing.T) {
 	k := NewKernel()
 	k.SetWatchdog(100, 0)
 	var chain func()
-	chain = func() { k.After(1, chain) }
-	k.After(1, chain)
+	chain = func() { k.At(k.Now()+1, chain) }
+	k.At(k.Now()+1, chain)
 	err := k.Drain()
 	if err == nil || !strings.Contains(err.Error(), "event budget") {
 		t.Fatalf("want event-budget error from Drain, got %v", err)
