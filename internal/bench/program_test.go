@@ -87,12 +87,11 @@ func TestPatternTaskParity(t *testing.T) {
 // TestPatternAllocationBudget pins the heap objects a task rank costs per
 // pass of three pattern cells, measured like TestScaleTaskAllocationBudget:
 // a 2N-pass run minus an N-pass run cancels the world. Each budget sits one
-// object per rank-pass above today's reading (3.58, 2.00, 0.67: the epochs,
-// the two-sided requests and Fig 2's completion-hook slot — closing
-// requests live in their epochs and ops are recycled), so an allocation in
-// every rank's pass — a call that
-// allocates its resume state — fails here, not only in the macro
-// benchmark's patterns workload.
+// object per rank-pass above today's reading (3.00, 0.00, 0.00: Fig 2's
+// two-sided requests and completion-hook slot — epochs and ops recycle
+// through their window and closing requests live in their epochs), so an
+// allocation in every rank's pass — a call that allocates its resume state
+// — fails here, not only in the macro benchmark's patterns workload.
 func TestPatternAllocationBudget(t *testing.T) {
 	const iters = 8
 	for _, c := range []struct {
@@ -100,9 +99,9 @@ func TestPatternAllocationBudget(t *testing.T) {
 		pt     func(iters int) pattern
 		budget float64
 	}{
-		{"fig2 NB", func(n int) pattern { return fig2Series(SeriesNewNB, n) }, 4.58},
-		{"fig5 NB", func(n int) pattern { return fig5Series(SeriesNewNB, n, 4<<10) }, 3.00},
-		{"late unlock NB", func(n int) pattern { return lateUnlock(SeriesNewNB, n) }, 1.67},
+		{"fig2 NB", func(n int) pattern { return fig2Series(SeriesNewNB, n) }, 4.00},
+		{"fig5 NB", func(n int) pattern { return fig5Series(SeriesNewNB, n, 4<<10) }, 1.00},
+		{"late unlock NB", func(n int) pattern { return lateUnlock(SeriesNewNB, n) }, 1.00},
 	} {
 		mallocs := func(iters int) uint64 {
 			pt := c.pt(iters)

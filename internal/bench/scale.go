@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strconv"
 	"strings"
@@ -113,7 +114,7 @@ func FigScaleRanks(ranks []int, iters int) *ScaleReport {
 // the exposure group must be the inverse of the access group so every
 // posted exposure matches exactly the origins that will start toward it).
 func scaleGroup(n, me, dir int) []int {
-	var g []int
+	g := make([]int, 0, bits.Len(uint(n))-1) // log2(n) partners, n a power of two
 	for d := n / 2; d >= 1; d /= 2 {
 		g = append(g, ((me+dir*d)%n+n)%n)
 	}

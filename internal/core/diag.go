@@ -144,11 +144,13 @@ var debugFlipReorder bool
 func SetDebugFlipReorder(v bool) { debugFlipReorder = v }
 
 // debugPoisonRetired, when set, makes retirement poison an op (nil epoch,
-// invalid class and target) instead of recycling it, so anything that still
-// touches a retired op crashes or trips an invariant: the check that the
-// retirement rule frees an op only once nothing can reach it.
+// invalid class and target) and a freed epoch (nil window, and a closing
+// request that panics on Wait and OnComplete) instead of recycling them, so
+// anything that still touches a retired op or a freed epoch crashes or trips
+// an invariant: the check that retire and recycle free an object only once
+// nothing can reach it.
 var debugPoisonRetired bool
 
-// SetDebugPoisonRetired toggles poisoning retired ops in place of recycling.
-// Testing hook — never set in production code.
+// SetDebugPoisonRetired toggles poisoning retired ops and freed epochs in
+// place of recycling. Testing hook — never set in production code.
 func SetDebugPoisonRetired(v bool) { debugPoisonRetired = v }

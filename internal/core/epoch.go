@@ -30,7 +30,9 @@ import (
 // The epoch owns its slots; nothing outside this package's epoch/ops code
 // keeps a *epochPeer, and none survives a call to slot (append may move the
 // table). It also owns its closing request and, for a one-peer table, the
-// table itself, so a steady-state epoch is one heap object (DESIGN.md, core).
+// table itself. A finished epoch goes back to its window's free list
+// (Window.recycle) and the next newEpoch reuses it with its tables'
+// capacity, so a steady-state epoch is no heap object (DESIGN.md, core).
 type Epoch struct {
 	win  *Window
 	kind EpochKind
@@ -47,13 +49,15 @@ type Epoch struct {
 
 	// peers is the slot table, in group order (done packets go out in it);
 	// index lists its slots in rank order once a sparse table outgrows a
-	// linear scan (nil before) and is binary searched; dense marks slot i ==
-	// rank i. one is the table of a one-peer group, and holds a whole-window
-	// epoch's first touched slot.
+	// linear scan (empty before) and is binary searched; dense marks slot i
+	// == rank i. one is the table of a one-peer group, and holds a
+	// whole-window epoch's first touched slot; tab is the heap table of a
+	// larger group or a dense fill, kept across reuses (table).
 	peers []epochPeer
 	index []int32
 	dense bool
 	one   [1]epochPeer
+	tab   []epochPeer
 
 	// Recorded ops, threaded through the ops themselves: recHead/recTail is
 	// the program-order log (rmaOp.nextRec; entries issued through their
@@ -81,6 +85,16 @@ type Epoch struct {
 	// err is set when the epoch was aborted instead of completing cleanly
 	// (see errors.go); completed is also set so waiters unwind.
 	err *RMAError
+
+	// What still reaches the epoch, for Window.recycle: its unretired ops,
+	// membership in w.epochs, an armed epochTimedOut, and a closing call or
+	// request the application has not finished with. nextFree chains the
+	// window's free list.
+	ops      int32
+	listed   bool
+	timed    bool
+	held     bool
+	nextFree *Epoch
 }
 
 // epochPeer is one peer's slot in an epoch: everything the epoch knows about
@@ -106,7 +120,14 @@ type epochPeer struct {
 const slotScanMax = 16
 
 func newEpoch(w *Window, kind EpochKind) *Epoch {
-	ep := &Epoch{win: w, kind: kind, seq: w.nextEpochSeq}
+	ep := w.freeEpochs
+	if ep == nil {
+		ep = new(Epoch)
+	} else {
+		w.freeEpochs = ep.nextFree
+		*ep = Epoch{tab: ep.tab, index: ep.index[:0], extents: ep.extents[:0]}
+	}
+	ep.win, ep.kind, ep.seq = w, kind, w.nextEpochSeq
 	ep.peers = ep.one[:0]
 	w.nextEpochSeq++
 	w.stats.EpochsOpened++
@@ -118,7 +139,7 @@ func (ep *Epoch) setGroup(group []int) {
 	if len(group) == 1 {
 		ep.peers = ep.one[:]
 	} else {
-		ep.peers = make([]epochPeer, len(group))
+		ep.peers = ep.table(len(group))
 	}
 	for i, p := range group {
 		ep.peers[i].rank = int32(p)
@@ -128,9 +149,26 @@ func (ep *Epoch) setGroup(group []int) {
 	}
 }
 
+// table returns a zeroed heap slot table of n slots: tab, grown if it is
+// smaller. Only setGroup and fill take it, and an epoch does one of the two,
+// so the table it returns never holds the slots being moved into it.
+func (ep *Epoch) table(n int) []epochPeer {
+	if cap(ep.tab) < n {
+		ep.tab = make([]epochPeer, n)
+		return ep.tab
+	}
+	t := ep.tab[:n]
+	clear(t)
+	return t
+}
+
 // buildIndex sorts the table's slot numbers by rank; capacity is a hint.
 func (ep *Epoch) buildIndex(capacity int) {
-	ep.index = make([]int32, len(ep.peers), capacity)
+	if cap(ep.index) < capacity {
+		ep.index = make([]int32, len(ep.peers), capacity)
+	} else {
+		ep.index = ep.index[:len(ep.peers)]
+	}
 	for i := range ep.index {
 		ep.index[i] = int32(i)
 	}
@@ -162,7 +200,7 @@ func (ep *Epoch) find(t int) *epochPeer {
 		}
 		return nil
 	}
-	if ep.index != nil {
+	if len(ep.index) > 0 {
 		if k := ep.search(t); k < len(ep.index) && int(ep.peers[ep.index[k]].rank) == t {
 			return &ep.peers[ep.index[k]]
 		}
@@ -184,7 +222,7 @@ func (ep *Epoch) slot(t int) *epochPeer {
 	}
 	i := len(ep.peers)
 	ep.peers = append(ep.peers, epochPeer{rank: int32(t)})
-	if ep.index != nil {
+	if len(ep.index) > 0 {
 		k := ep.search(t)
 		ep.index = append(ep.index, 0)
 		copy(ep.index[k+1:], ep.index[k:])
@@ -199,14 +237,14 @@ func (ep *Epoch) slot(t int) *epochPeer {
 // keeps what the sparse table recorded (ops may precede activation).
 func (ep *Epoch) fill() {
 	sparse := ep.peers
-	ep.peers = make([]epochPeer, ep.win.n)
+	ep.peers = ep.table(ep.win.n)
 	for i := range ep.peers {
 		ep.peers[i].rank = int32(i)
 	}
 	for _, s := range sparse {
 		ep.peers[s.rank] = s
 	}
-	ep.index, ep.dense = nil, true
+	ep.index, ep.dense = ep.index[:0], true
 }
 
 // wholeWindow reports whether the epoch's group is every rank of the window.
@@ -398,6 +436,13 @@ func (ep *Epoch) maybeComplete() {
 	ep.closeReq.Complete()
 	ep.win.dirty = true
 	ep.win.rank.Wake.Fire()
+}
+
+// handOutClose readies the closing request a close hands the application;
+// the epoch stays off the free list until Wait hands the request back.
+func (ep *Epoch) handOutClose() {
+	ep.closeReq.Init(ep.win.rank, releaseClose, ep)
+	ep.held = true
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -212,14 +212,18 @@ func (w *Window) armEpochTimeout(ep *Epoch) {
 	if w.timeout <= 0 || ep.completed {
 		return
 	}
+	ep.timed = true
 	w.rank.Kernel().AfterCall(w.timeout, epochTimedOut, ep)
 }
 
 // epochTimedOut is the epoch timeout's event: it aborts the epoch, and the
-// window's pending epochs behind it, unless the epoch completed first.
+// window's pending epochs behind it, unless the epoch completed first. The
+// armed timer held the epoch off the free list until now.
 func epochTimedOut(arg any) {
 	ep := arg.(*Epoch)
+	ep.timed = false
 	if ep.completed {
+		ep.win.recycle(ep)
 		return
 	}
 	w := ep.win

@@ -85,6 +85,7 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 		o = new(rmaOp)
 	}
 	*o = op
+	o.ep.ops++
 	if withReq {
 		o.req = mpi.NewRequest(w.rank)
 	}
@@ -133,17 +134,21 @@ func (newMode) admit(w *Window, ep *Epoch, o *rmaOp) {
 // delivery is a local event — and so do the log's traversals, which are
 // origin engine state. The fabric hands each packet to its handler once (the
 // ARQ drops duplicates, OnTxDone fires once), so no late copy reaches a
-// recycled op.
+// recycled op. The epoch's last op to retire offers the epoch to recycle.
 func (w *Window) retire(o *rmaOp) {
-	if !o.settled || o.logged || o.ep.err != nil {
+	ep := o.ep
+	if !o.settled || o.logged || ep.err != nil {
 		return
 	}
 	if debugPoisonRetired {
 		o.ep, o.class, o.target = nil, -1, -1
-		return
+	} else {
+		*o = rmaOp{nextLive: w.freeOps}
+		w.freeOps = o
 	}
-	*o = rmaOp{nextLive: w.freeOps}
-	w.freeOps = o
+	if ep.ops--; ep.ops == 0 {
+		w.recycle(ep)
+	}
 }
 
 // issueBucket issues every recorded op toward target t, in program order,

@@ -117,7 +117,7 @@ type lockOp struct {
 // whose release code, for a release, is the atomic it ends with.
 func (fm *flushState) newLockOp(target int, release int64) *lockOp {
 	lo := &lockOp{fm: fm, target: target, release: release}
-	lo.req.Init(fm.w.rank)
+	lo.req.Init(fm.w.rank, nil, nil)
 	fm.pending[lo] = struct{}{}
 	return lo
 }

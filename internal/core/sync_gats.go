@@ -104,7 +104,7 @@ func (w *Window) IWait() *mpi.Request {
 	ep := w.takeOldestExposure()
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
-	ep.closeReq.Init(w.rank)
+	ep.handOutClose()
 	if ep.err != nil {
 		ep.closeReq.Fail(ep.err)
 		return &ep.closeReq
@@ -149,7 +149,7 @@ func (w *Window) TestEpoch() bool {
 	w.openExposure = removeOpen(w.openExposure, 0)
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
-	ep.closeReq.Init(w.rank)
+	ep.closeReq.Init(w.rank, nil, nil) // wakes the rank; never handed out
 	ep.maybeComplete()
 	return true
 }

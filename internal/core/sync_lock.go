@@ -217,7 +217,7 @@ func (w *Window) closeAccessEpoch(ep *Epoch) *mpi.Request {
 	}
 	ep.closedApp = true
 	w.emitEpoch(traceClose, ep)
-	ep.closeReq.Init(w.rank)
+	ep.handOutClose()
 	w.removeOpenAccess(ep)
 	if ep.err != nil {
 		// The epoch was aborted before the application closed it: fail the

@@ -72,9 +72,11 @@ func (vanillaMode) closeGATS(w *Window, kind EpochKind) {
 // healthy-path condition — grants from a dead lock agent never arrive — so
 // an abort-blind drain would wait forever. The error is raised after the
 // unwind (Window.fail, as in waitSync). It reports whether the drain
-// finished cleanly: false means pending or failed.
+// finished cleanly: false means pending or failed. The drain holds ep off the
+// free list until it finishes.
 func (w *Window) vanillaDrain(ep *Epoch, stage int) bool {
 	r, c := w.rank, &w.eng.call
+	ep.held = true
 	switch stage {
 	case drainGrants:
 		if !r.WaitUntil("vanilla-grants", func() bool { return ep.err != nil || ep.allGranted() }) {
@@ -129,6 +131,8 @@ func (w *Window) vanillaDrain(ep *Epoch, stage int) bool {
 		w.fail(err)
 		return false
 	}
+	ep.held = false
+	w.recycle(ep)
 	return true
 }
 
@@ -168,7 +172,7 @@ func (vanillaMode) lock(w *Window, target int, exclusive, _ bool) {
 	}
 	ep := w.newLockEpoch(target, exclusive, false)
 	w.emitEpoch(traceOpen, ep)
-	w.epochs = append(w.epochs, ep)
+	w.list(ep)
 }
 
 // unlock fulfils the whole lazy lock epoch toward target — or the

@@ -49,8 +49,10 @@ type Window struct {
 	liveHead, liveTail *rmaOp
 	flushes            []flushReq
 
-	// freeOps chains retired ops for addOp to reuse (ops.go, retire).
-	freeOps *rmaOp
+	// freeOps chains retired ops for addOp to reuse (ops.go, retire), and
+	// freeEpochs finished epochs for newEpoch (recycle).
+	freeOps    *rmaOp
+	freeEpochs *Epoch
 
 	// dirty asks the engine for an activation/completion scan.
 	dirty bool
@@ -165,7 +167,7 @@ func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 // depends on a peer known dead aborts at the door (its closer sees the error).
 func (w *Window) enter(ep *Epoch) bool {
 	w.emitEpoch(traceOpen, ep)
-	w.epochs = append(w.epochs, ep)
+	w.list(ep)
 	if p := w.deadDependency(ep); p >= 0 {
 		w.abortOpenedDead(ep, p)
 		return false
@@ -265,10 +267,16 @@ func (w *Window) onDoneRecv(src int) {
 	w.rank.Wake.Fire()
 }
 
-// pruneCompleted drops completed epochs from the pending queue. The leading
-// run of live epochs stays where it is, so a queue with nothing completed is
-// not written at all (every slot store is a pointer store, which takes a
-// write barrier while the GC marks).
+// list appends an opened epoch to the pending queue.
+func (w *Window) list(ep *Epoch) {
+	ep.listed = true
+	w.epochs = append(w.epochs, ep)
+}
+
+// pruneCompleted drops completed epochs from the pending queue and offers
+// each to the free list. The leading run of live epochs stays where it is,
+// so a queue with nothing completed is not written at all (every slot store
+// is a pointer store, which takes a write barrier while the GC marks).
 func (w *Window) pruneCompleted() {
 	i := 0
 	for i < len(w.epochs) && !w.epochs[i].completed {
@@ -278,13 +286,60 @@ func (w *Window) pruneCompleted() {
 		return
 	}
 	out := w.epochs[:i]
-	for _, ep := range w.epochs[i+1:] {
+	for _, ep := range w.epochs[i:] {
 		if !ep.completed {
 			out = append(out, ep)
+			continue
 		}
+		ep.listed = false
+		w.recycle(ep)
 	}
 	clear(w.epochs[len(out):]) // completed epochs must not stay reachable
 	w.epochs = out
+}
+
+// recycle returns epoch ep to its window's free list once nothing can reach
+// it any more, which takes all of:
+//
+//  1. it completed and did not abort (an aborted epoch's ops may still be
+//     delivered, so it is left to the GC, as they are);
+//  2. no unretired op points at it (ops; retire runs after completion when
+//     a delivery returns late);
+//  3. it is off the pending queue (listed);
+//  4. no armed epochTimedOut can still fire for it (timed);
+//  5. the application is done with its close (held): a blocking close has
+//     returned, and a closing request that reached the application was
+//     handed back done by mpi.Rank.Wait (releaseClose), MPI's
+//     MPI_REQUEST_NULL point. A request never waited keeps its epoch off
+//     the free list for good.
+//
+// The other places that keep an epoch need no test of their own: a close
+// unlinks its epoch from openAccess, openExposure and curFence before the
+// epoch can complete, and the call state holds only an epoch not yet
+// complete or one whose close is still in progress (held).
+//
+// Every place that can make the last of these true calls recycle, so it
+// frees an epoch once. Like retire, it needs no lock on a sharded kernel:
+// every caller runs on the owning rank's shard.
+func (w *Window) recycle(ep *Epoch) {
+	if !ep.completed || ep.err != nil || ep.ops > 0 || ep.listed || ep.timed || ep.held {
+		return
+	}
+	if debugPoisonRetired {
+		ep.win = nil
+		ep.closeReq.Poison()
+		return
+	}
+	ep.nextFree = w.freeEpochs
+	w.freeEpochs = ep
+}
+
+// releaseClose is the closing request's release hook (mpi.Request.Init):
+// Wait handed the request back, so the application is done with the epoch.
+func releaseClose(x any) {
+	ep := x.(*Epoch)
+	ep.held = false
+	ep.win.recycle(ep)
 }
 
 // canReorder implements the Section VI-B activation predicate between a
@@ -414,9 +469,13 @@ func (w *Window) grantTo(ep *Epoch, o int) {
 // MPI_WIN_FREE synchronization. Flush-mode windows have no epochs; they
 // quiesce when every issued op has remotely completed and no lock-protocol
 // operation is in flight (an aborted window is quiescent by definition —
-// the abort already unwound everything).
+// the abort already unwound everything). A quiesced window drops its free
+// epochs: each keeps a slot table as large as its group, and a window that
+// quiesces is done with its epochs or about to be freed.
 func (w *Window) Quiesce() {
-	w.rank.WaitUntil("win-quiesce", func() bool { return w.impl.quiesced(w) })
+	if w.rank.WaitUntil("win-quiesce", func() bool { return w.impl.quiesced(w) }) {
+		w.freeEpochs = nil
+	}
 }
 
 // quiesced is Quiesce's predicate: every epoch of the window has completed

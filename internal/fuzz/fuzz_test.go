@@ -48,11 +48,13 @@ func TestFlippedReorderCaught(t *testing.T) {
 	t.Fatal("flipped canReorder survived 200 programs undetected")
 }
 
-// TestRetiredOpsPoisoned runs six fuzz arms with op recycling replaced by
-// poisoning: a retired op loses its epoch, class and target instead of going
-// back to its window's free list, so anything that still touches an op after
-// retirement crashes or trips an invariant. Every arm must stay clean — the
-// check that the retirement rule frees an op only once nothing can reach it.
+// TestRetiredOpsPoisoned runs six fuzz arms with op and epoch recycling
+// replaced by poisoning: a retired op loses its epoch, class and target, and
+// a freed epoch its window, with a closing request that panics on Wait and
+// OnComplete, instead of going back to the window's free lists, so anything
+// that still touches either after it was freed crashes or trips an
+// invariant. Every arm must stay clean — the check that retire and recycle
+// free an object only once nothing can reach it.
 func TestRetiredOpsPoisoned(t *testing.T) {
 	core.SetDebugPoisonRetired(true)
 	defer core.SetDebugPoisonRetired(false)

@@ -179,19 +179,32 @@ func (r *Rank) WaitUntil(tag string, pred func() bool) bool {
 	}
 }
 
-// Wait waits until every given request has completed.
+// Wait waits until every given request has completed, then hands each back
+// to its owner (Request.Init). A request Wait returned done is dead to the
+// caller, as MPI sets it to MPI_REQUEST_NULL: its owner may reuse it from the
+// caller's next call on, so the caller reads its Err at once, if at all, and
+// never waits on it again.
 func (r *Rank) Wait(reqs ...*Request) {
-	if !r.ChargeCall() {
-		return
+	for _, q := range reqs {
+		if q != nil {
+			q.checkLive()
+		}
 	}
-	r.WaitUntil("waitall", func() bool {
+	if !r.ChargeCall() || !r.WaitUntil("waitall", func() bool {
 		for _, q := range reqs {
 			if q != nil && !q.done {
 				return false
 			}
 		}
 		return true
-	})
+	}) {
+		return
+	}
+	for _, q := range reqs {
+		if q != nil {
+			q.handBack()
+		}
+	}
 }
 
 // IssueWait is Section V's definition of a blocking call: its nonblocking

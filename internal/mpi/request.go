@@ -7,9 +7,14 @@ package mpi
 type Request struct {
 	rank *Rank
 	done bool
+	dead bool    // poisoned by its owner (Poison): Wait and OnComplete panic
 	err  error   // failure cause; the request is done but unsuccessful
 	data []byte  // received payload, for receive requests
 	recv *recvOp // receive bookkeeping, for receive requests
+
+	// release(owner) runs once, when Wait hands the done request back (Init).
+	release func(any)
+	owner   any
 
 	// onComplete hooks run (in kernel or engine context) when the request
 	// completes; used by internal/core to chain epoch state machines.
@@ -21,8 +26,33 @@ func NewRequest(r *Rank) *Request { return &Request{rank: r} }
 
 // Init makes q an incomplete request owned by rank r: the NewRequest of a
 // request embedded in a longer-lived object (an RMA epoch owns its closing
-// request) instead of allocated on its own.
-func (q *Request) Init(r *Rank) { *q = Request{rank: r} }
+// request) instead of allocated on its own. When release is not nil, Wait
+// calls release(owner) once, as it hands q back done: that is MPI's
+// MPI_REQUEST_NULL point, after which q is dead to its caller and the owner
+// may reuse it. The call is capture-free, so Init allocates nothing.
+func (q *Request) Init(r *Rank, release func(any), owner any) {
+	*q = Request{rank: r, release: release, owner: owner}
+}
+
+// handBack tells q's owner, once, that Wait returned q done.
+func (q *Request) handBack() {
+	if fn := q.release; fn != nil {
+		q.release = nil
+		fn(q.owner)
+	}
+}
+
+// Poison marks q dead in place of its reuse: Wait and OnComplete on it
+// panic, while Err still reports how it ended. A testing aid for owners
+// that recycle their requests (core.SetDebugPoisonRetired).
+func (q *Request) Poison() { q.dead = true }
+
+// checkLive panics on a poisoned request.
+func (q *Request) checkLive() {
+	if q.dead {
+		panic("mpi: request used after Wait handed it back to its owner")
+	}
+}
 
 // NewCompletedRequest returns a request already flagged complete. The
 // paper's nonblocking epoch-opening routines return exactly this: "a dummy
@@ -53,6 +83,7 @@ func (q *Request) Done() bool { return q == nil || q.done }
 // OnComplete registers fn to run when the request completes. If the request
 // is already complete, fn runs immediately.
 func (q *Request) OnComplete(fn func()) {
+	q.checkLive()
 	if q.done {
 		fn()
 		return
