@@ -199,12 +199,12 @@ func (e *Engine) apply(w *Window, src int, ch channel, value int64) {
 	switch ch {
 	case chGrant:
 		if w.merged(src, ch, w.peer(src).recordGrant(value)) {
-			w.emitArrival(traceGrant, src, 0)
+			w.traceArrivals()
 			w.onGrant(src)
 		}
 	case chDone:
 		if w.merged(src, ch, w.peer(src).recordDone(value)) {
-			w.emitArrival(traceDone, src, 0)
+			w.traceArrivals()
 			w.onDoneRecv(src)
 		}
 	case chUser:

@@ -169,19 +169,16 @@ func (e *Engine) completeAndActivate() {
 func (e *Engine) nicDeliver(p *fabric.Packet) {
 	switch p.Kind {
 	case fabric.KindPutData:
-		o := p.Payload.(*rmaOp)
-		tw := e.win(p.Arg[0])
+		o, tw := e.landed(p)
 		if o.vec != nil {
 			tw.applyPutVector(o.off, o.data, *o.vec)
 		} else {
 			tw.applyPut(o.off, o.data, o.size)
 		}
-		tw.emitArrival(traceDataIn, p.Src, o.size)
 		e.ackOp(p.Src, o)
 
 	case fabric.KindGetReq:
-		o := p.Payload.(*rmaOp)
-		tw := e.win(p.Arg[0])
+		o, tw := e.landed(p)
 		var data []byte
 		if o.vec != nil {
 			data = tw.snapshotVector(o.off, *o.vec)
@@ -198,10 +195,8 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 		o.engine().opDelivered(o)
 
 	case fabric.KindAccData:
-		o := p.Payload.(*rmaOp)
-		tw := e.win(p.Arg[0])
+		o, tw := e.landed(p)
 		tw.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
-		tw.emitArrival(traceDataIn, p.Src, o.size)
 		e.ackOp(p.Src, o)
 
 	case fabric.KindAccRTS:
@@ -219,15 +214,13 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 		e.rank.Wake.Fire()
 
 	case fabric.KindGetAccReq:
-		o := p.Payload.(*rmaOp)
-		tw := e.win(p.Arg[0])
+		o, tw := e.landed(p)
 		old := tw.snapshot(o.off, o.size)
 		tw.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
 		e.respond(p, fabric.KindGetAccResp, o, ctrlBytes+o.size, old)
 
 	case fabric.KindCASReq:
-		o := p.Payload.(*rmaOp)
-		tw := e.win(p.Arg[0])
+		o, tw := e.landed(p)
 		old := tw.snapshot(o.off, o.size)
 		if tw.buf != nil && bytesEqual(old, o.cmp) {
 			copy(tw.buf[o.off:o.off+o.size], o.data)
@@ -268,6 +261,14 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 	default:
 		e.raisef("unexpected packet kind %d from %d", p.Kind, p.Src)
 	}
+}
+
+// landed resolves a data-path packet at its target, returning the op and
+// the target window, and stamps the op's landing there (tracing.go).
+func (e *Engine) landed(p *fabric.Packet) (*rmaOp, *Window) {
+	o, tw := p.Payload.(*rmaOp), e.win(p.Arg[0])
+	tw.traceLanded(p.Src, p.Arg[1], o)
+	return o, tw
 }
 
 // ackOp raises origin-side remote completion for a data transfer just
@@ -328,6 +329,9 @@ func (e *Engine) deliverSelf(o *rmaOp) {
 func selfDeliverEvent(x any) {
 	o := x.(*rmaOp)
 	w := o.ep.win
+	if w.eng.rt.tracer != nil {
+		w.traceLanded(w.rank.ID, o.ep.find(o.target).accessID, o)
+	}
 	switch o.class {
 	case opPut:
 		if o.vec != nil {

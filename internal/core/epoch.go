@@ -34,9 +34,10 @@ import (
 // (Window.recycle) and the next newEpoch reuses it with its tables'
 // capacity, so a steady-state epoch is no heap object (DESIGN.md, core).
 type Epoch struct {
-	win  *Window
-	kind EpochKind
-	seq  int64 // program-order index within the window
+	win     *Window
+	kind    EpochKind
+	seq     int64 // program-order index within the window
+	spanRef int   // 1 + the index of its trace span (tracing.go); 0 for none
 
 	shared  bool // lock epochs: shared (true) or exclusive (false)
 	noCheck bool // MPI_MODE_NOCHECK: skip the lock-acquisition protocol
@@ -431,7 +432,7 @@ func (ep *Epoch) maybeComplete() {
 	}
 	ep.completed = true
 	ep.win.stats.EpochsCompleted++
-	ep.win.emitEpoch(traceComplete, ep)
+	ep.traceEnd()
 	ep.drainLog()
 	ep.closeReq.Complete()
 	ep.win.dirty = true

@@ -133,6 +133,7 @@ func (w *Window) abortEpoch(ep *Epoch, err *RMAError) {
 	}
 	ep.dropRecorded()
 	ep.completed = true
+	ep.traceEnd()
 	ep.closeReq.Fail(err)
 	w.dirty = true
 	w.rank.Wake.Fire()

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 // opClass is the communication class of an rmaOp.
@@ -45,6 +46,8 @@ type rmaOp struct {
 	// Intrusive links of the window's live list, oldest first (window.go);
 	// nextLive also chains the window's free list.
 	prevLive, nextLive *rmaOp
+
+	issuedAt, landedAt sim.Time // trace stamps: issue at the origin, landing at the target
 
 	issued     bool
 	localDone  bool // payload left the origin buffer (wire transmission done)
@@ -221,6 +224,7 @@ func (e *Engine) issueReady(ep *Epoch, scope nodeScope) {
 func (e *Engine) issue(o *rmaOp) {
 	ep := o.ep
 	o.issued = true
+	o.issuedAt = e.rank.Now()
 	s := ep.slot(o.target)
 	s.pending++
 	ep.pendingAll++
@@ -265,6 +269,9 @@ func (e *Engine) post(o *rmaOp, kind fabric.Kind, wireSize int64) {
 	p.Src, p.Dst, p.Kind, p.Size = e.rank.ID, o.target, kind, wireSize
 	p.Payload = o
 	p.Arg = [4]int64{o.ep.win.id, 0, 0, regionKey(o.ep.win)}
+	if e.rt.tracer != nil { // the target pairs the landing with its exposure
+		p.Arg[1] = o.ep.find(o.target).accessID
+	}
 	if kind == fabric.KindPutData || kind == fabric.KindAccData {
 		p.OnTxDone = opTxDone
 	}
@@ -360,6 +367,9 @@ func (e *Engine) opDelivered(o *rmaOp) {
 		ep.maybeComplete()
 	}
 	e.rank.Wake.Fire()
+	if s := ep.span(); s != nil { // the last op to settle is the critical path's
+		s.Issue, s.Land = o.issuedAt, o.landedAt
+	}
 	o.settled = true
 	ep.win.retire(o)
 }

@@ -103,7 +103,7 @@ func (w *Window) IWait() *mpi.Request {
 	}
 	ep := w.takeOldestExposure()
 	ep.closedApp = true
-	w.emitEpoch(traceClose, ep)
+	ep.traceClose()
 	ep.handOutClose()
 	if ep.err != nil {
 		ep.closeReq.Fail(ep.err)
@@ -148,7 +148,7 @@ func (w *Window) TestEpoch() bool {
 	}
 	w.openExposure = removeOpen(w.openExposure, 0)
 	ep.closedApp = true
-	w.emitEpoch(traceClose, ep)
+	ep.traceClose()
 	ep.closeReq.Init(w.rank, nil, nil) // wakes the rank; never handed out
 	ep.maybeComplete()
 	return true

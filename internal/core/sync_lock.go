@@ -69,7 +69,6 @@ func (a *lockAgent) advance() {
 		copy(a.queue, a.queue[1:]) // pop by copy-down: keep the backing array
 		a.queue = a.queue[:len(a.queue)-1]
 		a.Grants++
-		a.w.emitArrival(traceLockGrant, h.origin, 0)
 		// Granting a lock updates e locally and g remotely, exactly like
 		// opening an exposure (Section VII-B).
 		id := a.w.peer(h.origin).nextExposureID()
@@ -216,7 +215,7 @@ func (w *Window) closeAccessEpoch(ep *Epoch) *mpi.Request {
 		w.raisef("%s epoch seq %d closed twice", ep.kind, ep.seq)
 	}
 	ep.closedApp = true
-	w.emitEpoch(traceClose, ep)
+	ep.traceClose()
 	ep.handOutClose()
 	w.removeOpenAccess(ep)
 	if ep.err != nil {

@@ -4,12 +4,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Tracing hooks: when a trace.Recorder is attached to the Runtime, the
-// engine emits epoch-lifecycle and arrival events that internal/trace can
-// analyze into the paper's inefficiency patterns. With no recorder
-// attached the hooks cost one nil check.
+// Tracing: with a trace.Recorder attached to the Runtime every epoch stamps
+// one trace.Span in place; without one each stamp site costs a nil check.
 
-// SetTracer attaches a recorder capturing events from every rank. The
+// SetTracer attaches a recorder capturing spans from every rank. The
 // recorder's per-rank buckets are sized for the world first, which makes
 // recording safe whether the world runs serial or sharded.
 func (rt *Runtime) SetTracer(rec *trace.Recorder) {
@@ -19,48 +17,77 @@ func (rt *Runtime) SetTracer(rec *trace.Recorder) {
 	rt.tracer = rec
 }
 
-// Local aliases so emission sites stay terse.
-const (
-	traceOpen      = trace.EpochOpen
-	traceActivate  = trace.EpochActivate
-	traceClose     = trace.EpochCloseApp
-	traceComplete  = trace.EpochComplete
-	traceGrant     = trace.GrantRecv
-	traceDone      = trace.DoneRecv
-	traceDataIn    = trace.DataIn
-	traceLockGrant = trace.LockGranted
-)
-
-// emitEpoch records an epoch-lifecycle event.
-func (w *Window) emitEpoch(kind trace.Kind, ep *Epoch) {
-	rec := w.eng.rt.tracer
-	if rec == nil {
-		return
+// span returns ep's span for stamping, or nil when no recorder is attached.
+func (ep *Epoch) span() *trace.Span {
+	if rec := ep.win.eng.rt.tracer; rec != nil && ep.spanRef > 0 {
+		return rec.At(ep.win.rank.ID, ep.spanRef-1)
 	}
-	rec.Record(trace.Event{
-		T:     w.rank.Now(),
-		Rank:  w.rank.ID,
-		Win:   w.id,
-		Epoch: ep.seq,
-		Class: trace.EpochClass(ep.kind.String()),
-		Kind:  kind,
-		Peer:  -1,
-	})
+	return nil
 }
 
-// emitArrival records a window-level arrival event (grant, done, data).
-func (w *Window) emitArrival(kind trace.Kind, peer int, size int64) {
-	rec := w.eng.rt.tracer
-	if rec == nil {
+// traceOpen opens ep's span at the opening call.
+func (w *Window) traceOpen(ep *Epoch) {
+	if rec := w.eng.rt.tracer; rec != nil {
+		ep.spanRef = 1 + rec.Open(trace.Span{Rank: w.rank.ID, Win: w.id, Epoch: ep.seq,
+			Class: trace.EpochClass(ep.kind.String()), Open: w.rank.Now()})
+	}
+}
+
+// traceClose stamps the closing call.
+func (ep *Epoch) traceClose() {
+	if s := ep.span(); s != nil {
+		s.Close = ep.win.rank.Now()
+	}
+}
+
+// traceActivate and traceEnd stamp the activation and the completion or
+// abort, each with the window's next ordinal.
+func (ep *Epoch) traceActivate() {
+	if s := ep.span(); s != nil {
+		ep.win.traceOrd++
+		s.Activate, s.ActOrd = ep.win.rank.Now(), ep.win.traceOrd
+	}
+}
+
+func (ep *Epoch) traceEnd() {
+	if s := ep.span(); s != nil {
+		ep.win.traceOrd++
+		s.Complete, s.EndOrd, s.Aborted = ep.win.rank.Now(), ep.win.traceOrd, ep.err != nil
+	}
+}
+
+// traceArrivals stamps Grant on every active epoch whose whole group the ω
+// counters now show granted, and Done on every one whose origins' done
+// packets are all in, the first time they do. The counters persist what
+// arrived before activation, so activation calls it too.
+func (w *Window) traceArrivals() {
+	if w.eng.rt.tracer == nil {
 		return
 	}
-	rec.Record(trace.Event{
-		T:     w.rank.Now(),
-		Rank:  w.rank.ID,
-		Win:   w.id,
-		Epoch: -1,
-		Kind:  kind,
-		Peer:  peer,
-		Size:  size,
-	})
+	for _, ep := range w.epochs {
+		if s := ep.span(); s != nil && ep.activated && !ep.completed {
+			if s.Grant == trace.Unset && ep.kind.isAccessRole() && ep.allGranted() {
+				s.Grant = w.rank.Now()
+			}
+			if s.Done == trace.Unset && ep.kind.isExposureRole() && ep.donesArrived() {
+				s.Done = w.rank.Now()
+			}
+		}
+	}
+}
+
+// traceLanded stamps op o's landing at its target's window w: on the op,
+// and as Data on the exposure-role epoch that granted it, paired by id (o's
+// access id toward this rank is that epoch's exposure id toward src).
+func (w *Window) traceLanded(src int, id int64, o *rmaOp) {
+	if w.eng.rt.tracer == nil {
+		return
+	}
+	o.landedAt = w.rank.Now()
+	for _, ep := range w.epochs {
+		sl := ep.find(src)
+		if s := ep.span(); s != nil && ep.kind.isExposureRole() && sl != nil && sl.hasExpose && sl.exposeID == id {
+			s.Data = o.landedAt
+		}
+	}
 }

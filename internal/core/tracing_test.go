@@ -139,3 +139,40 @@ func TestDetectorQuietOnNonblockingFix(t *testing.T) {
 			lc.Worst/sim.Microsecond, rep)
 	}
 }
+
+// TestAnalyzeConcurrentEpochs: two concurrent access epochs of one window
+// (A_A_A_R), one toward an on-time target and one toward a target that
+// posts 200 µs late. Each span is charged only its own group's grant, so
+// Late Post reads about 1 + 200 µs, not the late grant twice.
+func TestAnalyzeConcurrentEpochs(t *testing.T) {
+	w, rt := testWorld(t, 3)
+	rec := trace.NewRecorder()
+	rt.SetTracer(rec)
+	runJob(t, w, func(r *mpi.Rank) {
+		win := rt.CreateWindow(r, 1<<20, WinOptions{Mode: ModeNew, ShapeOnly: true, Info: Info{AAAR: true}})
+		switch r.ID {
+		case 0:
+			win.IStart([]int{1})
+			win.Put(1, 0, nil, 1<<20)
+			first := win.IComplete()
+			win.IStart([]int{2})
+			win.Put(2, 0, nil, 8)
+			second := win.IComplete()
+			r.Wait(first)
+			r.Wait(second)
+		case 2:
+			r.Compute(200 * sim.Microsecond)
+			fallthrough
+		case 1:
+			win.Post([]int{0})
+			win.WaitEpoch()
+		}
+		win.Quiesce()
+	})
+	rep := trace.Analyze(rec.Events())
+	lp := rep.Pattern("Late Post")
+	if lp.Instances != 2 || lp.Total > 205*sim.Microsecond || lp.Worst < 195*sim.Microsecond {
+		t.Fatalf("Late Post %d instances, total %d us, worst %d us; want 2, <= 205, >= 195:\n%s",
+			lp.Instances, lp.Total/sim.Microsecond, lp.Worst/sim.Microsecond, rep)
+	}
+}

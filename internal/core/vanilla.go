@@ -54,7 +54,7 @@ func (vanillaMode) closeGATS(w *Window, kind EpochKind) {
 			ep, stage = w.takeOldestExposure(), drainExpose
 			ep.closedApp = true
 		}
-		w.emitEpoch(traceClose, ep)
+		ep.traceClose()
 		w.armEpochTimeout(ep)
 	}
 	w.vanillaDrain(ep, stage)
@@ -148,7 +148,7 @@ func (vanillaMode) fence(w *Window, assert FenceAssert) {
 		}
 		if ep, stage = w.curFence, drainGrants; ep != nil {
 			w.curFence = nil
-			w.emitEpoch(traceClose, ep)
+			ep.traceClose()
 			w.removeOpenAccess(ep)
 		}
 	}
@@ -170,9 +170,7 @@ func (vanillaMode) lock(w *Window, target int, exclusive, _ bool) {
 	if !w.rank.ChargeCall() {
 		return
 	}
-	ep := w.newLockEpoch(target, exclusive, false)
-	w.emitEpoch(traceOpen, ep)
-	w.list(ep)
+	w.list(w.newLockEpoch(target, exclusive, false))
 }
 
 // unlock fulfils the whole lazy lock epoch toward target — or the
@@ -196,7 +194,7 @@ func (vanillaMode) unlock(w *Window, target int) {
 		if target == -1 {
 			stage = drainEach
 		}
-		w.emitEpoch(traceClose, ep)
+		ep.traceClose()
 		w.removeOpenAccess(ep)
 		w.vanillaLockActivate(ep)
 		w.armEpochTimeout(ep)
@@ -220,8 +218,9 @@ func (w *Window) vanillaLockActivate(ep *Epoch) {
 		w.abortOpenedDead(ep, p)
 		return
 	}
-	w.emitEpoch(traceActivate, ep)
+	ep.traceActivate()
 	w.requestAccess(ep)
+	w.traceArrivals()
 }
 
 // forceIssue pushes the lazy passive epochs covering target (-1:

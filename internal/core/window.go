@@ -33,6 +33,7 @@ type Window struct {
 
 	// Epoch bookkeeping.
 	nextEpochSeq int64
+	traceOrd     int64    // numbers traced activations and completions (tracing.go)
 	epochs       []*Epoch // not-yet-completed epochs, program order
 	openAccess   []*Epoch // application-open access-role epochs (oldest first)
 	openExposure []*Epoch // application-open exposure epochs (oldest first)
@@ -166,7 +167,6 @@ func (w *Window) openEpoch(build func() *Epoch) *mpi.Request {
 // enter queues a just-opened epoch and reports whether it stands: one that
 // depends on a peer known dead aborts at the door (its closer sees the error).
 func (w *Window) enter(ep *Epoch) bool {
-	w.emitEpoch(traceOpen, ep)
 	w.list(ep)
 	if p := w.deadDependency(ep); p >= 0 {
 		w.abortOpenedDead(ep, p)
@@ -267,9 +267,10 @@ func (w *Window) onDoneRecv(src int) {
 	w.rank.Wake.Fire()
 }
 
-// list appends an opened epoch to the pending queue.
+// list appends an opened epoch to the pending queue and opens its span.
 func (w *Window) list(ep *Epoch) {
 	ep.listed = true
+	w.traceOpen(ep)
 	w.epochs = append(w.epochs, ep)
 }
 
@@ -413,7 +414,7 @@ func (w *Window) scanActivate() {
 // replayed internally up to its last recorded application-level event").
 func (w *Window) activate(ep *Epoch) {
 	ep.activated = true
-	w.emitEpoch(traceActivate, ep)
+	ep.traceActivate()
 	w.requestAccess(ep)
 	if ep.kind.isExposureRole() {
 		for i, n := 0, ep.groupSize(); i < n; i++ {
@@ -421,6 +422,7 @@ func (w *Window) activate(ep *Epoch) {
 			w.grantTo(ep, o)
 		}
 	}
+	w.traceArrivals()
 	// Replay recorded communication that is already issuable, and if the
 	// epoch was closed while deferred, replay the close too.
 	w.eng.issueReady(ep, anyNode)

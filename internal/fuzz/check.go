@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/prog"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -113,10 +114,8 @@ func Verify(p *Program, mode core.Mode, res *RunResult) []string {
 		}
 	}
 
-	// Serial-activation legality (deferred-epoch machinery: ModeNew only).
-	if mode == core.ModeNew {
-		problems = append(problems, checkActivations(p, res.Events)...)
-	}
+	// Every span's latency split, and serial-activation legality.
+	problems = append(problems, checkSpans(p, mode, res.Spans)...)
 	return problems
 }
 
@@ -239,62 +238,55 @@ func writtenByte(p *Program, cas []casWrite, wi, target int, off int64) (v byte,
 	return 0, true
 }
 
-// checkActivations replays the epoch-lifecycle trace and validates every
-// activation against an independent restatement of the Section VI rules: an
-// epoch may activate only when each earlier-opened epoch of its window is
-// already completed, or is itself activated AND the window's reorder flags
-// permit the pair to progress concurrently. Fence and lock-all epochs never
-// reorder.
-func checkActivations(p *Program, events []trace.Event) []string {
-	type key struct {
-		rank int
-		win  int64
-	}
-	type winState struct {
-		class     map[int64]trace.EpochClass
-		activated map[int64]bool
-		completed map[int64]bool
-	}
+// checkSpans holds every span to the conservation law of its latency split
+// (no part negative, the parts summing to Complete − Open to the
+// nanosecond) and its stamps to causal order: the last op to settle landed
+// no earlier than its issue, and a completed lock epoch was granted between
+// its activation and its completion. Under the paper's design it also
+// checks every activation against an independent restatement of the
+// Section VI rules: each earlier-opened epoch of the window had completed,
+// or had activated AND the reorder flags permit the pair (fence and
+// lock-all epochs never reorder). The window's ordinals order activations
+// and completions exactly, also within one nanosecond; an aborted epoch
+// never completed.
+func checkSpans(p *Program, mode core.Mode, spans []trace.Span) []string {
 	var problems []string
-	states := map[key]*winState{}
-	get := func(k key) *winState {
-		st, ok := states[k]
-		if !ok {
-			st = &winState{
-				class:     map[int64]trace.EpochClass{},
-				activated: map[int64]bool{},
-				completed: map[int64]bool{},
+	bad := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	for i := range spans {
+		s := &spans[i]
+		var sum sim.Time
+		for part, d := range s.Parts {
+			if d < 0 {
+				bad("span %+v: %s part is negative", s, trace.Part(part))
 			}
-			states[k] = st
+			sum += d
 		}
-		return st
-	}
-	for _, ev := range events {
-		st := get(key{ev.Rank, ev.Win})
-		switch ev.Kind {
-		case trace.EpochOpen:
-			st.class[ev.Epoch] = ev.Class
-		case trace.EpochActivate:
-			info := p.Windows[int(ev.Win)].Info
-			for seq := int64(0); seq < ev.Epoch; seq++ {
-				cls, opened := st.class[seq]
-				if !opened || st.completed[seq] {
-					continue
-				}
-				switch {
-				case !st.activated[seq]:
-					problems = append(problems, fmt.Sprintf(
-						"rank %d win %d: %s epoch %d activated before earlier %s epoch %d (queue order violated)",
-						ev.Rank, ev.Win, ev.Class, ev.Epoch, cls, seq))
-				case !legalReorder(info, cls, ev.Class):
-					problems = append(problems, fmt.Sprintf(
-						"rank %d win %d: %s epoch %d activated while %s epoch %d is active, but the info flags (%+v) forbid it",
-						ev.Rank, ev.Win, ev.Class, ev.Epoch, cls, seq, info))
-				}
+		if s.Complete != trace.Unset && sum != s.Complete-s.Open {
+			bad("span %+v: parts sum to %d ns, complete − open is %d", s, sum, s.Complete-s.Open)
+		}
+		if s.Land < s.Issue {
+			bad("span %+v: the last op landed before it was issued", s)
+		}
+		lock := s.Class == trace.ClassLock || s.Class == trace.ClassLockAll
+		if lock && s.Complete != trace.Unset && !s.Aborted && !(s.Activate <= s.Grant && s.Grant <= s.Complete) {
+			bad("span %+v: lock epoch completed without a grant after its activation", s)
+		}
+		if mode != core.ModeNew || s.Activate == trace.Unset {
+			continue
+		}
+		info := p.Windows[int(s.Win)].Info
+		for j := range spans[:i] { // spans opened earlier
+			prev := &spans[j]
+			switch {
+			case prev.Rank != s.Rank || prev.Win != s.Win:
+			case prev.Complete != trace.Unset && !prev.Aborted && prev.EndOrd < s.ActOrd:
+			case prev.Activate == trace.Unset || prev.ActOrd > s.ActOrd:
+				bad("rank %d win %d: %s epoch %d activated before earlier %s epoch %d (queue order violated)",
+					s.Rank, s.Win, s.Class, s.Epoch, prev.Class, prev.Epoch)
+			case !legalReorder(info, prev.Class, s.Class):
+				bad("rank %d win %d: %s epoch %d activated while %s epoch %d is active, but the info flags (%+v) forbid it",
+					s.Rank, s.Win, s.Class, s.Epoch, prev.Class, prev.Epoch, info)
 			}
-			st.activated[ev.Epoch] = true
-		case trace.EpochComplete:
-			st.completed[ev.Epoch] = true
 		}
 	}
 	return problems
@@ -303,19 +295,15 @@ func checkActivations(p *Program, events []trace.Event) []string {
 // legalReorder restates the Section VI-B predicate from the paper's text,
 // deliberately independent of core's implementation.
 func legalReorder(info core.Info, prev, next trace.EpochClass) bool {
-	excluded := func(c trace.EpochClass) bool {
-		return c == trace.ClassFence || c == trace.ClassLockAll
-	}
-	if excluded(prev) || excluded(next) {
+	if prev == trace.ClassFence || prev == trace.ClassLockAll || next == trace.ClassFence || next == trace.ClassLockAll {
 		return false
 	}
-	access := func(c trace.EpochClass) bool { return c != trace.ClassExposure }
-	switch {
-	case access(prev) && access(next):
+	switch prevAccess, nextAccess := prev != trace.ClassExposure, next != trace.ClassExposure; {
+	case prevAccess && nextAccess:
 		return info.AAAR
-	case !access(prev) && access(next):
+	case !prevAccess && nextAccess:
 		return info.AAER
-	case access(prev) && !access(next):
+	case prevAccess && !nextAccess:
 		return info.EAAR
 	default:
 		return info.EAER

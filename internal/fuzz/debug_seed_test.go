@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
-// TestDebugSeed is a manual debugging aid:
+// TestDebugSeed is a manual debugging aid: it prints one seed's program and
+// every epoch's span with its latency parts.
 //
 //	FUZZ_DEBUG_SEED=161 go test ./internal/fuzz -run TestDebugSeed -v
 func TestDebugSeed(t *testing.T) {
@@ -38,8 +40,11 @@ func TestDebugSeed(t *testing.T) {
 	}
 	res := Execute(p, core.ModeNew)
 	fmt.Printf("err: %v\n", res.Err)
-	for _, ev := range res.Events {
-		fmt.Printf("t=%-8d rank=%d win=%d epoch=%d class=%v kind=%v peer=%d size=%d\n",
-			ev.T, ev.Rank, ev.Win, ev.Epoch, ev.Class, ev.Kind, ev.Peer, ev.Size)
+	for _, s := range res.Spans {
+		fmt.Printf("%+v\n ", s)
+		for part, d := range s.Parts {
+			fmt.Printf(" %s=%d", trace.Part(part), d)
+		}
+		fmt.Println()
 	}
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // fingerprint compresses everything a run exposes into a comparable string:
-// final window memories, every fetched result, per-window statistics, the
-// full trace event stream, the kernel event count, the topology engine's congestion summary
-// and, on a lossy fabric, every rank's reliability counters. Two runs with
-// equal fingerprints executed the same observable history.
+// final window memories, every fetched result, per-window statistics, every
+// field of every trace span, the kernel event count, the topology engine's
+// congestion summary and, on a lossy fabric, every rank's reliability
+// counters. Two runs with equal fingerprints executed the same observable
+// history.
 func fingerprint(r *RunResult) string {
 	out := fmt.Sprintf("err=%v kernel_events=%d congestion=%+v\n", r.Err, r.KernelEvents, r.Congestion)
 	for wi, byRank := range r.Mems {
@@ -30,8 +31,8 @@ func fingerprint(r *RunResult) string {
 			out += fmt.Sprintf("stats r%d w%d %+v\n", rk, wi, st)
 		}
 	}
-	for _, e := range r.Events {
-		out += fmt.Sprintf("ev %+v\n", e)
+	for _, s := range r.Spans {
+		out += fmt.Sprintf("span %+v\n", s)
 	}
 	for rk, st := range r.Faults {
 		out += fmt.Sprintf("faults r%d %+v\n", rk, st)

@@ -8,7 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/prog"
+	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // TestGenerateDeterministic: the same seed must yield a structurally
@@ -46,6 +48,28 @@ func TestFlippedReorderCaught(t *testing.T) {
 		}
 	}
 	t.Fatal("flipped canReorder survived 200 programs undetected")
+}
+
+// TestActivationOrderWithinOneNanosecond feeds the span check a successor
+// that activates one ordinal before its never-activated predecessor
+// completes, all in the same nanosecond: the times tie, and only the
+// window's ordinals show the queue order was violated. With the completion
+// one ordinal earlier the same spans are legal.
+func TestActivationOrderWithinOneNanosecond(t *testing.T) {
+	p := &Program{Windows: []WindowSpec{{}}}
+	const at = 5 * sim.Microsecond
+	spans := []trace.Span{
+		{Class: trace.ClassAccess, Epoch: 0, Open: at, Activate: trace.Unset, Complete: at, EndOrd: 2},
+		{Class: trace.ClassAccess, Epoch: 1, Open: at, Activate: at, ActOrd: 1, Complete: trace.Unset},
+	}
+	problems := checkSpans(p, core.ModeNew, spans)
+	if len(problems) != 1 || !strings.Contains(problems[0], "queue order violated") {
+		t.Fatalf("problems %q, want one queue order violation", problems)
+	}
+	spans[0].EndOrd = 0
+	if problems := checkSpans(p, core.ModeNew, spans); len(problems) != 0 {
+		t.Fatalf("completion before the activation flagged: %q", problems)
+	}
 }
 
 // TestRetiredOpsPoisoned runs six fuzz arms with op and epoch recycling

@@ -20,7 +20,7 @@ type RunResult struct {
 	Mems         [][][]byte           // [window][rank] final memory
 	Wins         [][]*core.Window     // [rank][window]
 	Stats        [][]core.WindowStats // [rank][window]
-	Events       []trace.Event
+	Spans        []trace.Span         // one per epoch, Parts filled
 	KernelEvents uint64
 	Congestion   topo.Summary      // zero on the crossbar
 	Faults       []fabric.RelStats // [rank]; nil unless ExecOptions.Faults is set
@@ -194,7 +194,7 @@ func execute(p *Program, mode core.Mode, o ExecOptions, tasks bool) *RunResult {
 		}, tasks)
 	}()
 
-	res.Events = rec.Events()
+	res.Spans = rec.Events()
 	res.KernelEvents = world.Events()
 	res.Congestion = world.Net.TopoSummary()
 	if o.Faults != nil {

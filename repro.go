@@ -64,7 +64,7 @@ type (
 	AccOp = core.AccOp
 	// ReduceOp is a two-sided collective reduction operator.
 	ReduceOp = mpi.ReduceOp
-	// TraceRecorder captures epoch-lifecycle events for pattern analysis.
+	// TraceRecorder records one span per epoch, its latency split into parts.
 	TraceRecorder = trace.Recorder
 	// TraceReport is the outcome of analyzing a trace.
 	TraceReport = trace.Report
