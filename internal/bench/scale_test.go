@@ -206,9 +206,9 @@ func TestScaleTaskAllocationBudget(t *testing.T) {
 // the New-nonblocking scale cell — the world, runtime, windows, per-peer
 // tables and parked task state — as a HeapAlloc delta between two forced GCs
 // with the run kept alive across the second. 1 024 ranks sit on the dense
-// side of peertab.denseMax (reads 57 070 B/rank), 4 096 on the sparse side
-// (reads 9 313), where a table that pre-pays for peers the rank never
-// addresses shows first: one 8 KiB slab per rank reads 16 977 there.
+// side of peertab.New's 2 048-rank limit (reads 59 204 B/rank), 4 096 on
+// the sparse side (reads 11 579), where a table that pre-pays for peers the
+// rank never addresses shows first.
 func TestScaleBytesPerRank(t *testing.T) {
 	for _, c := range []struct {
 		ranks  int

@@ -59,12 +59,13 @@ type TxnParams struct {
 	// PipelineDepth bounds the number of simultaneously pending epochs in
 	// the nonblocking series.
 	PipelineDepth int
-	// CreditConstrained applies the paper's 512-core flow-control ceiling:
+	// CreditConstrained imposes the paper's 512-core ceiling as an input:
 	// "An InfiniBand flow control issue prevents the new implementation
 	// from scaling beyond 512 processes when there are large numbers of
 	// simultaneously pending epochs." When the job size reaches 512 the
-	// pipeline is throttled to a depth of 2, reproducing the reported
-	// collapse of the A_A_A_R advantage to ~2%.
+	// nonblocking pipeline is cut to a depth of 1, so A_A_A_R gains nothing
+	// there. The model's per-peer credits do not produce this ceiling
+	// (AblationCredits).
 	CreditConstrained bool
 	// Seed randomizes target selection deterministically.
 	Seed uint64

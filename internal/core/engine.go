@@ -168,24 +168,22 @@ func (e *Engine) completeAndActivate() {
 // carry their origin's *rmaOp as payload (see rmaOp).
 func (e *Engine) nicDeliver(p *fabric.Packet) {
 	switch p.Kind {
-	case fabric.KindPutData:
+	case fabric.KindPutData, fabric.KindAccData:
 		o, tw := e.landed(p)
-		if o.vec != nil {
-			tw.applyPutVector(o.off, o.data, *o.vec)
-		} else {
-			tw.applyPut(o.off, o.data, o.size)
-		}
+		tw.fulfil(o, false)
 		e.ackOp(p.Src, o)
 
 	case fabric.KindGetReq:
 		o, tw := e.landed(p)
-		var data []byte
-		if o.vec != nil {
-			data = tw.snapshotVector(o.off, *o.vec)
-		} else {
-			data = tw.snapshot(o.off, o.size)
-		}
-		e.respond(p, fabric.KindGetResp, o, o.size, data)
+		e.respond(p, fabric.KindGetResp, o, o.size, tw.fulfil(o, false))
+
+	case fabric.KindGetAccReq:
+		o, tw := e.landed(p)
+		e.respond(p, fabric.KindGetAccResp, o, ctrlBytes+o.size, tw.fulfil(o, false))
+
+	case fabric.KindCASReq:
+		o, tw := e.landed(p)
+		e.respond(p, fabric.KindCASResp, o, ctrlBytes+o.size, tw.fulfil(o, false))
 
 	case fabric.KindGetResp, fabric.KindGetAccResp, fabric.KindCASResp:
 		o := p.Payload.(*rmaOp)
@@ -193,11 +191,6 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 			copy(o.buf[:o.size], o.resp)
 		}
 		o.engine().opDelivered(o)
-
-	case fabric.KindAccData:
-		o, tw := e.landed(p)
-		tw.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
-		e.ackOp(p.Src, o)
 
 	case fabric.KindAccRTS:
 		// Target-side intermediate buffer reserved; clear the origin to
@@ -212,20 +205,6 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 			e.post(o, fabric.KindAccData, o.size)
 		})
 		e.rank.Wake.Fire()
-
-	case fabric.KindGetAccReq:
-		o, tw := e.landed(p)
-		old := tw.snapshot(o.off, o.size)
-		tw.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
-		e.respond(p, fabric.KindGetAccResp, o, ctrlBytes+o.size, old)
-
-	case fabric.KindCASReq:
-		o, tw := e.landed(p)
-		old := tw.snapshot(o.off, o.size)
-		if tw.buf != nil && bytesEqual(old, o.cmp) {
-			copy(tw.buf[o.off:o.off+o.size], o.data)
-		}
-		e.respond(p, fabric.KindCASResp, o, ctrlBytes+o.size, old)
 
 	case fabric.KindSignal, fabric.KindPostNotify, fabric.KindDone, fabric.KindLockReq, fabric.KindUnlock:
 		// Control plane (control.go): either wire format decodes to one
@@ -330,39 +309,10 @@ func selfDeliverEvent(x any) {
 	o := x.(*rmaOp)
 	w := o.ep.win
 	if w.eng.rt.tracer != nil {
-		w.traceLanded(w.rank.ID, o.ep.find(o.target).accessID, o)
+		w.traceLanded(w.rank.ID, o.ep.peers.Find(o.target).accessID, o)
 	}
-	switch o.class {
-	case opPut:
-		if o.vec != nil {
-			w.applyPutVector(o.off, o.data, *o.vec)
-		} else {
-			w.applyPut(o.off, o.data, o.size)
-		}
-	case opGet:
-		if o.vec != nil {
-			if snap := w.snapshotVector(o.off, *o.vec); snap != nil && o.buf != nil {
-				copy(o.buf[:o.size], snap)
-			}
-		} else if o.buf != nil && w.buf != nil {
-			copy(o.buf[:o.size], w.buf[o.off:o.off+o.size])
-		}
-	case opAcc:
-		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
-	case opGetAcc:
-		old := w.snapshot(o.off, o.size)
-		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
-		if o.buf != nil && old != nil {
-			copy(o.buf[:o.size], old)
-		}
-	case opCAS:
-		old := w.snapshot(o.off, o.size)
-		if w.buf != nil && bytesEqual(old, o.cmp) {
-			copy(w.buf[o.off:o.off+o.size], o.data)
-		}
-		if o.buf != nil && old != nil {
-			copy(o.buf[:o.size], old)
-		}
+	if old := w.fulfil(o, true); old != nil && o.buf != nil {
+		copy(o.buf[:o.size], old)
 	}
 	w.eng.opDelivered(o)
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/mpi"
+	"repro/internal/peertab"
 )
 
 // Epoch is the middleware-side epoch object (Section VII-A): created
@@ -13,26 +12,26 @@ import (
 // activated by the progress engine, and finally completed once all its
 // origin- or target-side completion conditions hold.
 //
-// All per-peer state lives in one slot table (peers). Every epoch has exactly
-// one peer group — the targets of an access-role epoch, the origins of an
-// exposure, both at once for a fence:
+// All per-peer state lives in one peertab.Table (peers). Every epoch has
+// exactly one peer group — the targets of an access-role epoch, the origins
+// of an exposure, both at once for a fence:
 //
 //   - explicit-group kinds (access, exposure, lock) build the table from the
 //     group at open, in group order, and never grow it: the table IS the
 //     group, and slot i is the i-th member;
 //   - whole-window kinds (fence, lock_all) cover every rank by definition
-//     and own a slot only for peers they touched. Activation touches all of
-//     them and makes the table dense (slot i is rank i: one array, no
-//     hashing); flush mode's perpetual lock_all epoch is never activated and
-//     touches only the peers the rank communicates with, so a 64k-rank flush
-//     window stays O(touched).
+//     and own a slot only for peers they touched. Activation fills the
+//     table (slot i is rank i: one array, no lookup); flush mode's
+//     perpetual lock_all epoch is never activated and touches only the
+//     peers the rank communicates with, so a 64k-rank flush window stays
+//     O(touched).
 //
 // The epoch owns its slots; nothing outside this package's epoch/ops code
-// keeps a *epochPeer, and none survives a call to slot (append may move the
-// table). It also owns its closing request and, for a one-peer table, the
-// table itself. A finished epoch goes back to its window's free list
-// (Window.recycle) and the next newEpoch reuses it with its tables'
-// capacity, so a steady-state epoch is no heap object (DESIGN.md, core).
+// keeps a *epochPeer, and none survives a Get that adds a slot. It also owns
+// its closing request and, for a one-peer table, the table itself. A
+// finished epoch goes back to its window's free list (Window.recycle) and
+// the next newEpoch reuses it with its tables' capacity, so a steady-state
+// epoch is no heap object (DESIGN.md, core).
 type Epoch struct {
 	win     *Window
 	kind    EpochKind
@@ -48,17 +47,8 @@ type Epoch struct {
 	closedApp bool // the application issued the closing synchronization
 	completed bool // internal lifetime over; successors may activate
 
-	// peers is the slot table, in group order (done packets go out in it);
-	// index lists its slots in rank order once a sparse table outgrows a
-	// linear scan (empty before) and is binary searched; dense marks slot i
-	// == rank i. one is the table of a one-peer group, and holds a
-	// whole-window epoch's first touched slot; tab is the heap table of a
-	// larger group or a dense fill, kept across reuses (table).
-	peers []epochPeer
-	index []int32
-	dense bool
-	one   [1]epochPeer
-	tab   []epochPeer
+	// peers is the slot table, in group order (done packets go out in it).
+	peers peertab.Table[epochPeer]
 
 	// Recorded ops, threaded through the ops themselves: recHead/recTail is
 	// the program-order log (rmaOp.nextRec; entries issued through their
@@ -101,7 +91,6 @@ type Epoch struct {
 // epochPeer is one peer's slot in an epoch: everything the epoch knows about
 // that peer, on both sides.
 type epochPeer struct {
-	rank    int32
 	pending int32 // issued-but-incomplete ops toward the peer
 	locPend int32 // issued-but-not-locally-complete ops (signal gating)
 
@@ -114,138 +103,19 @@ type epochPeer struct {
 	recHead, recTail *rmaOp // recorded ops toward the peer, program order
 }
 
-// slotScanMax is the table size up to which lookups scan linearly. Groups of
-// one to three peers are the common case, and the log2(n) partner groups of
-// dissemination-style patterns (9 at 512 ranks, 16 at 64k) still fit: a scan
-// of that length costs less than a binary search.
-const slotScanMax = 16
-
 func newEpoch(w *Window, kind EpochKind) *Epoch {
 	ep := w.freeEpochs
 	if ep == nil {
 		ep = new(Epoch)
 	} else {
 		w.freeEpochs = ep.nextFree
-		*ep = Epoch{tab: ep.tab, index: ep.index[:0], extents: ep.extents[:0]}
+		*ep = Epoch{peers: ep.peers, extents: ep.extents[:0]}
+		ep.peers.Reset()
 	}
 	ep.win, ep.kind, ep.seq = w, kind, w.nextEpochSeq
-	ep.peers = ep.one[:0]
 	w.nextEpochSeq++
 	w.stats.EpochsOpened++
 	return ep
-}
-
-// setGroup installs the peer group of an explicit-group epoch.
-func (ep *Epoch) setGroup(group []int) {
-	if len(group) == 1 {
-		ep.peers = ep.one[:]
-	} else {
-		ep.peers = ep.table(len(group))
-	}
-	for i, p := range group {
-		ep.peers[i].rank = int32(p)
-	}
-	if len(group) > slotScanMax {
-		ep.buildIndex(len(group))
-	}
-}
-
-// table returns a zeroed heap slot table of n slots: tab, grown if it is
-// smaller. Only setGroup and fill take it, and an epoch does one of the two,
-// so the table it returns never holds the slots being moved into it.
-func (ep *Epoch) table(n int) []epochPeer {
-	if cap(ep.tab) < n {
-		ep.tab = make([]epochPeer, n)
-		return ep.tab
-	}
-	t := ep.tab[:n]
-	clear(t)
-	return t
-}
-
-// buildIndex sorts the table's slot numbers by rank; capacity is a hint.
-func (ep *Epoch) buildIndex(capacity int) {
-	if cap(ep.index) < capacity {
-		ep.index = make([]int32, len(ep.peers), capacity)
-	} else {
-		ep.index = ep.index[:len(ep.peers)]
-	}
-	for i := range ep.index {
-		ep.index[i] = int32(i)
-	}
-	slices.SortFunc(ep.index, func(a, b int32) int {
-		return cmp.Compare(ep.peers[a].rank, ep.peers[b].rank)
-	})
-}
-
-// search returns the position in index of rank t's slot, or the position
-// where it would go.
-func (ep *Epoch) search(t int) int {
-	lo, hi := 0, len(ep.index)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if int(ep.peers[ep.index[m]].rank) < t {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// find returns rank t's slot, or nil if the epoch holds none for it.
-func (ep *Epoch) find(t int) *epochPeer {
-	if ep.dense {
-		if uint(t) < uint(len(ep.peers)) {
-			return &ep.peers[t]
-		}
-		return nil
-	}
-	if len(ep.index) > 0 {
-		if k := ep.search(t); k < len(ep.index) && int(ep.peers[ep.index[k]].rank) == t {
-			return &ep.peers[ep.index[k]]
-		}
-		return nil
-	}
-	for i := range ep.peers {
-		if int(ep.peers[i].rank) == t {
-			return &ep.peers[i]
-		}
-	}
-	return nil
-}
-
-// slot returns rank t's slot, appending it on first touch (whole-window
-// kinds only; an explicit group is complete from setGroup on).
-func (ep *Epoch) slot(t int) *epochPeer {
-	if s := ep.find(t); s != nil {
-		return s
-	}
-	i := len(ep.peers)
-	ep.peers = append(ep.peers, epochPeer{rank: int32(t)})
-	if len(ep.index) > 0 {
-		k := ep.search(t)
-		ep.index = append(ep.index, 0)
-		copy(ep.index[k+1:], ep.index[k:])
-		ep.index[k] = int32(i)
-	} else if i >= slotScanMax {
-		ep.buildIndex(2 * len(ep.peers))
-	}
-	return &ep.peers[i]
-}
-
-// fill gives a whole-window epoch a slot for every rank, in rank order, and
-// keeps what the sparse table recorded (ops may precede activation).
-func (ep *Epoch) fill() {
-	sparse := ep.peers
-	ep.peers = ep.table(ep.win.n)
-	for i := range ep.peers {
-		ep.peers[i].rank = int32(i)
-	}
-	for _, s := range sparse {
-		ep.peers[s.rank] = s
-	}
-	ep.index, ep.dense = ep.index[:0], true
 }
 
 // wholeWindow reports whether the epoch's group is every rank of the window.
@@ -260,14 +130,14 @@ func (ep *Epoch) groupSize() int {
 	if ep.wholeWindow() {
 		return ep.win.n
 	}
-	return len(ep.peers)
+	return ep.peers.Len()
 }
 
 func (ep *Epoch) peerAt(i int) (int, *epochPeer) {
 	if ep.wholeWindow() {
-		return i, ep.find(i)
+		return i, ep.peers.Find(i)
 	}
-	return int(ep.peers[i].rank), &ep.peers[i]
+	return ep.peers.At(i)
 }
 
 // inGroup reports whether rank t belongs to the epoch's group.
@@ -275,7 +145,7 @@ func (ep *Epoch) inGroup(t int) bool {
 	if ep.wholeWindow() {
 		return t >= 0 && t < ep.win.n
 	}
-	return ep.find(t) != nil
+	return ep.peers.Find(t) != nil
 }
 
 // coversTarget reports whether the epoch's access side includes rank t.
@@ -285,7 +155,7 @@ func (ep *Epoch) coversTarget(t int) bool {
 
 // record appends an op to both the program-order log and its target's queue.
 func (ep *Epoch) record(o *rmaOp) {
-	s := ep.slot(o.target)
+	s := ep.peers.Get(o.target)
 	s.used = true
 	if s.recTail == nil {
 		s.recHead = o
@@ -326,8 +196,9 @@ func (ep *Epoch) drainLog() {
 // queues are emptied and the ops unlinked from one another.
 func (ep *Epoch) dropRecorded() {
 	ep.drainLog()
-	for i := range ep.peers {
-		ep.peers[i].recHead, ep.peers[i].recTail = nil, nil
+	for i := range ep.peers.Len() {
+		_, s := ep.peers.At(i)
+		s.recHead, s.recTail = nil, nil
 	}
 	ep.recLive = 0
 }
@@ -337,7 +208,7 @@ func (ep *Epoch) granted(t int) bool {
 	if ep.noCheck {
 		return ep.activated // MPI_MODE_NOCHECK: asserted by the caller
 	}
-	s := ep.find(t)
+	s := ep.peers.Find(t)
 	if s == nil || !s.hasAccess {
 		return false // not activated yet
 	}

@@ -269,14 +269,11 @@ func (w *Window) classifyStall(ep *Epoch) *RMAError {
 func (w *Window) blockedPeers(ep *Epoch) []int {
 	var out []int
 	for i, n := 0, ep.groupSize(); i < n; i++ {
-		p, sp := ep.peerAt(i)
+		p, _ := ep.peerAt(i)
 		if p == w.rank.ID {
 			continue
 		}
-		var s epochPeer // zero for an untouched peer: nothing assigned or posted
-		if sp != nil {
-			s = *sp
-		}
+		s := ep.peers.Peek(p) // zero for an untouched peer: nothing assigned or posted
 		blocked := ep.kind.isAccessRole() &&
 			(!ep.granted(p) || s.pending > 0 || s.recHead != nil ||
 				(ep.closedApp && !s.donePosted))

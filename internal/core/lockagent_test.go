@@ -23,7 +23,7 @@ func agentHarness(t *testing.T, n int) *Window {
 		impl:  newMode{},
 		rules: &modes[ModeNew],
 		n:     n,
-		peers: peertab.New(n, peerCounters{}),
+		peers: peertab.New[peerCounters](n),
 	}
 	win.agent = newLockAgent(win)
 	eng.windows[0] = win

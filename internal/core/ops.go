@@ -158,7 +158,7 @@ func (w *Window) retire(o *rmaOp) {
 // provided t has granted access. O(bucket) — the fast path driven by
 // grant arrivals and op calls.
 func (e *Engine) issueBucket(ep *Epoch, t int) {
-	s := ep.find(t)
+	s := ep.peers.Find(t)
 	if s == nil || s.recHead == nil || !ep.granted(t) {
 		return
 	}
@@ -202,7 +202,7 @@ func (e *Engine) issueReady(ep *Epoch, scope nodeScope) {
 			ep.granted(o.target):
 			// Program order restricted to one target is that target's queue
 			// order, so o heads its queue.
-			s := ep.find(o.target)
+			s := ep.peers.Find(o.target)
 			if s.recHead != o {
 				ep.win.raisef("recorded-op queues of %s disagree toward target %d", ep, o.target)
 			}
@@ -225,7 +225,7 @@ func (e *Engine) issue(o *rmaOp) {
 	ep := o.ep
 	o.issued = true
 	o.issuedAt = e.rank.Now()
-	s := ep.slot(o.target)
+	s := ep.peers.Get(o.target)
 	s.pending++
 	ep.pendingAll++
 	if ep.win.sigLocalGate() {
@@ -270,7 +270,7 @@ func (e *Engine) post(o *rmaOp, kind fabric.Kind, wireSize int64) {
 	p.Payload = o
 	p.Arg = [4]int64{o.ep.win.id, 0, 0, regionKey(o.ep.win)}
 	if e.rt.tracer != nil { // the target pairs the landing with its exposure
-		p.Arg[1] = o.ep.find(o.target).accessID
+		p.Arg[1] = o.ep.peers.Find(o.target).accessID
 	}
 	if kind == fabric.KindPutData || kind == fabric.KindAccData {
 		p.OnTxDone = opTxDone
@@ -325,7 +325,7 @@ func (e *Engine) opSigDone(o *rmaOp) {
 		return
 	}
 	o.sigDone = true
-	s := ep.slot(o.target)
+	s := ep.peers.Get(o.target)
 	s.locPend--
 	ep.locPendAll--
 	if s.locPend < 0 || ep.locPendAll < 0 {
@@ -351,7 +351,7 @@ func (e *Engine) opDelivered(o *rmaOp) {
 		e.opLocalDone(o)
 	}
 	ep := o.ep
-	s := ep.slot(o.target)
+	s := ep.peers.Get(o.target)
 	s.pending--
 	ep.pendingAll--
 	if s.pending < 0 || ep.pendingAll < 0 {
@@ -386,7 +386,7 @@ func (ep *Epoch) maybePostDone(t int) {
 	if !ep.activated || !ep.closedApp {
 		return
 	}
-	s := ep.find(t)
+	s := ep.peers.Find(t)
 	if s == nil || s.donePosted || s.recHead != nil {
 		return
 	}

@@ -117,7 +117,7 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 		noTrig:  opt.NoTriggeredOps,
 		chkCfl:  opt.CheckConflicts,
 		timeout: opt.EpochTimeout,
-		peers:   peertab.New(rt.world.Size(), peerCounters{}),
+		peers:   peertab.New[peerCounters](rt.world.Size()),
 
 		transport: opt.Transport,
 		sigBase:   opt.SignalBase,

@@ -17,7 +17,7 @@ type userCounters struct {
 // table on first use so windows that never signal never pay for it.
 func (w *Window) userPeer(i int) *userCounters {
 	if w.user == nil {
-		t := peertab.New(w.n, userCounters{})
+		t := peertab.New[userCounters](w.n)
 		w.user = &t
 	}
 	return w.user.Get(i)

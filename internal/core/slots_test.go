@@ -11,53 +11,51 @@ import (
 	"repro/internal/sim"
 )
 
-// Up to slotScanMax slots are found by linear scan (no index is built);
-// beyond, a rank-sorted slot index takes over — whether the table was
-// installed as an explicit group or grew one touch at a time.
+// An explicit group is its table in group order, and a whole-window epoch's
+// table is its touches in touch order, on both sides of peertab's 16-slot
+// scan limit: every member is found, no other rank is, and a second touch
+// finds the slot rather than adding one.
 func TestSlotTableScanThenIndex(t *testing.T) {
 	w := predicateHarness(Info{})
-	w.n = 4 * slotScanMax
+	w.n = 64
 	ranks := func(k int) []int {
 		g := make([]int, k)
 		for i := range g {
-			g[i] = 3*i + 1 // scattered, never slot position == rank
+			g[i] = 3*((5*i)%k) + 1 // scattered and unsorted, never slot position == rank
 		}
 		return g
 	}
-	check := func(name string, ep *Epoch, group []int, indexed bool) {
+	check := func(name string, ep *Epoch, group []int) {
 		t.Helper()
-		if (ep.index != nil) != indexed {
-			t.Fatalf("%s: %d slots, index built = %t, want %t", name, len(ep.peers), ep.index != nil, indexed)
-		}
-		if len(ep.peers) != len(group) {
-			t.Fatalf("%s: %d slots for a group of %d", name, len(ep.peers), len(group))
+		if ep.peers.Len() != len(group) {
+			t.Fatalf("%s: %d slots for a group of %d", name, ep.peers.Len(), len(group))
 		}
 		for i, p := range group {
-			if s := ep.find(p); s != &ep.peers[i] || int(s.rank) != p {
-				t.Fatalf("%s: find(%d) missed slot %d", name, p, i)
+			if r, s := ep.peers.At(i); r != p || ep.peers.Find(p) != s {
+				t.Fatalf("%s: slot %d holds rank %d, want %d", name, i, r, p)
 			}
-			if ep.find(p+1) != nil {
-				t.Fatalf("%s: find(%d) invented a slot", name, p+1)
+			if ep.peers.Find(p+1) != nil {
+				t.Fatalf("%s: Find(%d) invented a slot", name, p+1)
 			}
 		}
 	}
-	for _, k := range []int{1, 3, slotScanMax, slotScanMax + 1, 3 * slotScanMax} {
+	for _, k := range []int{1, 3, 16, 17, 48} {
 		group := ranks(k)
 		explicit := epochOf(w, EpochAccess)
-		explicit.setGroup(group)
-		check("explicit", explicit, group, k > slotScanMax)
+		explicit.peers.Add(group...)
+		check("explicit", explicit, group)
 
 		touched := epochOf(w, EpochLockAll)
 		for _, p := range group {
-			touched.slot(p).pending++
+			touched.peers.Get(p).pending++
 		}
 		for _, p := range group {
-			touched.slot(p).pending++ // second touch must find, not append
+			touched.peers.Get(p).pending++ // second touch must find, not append
 		}
-		check("touched", touched, group, k > slotScanMax)
-		for i := range touched.peers {
-			if touched.peers[i].pending != 2 {
-				t.Fatalf("slot %d lost a touch across table growth: %+v", i, touched.peers[i])
+		check("touched", touched, group)
+		for i := range touched.peers.Len() {
+			if _, s := touched.peers.At(i); s.pending != 2 {
+				t.Fatalf("slot %d lost a touch across table growth: %+v", i, *s)
 			}
 		}
 	}
@@ -87,28 +85,27 @@ func TestWholeWindowEpochStaysSparse(t *testing.T) {
 		}
 	})
 	ep := wins[0].impl.accessEpoch(wins[0], 0)
-	if len(ep.peers) != len(targets) || ep.index != nil || ep.dense {
-		t.Fatalf("perpetual epoch holds %d slots (index %t, dense %t), want %d scanned slots",
-			len(ep.peers), ep.index != nil, ep.dense, len(targets))
+	if ep.peers.Len() != len(targets) {
+		t.Fatalf("perpetual epoch holds %d slots, want %d", ep.peers.Len(), len(targets))
 	}
 	for i, p := range targets {
-		if s := ep.find(p); s != &ep.peers[i] || s.pending != 0 {
-			t.Fatalf("slot for target %d: %+v", p, s)
+		if r, s := ep.peers.At(i); r != p || s.pending != 0 {
+			t.Fatalf("slot %d: rank %d %+v, want target %d", i, r, *s, p)
 		}
 	}
-	if ep.pendingAll != 0 || !ep.coversTarget(77) || ep.find(77) != nil {
-		t.Fatalf("untouched peer 77: covered=%t slot=%v pendingAll=%d", ep.coversTarget(77), ep.find(77), ep.pendingAll)
+	if ep.pendingAll != 0 || !ep.coversTarget(77) || ep.peers.Find(77) != nil {
+		t.Fatalf("untouched peer 77: covered=%t slot=%v pendingAll=%d", ep.coversTarget(77), ep.peers.Find(77), ep.pendingAll)
 	}
 	for i := 1; i < n; i++ {
-		if k := len(wins[i].impl.accessEpoch(wins[i], 0).peers); k != 0 {
+		if k := wins[i].impl.accessEpoch(wins[i], 0).peers.Len(); k != 0 {
 			t.Fatalf("idle rank %d holds %d slots", i, k)
 		}
 	}
 }
 
 // An epoch-mode whole-window epoch is sparse while deferred (ops recorded
-// before activation own the only slots) and dense once activated: slot i is
-// rank i, and what the sparse table recorded moved with it.
+// before activation own the only slots) and filled once activated: slot i
+// is rank i, and what the sparse table recorded moved with it.
 func TestWholeWindowEpochDenseOnceActivated(t *testing.T) {
 	w, rt := testWorld(t, 4)
 	runJob(t, w, func(r *mpi.Rank) {
@@ -121,18 +118,18 @@ func TestWholeWindowEpochDenseOnceActivated(t *testing.T) {
 			la := win.openAccess[1]
 			win.Put(2, 0, nil, 8)
 			win.Put(1, 0, nil, 8)
-			if la.activated || la.dense || len(la.peers) != 2 || la.peers[0].rank != 2 {
-				t.Errorf("deferred lock_all: activated=%t dense=%t slots=%+v", la.activated, la.dense, la.peers)
+			if first, _ := la.peers.At(0); la.activated || la.peers.Len() != 2 || first != 2 {
+				t.Errorf("deferred lock_all: activated=%t slots=%d first=%d", la.activated, la.peers.Len(), first)
 			}
 			r.Wait(win.IUnlock(3))
 			r.Wait(win.IUnlockAll())
-			if !la.dense || len(la.peers) != 4 || la.index != nil {
-				t.Errorf("activated lock_all: dense=%t slots=%d", la.dense, len(la.peers))
+			if la.peers.Len() != 4 {
+				t.Errorf("activated lock_all: %d slots", la.peers.Len())
 			}
-			for i := range la.peers {
-				s := &la.peers[i]
-				if int(s.rank) != i || !s.hasAccess || s.used != (i == 1 || i == 2) || s.recHead != nil {
-					t.Errorf("slot %d after activation: %+v", i, *s)
+			for i := range la.peers.Len() {
+				rank, s := la.peers.At(i)
+				if rank != i || !s.hasAccess || s.used != (i == 1 || i == 2) || s.recHead != nil {
+					t.Errorf("slot %d after activation: rank %d %+v", i, rank, *s)
 				}
 			}
 		}
@@ -160,7 +157,7 @@ func TestAbortEmptiesRecordedQueues(t *testing.T) {
 		rq2 := win.RGet(1, 8, make([]byte, 8), 8)
 		first := ep.recHead
 		if ep.recLive != 3 || first == nil || first.nextRec == nil || first.nextTgt != ep.recTail ||
-			ep.find(1).recHead != first || ep.find(2).recHead != first.nextRec {
+			ep.peers.Find(1).recHead != first || ep.peers.Find(2).recHead != first.nextRec {
 			t.Errorf("recorded queues before abort: recLive=%d", ep.recLive)
 		}
 		closeReq := win.IComplete()
@@ -173,9 +170,9 @@ func TestAbortEmptiesRecordedQueues(t *testing.T) {
 		if ep.recHead != nil || ep.recTail != nil || ep.recLive != 0 {
 			t.Errorf("program-order queue survived the abort: recLive=%d", ep.recLive)
 		}
-		for i := range ep.peers {
-			if s := ep.peers[i]; s.recHead != nil || s.recTail != nil {
-				t.Errorf("target %d queue survived the abort", s.rank)
+		for i := range ep.peers.Len() {
+			if r, s := ep.peers.At(i); s.recHead != nil || s.recTail != nil {
+				t.Errorf("target %d queue survived the abort", r)
 			}
 		}
 		if first.nextRec != nil || first.nextTgt != nil || first.issued {

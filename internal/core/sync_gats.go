@@ -53,7 +53,7 @@ func (newMode) closeGATS(w *Window, kind EpochKind) {
 // EpochExposure) toward group and registers it as application-open.
 func (w *Window) newGATSEpoch(kind EpochKind, group []int) *Epoch {
 	ep := newEpoch(w, kind)
-	ep.setGroup(group)
+	ep.peers.Add(group...)
 	if kind == EpochAccess {
 		w.openAccess = append(w.openAccess, ep)
 	} else {

@@ -175,7 +175,7 @@ func (w *Window) newLockEpoch(target int, exclusive, noCheck bool) *Epoch {
 	ep := newEpoch(w, lockKind(target))
 	ep.shared, ep.noCheck = !exclusive, noCheck
 	if target != -1 {
-		ep.setGroup([]int{target})
+		ep.peers.Add(target)
 	}
 	w.openAccess = append(w.openAccess, ep)
 	return ep
@@ -193,7 +193,7 @@ func lockKind(target int) EpochKind {
 // single-target lock, the one toward target.
 func (w *Window) findOpen(kind EpochKind, target int) *Epoch {
 	for i := len(w.openAccess) - 1; i >= 0; i-- {
-		if ep := w.openAccess[i]; ep.kind == kind && (kind != EpochLock || int(ep.peers[0].rank) == target) {
+		if ep := w.openAccess[i]; ep.kind == kind && (kind != EpochLock || ep.inGroup(target)) {
 			return ep
 		}
 	}

@@ -85,7 +85,7 @@ func (w *Window) traceLanded(src int, id int64, o *rmaOp) {
 	}
 	o.landedAt = w.rank.Now()
 	for _, ep := range w.epochs {
-		sl := ep.find(src)
+		sl := ep.peers.Find(src)
 		if s := ep.span(); s != nil && ep.kind.isExposureRole() && sl != nil && sl.hasExpose && sl.exposeID == id {
 			s.Data = o.landedAt
 		}

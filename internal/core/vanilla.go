@@ -260,7 +260,7 @@ func (vanillaMode) admit(w *Window, ep *Epoch, o *rmaOp) {
 		w.checkConflict(o)
 	}
 	ep.record(o)
-	if ep.activated && ep.find(o.target).recHead == o {
+	if ep.activated && ep.peers.Find(o.target).recHead == o {
 		w.eng.issueBucket(ep, o.target)
 	}
 }

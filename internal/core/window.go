@@ -441,7 +441,7 @@ func (w *Window) requestAccess(ep *Epoch) {
 		return
 	}
 	if ep.wholeWindow() {
-		ep.fill()
+		ep.peers.Fill(w.n)
 	}
 	locks := ep.kind == EpochLock || ep.kind == EpochLockAll
 	var shared int64 // chLockReq's value
@@ -461,7 +461,7 @@ func (w *Window) requestAccess(ep *Epoch) {
 // notification (remote g-counter update) to origin o.
 func (w *Window) grantTo(ep *Epoch, o int) {
 	id := w.peer(o).nextExposureID()
-	s := ep.slot(o)
+	s := ep.peers.Get(o)
 	s.exposeID, s.hasExpose = id, true
 	w.eng.notify(w, o, chGrant, id)
 }

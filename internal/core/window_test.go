@@ -53,7 +53,7 @@ func TestCanReorderMatrix(t *testing.T) {
 func TestCoversTarget(t *testing.T) {
 	w := predicateHarness(Info{})
 	gats := epochOf(w, EpochAccess)
-	gats.setGroup([]int{1, 3})
+	gats.peers.Add(1, 3)
 	if !gats.coversTarget(1) || !gats.coversTarget(3) || gats.coversTarget(2) {
 		t.Fatal("GATS coverage wrong")
 	}
@@ -97,7 +97,7 @@ func TestAccessTargetsAndOrigins(t *testing.T) {
 	}
 	// Explicit groups enumerate their slot table, in group order.
 	expo := epochOf(w, EpochExposure)
-	expo.setGroup([]int{2, 0})
+	expo.peers.Add(2, 0)
 	if got, slots := group(expo); len(got) != 2 || got[0] != 2 || got[1] != 0 || slots != 2 {
 		t.Fatalf("exposure group %v with %d slots", got, slots)
 	}

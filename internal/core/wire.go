@@ -5,6 +5,41 @@ import (
 	"math"
 )
 
+// fulfil applies op o's target-side effect to the window, on the NIC's
+// delivery path and the loopback alike, and returns the bytes a fetching op
+// reads back (nil for puts and accumulates, and on shape-only windows). A
+// loopback contiguous get copies straight into o.buf instead and returns nil.
+func (w *Window) fulfil(o *rmaOp, loopback bool) (old []byte) {
+	switch o.class {
+	case opPut:
+		if o.vec != nil {
+			w.applyPutVector(o.off, o.data, *o.vec)
+		} else {
+			w.applyPut(o.off, o.data, o.size)
+		}
+	case opGet:
+		switch {
+		case o.vec != nil:
+			return w.snapshotVector(o.off, *o.vec)
+		case !loopback:
+			return w.snapshot(o.off, o.size)
+		case o.buf != nil && w.buf != nil:
+			copy(o.buf[:o.size], w.buf[o.off:o.off+o.size])
+		}
+	case opAcc:
+		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
+	case opGetAcc:
+		old = w.snapshot(o.off, o.size)
+		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
+	case opCAS:
+		old = w.snapshot(o.off, o.size)
+		if w.buf != nil && bytesEqual(old, o.cmp) {
+			copy(w.buf[o.off:o.off+o.size], o.data)
+		}
+	}
+	return old
+}
+
 // applyPut writes data into the window memory (no-op on shape-only
 // windows, where only timing is modeled).
 func (w *Window) applyPut(off int64, data []byte, size int64) {

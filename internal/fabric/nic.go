@@ -80,7 +80,7 @@ type nicRail struct {
 func newNIC(nw *Network, rank, n int, k *sim.Kernel) *NIC {
 	rails := make([]nicRail, nw.Cfg.Rails())
 	for i := range rails {
-		rails[i].peers = peertab.New(n, nicPeer{})
+		rails[i].peers = peertab.New[nicPeer](n)
 	}
 	return &NIC{
 		nw:         nw,

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -155,12 +154,17 @@ func Campaign(o Options) []Failure {
 	})
 }
 
-// runCampaign fans check(i) for i in [0, N) across Workers goroutines and
-// collects in index order: Report and Progress fire strictly in seed order,
-// so the transcript is byte-for-byte identical at any worker count.
+// runCampaign fans check(i) for i in [0, N) across Workers goroutines
+// (par.Stream) and collects in index order: Report and Progress fire
+// strictly in seed order, so the transcript is byte-for-byte identical at
+// any worker count.
 func runCampaign(o Options, check func(i int) []Failure) []Failure {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = par.Workers()
+	}
 	var failures []Failure
-	collect := func(i int, fs []Failure) {
+	par.Stream(workers, o.N, check, func(i int, fs []Failure) {
 		failures = append(failures, fs...)
 		if o.Report != nil {
 			o.Report(o.Seed+uint64(i), fs)
@@ -168,41 +172,6 @@ func runCampaign(o Options, check func(i int) []Failure) []Failure {
 		if o.Progress != nil {
 			o.Progress(i+1, len(failures))
 		}
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	if workers > o.N {
-		workers = o.N
-	}
-	if workers <= 1 {
-		for i := 0; i < o.N; i++ {
-			collect(i, check(i))
-		}
-		return failures
-	}
-	// Ordered streaming: workers pull the next unclaimed seed and publish
-	// its result on that seed's slot; the collector consumes slots in seed
-	// order while later seeds keep running behind it.
-	slots := make([]chan []Failure, o.N)
-	for i := range slots {
-		slots[i] = make(chan []Failure, 1)
-	}
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.N {
-					return
-				}
-				slots[i] <- check(i)
-			}
-		}()
-	}
-	for i := 0; i < o.N; i++ {
-		collect(i, <-slots[i])
-	}
+	})
 	return failures
 }

@@ -49,21 +49,35 @@ func Map[T any](n int, f func(int) T) []T { return MapN(Workers(), n, f) }
 // the surfaced error is deterministic regardless of scheduling.
 func MapN[T any](workers, n int, f func(int) T) []T {
 	out := make([]T, n)
-	if n == 0 {
-		return out
-	}
+	Stream(workers, n, f, func(i int, v T) { out[i] = v })
+	return out
+}
+
+// Stream is MapN that hands each result to emit, on the calling goroutine
+// and in index order, while later jobs keep running: what a campaign that
+// reports as it goes needs. Panics are MapN's: emit sees every result before
+// the lowest-index failed job, and Stream re-raises that job's panic once
+// all jobs have run.
+func Stream[T any](workers, n int, f func(int) T, emit func(int, T)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			out[i] = f(i)
+			emit(i, f(i))
 		}
-		return out
+		return
 	}
-	panics := make([]*jobPanic, n)
+	// Workers pull the next unclaimed job and publish its result on that
+	// job's slot; the caller consumes slots in index order. The deferred
+	// Wait lets every job finish before a panic leaves.
+	slots := make([]chan result[T], n)
+	for i := range slots {
+		slots[i] = make(chan result[T], 1)
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	defer wg.Wait()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -73,17 +87,23 @@ func MapN[T any](workers, n int, f func(int) T) []T {
 				if i >= n {
 					return
 				}
-				runJob(i, f, out, panics)
+				slots[i] <- runJob(i, f)
 			}
 		}()
 	}
-	wg.Wait()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("par: job %d panicked: %v\n%s", i, p.val, p.stack))
+	for i, slot := range slots {
+		r := <-slot
+		if r.panic != nil {
+			panic(fmt.Sprintf("par: job %d panicked: %v\n%s", i, r.panic.val, r.panic.stack))
 		}
+		emit(i, r.v)
 	}
-	return out
+}
+
+// result is one job's value, or the panic that replaced it.
+type result[T any] struct {
+	v     T
+	panic *jobPanic
 }
 
 // jobPanic records a job's panic value with the stack captured inside the
@@ -94,11 +114,12 @@ type jobPanic struct {
 }
 
 // runJob executes one job, converting a panic into a recorded value.
-func runJob[T any](i int, f func(int) T, out []T, panics []*jobPanic) {
+func runJob[T any](i int, f func(int) T) (r result[T]) {
 	defer func() {
-		if r := recover(); r != nil {
-			panics[i] = &jobPanic{val: r, stack: debug.Stack()}
+		if p := recover(); p != nil {
+			r.panic = &jobPanic{val: p, stack: debug.Stack()}
 		}
 	}()
-	out[i] = f(i)
+	r.v = f(i)
+	return r
 }
