@@ -205,15 +205,16 @@ func TestScaleTaskAllocationBudget(t *testing.T) {
 // TestScaleBytesPerRank budgets the heap a task rank retains after a run of
 // the New-nonblocking scale cell — the world, runtime, windows, per-peer
 // tables and parked task state — as a HeapAlloc delta between two forced GCs
-// with the run kept alive across the second. 1 024 ranks sit on the dense
-// side of peertab.New's 2 048-rank limit (reads 59 204 B/rank), 4 096 on
-// the sparse side (reads 11 579), where a table that pre-pays for peers the
-// rank never addresses shows first.
+// with the run kept alive across the second. Every row is above peertab's
+// 64-rank small world, so each window's and NIC rail's table holds only the
+// 2·log2(n) − 1 dissemination partners a rank addresses (512 ranks read
+// 10 802 B/rank, 1 024 read 11 460, 4 096 read 10 619): a table that
+// pre-pays for peers the rank never addresses would cost n entries a rank.
 func TestScaleBytesPerRank(t *testing.T) {
 	for _, c := range []struct {
 		ranks  int
 		budget float64
-	}{{1024, 65536}, {4096, 12288}} {
+	}{{512, 12288}, {1024, 12288}, {4096, 12288}} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

@@ -309,8 +309,6 @@ func (fm *flushState) ilock(w *Window, target int, exclusive, noCheck bool) *mpi
 		if fm.lockAll {
 			w.raisef("flush mode: lock_all is already held")
 		}
-	case target < 0 || target >= w.n:
-		w.raisef("lock target %d out of range (n=%d)", target, w.n)
 	case fm.holds[target] != 0:
 		w.raisef("flush mode: target %d is already locked by this origin", target)
 	case noCheck:

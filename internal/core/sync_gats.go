@@ -14,6 +14,7 @@ import (
 // nonblockingly; the returned request is pre-completed.
 func (w *Window) IStart(group []int) *mpi.Request {
 	w.allow(EpochAccess, true, false)
+	w.checkPeers(EpochAccess, group...)
 	return w.iopenGATS(EpochAccess, group)
 }
 
@@ -22,17 +23,13 @@ func (w *Window) IStart(group []int) *mpi.Request {
 // waiting for the matching posts.
 func (w *Window) Start(group []int) {
 	w.allow(EpochAccess, false, false)
+	w.checkPeers(EpochAccess, group...)
 	w.impl.openGATS(w, EpochAccess, group)
 }
 
 // iopenGATS is IStart (EpochAccess) and IPost (EpochExposure).
 func (w *Window) iopenGATS(kind EpochKind, group []int) *mpi.Request {
-	return w.openEpoch(func() *Epoch {
-		if len(group) == 0 {
-			w.raisef("%s epoch with an empty group", kind)
-		}
-		return w.newGATSEpoch(kind, group)
-	})
+	return w.openEpoch(func() *Epoch { return w.newGATSEpoch(kind, group) })
 }
 
 // openGATS is the blocking Start and Post.
@@ -82,12 +79,14 @@ func (w *Window) Complete() {
 // "provided solely for uniformity and completeness" (Section V).
 func (w *Window) IPost(group []int) *mpi.Request {
 	w.allow(EpochExposure, true, false)
+	w.checkPeers(EpochExposure, group...)
 	return w.iopenGATS(EpochExposure, group)
 }
 
 // Post opens an exposure epoch toward the given origin group.
 func (w *Window) Post(group []int) {
 	w.allow(EpochExposure, false, false)
+	w.checkPeers(EpochExposure, group...)
 	w.impl.openGATS(w, EpochExposure, group)
 }
 

@@ -99,6 +99,7 @@ func (w *Window) ILock(target int, exclusive bool) *mpi.Request {
 // and no unlock packet is sent.
 func (w *Window) ILockAssert(target int, exclusive, noCheck bool) *mpi.Request {
 	w.allow(EpochLock, true, noCheck)
+	w.checkPeers(EpochLock, target)
 	return w.impl.ilock(w, target, exclusive, noCheck)
 }
 
@@ -111,6 +112,7 @@ func (w *Window) Lock(target int, exclusive bool) {
 // LockAssert is the blocking form of ILockAssert.
 func (w *Window) LockAssert(target int, exclusive, noCheck bool) {
 	w.allow(EpochLock, false, noCheck)
+	w.checkPeers(EpochLock, target)
 	w.impl.lock(w, target, exclusive, noCheck)
 }
 
@@ -119,12 +121,14 @@ func (w *Window) LockAssert(target int, exclusive, noCheck bool) {
 // the progress engine; completion is detected through the returned request.
 func (w *Window) IUnlock(target int) *mpi.Request {
 	w.allow(EpochLock, true, false)
+	w.checkPeers(EpochLock, target)
 	return w.impl.iunlock(w, target)
 }
 
 // Unlock is the blocking form of IUnlock.
 func (w *Window) Unlock(target int) {
 	w.allow(EpochLock, false, false)
+	w.checkPeers(EpochLock, target)
 	w.impl.unlock(w, target)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/mpi"
 	"repro/internal/peertab"
 	"repro/internal/sim"
@@ -95,6 +97,29 @@ func (w *Window) checkRange(target int, off, size int64) {
 	}
 	if off < 0 || size < 0 || off > w.size || size > w.size-off {
 		w.raisef("RMA range off=%d size=%d exceeds window size %d", off, size, w.size)
+	}
+}
+
+// checkPeers raises unless peers names one or more distinct ranks of the
+// window's world: a lock target or a GATS group, checked before the mode
+// dispatch, since a peer table gives any rank it is handed a slot. An
+// ascending group, the common case, takes one pass; others are checked
+// pairwise.
+func (w *Window) checkPeers(kind EpochKind, peers ...int) {
+	if len(peers) == 0 {
+		w.raisef("%s epoch with an empty group", kind)
+	}
+	ascending := true
+	for i, p := range peers {
+		if p < 0 || p >= w.n {
+			w.raisef("%s epoch toward rank %d out of range (n=%d)", kind, p, w.n)
+		}
+		ascending = ascending && (i == 0 || p > peers[i-1])
+	}
+	for i := 1; i < len(peers) && !ascending; i++ {
+		if slices.Contains(peers[:i], peers[i]) {
+			w.raisef("%s epoch group names rank %d twice", kind, peers[i])
+		}
 	}
 }
 

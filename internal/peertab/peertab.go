@@ -5,38 +5,52 @@ package peertab
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 )
 
-// denseMax is the world size up to which New makes a table one dense value
-// slice (one allocation, no lookup on the hot path). Above it, a slice per
-// rank per table would make the state O(n²) across the world, so New makes
-// the sparse form instead — a rank at scale only ever addresses its
-// O(log n) partners.
+// smallWorld is the world size up to which New makes a table dense from
+// the start: one value slice, one allocation, no lookup on the hot path.
+// Above it, a dense table per window and per NIC rail would make the state
+// O(n²) across the world, though a rank at scale addresses only its
+// O(log n) partners, so New makes the sparse form instead.
+const smallWorld = 64
+
+// denseMax is the largest world whose sparse table, once crowded (its
+// first heap array full), turns itself dense: a rank that addresses more
+// than 2·⌈log2 n⌉ peers, such as one picking random targets, is better
+// served by n values and no lookup. Above denseMax a crowded table builds
+// its index and doubles instead.
 const denseMax = 2048
 
-// scanMax is the sparse size up to which lookups scan linearly. Groups of
-// one to three peers are the common case, and the log2(n) partner groups of
-// dissemination-style patterns (9 at 512 ranks, 16 at 64k) still fit: a scan
-// of that length costs less than a binary search.
+// scanMax is the epoch-table size up to which lookups scan linearly. Groups
+// of one to three peers are the common case; a scan of that length costs
+// less than a binary search.
 const scanMax = 16
 
-// Table resolves peer rank -> *T. Its zero value is an empty sparse table.
+// Table resolves peer rank -> *T. Its zero value is an empty epoch table;
+// New makes a world table.
 //
 // The sparse form holds one slot per touched peer, in insertion order, each
 // with its rank; a new table's first slot is inline, and a heap array, once
-// it takes over, is kept across Reset. Beyond scanMax slots, index lists
-// them in rank order for binary search. Fill turns it dense in place (slot i
-// is rank i).
+// it takes over, is kept across Reset. Lookups scan the slots up to the
+// scan limit (scanLimit) and search a rank-ordered index beyond. Fill turns
+// an epoch table dense in place (slot i is rank i).
+//
+// A sparse world table's first heap array holds its whole scan limit,
+// 2·⌈log2 n⌉ slots: the dissemination partners of a rank in both
+// directions (17 at 512 ranks) fit with one allocation and no index. A
+// world table that outgrows it turns dense if n ≤ denseMax.
 //
 // A pointer from Get or Find is valid until the next call that adds a slot
 // (Add, Get of a new peer, Fill), and a table that holds a slot is not
-// copied: the inline slot would stay behind. Len, At, Add, Fill and Reset
-// are for the sparse form.
+// copied: the inline slot would stay behind. Len and At enumerate the
+// sparse form; Add, Fill and Reset are for epoch tables.
 type Table[T any] struct {
-	dense  []T       // New's dense form: entry i is rank i, no ranks stored
+	dense  []T       // the dense form: entry i is rank i, no ranks stored
 	slots  []slot[T] // the sparse form, insertion order (rank order once filled)
-	index  []key     // the slots in rank order; empty up to scanMax slots
+	index  []key     // the slots in rank order; empty up to the scan limit
+	world  int32     // New's world size for a sparse world table, else 0
 	filled bool      // slot i holds rank i (Fill)
 	one    [1]slot[T]
 }
@@ -50,11 +64,11 @@ type slot[T any] struct {
 // only the index.
 type key struct{ rank, slot int32 }
 
-// New sizes a table for an n-rank world: dense up to denseMax ranks,
-// sparse above.
+// New sizes a table for an n-rank world: dense up to smallWorld ranks,
+// sparse above, turning dense when crowded if n ≤ denseMax.
 func New[T any](n int) Table[T] {
-	if n > denseMax {
-		return Table[T]{}
+	if n > smallWorld {
+		return Table[T]{world: int32(n)}
 	}
 	return Table[T]{dense: make([]T, n)}
 }
@@ -71,17 +85,45 @@ func (t *Table[T]) Get(i int) *T {
 	if found {
 		return &t.slots[k].v
 	}
-	n := len(t.slots)
+	n, lim := len(t.slots), t.scanLimit()
 	if n == cap(t.slots) {
-		t.grow(max(1, n))
+		switch {
+		case n == 0:
+			t.grow(1)
+		case t.world != 0 && n < lim:
+			t.grow(lim - n)
+		case t.world != 0 && n == lim && t.world <= denseMax:
+			t.promote()
+			return &t.dense[i]
+		default:
+			t.grow(n)
+		}
 	}
 	t.slots = append(t.slots, slot[T]{rank: int32(i)})
 	if len(t.index) > 0 {
 		t.index = slices.Insert(t.index, k, key{int32(i), int32(n)})
-	} else if n == scanMax {
+	} else if n == lim {
 		t.buildIndex()
 	}
 	return &t.slots[n].v
+}
+
+// scanLimit is the slot count up to which lookups scan linearly.
+func (t *Table[T]) scanLimit() int {
+	if t.world == 0 {
+		return scanMax
+	}
+	return 2 * bits.Len32(uint32(t.world-1))
+}
+
+// promote turns a crowded sparse world table into the dense form, keeping
+// every value.
+func (t *Table[T]) promote() {
+	d := make([]T, t.world)
+	for _, s := range t.slots {
+		d[s.rank] = s.v
+	}
+	t.dense, t.slots = d, nil
 }
 
 // Find returns the entry toward peer i, or nil if the table holds none.

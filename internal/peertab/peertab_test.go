@@ -7,11 +7,11 @@ type entry struct{ a, b int64 }
 // A dense and a sparse table given the same touch sequence hold the same
 // values, and the sparse one enumerates its peers in first-touch order.
 func TestDenseSparseAgree(t *testing.T) {
-	dense, sparse := New[entry](denseMax), New[entry](denseMax+1)
+	dense, sparse := New[entry](smallWorld), New[entry](smallWorld+1)
 	if dense.dense == nil || sparse.dense != nil {
-		t.Fatalf("denseMax=%d is not the dense/sparse boundary", denseMax)
+		t.Fatalf("smallWorld=%d is not the dense/sparse boundary", smallWorld)
 	}
-	touches := []int{3, 2047, 3, 0, 511, 2047, 64, 3}
+	touches := []int{3, 63, 3, 0, 31, 63, 17, 3}
 	for step, i := range touches {
 		for _, tab := range []*Table[entry]{&dense, &sparse} {
 			e := tab.Get(i)
@@ -19,7 +19,7 @@ func TestDenseSparseAgree(t *testing.T) {
 			e.b++
 		}
 	}
-	for i := 0; i < denseMax; i++ {
+	for i := 0; i < smallWorld; i++ {
 		if d, s := dense.Peek(i), sparse.Peek(i); d != s {
 			t.Fatalf("peer %d: dense %+v, sparse %+v", i, d, s)
 		}
@@ -30,13 +30,56 @@ func TestDenseSparseAgree(t *testing.T) {
 	if got := sparse.Peek(1); got != (entry{}) {
 		t.Fatalf("untouched sparse peer reads %+v, want zero", got)
 	}
-	for k, want := range []int{3, 2047, 0, 511, 64} {
+	for k, want := range []int{3, 63, 0, 31, 17} {
 		if r, e := sparse.At(k); r != want || *e != sparse.Peek(want) {
 			t.Fatalf("sparse slot %d holds rank %d (%+v), want rank %d", k, r, *e, want)
 		}
 	}
-	if sparse.Len() != 5 {
-		t.Fatalf("sparse Len() = %d, want 5", sparse.Len())
+	if sparse.Len() != 5 || sparse.dense != nil {
+		t.Fatalf("sparse Len() = %d (dense %t), want 5 slots", sparse.Len(), sparse.dense != nil)
+	}
+}
+
+// A sparse world table holds 2·log2(n) peers in one allocation, scanned
+// without an index. The next new peer turns a 512-rank table dense and a
+// 4 096-rank table (above denseMax) indexed, every value kept either way.
+func TestWorldTableCrowding(t *testing.T) {
+	for _, c := range []struct {
+		n, fits int
+		dense   bool
+	}{{512, 18, true}, {4096, 24, false}} {
+		peer := func(k int) int { return (k * 97) % c.n } // scattered, unsorted
+		const runs = 50
+		tabs := make([]Table[entry], runs+1)
+		run := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			tab := &tabs[run]
+			run++
+			*tab = New[entry](c.n)
+			for k := range c.fits {
+				tab.Get(peer(k)).a = int64(k + 1)
+			}
+		})
+		tab := &tabs[0]
+		if allocs != 1 || tab.dense != nil || len(tab.index) != 0 || tab.Len() != c.fits {
+			t.Fatalf("n=%d: %.1f allocations for %d peers (dense %t, %d indexed, %d slots), want 1 sparse unindexed",
+				c.n, allocs, c.fits, tab.dense != nil, len(tab.index), tab.Len())
+		}
+		tab.Get(peer(c.fits)).a = int64(c.fits + 1)
+		if got := tab.dense != nil; got != c.dense {
+			t.Fatalf("n=%d: peer %d made the table dense = %t, want %t", c.n, c.fits+1, got, c.dense)
+		}
+		if !c.dense && len(tab.index) != c.fits+1 {
+			t.Fatalf("n=%d: %d index entries after %d peers", c.n, len(tab.index), c.fits+1)
+		}
+		for k := range c.fits + 1 {
+			if got := tab.Peek(peer(k)).a; got != int64(k+1) {
+				t.Fatalf("n=%d: peer %d reads %d after crowding, want %d", c.n, peer(k), got, k+1)
+			}
+		}
+		if got := tab.Peek(peer(c.fits + 1)); got != (entry{}) {
+			t.Fatalf("n=%d: untouched peer reads %+v", c.n, got)
+		}
 	}
 }
 
@@ -119,25 +162,50 @@ func TestResetAndFillReuse(t *testing.T) {
 	}
 }
 
+// fuzzWorlds are the tables FuzzPeerTable's first byte picks: an epoch
+// table (the zero value, 0 here), dense world tables at and below
+// smallWorld, sparse ones that turn dense when crowded, and one above
+// denseMax that builds its index instead.
+var fuzzWorlds = []int{0, 4, smallWorld, smallWorld + 1, 200, denseMax*2 + 1}
+
 // FuzzPeerTable drives random Get/Find/Peek/At/Add/Fill/Reset sequences
-// across the scan limit and the Fill transition, checking every value and
-// At's insertion order against a map model.
+// across the scan limit, the Fill transition and a world table's crowding
+// point, checking every value and At's insertion order against a map
+// model. World tables take Get/Find/Peek/At only, with ranks below n.
 func FuzzPeerTable(f *testing.F) {
-	f.Add([]byte{0, 5, 0, 5, 1, 5, 2, 7, 3, 0, 4, 0})
-	f.Add([]byte{0, 1, 0, 9, 0, 40, 0, 2, 5, 3, 3, 1, 6, 0, 0, 7})
+	f.Add([]byte{0, 0, 5, 0, 5, 1, 5, 2, 7, 3, 0, 4, 0})
+	f.Add([]byte{0, 0, 1, 0, 9, 0, 40, 0, 2, 5, 3, 3, 1, 6, 0, 0, 7})
 	seq := make([]byte, 0, 96)
 	for i := range 40 {
 		seq = append(seq, 0, byte(i*37))
 	}
-	f.Add(append(seq, 5, 0, 3, 39, 6, 0, 2, 200))
+	f.Add(append([]byte{0}, append(seq, 5, 0, 3, 39, 6, 0, 2, 200)...))
+	for w := 1; w < len(fuzzWorlds); w++ { // 40 peers crowd every sparse world table
+		f.Add(append([]byte{byte(w)}, append(seq, 1, 3, 2, 255, 3, 4, 0, 37)...))
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		n := fuzzWorlds[int(ops[0])%len(fuzzWorlds)]
+		ops = ops[1:]
 		var tab Table[entry]
+		if n > 0 {
+			tab = New[entry](n)
+		}
+		startDense := tab.dense != nil
 		model := map[int]int64{}
 		var order []int
 		filled := false
 		for len(ops) >= 2 {
 			op, arg := ops[0]%8, int(ops[1])
 			ops = ops[2:]
+			if n > 0 {
+				arg %= n
+				if op > 3 && op < 7 { // Add, Fill, Reset are for epoch tables
+					continue
+				}
+			}
 			switch op {
 			case 0, 7: // Get
 				if filled {
@@ -158,7 +226,8 @@ func FuzzPeerTable(f *testing.F) {
 				model[arg] = e.a
 			case 1: // Find
 				e := tab.Find(arg)
-				if v, ok := model[arg]; ok != (e != nil) || ok && e.a != v {
+				v, ok := model[arg]
+				if e != nil && e.a != v || e == nil && ok || !ok && e != nil && tab.dense == nil {
 					t.Fatalf("Find(%d) = %v, model %d (present %t)", arg, e, v, ok)
 				}
 			case 2: // Peek
@@ -166,7 +235,7 @@ func FuzzPeerTable(f *testing.F) {
 					t.Fatalf("Peek(%d) = %d, model %d", arg, got, model[arg])
 				}
 			case 3: // At
-				if len(order) == 0 {
+				if len(order) == 0 || tab.dense != nil {
 					continue
 				}
 				k := arg % len(order)
@@ -198,8 +267,13 @@ func FuzzPeerTable(f *testing.F) {
 				clear(model)
 				order, filled = order[:0], false
 			}
-			if tab.Len() != len(order) {
+			switch {
+			case tab.dense == nil && tab.Len() != len(order):
 				t.Fatalf("Len() = %d, model %d", tab.Len(), len(order))
+			case tab.dense != nil && !startDense && (n > denseMax || len(order) <= tab.scanLimit()):
+				t.Fatalf("n=%d: dense after %d peers (scan limit %d)", n, len(order), tab.scanLimit())
+			case tab.dense == nil && n > 0 && len(tab.index) > 0 != (len(order) > tab.scanLimit()):
+				t.Fatalf("n=%d: %d index entries for %d peers (scan limit %d)", n, len(tab.index), len(order), tab.scanLimit())
 			}
 		}
 	})
