@@ -87,7 +87,7 @@ type PeerCounterState struct {
 
 // PeerState returns this window's counter snapshot toward peer.
 func (w *Window) PeerState(peer int) PeerCounterState {
-	c := w.peers.Peek(peer)
+	c := w.peers.Peek(w.checkTarget(peer, "PeerState peer"))
 	s := PeerCounterState{A: c.a, E: c.e, G: c.g, DoneRecv: c.doneRecv}
 	if w.user != nil {
 		u := w.user.Peek(peer)

@@ -187,9 +187,7 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 
 	case fabric.KindGetResp, fabric.KindGetAccResp, fabric.KindCASResp:
 		o := p.Payload.(*rmaOp)
-		if o.buf != nil && o.resp != nil {
-			copy(o.buf[:o.size], o.resp)
-		}
+		copy(o.buf, o.resp) // checkOp trimmed buf to the response's size; nil copies nothing
 		o.engine().opDelivered(o)
 
 	case fabric.KindAccRTS:
@@ -311,8 +309,6 @@ func selfDeliverEvent(x any) {
 	if w.eng.rt.tracer != nil {
 		w.traceLanded(w.rank.ID, o.ep.peers.Find(o.target).accessID, o)
 	}
-	if old := w.fulfil(o, true); old != nil && o.buf != nil {
-		copy(o.buf[:o.size], old)
-	}
+	copy(o.buf, w.fulfil(o, true))
 	w.eng.opDelivered(o)
 }

@@ -143,10 +143,14 @@ func (o *rmaOp) inFlush(target int, local bool) bool {
 // IFlush completes, nonblockingly, all RMA calls so far issued toward
 // target in the surrounding passive epoch; new RMA calls may be issued
 // before it completes.
-func (w *Window) IFlush(target int) *mpi.Request { return w.newFlush(target, false) }
+func (w *Window) IFlush(target int) *mpi.Request {
+	return w.newFlush(w.checkTarget(target, "IFlush target"), false)
+}
 
 // IFlushLocal is the local-completion variant of IFlush.
-func (w *Window) IFlushLocal(target int) *mpi.Request { return w.newFlush(target, true) }
+func (w *Window) IFlushLocal(target int) *mpi.Request {
+	return w.newFlush(w.checkTarget(target, "IFlushLocal target"), true)
+}
 
 // IFlushAll flushes toward every target of the window, nonblockingly.
 func (w *Window) IFlushAll() *mpi.Request { return w.newFlush(-1, false) }
@@ -199,11 +203,13 @@ func (w *Window) flushWait(target int, local bool) {
 
 // Flush blocks until all RMA calls issued toward target are complete at
 // the target.
-func (w *Window) Flush(target int) { w.flushWait(target, false) }
+func (w *Window) Flush(target int) { w.flushWait(w.checkTarget(target, "Flush target"), false) }
 
 // FlushLocal blocks until all RMA calls issued toward target are complete
 // locally (origin buffers reusable).
-func (w *Window) FlushLocal(target int) { w.flushWait(target, true) }
+func (w *Window) FlushLocal(target int) {
+	w.flushWait(w.checkTarget(target, "FlushLocal target"), true)
+}
 
 // FlushAll blocks until all RMA calls to every target are complete there.
 func (w *Window) FlushAll() { w.flushWait(-1, false) }

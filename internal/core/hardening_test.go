@@ -8,8 +8,8 @@ import (
 	"repro/internal/mpi"
 )
 
-// The checkRange overflow guard: off+size must not wrap around int64 and
-// sneak past the window-size comparison.
+// checkOp's range guard: off+size must not wrap around int64 and sneak
+// past the window-size comparison.
 func TestCheckRangeRejectsOverflow(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -162,7 +162,8 @@ const (
 	TByte
 )
 
-// Size returns the element size in bytes.
+// Size returns the element size in bytes, 0 for a DType outside the
+// enumeration.
 func (t DType) Size() int {
 	switch t {
 	case TInt64, TUint64, TFloat64:
@@ -170,7 +171,7 @@ func (t DType) Size() int {
 	case TByte:
 		return 1
 	}
-	panic("core: unknown datatype")
+	return 0
 }
 
 // AccOp is the combining operator of accumulate-class operations.

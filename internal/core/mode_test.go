@@ -191,49 +191,6 @@ func TestModeRefusalsBothForms(t *testing.T) {
 	}
 }
 
-// TestPeerChecksBothForms: a lock target or GATS group that names a rank
-// outside the world, or one rank twice, raises at the call in every mode
-// that admits the call and in both rank forms, before any peer table gives
-// it a slot. Rank 1 posts toward rank 0 in the duplicate row, so a check
-// that came late would hang in the watchdog instead.
-func TestPeerChecksBothForms(t *testing.T) {
-	for _, row := range []struct {
-		name string
-		gats bool
-		call func(w *Window)
-		want string
-	}{
-		{"Lock(99)", false, func(w *Window) { w.Lock(99, true) }, "lock epoch toward rank 99 out of range (n=2)"},
-		{"Lock(-1)", false, func(w *Window) { w.Lock(-1, false) }, "lock epoch toward rank -1 out of range (n=2)"},
-		{"Unlock(-1)", false, func(w *Window) { w.Unlock(-1) }, "lock epoch toward rank -1 out of range (n=2)"},
-		{"Start([99])", true, func(w *Window) { w.Start([]int{99}) }, "access epoch toward rank 99 out of range (n=2)"},
-		{"Start([-1])", true, func(w *Window) { w.Start([]int{-1}) }, "access epoch toward rank -1 out of range (n=2)"},
-		{"Start([1 1])", true, func(w *Window) { w.Start([]int{1, 1}) }, "access epoch group names rank 1 twice"},
-	} {
-		for _, mode := range []Mode{ModeNew, ModeVanilla, ModeFlush} {
-			if row.gats && mode == ModeFlush {
-				continue // flush mode refuses GATS before any check
-			}
-			for _, tasks := range []bool{false, true} {
-				w, rt := testWorld(t, 2)
-				err := runForm(w, rt, tasks, func(rt *Runtime, r *mpi.Rank) []func() {
-					var win *Window
-					calls := []func(){func() { win = rt.CreateWindow(r, 8, WinOptions{Mode: mode}) }}
-					if r.ID == 0 {
-						calls = append(calls, func() { row.call(win) })
-					} else if row.gats {
-						calls = append(calls, func() { win.Post([]int{0}) }, func() { win.WaitEpoch() })
-					}
-					return append(calls, func() { r.Barrier() })
-				})
-				if err == nil || !strings.Contains(err.Error(), "core: rank 0 win 0: "+row.want) {
-					t.Errorf("%s %s tasks=%t: run ended with %v, want the raise %q", row.name, mode, tasks, err, row.want)
-				}
-			}
-		}
-	}
-}
-
 // mustPanic runs f and returns its panic message, failing t if f returns.
 func mustPanic(t *testing.T, what string, f func()) (msg string) {
 	t.Helper()

@@ -59,21 +59,19 @@ type rmaOp struct {
 	settled    bool // opDelivered has returned
 }
 
-// addOp is the body of every RMA communication call: charge the call, then
-// validate, record and (when possible) immediately issue the op. The op
-// arrives by value and takes its heap slot — a retired op of the window when
-// there is one — only after the charge, so the repeat of a pending call does
-// not take a second one. A request-based call (withReq) gets its request
-// here too, after the charge: a pending call returns nil, like every I-form,
-// and so does one whose epoch aborted.
+// addOp is the body of every RMA communication call: check the op, find its
+// epoch, charge the call, then record and (when possible) immediately issue
+// the op. The op arrives by value and takes its heap slot — a retired op of
+// the window when there is one — only after the charge, so the repeat of a
+// pending call does not take a second one. A request-based call (withReq)
+// gets its request here too, after the charge: a pending call returns nil,
+// like every I-form, and so does one whose epoch aborted.
 func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 	w.checkLive()
+	w.checkOp(&op)
+	op.ep = w.impl.accessEpoch(w, op.target)
 	if !w.rank.ChargeCall() {
 		return nil
-	}
-	w.checkRange(op.target, op.off, op.size)
-	if w.buf == nil && (op.data != nil || op.buf != nil || op.cmp != nil) {
-		w.raisef("data-carrying RMA operation on a shape-only window")
 	}
 	if op.ep.err != nil {
 		// The surrounding epoch was aborted (dead peer / timeout): issuing

@@ -26,9 +26,6 @@ func (w *Window) userPeer(i int) *userCounters {
 // sendUserSignal increments the outbound user counter toward dst and ships
 // its new value.
 func (w *Window) sendUserSignal(dst int) {
-	if dst < 0 || dst >= w.n {
-		w.raisef("Signal target %d out of range (n=%d)", dst, w.n)
-	}
 	u := w.userPeer(dst)
 	u.out++
 	w.eng.notify(w, dst, chUser, u.out)
@@ -38,6 +35,7 @@ func (w *Window) sendUserSignal(dst int) {
 // counter toward target increments and its new value is written one-sidedly
 // into target's replica.
 func (w *Window) Signal(target int) {
+	w.checkTarget(target, "Signal target")
 	w.checkLive()
 	if !w.rank.ChargeCall() {
 		return
@@ -48,10 +46,7 @@ func (w *Window) Signal(target int) {
 // SignalCount returns the cumulative number of user signals received from
 // src.
 func (w *Window) SignalCount(src int) int64 {
-	if src < 0 || src >= w.n {
-		w.raisef("SignalCount source %d out of range (n=%d)", src, w.n)
-	}
-	if w.user == nil {
+	if w.checkTarget(src, "SignalCount source"); w.user == nil {
 		return 0
 	}
 	return w.user.Peek(src).in
@@ -63,6 +58,7 @@ func (w *Window) SignalCount(src int) int64 {
 // hanging forever — the dead-peer-mid-spin propagation rule: a replica that
 // can no longer be written must not be waited on.
 func (w *Window) WaitSignal(src int, count int64) {
+	w.checkTarget(src, "WaitSignal source")
 	w.checkLive()
 	if !w.rank.ChargeCall() {
 		return

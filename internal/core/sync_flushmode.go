@@ -83,9 +83,7 @@ const (
 
 // newFlushState builds a freshly created window's flush-mode state.
 func newFlushState(w *Window, master int) *flushState {
-	if master < 0 || master >= w.n {
-		w.raisef("FlushMaster %d out of range (n=%d)", master, w.n)
-	}
+	w.checkTarget(master, "FlushMaster")
 	// The perpetual epoch is noCheck and never activated through the epoch
 	// pipeline, so its slot table stays sparse: one slot per target this
 	// rank actually communicates with, never O(n) per window per rank.

@@ -25,37 +25,19 @@ func (v vecShape) span() int64 {
 	return (v.count-1)*v.stride + v.blockLen
 }
 
-// checkVector validates a strided access against the window bounds.
-func (w *Window) checkVector(target int, off int64, v vecShape) {
-	if v.count < 0 || v.blockLen < 0 || v.stride < v.blockLen {
-		w.raisef("bad vector shape count=%d blockLen=%d stride=%d", v.count, v.blockLen, v.stride)
-	}
-	// Guard the span computation against int64 overflow: a huge count or
-	// stride would wrap (count-1)*stride + blockLen back into range and
-	// defeat checkRange.
-	if v.count > 0 && v.stride > 0 && v.count-1 > (1<<62)/v.stride {
-		w.raisef("vector extent overflows: count=%d stride=%d", v.count, v.stride)
-	}
-	w.checkRange(target, off, v.span())
-}
-
 // PutVector writes count blocks of blockLen bytes, stride bytes apart,
 // into target's window starting at off. data holds the packed blocks
 // (count*blockLen bytes) and may be nil on shape-only windows.
 func (w *Window) PutVector(target int, off int64, count, blockLen, stride int64, data []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
-	w.checkVector(target, off, v)
-	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opPut,
-		target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v}, false)
+	w.addOp(rmaOp{class: opPut, target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v}, false)
 }
 
 // GetVector reads count strided blocks from target's window into buf
 // (packed, count*blockLen bytes).
 func (w *Window) GetVector(target int, off int64, count, blockLen, stride int64, buf []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
-	w.checkVector(target, off, v)
-	w.addOp(rmaOp{ep: w.impl.accessEpoch(w, target), class: opGet,
-		target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: &v}, false)
+	w.addOp(rmaOp{class: opGet, target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: &v}, false)
 }
 
 // applyPutVector scatters packed data into the strided target region.

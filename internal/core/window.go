@@ -88,17 +88,20 @@ func (w *Window) Size() int64 { return w.size }
 // Bytes returns the local exposed memory. It is nil for shape-only windows.
 func (w *Window) Bytes() []byte { return w.buf }
 
-// checkRange validates a remote access range against the window size. The
-// bound check avoids computing off+size: a huge off or size would wrap
-// int64 and slip past a naive `off+size > w.size` comparison.
-func (w *Window) checkRange(target int, off, size int64) {
-	if target < 0 || target >= w.n {
-		w.raisef("RMA target %d out of range (n=%d)", target, w.n)
+// checkTarget raises unless t is a rank of the window's world, naming the
+// argument what, and returns t. It, checkPeers and checkOp are the argument
+// seam: an exported call checks its arguments at the call, on the calling
+// rank, before an epoch, a peer table or a kernel event sees them (DESIGN §7).
+func (w *Window) checkTarget(t int, what string) int {
+	if t < 0 || t >= w.n {
+		w.raisef("%s %d out of range (n=%d)", what, t, w.n)
 	}
-	if off < 0 || size < 0 || off > w.size || size > w.size-off {
-		w.raisef("RMA range off=%d size=%d exceeds window size %d", off, size, w.size)
-	}
+	return t
 }
+
+// towardRank names a group member in checkPeers's raise.
+var towardRank = [...]string{EpochAccess: "access epoch toward rank",
+	EpochExposure: "exposure epoch toward rank", EpochLock: "lock epoch toward rank"}
 
 // checkPeers raises unless peers names one or more distinct ranks of the
 // window's world: a lock target or a GATS group, checked before the mode
@@ -111,9 +114,7 @@ func (w *Window) checkPeers(kind EpochKind, peers ...int) {
 	}
 	ascending := true
 	for i, p := range peers {
-		if p < 0 || p >= w.n {
-			w.raisef("%s epoch toward rank %d out of range (n=%d)", kind, p, w.n)
-		}
+		w.checkTarget(p, towardRank[kind])
 		ascending = ascending && (i == 0 || p > peers[i-1])
 	}
 	for i := 1; i < len(peers) && !ascending; i++ {
@@ -121,6 +122,56 @@ func (w *Window) checkPeers(kind EpochKind, peers ...int) {
 			w.raisef("%s epoch group names rank %d twice", kind, peers[i])
 		}
 	}
+}
+
+// checkOp raises unless op is a well-formed RMA call — a target rank, a range
+// (a vector's strided extent) inside the window, a defined datatype, operator
+// and pair, whole elements, and buffers of at least size bytes, which it trims
+// to size. A nil buffer is traffic only; a shape-only window takes none.
+func (w *Window) checkOp(op *rmaOp) {
+	w.checkTarget(op.target, "RMA target")
+	ext := op.size
+	if v := op.vec; v != nil {
+		if v.count < 0 || v.blockLen < 0 || v.stride < v.blockLen {
+			w.raisef("bad vector shape count=%d blockLen=%d stride=%d", v.count, v.blockLen, v.stride)
+		}
+		// A huge count or stride would wrap the extent back into range.
+		if v.count > 0 && v.stride > 0 && v.count-1 > (1<<62)/v.stride {
+			w.raisef("vector extent overflows: count=%d stride=%d", v.count, v.stride)
+		}
+		ext = v.span()
+	}
+	// Not off+ext > w.size: a huge off or size would wrap int64 past it.
+	if op.off < 0 || ext < 0 || op.off > w.size || ext > w.size-op.off {
+		w.raisef("RMA range off=%d size=%d exceeds window size %d", op.off, ext, w.size)
+	}
+	switch es := int64(op.dtype.Size()); {
+	case es == 0:
+		w.raisef("unknown datatype %d", op.dtype)
+	case op.op < OpSum || op.op > OpNoOp:
+		w.raisef("unknown operator %d", op.op)
+	case op.dtype == TFloat64 && op.op >= OpBand && op.op <= OpBxor:
+		w.raisef("operator %d not defined for float64", op.op)
+	case op.size%es != 0:
+		w.raisef("operand size %d not a multiple of element size %d", op.size, es)
+	case w.buf == nil && (op.data != nil || op.buf != nil || op.cmp != nil):
+		w.raisef("data-carrying RMA operation on a shape-only window")
+	}
+	op.data = w.operand(op.data, "origin", op.size)
+	op.buf = w.operand(op.buf, "result", op.size)
+	op.cmp = w.operand(op.cmp, "compare", op.size)
+}
+
+// operand raises unless buffer b is nil or holds size bytes, and returns it
+// trimmed to them.
+func (w *Window) operand(b []byte, what string, size int64) []byte {
+	if b == nil {
+		return nil
+	}
+	if int64(len(b)) < size {
+		w.raisef("%s buffer of %d bytes is shorter than the %d-byte operation", what, len(b), size)
+	}
+	return b[:size]
 }
 
 // accessEpoch is the newest application-open access epoch covering target

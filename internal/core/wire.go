@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 )
@@ -24,7 +25,7 @@ func (w *Window) fulfil(o *rmaOp, loopback bool) (old []byte) {
 		case !loopback:
 			return w.snapshot(o.off, o.size)
 		case o.buf != nil && w.buf != nil:
-			copy(o.buf[:o.size], w.buf[o.off:o.off+o.size])
+			copy(o.buf, w.buf[o.off:o.off+o.size])
 		}
 	case opAcc:
 		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
@@ -33,7 +34,7 @@ func (w *Window) fulfil(o *rmaOp, loopback bool) (old []byte) {
 		w.applyAcc(o.off, o.data, o.size, o.op, o.dtype)
 	case opCAS:
 		old = w.snapshot(o.off, o.size)
-		if w.buf != nil && bytesEqual(old, o.cmp) {
+		if w.buf != nil && bytes.Equal(old, o.cmp) {
 			copy(w.buf[o.off:o.off+o.size], o.data)
 		}
 	}
@@ -46,7 +47,7 @@ func (w *Window) applyPut(off int64, data []byte, size int64) {
 	if w.buf == nil || data == nil {
 		return
 	}
-	copy(w.buf[off:off+size], data[:size])
+	copy(w.buf[off:off+size], data)
 }
 
 // snapshot returns a copy of the window region (nil on shape-only windows).
@@ -155,20 +156,4 @@ func (w *Window) combineU64(a, b uint64, op AccOp, dt DType) uint64 {
 		w.raisef("unsupported integer operator %d", op)
 	}
 	return r
-}
-
-// bytesEqual reports element equality for CompareAndSwap.
-func bytesEqual(a, b []byte) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

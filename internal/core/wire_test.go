@@ -152,18 +152,6 @@ func TestShapeOnlyApplyIsNoop(t *testing.T) {
 	}
 }
 
-func TestBytesEqual(t *testing.T) {
-	if !bytesEqual([]byte{1, 2}, []byte{1, 2}) {
-		t.Fatal("equal slices reported unequal")
-	}
-	if bytesEqual([]byte{1}, []byte{2}) || bytesEqual([]byte{1}, []byte{1, 2}) {
-		t.Fatal("unequal slices reported equal")
-	}
-	if !bytesEqual(nil, nil) || bytesEqual(nil, []byte{}) {
-		t.Fatal("nil handling wrong")
-	}
-}
-
 // Property: integer OpSum commutes and OpMax/OpMin are idempotent.
 func TestCombineAlgebraProperty(t *testing.T) {
 	f := func(a, b uint64) bool {
