@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
@@ -46,17 +46,9 @@ func TestPatternTaskParity(t *testing.T) {
 	}
 	add(signalCell(64<<10, core.TransportSignal, 2, iters), "signal/2 rails")
 
-	type reading struct {
-		samples [][]sim.Time
-		rel     []fabric.RelStats // the fault sweep's retransmissions
-	}
 	observe := func(pt pattern, tasks bool) formObservation {
 		run := pt.run(tasks)
-		res := reading{samples: run.Samples}
-		for i := range run.Wins {
-			res.rel = append(res.rel, run.World.Net.RelStats(i))
-		}
-		return observeForm(res, run)
+		return observeForm(run.Samples, run)
 	}
 	same := func(t *testing.T, pt pattern) {
 		t.Helper()
@@ -67,7 +59,7 @@ func TestPatternTaskParity(t *testing.T) {
 		if task.inMPI[0] == 0 {
 			t.Fatal("rank 0 reports no MPI time")
 		}
-		if pt.faults != nil && task.result.(reading).rel[0].Retransmits == 0 {
+		if pt.faults != nil && !strings.Contains(task.ctrs[0], "fabric.retransmits=") {
 			t.Fatal("the lossy cell retransmitted nothing")
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/prog"
@@ -161,13 +162,16 @@ func scaleCell(n int, s Series, iters int) scaleMeasure {
 	for _, ss := range run.Samples {
 		flat = append(flat, ss...)
 	}
-	sum := run.World.Net.TopoSummary()
+	fab := run.World.Net.Counters.Row(n) // the fabric-wide row
 	return scaleMeasure{
 		lat:    mean(flat),
-		queued: us(sum.QueuedTime) / float64(iters),
-		stalls: float64(sum.CreditStalls) / float64(iters),
+		queued: us(sim.Time(fab[topoQueued])) / float64(iters),
+		stalls: float64(fab[topoStalls]) / float64(iters),
 	}
 }
+
+// The topology engine's counters the scale figure reports.
+var topoQueued, topoStalls = metrics.Lookup("topo.queued_ns"), metrics.Lookup("topo.credit_stalls")
 
 // scaleCellMode runs a cell in the given rank execution form: task ranks
 // (tasks=true, what the figure uses — 64k ranks fit one process without 64k

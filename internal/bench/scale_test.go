@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/sim"
@@ -79,18 +78,17 @@ func TestScaleTaskParity(t *testing.T) {
 	type observed struct {
 		samples [][]sim.Time
 		inMPI   []sim.Time
-		stats   []core.WindowStats
-		queued  sim.Time
-		stalls  int64
+		ctrs    []string // every row of the world's counters, the topology engine's included
 		events  uint64
 	}
 	observe := func(s Series, tasks bool) observed {
 		run := scaleCellMode(n, s, iters, tasks)
-		sum := run.World.Net.TopoSummary()
-		o := observed{samples: run.Samples, queued: sum.QueuedTime, stalls: sum.CreditStalls, events: run.World.Events()}
-		for i, wins := range run.Wins {
+		o := observed{samples: run.Samples, events: run.World.Events()}
+		for i := range run.Wins {
 			o.inMPI = append(o.inMPI, run.World.Rank(i).TimeInMPI)
-			o.stats = append(o.stats, wins[0].Stats())
+		}
+		for row := 0; row <= n; row++ {
+			o.ctrs = append(o.ctrs, run.World.Net.Counters.Snapshot(row))
 		}
 		return o
 	}
@@ -110,19 +108,19 @@ func TestScaleTaskParity(t *testing.T) {
 
 // formObservation is what the parity tests require to be identical between
 // the two execution forms of one program: the cell's reading, every rank's
-// MPI time and window counters, and the number of simulation events.
+// MPI time and counters, and the number of simulation events.
 type formObservation struct {
 	result any
 	inMPI  []sim.Time
-	stats  []core.WindowStats
+	ctrs   []string
 	events uint64
 }
 
 func observeForm(result any, run *prog.Run) formObservation {
 	o := formObservation{result: result, events: run.World.Events()}
-	for i, wins := range run.Wins {
+	for i := range run.Wins {
 		o.inMPI = append(o.inMPI, run.World.Rank(i).TimeInMPI)
-		o.stats = append(o.stats, wins[0].Stats())
+		o.ctrs = append(o.ctrs, run.World.Net.Counters.Snapshot(i))
 	}
 	return o
 }

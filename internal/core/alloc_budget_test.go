@@ -80,6 +80,18 @@ func TestEpochAllocationBudgets(t *testing.T) {
 		win.Put(1, 0, nil, 8)
 		win.UnlockAll()
 	}
+	// A vector op keeps its shape in the recycled op, so a strided epoch
+	// costs what a contiguous one does.
+	putVector := func(win *Window, _ *mpi.Rank) {
+		win.Lock(1, true)
+		win.PutVector(1, 0, 2, 4, 8, nil)
+		win.Unlock(1)
+	}
+	getVector := func(win *Window, _ *mpi.Rank) {
+		win.Lock(1, true)
+		win.GetVector(1, 0, 2, 4, 8, nil)
+		win.Unlock(1)
+	}
 	flushPut := func(win *Window, r *mpi.Rank) {
 		win.Put(1, 0, nil, 8)
 		r.Wait(win.IFlush(1))
@@ -94,6 +106,8 @@ func TestEpochAllocationBudgets(t *testing.T) {
 		{"new/fence", WinOptions{Mode: ModeNew}, fence, fence, 0.05},
 		{"new/lock", WinOptions{Mode: ModeNew}, lock, nil, 0.05},
 		{"new/lock_all", WinOptions{Mode: ModeNew}, lockAll, nil, 0.05},
+		{"new/lock+PutVector", WinOptions{Mode: ModeNew}, putVector, nil, 0.05},
+		{"new/lock+GetVector", WinOptions{Mode: ModeNew}, getVector, nil, 0.05},
 		{"vanilla/gats", WinOptions{Mode: ModeVanilla}, gatsOrigin, gatsTarget, 0.05},
 		{"vanilla/fence", WinOptions{Mode: ModeVanilla}, fence, fence, 0.05},
 		{"vanilla/lock", WinOptions{Mode: ModeVanilla}, lock, nil, 0.05},

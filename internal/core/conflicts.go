@@ -21,7 +21,7 @@ type opExtent struct {
 // full span — a sound overapproximation of the strided footprint).
 func extentOf(o *rmaOp) opExtent {
 	size := o.size
-	if o.vec != nil {
+	if o.vec != (vecShape{}) {
 		size = o.vec.span()
 	}
 	return opExtent{

@@ -169,7 +169,7 @@ func unpackWord(word uint64) (ch channel, win int64, src int, value int64) {
 // in core that picks the medium.
 func (e *Engine) notify(w *Window, dst int, ch channel, value int64) {
 	if w.signalled(dst, ch) {
-		w.stats.SignalsSent++
+		w.eng.ctr[cSignalsSent]++
 	}
 	me := e.rank.ID
 	net := e.rt.world.Net
@@ -236,9 +236,9 @@ func (w *Window) merged(src int, ch channel, fresh bool) bool {
 		return true
 	}
 	if fresh {
-		w.stats.SignalsRecv++
+		w.eng.ctr[cSignalsRecv]++
 	} else {
-		w.stats.SignalsStale++
+		w.eng.ctr[cSignalsStale]++
 	}
 	return fresh
 }

@@ -81,10 +81,10 @@ func FuzzControlCodec(f *testing.F) {
 			if !win.signalled(1, ch) {
 				recv, stale = 0, 0 // typed traffic is not replica-write accounted
 			}
-			st := win.Stats()
-			if got := counterOf(win, 1, ch); got != max || st.SignalsRecv != recv || st.SignalsStale != stale {
+			st := win.counters()
+			if got := counterOf(win, 1, ch); got != max || st[cSignalsRecv] != recv || st[cSignalsStale] != stale {
 				t.Fatalf("stream %v on channel %d: counter=%d recv=%d stale=%d, model %d/%d/%d",
-					stream, ch, got, st.SignalsRecv, st.SignalsStale, max, recv, stale)
+					stream, ch, got, st[cSignalsRecv], st[cSignalsStale], max, recv, stale)
 			}
 		})
 	})
@@ -110,7 +110,7 @@ func TestControlDelivery(t *testing.T) {
 			return fmt.Sprint(counterOf(win, src, ch))
 		}
 		excl, shared, queued := win.LockAgentState()
-		return fmt.Sprintf("held=%t shared=%d queued=%d grants=%d", excl == src, shared, queued, win.agent.Grants)
+		return fmt.Sprintf("held=%t shared=%d queued=%d grants=%d", excl == src, shared, queued, win.eng.ctr[cLockGrants])
 	}
 	for _, tr := range []Transport{TransportGATS, TransportSignal} {
 		for ch := chGrant; ch < chCount; ch++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
@@ -22,6 +23,7 @@ import (
 type Engine struct {
 	rt   *Runtime
 	rank *mpi.Rank
+	ctr  metrics.Row // the rank's row of the world's metrics set
 
 	windows   map[int64]*Window
 	winList   []*Window
@@ -82,7 +84,7 @@ type fifoWordTo struct {
 }
 
 func newEngine(rt *Runtime, r *mpi.Rank) *Engine {
-	e := &Engine{rt: rt, rank: r, windows: make(map[int64]*Window)}
+	e := &Engine{rt: rt, rank: r, windows: make(map[int64]*Window), ctr: rt.world.Net.Counters.Row(r.ID)}
 	cfg := rt.world.Net.Cfg
 	// Same-node peers are the contiguous ProcsPerNode block around this
 	// rank (fabric.Config.NodeOf), computed arithmetically: scanning all n

@@ -114,7 +114,7 @@ func newEpoch(w *Window, kind EpochKind) *Epoch {
 	}
 	ep.win, ep.kind, ep.seq = w, kind, w.nextEpochSeq
 	w.nextEpochSeq++
-	w.stats.EpochsOpened++
+	w.eng.ctr[cEpochsOpened]++
 	return ep
 }
 
@@ -302,7 +302,7 @@ func (ep *Epoch) maybeComplete() {
 		return
 	}
 	ep.completed = true
-	ep.win.stats.EpochsCompleted++
+	ep.win.eng.ctr[cEpochsCompleted]++
 	ep.traceEnd()
 	ep.drainLog()
 	ep.closeReq.Complete()

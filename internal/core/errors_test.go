@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // faultyWorld builds a 2-rank internode job with the given fault profile.
@@ -142,7 +144,7 @@ func TestEpochTimeoutClassifiesStall(t *testing.T) {
 func TestNonblockingAbortFailsRequest(t *testing.T) {
 	w, rt := testWorld(t, 2)
 	var reqErr error
-	var fs WindowStats
+	var fs metrics.Row
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 64, WinOptions{
 			Mode:         ModeNew,
@@ -156,7 +158,7 @@ func TestNonblockingAbortFailsRequest(t *testing.T) {
 		req := win.IComplete()
 		r.Wait(req) // returns (completed-with-error) instead of deadlocking
 		reqErr = req.Err()
-		fs = win.Stats()
+		fs = win.counters()
 	})
 	if err != nil {
 		t.Fatalf("nonblocking abort escalated to a run failure: %v", err)
@@ -165,7 +167,7 @@ func TestNonblockingAbortFailsRequest(t *testing.T) {
 	if !errors.As(reqErr, &rma) || rma.Class != ErrTimeout {
 		t.Fatalf("request error = %v, want an ErrTimeout *RMAError", reqErr)
 	}
-	if fs.Timeouts != 1 || fs.EpochsAborted == 0 {
+	if fs[cTimeouts] != 1 || fs[cEpochsAborted] == 0 {
 		t.Errorf("Stats = %+v, want Timeouts=1 and EpochsAborted>0", fs)
 	}
 }
@@ -242,7 +244,7 @@ func TestAbortedEpochRejectsNewOps(t *testing.T) {
 }
 
 // End-to-end GATS correctness over an adversarial-but-recoverable fabric:
-// data lands intact, the rank's RelStats expose the recovery work and the
+// data lands intact, the rank's fabric counters expose the recovery work and the
 // window records no abort.
 func TestLossyGATSEndToEnd(t *testing.T) {
 	fp := fabric.DefaultFaultProfile(99)
@@ -256,8 +258,7 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	var got []byte
-	var rel fabric.RelStats
-	var fs WindowStats
+	var fs metrics.Row
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1<<13, WinOptions{Mode: ModeNew})
 		for round := 0; round < 16; round++ {
@@ -274,7 +275,7 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 			got = append([]byte(nil), win.Bytes()...)
 		}
 		if r.ID == 0 {
-			rel, fs = w.Net.RelStats(r.ID), win.Stats()
+			fs = win.counters()
 		}
 		win.Quiesce()
 	})
@@ -284,11 +285,48 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatal("payload corrupted across the lossy fabric")
 	}
-	if rel.Drops == 0 || rel.Retransmits == 0 {
-		t.Errorf("RelStats show no recovery work on a lossy run: %+v", rel)
+	if fs[fabDrops] == 0 || fs[fabRetransmits] == 0 {
+		t.Errorf("counters show no recovery work on a lossy run: %v", fs)
 	}
-	if fs.EpochsAborted != 0 || fs.Timeouts != 0 {
+	if fs[cEpochsAborted] != 0 || fs[cTimeouts] != 0 {
 		t.Errorf("recoverable loss escalated to aborts: %+v", fs)
+	}
+}
+
+// TestDeadlockReportShowsCounters: the report for a rank left blocked on a
+// lossy fat-tree run carries that rank's nonzero counters of every layer on
+// one line, in the metrics set's one format: the RMA layer's, the go-back-N
+// layer's and the topology engine's fabric-wide ones.
+func TestDeadlockReportShowsCounters(t *testing.T) {
+	cfg := fabric.DefaultConfig()
+	cfg.Topo = topo.Spec{Kind: topo.FatTree, HostsPerLeaf: 1, Spines: 1}
+	w := mpi.NewWorld(2, cfg)
+	w.Net.EnableFaults(fabric.FaultProfile{Seed: 3, Drop: 0.2})
+	rt := NewRuntime(w)
+	err := w.Run(func(r *mpi.Rank) {
+		win := rt.CreateWindow(r, 64, WinOptions{})
+		if r.ID == 0 {
+			for i := 0; i < 8; i++ {
+				win.Lock(1, true)
+				win.Put(1, 0, make([]byte, 8), 8)
+				win.Unlock(1)
+			}
+			r.Barrier() // rank 1 never joins
+		}
+	})
+	if err == nil {
+		t.Fatal("a barrier only rank 0 entered did not deadlock")
+	}
+	var line string
+	for _, l := range strings.Split(err.Error(), "\n") {
+		if l = strings.TrimSpace(l); strings.HasPrefix(l, "counters: ") {
+			line = l
+		}
+	}
+	for _, want := range []string{"core.epochs_completed=8 ", "core.ops_issued=8 ", "fabric.retransmits=", "fabric.sent=", "topo.forwarded="} {
+		if !strings.Contains(line+" ", want) {
+			t.Errorf("counters line lacks %q:\n%s", want, err)
+		}
 	}
 }
 
@@ -396,7 +434,7 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 	fp.DetectDelay = 2 * sim.Millisecond                                 // the timeout wins
 	w, rt := faultyWorld(t, 2, fp)
 	var reqErr, winErr error
-	var fs WindowStats
+	var fs metrics.Row
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 256, WinOptions{
 			Mode:         ModeNew,
@@ -413,7 +451,7 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 		reqErr = req.Err()
 		r.Compute(5 * sim.Millisecond) // let the unreachable declaration land too
 		winErr = win.Err()
-		fs = win.Stats()
+		fs = win.counters()
 	})
 	if err != nil {
 		t.Fatalf("run failed (double abort escalated?): %v", err)
@@ -425,8 +463,8 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 	if !errors.As(winErr, &rma) || rma.Class != ErrTimeout {
 		t.Fatalf("window error after declaration = %v, want the first ErrTimeout preserved", winErr)
 	}
-	if fs.EpochsAborted != 1 {
-		t.Errorf("EpochsAborted = %d, want exactly 1 (second abort must be a no-op)", fs.EpochsAborted)
+	if fs[cEpochsAborted] != 1 {
+		t.Errorf("EpochsAborted = %d, want exactly 1 (second abort must be a no-op)", fs[cEpochsAborted])
 	}
 }
 
@@ -484,7 +522,7 @@ func TestScheduledDeathPoisonsOnlyDependentWindows(t *testing.T) {
 // aborts, and the armed timers do not prevent kernel quiescence.
 func TestEpochTimeoutInertOnHealthyRun(t *testing.T) {
 	w, rt := testWorld(t, 2)
-	var fs WindowStats
+	var fs metrics.Row
 	runJob(t, w, func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1024, WinOptions{
 			Mode:         ModeNew,
@@ -494,14 +532,14 @@ func TestEpochTimeoutInertOnHealthyRun(t *testing.T) {
 			win.Start([]int{1})
 			win.Put(1, 0, make([]byte, 512), 512)
 			win.Complete()
-			fs = win.Stats()
+			fs = win.counters()
 		} else {
 			win.Post([]int{0})
 			win.WaitEpoch()
 		}
 		win.Quiesce()
 	})
-	if fs.Timeouts != 0 || fs.EpochsAborted != 0 {
+	if fs[cTimeouts] != 0 || fs[cEpochsAborted] != 0 {
 		t.Fatalf("healthy run tripped the watchdog: %+v", fs)
 	}
 }

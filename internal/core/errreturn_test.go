@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -69,7 +71,7 @@ var abortCells = []abortCell{
 type abortOutcome struct {
 	runErr, callErr error
 	at              sim.Time
-	stats           WindowStats
+	stats           metrics.Row
 }
 
 // runAbortCell runs cell on a 2-rank world whose rank 1 dies at 50 µs and is
@@ -98,10 +100,10 @@ func runAbortCell(t *testing.T, cell abortCell, mode Mode, errorsReturn, tasks b
 		return append(calls,
 			func() { r.Compute(200 * sim.Microsecond) },
 			func() { cell.call(win) },
-			func() { o.callErr, o.at, o.stats = win.TakeErr(), r.Now(), win.Stats() })
+			func() { o.callErr, o.at, o.stats = win.TakeErr(), r.Now(), win.counters() })
 	})
 	if o.at < 0 {
-		o.at, o.stats = w.K.Now(), origin.Stats()
+		o.at, o.stats = w.K.Now(), origin.counters()
 	}
 	return o
 }
@@ -140,7 +142,7 @@ func TestErrorsReturnBothForms(t *testing.T) {
 				if got, _ := ret.callErr.(*RMAError); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s tasks=%t: recorded %v, want the fatal error %v", name, tasks, ret.callErr, want)
 				}
-				if want != nil && (ret.at != fatal.at || ret.stats != fatal.stats) {
+				if want != nil && (ret.at != fatal.at || !slices.Equal(ret.stats, fatal.stats)) {
 					t.Errorf("%s tasks=%t: the call returned at %v with %+v, the fatal one raised at %v with %+v",
 						name, tasks, ret.at, ret.stats, fatal.at, fatal.stats)
 				}

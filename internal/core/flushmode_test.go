@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -265,7 +266,7 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 		payload[i] = byte(i * 13)
 	}
 	var got []byte
-	var fs fabric.RelStats
+	var fs metrics.Row
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1<<12, WinOptions{Mode: ModeFlush})
 		if r.ID == 0 {
@@ -275,7 +276,7 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 				win.FlushAll()
 			}
 			win.UnlockAll()
-			fs = w.Net.RelStats(r.ID)
+			fs = win.counters()
 		}
 		r.Barrier()
 		if r.ID == 1 {
@@ -289,8 +290,8 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatal("payload corrupted across the lossy fabric")
 	}
-	if fs.Drops == 0 && fs.Retransmits == 0 {
-		t.Errorf("RelStats show no recovery work on a lossy run: %+v", fs)
+	if fs[fabDrops] == 0 && fs[fabRetransmits] == 0 {
+		t.Errorf("counters show no recovery work on a lossy run: %v", fs)
 	}
 }
 
@@ -366,8 +367,8 @@ func TestFlushModeOpensNoEpochs(t *testing.T) {
 			win.Unlock(1)
 		}
 		r.Barrier()
-		st := win.Stats()
-		if st.EpochsOpened != 0 || st.EpochsCompleted != 0 {
+		st := win.counters()
+		if st[cEpochsOpened] != 0 || st[cEpochsCompleted] != 0 {
 			t.Errorf("flush mode opened epochs: %+v", st)
 		}
 		if win.PendingEpochs() != 0 {

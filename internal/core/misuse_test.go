@@ -279,6 +279,13 @@ var misuseRows = []struct {
 	{"IFlushLocal(-1)", false, []call{lockTo1, {kind: kIFlushLocal, target: -1}}, "IFlushLocal target -1 out of range (n=2)"},
 	{"WaitSignal(99, 1)", false, []call{{kind: kWaitSignal, target: 99, size: 1}}, "WaitSignal source 99 out of range (n=2)"},
 	{"PeerState(99)", false, []call{{kind: kPeerState, target: 99}}, "PeerState peer 99 out of range (n=2)"},
+	// MPI_ERR_ASSERT: bits outside AssertNoPrecede|AssertNoSucceed, raised
+	// before the mode's own refusal, so flush mode names the assertion too.
+	{"Fence(1)", false, []call{{kind: kFence, off: 1}}, "fence assertion 1 has bits outside AssertNoPrecede|AssertNoSucceed"},
+	{"IFence(8)", false, []call{{kind: kIFence, off: 8}}, "fence assertion 8 has bits outside AssertNoPrecede|AssertNoSucceed"},
+	{"Fence(-1)", false, []call{{kind: kFence, off: -1}}, "fence assertion -1 has bits outside AssertNoPrecede|AssertNoSucceed"},
+	{"Accumulate OpNoOp", false, []call{lockTo1, {kind: kAcc, target: 1, size: 8, op: int8(OpNoOp), data: 8}},
+		"operator OpNoOp is defined only for get-accumulate and fetch-and-op"},
 }
 
 // TestPeerChecksBothForms: every misuse row raises at the call, on the

@@ -36,7 +36,7 @@ type rmaOp struct {
 	dtype  DType
 	op     AccOp
 	age    int64        // monotonic age, for flush stamping (Section VII-C)
-	vec    *vecShape    // strided layout; nil for contiguous ops
+	vec    vecShape     // strided layout; zero for contiguous ops
 	req    *mpi.Request // request-based variants; nil otherwise
 	resp   []byte       // fetched value carried by the response leg
 
@@ -94,9 +94,9 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 	w.opAge++
 	o.age = w.opAge
 	w.linkLive(o)
-	w.stats.OpsIssued++
+	w.eng.ctr[cOpsIssued]++
 	if o.class == opPut || o.class == opAcc {
-		w.stats.BytesOut += o.size
+		w.eng.ctr[cBytesOut] += o.size
 	}
 	w.impl.admit(w, o.ep, o)
 	return req

@@ -85,8 +85,8 @@ func staleTimerProgram(t *testing.T, mode Mode) func(rt *Runtime, r *mpi.Rank) [
 				calls = append(calls, lockPut(&win, func(*Epoch) {})...)
 			}
 			calls = append(calls, func() {
-				if s := win.Stats(); win.Err() != nil || s.Timeouts != 0 || s.EpochsAborted != 0 {
-					t.Errorf("stale timer aborted a later epoch: err %v, %d timeouts, %d aborted", win.Err(), s.Timeouts, s.EpochsAborted)
+				if s := win.counters(); win.Err() != nil || s[cTimeouts] != 0 || s[cEpochsAborted] != 0 {
+					t.Errorf("stale timer aborted a later epoch: err %v, %d timeouts, %d aborted", win.Err(), s[cTimeouts], s[cEpochsAborted])
 				}
 			})
 		}

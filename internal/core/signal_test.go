@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -14,8 +15,8 @@ import (
 // signalHandshake runs one internode GATS handshake (Start/Put/Complete vs
 // Post/Wait) and reports the target's received payload, the virtual times
 // at which origin Complete and target WaitEpoch returned, and the origin's
-// window stats.
-func signalHandshake(t *testing.T, opt WinOptions, size int64) (got []byte, completeAt, waitAt sim.Time, st WindowStats) {
+// counters.
+func signalHandshake(t *testing.T, opt WinOptions, size int64) (got []byte, completeAt, waitAt sim.Time, st metrics.Row) {
 	t.Helper()
 	w, rt := testWorld(t, 2)
 	payload := make([]byte, size)
@@ -29,7 +30,7 @@ func signalHandshake(t *testing.T, opt WinOptions, size int64) (got []byte, comp
 			win.Put(1, 0, payload, size)
 			win.Complete()
 			completeAt = r.Now()
-			st = win.Stats()
+			st = win.counters()
 		} else {
 			win.Post([]int{0})
 			win.WaitEpoch()
@@ -64,7 +65,7 @@ func TestSignalTransportHandshake(t *testing.T) {
 		t.Errorf("signal Wait at %dus, not below GATS %dus",
 			sigW/sim.Microsecond, gatsW/sim.Microsecond)
 	}
-	if st.SignalsSent == 0 {
+	if st[cSignalsSent] == 0 {
 		t.Error("origin sent no counter-replica writes on the signal transport")
 	}
 }
@@ -108,9 +109,9 @@ func TestSignalBaseWraparoundInvariance(t *testing.T) {
 			win.Quiesce()
 			r.Barrier()
 			if r.ID == 1 {
-				st := win.Stats()
+				st := win.counters()
 				log = fmt.Sprintf("t=%d buf=%x sig=%d recv=%d stale=%d",
-					r.Now(), win.Bytes()[:8], win.SignalCount(0), st.SignalsRecv, st.SignalsStale)
+					r.Now(), win.Bytes()[:8], win.SignalCount(0), st[cSignalsRecv], st[cSignalsStale])
 			}
 		})
 		return log
@@ -136,7 +137,7 @@ func TestSignalStaleDiscard(t *testing.T) {
 		})
 		if r.ID == 0 {
 			for ch := chGrant; ch <= chUser; ch++ {
-				before := win.Stats()
+				before := win.counters()
 				for _, step := range []struct {
 					v     int64
 					fresh bool
@@ -152,8 +153,8 @@ func TestSignalStaleDiscard(t *testing.T) {
 				if got := counterOf(win, 1, ch); got != 4 {
 					t.Errorf("channel %d counter = %d, want 4", ch, got)
 				}
-				st := win.Stats()
-				if recv, stale := st.SignalsRecv-before.SignalsRecv, st.SignalsStale-before.SignalsStale; recv != 2 || stale != 2 {
+				st := win.counters()
+				if recv, stale := st[cSignalsRecv]-before[cSignalsRecv], st[cSignalsStale]-before[cSignalsStale]; recv != 2 || stale != 2 {
 					t.Errorf("channel %d: recv=%d stale=%d, want 2/2", ch, recv, stale)
 				}
 			}
@@ -216,7 +217,7 @@ func TestSignalNoCheckLockNotify(t *testing.T) {
 			if got := string(win.Bytes()[32 : 32+len(payload)]); got != string(payload) {
 				t.Errorf("notify overtook data: %q", got)
 			}
-			if g := win.Stats().LockGrants; g != 0 {
+			if g := win.counters()[cLockGrants]; g != 0 {
 				t.Errorf("lock agent served %d grants on a lock-free epoch", g)
 			}
 		}
@@ -258,7 +259,7 @@ func TestSignalLossyFabric(t *testing.T) {
 						t.Errorf("seed %d: byte %d = %x, want %x", seed, i, win.Bytes()[i], 0xa0+i)
 					}
 				}
-				retries = w.Net.RelStats(r.ID).Retransmits
+				retries = win.counters()[fabRetransmits]
 			}
 			win.Quiesce()
 			r.Barrier()

@@ -23,6 +23,7 @@ const (
 // never blocks. The close and the open each pay a call overhead; the repeat
 // of a call pending in the open's finds the closed epoch in the call state.
 func (w *Window) IFence(assert FenceAssert) *mpi.Request {
+	w.checkAssert(assert)
 	w.allow(EpochFence, true, false)
 	c := &w.eng.call
 	closed := c.fence
@@ -49,8 +50,16 @@ func (w *Window) IFence(assert FenceAssert) *mpi.Request {
 
 // Fence is the blocking MPI_WIN_FENCE.
 func (w *Window) Fence(assert FenceAssert) {
+	w.checkAssert(assert)
 	w.allow(EpochFence, false, false)
 	w.impl.fence(w, assert)
+}
+
+// checkAssert raises unless a holds only fence assertion bits (MPI_ERR_ASSERT).
+func (w *Window) checkAssert(a FenceAssert) {
+	if a&^(AssertNoPrecede|AssertNoSucceed) != 0 {
+		w.raisef("fence assertion %d has bits outside AssertNoPrecede|AssertNoSucceed", a)
+	}
 }
 
 func (newMode) fence(w *Window, assert FenceAssert) {

@@ -18,9 +18,6 @@ type lockAgent struct {
 	exclHolder  int // rank holding the exclusive lock, or -1
 	sharedCount int
 	queue       []lockWaiter
-
-	// Grants counts lifetime grants (diagnostics/tests).
-	Grants int64
 }
 
 type lockWaiter struct {
@@ -68,7 +65,7 @@ func (a *lockAgent) advance() {
 		}
 		copy(a.queue, a.queue[1:]) // pop by copy-down: keep the backing array
 		a.queue = a.queue[:len(a.queue)-1]
-		a.Grants++
+		a.w.eng.ctr[cLockGrants]++
 		// Granting a lock updates e locally and g remotely, exactly like
 		// opening an exposure (Section VII-B).
 		id := a.w.peer(h.origin).nextExposureID()

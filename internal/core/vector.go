@@ -10,7 +10,8 @@ package core
 // block starting at off + k*stride in the target window. The payload on
 // the wire is the packed count*blockLen bytes.
 
-// vecShape describes the strided layout of a vector op.
+// vecShape describes the strided layout of a vector op. Its zero value marks
+// a contiguous op: a vector of that shape has no extent and acts the same.
 type vecShape struct {
 	count    int64
 	blockLen int64
@@ -30,14 +31,14 @@ func (v vecShape) span() int64 {
 // (count*blockLen bytes) and may be nil on shape-only windows.
 func (w *Window) PutVector(target int, off int64, count, blockLen, stride int64, data []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
-	w.addOp(rmaOp{class: opPut, target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: &v}, false)
+	w.addOp(rmaOp{class: opPut, target: target, off: off, data: data, size: count * blockLen, dtype: TByte, vec: v}, false)
 }
 
 // GetVector reads count strided blocks from target's window into buf
 // (packed, count*blockLen bytes).
 func (w *Window) GetVector(target int, off int64, count, blockLen, stride int64, buf []byte) {
 	v := vecShape{count: count, blockLen: blockLen, stride: stride}
-	w.addOp(rmaOp{class: opGet, target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: &v}, false)
+	w.addOp(rmaOp{class: opGet, target: target, off: off, buf: buf, size: count * blockLen, dtype: TByte, vec: v}, false)
 }
 
 // applyPutVector scatters packed data into the strided target region.

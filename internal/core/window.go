@@ -74,8 +74,6 @@ type Window struct {
 	timeout sim.Time
 	err     *RMAError
 
-	// stats and lifecycle.
-	stats WindowStats
 	freed bool
 }
 
@@ -126,12 +124,13 @@ func (w *Window) checkPeers(kind EpochKind, peers ...int) {
 
 // checkOp raises unless op is a well-formed RMA call — a target rank, a range
 // (a vector's strided extent) inside the window, a defined datatype, operator
-// and pair, whole elements, and buffers of at least size bytes, which it trims
-// to size. A nil buffer is traffic only; a shape-only window takes none.
+// and pair (no-op only where something is fetched), whole elements, and
+// buffers of at least size bytes, which it trims to size. A nil buffer is
+// traffic only; a shape-only window takes none.
 func (w *Window) checkOp(op *rmaOp) {
 	w.checkTarget(op.target, "RMA target")
 	ext := op.size
-	if v := op.vec; v != nil {
+	if v := op.vec; v != (vecShape{}) {
 		if v.count < 0 || v.blockLen < 0 || v.stride < v.blockLen {
 			w.raisef("bad vector shape count=%d blockLen=%d stride=%d", v.count, v.blockLen, v.stride)
 		}
@@ -152,6 +151,8 @@ func (w *Window) checkOp(op *rmaOp) {
 		w.raisef("unknown operator %d", op.op)
 	case op.dtype == TFloat64 && op.op >= OpBand && op.op <= OpBxor:
 		w.raisef("operator %d not defined for float64", op.op)
+	case op.class == opAcc && op.op == OpNoOp:
+		w.raisef("operator OpNoOp is defined only for get-accumulate and fetch-and-op")
 	case op.size%es != 0:
 		w.raisef("operand size %d not a multiple of element size %d", op.size, es)
 	case w.buf == nil && (op.data != nil || op.buf != nil || op.cmp != nil):

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
@@ -216,6 +218,13 @@ func TestUnlockWrongTargetPanics(t *testing.T) {
 	}
 }
 
+// counters snapshots the row of w's rank in the world's metrics set: the
+// counters of every window of the rank and of its fabric endpoint.
+func (w *Window) counters() metrics.Row { return slices.Clone(w.eng.ctr) }
+
+// The fabric counters core's tests read.
+var fabDrops, fabRetransmits = metrics.Lookup("fabric.drops"), metrics.Lookup("fabric.retransmits")
+
 func TestWindowStatsAndFree(t *testing.T) {
 	w, rt := testWorld(t, 2)
 	runJob(t, w, func(r *mpi.Rank) {
@@ -224,17 +233,17 @@ func TestWindowStatsAndFree(t *testing.T) {
 			win.Lock(1, true)
 			win.Put(1, 0, []byte{1, 2, 3, 4}, 4)
 			win.Unlock(1)
-			s := win.Stats()
-			if s.EpochsOpened != 1 || s.OpsIssued != 1 || s.BytesOut != 4 {
+			s := win.counters()
+			if s[cEpochsOpened] != 1 || s[cOpsIssued] != 1 || s[cBytesOut] != 4 {
 				t.Errorf("stats %+v wrong", s)
 			}
 		}
 		win.Free()
 		if r.ID == 1 {
 			// Grants served by rank 1's agent for rank 0's lock epoch.
-			// (Stats are readable after Free.)
-			if win.Stats().LockGrants != 1 {
-				t.Errorf("lock grants %d, want 1", win.Stats().LockGrants)
+			// (Counters are readable after Free.)
+			if win.counters()[cLockGrants] != 1 {
+				t.Errorf("lock grants %d, want 1", win.counters()[cLockGrants])
 			}
 		}
 	})

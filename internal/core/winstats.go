@@ -1,28 +1,21 @@
 package core
 
-// WindowStats aggregates a window's lifetime activity; useful for
-// application-level reporting and for the benchmark harness. EpochsAborted
-// and Timeouts stay zero on a fault-free run; the rank's fabric-level
-// reliability counters are fabric.Network.RelStats.
-type WindowStats struct {
-	EpochsOpened    int64
-	EpochsCompleted int64
-	EpochsAborted   int64 // epochs closed by an abort (see errors.go)
-	Timeouts        int64 // epochs that hit WinOptions.EpochTimeout
-	OpsIssued       int64
-	BytesOut        int64 // payload bytes of outbound puts/accumulates
-	LockGrants      int64 // grants served by the local lock agent
-	SignalsSent     int64 // counter-replica writes sent (internode grants/dones + user signals)
-	SignalsRecv     int64 // replica writes merged (newer than the local replica)
-	SignalsStale    int64 // replica writes discarded as duplicates or reorders
-}
+import "repro/internal/metrics"
 
-// Stats returns a snapshot of the window's counters.
-func (w *Window) Stats() WindowStats {
-	s := w.stats
-	s.LockGrants = w.agent.Grants
-	return s
-}
+// The RMA layer's counters, summed over a rank's windows in its row of the
+// world's fabric.Network.Counters; aborts and timeouts stay 0 without faults.
+var (
+	cEpochsOpened    = metrics.Declare("core.epochs_opened")
+	cEpochsCompleted = metrics.Declare("core.epochs_completed")
+	cEpochsAborted   = metrics.Declare("core.epochs_aborted") // epochs closed by an abort (see errors.go)
+	cTimeouts        = metrics.Declare("core.timeouts")       // epochs that hit WinOptions.EpochTimeout
+	cOpsIssued       = metrics.Declare("core.ops_issued")
+	cBytesOut        = metrics.Declare("core.bytes_out")     // payload bytes of outbound puts/accumulates
+	cLockGrants      = metrics.Declare("core.lock_grants")   // grants served by the local lock agents
+	cSignalsSent     = metrics.Declare("core.signals_sent")  // counter-replica writes sent (internode grants/dones + user signals)
+	cSignalsRecv     = metrics.Declare("core.signals_recv")  // replica writes merged (newer than the local replica)
+	cSignalsStale    = metrics.Declare("core.signals_stale") // replica writes discarded as duplicates or reorders
+)
 
 // Free collectively tears the window down: it waits for every local epoch
 // to complete, synchronizes all ranks, and detaches the window from the

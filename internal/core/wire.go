@@ -13,15 +13,15 @@ import (
 func (w *Window) fulfil(o *rmaOp, loopback bool) (old []byte) {
 	switch o.class {
 	case opPut:
-		if o.vec != nil {
-			w.applyPutVector(o.off, o.data, *o.vec)
+		if o.vec != (vecShape{}) {
+			w.applyPutVector(o.off, o.data, o.vec)
 		} else {
 			w.applyPut(o.off, o.data, o.size)
 		}
 	case opGet:
 		switch {
-		case o.vec != nil:
-			return w.snapshotVector(o.off, *o.vec)
+		case o.vec != (vecShape{}):
+			return w.snapshotVector(o.off, o.vec)
 		case !loopback:
 			return w.snapshot(o.off, o.size)
 		case o.buf != nil && w.buf != nil:

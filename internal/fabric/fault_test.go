@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -56,6 +57,17 @@ func checkExactlyOnceInOrder(t *testing.T, got []int64, n int) {
 
 // checkCreditsBalanced asserts no flow-control credit leaked: with the
 // kernel drained, nothing is outstanding toward any peer.
+// total is counter id summed over every row of nw's set.
+func total(nw *Network, id metrics.ID) (v int64) {
+	for r := 0; r <= nw.Counters.Ranks; r++ {
+		v += nw.Counters.Row(r)[id]
+	}
+	return v
+}
+
+// The topology engine's counters, as fabric reads them.
+var topoQueued, topoDelivered = metrics.Lookup("topo.queued_ns"), metrics.Lookup("topo.delivered")
+
 func checkCreditsBalanced(t *testing.T, nw *Network) {
 	t.Helper()
 	for src := 0; src < nw.N(); src++ {
@@ -74,9 +86,8 @@ func TestReliableDeliveryUnderDrop(t *testing.T) {
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
 	checkCreditsBalanced(t, nw)
-	st := nw.RelStats(0)
-	if st.Drops == 0 || st.Retransmits == 0 {
-		t.Errorf("drop schedule produced no losses/retransmits: %+v", st)
+	if st := nw.Counters.Row(0); st[cDrops] == 0 || st[cRetransmits] == 0 {
+		t.Errorf("drop schedule produced no losses/retransmits: %v", nw.Counters.Snapshot(0))
 	}
 }
 
@@ -86,10 +97,10 @@ func TestDuplicateInjectionDeduped(t *testing.T) {
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
-	if nw.RelStats(0).DupsSent == 0 {
+	if nw.Counters.Row(0)[cDupsSent] == 0 {
 		t.Error("duplicator never fired at 25% probability over 400 packets")
 	}
-	if nw.RelStats(1).DupDrops == 0 {
+	if nw.Counters.Row(1)[cDupDrops] == 0 {
 		t.Error("no duplicate was dropped at the receiver")
 	}
 }
@@ -100,7 +111,7 @@ func TestCorruptionRecovered(t *testing.T) {
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
-	if nw.RelStats(1).CorruptDrops == 0 {
+	if nw.Counters.Row(1)[cCorruptDrops] == 0 {
 		t.Error("corruption schedule produced no checksum drops")
 	}
 }
@@ -117,12 +128,12 @@ func TestFlapRecovery(t *testing.T) {
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
 	checkCreditsBalanced(t, nw)
-	st := nw.RelStats(0)
-	if st.Delayed == 0 {
+	st := nw.Counters.Row(0)
+	if st[cDelayed] == 0 {
 		t.Fatal("flap window held no departures")
 	}
-	if st.Retransmits == 0 || nw.RelStats(1).DupDrops == 0 {
-		t.Errorf("a 40us hold against a 16us timeout produced no deduped spurious retransmits: tx %+v rx %+v", st, nw.RelStats(1))
+	if st[cRetransmits] == 0 || nw.Counters.Row(1)[cDupDrops] == 0 {
+		t.Errorf("a 40us hold against a 16us timeout produced no deduped spurious retransmits: tx %v rx %v", nw.Counters.Snapshot(0), nw.Counters.Snapshot(1))
 	}
 }
 
@@ -145,7 +156,7 @@ func TestCombinedAdversary(t *testing.T) {
 // The same profile must produce the bit-identical fault schedule; a
 // different seed must not.
 func TestFaultProfileDeterminism(t *testing.T) {
-	run := func(seed uint64) (RelStats, RelStats) {
+	run := func(seed uint64) (string, string) {
 		fp := DefaultFaultProfile(seed)
 		fp.Drop = 0.03
 		fp.Dup = 0.02
@@ -153,7 +164,7 @@ func TestFaultProfileDeterminism(t *testing.T) {
 		k, nw, got := lossyWorld(fp)
 		sendN(t, k, nw, 300)
 		checkExactlyOnceInOrder(t, *got, 300)
-		return nw.RelStats(0), nw.RelStats(1)
+		return nw.Counters.Snapshot(0), nw.Counters.Snapshot(1)
 	}
 	a0, a1 := run(42)
 	b0, b1 := run(42)
@@ -199,8 +210,8 @@ func TestUnreachableDeclaration(t *testing.T) {
 	if fmt.Sprint(declared) != "[0 1 2 1]" {
 		t.Fatalf("unreachable declarations = %v, want [0 1 2 1]", declared)
 	}
-	if k.Now() < 100*sim.Microsecond || nw.RelStats(0).Retransmits == 0 {
-		t.Errorf("stream to the dead peer did not retry until the declaration: t=%d %+v", k.Now(), nw.RelStats(0))
+	if k.Now() < 100*sim.Microsecond || nw.Counters.Row(0)[cRetransmits] == 0 {
+		t.Errorf("stream to the dead peer did not retry until the declaration: t=%d %v", k.Now(), nw.Counters.Snapshot(0))
 	}
 	if !nw.PeerUnreachable(0, 1) {
 		t.Error("PeerUnreachable(0,1) = false after declaration")
@@ -230,8 +241,8 @@ func TestRankStallRecovers(t *testing.T) {
 	sendN(t, k, nw, 50)
 	checkExactlyOnceInOrder(t, *got, 50)
 	checkCreditsBalanced(t, nw)
-	if nw.RelStats(0).Retransmits == 0 || nw.RelStats(1).DupDrops == 0 {
-		t.Errorf("stall window forced no deduped retransmissions: tx %+v rx %+v", nw.RelStats(0), nw.RelStats(1))
+	if nw.Counters.Row(0)[cRetransmits] == 0 || nw.Counters.Row(1)[cDupDrops] == 0 {
+		t.Errorf("stall window forced no deduped retransmissions: tx %v rx %v", nw.Counters.Snapshot(0), nw.Counters.Snapshot(1))
 	}
 	if k.Now() < 200*sim.Microsecond {
 		t.Errorf("recovered at t=%d, before the stall lifted", k.Now())
@@ -257,7 +268,7 @@ func TestFaultDiagReportsLinks(t *testing.T) {
 	if err := k.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"link 0->1 rail 0: nextSeq=2 unacked=1", "rto@t=", "rank 1 DEAD since t=30000 (undetected", "fault stats:"} {
+	for _, want := range []string{"link 0->1 rail 0: nextSeq=2 unacked=1", "rto@t=", "rank 1 DEAD since t=30000 (undetected", "counters: fabric."} {
 		if !strings.Contains(diag, want) {
 			t.Errorf("diag lacks %q:\n%s", want, diag)
 		}
@@ -267,15 +278,15 @@ func TestFaultDiagReportsLinks(t *testing.T) {
 	}
 }
 
-// Without fault injection, Diag and RelStats are inert.
+// Without fault injection, Diag and the fabric counters are inert.
 func TestFaultDiagDisabled(t *testing.T) {
 	k := sim.NewKernel()
 	nw := NewNetwork(k, 2, DefaultConfig())
 	if d := nw.Diag(0); d != "" {
 		t.Errorf("diag on a lossless network: %q", d)
 	}
-	if s := nw.RelStats(0); s != (RelStats{}) {
-		t.Errorf("stats on a lossless network: %+v", s)
+	if s := nw.Counters.Snapshot(); s != "" {
+		t.Errorf("counters on a lossless network: %v", s)
 	}
 }
 
@@ -289,8 +300,8 @@ func TestZeroRateProfileLossless(t *testing.T) {
 	k, nw, got := lossyWorld(DefaultFaultProfile(41)) // every rate zero
 	sendN(t, k, nw, 200)
 	checkExactlyOnceInOrder(t, *got, 200)
-	if st := nw.RelStats(0); st != (RelStats{}) {
-		t.Errorf("zero-rate profile injected faults or engaged the ARQ: %+v", st)
+	if st := nw.Counters.Snapshot(); st != "" {
+		t.Errorf("zero-rate profile injected faults or engaged the ARQ: %v", st)
 	}
 	if allocs := testing.AllocsPerRun(200, func() { pumpPooled(t, k, nw) }); allocs != 0 {
 		t.Errorf("zero-rate profile: %.1f allocs/packet, want 0", allocs)

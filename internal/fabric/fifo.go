@@ -10,10 +10,6 @@ type Fifo struct {
 	head int // next slot to pop
 	tail int // next slot to push
 	n    int // occupied slots
-
-	// Pushed and Popped count lifetime traffic for diagnostics.
-	Pushed int64
-	Popped int64
 }
 
 // NewFifo creates a ring holding up to capacity packets (minimum 1).
@@ -32,7 +28,6 @@ func (f *Fifo) Push(v uint64) bool {
 	f.buf[f.tail] = v
 	f.tail = (f.tail + 1) % len(f.buf)
 	f.n++
-	f.Pushed++
 	return true
 }
 
@@ -44,6 +39,5 @@ func (f *Fifo) Pop() (v uint64, ok bool) {
 	v = f.buf[f.head]
 	f.head = (f.head + 1) % len(f.buf)
 	f.n--
-	f.Popped++
 	return v, true
 }

@@ -40,8 +40,8 @@ func TestFifoWraparound(t *testing.T) {
 			t.Fatalf("round %d: got %d", round, v)
 		}
 	}
-	if f.Pushed != 10 || f.Popped != 10 {
-		t.Fatalf("stats pushed=%d popped=%d, want 10/10", f.Pushed, f.Popped)
+	if f.n != 0 || f.head != 10%3 || f.tail != 10%3 {
+		t.Fatalf("after 10 push/pop pairs: n=%d head=%d tail=%d, want 0/1/1", f.n, f.head, f.tail)
 	}
 }
 

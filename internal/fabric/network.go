@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -52,6 +53,9 @@ type Network struct {
 	// costs the lossless pipeline one pointer check, like faults.
 	topo *topoState
 
+	// Counters is the world's one metrics set, every layer's counters.
+	Counters metrics.Set
+
 	// onUnreachable is invoked (on rank local's kernel) when peer's death
 	// reaches local's failure detector. internal/core installs its
 	// error-propagation hook here.
@@ -88,6 +92,7 @@ func newNetwork(kernelFor func(int) *sim.Kernel, fabK *sim.Kernel, n int, cfg Co
 		fifos:    make(map[fifoKey]*Fifo),
 		regs:     make([]*RegCache, n),
 		sharded:  sharded,
+		Counters: metrics.NewSet(n),
 	}
 	nw.nics = make([]*NIC, n)
 	for r := 0; r < n; r++ {

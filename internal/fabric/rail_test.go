@@ -283,15 +283,8 @@ func TestPerRailARQUnderFaults(t *testing.T) {
 				}
 			}
 		}
-		var rel RelStats
-		for r := 0; r < 3; r++ {
-			st := nw.RelStats(r)
-			rel.Drops += st.Drops
-			rel.DupDrops += st.DupDrops
-			rel.Retransmits += st.Retransmits
-		}
-		if rel.Drops == 0 || rel.Retransmits == 0 {
-			t.Fatalf("seed %d: adversary inactive: %+v", seed, rel)
+		if total(nw, cDrops) == 0 || total(nw, cRetransmits) == 0 {
+			t.Fatalf("seed %d: adversary inactive: %v", seed, nw.Counters.Snapshot())
 		}
 	}
 }

@@ -9,9 +9,6 @@ type RegCache struct {
 	cap   int
 	index map[uint64]int // key -> position in lru
 	lru   []uint64       // least-recently-used first
-
-	Hits   int64
-	Misses int64
 }
 
 // NewRegCache creates a cache for at most capacity regions. capacity <= 0
@@ -25,11 +22,9 @@ func NewRegCache(capacity int) *RegCache {
 // hits.
 func (c *RegCache) Touch(key uint64) bool {
 	if c.cap <= 0 || key == 0 {
-		c.Hits++
 		return true
 	}
 	if pos, ok := c.index[key]; ok {
-		c.Hits++
 		// Move to most-recently-used position, in place: this runs on the
 		// NIC enqueue path for every transfer, so it must not allocate.
 		copy(c.lru[pos:], c.lru[pos+1:])
@@ -37,7 +32,6 @@ func (c *RegCache) Touch(key uint64) bool {
 		c.reindex(pos)
 		return true
 	}
-	c.Misses++
 	if len(c.lru) >= c.cap {
 		evicted := c.lru[0]
 		delete(c.index, evicted)

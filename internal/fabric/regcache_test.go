@@ -10,8 +10,8 @@ func TestRegCacheMissThenHit(t *testing.T) {
 	if !c.Touch(1) {
 		t.Fatal("second touch should hit")
 	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", c.Hits, c.Misses)
+	if len(c.lru) != 1 || c.index[1] != 0 {
+		t.Fatalf("one region touched twice: lru=%v index=%v, want it once", c.lru, c.index)
 	}
 }
 

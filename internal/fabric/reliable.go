@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -33,36 +34,33 @@ import (
 // when the failure detector tears the stream down — so a lossy link can
 // never leak the sender's credit pool.
 
-// RelStats counts one rank's adversary and reliability-layer activity. The
-// source-side counters (Sent..TxDrops) accumulate at the sending rank of a
-// link, the destination-side counters (RxDrops..AcksDropped) at the
-// receiver — each in that rank's own shard context.
-type RelStats struct {
-	Sent        int64 // sequenced packets handed to the wire (first copies)
-	Retransmits int64 // go-back-N resends after a timeout
-	Acked       int64 // sequenced packets confirmed by a cumulative ACK
-	Drops       int64 // copies lost on the wire
-	DupsSent    int64 // extra copies put on the wire by the duplicator
-	Corrupts    int64 // copies sent with a failing checksum
-	Delayed     int64 // departures held by a flap window
-	TxDrops     int64 // packets dropped at source: source dead, or peer declared unreachable
+// The adversary's and the reliability layer's counters, in the network's
+// metrics set. The source-side ones (sent..tx_drops) count at the sending
+// rank of a link, the destination-side ones (rx_drops..acks_dropped) at the
+// receiver, each in that rank's own row and shard context.
+var (
+	cSent         = metrics.Declare("fabric.sent")          // sequenced packets handed to the wire (first copies)
+	cRetransmits  = metrics.Declare("fabric.retransmits")   // go-back-N resends after a timeout
+	cAcked        = metrics.Declare("fabric.acked")         // sequenced packets confirmed by a cumulative ACK
+	cDrops        = metrics.Declare("fabric.drops")         // copies lost on the wire
+	cDupsSent     = metrics.Declare("fabric.dups_sent")     // extra copies put on the wire by the duplicator
+	cCorrupts     = metrics.Declare("fabric.corrupts")      // copies sent with a failing checksum
+	cDelayed      = metrics.Declare("fabric.delayed")       // departures held by a flap window
+	cTxDrops      = metrics.Declare("fabric.tx_drops")      // packets dropped at source: source dead, or peer declared unreachable
+	cRxDrops      = metrics.Declare("fabric.rx_drops")      // copies absorbed on arrival at a dead destination
+	cDupDrops     = metrics.Declare("fabric.dup_drops")     // received copies below the expected sequence (dedup)
+	cGapDrops     = metrics.Declare("fabric.gap_drops")     // received copies above the expected sequence (go-back-N)
+	cCorruptDrops = metrics.Declare("fabric.corrupt_drops") // received copies discarded by the checksum
+	cAcksSent     = metrics.Declare("fabric.acks_sent")     // cumulative ACK packets sent
+	cAcksDropped  = metrics.Declare("fabric.acks_dropped")  // ACK packets lost on the wire
+)
 
-	RxDrops      int64 // copies absorbed on arrival at a dead destination
-	DupDrops     int64 // received copies below the expected sequence (dedup)
-	GapDrops     int64 // received copies above the expected sequence (go-back-N)
-	CorruptDrops int64 // received copies discarded by the checksum
-	AcksSent     int64 // cumulative ACK packets sent
-	AcksDropped  int64 // ACK packets lost on the wire
-}
+// RelStats is the part of a rank's reliability counters that benchmarks/
+// reads; an adapter over the metrics set.
+type RelStats struct{ Retransmits int64 }
 
-// RelStats returns rank r's adversary/reliability counters (zero when fault
-// injection is disabled).
-func (nw *Network) RelStats(r int) RelStats {
-	if nw.faults == nil {
-		return RelStats{}
-	}
-	return nw.faults.rank[r].stats
-}
+// RelStats returns rank r's RelStats.
+func (nw *Network) RelStats(r int) RelStats { return RelStats{nw.Counters.Row(r)[cRetransmits]} }
 
 // arqKey identifies one go-back-N stream within its owning rank: the peer at
 // the other end plus the NIC rail carrying it. Single-rail networks only
@@ -109,14 +107,14 @@ func (fs *faultState) txLink(src, dst, rail int) *relTx {
 func (fs *faultState) sendReliable(d *desc) {
 	n, p, rail := d.n, d.pkt, d.rail
 	src, dst := p.Src, p.Dst
-	st := &fs.rank[src].stats
+	st := fs.nw.Counters.Row(src)
 	if now := n.k.Now(); fs.deadBy(src, now) || fs.detected(dst, now) {
 		// Dead source, or peer already declared unreachable: reconcile the
 		// credit charged at transmit and drop the packet on the floor.
 		if n.creditInit > 0 {
 			n.rails[rail].peers.Get(dst).credits--
 		}
-		st.TxDrops++
+		st[cTxDrops]++
 		fs.nw.release(src, p)
 		n.freeDesc(d)
 		return
@@ -128,7 +126,7 @@ func (fs *faultState) sendReliable(d *desc) {
 	p.Seq = l.nextSeq
 	l.nextSeq++
 	l.unacked = append(l.unacked, p)
-	st.Sent++
+	st[cSent]++
 	if !l.timer.Armed() {
 		l.timer.Reset(fs.rto << l.backoff)
 	}
@@ -139,20 +137,20 @@ func (fs *faultState) sendReliable(d *desc) {
 func (l *relTx) transmit(sp *Packet) {
 	fs, fp := l.fs, &l.fs.fp
 	now := fs.nw.nics[l.src].k.Now()
-	st := &fs.rank[l.src].stats
+	st := fs.nw.Counters.Row(l.src)
 	at, idx := fs.depart(l.src, l.dst, now)
 	if fs.hit(fp.Drop, saltDrop, l.src, l.dst, idx) {
-		st.Drops++
+		st[cDrops]++
 		return
 	}
 	corrupt := fs.hit(fp.Corrupt, saltCorrupt, l.src, l.dst, idx)
 	if corrupt {
 		// The retained packet stays pristine, so recovery delivers clean data.
-		st.Corrupts++
+		st[cCorrupts]++
 	}
 	fs.fly(sp, at, corrupt)
 	if fs.hit(fp.Dup, saltDup, l.src, l.dst, idx) {
-		st.DupsSent++
+		st[cDupsSent]++
 		at, _ = fs.depart(l.src, l.dst, now)
 		fs.fly(sp, at, false)
 	}
@@ -191,7 +189,7 @@ func (fs *faultState) recvReliable(p *Packet) {
 	if p.corrupt {
 		// Checksum failure: discarded before any field is trusted; the
 		// sender's retransmission recovers the clean copy.
-		fr.stats.CorruptDrops++
+		fs.nw.Counters.Row(dst)[cCorruptDrops]++
 		fs.nw.release(dst, p)
 		return
 	}
@@ -213,10 +211,10 @@ func (fs *faultState) recvReliable(p *Packet) {
 		fr.rx[key] = expect + 1
 		fs.nw.deliver(p)
 	case p.Seq < expect:
-		fr.stats.DupDrops++ // duplicate delivery: already consumed, drop
+		fs.nw.Counters.Row(dst)[cDupDrops]++ // duplicate delivery: already consumed, drop
 		fs.nw.release(dst, p)
 	default:
-		fr.stats.GapDrops++ // a predecessor is missing: go-back-N drops successors
+		fs.nw.Counters.Row(dst)[cGapDrops]++ // a predecessor is missing: go-back-N drops successors
 		fs.nw.release(dst, p)
 	}
 	// Always acknowledge — re-ACKs after dup/gap drops are what resync a
@@ -239,7 +237,7 @@ func (l *relTx) ackTo(upTo uint64) {
 		return
 	}
 	l.retire(n)
-	l.fs.rank[l.src].stats.Acked += int64(n)
+	l.fs.nw.Counters.Row(l.src)[cAcked] += int64(n)
 	l.backoff = 0
 	if len(l.unacked) == 0 {
 		l.timer.Stop()
@@ -269,16 +267,16 @@ func (l *relTx) retire(n int) {
 // timer absorbs.
 func (fs *faultState) sendAck(from, to, rail int) {
 	k := fs.nw.nics[from].k
-	st := &fs.rank[from].stats
+	st := fs.nw.Counters.Row(from)
 	at, idx := fs.depart(from, to, k.Now())
 	if fs.hit(fs.fp.Drop, saltDrop, from, to, idx) {
-		st.AcksDropped++
+		st[cAcksDropped]++
 		return
 	}
 	a := fs.nw.AllocPacketAt(from)
 	a.Src, a.Dst, a.Kind, a.Rail, a.rel = from, to, KindAck, uint8(rail), true
 	a.Ack = fs.rank[from].rx[arqKey{to, rail}]
-	st.AcksSent++
+	st[cAcksSent]++
 	k.AtCross(at+fs.ackFlight, faultArrive, a, from, to)
 }
 
@@ -296,7 +294,7 @@ func (l *relTx) onTimer() {
 		l.teardown()
 		return
 	}
-	fs.rank[l.src].stats.Retransmits += int64(len(l.unacked))
+	fs.nw.Counters.Row(l.src)[cRetransmits] += int64(len(l.unacked))
 	for _, sp := range l.unacked {
 		l.transmit(sp)
 	}

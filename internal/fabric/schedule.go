@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -107,10 +108,9 @@ type wireOut struct {
 // layer. Every field is read and written only by events running in the
 // owning rank's context, so shards never contend.
 type faultRank struct {
-	stats RelStats
-	out   map[int]wireOut   // by destination
-	tx    map[arqKey]*relTx // ARQ transmit halves, by (destination, rail)
-	rx    map[arqKey]uint64 // ARQ receive halves (next expected Seq), by (source, rail)
+	out map[int]wireOut   // by destination
+	tx  map[arqKey]*relTx // ARQ transmit halves, by (destination, rail)
+	rx  map[arqKey]uint64 // ARQ receive halves (next expected Seq), by (source, rail)
 }
 
 // faultState is the network-wide adversary: immutable profile tables plus
@@ -274,7 +274,7 @@ func (fs *faultState) depart(src, dst int, now sim.Time) (at sim.Time, idx uint6
 	fr := &fs.rank[src]
 	at = now
 	if end := fs.flapEnd(src, dst, now); end > at {
-		fr.stats.Delayed++
+		fs.nw.Counters.Row(src)[cDelayed]++
 		at = end
 	}
 	if fr.out == nil {
@@ -314,7 +314,7 @@ func (fs *faultState) send(d *desc) {
 		// The source NIC is dead: the packet never leaves the host.
 		d.pkt = nil
 		n.returnCredit(d)
-		fs.rank[p.Src].stats.TxDrops++
+		fs.nw.Counters.Row(p.Src)[cTxDrops]++
 		fs.nw.release(p.Src, p)
 	case fs.nw.topo != nil:
 		// The descriptor rides the topology as on the lossless path; credit
@@ -339,7 +339,7 @@ func faultArrive(x any) {
 	fs := nw.faults
 	switch {
 	case fs.deadBy(p.Dst, nw.nics[p.Dst].k.Now()):
-		fs.rank[p.Dst].stats.RxDrops++
+		fs.nw.Counters.Row(p.Dst)[cRxDrops]++
 		nw.release(p.Dst, p)
 	case p.rel:
 		fs.recvReliable(p)
@@ -348,12 +348,28 @@ func faultArrive(x any) {
 	}
 }
 
+// Diag renders rank r's state for watchdog and deadlock reports: the
+// adversary's view (faultDiag); with a modeled topology, the congestion
+// around r's node (queue depths, credit stalls, hottest links), so a fault-
+// or congestion-induced stall reads differently from a protocol deadlock;
+// and r's nonzero counters of every layer with the fabric-wide topo ones.
+// Returns "" when there is nothing to say.
+func (nw *Network) Diag(r int) string {
+	lines := []string{nw.faultDiag(r), "", ""}
+	if nw.topo != nil {
+		lines[1] = nw.topo.eng.HostDiag(nw.Cfg.NodeOf(r))
+	}
+	if c := nw.Counters.Snapshot(r, nw.Counters.Ranks); c != "" {
+		lines[2] = "counters: " + c
+	}
+	return strings.Join(slices.DeleteFunc(lines, func(l string) bool { return l == "" }), "\n")
+}
+
 // faultDiag renders rank r's view of the adversary for Diag: which peers
 // are dead (and whether detection has fired), which of r's links are inside
 // or facing a flap window, the state of r's ARQ streams (unacked depths,
-// pending retransmit timers), and r's counters — so a fault-induced stall
-// is distinguishable from a protocol deadlock. Returns "" when fault
-// injection is disabled.
+// pending retransmit timers) — so a fault-induced stall is distinguishable
+// from a protocol deadlock. Returns "" when fault injection is disabled.
 func (nw *Network) faultDiag(r int) string {
 	fs := nw.faults
 	if fs == nil {
@@ -385,8 +401,5 @@ func (nw *Network) faultDiag(r int) string {
 		fmt.Fprintf(&b, "fault: link %d->%d flap [t=%d,+%d) %s\n", w.Src, w.Dst, w.From, w.For, state)
 	}
 	fs.rank[r].diagStreams(&b, r)
-	if st := fs.rank[r].stats; st != (RelStats{}) {
-		fmt.Fprintf(&b, "fault stats: %+v\n", st)
-	}
-	return b.String()
+	return strings.TrimRight(b.String(), "\n")
 }

@@ -106,11 +106,11 @@ func TestScheduledDeathDropsAndDetects(t *testing.T) {
 			t.Fatalf("delivery to dead rank 2 at t=%d", d.At)
 		}
 	}
-	if nw.RelStats(2).RxDrops == 0 {
+	if nw.Counters.Row(2)[cRxDrops] == 0 {
 		t.Fatal("no arrival was absorbed at the dead rank")
 	}
 	// Rank 2's own sends after death die at the source.
-	if nw.RelStats(2).TxDrops == 0 {
+	if nw.Counters.Row(2)[cTxDrops] == 0 {
 		t.Fatal("dead rank's departures were not dropped at source")
 	}
 	// Every survivor hears exactly one declaration, at death + detect.
@@ -135,7 +135,7 @@ func TestScheduledDeathDropsAndDetects(t *testing.T) {
 func TestScheduledFlapHoldsInOrder(t *testing.T) {
 	fs := FaultProfile{Flaps: []LinkFlap{{Src: 0, Dst: 1, From: 0, For: 10 * sim.Microsecond}}}
 	flat, _, nw := runFaultWorld(t, DefaultConfig(), fs, 0)
-	if nw.RelStats(0).Delayed == 0 {
+	if nw.Counters.Row(0)[cDelayed] == 0 {
 		t.Fatal("flap window held no departures")
 	}
 	lift := 10*sim.Microsecond + nw.Cfg.Alpha
@@ -197,9 +197,8 @@ func checkShardParity(t *testing.T, cfg Config, fp FaultProfile, shardCounts ...
 			t.Fatalf("-shards %d declarations diverge: %v vs %v", shards, decl, decl0)
 		}
 		for r := 0; r < 4; r++ {
-			if nw.RelStats(r) != nw0.RelStats(r) {
-				t.Fatalf("-shards %d stats for rank %d diverge: %+v vs %+v",
-					shards, r, nw.RelStats(r), nw0.RelStats(r))
+			if a, b := nw.Counters.Snapshot(r), nw0.Counters.Snapshot(r); a != b {
+				t.Fatalf("-shards %d counters for rank %d diverge: %s vs %s", shards, r, a, b)
 			}
 		}
 		checkCreditsBalanced(t, nw)
@@ -233,20 +232,14 @@ func TestLossySerialShardedParity(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{"crossbar": DefaultConfig(), "fattree": fatTree()} {
 		nw := checkShardParity(t, cfg, fp, 2, 4)
-		var sum RelStats
 		for r := 0; r < 4; r++ {
-			st := nw.RelStats(r)
-			if st.Acked != st.Sent || st.Sent != 40 {
-				t.Errorf("%s: rank %d sent %d acked %d, want 40/40", name, r, st.Sent, st.Acked)
+			if st := nw.Counters.Row(r); st[cAcked] != st[cSent] || st[cSent] != 40 {
+				t.Errorf("%s: rank %d sent %d acked %d, want 40/40", name, r, st[cSent], st[cAcked])
 			}
-			sum.Drops += st.Drops
-			sum.DupDrops += st.DupDrops
-			sum.CorruptDrops += st.CorruptDrops
-			sum.GapDrops += st.GapDrops
-			sum.Delayed += st.Delayed
 		}
-		if sum.Drops == 0 || sum.DupDrops == 0 || sum.CorruptDrops == 0 || sum.GapDrops == 0 || sum.Delayed == 0 {
-			t.Errorf("%s: adversary inactive: %+v", name, sum)
+		if total(nw, cDrops) == 0 || total(nw, cDupDrops) == 0 || total(nw, cCorruptDrops) == 0 ||
+			total(nw, cGapDrops) == 0 || total(nw, cDelayed) == 0 {
+			t.Errorf("%s: adversary inactive: %v", name, nw.Counters.Snapshot())
 		}
 	}
 }
@@ -287,8 +280,8 @@ func TestTopoFlapHoldAndMidFlightDeath(t *testing.T) {
 		if last != 38 { // rank 0's even-numbered packets go to rank 1
 			t.Errorf("drop=%g: held link's last delivery is %d, want 38", drop, last)
 		}
-		if nw.RelStats(0).Delayed == 0 || nw.RelStats(2).RxDrops == 0 || len(decl) != 3 {
-			t.Errorf("drop=%g: held=%d absorbed=%d declarations=%v", drop, nw.RelStats(0).Delayed, nw.RelStats(2).RxDrops, decl)
+		if held, absorbed := nw.Counters.Row(0)[cDelayed], nw.Counters.Row(2)[cRxDrops]; held == 0 || absorbed == 0 || len(decl) != 3 {
+			t.Errorf("drop=%g: held=%d absorbed=%d declarations=%v", drop, held, absorbed, decl)
 		}
 		checkCreditsBalanced(t, nw)
 		checkShardParity(t, fatTree(), fp, 2)
@@ -298,7 +291,7 @@ func TestTopoFlapHoldAndMidFlightDeath(t *testing.T) {
 func TestScheduleDiag(t *testing.T) {
 	_, _, nw := runFaultWorld(t, DefaultConfig(), kvSchedule(), 0)
 	diag := nw.Diag(0)
-	for _, want := range []string{"rank 2 DEAD since t=8000 (detected", "link 0->1 flap", "fault stats:"} {
+	for _, want := range []string{"rank 2 DEAD since t=8000 (detected", "link 0->1 flap", "counters: fabric."} {
 		if !strings.Contains(diag, want) {
 			t.Errorf("diag lacks %q:\n%s", want, diag)
 		}
@@ -346,8 +339,8 @@ func TestScheduleZeroValueLossless(t *testing.T) {
 		t.Fatalf("delivered %d packets, want %d", len(flat), want)
 	}
 	for r := 0; r < 4; r++ {
-		if s := nw.RelStats(r); s != (RelStats{}) {
-			t.Fatalf("rank %d injector activity on a lossless schedule: %+v", r, s)
+		if s := nw.Counters.Snapshot(r); s != "" {
+			t.Fatalf("rank %d injector activity on a lossless schedule: %v", r, s)
 		}
 	}
 }

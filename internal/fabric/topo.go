@@ -51,7 +51,7 @@ func newTopoState(nw *Network, n int) *topoState {
 		panic("fabric: " + err.Error())
 	}
 	ts := &topoState{nw: nw}
-	ts.eng = topo.NewEngine(nw.K, g, ts.egress)
+	ts.eng = topo.NewEngineIn(nw.K, g, ts.egress, nw.Counters.Row(n))
 	nw.Cfg.Topo = g.Spec // record the resolved shape for diagnostics
 	return ts
 }
@@ -112,36 +112,4 @@ func (ts *topoState) egress(delay sim.Time, payload any, _ int) {
 func descRetire(x any) {
 	d := x.(*desc)
 	d.n.freeDesc(d)
-}
-
-// --- Observability ----------------------------------------------------- //
-
-// TopoSummary returns the fabric-wide congestion aggregate (zero when the
-// crossbar is in use).
-func (nw *Network) TopoSummary() topo.Summary {
-	if nw.topo == nil {
-		return topo.Summary{}
-	}
-	return nw.topo.eng.Summary()
-}
-
-// Diag renders rank r's fabric state for watchdog and deadlock reports: the
-// adversary's view (faultDiag) and, with a modeled topology, the congestion
-// around r's node (queue depths, credit stalls, hottest links), so a fault-
-// or congestion-induced stall reads differently from a protocol deadlock.
-// Returns "" when faults are off and the crossbar is in use or nothing ever
-// queued.
-func (nw *Network) Diag(r int) string {
-	fd := nw.faultDiag(r)
-	if nw.topo == nil {
-		return fd
-	}
-	td := nw.topo.eng.HostDiag(nw.Cfg.NodeOf(r))
-	switch {
-	case fd == "":
-		return td
-	case td == "":
-		return fd
-	}
-	return fd + "\n" + td
 }

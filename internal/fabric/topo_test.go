@@ -35,9 +35,6 @@ func TestCrossbarBuildsNoTopology(t *testing.T) {
 	if nw.topo != nil {
 		t.Fatal("default config built a topology engine")
 	}
-	if s := nw.TopoSummary(); s != (topo.Summary{}) {
-		t.Fatalf("crossbar TopoSummary = %+v, want zero", s)
-	}
 	if d := nw.Diag(0); d != "" {
 		t.Fatalf("crossbar Diag = %q, want empty", d)
 	}
@@ -127,9 +124,8 @@ func TestTopoIncastCongests(t *testing.T) {
 			t.Fatalf("arrivals %d apart, want >= %d (leaf down-link must serialize)", d, occ)
 		}
 	}
-	s := nw.TopoSummary()
-	if s.QueuedTime == 0 || s.Delivered != 7 {
-		t.Fatalf("incast left no congestion footprint: %+v", s)
+	if fab := nw.Counters.Row(nw.Counters.Ranks); fab[topoQueued] == 0 || fab[topoDelivered] != 7 {
+		t.Fatalf("incast left no congestion footprint: %v", nw.Counters.Snapshot())
 	}
 	if d := nw.Diag(0); d == "" {
 		t.Fatal("Diag empty after congestion at rank 0's node")
@@ -231,17 +227,10 @@ func TestTopoPerPeerFIFOUnderContentionAndFaults(t *testing.T) {
 		}
 		// The adversary must actually have fired for the property to mean
 		// anything, and contention must actually have queued packets.
-		var rel RelStats
-		for r := 0; r < n; r++ {
-			st := nw.RelStats(r)
-			rel.Drops += st.Drops
-			rel.DupDrops += st.DupDrops
-			rel.CorruptDrops += st.CorruptDrops
+		if total(nw, cDrops) == 0 || total(nw, cDupDrops) == 0 || total(nw, cCorruptDrops) == 0 {
+			t.Fatalf("seed %d: adversary inactive: %v", seed, nw.Counters.Snapshot())
 		}
-		if rel.Drops == 0 || rel.DupDrops == 0 || rel.CorruptDrops == 0 {
-			t.Fatalf("seed %d: adversary inactive: %+v", seed, rel)
-		}
-		if nw.TopoSummary().QueuedTime == 0 {
+		if total(nw, topoQueued) == 0 {
 			t.Fatalf("seed %d: no link queuing despite shared-spine contention", seed)
 		}
 	}
@@ -279,7 +268,7 @@ func TestTopoLossyDeterminism(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%v|%+v", log, nw.TopoSummary())
+		return fmt.Sprintf("%v|%+v", log, nw.Counters.Snapshot())
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatal("lossy topology run is not deterministic")

@@ -3,11 +3,20 @@ package fuzz
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/trace"
+)
+
+// The core counters the oracle reads from a run's metrics set.
+var (
+	epochsOpened, epochsCompleted = metrics.Lookup("core.epochs_opened"), metrics.Lookup("core.epochs_completed")
+	signalsSent, signalsRecv      = metrics.Lookup("core.signals_sent"), metrics.Lookup("core.signals_recv")
+	signalsStale                  = metrics.Lookup("core.signals_stale")
 )
 
 // Verify checks every invariant of a finished run and returns the list of
@@ -39,15 +48,28 @@ func Verify(p *Program, mode core.Mode, res *RunResult) []string {
 	problems = append(problems, checkFetched(p, mode, res)...)
 
 	// Epoch accounting, lock-agent end state and the ω-counter algebra.
+	// Signal conservation (counter-signal transport): every replica write
+	// sent is eventually merged or discarded as stale — nothing vanishes,
+	// nothing is double-counted. A rank whose windows are all on the GATS
+	// transport must have recorded no signal traffic at all.
+	var sent, recv, stale int64
 	for r := 0; r < p.NRanks; r++ {
+		c := res.Counters.Row(r)
+		if c[epochsOpened] != c[epochsCompleted] {
+			bad("rank %d: %d epochs opened but %d completed", r, c[epochsOpened], c[epochsCompleted])
+		}
+		if mode == core.ModeFlush && c[epochsOpened] != 0 {
+			bad("rank %d: flush-mode windows opened %d epochs", r, c[epochsOpened])
+		}
+		sent, recv, stale = sent+c[signalsSent], recv+c[signalsRecv], stale+c[signalsStale]
+		onSignal := slices.ContainsFunc(res.Wins[r], func(w *core.Window) bool { return w.Transport() != core.TransportGATS })
+		if !onSignal && c[signalsSent]|c[signalsRecv]|c[signalsStale] != 0 {
+			bad("rank %d: GATS transport recorded signal traffic (sent=%d recv=%d stale=%d)",
+				r, c[signalsSent], c[signalsRecv], c[signalsStale])
+		}
 		for wi, win := range res.Wins[r] {
 			if n := win.PendingEpochs(); n != 0 {
 				bad("rank %d win %d: %d epochs still pending after quiescence", r, wi, n)
-			}
-			s := res.Stats[r][wi]
-			if s.EpochsOpened != s.EpochsCompleted {
-				bad("rank %d win %d: %d epochs opened but %d completed",
-					r, wi, s.EpochsOpened, s.EpochsCompleted)
 			}
 			excl, shared, queued := win.LockAgentState()
 			if excl != -1 || shared != 0 || queued != 0 {
@@ -57,40 +79,17 @@ func Verify(p *Program, mode core.Mode, res *RunResult) []string {
 			if mode == core.ModeFlush {
 				// The scalable-lock protocol must be fully unwound: every
 				// hosted counter back to zero, nothing held, nothing in
-				// flight. (Flush mode also opens no epochs at all, which the
-				// generic checks above pin as 0 == 0.)
+				// flight.
 				fs := win.FlushState()
 				if fs.GlobalX != 0 || fs.GlobalS != 0 || fs.LocalX || fs.LocalS != 0 ||
 					fs.Held != 0 || fs.Pending != 0 {
 					bad("rank %d win %d: flush-lock protocol not clean at end: %+v", r, wi, fs)
 				}
-				if s.EpochsOpened != 0 {
-					bad("rank %d win %d: flush-mode window opened %d epochs", r, wi, s.EpochsOpened)
-				}
 			}
 		}
 	}
-	// Signal conservation (counter-signal transport): every replica write
-	// sent is eventually merged or discarded as stale — nothing vanishes,
-	// nothing is double-counted. A quiesced GATS-transport window must have
-	// recorded no signal traffic at all.
-	for wi := range p.Windows {
-		var sent, recv, stale int64
-		for r := 0; r < p.NRanks; r++ {
-			s := res.Stats[r][wi]
-			sent += s.SignalsSent
-			recv += s.SignalsRecv
-			stale += s.SignalsStale
-			if res.Wins[r][wi].Transport() == core.TransportGATS &&
-				s.SignalsSent|s.SignalsRecv|s.SignalsStale != 0 {
-				bad("rank %d win %d: GATS transport recorded signal traffic (sent=%d recv=%d stale=%d)",
-					r, wi, s.SignalsSent, s.SignalsRecv, s.SignalsStale)
-			}
-		}
-		if sent != recv+stale {
-			bad("win %d: signal conservation violated: %d replica writes sent, %d merged + %d stale",
-				wi, sent, recv, stale)
-		}
+	if sent != recv+stale {
+		bad("signal conservation violated: %d replica writes sent, %d merged + %d stale", sent, recv, stale)
 	}
 
 	for wi := range p.Windows {

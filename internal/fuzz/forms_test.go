@@ -5,17 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/topo"
 )
 
 // fingerprint compresses everything a run exposes into a comparable string:
-// final window memories, every fetched result, per-window statistics, every
-// field of every trace span, the kernel event count, the topology engine's
-// congestion summary and, on a lossy fabric, every rank's reliability
-// counters. Two runs with equal fingerprints executed the same observable
-// history.
+// final window memories, every fetched result, every field of every trace
+// span, the kernel event count and every row of the world's counters (each
+// rank's core and fabric counters, and the topology engine's). Two runs with
+// equal fingerprints executed the same observable history.
 func fingerprint(r *RunResult) string {
-	out := fmt.Sprintf("err=%v kernel_events=%d congestion=%+v\n", r.Err, r.KernelEvents, r.Congestion)
+	out := fmt.Sprintf("err=%v kernel_events=%d\n", r.Err, r.KernelEvents)
 	for wi, byRank := range r.Mems {
 		for rk, mem := range byRank {
 			out += fmt.Sprintf("mem w%d r%d %x\n", wi, rk, mem)
@@ -26,18 +26,22 @@ func fingerprint(r *RunResult) string {
 			out += fmt.Sprintf("fetched r%d #%d %x\n", rk, i, b)
 		}
 	}
-	for rk, wins := range r.Stats {
-		for wi, st := range wins {
-			out += fmt.Sprintf("stats r%d w%d %+v\n", rk, wi, st)
-		}
-	}
 	for _, s := range r.Spans {
 		out += fmt.Sprintf("span %+v\n", s)
 	}
-	for rk, st := range r.Faults {
-		out += fmt.Sprintf("faults r%d %+v\n", rk, st)
+	for row := 0; row <= r.Counters.Ranks; row++ {
+		out += fmt.Sprintf("counters row %d: %v\n", row, r.Counters.Snapshot(row))
 	}
 	return out
+}
+
+// total is counter name summed over every row of s.
+func total(s *metrics.Set, name string) (v int64) {
+	id := metrics.Lookup(name)
+	for r := 0; r <= s.Ranks; r++ {
+		v += s.Row(r)[id]
+	}
+	return v
 }
 
 // TestTaskFormMatchesGoroutineForm pins the campaign's rank form: every

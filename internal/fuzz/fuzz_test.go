@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -161,7 +160,10 @@ func TestLossyActuallyInjects(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	var sum fabric.RelStats
+	classes := map[string]string{"lost": "fabric.drops", "duplicate-dropped": "fabric.dup_drops",
+		"corrupt-dropped": "fabric.corrupt_drops", "gap-dropped": "fabric.gap_drops",
+		"retransmitted": "fabric.retransmits", "held": "fabric.delayed"}
+	sum := map[string]int64{}
 	var lossyRuns, heldRuns int
 	for seed := uint64(1); seed <= n; seed++ {
 		p := Generate(seed)
@@ -171,30 +173,22 @@ func TestLossyActuallyInjects(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("seed %d mode %s: %v", seed, mode, res.Err)
 			}
-			before := sum
-			for _, fs := range res.Faults {
-				sum.Drops += fs.Drops
-				sum.DupDrops += fs.DupDrops
-				sum.CorruptDrops += fs.CorruptDrops
-				sum.GapDrops += fs.GapDrops
-				sum.Retransmits += fs.Retransmits
-				sum.Delayed += fs.Delayed
+			for _, name := range classes {
+				sum[name] += total(res.Counters, name)
 			}
-			if sum.Drops+sum.CorruptDrops > before.Drops+before.CorruptDrops {
+			if total(res.Counters, "fabric.drops")+total(res.Counters, "fabric.corrupt_drops") > 0 {
 				lossyRuns++
 			}
-			if sum.Delayed > before.Delayed {
+			if total(res.Counters, "fabric.delayed") > 0 {
 				heldRuns++
 			}
 		}
 	}
 	t.Logf("seeds 1-%d x %d modes: lost=%d dup-dropped=%d corrupt-dropped=%d gap-dropped=%d retransmitted=%d held=%d; runs losing or corrupting a packet=%d, runs with a held departure=%d",
-		n, len(BothModes), sum.Drops, sum.DupDrops, sum.CorruptDrops, sum.GapDrops, sum.Retransmits, sum.Delayed, lossyRuns, heldRuns)
-	for class, count := range map[string]int64{
-		"lost": sum.Drops, "duplicate-dropped": sum.DupDrops, "corrupt-dropped": sum.CorruptDrops,
-		"gap-dropped": sum.GapDrops, "retransmitted": sum.Retransmits, "held": sum.Delayed,
-	} {
-		if count == 0 {
+		n, len(BothModes), sum["fabric.drops"], sum["fabric.dup_drops"], sum["fabric.corrupt_drops"], sum["fabric.gap_drops"],
+		sum["fabric.retransmits"], sum["fabric.delayed"], lossyRuns, heldRuns)
+	for class, name := range classes {
+		if count := sum[name]; count == 0 {
 			t.Errorf("fault class %q never fired over %d lossy seeds — profile or adversary is inert", class, n)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/prog"
 	"repro/internal/sim"
@@ -17,13 +18,11 @@ import (
 // RunResult captures everything a run exposes for invariant checking.
 type RunResult struct {
 	Err          error
-	Mems         [][][]byte           // [window][rank] final memory
-	Wins         [][]*core.Window     // [rank][window]
-	Stats        [][]core.WindowStats // [rank][window]
-	Spans        []trace.Span         // one per epoch, Parts filled
+	Mems         [][][]byte       // [window][rank] final memory
+	Wins         [][]*core.Window // [rank][window]
+	Spans        []trace.Span     // one per epoch, Parts filled
 	KernelEvents uint64
-	Congestion   topo.Summary      // zero on the crossbar
-	Faults       []fabric.RelStats // [rank]; nil unless ExecOptions.Faults is set
+	Counters     *metrics.Set // the world's counters of every layer
 	// Fetched is, per rank in program order, the result bytes of every Get,
 	// GetAccumulate, FetchAndOp and CompareAndSwap: views of the operations'
 	// own buffers.
@@ -196,23 +195,15 @@ func execute(p *Program, mode core.Mode, o ExecOptions, tasks bool) *RunResult {
 
 	res.Spans = rec.Events()
 	res.KernelEvents = world.Events()
-	res.Congestion = world.Net.TopoSummary()
-	if o.Faults != nil {
-		res.Faults = make([]fabric.RelStats, p.NRanks)
-		for r := range res.Faults {
-			res.Faults[r] = world.Net.RelStats(r)
-		}
-	}
+	res.Counters = &world.Net.Counters
 	if res.Err == nil {
 		res.Mems = make([][][]byte, len(p.Windows))
-		res.Stats = make([][]core.WindowStats, p.NRanks)
 		for wi := range p.Windows {
 			res.Mems[wi] = make([][]byte, p.NRanks)
 		}
 		for r, wins := range res.Wins {
 			for wi, win := range wins {
 				res.Mems[wi][r] = append([]byte(nil), win.Bytes()...)
-				res.Stats[r] = append(res.Stats[r], win.Stats())
 			}
 		}
 		res.Fetched = fetched(progs)

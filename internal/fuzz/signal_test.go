@@ -111,9 +111,9 @@ func TestSignalArmActuallySignals(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}
 		base := SignalBase(seed)
+		sent += total(res.Counters, "core.signals_sent")
 		for r := 0; r < p.NRanks; r++ {
-			for wi, win := range res.Wins[r] {
-				sent += res.Stats[r][wi].SignalsSent
+			for _, win := range res.Wins[r] {
 				if base == 0 {
 					continue
 				}

@@ -54,8 +54,8 @@ func TestTopoReplayDeterminism(t *testing.T) {
 		if a.KernelEvents != b.KernelEvents {
 			t.Fatalf("seed %d: kernel event counts diverge: %d vs %d", seed, a.KernelEvents, b.KernelEvents)
 		}
-		if a.Congestion != b.Congestion {
-			t.Fatalf("seed %d: congestion counters diverge: %+v vs %+v", seed, a.Congestion, b.Congestion)
+		if ca, cb := a.Counters.Snapshot(), b.Counters.Snapshot(); ca != cb {
+			t.Fatalf("seed %d: counters diverge: %s vs %s", seed, ca, cb)
 		}
 		if !reflect.DeepEqual(a.Mems, b.Mems) {
 			t.Fatalf("seed %d: final memories diverge across identical topology runs", seed)
@@ -74,7 +74,7 @@ func TestTopoActuallyRoutes(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}
-		if res.Congestion.Delivered > 0 {
+		if total(res.Counters, "topo.delivered") > 0 {
 			return
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -176,9 +177,9 @@ func TestBarrierTokensExactlyOnceUnderLossyARQ(t *testing.T) {
 		if len(r.inbox) != 0 {
 			t.Errorf("rank %d inbox holds %d packets after a barrier-only run", i, len(r.inbox))
 		}
-		st := w.Net.RelStats(i)
-		dups += st.DupsSent
-		drops += st.Drops
+		st := w.Net.Counters.Row(i)
+		dups += st[metrics.Lookup("fabric.dups_sent")]
+		drops += st[metrics.Lookup("fabric.drops")]
 	}
 	if dups == 0 || drops == 0 {
 		t.Fatalf("fault profile injected dups=%d drops=%d; the test needs both", dups, drops)

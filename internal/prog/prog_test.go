@@ -138,7 +138,7 @@ type outcome struct {
 	end     sim.Time
 	events  uint64
 	inMPI   []sim.Time
-	stats   []core.WindowStats
+	ctrs    []string // every rank's counters
 	samples [][]sim.Time
 }
 
@@ -167,9 +167,9 @@ func run(t *testing.T, k Kind, tasks bool) (outcome, []*task) {
 		t.Fatalf("%v, tasks=%t: %v", k, tasks, err)
 	}
 	o := outcome{end: w.K.Now(), events: w.Events(), samples: r.Samples}
-	for i, wins := range r.Wins {
+	for i := range r.Wins {
 		o.inMPI = append(o.inMPI, w.Rank(i).TimeInMPI)
-		o.stats = append(o.stats, wins[0].Stats())
+		o.ctrs = append(o.ctrs, w.Net.Counters.Snapshot(i))
 	}
 	return o, ts
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -42,15 +43,21 @@ type Engine struct {
 
 	links []linkState
 	free  []*token
-
-	// Delivered counts packets handed to deliver.
-	Delivered int64
+	ctr   metrics.Row // the topo.* counters: a world's fabric-wide row
 }
 
-// linkStats counts one directed link's congestion activity.
+// The engine-wide counters, in the fabric-wide row of a metrics set.
+var (
+	cDelivered = metrics.Declare("topo.delivered")     // packets handed to deliver
+	cForwarded = metrics.Declare("topo.forwarded")     // link transmissions (delivered x hops)
+	cQueued    = metrics.Declare("topo.queued_ns")     // total time spent waiting in link queues
+	cBusy      = metrics.Declare("topo.busy_ns")       // total wire occupancy
+	cStalls    = metrics.Declare("topo.credit_stalls") // head-of-line credit-stall episodes
+	cMaxQueue  = metrics.Declare("topo.max_queue")     // deepest link queue anywhere: a high-water mark
+)
+
+// linkStats counts one directed link's congestion for HostDiag.
 type linkStats struct {
-	Forwarded    int64    // packets transmitted on the link
-	BusyTime     sim.Time // total wire occupancy
 	QueuedTime   sim.Time // total time packets waited in the link's queue
 	CreditStalls int64    // head-of-queue episodes stalled on downstream credits
 	MaxQueue     int      // deepest queue observed
@@ -96,11 +103,17 @@ type token struct {
 	enqT     sim.Time
 }
 
-// NewEngine builds the runtime for a built graph. deliver is invoked in
-// kernel context for every packet that reaches its destination host, one
-// final-link latency before the arrival instant (see Engine.deliver).
+// NewEngine builds the runtime for a built graph, counting into a metrics
+// set of its own. deliver is invoked in kernel context for every packet that
+// reaches its destination host, one final-link latency before the arrival
+// instant (see Engine.deliver).
 func NewEngine(k *sim.Kernel, g *Graph, deliver func(delay sim.Time, payload any, dst int)) *Engine {
-	e := &Engine{K: k, G: g, deliver: deliver}
+	return NewEngineIn(k, g, deliver, metrics.NewSet(0).Row(0))
+}
+
+// NewEngineIn is NewEngine counting into ctr, a world's fabric-wide row.
+func NewEngineIn(k *sim.Kernel, g *Graph, deliver func(delay sim.Time, payload any, dst int), ctr metrics.Row) *Engine {
+	e := &Engine{K: k, G: g, deliver: deliver, ctr: ctr}
 	e.links = make([]linkState, len(g.Links))
 	words := 0
 	for _, fs := range g.feeders {
@@ -158,6 +171,7 @@ func (e *Engine) enqueue(ls *linkState, t *token, held bool) {
 	}
 	if q := len(ls.transit) + len(ls.inject); q > ls.stats.MaxQueue {
 		ls.stats.MaxQueue = q
+		e.ctr[cMaxQueue] = max(e.ctr[cMaxQueue], int64(q))
 	}
 	e.kick(ls)
 }
@@ -203,6 +217,7 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 			if !ls.stalled {
 				ls.stalled = true
 				ls.stats.CreditStalls++
+				e.ctr[cStalls]++
 			}
 			pos := uint(e.G.feederPos[ls.link.ID])
 			ns.waiters[pos/64] |= 1 << (pos % 64)
@@ -217,11 +232,11 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 	*q = (*q)[:n-1]
 	t.next = next
 	ls.busy = true
-	waited := e.K.Now() - t.enqT
+	waited, occ := e.K.Now()-t.enqT, ls.occupancy(t.size)
 	ls.stats.QueuedTime += waited
-	ls.stats.Forwarded++
-	occ := ls.occupancy(t.size)
-	ls.stats.BusyTime += occ
+	e.ctr[cQueued] += int64(waited)
+	e.ctr[cForwarded]++
+	e.ctr[cBusy] += int64(occ)
 	e.K.AfterCall(occ, tokenTxDone, t)
 	// Virtual cut-through: the packet's bits stream into the downstream
 	// buffer as they transmit, so the slot it held here frees at tx START,
@@ -255,7 +270,7 @@ func tokenTxDone(x any) {
 	e.kick(ls)
 	if t.next < 0 {
 		payload, dst := t.payload, t.dst
-		e.Delivered++
+		e.ctr[cDelivered]++
 		lat := ls.link.Lat
 		e.freeToken(t)
 		e.deliver(lat, payload, dst)
@@ -326,20 +341,12 @@ type Summary struct {
 	MaxQueue     int      // deepest link queue anywhere
 }
 
-// Summary returns the engine-wide aggregate.
+// Summary returns the engine-wide aggregate: an adapter over the topo.*
+// counters, kept for benchmarks/.
 func (e *Engine) Summary() Summary {
-	s := Summary{Links: len(e.links), Delivered: e.Delivered}
-	for i := range e.links {
-		st := &e.links[i].stats
-		s.Forwarded += st.Forwarded
-		s.QueuedTime += st.QueuedTime
-		s.BusyTime += st.BusyTime
-		s.CreditStalls += st.CreditStalls
-		if st.MaxQueue > s.MaxQueue {
-			s.MaxQueue = st.MaxQueue
-		}
-	}
-	return s
+	c := e.ctr
+	return Summary{Links: len(e.links), Delivered: c[cDelivered], Forwarded: c[cForwarded], QueuedTime: sim.Time(c[cQueued]),
+		BusyTime: sim.Time(c[cBusy]), CreditStalls: c[cStalls], MaxQueue: int(c[cMaxQueue])}
 }
 
 // inFlight reports whether any packet is queued or crossing a link

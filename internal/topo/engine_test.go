@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -397,9 +398,11 @@ func TestHostDiag(t *testing.T) {
 	}
 }
 
-// TestEngineAllocs pins where the engine's storage lives. NewEngine makes
+// TestEngineAllocs pins where the engine's storage lives. NewEngineIn makes
 // three objects whatever the graph's size — the engine, its link states and
-// the one arena behind every link's waiter set — and a run allocates nothing
+// the one arena behind every link's waiter set — and a standalone NewEngine
+// one more, the counter row a world's metrics set would otherwise hold. A run
+// allocates nothing
 // per hop once the token pool, the link queues and the kernel's event
 // storage have grown to the traffic: here a 2-credit fat-tree driven into
 // credit stalls, the same burst over and over.
@@ -410,8 +413,12 @@ func TestEngineAllocs(t *testing.T) {
 	for _, nodes := range []int{16, 128} {
 		g := mustBuild(t, spec, nodes)
 		k := sim.NewKernel()
-		if n := testing.AllocsPerRun(10, func() { NewEngine(k, g, deliver) }); n != 3 {
-			t.Errorf("NewEngine over %d hosts: %.0f allocations, want 3", nodes, n)
+		row := make(metrics.Row, 8)
+		if n := testing.AllocsPerRun(10, func() { NewEngineIn(k, g, deliver, row) }); n != 3 {
+			t.Errorf("NewEngineIn over %d hosts: %.0f allocations, want 3", nodes, n)
+		}
+		if n := testing.AllocsPerRun(10, func() { NewEngine(k, g, deliver) }); n != 4 {
+			t.Errorf("NewEngine over %d hosts: %.0f allocations, want 4", nodes, n)
 		}
 	}
 
