@@ -206,7 +206,7 @@ func TestScaleTaskAllocationBudget(t *testing.T) {
 // with the run kept alive across the second. Every row is above peertab's
 // 64-rank small world, so each window's and NIC rail's table holds only the
 // 2·log2(n) − 1 dissemination partners a rank addresses (512 ranks read
-// 10 802 B/rank, 1 024 read 11 460, 4 096 read 10 619): a table that
+// 11 074 B/rank, 1 024 read 11 740, 4 096 read 10 925): a table that
 // pre-pays for peers the rank never addresses would cost n entries a rank.
 func TestScaleBytesPerRank(t *testing.T) {
 	for _, c := range []struct {

@@ -1,14 +1,16 @@
 package fabric
 
 import (
+	"slices"
+
 	"repro/internal/peertab"
 	"repro/internal/sim"
 )
 
-// desc is one queued send descriptor. Descriptors are recycled through a
-// per-NIC free-list and carry the back-pointers the pipeline's shared,
-// capture-free callbacks need, so a transmit schedules its wire/delivery/
-// credit events without allocating.
+// desc is one queued send descriptor, recycled through a per-NIC free-list,
+// with the back-pointers the pipeline's capture-free callbacks need. On the
+// crossbar it is spent when its transmission starts; elsewhere it rides on
+// as the packet's in-flight identity until its credit comes back.
 type desc struct {
 	n       *NIC
 	pkt     *Packet
@@ -20,10 +22,12 @@ type desc struct {
 }
 
 // stripeGroup tracks one large transfer striped across the data rails: the
-// packet is delivered (and its OnTxDone fired) when the last chunk's wire
-// occupancy ends. Groups are recycled through a per-NIC free-list.
+// packet completes at the latest chunk end key, known when its last chunk
+// starts. Groups are recycled through a per-NIC free-list.
 type stripeGroup struct {
-	remaining int
+	remaining int // chunks not yet started
+	end       sim.Time
+	seq       uint64
 }
 
 // NIC models one host channel adapter with Config.Rails() injection rails.
@@ -46,49 +50,56 @@ type stripeGroup struct {
 //
 // The NIC is autonomous: once a descriptor is posted, transmission, delivery
 // and credit recovery all proceed in kernel-event context with no further
-// CPU involvement from the owning rank. This is what lets a rank that is
-// busy computing still drain its posted RMA and done packets — the physical
-// basis of the paper's nonblocking epoch-closing semantics.
+// CPU involvement from the owning rank — the physical basis of the paper's
+// nonblocking epoch-closing semantics.
 type NIC struct {
 	nw   *Network
 	rank int
-	// k is the kernel the NIC runs on: the owning rank's shard kernel, or
-	// the network's single kernel when serial. Every NIC-local event (wire
-	// occupancy, credit return) schedules here; only packet delivery and
-	// topology ingress cross shards.
-	k *sim.Kernel
-
-	// rails holds the per-rail pipeline state. Single-element on the
-	// classic NIC; control rail at index 0 plus Channels data rails above.
-	rails []nicRail
-
+	// k is the owning rank's kernel: every NIC-local event schedules here;
+	// only packet delivery and topology ingress cross shards.
+	k          *sim.Kernel
+	rails      []nicRail // control rail 0, then the Channels data rails
 	descFree   []*desc
 	stripeFree []*stripeGroup
 	creditInit int
 }
 
-// nicRail is one injection pipeline: its own queue, wire occupancy state and
-// per-peer flow-control window (per-QP credits are per rail, so a stalled
-// data rail never withholds the control rail's credits).
+// nicRail is one injection pipeline: its own queue, wire and per-peer
+// flow-control window (per-QP credits are per rail). The wire is busy up to
+// the kernel key (busyUntil, busySeq), reserved at the start where an event
+// marking the end would sit; a crossbar credit is out up to its return key.
 type nicRail struct {
-	queue   []*desc
-	busy    bool
-	peers   peertab.Table[nicPeer]
-	skipGen uint64
+	n         *NIC
+	queue     []*desc
+	busyUntil sim.Time
+	busySeq   uint64
+	peers     peertab.Table[nicPeer]
+	skipGen   uint64
+	returns   []creditReturn // crossbar credits out, in return order
+	idx       int32
+	ended     bool // off the crossbar: an event at the wire's end key is scheduled
+}
+
+// creditReturn is one charged crossbar credit: the key at which its ACK
+// lands back at the source, and whether a railWake waits there.
+type creditReturn struct {
+	peer  int
+	woken bool
+	at    sim.Time
+	seq   uint64
+}
+
+// before orders two kernel keys (time, seq).
+func before(t1 sim.Time, s1 uint64, t2 sim.Time, s2 uint64) bool {
+	return t1 < t2 || t1 == t2 && s1 < s2
 }
 
 func newNIC(nw *Network, rank, n int, k *sim.Kernel) *NIC {
-	rails := make([]nicRail, nw.Cfg.Rails())
-	for i := range rails {
-		rails[i].peers = peertab.New[nicPeer](n)
+	nic := &NIC{nw: nw, rank: rank, k: k, rails: make([]nicRail, nw.Cfg.Rails()), creditInit: nw.Cfg.CreditsPerPeer}
+	for i := range nic.rails {
+		nic.rails[i] = nicRail{n: nic, idx: int32(i), peers: peertab.New[nicPeer](n)}
 	}
-	return &NIC{
-		nw:         nw,
-		rank:       rank,
-		k:          k,
-		rails:      rails,
-		creditInit: nw.Cfg.CreditsPerPeer,
-	}
+	return nic
 }
 
 // nicPeer is one destination's flow-control state; its zero value (no
@@ -98,40 +109,32 @@ type nicPeer struct {
 	skip    uint64
 }
 
-// allocDesc takes a descriptor from the free-list (or allocates one).
-func (n *NIC) allocDesc() *desc {
-	if l := len(n.descFree); l > 0 {
-		d := n.descFree[l-1]
-		n.descFree[l-1] = nil
-		n.descFree = n.descFree[:l-1]
-		return d
+// take pops a recycled object off a free-list, or returns nil.
+func take[T any](free *[]*T) *T {
+	l := len(*free)
+	if l == 0 {
+		return nil
 	}
-	return &desc{n: n}
+	x := (*free)[l-1]
+	(*free)[l-1] = nil
+	*free = (*free)[:l-1]
+	return x
+}
+
+// newDesc takes a descriptor for a packet, or a chunk of one, on a rail.
+func (n *NIC) newDesc(p *Packet, rail int, wire int64) *desc {
+	d := take(&n.descFree)
+	if d == nil {
+		d = &desc{n: n}
+	}
+	d.pkt, d.dst, d.rail, d.wire = p, p.Dst, rail, wire
+	return d
 }
 
 // freeDesc returns a spent descriptor to the free-list.
 func (n *NIC) freeDesc(d *desc) {
-	d.pkt = nil
-	d.stripe = nil
-	d.rail = 0
-	d.wire = 0
-	d.regCost = 0
+	*d = desc{n: n}
 	n.descFree = append(n.descFree, d)
-}
-
-func (n *NIC) allocStripe() *stripeGroup {
-	if l := len(n.stripeFree); l > 0 {
-		g := n.stripeFree[l-1]
-		n.stripeFree[l-1] = nil
-		n.stripeFree = n.stripeFree[:l-1]
-		return g
-	}
-	return &stripeGroup{}
-}
-
-func (n *NIC) freeStripe(g *stripeGroup) {
-	g.remaining = 0
-	n.stripeFree = append(n.stripeFree, g)
 }
 
 // dataRail reports whether a packet kind belongs to the data plane. Data
@@ -173,48 +176,37 @@ func (n *NIC) railFor(p *Packet) int {
 // own delivery on their paths and know nothing of chunk reassembly, so
 // striping stays a lossless-crossbar feature).
 func (n *NIC) enqueue(p *Packet) {
-	if len(n.rails) > 1 && p.Size >= stripeMin && stripeable(p.Kind) &&
-		n.nw.faults == nil && n.nw.topo == nil {
+	if len(n.rails) > 1 && p.Size >= stripeMin && stripeable(p.Kind) && n.closed() {
 		n.enqueueStriped(p)
 		return
 	}
 	rail := n.railFor(p)
 	p.Rail = uint8(rail)
-	d := n.allocDesc()
-	d.pkt = p
-	d.dst = p.Dst
-	d.rail = rail
-	d.wire = p.Size
-	if rc := n.nw.regs[n.rank]; rc != nil && p.Size > 0 {
-		if !rc.Touch(regionKeyFor(p)) {
-			d.regCost = n.nw.Cfg.RegMissCost
-		}
+	d := n.newDesc(p, rail, p.Size)
+	if rc := n.nw.regs[n.rank]; rc != nil && p.Size > 0 && !rc.Touch(regionKeyFor(p)) {
+		d.regCost = n.nw.Cfg.RegMissCost
 	}
-	n.push(d)
+	n.rails[rail].queue = append(n.rails[rail].queue, d)
 	n.tryStart(rail)
 }
 
 // enqueueStriped splits one bulk transfer into Channels chunks, one per data
-// rail, in deterministic rail order. The chunks share the packet; the last
-// chunk to leave its wire fires local completion and schedules the single
-// delivery (the receive side never sees partial chunks — reassembly is the
-// receiving HCA's job and costs nothing extra in this model).
+// rail, in deterministic rail order. The chunks share the packet, which
+// completes once, at the latest chunk end (the receive side never sees
+// partial chunks — reassembly is the receiving HCA's job and costs nothing
+// extra in this model).
 func (n *NIC) enqueueStriped(p *Packet) {
 	dataRails := len(n.rails) - 1
-	g := n.allocStripe()
-	g.remaining = dataRails
-	base := p.Size / int64(dataRails)
-	rem := p.Size % int64(dataRails)
-	regMiss := false
-	if rc := n.nw.regs[n.rank]; rc != nil {
-		regMiss = !rc.Touch(regionKeyFor(p))
+	g := take(&n.stripeFree)
+	if g == nil {
+		g = &stripeGroup{}
 	}
+	g.remaining = dataRails
+	base, rem := p.Size/int64(dataRails), p.Size%int64(dataRails)
+	rc := n.nw.regs[n.rank]
+	regMiss := rc != nil && !rc.Touch(regionKeyFor(p))
 	for i := 0; i < dataRails; i++ {
-		d := n.allocDesc()
-		d.pkt = p
-		d.dst = p.Dst
-		d.rail = 1 + i
-		d.wire = base
+		d := n.newDesc(p, 1+i, base)
 		if int64(i) < rem {
 			d.wire++
 		}
@@ -222,17 +214,11 @@ func (n *NIC) enqueueStriped(p *Packet) {
 			d.regCost = n.nw.Cfg.RegMissCost
 		}
 		d.stripe = g
-		n.push(d)
+		n.rails[1+i].queue = append(n.rails[1+i].queue, d)
 	}
 	for i := 0; i < dataRails; i++ {
 		n.tryStart(1 + i)
 	}
-}
-
-// push appends a descriptor to its rail's queue.
-func (n *NIC) push(d *desc) {
-	r := &n.rails[d.rail]
-	r.queue = append(r.queue, d)
 }
 
 // regionKeyFor derives a registration-cache key from a packet. Payload
@@ -242,127 +228,169 @@ func regionKeyFor(p *Packet) uint64 {
 	return uint64(p.Arg[3])
 }
 
-// creditsToward reports the outstanding unacknowledged packets toward dst
-// across all rails without materializing sparse state — diagnostics and
-// tests only.
-func (n *NIC) creditsToward(dst int) int {
-	total := 0
-	for i := range n.rails {
-		total += n.rails[i].peers.Peek(dst).credits
-	}
-	return total
-}
+// closed reports whether a packet's delivery and credit return are closed
+// forms of its start: the lossless crossbar, not the adversary or a topology.
+func (n *NIC) closed() bool { return n.nw.faults == nil && n.nw.topo == nil }
 
-// tryStart starts transmitting the oldest descriptor on the rail whose peer
-// has credits. It preserves per-(peer, rail) FIFO order: once a descriptor
-// for peer P is skipped for lack of credit, every later descriptor for P on
-// the same rail is skipped too.
+// tryStart starts the oldest queued descriptor whose peer has a credit; a
+// peer skipped for lack of one stays skipped (per-(peer, rail) FIFO). On
+// the crossbar every return key is known, so the queue is decided at once
+// for the key at which the wire frees, and a rail whose heads are all
+// stalled wakes at the earliest return that unstalls one. Elsewhere credits
+// come back by event: only a free wire starts, and the wire's end (wireEnd,
+// or a railWake at its key) tries again.
 func (n *NIC) tryStart(rail int) {
 	r := &n.rails[rail]
-	if r.busy || len(r.queue) == 0 {
-		return
-	}
-	r.skipGen++
-	gen := r.skipGen
-	for i, d := range r.queue {
-		pc := r.peers.Get(d.dst)
-		if pc.skip == gen {
-			continue
+	closed := n.closed()
+	for len(r.queue) > 0 {
+		at, seq := n.k.Now(), n.k.Seq()
+		if before(at, seq, r.busyUntil, r.busySeq) {
+			if !closed {
+				if !r.ended {
+					r.ended = true
+					n.k.AtCallSeq(r.busyUntil, r.busySeq, railWake, r)
+				}
+				return
+			}
+			at, seq = r.busyUntil, r.busySeq
 		}
-		if n.creditInit > 0 && pc.credits >= n.creditInit {
-			pc.skip = gen
-			continue
+		if closed {
+			r.reclaim(at, seq)
 		}
-		copy(r.queue[i:], r.queue[i+1:])
-		r.queue[len(r.queue)-1] = nil
-		r.queue = r.queue[:len(r.queue)-1]
-		n.transmit(d)
-		return
+		r.skipGen++
+		var d *desc
+		for i, q := range r.queue {
+			pc := r.peers.Get(q.dst)
+			if pc.skip == r.skipGen {
+				continue
+			}
+			if n.creditInit > 0 && pc.credits >= n.creditInit {
+				pc.skip = r.skipGen
+				continue
+			}
+			d, r.queue = q, slices.Delete(r.queue, i, i+1)
+			break
+		}
+		if d == nil {
+			if closed {
+				r.armCredit()
+			}
+			return
+		}
+		n.transmit(d, at)
 	}
 }
 
-// transmit occupies the rail's wire for the descriptor's duration, then
-// schedules delivery and credit recovery (descTxDone).
-func (n *NIC) transmit(d *desc) {
-	r := &n.rails[d.rail]
-	r.busy = true
+// reclaim returns every crossbar credit due by the key (at, seq); a rail's
+// decisions never go back in time.
+func (r *nicRail) reclaim(at sim.Time, seq uint64) {
+	i := 0
+	for ; i < len(r.returns) && !before(at, seq, r.returns[i].at, r.returns[i].seq); i++ {
+		r.peers.Get(r.returns[i].peer).credits--
+	}
+	r.returns = r.returns[:copy(r.returns, r.returns[i:])]
+}
+
+// armCredit schedules a railWake at the earliest return toward a peer the
+// last decision found stalled, unless one already waits there.
+func (r *nicRail) armCredit() {
+	for i := range r.returns {
+		if c := &r.returns[i]; r.peers.Peek(c.peer).skip == r.skipGen {
+			if !c.woken {
+				c.woken = true
+				r.n.k.AtCallSeq(c.at, c.seq, railWake, r)
+			}
+			return
+		}
+	}
+}
+
+// railWake is the shared, capture-free wake of a rail whose stalled peer's
+// credit is back (crossbar) or whose wire is free (topology).
+func railWake(x any) {
+	r := x.(*nicRail)
+	r.n.tryStart(int(r.idx))
+}
+
+// transmit starts d at instant at and schedules its one continuation: on
+// the crossbar its delivery Alpha after the wire end (OnTxDone at the end),
+// keeping the credit's return key on the rail; elsewhere wireEnd, or on a
+// topology with nothing to do at the wire's end, the ingress itself.
+func (n *NIC) transmit(d *desc, at sim.Time) {
+	r, cfg, k := &n.rails[d.rail], &n.nw.Cfg, n.k
+	end := at + cfg.WireTime(d.wire) + d.regCost
+	r.busyUntil, r.busySeq = end, k.Reserve()
 	if n.creditInit > 0 {
 		r.peers.Get(d.dst).credits++
 	}
-	wire := n.nw.Cfg.WireTime(d.wire) + d.regCost
-	n.k.AfterCall(wire, descTxDone, d)
-}
-
-// descTxDone runs when the descriptor's last byte leaves its injection
-// rail: it frees the wire, signals local completion, and schedules
-// propagation plus (with flow control on) the hardware ACK that returns the
-// credit. All continuations are shared functions taking the descriptor or
-// packet, so the whole per-packet pipeline costs zero allocations.
-//
-// Ownership split for the sharded kernel: the packet is detached here and
-// crosses to the destination rank alone (pktDeliver), while the descriptor —
-// per-NIC state — never leaves the source shard; its credit return is a
-// local event. With AckLatency 0 the credit therefore returns before the
-// same-instant delivery fires (local band-0 events precede cross band-1
-// events) — the opposite of the old serial interleave, but deterministic,
-// identical in both modes, and invisible at any nonzero AckLatency.
-func descTxDone(x any) {
-	d := x.(*desc)
-	n := d.n
-	cfg := n.nw.Cfg
-	n.rails[d.rail].busy = false
-	if g := d.stripe; g != nil {
-		// Striped chunk (pristine multi-rail crossbar only): the packet
-		// completes and propagates when its last chunk leaves a wire.
-		g.remaining--
-		pkt := d.pkt
-		rail := d.rail
-		if g.remaining == 0 {
-			n.freeStripe(g)
-			if pkt.OnTxDone != nil {
-				pkt.OnTxDone(pkt)
-			}
-			n.k.AtCross(n.k.Now()+cfg.Alpha, pktDeliver, pkt, n.rank, pkt.Dst)
+	if !n.closed() {
+		// The wire's end is an event when the adversary takes the packet
+		// there, when it has a hook, or when the queue waits for the wire;
+		// that event hands it on (wireEnd). Otherwise the handoff to the
+		// engine is scheduled now.
+		if r.ended = n.nw.faults != nil || d.pkt.OnTxDone != nil || len(r.queue) > 0; r.ended {
+			k.AtCallSeq(end, r.busySeq, wireEnd, d)
+		} else {
+			k.AtCross(end, topoIngress, d, n.rank, -1)
 		}
-		d.pkt = nil
-		d.stripe = nil
-		n.returnCredit(d)
-		n.tryStart(rail)
 		return
 	}
+	if n.creditInit > 0 {
+		r.returns = append(r.returns, creditReturn{peer: d.dst, at: end + cfg.Alpha + cfg.AckLatency, seq: k.Reserve()})
+	}
+	pkt, seq := d.pkt, r.busySeq
+	if g := d.stripe; g != nil {
+		g.remaining--
+		if before(g.end, g.seq, end, seq) {
+			g.end, g.seq = end, seq
+		}
+		end, seq = g.end, g.seq
+		if g.remaining > 0 {
+			pkt = nil
+		} else {
+			*g = stripeGroup{}
+			n.stripeFree = append(n.stripeFree, g)
+		}
+	}
+	n.freeDesc(d)
+	if pkt != nil {
+		if pkt.OnTxDone != nil {
+			k.AtCallSeq(end, seq, pktTxDone, pkt)
+		}
+		k.AtCross(end+cfg.Alpha, pktDeliver, pkt, n.rank, pkt.Dst)
+	}
+}
+
+// pktTxDone fires a crossbar packet's OnTxDone (local completion).
+func pktTxDone(x any) {
+	p := x.(*Packet)
+	p.OnTxDone(p)
+}
+
+// wireEnd runs at a descriptor's wire end off the crossbar: it signals local
+// completion and hands the packet on. The adversary (with the go-back-N
+// layer over it, when engaged) then owns drop/hold/jitter decisions,
+// delivery, credit return and the descriptor, and starts the rail's next
+// descriptor itself; a topology gets it as a band-1 event consumed by the
+// fabric stage of the same round, and egress (topoState.egress) brings back
+// delivery, credit return and the descriptor.
+func wireEnd(x any) {
+	d := x.(*desc)
+	n := d.n
 	if d.pkt.OnTxDone != nil {
 		d.pkt.OnTxDone(d.pkt)
 	}
-	k := n.k
 	if fs := n.nw.faults; fs != nil {
-		// Faulty fabric: the adversary (and the go-back-N layer over it,
-		// when engaged) owns drop/hold/jitter decisions, delivery, credit
-		// return and the descriptor from here on. Shard-safe — every
-		// decision reads immutable profile tables or source-rank state.
 		fs.send(d)
 		return
 	}
-	if n.nw.topo != nil {
-		// Modeled topology: the packet crosses the interconnect hop by hop.
-		// The handoff to the engine is same-instant — no lookahead covers it
-		// — so it crosses as a band-1 event consumed by the fabric stage of
-		// the very round that produced it; delivery, credit return and the
-		// descriptor come back from egress (topoState.egress).
-		k.AtCross(k.Now(), topoIngress, d, n.rank, -1)
-		n.tryStart(d.rail)
-		return
-	}
-	pkt := d.pkt
-	d.pkt = nil
-	rail := d.rail
-	n.returnCredit(d)
-	k.AtCross(k.Now()+cfg.Alpha, pktDeliver, pkt, n.rank, pkt.Dst)
-	n.tryStart(rail)
+	n.k.AtCross(n.k.Now(), topoIngress, d, n.rank, -1)
+	n.tryStart(d.rail)
 }
 
-// returnCredit schedules the hardware ACK of a descriptor whose packet just
-// left for the crossbar — a local event, Alpha+AckLatency out — or retires
-// the descriptor at once when flow control is off.
+// returnCredit schedules the hardware ACK of a descriptor the adversary
+// just sent — a local event, Alpha+AckLatency out — or retires the
+// descriptor at once when flow control is off.
 func (n *NIC) returnCredit(d *desc) {
 	if n.creditInit > 0 {
 		n.k.AfterCall(n.nw.Cfg.Alpha+n.nw.Cfg.AckLatency, descCreditReturn, d)
@@ -378,14 +406,15 @@ func pktDeliver(x any) {
 	p.nw.deliver(p)
 }
 
-// descCreditReturn models the hardware ACK: the peer's credit on the
-// descriptor's rail comes back, possibly unblocking a stalled descriptor,
-// and the descriptor is retired.
+// descCreditReturn models the hardware ACK of a packet the adversary or the
+// topology carried: the peer's credit on the descriptor's rail comes back,
+// possibly unblocking a stalled descriptor, and the descriptor is retired.
 func descCreditReturn(x any) {
 	d := x.(*desc)
-	n := d.n
-	rail := d.rail
-	n.rails[rail].peers.Get(d.dst).credits--
+	n, rail := d.n, d.rail
+	if n.creditInit > 0 {
+		n.rails[rail].peers.Get(d.dst).credits--
+	}
 	n.freeDesc(d)
 	n.tryStart(rail)
 }

@@ -24,6 +24,18 @@ func testNet(n int, credits int) (*sim.Kernel, *Network) {
 	return k, NewNetwork(k, n, cfg)
 }
 
+// creditsToward reports the outstanding unacknowledged packets toward dst
+// across all rails without materializing sparse state. Crossbar credits come
+// back lazily, so the rails reclaim what is due by now first.
+func (n *NIC) creditsToward(dst int) int {
+	total := 0
+	for i := range n.rails {
+		n.rails[i].reclaim(n.k.Now(), n.k.Seq())
+		total += n.rails[i].peers.Peek(dst).credits
+	}
+	return total
+}
+
 func TestLatencyModel(t *testing.T) {
 	cfg := DefaultConfig()
 	if got := cfg.Latency(0); got != cfg.Alpha {

@@ -297,7 +297,7 @@ func (fs *faultState) depart(src, dst int, now sim.Time) (at sim.Time, idx uint6
 	return at, idx
 }
 
-// send runs in descTxDone when the adversary owns the internode path. With
+// send runs in wireEnd when the adversary owns the internode path. With
 // the ARQ engaged the packet is sequenced and retained there; without it,
 // credit return follows the lossless timing (the hardware hop-level ACK —
 // endpoint failures must not leak the sender's credit pool) and the packet

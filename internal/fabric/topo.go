@@ -11,7 +11,7 @@ import (
 // the modeled interconnect hop by hop under per-link bandwidth arbitration
 // and credit flow control, instead of the crossbar's flat Alpha hop. The
 // default crossbar builds no topoState at all: the lossless fast path pays
-// one nil check in descTxDone and nothing else, exactly like faults.
+// one nil check (NIC.closed) and nothing else, exactly like faults.
 //
 // The NIC pipeline keeps modeling the host adapter (serialization, per-peer
 // credits, registration); the topology models the switch fabric behind it.
@@ -65,10 +65,10 @@ func topoSendPacket(x any) {
 	p.nw.topo.eng.Send(p, cfg.NodeOf(p.Src), cfg.NodeOf(p.Dst), p.Size)
 }
 
-// topoIngress hands a descriptor to the topology engine; on a sharded
-// network it runs on the fabric stage (the engine's home). Local completion
-// (OnTxDone) already fired in descTxDone; the descriptor rides the fabric as
-// the packet's in-flight identity and is retired on egress.
+// topoIngress hands a descriptor to the topology engine at its wire end; on a
+// sharded network it runs on the fabric stage (the engine's home). Local
+// completion (OnTxDone) fired in wireEnd just before; the descriptor rides
+// the fabric as the packet's in-flight identity and is retired on egress.
 func topoIngress(x any) {
 	d := x.(*desc)
 	cfg := &d.n.nw.Cfg
@@ -77,9 +77,9 @@ func topoIngress(x any) {
 
 // egress runs on the engine's kernel when a packet starts its final-link
 // flight, delay (>= one link latency, the shard group's lookahead bound)
-// before arrival. It is the topology-path counterpart of descTxDone's
-// delivery/credit scheduling: the packet detaches and crosses to its
-// destination rank, the descriptor crosses back to its source NIC. The
+// before arrival. It is the topology-path counterpart of the crossbar
+// transmit's delivery and credit return: the packet detaches and crosses to
+// its destination rank, the descriptor crosses back to its source NIC. The
 // fabric engine owns no rank, so its cross events carry owner -1.
 func (ts *topoState) egress(delay sim.Time, payload any, _ int) {
 	nw := ts.nw
@@ -93,23 +93,16 @@ func (ts *topoState) egress(delay sim.Time, payload any, _ int) {
 		pkt := v.pkt
 		v.pkt = nil
 		k.AtCross(k.Now()+delay, arrive, pkt, -1, pkt.Dst)
-		if v.n.creditInit > 0 {
-			// Arrival + AckLatency later the hardware ACK lands back at the
-			// source: credit return and descriptor retirement, as before.
-			k.AtCross(k.Now()+delay+nw.Cfg.AckLatency, descCreditReturn, v, -1, v.n.rank)
-		} else {
-			k.AtCross(k.Now()+delay, descRetire, v, -1, v.n.rank)
+		// The hardware ACK lands back at the source AckLatency after the
+		// arrival (at once without flow control): the descriptor retires.
+		ack := nw.Cfg.AckLatency
+		if v.n.creditInit == 0 {
+			ack = 0
 		}
+		k.AtCross(k.Now()+delay+ack, descCreditReturn, v, -1, v.n.rank)
 	case *Packet:
 		k.AtCross(k.Now()+delay, arrive, v, -1, v.Dst) // a go-back-N copy
 	default:
 		panic("fabric: unknown payload type left the topology")
 	}
-}
-
-// descRetire returns a spent no-flow-control descriptor to its source NIC's
-// free-list (sharded: on the source rank's shard).
-func descRetire(x any) {
-	d := x.(*desc)
-	d.n.freeDesc(d)
 }

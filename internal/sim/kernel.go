@@ -120,6 +120,7 @@ func (e *event) before(o *event) bool {
 // capacity has warmed up — no per-event box, no interface conversions.
 type Kernel struct {
 	now     Time
+	cur     uint64  // see Seq
 	heap    []event // the general side of the queue: any key, any distance
 	w       *wheels // the by-construction side; nil until the queue first gets deep
 	wn      int     // events in the wheels
@@ -242,27 +243,35 @@ func (k *Kernel) pop() event {
 
 // At schedules fn to run in kernel context at virtual time t. Scheduling in
 // the past is an error that aborts the run.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		k.abort(fmt.Errorf("sim: event scheduled in the past: t=%d now=%d", t, k.now))
-		return
-	}
-	k.seq++
-	k.push(event{at: t, seq: k.seq, fn: runFunc, arg: fn})
-}
+func (k *Kernel) At(t Time, fn func()) { k.AtCall(t, runFunc, fn) }
 
 // AtCall schedules fn(arg) at virtual time t. fn should be a shared,
 // capture-free function: unlike At, this form allocates nothing when arg is
 // a pointer, which is what keeps the NIC pipeline and proc wakeups off the
 // heap.
-func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
+func (k *Kernel) AtCall(t Time, fn func(any), arg any) { k.AtCallSeq(t, k.Reserve(), fn, arg) }
+
+// Reserve mints the band-0 seq an event scheduled now would get, for an
+// event scheduled later under it (AtCallSeq), if at all: a model that keeps
+// a chain of events as closed forms of their times keeps their tie-breaks.
+func (k *Kernel) Reserve() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// AtCallSeq schedules fn(arg) at t under a seq taken with Reserve, once.
+func (k *Kernel) AtCallSeq(t Time, seq uint64, fn func(any), arg any) {
 	if t < k.now {
 		k.abort(fmt.Errorf("sim: event scheduled in the past: t=%d now=%d", t, k.now))
 		return
 	}
-	k.seq++
-	k.push(event{at: t, seq: k.seq, fn: fn, arg: arg})
+	k.push(event{at: t, seq: seq, fn: fn, arg: arg})
 }
+
+// Seq returns the largest band-0 seq of the current instant that has fired
+// or is firing: the running event's, or in a cross event the last minted
+// (an instant's band-0 events precede its cross events).
+func (k *Kernel) Seq() uint64 { return k.cur }
 
 // AfterCall schedules fn(arg) d nanoseconds of virtual time from now.
 func (k *Kernel) AfterCall(d Time, fn func(any), arg any) { k.AtCall(k.now+d, fn, arg) }
@@ -472,6 +481,9 @@ func (k *Kernel) drive(self *Proc) {
 			k.stop(self, fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)",
 				k.maxEvents, k.now))
 			return
+		}
+		if k.cur = e.seq; e.seq&crossBand != 0 {
+			k.cur = k.seq // every band-0 event minted so far has fired
 		}
 		e.fn(e.arg)
 		p := k.next

@@ -308,3 +308,40 @@ func TestEventOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// waitFor parks p on the signal until pred() holds, re-evaluating after
+// every Fire. pred is evaluated immediately first, so a pre-satisfied
+// condition never blocks. Goroutine procs only; tasks re-check their
+// predicate across Steps instead.
+func (s *Signal) waitFor(p *Proc, tag string, pred func() bool) {
+	for !pred() {
+		s.Wait(p, tag)
+	}
+}
+
+// TestReservedSeqFiresInPlace pins Reserve and AtCallSeq: an event scheduled
+// later under a seq reserved now fires where an AtCall made now would have —
+// after the same-instant events scheduled before the reservation, before
+// those scheduled after it — and Seq reports it while it runs.
+func TestReservedSeqFiresInPlace(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	rec := func(s string) func() { return func() { order = append(order, s) } }
+	k.At(10, rec("a"))
+	seq := k.Reserve()
+	k.At(10, rec("c"))
+	k.At(5, func() {
+		k.AtCallSeq(10, seq, func(any) {
+			if k.Seq() != seq {
+				t.Errorf("Seq() = %d inside the reserved event, want %d", k.Seq(), seq)
+			}
+			order = append(order, "b")
+		}, nil)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, ""); got != "abc" {
+		t.Fatalf("fired %q, want abc", got)
+	}
+}

@@ -295,13 +295,3 @@ func (s *Signal) Wait(p *Proc, tag string) {
 	}
 	p.park(tag)
 }
-
-// waitFor parks p on the signal until pred() holds, re-evaluating after
-// every Fire. pred is evaluated immediately first, so a pre-satisfied
-// condition never blocks. Goroutine procs only; tasks re-check their
-// predicate across Steps instead.
-func (s *Signal) waitFor(p *Proc, tag string, pred func() bool) {
-	for !pred() {
-		s.Wait(p, tag)
-	}
-}

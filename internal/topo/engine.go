@@ -349,17 +349,6 @@ func (e *Engine) Summary() Summary {
 		BusyTime: sim.Time(c[cBusy]), CreditStalls: c[cStalls], MaxQueue: int(c[cMaxQueue])}
 }
 
-// inFlight reports whether any packet is queued or crossing a link
-// (testing helper: quiescence means all queues drained).
-func (e *Engine) inFlight() bool {
-	for i := range e.links {
-		if ls := &e.links[i]; ls.busy || len(ls.transit) > 0 || len(ls.inject) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // HostDiag renders the congestion state relevant to one host for watchdog
 // and deadlock reports: the host's attached links plus the overall hottest
 // links by queued time. Returns "" when nothing ever queued or stalled.

@@ -445,3 +445,14 @@ func TestEngineAllocs(t *testing.T) {
 		t.Error("the measured bursts never stalled on credits: the waiter sets were not exercised")
 	}
 }
+
+// inFlight reports whether any packet is queued or crossing a link
+// (testing helper: quiescence means all queues drained).
+func (e *Engine) inFlight() bool {
+	for i := range e.links {
+		if ls := &e.links[i]; ls.busy || len(ls.transit) > 0 || len(ls.inject) > 0 {
+			return true
+		}
+	}
+	return false
+}

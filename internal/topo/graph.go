@@ -270,21 +270,6 @@ func (g *Graph) NextHop(v, dst int) int {
 	panic(fmt.Sprintf("topo: NextHop on kind %v", g.Spec.Kind))
 }
 
-// pathLen returns the number of links on the route from host src to host
-// dst (diagnostic/testing helper; the engine never materializes paths).
-func (g *Graph) pathLen(src, dst int) int {
-	hops, v := 0, src
-	for v != dst {
-		l := g.Links[g.NextHop(v, dst)]
-		v = l.To
-		hops++
-		if hops > g.Verts+len(g.Links) {
-			panic(fmt.Sprintf("topo: routing loop %d->%d", src, dst))
-		}
-	}
-	return hops
-}
-
 // VertName renders a vertex for diagnostics.
 func (g *Graph) VertName(v int) string {
 	if g.Spec.Kind == FatTree {

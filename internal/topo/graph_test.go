@@ -221,3 +221,18 @@ func TestFeedersAscending(t *testing.T) {
 		}
 	}
 }
+
+// pathLen returns the number of links on the route from host src to host
+// dst (diagnostic/testing helper; the engine never materializes paths).
+func (g *Graph) pathLen(src, dst int) int {
+	hops, v := 0, src
+	for v != dst {
+		l := g.Links[g.NextHop(v, dst)]
+		v = l.To
+		hops++
+		if hops > g.Verts+len(g.Links) {
+			panic(fmt.Sprintf("topo: routing loop %d->%d", src, dst))
+		}
+	}
+	return hops
+}
