@@ -1,13 +1,11 @@
 package fuzz
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -25,27 +23,11 @@ func Verify(p *Program, mode core.Mode, res *RunResult) []string {
 	if res.Err != nil {
 		return []string{fmt.Sprintf("simulation error: %v", res.Err)}
 	}
-	var problems []string
+	// Every location of every window against the oracle's one rule.
+	problems := checkLocations(p, mode, res)
 	bad := func(format string, args ...interface{}) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
-
-	// Final memory must match the sequential oracle.
-	want := Expected(p)
-	for wi := range p.Windows {
-		for r := 0; r < p.NRanks; r++ {
-			got := res.Mems[wi][r]
-			for off := range got {
-				if got[off] != want[wi][r][off] {
-					bad("memory mismatch win %d rank %d off %d: got %#02x want %#02x",
-						wi, r, off, got[off], want[wi][r][off])
-					break // one mismatch per (win, rank) is enough
-				}
-			}
-		}
-	}
-
-	problems = append(problems, checkFetched(p, mode, res)...)
 
 	// Epoch accounting, lock-agent end state and the ω-counter algebra.
 	// Signal conservation (counter-signal transport): every replica write
@@ -116,125 +98,6 @@ func Verify(p *Program, mode core.Mode, res *RunResult) []string {
 	// Every span's latency split, and serial-activation legality.
 	problems = append(problems, checkSpans(p, mode, res.Spans)...)
 	return problems
-}
-
-// checkFetched pairs every RunResult.Fetched entry with its operation and
-// checks what the generation discipline makes exact without reasoning about
-// order. A CAS returns 0: its slot is single-use and zero-initialized. A byte
-// a Get or a NoOp GetAccumulate returns from beyond the accumulate region is
-// 0 or the one value a write can leave there (writtenByte). Results from the
-// accumulate region are not checked.
-func checkFetched(p *Program, mode core.Mode, res *RunResult) []string {
-	var problems []string
-	cas := casWrites(p)
-	for r := 0; r < p.NRanks; r++ {
-		n := pairFetched(p, mode, r, res.Fetched[r], func(c prog.Call, o *OpSpec, b []byte) {
-			switch {
-			case o.Kind == OpCAS:
-				if v := binary.LittleEndian.Uint64(b); v != 0 {
-					problems = append(problems, fmt.Sprintf(
-						"rank %d: CAS win %d target %d off %d returned %#x, want 0 (single-use slot)",
-						r, c.Win, o.Target, o.Off, v))
-				}
-			case o.Kind == OpGet || o.Kind == OpGetAcc && o.NoOp:
-				name := "Get"
-				if o.Kind == OpGetAcc {
-					name = "NoOp GetAccumulate"
-				}
-				for i, v := range b {
-					off := o.Off + int64(i)
-					if w, ok := writtenByte(p, cas, int(c.Win), o.Target, off); ok && v != 0 && v != w {
-						problems = append(problems, fmt.Sprintf(
-							"rank %d: %s win %d target %d off %d fetched %#02x at off %d, want 0 or %#02x",
-							r, name, c.Win, o.Target, o.Off, v, off, w))
-						break // one bad byte per operation is enough
-					}
-				}
-			}
-		})
-		if n != len(res.Fetched[r]) {
-			problems = append(problems, fmt.Sprintf("rank %d: %d fetched results for %d fetching operations", r, len(res.Fetched[r]), n))
-		}
-	}
-	return problems
-}
-
-// pairFetched walks rank r's program in order and calls f with each
-// fetching operation and its entry of got, as far as got reaches. It
-// returns the number of fetching operations.
-func pairFetched(p *Program, mode core.Mode, r int, got [][]byte, f func(prog.Call, *OpSpec, []byte)) int {
-	n := 0
-	layout(p, mode, r, func(c prog.Call, o *OpSpec) {
-		if o == nil || o.Kind == OpPut || o.Kind == OpAcc {
-			return
-		}
-		if n < len(got) {
-			f(c, o, got[n])
-		}
-		n++
-	})
-	return n
-}
-
-// casWrite is the one write a CAS slot can see: the swap value of the
-// matching CAS that owns the slot, at its target (-1: none).
-type casWrite struct {
-	target int
-	swap   uint64
-}
-
-// casWrites indexes every slot's casWrite by window, owner and slot.
-func casWrites(p *Program) []casWrite {
-	cw := make([]casWrite, len(p.Windows)*p.NRanks*casSlotArea/8)
-	for i := range cw {
-		cw[i].target = -1
-	}
-	add := func(wi int, ops []OpSpec) {
-		for _, o := range ops {
-			if o.Kind == OpCAS && o.Match {
-				cw[casSlot(p, wi, o.Off)] = casWrite{o.Target, casSwap(o.Val)}
-			}
-		}
-	}
-	for _, rd := range p.Rounds {
-		for _, ph := range rd.PhaseOps {
-			for _, ops := range ph {
-				add(rd.Win, ops)
-			}
-		}
-		for _, ops := range rd.Ops {
-			add(rd.Win, ops)
-		}
-	}
-	return cw
-}
-
-// casSlot is the casWrites index of the CAS slot holding absolute offset off
-// of window wi.
-func casSlot(p *Program, wi int, off int64) int {
-	ws := p.Windows[wi]
-	rel := off - ws.AccSize
-	return (wi*p.NRanks+int(rel/ws.SliceSz))*casSlotArea/8 + int(rel%ws.SliceSz/8)
-}
-
-// writtenByte is the one non-zero value any write of p can leave at offset
-// off of window wi on rank target: putByteAt of the slice's owner in a put
-// area, the owning CAS's swap byte in a CAS slot it targets (0 if it targets
-// another rank). ok is false in the accumulate region, which holds a
-// combination of writes.
-func writtenByte(p *Program, cas []casWrite, wi, target int, off int64) (v byte, ok bool) {
-	ws := p.Windows[wi]
-	if off < ws.AccSize {
-		return 0, false
-	}
-	owner, rel := int((off-ws.AccSize)/ws.SliceSz), (off-ws.AccSize)%ws.SliceSz
-	if rel >= casSlotArea {
-		return putByteAt(wi, owner, off), true
-	}
-	if w := cas[casSlot(p, wi, off)]; w.target == target {
-		return byte(w.swap >> (8 * (rel % 8))), true
-	}
-	return 0, true
 }
 
 // checkSpans holds every span to the conservation law of its latency split

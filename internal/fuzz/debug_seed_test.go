@@ -10,8 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// TestDebugSeed is a manual debugging aid: it prints one seed's program and
-// every epoch's span with its latency parts.
+// TestDebugSeed is a manual debugging aid: it prints one seed's program —
+// every operation of every round and fence phase, with its operand — what
+// Verify reports of its ModeNew run, and every epoch's span with its latency
+// parts.
 //
 //	FUZZ_DEBUG_SEED=161 go test ./internal/fuzz -run TestDebugSeed -v
 func TestDebugSeed(t *testing.T) {
@@ -32,14 +34,24 @@ func TestDebugSeed(t *testing.T) {
 	for ri, rd := range p.Rounds {
 		fmt.Printf("round %d: win=%d kind=%d nb=%v origins=%v targets=%v lockT=%v shared=%v member=%v phases=%d\n",
 			ri, rd.Win, rd.Kind, rd.Nonblocking, rd.Origins, rd.Targets, rd.LockTarget, rd.LockShared, rd.Member, rd.Phases)
-		for r, ops := range rd.Ops {
-			for _, o := range ops {
-				fmt.Printf("  rank %d: kind=%d target=%d off=%d size=%d\n", r, o.Kind, o.Target, o.Off, o.Size)
+		printOps := func(phase string, ops [][]OpSpec) {
+			for r, ops := range ops {
+				for _, o := range ops {
+					fmt.Printf("  %srank %d: kind=%d target=%d off=%d size=%d val=%#x noop=%v match=%v\n",
+						phase, r, o.Kind, o.Target, o.Off, o.Size, o.Val, o.NoOp, o.Match)
+				}
 			}
 		}
+		for ph, ops := range rd.PhaseOps {
+			printOps(fmt.Sprintf("phase %d ", ph), ops)
+		}
+		printOps("", rd.Ops)
 	}
 	res := Execute(p, core.ModeNew)
 	fmt.Printf("err: %v\n", res.Err)
+	for _, problem := range Verify(p, core.ModeNew, res) {
+		fmt.Printf("problem: %s\n", problem)
+	}
 	for _, s := range res.Spans {
 		fmt.Printf("%+v\n ", s)
 		for part, d := range s.Parts {

@@ -1,118 +1,252 @@
 package fuzz
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/prog"
 )
 
-// The sequential oracle: replay every round's writes in program order on a
-// plain byte array per (window, rank). The generation discipline guarantees
-// the real runs converge to the same memory no matter how the middleware
-// ordered the transfers — puts are idempotent functions of their location,
-// accumulates all use one commutative-associative operator per window, and
-// CAS slots are single-use.
-//
-// The combining arithmetic below is deliberately written independently of
-// internal/core's combine so that the comparison cross-checks it.
+// The oracle holds every location to the rule the package comment states.
+// Its writes commute, so their fold is the final memory, and an order is
+// searched only where a fetch or a read observes the location. Ordering a
+// read against the program's synchronization is not checked. The arithmetic
+// is written independently of internal/core's combine, to cross-check it.
 
-// Expected returns the final window memory: [window][rank][]byte.
-func Expected(p *Program) [][][]byte {
-	mems := make([][][]byte, len(p.Windows))
-	for wi, ws := range p.Windows {
-		mems[wi] = make([][]byte, p.NRanks)
-		for r := 0; r < p.NRanks; r++ {
-			mems[wi][r] = make([]byte, ws.TotalSize(p.NRanks))
+// An access is one operation of the program: the op, its window and origin,
+// and the bytes it returned if it fetches.
+type access struct {
+	o           *OpSpec
+	win, origin int
+	got         []byte
+}
+
+// writes reports whether a changes its target's memory: every put and
+// accumulate but a NoOp one, and a CAS whose compare value matches.
+func (a *access) writes() bool {
+	return a.o.Kind != OpGet && !a.o.NoOp && (a.o.Kind != OpCAS || a.o.Match)
+}
+
+func (a *access) covers(loc, sz int64) bool { return a.o.Off < loc+sz && a.o.Off+a.o.Size > loc }
+
+// observed is what a returned of the sz-byte location at loc it covers,
+// and the mask of the bytes it read (none if it fetches nothing).
+func (a *access) observed(loc, sz int64) (v, mask uint64) {
+	if a.got == nil {
+		return 0, 0
+	}
+	lo, hi := max(loc, a.o.Off), min(loc+sz, a.o.Off+a.o.Size)
+	return le(a.got[lo-a.o.Off:hi-a.o.Off]) << (8 * (lo - loc)), ^uint64(0) >> (64 - 8*(hi-lo)) << (8 * (lo - loc))
+}
+
+// accesses lists every operation of p, pairing each rank's RunResult.Fetched
+// entries in program order with its fetching operations, and reports a rank
+// whose count of results differs.
+func accesses(p *Program, mode core.Mode, res *RunResult) (all []access, problems []string) {
+	all = make([]access, 0, p.OpCount())
+	for r := 0; r < p.NRanks; r++ {
+		got, n := res.Fetched[r], 0
+		layout(p, mode, r, func(c prog.Call, o *OpSpec) {
+			if o == nil {
+				return
+			}
+			a := access{o: o, win: int(c.Win), origin: r}
+			if o.Kind != OpPut && o.Kind != OpAcc {
+				if n < len(got) {
+					a.got = got[n]
+				}
+				n++
+			}
+			all = append(all, a)
+		})
+		if n != len(got) {
+			problems = append(problems, fmt.Sprintf("rank %d: %d fetched results for %d fetching operations", r, len(got), n))
 		}
 	}
-	for _, rd := range p.Rounds {
-		for _, phase := range rd.PhaseOps {
-			for origin, ops := range phase {
-				for _, o := range ops {
-					applyOracleOp(p, rd.Win, origin, o, mems)
+	return all, problems
+}
+
+// memory holds one window of one rank to the rule: the accesses that target
+// it, the fold of their writes, and the order search's scratch.
+type memory struct {
+	ws     WindowSpec
+	wi, t  int
+	accs   []access
+	fold   []byte
+	w      []*access // the writes and reads the order search places
+	failed []uint64  // the search's dead ends, one bit per set of w
+}
+
+// checkLocations holds every location of every window of res to the rule.
+func checkLocations(p *Program, mode core.Mode, res *RunResult) []string {
+	all, problems := accesses(p, mode, res)
+	m := memory{accs: make([]access, 0, len(all))}
+	for wi, ws := range p.Windows {
+		m.fold = make([]byte, ws.TotalSize(p.NRanks))
+		for t := 0; t < p.NRanks; t++ {
+			m.ws, m.wi, m.t, m.accs = ws, wi, t, m.accs[:0]
+			for _, a := range all {
+				if a.win == wi && a.o.Target == t {
+					m.accs = append(m.accs, a)
 				}
 			}
+			problems = m.check(res.Mems[wi][t], problems)
 		}
-		for origin, ops := range rd.Ops {
-			for _, o := range ops {
-				applyOracleOp(p, rd.Win, origin, o, mems)
+	}
+	return problems
+}
+
+// check compares the final memory got with the fold of every write, then
+// holds each location a fetch or a read observes to the rule; one failing
+// location per window and rank is enough.
+func (m *memory) check(got []byte, problems []string) []string {
+	clear(m.fold)
+	for _, a := range m.accs {
+		for loc := a.o.Off; a.writes() && loc < a.o.Off+a.o.Size; loc += m.size(loc) {
+			if v := m.combine(loc, le(m.fold[loc:loc+m.size(loc)]), m.operand(&a, loc)); m.size(loc) == 8 {
+				binary.LittleEndian.PutUint64(m.fold[loc:], v)
+			} else {
+				m.fold[loc] = byte(v)
 			}
 		}
 	}
-	return mems
+	if !bytes.Equal(got, m.fold) {
+		off := 0
+		for got[off] == m.fold[off] {
+			off++
+		}
+		problems = append(problems, fmt.Sprintf("memory mismatch win %d rank %d off %d: got %#02x want %#02x",
+			m.wi, m.t, off, got[off], m.fold[off]))
+	}
+	for _, a := range m.accs {
+		for loc := a.o.Off - a.o.Off%m.size(a.o.Off); a.got != nil && loc < a.o.Off+a.o.Size; loc += m.size(loc) {
+			if p := m.location(loc); p != "" {
+				return append(problems, p)
+			}
+		}
+	}
+	return problems
 }
 
-func applyOracleOp(p *Program, wi, origin int, o OpSpec, mems [][][]byte) {
-	ws := p.Windows[wi]
-	mem := mems[wi][o.Target]
-	switch o.Kind {
+// location holds the location at loc to the rule; "" means it holds. The
+// search orders its writes and its reads (which write nothing) together;
+// reads of the first or the last state, on every order, need no place.
+func (m *memory) location(loc int64) string {
+	sz, search := m.size(loc), false
+	final := le(m.fold[loc : loc+sz])
+	m.w = m.w[:0]
+	for i := range m.accs {
+		if a := &m.accs[i]; a.covers(loc, sz) {
+			if v, mask := a.observed(loc, sz); a.writes() || v != 0 && v != final&mask {
+				m.w, search = append(m.w, a), search || a.got != nil
+			}
+		}
+	}
+	switch {
+	case !search:
+		return ""
+	case len(m.w) > 20: // the generator stays far below 2^20 sets
+		return fmt.Sprintf("win %d rank %d off %d: %d writes and reads exceed the order search's bound", m.wi, m.t, loc, len(m.w))
+	}
+	m.failed = append(m.failed[:0], make([]uint64, (1<<len(m.w)+63)/64)...)
+	if m.order(loc, sz, 0, 0) {
+		return ""
+	}
+	return fmt.Sprintf("win %d rank %d off %d: no order of its writes explains what was fetched there (final %#x)",
+		m.wi, m.t, loc, final)
+}
+
+// order reports whether the accesses outside the set s can follow the state
+// st of s, each fetch returning the state before its own write. Dead ends
+// are recorded, so each set is searched once.
+func (m *memory) order(loc, sz int64, s int, st uint64) bool {
+	if s == 1<<len(m.w)-1 {
+		return true
+	}
+	if m.failed[s/64]&(1<<(s%64)) != 0 {
+		return false
+	}
+	m.failed[s/64] |= 1 << (s % 64)
+	for i, a := range m.w {
+		if v, mask := a.observed(loc, sz); s&(1<<i) != 0 || st&mask != v {
+			continue
+		}
+		next := st
+		if a.writes() {
+			next = m.combine(loc, st, m.operand(a, loc))
+		}
+		if m.order(loc, sz, s|1<<i, next) {
+			return true
+		}
+	}
+	return false
+}
+
+// size is the length of the location holding offset off; the regions, their
+// elements and the CAS slots all align to their own size.
+func (m *memory) size(off int64) int64 {
+	switch {
+	case off < m.ws.AccSize:
+		return int64(m.ws.DT.Size())
+	case (off-m.ws.AccSize)%m.ws.SliceSz < casSlotArea:
+		return 8
+	}
+	return 1
+}
+
+// operand is the value a combines into the location at loc.
+func (m *memory) operand(a *access, loc int64) uint64 {
+	switch a.o.Kind {
 	case OpPut:
-		for i := int64(0); i < o.Size; i++ {
-			mem[o.Off+i] = putByteAt(wi, origin, o.Off+i)
-		}
-	case OpGet:
-		// no memory effect
-	case OpAcc, OpGetAcc, OpFAO:
-		if !o.NoOp {
-			oracleAcc(mem[o.Off:o.Off+o.Size], accPayload(make([]byte, 0, o.Size), o.Val, o.Size, ws.DT), ws.Op, ws.DT)
-		}
+		return uint64(putByteAt(m.wi, a.origin, loc))
 	case OpCAS:
-		if o.Match {
-			binary.LittleEndian.PutUint64(mem[o.Off:], casSwap(o.Val))
-		}
+		return casSwap(a.o.Val)
 	}
+	return mix64(a.o.Val+uint64((loc-a.o.Off)/int64(m.ws.DT.Size()))) & m.mask()
 }
 
-// oracleAcc applies dst = dst (op) src element-wise.
-func oracleAcc(dst, src []byte, op core.AccOp, dt core.DType) {
-	if dt == core.TByte {
-		for i := range dst {
-			dst[i] = byte(oracleOp(uint64(dst[i]), uint64(src[i]), op, false) & 0xff)
-		}
-		return
+// combine is the state of the location at loc after v is written over s. A
+// put byte and a CAS slot each see one written value, so or-ing it in is
+// writing it.
+func (m *memory) combine(loc int64, s, v uint64) uint64 {
+	if loc >= m.ws.AccSize {
+		return s | v
 	}
-	signed := dt == core.TInt64
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := binary.LittleEndian.Uint64(dst[i:])
-		b := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], oracleOp(a, b, op, signed))
+	less := s < v
+	if m.ws.DT == core.TInt64 {
+		less = int64(s) < int64(v)
 	}
+	switch op := m.ws.Op; {
+	case op == core.OpBor:
+		s |= v
+	case op == core.OpSum:
+		s += v
+	case op == core.OpProd:
+		s *= v
+	case op == core.OpBand:
+		s &= v
+	case op == core.OpBxor:
+		s ^= v
+	case op == core.OpMax && less, op == core.OpMin && !less:
+		s = v
+	case op != core.OpMax && op != core.OpMin:
+		panic("fuzz: oracle does not model this operator")
+	}
+	return s & m.mask()
 }
 
-func oracleOp(a, b uint64, op core.AccOp, signed bool) uint64 {
-	switch op {
-	case core.OpSum:
-		return a + b
-	case core.OpProd:
-		return a * b
-	case core.OpBand:
-		return a & b
-	case core.OpBor:
-		return a | b
-	case core.OpBxor:
-		return a ^ b
-	case core.OpMax:
-		if signed {
-			if int64(a) >= int64(b) {
-				return a
-			}
-			return b
-		}
-		if a >= b {
-			return a
-		}
-		return b
-	case core.OpMin:
-		if signed {
-			if int64(a) <= int64(b) {
-				return a
-			}
-			return b
-		}
-		if a <= b {
-			return a
-		}
-		return b
+// mask keeps the bits of one accumulate element.
+func (m *memory) mask() uint64 { return ^uint64(0) >> (64 - 8*m.ws.DT.Size()) }
+
+// le reads up to 8 bytes as a little-endian value.
+func le(b []byte) (v uint64) {
+	if len(b) == 8 {
+		return binary.LittleEndian.Uint64(b)
 	}
-	panic("fuzz: oracle does not model this operator")
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
 }

@@ -1,7 +1,7 @@
 // Package fuzz generates random multi-rank RMA epoch conversations from a
 // deterministic seed, runs them under both the paper's stack (ModeNew) and
 // the MVAPICH model (ModeVanilla), and checks a battery of invariants after
-// every run: final window memory against a sequential oracle, the ω-counter
+// every run: every window location against one ordering rule, the ω-counter
 // algebra, lock-agent safety, serial-activation legality and request
 // completion. Every failure is reproducible from its seed alone.
 //
@@ -33,11 +33,12 @@
 // origin's puts land in a private per-origin slice whose payload bytes are a
 // pure function of (window, origin, offset); all accumulate-class writes
 // share one region and one commutative-associative operator per window; each
-// CompareAndSwap uses a program-unique slot. What the fetching operations
-// return (RunResult.Fetched) is checked where that discipline makes it exact:
-// every CAS returns its slot's initial zero, and every byte a Get or a NoOp
-// GetAccumulate returns from beyond the accumulate region is zero or the one
-// value a write can leave there. Accumulate-region results are unchecked.
+// CompareAndSwap uses a program-unique slot. So every location's writes
+// commute, and Verify holds each location — an accumulate element, a CAS slot
+// or a put byte — to one rule (oracle.go): its writes have one order in which
+// every atomic fetch returns the state before its own write, every plain read
+// (RunResult.Fetched) returns a state the order passes through, and the last
+// state is the final memory.
 package fuzz
 
 import (
@@ -181,9 +182,8 @@ func Generate(seed uint64) *Program { return generate(seed, false) }
 // supports: every window is passive-family and rounds draw from lock,
 // lock_all and bare flush bursts (RFlush) — no fence or GATS, which flush
 // mode rejects by construction. The memory-effect discipline is unchanged,
-// so the same sequential oracle (Expected) applies: flush-mode locks provide
-// mutual exclusion only and never order the generated disjoint/commutative
-// writes.
+// so the same oracle applies: flush-mode locks provide mutual exclusion only
+// and never order the generated disjoint/commutative writes.
 //
 // Deadlock freedom holds by the same arguments as Generate: a rank holds at
 // most one lock per round and acquires it before blocking on anything else,

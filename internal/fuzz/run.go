@@ -76,8 +76,8 @@ func TopoSpec(kind topo.Kind, seed uint64) topo.Spec {
 // LossyProfile derives a recoverable-by-construction fault profile for an
 // nranks-rank program from a seed: packet loss around 1e-3 plus light
 // duplication, corruption, delay jitter and one or two link-flap windows,
-// and no death — so every loss is eventually repaired and the
-// sequential-memory oracle must still hold. The schedule varies with the
+// and no death — so every loss is eventually repaired and the memory
+// oracle must still hold. The schedule varies with the
 // seed both through the per-copy hashes and through the seed-dependent drop
 // rate and windows.
 func LossyProfile(seed uint64, nranks int) fabric.FaultProfile {
