@@ -1,14 +1,14 @@
 // Command fuzz runs the deterministic epoch-conversation fuzzer: random
 // multi-rank RMA programs generated from consecutive seeds, each executed
 // under the paper's stack and the vanilla (MVAPICH-style) model, with the
-// full invariant battery checked after every run. A failing seed is printed
-// with a reproduction command; the process exits nonzero if any program
-// fails.
+// full invariant battery checked after every run. What a seed runs over is
+// one fuzz.Arm, parsed from the flags below; a failing seed prints the
+// flags that replay it, and the process exits nonzero if any seed fails.
 //
 // Seeds are independent simulations, so the campaign fans them across
-// -workers goroutines (default GOMAXPROCS) for near-linear throughput;
-// results are still reported in seed order, so the transcript — and every
-// failure — is identical at any worker count.
+// -workers goroutines (default GOMAXPROCS); results are still reported in
+// seed order, so the transcript — and every failure — is identical at any
+// worker count.
 //
 // Usage:
 //
@@ -19,46 +19,33 @@
 //	go run ./cmd/fuzz -n 100 -topo fattree   # route over a congested fat-tree
 //	go run ./cmd/fuzz -n 100 -mode flush     # epochless flush-mode programs
 //	go run ./cmd/fuzz -n 100 -mode signal    # counter-signal epoch transport
+//	go run ./cmd/fuzz -mode kv -n 20         # chaos KV-store scenarios
 //
-// With -mode flush, programs come from fuzz.GenerateFlush — epochless
-// lock/lock_all/flush-burst conversations exercising core.ModeFlush and its
-// foMPI-style scalable lock protocol, with a flush-specific end-state check
-// on top of the usual battery.
+// -mode picks the modes (both, new, vanilla, flush, or all three) and so the
+// generator: flush programs (fuzz.GenerateFor) are epochless
+// lock/lock_all/flush-burst conversations for core.ModeFlush and its
+// foMPI-style scalable lock, with a flush-specific end-state check on top.
+// -mode signal runs both modes with every window on the counter-signal epoch
+// transport, replica counters based a few steps below the uint64 wrap for
+// most seeds (fuzz.SignalBase), plus a conservation check. The fabric arm
+// composes with every mode: -lossy injects a recoverable fault schedule
+// (fuzz.LossyProfile), -topo routes over a ring, torus or fattree of
+// seed-varied shape (fuzz.TopoSpec), -shards runs a sharded kernel whose
+// transcript is bit-identical to serial. Every schedule is a pure function
+// of the seed and the flags, so a failure replays exactly.
 //
-// With -mode signal, the same epoch programs run under both models but every
-// window rides the counter-signal epoch transport (core.TransportSignal):
-// grants and dones travel as one-sided 16-byte counter-replica writes with a
-// seed-derived starting base, most seeds placed a few steps below the uint64
-// wrap so the serial-number arithmetic is exercised mid-program. The full
-// battery applies unchanged, plus a conservation check that every replica
-// write sent was merged or discarded as stale. Composes with -lossy, -topo
-// and -shards.
-//
-// With -mode kv, seeds derive chaos scenarios for the replicated KV store
-// (internal/kvstore) instead of epoch programs: scheduled server deaths,
-// link flaps and jitter against seeded Zipfian serving traffic. Each seed
-// checks the sequential oracle (zero acknowledged-write loss on surviving
-// copies), bit-identical replay of every retry/failover decision, and
-// serial/sharded kernel parity:
-//
-//	go run ./cmd/fuzz -mode kv -n 20 -seed 1
-//
-// With -lossy every seed runs over a fault-injecting fabric (drop rate
-// around 1e-3 plus duplicates, corruption, jitter and link flaps — see
-// fuzz.LossyProfile). With -topo every seed routes its internode packets
-// over a modeled interconnect (ring, torus or fattree) with a seed-varied
-// shape — small switch radixes and tight link credits, where arbitration
-// and bubble flow control actually bite (see fuzz.TopoSpec); the two
-// compose. Either way the schedule is a pure function of the seed and the
-// flags, so a failure replays exactly like a pristine one.
-//
-// With -shards every seed — lossy and -topo ones included — executes on a
-// sharded event kernel; the transcript is bit-identical to a serial campaign.
+// -mode kv checks chaos scenarios for the replicated KV store instead
+// (fuzz.KVOptions: server deaths, link flaps and jitter against Zipfian
+// traffic): its oracle, bit-identical replay and serial/sharded parity. The
+// scenario derives its own mode and adversary, so -lossy and -topo are
+// refused there.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -67,8 +54,8 @@ import (
 	"repro/internal/topo"
 )
 
-// flags are the campaign's own flags: everything the reproduction recipe of
-// a fuzz.Failure may name.
+// flags are the campaign's flags: everything the reproduction recipe of a
+// fuzz.Failure may name, -shards included.
 type flags struct {
 	n       int
 	seed    uint64
@@ -76,6 +63,7 @@ type flags struct {
 	lossy   bool
 	topo    string
 	verbose bool
+	prof    *bench.Flags // -shards, -workers and the profile flags
 }
 
 func registerFlags(fs *flag.FlagSet) *flags {
@@ -86,19 +74,22 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.BoolVar(&f.lossy, "lossy", false, "inject seeded fabric faults (recoverable schedule) under every run")
 	fs.StringVar(&f.topo, "topo", "", "route every run over a modeled interconnect: ring, torus or fattree (default: crossbar)")
 	fs.BoolVar(&f.verbose, "v", false, "describe each program as it runs")
+	f.prof = bench.RegisterFlags(fs)
 	return f
 }
 
-// options resolves the parsed flags to the campaign they select; kv means
-// the chaos KV-store arm, which reads only N and Seed.
-func (f *flags) options() (o fuzz.Options, kv bool, err error) {
-	o = fuzz.Options{N: f.n, Seed: f.seed, Lossy: f.lossy}
-	if o.Topo, err = topo.ParseKind(f.topo); err != nil {
-		return o, false, err
+// options resolves the parsed flags to the campaign they select.
+func (f *flags) options() (o fuzz.Options, err error) {
+	o = fuzz.Options{N: f.n, Seed: f.seed, Arm: fuzz.Arm{Lossy: f.lossy, Shards: f.prof.Shards}}
+	if o.Arm.Topo, err = topo.ParseKind(f.topo); err != nil {
+		return o, err
 	}
 	switch f.mode {
 	case "kv":
-		kv = true
+		o.Arm.KV = true
+		if o.Arm.Lossy || o.Arm.Topo != topo.Crossbar {
+			err = errors.New("-mode kv derives its adversary and fabric from the seed: -lossy and -topo do not apply")
+		}
 	case "both":
 		o.Modes = fuzz.BothModes
 	case "new":
@@ -109,97 +100,88 @@ func (f *flags) options() (o fuzz.Options, kv bool, err error) {
 		o.Modes = []core.Mode{core.ModeFlush}
 	case "signal":
 		o.Modes = fuzz.BothModes
-		o.Signal = true
+		o.Arm.Signal = true
 	case "all":
 		o.Modes = append(append([]core.Mode(nil), fuzz.BothModes...), core.ModeFlush)
 	default:
 		err = fmt.Errorf("unknown -mode %q (want both, new, vanilla, flush, signal, kv or all)", f.mode)
 	}
-	return o, kv, err
+	return o, err
 }
 
 func main() {
 	f := registerFlags(flag.CommandLine)
-	pf := bench.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	stop := pf.Start()
-
-	opt, kv, err := f.options()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzz: %v\n", err)
-		stop()
-		os.Exit(2)
-	}
-	opt.Shards = bench.Shards()
-	if kv {
-		runKV(opt, f.verbose, stop)
-		return
-	}
-
-	opt.Report = func(s uint64, fs []fuzz.Failure) {
-		if f.verbose {
-			p := fuzz.Generate(s)
-			if len(opt.Modes) == 1 && opt.Modes[0] == core.ModeFlush {
-				p = fuzz.GenerateFlush(s)
-			}
-			fmt.Printf("seed %d: %d ranks (%d per node), %d windows, %d rounds, %d ops\n",
-				s, p.NRanks, p.ProcsPerNode, len(p.Windows), len(p.Rounds), p.OpCount())
-		}
-		for _, failure := range fs {
-			fmt.Printf("FAIL %s\n", failure)
-		}
-	}
-	opt.Progress = func(done, failed int) {
-		if !f.verbose && done%50 == 0 {
-			fmt.Printf("%d/%d programs checked, %d failures\n", done, opt.N, failed)
-		}
-	}
-	failures := fuzz.Campaign(opt)
-
-	if len(failures) > 0 {
-		fmt.Printf("FAIL: %d of %d programs violated invariants\n", len(failures), opt.N)
-		stop()
-		os.Exit(1)
-	}
-	fabricKind := "pristine fabric"
-	if opt.Lossy {
-		fabricKind = "lossy fabric"
-	}
-	if opt.Topo != topo.Crossbar {
-		fabricKind += fmt.Sprintf(" (%s interconnect)", opt.Topo)
-	}
-	if opt.Signal {
-		fabricKind += ", counter-signal transport"
-	}
-	fmt.Printf("ok: %d programs x %d mode(s) over %s, all invariants held\n", opt.N, len(opt.Modes), fabricKind)
+	stop := f.prof.Start()
+	code := run(f, os.Stdout, fuzz.Campaign)
 	stop()
+	os.Exit(code)
 }
 
-// runKV is the chaos KV-store arm: every seed derives a replicated
-// serving scenario with a scheduled fault adversary (fuzz.KVOptions), runs
-// it, and checks the sequential oracle (zero acknowledged-write loss), that
-// a replay reproduces every retry/failover decision bit for bit, and that a
-// sharded kernel matches the serial run.
-func runKV(opt fuzz.Options, verbose bool, stop func()) {
+// run runs the campaign the flags select with campaign, writes its
+// transcript to w and returns the exit code: 0 clean, 1 when a seed fails,
+// 2 for flags that select no campaign.
+func run(f *flags, w io.Writer, campaign func(fuzz.Options) []fuzz.Failure) int {
+	opt, err := f.options()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fuzz: %v\n", err)
+		return 2
+	}
+	unit, every := "programs", 50
+	if opt.Arm.KV {
+		unit, every = "scenarios", 10
+	}
+	failed := 0 // seeds, each failing under one mode or several
 	opt.Report = func(s uint64, fs []fuzz.Failure) {
-		if verbose {
-			fmt.Printf("seed %d: %s\n", s, fuzz.DescribeKV(s))
+		if f.verbose {
+			describe(w, s, opt)
 		}
-		for _, f := range fs {
-			fmt.Printf("FAIL %s\n", f)
+		for _, failure := range fs {
+			fmt.Fprintf(w, "FAIL %s\n", failure)
 		}
-	}
-	opt.Progress = func(done, failed int) {
-		if !verbose && done%10 == 0 {
-			fmt.Printf("%d/%d scenarios checked, %d failures\n", done, opt.N, failed)
+		if len(fs) > 0 {
+			failed++
 		}
 	}
-	failures := fuzz.KVCampaign(opt)
-	if len(failures) > 0 {
-		fmt.Printf("FAIL: %d of %d KV scenarios violated invariants\n", len(failures), opt.N)
-		stop()
-		os.Exit(1)
+	opt.Progress = func(done, failures int) {
+		if !f.verbose && done%every == 0 {
+			fmt.Fprintf(w, "%d/%d %s checked, %d failures\n", done, opt.N, unit, failures)
+		}
 	}
-	fmt.Printf("ok: %d KV chaos scenarios, zero acked-write loss, deterministic failover, serial/sharded parity\n", opt.N)
-	stop()
+	campaign(opt)
+	switch {
+	case failed > 0 && opt.Arm.KV:
+		fmt.Fprintf(w, "FAIL: %d of %d KV scenarios violated invariants\n", failed, opt.N)
+		return 1
+	case failed > 0:
+		fmt.Fprintf(w, "FAIL: %d of %d programs violated invariants\n", failed, opt.N)
+		return 1
+	case opt.Arm.KV:
+		fmt.Fprintf(w, "ok: %d KV chaos scenarios, zero acked-write loss, deterministic failover, serial/sharded parity\n", opt.N)
+	default:
+		fmt.Fprintf(w, "ok: %d programs x %d mode(s) over %s, all invariants held\n", opt.N, len(opt.Modes), opt.Arm)
+	}
+	return 0
+}
+
+// describe writes what seed runs for -v: its KV scenario, or its program,
+// plus one line, named by its mode, for each later mode whose program
+// differs (the flush program, under -mode all).
+func describe(w io.Writer, seed uint64, o fuzz.Options) {
+	if o.Arm.KV {
+		fmt.Fprintf(w, "seed %d: %s\n", seed, fuzz.DescribeKV(seed))
+		return
+	}
+	first := ""
+	for i, mode := range o.Modes {
+		p := fuzz.GenerateFor(seed, mode)
+		d := fmt.Sprintf("%d ranks (%d per node), %d windows, %d rounds, %d ops",
+			p.NRanks, p.ProcsPerNode, len(p.Windows), len(p.Rounds), p.OpCount())
+		if i == 0 {
+			first = d
+			fmt.Fprintf(w, "seed %d: %s\n", seed, d)
+		} else if d != first {
+			fmt.Fprintf(w, "seed %d (%s): %s\n", seed, mode, d)
+		}
+	}
 }

@@ -49,27 +49,21 @@ func total(s *metrics.Set, name string) (v int64) {
 // be the one the same compiled program makes on goroutine ranks — in every
 // mode, on the pristine, lossy, fat-tree and signal-transport arms.
 func TestTaskFormMatchesGoroutineForm(t *testing.T) {
-	arms := map[string]func(p *Program) ExecOptions{
-		"plain": func(*Program) ExecOptions { return ExecOptions{} },
-		"lossy": func(p *Program) ExecOptions {
-			fp := LossyProfile(p.Seed, p.NRanks)
-			return ExecOptions{Faults: &fp}
-		},
-		"fattree": func(*Program) ExecOptions { return ExecOptions{Topo: topo.FatTree} },
-		"signal":  func(*Program) ExecOptions { return ExecOptions{Signal: true} },
+	arms := map[string]Arm{
+		"plain":   {},
+		"lossy":   {Lossy: true},
+		"fattree": {Topo: topo.FatTree},
+		"signal":  {Signal: true},
 	}
 	for name, arm := range arms {
 		for _, mode := range []core.Mode{core.ModeNew, core.ModeVanilla, core.ModeFlush} {
 			for _, seed := range []uint64{1, 2, 7, 19, 42} {
-				p := Generate(seed)
-				if mode == core.ModeFlush {
-					p = GenerateFlush(seed)
-				}
-				task := execute(p, mode, arm(p), true)
+				p := GenerateFor(seed, mode)
+				task := execute(p, mode, arm, nil, true)
 				if task.Err != nil {
 					t.Fatalf("%s %v seed %d: %v", name, mode, seed, task.Err)
 				}
-				if got, want := fingerprint(task), fingerprint(execute(p, mode, arm(p), false)); got != want {
+				if got, want := fingerprint(task), fingerprint(execute(p, mode, arm, nil, false)); got != want {
 					t.Fatalf("%s %v seed %d: task ranks diverge from goroutine ranks\n--- goroutine ---\n%.2000s\n--- task ---\n%.2000s",
 						name, mode, seed, want, got)
 				}

@@ -86,11 +86,11 @@ func TestRetiredOpsPoisoned(t *testing.T) {
 		run  func() []Failure
 	}{
 		{"plain", func() []Failure { return Campaign(Options{N: n, Seed: 1}) }},
-		{"lossy", func() []Failure { return Campaign(Options{N: n, Seed: 1, Lossy: true}) }},
-		{"fattree", func() []Failure { return Campaign(Options{N: n, Seed: 1, Topo: topo.FatTree}) }},
-		{"signal", func() []Failure { return Campaign(Options{N: n, Seed: 1, Signal: true}) }},
+		{"lossy", func() []Failure { return Campaign(Options{N: n, Seed: 1, Arm: Arm{Lossy: true}}) }},
+		{"fattree", func() []Failure { return Campaign(Options{N: n, Seed: 1, Arm: Arm{Topo: topo.FatTree}}) }},
+		{"signal", func() []Failure { return Campaign(Options{N: n, Seed: 1, Arm: Arm{Signal: true}}) }},
 		{"flush", func() []Failure { return Campaign(Options{N: n, Seed: 1, Modes: []core.Mode{core.ModeFlush}}) }},
-		{"kv", func() []Failure { return KVCampaign(Options{N: n, Seed: 1}) }},
+		{"kv", func() []Failure { return Campaign(Options{N: n, Seed: 1, Arm: Arm{KV: true}}) }},
 	} {
 		for _, f := range arm.run() {
 			t.Errorf("%s arm: %s", arm.name, f)
@@ -108,7 +108,7 @@ func TestLossyCampaign(t *testing.T) {
 	if testing.Short() {
 		n = 25
 	}
-	failures := Campaign(Options{N: n, Seed: 1, Lossy: true, Modes: []core.Mode{core.ModeNew}})
+	failures := Campaign(Options{N: n, Seed: 1, Arm: Arm{Lossy: true}, Modes: []core.Mode{core.ModeNew}})
 	for _, f := range failures {
 		t.Errorf("%s", f)
 	}
@@ -121,7 +121,7 @@ func TestLossyVanillaCampaign(t *testing.T) {
 	if testing.Short() {
 		n = 10
 	}
-	failures := Campaign(Options{N: n, Seed: 1000, Lossy: true, Modes: []core.Mode{core.ModeVanilla}})
+	failures := Campaign(Options{N: n, Seed: 1000, Arm: Arm{Lossy: true}, Modes: []core.Mode{core.ModeVanilla}})
 	for _, f := range failures {
 		t.Errorf("%s", f)
 	}
@@ -133,9 +133,8 @@ func TestLossyVanillaCampaign(t *testing.T) {
 func TestLossyReplayDeterminism(t *testing.T) {
 	for seed := uint64(3); seed <= 5; seed++ {
 		p := Generate(seed)
-		fp := LossyProfile(seed, p.NRanks)
-		a := ExecuteWith(p, core.ModeNew, ExecOptions{Faults: &fp})
-		b := ExecuteWith(p, core.ModeNew, ExecOptions{Faults: &fp})
+		a := ExecuteWith(p, core.ModeNew, Arm{Lossy: true})
+		b := ExecuteWith(p, core.ModeNew, Arm{Lossy: true})
 		if a.Err != nil || b.Err != nil {
 			t.Fatalf("seed %d: lossy runs failed: %v / %v", seed, a.Err, b.Err)
 		}
@@ -166,9 +165,8 @@ func TestLossyActuallyInjects(t *testing.T) {
 	var lossyRuns, heldRuns int
 	for seed := uint64(1); seed <= n; seed++ {
 		p := Generate(seed)
-		fp := LossyProfile(seed, p.NRanks)
 		for _, mode := range BothModes {
-			res := ExecuteWith(p, mode, ExecOptions{Faults: &fp})
+			res := ExecuteWith(p, mode, Arm{Lossy: true})
 			if res.Err != nil {
 				t.Fatalf("seed %d mode %s: %v", seed, mode, res.Err)
 			}
@@ -217,9 +215,9 @@ func TestEventBudgetHeadroom(t *testing.T) {
 // epochless design supports.
 func TestGenerateFlushDeterministic(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		a, b := GenerateFlush(seed), GenerateFlush(seed)
+		a, b := GenerateFor(seed, core.ModeFlush), GenerateFor(seed, core.ModeFlush)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: GenerateFlush is not deterministic", seed)
+			t.Fatalf("seed %d: GenerateFor(ModeFlush) is not deterministic", seed)
 		}
 		for _, ws := range a.Windows {
 			if !ws.Passive {
@@ -256,7 +254,7 @@ func TestFlushLossyCampaign(t *testing.T) {
 	if testing.Short() {
 		n = 10
 	}
-	failures := Campaign(Options{N: n, Seed: 500, Lossy: true, Modes: []core.Mode{core.ModeFlush}})
+	failures := Campaign(Options{N: n, Seed: 500, Arm: Arm{Lossy: true}, Modes: []core.Mode{core.ModeFlush}})
 	for _, f := range failures {
 		t.Errorf("%s", f)
 	}
@@ -267,9 +265,9 @@ func TestFlushLossyCampaign(t *testing.T) {
 // same final memories.
 func TestFlushShardIdentity(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
-		p := GenerateFlush(seed)
+		p := GenerateFor(seed, core.ModeFlush)
 		a := Execute(p, core.ModeFlush)
-		b := ExecuteWith(p, core.ModeFlush, ExecOptions{Shards: 4})
+		b := ExecuteWith(p, core.ModeFlush, Arm{Shards: 4})
 		if a.Err != nil || b.Err != nil {
 			t.Fatalf("seed %d: %v / %v", seed, a.Err, b.Err)
 		}

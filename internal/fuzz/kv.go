@@ -9,19 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// The chaos KV arm (cmd/fuzz -mode kv): each seed derives a replicated
-// KV-store serving scenario — topology, traffic mix and a scheduled fault
-// adversary (server deaths, link flaps, jitter), all pure functions of the
-// seed — runs it, and checks three things:
-//
-//  1. the sequential oracle holds (zero acknowledged-write loss on the
-//     surviving copies, every observed value was attempted);
-//  2. the run replays: executing the same Options again reproduces the
-//     Result bit for bit, i.e. every retry, backoff and failover decision
-//     is deterministic;
-//  3. the sharded kernel reproduces the serial Result bit for bit, faults
-//     and failovers included.
-
 // kvModes cycles the scenario's RMA mode by seed.
 var kvModes = []core.Mode{core.ModeNew, core.ModeVanilla, core.ModeFlush}
 
@@ -85,12 +72,20 @@ func DescribeKV(seed uint64) string {
 	return s
 }
 
-// CheckKVSeed runs one seed's scenario and verifies oracle, replay and
-// shard parity. shards <= 1 still checks parity, against a 2-shard kernel.
-func CheckKVSeed(seed uint64, shards int) *Failure {
-	if shards <= 1 {
-		shards = 2
-	}
+// checkKV is Check on the chaos KV arm (cmd/fuzz -mode kv): it runs the
+// seed's replicated KV-store serving scenario — topology, traffic mix and a
+// scheduled fault adversary (server deaths, link flaps, jitter), all pure
+// functions of the seed (KVOptions) — and checks three things:
+//
+//  1. the sequential oracle holds (zero acknowledged-write loss on the
+//     surviving copies, every observed value was attempted);
+//  2. the run replays: executing the same Options again reproduces the
+//     Result bit for bit, i.e. every retry, backoff and failover decision
+//     is deterministic;
+//  3. a kernel of a.Shards shards (at least 2) reproduces the serial Result
+//     bit for bit, faults and failovers included.
+func checkKV(seed uint64, a Arm) *Failure {
+	shards := max(a.Shards, 2)
 	opt := KVOptions(seed)
 	var problems []string
 	serial := kvstore.Run(opt)
@@ -107,18 +102,7 @@ func CheckKVSeed(seed uint64, shards int) *Failure {
 			shards, serial, sharded))
 	}
 	if len(problems) > 0 {
-		return &Failure{Seed: seed, Mode: opt.Mode, KV: true, Problems: problems}
+		return &Failure{Seed: seed, Mode: opt.Mode, Arm: a, Problems: problems}
 	}
 	return nil
-}
-
-// KVCampaign runs N consecutive KV chaos seeds (Options.Modes, Lossy and
-// Topo are ignored: the scenario's mode and adversary come from the seed).
-func KVCampaign(o Options) []Failure {
-	return runCampaign(o, func(i int) []Failure {
-		if f := CheckKVSeed(o.Seed+uint64(i), o.Shards); f != nil {
-			return []Failure{*f}
-		}
-		return nil
-	})
 }

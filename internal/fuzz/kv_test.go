@@ -7,7 +7,7 @@ import "testing"
 // its own sharded execution. The full 20-seed smoke runs as a CI stage via
 // cmd/fuzz -mode kv.
 func TestKVCampaignSmoke(t *testing.T) {
-	fails := KVCampaign(Options{N: 5, Seed: 1, Shards: 2})
+	fails := Campaign(Options{N: 5, Seed: 1, Arm: Arm{KV: true, Shards: 2}})
 	for _, f := range fails {
 		t.Errorf("%s", f)
 	}

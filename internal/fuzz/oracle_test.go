@@ -193,7 +193,7 @@ func TestOrderRule(t *testing.T) {
 
 // BenchmarkVerify times Verify alone over the finished runs of seeds 1-20
 // under the paper's stack, the MVAPICH model and the flush design (the flush
-// arm on GenerateFlush programs); one op verifies all 60 runs.
+// arm on its own programs, GenerateFor); one op verifies all 60 runs.
 //
 //	go test -run '^$' -bench Verify -benchtime 200x -count 10 ./internal/fuzz
 func BenchmarkVerify(b *testing.B) {
@@ -205,10 +205,7 @@ func BenchmarkVerify(b *testing.B) {
 	var runs []run
 	for seed := uint64(1); seed <= 20; seed++ {
 		for _, mode := range []core.Mode{core.ModeNew, core.ModeVanilla, core.ModeFlush} {
-			p := Generate(seed)
-			if mode == core.ModeFlush {
-				p = GenerateFlush(seed)
-			}
+			p := GenerateFor(seed, mode)
 			runs = append(runs, run{p, mode, Execute(p, mode)})
 		}
 	}

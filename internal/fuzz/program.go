@@ -5,11 +5,11 @@
 // algebra, lock-agent safety, serial-activation legality and request
 // completion. Every failure is reproducible from its seed alone.
 //
-// A third campaign arm targets the epochless flush design (core.ModeFlush):
-// GenerateFlush derives lock/lock_all/flush-burst programs under the same
-// memory-effect discipline, so the identical oracle applies, plus a
-// flush-specific end-state check — the scalable-lock protocol counters must
-// all return to zero.
+// A third campaign mode targets the epochless flush design (core.ModeFlush):
+// its programs (GenerateFor) are lock/lock_all/flush-burst conversations
+// under the same memory-effect discipline, so the identical oracle applies,
+// plus a flush-specific end-state check — the scalable-lock protocol
+// counters must all return to zero.
 //
 // Programs are deadlock-free by construction:
 //
@@ -76,7 +76,7 @@ type OpSpec struct {
 // RoundKind enumerates the synchronization families a round exercises.
 type RoundKind int
 
-// Round kinds. RFlush appears only in flush-mode programs (GenerateFlush):
+// Round kinds. RFlush appears only in flush-mode programs (GenerateFor):
 // an epochless burst — members issue operations with no lock at all and
 // reconcile with a window-wide flush, the idiom ModeFlush exists for.
 const (
@@ -177,19 +177,20 @@ var accDTs = []core.DType{core.TInt64, core.TUint64, core.TByte}
 // the same program (sim.RNG is stable across Go releases).
 func Generate(seed uint64) *Program { return generate(seed, false) }
 
-// GenerateFlush derives a flush-mode (core.ModeFlush) program from seed.
-// Same shape discipline as Generate, restricted to what the epochless design
-// supports: every window is passive-family and rounds draw from lock,
-// lock_all and bare flush bursts (RFlush) — no fence or GATS, which flush
-// mode rejects by construction. The memory-effect discipline is unchanged,
-// so the same oracle applies: flush-mode locks provide mutual exclusion only
-// and never order the generated disjoint/commutative writes.
+// GenerateFor derives the program seed runs under mode: Generate's, except
+// under core.ModeFlush. A flush-mode program has the same shape discipline,
+// restricted to what the epochless design supports: every window is
+// passive-family and rounds draw from lock, lock_all and bare flush bursts
+// (RFlush) — no fence or GATS, which flush mode rejects by construction.
+// The memory-effect discipline is unchanged, so the same oracle applies:
+// flush-mode locks provide mutual exclusion only and never order the
+// generated disjoint/commutative writes.
 //
 // Deadlock freedom holds by the same arguments as Generate: a rank holds at
 // most one lock per round and acquires it before blocking on anything else,
 // and in-flight releases complete autonomously (NIC-driven), so a
 // back-to-back re-acquire spins briefly rather than deadlocking.
-func GenerateFlush(seed uint64) *Program { return generate(seed, true) }
+func GenerateFor(seed uint64, mode core.Mode) *Program { return generate(seed, mode == core.ModeFlush) }
 
 func generate(seed uint64, flush bool) *Program {
 	rng := sim.NewRNG(seed)

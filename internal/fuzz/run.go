@@ -121,52 +121,37 @@ func SignalBase(seed uint64) uint64 {
 	return ^uint64(0) - mix%32
 }
 
-// ExecOptions selects what a program executes over; the zero value is the
-// pristine crossbar on the serial kernel with GATS control packets.
-type ExecOptions struct {
-	// Topo routes every internode packet through the seed-derived TopoSpec
-	// shape of this kind, under link arbitration and credit flow control.
-	Topo topo.Kind
-	// Shards > 1 runs on a sharded kernel (mpi.NewWorldShards): the run's
-	// every observable — memories, stats, trace, kernel event count — must
-	// be bit-identical to the serial execution, which campaign tests pin.
-	Shards int
-	// Faults, when non-nil, runs the fabric under this adversary.
-	Faults *fabric.FaultProfile
-	// Signal creates every window as core.TransportSignal with the
-	// seed-derived replica base SignalBase(p.Seed); the transport swap must
-	// be invisible to the program's observable memory semantics.
-	Signal bool
-}
+// Execute is ExecuteWith on the pristine arm, kept for the benchmark
+// harness (benchmarks/drivers.go).
+func Execute(p *Program, mode core.Mode) *RunResult { return ExecuteWith(p, mode, Arm{}) }
 
-// Execute runs the program under the given mode and snapshots the outcome.
-// Deadlocks and livelocks surface in RunResult.Err via the kernel watchdog
-// instead of hanging the process.
-func Execute(p *Program, mode core.Mode) *RunResult {
-	return ExecuteWith(p, mode, ExecOptions{})
-}
-
-// ExecuteWith is Execute over the fabric, kernel and transport o selects.
-// Every rank runs its compiled program (compile) as a task rank.
-func ExecuteWith(p *Program, mode core.Mode, o ExecOptions) *RunResult {
-	return execute(p, mode, o, true)
-}
+// ExecuteWith runs the program under mode over the fabric, kernel and
+// transport arm a selects (a.KV does not apply) and snapshots the outcome.
+// Every rank runs its compiled program (compile) as a task rank. Deadlocks
+// and livelocks surface in RunResult.Err via the kernel watchdog instead of
+// hanging the process.
+func ExecuteWith(p *Program, mode core.Mode, a Arm) *RunResult { return execute(p, mode, a, nil, true) }
 
 // execute is ExecuteWith on task ranks or, as the reference the tests pin
-// them against, on goroutine ranks.
-func execute(p *Program, mode core.Mode, o ExecOptions, tasks bool) *RunResult {
+// them against, on goroutine ranks. faults, when non-nil, is the fabric's
+// adversary in place of the one a derives: a hand-written schedule.
+func execute(p *Program, mode core.Mode, a Arm, faults *fabric.FaultProfile, tasks bool) *RunResult {
+	if faults == nil && a.Lossy {
+		fp := LossyProfile(p.Seed, p.NRanks)
+		faults = &fp
+	}
 	cfg := fabric.DefaultConfig()
 	cfg.ProcsPerNode = p.ProcsPerNode
-	cfg.Topo = TopoSpec(o.Topo, p.Seed)
-	world := mpi.NewWorldShards(p.NRanks, cfg, o.Shards)
-	if o.Faults != nil {
-		world.Net.EnableFaults(*o.Faults)
+	cfg.Topo = TopoSpec(a.Topo, p.Seed)
+	world := mpi.NewWorldShards(p.NRanks, cfg, a.Shards)
+	if faults != nil {
+		world.Net.EnableFaults(*faults)
 	}
-	world.SetWatchdog(eventBudget(p, o.Faults != nil, o.Topo), 0)
+	world.SetWatchdog(eventBudget(p, faults != nil, a.Topo), 0)
 	windows := make([]prog.Window, len(p.Windows))
 	for wi, ws := range p.Windows {
 		opt := core.WinOptions{Mode: mode, Info: ws.Info}
-		if o.Signal {
+		if a.Signal {
 			opt.Transport, opt.SignalBase = core.TransportSignal, SignalBase(p.Seed)
 		}
 		windows[wi] = prog.Window{Size: ws.TotalSize(p.NRanks), Opt: opt}

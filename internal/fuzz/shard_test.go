@@ -19,9 +19,9 @@ func TestShardedRunsMatchSerial(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 7, 19, 42} {
 			p := Generate(seed)
 			for _, mode := range BothModes {
-				serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind}))
+				serial := fingerprint(ExecuteWith(p, mode, Arm{Topo: kind}))
 				for _, shards := range []int{2, 4, 8} {
-					got := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Shards: shards}))
+					got := fingerprint(ExecuteWith(p, mode, Arm{Topo: kind, Shards: shards}))
 					if got != serial {
 						t.Fatalf("%v seed %d mode %v: observable history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 							kind, seed, mode, shards, serial, got)
@@ -52,9 +52,9 @@ func TestScheduledFaultShardsMatchSerial(t *testing.T) {
 			Jitter: 700 * sim.Nanosecond,
 		}
 		for _, mode := range BothModes {
-			serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs}))
+			serial := fingerprint(execute(p, mode, Arm{}, &fs, true))
 			for _, shards := range []int{2, 4, 8} {
-				got := fingerprint(ExecuteWith(p, mode, ExecOptions{Faults: &fs, Shards: shards}))
+				got := fingerprint(execute(p, mode, Arm{Shards: shards}, &fs, true))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: scheduled-fault history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)
@@ -74,11 +74,10 @@ func TestLossyShardsMatchSerial(t *testing.T) {
 	for _, kind := range []topo.Kind{topo.Crossbar, topo.Torus} {
 		for _, seed := range []uint64{1, 2, 7, 19, 42} {
 			p := Generate(seed)
-			fp := LossyProfile(seed, p.NRanks)
 			for _, mode := range BothModes {
-				serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp}))
+				serial := fingerprint(ExecuteWith(p, mode, Arm{Lossy: true, Topo: kind}))
 				for _, shards := range []int{2, 4, 8} {
-					got := fingerprint(ExecuteWith(p, mode, ExecOptions{Topo: kind, Faults: &fp, Shards: shards}))
+					got := fingerprint(ExecuteWith(p, mode, Arm{Lossy: true, Topo: kind, Shards: shards}))
 					if got != serial {
 						t.Fatalf("%v seed %d mode %v: lossy history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 							kind, seed, mode, shards, serial, got)
@@ -96,10 +95,10 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 	run := func(shards int) string {
 		out := ""
 		fails := Campaign(Options{
-			N:      10,
-			Seed:   1,
-			Modes:  []core.Mode{core.ModeNew},
-			Shards: shards,
+			N:     10,
+			Seed:  1,
+			Modes: []core.Mode{core.ModeNew},
+			Arm:   Arm{Shards: shards},
 			Report: func(seed uint64, fs []Failure) {
 				out += fmt.Sprintf("seed %d: %d failures\n", seed, len(fs))
 			},

@@ -40,7 +40,7 @@ func TestSignalCampaign(t *testing.T) {
 	if testing.Short() {
 		n = 20
 	}
-	failures := Campaign(Options{N: n, Seed: 1, Signal: true})
+	failures := Campaign(Options{N: n, Seed: 1, Arm: Arm{Signal: true}})
 	for _, f := range failures {
 		t.Errorf("%s", f)
 	}
@@ -55,7 +55,7 @@ func TestSignalLossyCampaign(t *testing.T) {
 	if testing.Short() {
 		n = 10
 	}
-	failures := Campaign(Options{N: n, Seed: 2000, Lossy: true, Signal: true,
+	failures := Campaign(Options{N: n, Seed: 2000, Arm: Arm{Lossy: true, Signal: true},
 		Modes: []core.Mode{core.ModeNew}})
 	for _, f := range failures {
 		t.Errorf("%s", f)
@@ -70,7 +70,7 @@ func TestSignalTopoCampaign(t *testing.T) {
 	if testing.Short() {
 		n = 6
 	}
-	failures := Campaign(Options{N: n, Seed: 100, Topo: topo.FatTree, Signal: true,
+	failures := Campaign(Options{N: n, Seed: 100, Arm: Arm{Topo: topo.FatTree, Signal: true},
 		Modes: []core.Mode{core.ModeNew}})
 	for _, f := range failures {
 		t.Errorf("%s", f)
@@ -84,9 +84,9 @@ func TestSignalShardIdentity(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 19} {
 		p := Generate(seed)
 		for _, mode := range BothModes {
-			serial := fingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true}))
+			serial := fingerprint(ExecuteWith(p, mode, Arm{Signal: true}))
 			for _, shards := range []int{2, 4} {
-				got := fingerprint(ExecuteWith(p, mode, ExecOptions{Signal: true, Shards: shards}))
+				got := fingerprint(ExecuteWith(p, mode, Arm{Signal: true, Shards: shards}))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: signal-transport history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)
@@ -106,7 +106,7 @@ func TestSignalArmActuallySignals(t *testing.T) {
 	wrapped := false
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := Generate(seed)
-		res := ExecuteWith(p, core.ModeNew, ExecOptions{Signal: true})
+		res := ExecuteWith(p, core.ModeNew, Arm{Signal: true})
 		if res.Err != nil {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}

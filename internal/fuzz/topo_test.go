@@ -18,7 +18,7 @@ func TestTopoCampaigns(t *testing.T) {
 		n = 10
 	}
 	for _, kind := range []topo.Kind{topo.FatTree, topo.Ring, topo.Torus} {
-		failures := Campaign(Options{N: n, Seed: 1, Topo: kind})
+		failures := Campaign(Options{N: n, Seed: 1, Arm: Arm{Topo: kind}})
 		for _, f := range failures {
 			t.Errorf("%s", f)
 		}
@@ -32,7 +32,7 @@ func TestTopoLossyCampaign(t *testing.T) {
 	if testing.Short() {
 		n = 10
 	}
-	failures := Campaign(Options{N: n, Seed: 1, Lossy: true, Topo: topo.FatTree,
+	failures := Campaign(Options{N: n, Seed: 1, Arm: Arm{Lossy: true, Topo: topo.FatTree},
 		Modes: []core.Mode{core.ModeNew}})
 	for _, f := range failures {
 		t.Errorf("%s", f)
@@ -46,8 +46,8 @@ func TestTopoLossyCampaign(t *testing.T) {
 func TestTopoReplayDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		p := Generate(seed)
-		a := ExecuteWith(p, core.ModeNew, ExecOptions{Topo: topo.FatTree})
-		b := ExecuteWith(p, core.ModeNew, ExecOptions{Topo: topo.FatTree})
+		a := ExecuteWith(p, core.ModeNew, Arm{Topo: topo.FatTree})
+		b := ExecuteWith(p, core.ModeNew, Arm{Topo: topo.FatTree})
 		if a.Err != nil || b.Err != nil {
 			t.Fatalf("seed %d: topology runs failed: %v / %v", seed, a.Err, b.Err)
 		}
@@ -70,7 +70,7 @@ func TestTopoReplayDeterminism(t *testing.T) {
 func TestTopoActuallyRoutes(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := Generate(seed)
-		res := ExecuteWith(p, core.ModeNew, ExecOptions{Topo: topo.FatTree})
+		res := ExecuteWith(p, core.ModeNew, Arm{Topo: topo.FatTree})
 		if res.Err != nil {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}
