@@ -9,7 +9,6 @@ package mpi
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -137,7 +136,8 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// Run launches body on every rank as a goroutine proc and executes the
+// Run launches body on every rank as a blocking proc (sim.Kernel.Spawn: the
+// body runs as a coroutine that each wake resumes) and executes the
 // simulation to completion. It returns the kernel error, if any (panic or
 // deadlock).
 func (w *World) Run(body func(*Rank)) error {
@@ -147,24 +147,23 @@ func (w *World) Run(body func(*Rank)) error {
 	return w.run()
 }
 
-// RunTasks launches mk(rank) on every rank as a spawn-free state machine
-// (sim.Task: no goroutine, no stack — the fast path for worlds of many
-// thousands of ranks) and executes the simulation to completion. Scheduling
-// is identical to Run with a body making the same calls at the same virtual
-// times, so observables are bit-identical across the two forms.
+// RunTasks launches mk(rank) on every rank as a state machine (sim.Task: no
+// coroutine, no stack — the fast path for worlds of many thousands of
+// ranks) and executes the simulation to completion. Scheduling is identical
+// to Run with a body making the same calls at the same virtual times, so
+// observables are bit-identical across the two forms.
 func (w *World) RunTasks(mk func(r *Rank) sim.Task) error {
 	for _, r := range w.ranks {
 		r.Proc = r.k.SpawnTask(fmt.Sprintf("rank%d", r.ID), mk(r))
 	}
-	defer runtime.Gosched() // the world never blocked: let the GC's mark worker run (sim.yieldEvery)
 	return w.run()
 }
 
 // RunProgram runs mk's rank program — a sim.Task that makes one MPI call per
 // state and returns while Rank.Pending — on every rank: as task ranks
-// (RunTasks) when tasks is set, else as goroutine ranks, whose calls never
-// return pending, so a single Step runs the whole program. The two forms are
-// bit-identical.
+// (RunTasks) when tasks is set, else as blocking ranks (Run), whose calls
+// never return pending, so a single Step from the body runs the whole
+// program. The two forms are bit-identical.
 func (w *World) RunProgram(mk func(r *Rank) sim.Task, tasks bool) error {
 	if tasks {
 		return w.RunTasks(mk)

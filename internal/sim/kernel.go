@@ -1,28 +1,21 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// A simulated MPI rank is a Proc: either a goroutine with blocking calls
-// (Spawn) or a spawn-free resumable state machine (SpawnTask) stepped in
-// kernel context. Goroutine procs are lazy and transient — the goroutine
-// exists only between the start event and its first hand-off after the body
-// returns.
+// A simulated MPI rank is a Proc: a resumable state machine (SpawnTask) or a
+// function with blocking calls (Spawn), whose body runs as a coroutine. Both
+// are stepped in kernel context by their start and wake events: a Spawn
+// proc's Step resumes the body and returns when the body parks or returns.
 //
-// There is no kernel goroutine. One execution token exists per kernel, and
-// whichever goroutine holds it runs the event loop (Kernel.drive): the
-// caller of Run/Drain ("home") to begin with, and from then on whichever
-// proc parked last — a parking proc pops and executes events on its own
-// goroutine until the event it runs is its own wake (it simply returns: no
-// goroutine switch) or another proc's (it passes the token with one channel
-// send and blocks on its own token channel: one switch). Home sleeps on one
-// channel until the loop has to stop: queue drained, shard horizon reached,
-// watchdog budget spent, or a failure recorded. "Kernel context" therefore
-// means "inside an event callback", on whatever goroutine happens to be
-// driving; the token guarantees that exactly one goroutine — the driver or
-// the proc it just resumed — touches simulation state at any instant.
+// There is no kernel goroutine and one event loop (Kernel.loop), which always
+// runs on the caller of Run/Drain (or a shard round's): it pops an event and
+// runs it, which for a wake means running the proc's body until it waits
+// again, and only then pops the next. "Kernel context" therefore means
+// "inside an event callback" on that one goroutine, and exactly one piece of
+// code — the loop or the body it resumed — touches simulation state at any
+// instant.
 // Combined with a totally ordered event queue — keyed on (time, seq), where
 // seq is the insertion sequence for ordinary events and an (owner, counter)
 // pair for events that may cross shards — this makes every simulation
-// bit-for-bit reproducible: which goroutine pops an event never influences
-// which event is popped. The queue (queue.go) stores events in two
+// bit-for-bit reproducible. The queue (queue.go) stores events in two
 // structures, per-nanosecond lists for what is pushed in or nearly in seq
 // order and a heap for the rest, and pops by merging them on that one key, so
 // which structure held an event does not influence the order either.
@@ -86,14 +79,14 @@ const (
 )
 
 // yieldEvery is how many events the event loop runs between two yields of
-// its OS thread to the Go scheduler (drive). A world of task ranks runs
-// entirely inside one loop that never blocks, so it reaches no scheduling
-// point of its own: at GOMAXPROCS 1 the garbage collector's fractional mark
-// worker then runs only when the loop is preempted, a mark phase stretches
-// over tens of milliseconds, and everything allocated meanwhile survives the
-// cycle — the heap overshoots its goal and the next goal doubles. Goroutine
-// ranks block on a channel at every hand-off, which is why they never showed
-// it. A yield moves no event; one per 4096 costs nothing measurable.
+// its OS thread to the Go scheduler (loop); Run yields once more when the
+// loop ends. A simulation runs entirely inside one loop that never blocks —
+// a coroutine switch is no scheduling point — so at GOMAXPROCS 1 the garbage
+// collector's fractional mark worker would run only when the loop is
+// preempted, a mark phase would stretch over tens of milliseconds, and
+// everything allocated meanwhile would survive the cycle: the heap
+// overshoots its goal and the next goal doubles. A yield moves no event; one
+// per 4096 costs nothing measurable.
 const yieldEvery = 1 << 12
 
 // before reports whether e fires before o in the (at, seq) total order.
@@ -128,21 +121,7 @@ type Kernel struct {
 	procs   []*Proc
 	started bool
 	fail    error // first panic or kernel-level error observed
-
-	// The migrating event loop (see drive). next is set by the wake/start
-	// event of a goroutine proc and consumed by the driver right after the
-	// event returns. home is where the Run/Drain/runUntil caller sleeps while
-	// a proc goroutine drives; a send on it means "the loop has stopped",
-	// with the reason in stopErr (nil: nothing left to run at or below
-	// until) or crash (a panic raised in kernel context, re-raised by home).
-	// switches counts token hand-offs between goroutines, for tests.
-	next     *Proc
-	home     chan struct{}
-	until    Time // events activating after this instant stay queued
-	stopErr  error
-	crash    any
-	reaping  bool // Run is unwinding the procs still parked after a failed run
-	switches uint64
+	until   Time  // events activating after this instant stay queued (loop)
 
 	// Watchdog state (see SetWatchdog): budgets that turn silent hangs and
 	// livelocks into aborts with a diagnostic report.
@@ -154,25 +133,26 @@ type Kernel struct {
 	// to deadlock and watchdog reports. Only invoked when building a report.
 	diagProviders []func(*Proc) string
 
-	// visiting is non-nil only while reportInto collects wait sites: a
-	// goroutine proc handed the token with it set formats its own call site,
-	// sends it back here and waits again (Proc.await), so a park costs no
-	// stack walk until a report asks for one.
-	visiting chan string
+	// visiting is set only while reportInto collects wait sites: a parked
+	// body resumed with it set yields its own call site and parks again
+	// (Proc.park), so a park costs no stack walk until a report asks for one.
+	visiting bool
 
 	// Sharded execution (see shards.go). group is non-nil when this kernel
 	// is one shard of a Shards run; shardID is its index there (the fabric
 	// stage uses index len(rank shards)). crossCnt holds the per-owner
 	// band-1 counters, indexed by owner+1; in a sharded run each shard only
 	// touches the counters of the owners it executes, so the slices never
-	// race.
+	// race. crash keeps a panic raised in kernel context on a shard worker
+	// for the coordinator to re-raise (runRound).
 	group    *Shards
 	shardID  int
 	crossCnt []uint64
+	crash    any
 }
 
 // NewKernel returns an empty simulation kernel at virtual time zero.
-func NewKernel() *Kernel { return &Kernel{home: make(chan struct{})} }
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -322,8 +302,8 @@ func (k *Kernel) crossSeq(owner int) uint64 {
 	return crossBand | uint64(i)<<crossOwnerShift | c
 }
 
-// abort records a fatal kernel error; Run returns it once the active proc
-// yields.
+// abort records a fatal kernel error; the loop stops before its next event
+// and Run returns it.
 func (k *Kernel) abort(err error) {
 	if k.fail == nil {
 		k.fail = err
@@ -331,24 +311,18 @@ func (k *Kernel) abort(err error) {
 }
 
 // Spawn registers a new process whose body starts executing at the current
-// virtual time. The body runs in its own goroutine under kernel scheduling.
+// virtual time. The body runs as a coroutine under kernel scheduling.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	return k.SpawnAt(k.now, name, body)
 }
 
 // SpawnAt registers a new process whose body starts at virtual time t.
-// Nothing is allocated for the goroutine until the start event fires; until
+// The body's coroutine is created when the start event fires; until
 // then the proc reports "not yet started" in diagnostics.
 func (k *Kernel) SpawnAt(t Time, name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		k:       k,
-		Name:    name,
-		ID:      len(k.procs),
-		waitTag: waitTagNotStarted,
-		body:    body,
-	}
-	k.procs = append(k.procs, p)
-	k.AtCall(t, startProc, p)
+	c := &coro{body: body}
+	p := k.SpawnTaskAt(t, name, c)
+	p.co = c
 	return p
 }
 
@@ -368,7 +342,7 @@ func (k *Kernel) SpawnTaskAt(at Time, name string, t Task) *Proc {
 		task:    t,
 	}
 	k.procs = append(k.procs, p)
-	k.AtCall(at, startProc, p)
+	k.AtCall(at, wakeProc, p)
 	return p
 }
 
@@ -377,204 +351,81 @@ func (k *Kernel) SpawnTaskAt(at Time, name string, t Task) *Proc {
 // the real state instead of an empty site.
 const waitTagNotStarted = "not yet started"
 
-// startProc is the shared, capture-free start event of SpawnAt/SpawnTaskAt.
-// A task proc runs its first Step inline. A goroutine proc is only named as
-// the next token holder; the driver launches the goroutine when it hands the
-// token over (handTo — the first point any stack exists).
-func startProc(x any) {
-	p := x.(*Proc)
-	p.waitTag = ""
-	if p.task != nil {
-		p.k.stepTask(p)
-		return
-	}
-	p.k.next = p
-}
-
-// wakeProc is the shared, capture-free resume callback used by Sleep, Yield
-// and Signal.Fire: scheduling it through AtCall costs no allocation. Task
-// procs are stepped inline; a goroutine proc is named as the next token
-// holder, which the driver acts on as soon as this event returns.
+// wakeProc is the shared, capture-free start and resume event of every proc
+// (SpawnTaskAt, Sleep, Yield, Signal.Fire): scheduling it through AtCall
+// costs no allocation.
 func wakeProc(x any) {
 	p := x.(*Proc)
-	if p.finished {
-		return
-	}
-	if p.task != nil {
-		p.k.stepTask(p)
-		return
-	}
-	p.k.next = p
+	p.k.stepTask(p)
 }
 
-// handTo passes the execution token to p. The first hand-off launches p's
-// goroutine and drops the body reference, so the proc does not pin its
-// closure for the rest of the run; every later one is a single send on p's
-// unbuffered token channel, on which p is (or is about to be) blocked in
-// await. The sender must touch no simulation state afterwards.
-func (k *Kernel) handTo(p *Proc) {
-	k.switches++
-	if body := p.body; body != nil {
-		p.body = nil
-		p.tok = make(chan struct{})
-		go p.run(body)
-		return
-	}
-	p.tok <- struct{}{}
-}
-
-// drive runs the event loop on the calling goroutine, which must hold the
-// execution token: home (self == nil), a proc inside park, or the goroutine
-// of a proc whose body has returned. Events are popped and executed in
-// (at, seq) order until one of three things happens:
-//
-//   - The event just run was self's own wake: drive returns and self carries
-//     on, having switched goroutines zero times.
-//   - The event woke or started another goroutine proc: the token goes to it
-//     (handTo). A parked self then blocks until its own wake comes round, a
-//     finished self returns so its goroutine can exit, and home sleeps until
-//     the loop stops.
-//   - The loop must stop — a failure is recorded, nothing is left at or
-//     below k.until, or a watchdog budget is spent. The reason goes into
-//     k.stopErr; a proc driver wakes home and then waits like any parked
-//     proc, home just returns. A spent budget's report is built by loop,
-//     back on home, where every started goroutine proc can be visited.
-//
-// So drive returns to a parked proc exactly when that proc has been resumed,
-// and to home exactly when the loop has stopped. Mutual exclusion needs no
-// lock: every transfer is a channel send the receiver is blocked on, and the
-// sender's next action is to block, return to a caller that exits, or — for
-// home — sleep, so each send is also the happens-before edge that publishes
-// the sender's writes to the next driver. The watchdog checks are inert on
+// loop runs the events activating at or below until in (at, seq) order on
+// the calling goroutine and reports why it stopped: nil once nothing is left
+// at or below until, the run's failure once one is recorded, or a spent
+// watchdog budget with its report. A panic in an event callback — kernel
+// context: fabric frame validation, a malformed unlock at a lock agent —
+// simply unwinds to the caller of Run. The watchdog checks are inert on
 // shard kernels, whose budgets are kept by the group (Shards.SetWatchdog).
-func (k *Kernel) drive(self *Proc) {
-	if self != nil {
-		defer k.carryPanic(self)
-	}
-	for {
-		if k.fail != nil {
-			k.stop(self, k.fail)
-			return
-		}
+func (k *Kernel) loop(until Time) error {
+	k.until = until
+	for k.fail == nil {
 		var e event
 		if k.wn == 0 {
-			if len(k.heap) == 0 || k.heap[0].at > k.until {
-				k.stop(self, nil)
-				return
+			if len(k.heap) == 0 || k.heap[0].at > until {
+				return nil
 			}
 			e = k.pop()
 		} else if !k.popMerged(&e) {
-			k.stop(self, nil)
-			return
+			return nil
 		}
 		k.now = e.at
 		if k.maxTime > 0 && k.now > k.maxTime {
-			k.stop(self, fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d",
-				k.now, k.maxTime))
-			return
+			return fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
+				k.now, k.maxTime, k.report())
 		}
 		k.nEvents++
 		if k.nEvents%yieldEvery == 0 {
 			runtime.Gosched()
 		}
 		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
-			k.stop(self, fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)",
-				k.maxEvents, k.now))
-			return
+			return fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)\n%s",
+				k.maxEvents, k.now, k.report())
 		}
 		if k.cur = e.seq; e.seq&crossBand != 0 {
 			k.cur = k.seq // every band-0 event minted so far has fired
 		}
 		e.fn(e.arg)
-		p := k.next
-		if p == nil {
-			continue
-		}
-		k.next = nil
-		if p == self {
-			return
-		}
-		k.handTo(p)
-		if self == nil {
-			<-k.home
-		} else if !self.finished {
-			self.await()
-		}
-		return
 	}
+	return k.fail
 }
 
-// stop ends the loop with the given reason. A proc driver wakes home and
-// then waits for its own wake like any other parked proc: a later Drain or
-// shard round resumes the loop from home.
-func (k *Kernel) stop(self *Proc, err error) {
-	k.stopErr = err
-	if self != nil {
-		k.wakeHome(self)
-	}
-}
-
-// wakeHome returns the token from a proc driver to home. A parked self then
-// waits for its wake; a finished one returns so its goroutine can exit.
-func (k *Kernel) wakeHome(self *Proc) {
-	k.switches++
-	k.home <- struct{}{}
-	if !self.finished {
-		self.await()
-	}
-}
-
-// carryPanic is deferred by proc drivers. A panic raised by an event
-// callback — kernel context: fabric frame validation, a malformed unlock at
-// a lock agent — belongs to the caller of Run, not to the proc whose
-// goroutine happened to be driving, so it must not unwind into that proc's
-// body and be reported as the proc's own. It is left in k.crash for home to
-// re-raise (with its value, but without the callback's stack), and the
-// driver stays blocked like every other proc of the broken run.
-func (k *Kernel) carryPanic(self *Proc) {
-	if r := recover(); r != nil {
-		k.crash = r
-		k.wakeHome(self)
-	}
-}
-
-// loop is home's side of the event loop: run everything activating at or
-// below until, on whichever goroutines the token visits, and report why the
-// loop stopped. A kernel-context panic carried over from a proc goroutine is
-// re-raised here with its original value.
-func (k *Kernel) loop(until Time) error {
-	k.until = until
-	k.stopErr = nil
-	k.drive(nil)
-	if r := k.crash; r != nil {
-		k.crash = nil
-		panic(r)
-	}
-	if err := k.stopErr; err != nil && err != k.fail {
-		// A spent watchdog budget: drive recorded only the reason.
-		return fmt.Errorf("%v\n%s", err, k.report())
-	}
-	return k.stopErr
-}
-
-// reap unwinds every goroutine proc still parked after a failed run, one at
-// a time under the token, so rank-body defers run strictly sequentially and
-// no stack outlives Run. A reaped proc leaves through runtime.Goexit (see
-// await); its epilogue hands the token straight back.
+// reap unwinds the body of every Spawn proc still parked after a failed run,
+// one at a time in spawn order, so its defers run strictly sequentially and
+// no coroutine outlives Run. Stopping the coroutine makes the body's park
+// call runtime.Goexit, which stop passes on to its caller: a helper
+// goroutine, which it ends instead of the caller of Run.
 func (k *Kernel) reap() {
-	k.reaping = true
 	for i := 0; i < len(k.procs); i++ { // a body defer may Spawn; such procs never start
-		if p := k.procs[i]; p.tok != nil && !p.finished {
-			p.tok <- struct{}{}
-			<-k.home
+		p := k.procs[i]
+		if p.co == nil || p.co.stop == nil {
+			continue // a task, a finished proc (co released) or one never started
 		}
+		p.armed = false // a defer that waits again parks, and unwinds further
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer p.recoverPanic() // a panic in one of the body's defers
+			p.co.stop()
+		}()
+		<-done
+		p.finished, p.task, p.co = true, nil, nil
 	}
 }
 
 // stepTask runs one Step of a task proc in kernel context and enforces the
 // Task contract: the Step must have armed a wake source or finished the
-// proc. Panics inside Step abort the run with the same error shape as a
-// goroutine proc's panic, so failures are identical across the two forms.
+// proc. A panic inside Step — a Spawn proc's body included — aborts the run
+// naming the proc, so failures are identical across the two forms.
 func (k *Kernel) stepTask(p *Proc) {
 	if p.finished {
 		return
@@ -587,23 +438,31 @@ func (k *Kernel) stepTask(p *Proc) {
 		p.finished = true
 	}
 	if p.finished {
-		p.task = nil // release the state machine
+		p.task, p.co = nil, nil // release the state machine
 	}
 }
 
-// runStep invokes Step with the panic recovery of Proc.run.
+// runStep invokes Step, turning a panic into the run's failure.
 func (p *Proc) runStep() {
-	defer func() {
-		if r := recover(); r != nil {
-			p.finished = true
-			if err, ok := r.(error); ok {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
-			} else {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
-			}
-		}
-	}()
+	defer p.recoverPanic()
 	p.task.Step(p)
+}
+
+// recoverPanic, deferred, finishes the proc and records a panic of its code
+// as the run's failure. Error panics are wrapped (%w) so callers of
+// Kernel.Run can unwrap typed failures — e.g. core's *RMAError — with
+// errors.As.
+func (p *Proc) recoverPanic() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	p.finished = true
+	if err, ok := r.(error); ok {
+		p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
+	} else {
+		p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
+	}
 }
 
 // SetWatchdog arms the kernel's hang protection: the run aborts with a
@@ -628,7 +487,9 @@ func (k *Kernel) AddDiagProvider(fn func(*Proc) string) {
 // proc panicked, if an event was scheduled in the past, if a watchdog budget
 // was exceeded, or if the queue drained while procs were still parked
 // (deadlock). On an error return the procs still parked are unwound (reap),
-// so a failed run leaves no goroutine behind.
+// so a failed run leaves no goroutine behind. Whatever the outcome, Run
+// yields the OS thread once it is done (yieldEvery), so a garbage collection
+// that started during the run can finish its marking.
 func (k *Kernel) Run() error {
 	if k.started {
 		return fmt.Errorf("sim: kernel already ran")
@@ -637,6 +498,7 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("sim: kernel is a shard; drive it through Shards.Run")
 	}
 	k.started = true
+	defer runtime.Gosched()
 	err := k.loop(math.MaxInt64)
 	if err == nil {
 		if stuck := k.parked(); len(stuck) > 0 {
@@ -683,8 +545,8 @@ func (k *Kernel) nextAt() (Time, bool) {
 
 // runUntil executes every pending event with activation time strictly below
 // horizon, including events those events insert locally. It is the per-round
-// body of one shard, whose caller is home for the round: procs left parked
-// at the horizon resume when the next round's loop reaches their wake.
+// body of one shard: procs left parked at the horizon resume when the next
+// round's loop reaches their wake.
 func (k *Kernel) runUntil(horizon Time) error { return k.loop(horizon - 1) }
 
 // parked lists the names of procs that are blocked with no pending wakeup.
@@ -701,9 +563,8 @@ func (k *Kernel) parked() []string {
 
 // report builds the per-proc diagnostic block of deadlock/watchdog errors:
 // one section per unfinished proc with its wait tag, the blocking call site
-// of a started goroutine proc and any diag-provider state. It runs on home
-// only (Run, loop, Shards.Run), where the token is back and every started
-// goroutine proc is blocked in await.
+// of a started Spawn proc and any diag-provider state. It runs between
+// events (Run, loop, Shards.Run), where every started body is parked.
 func (k *Kernel) report() string {
 	var b strings.Builder
 	b.WriteString("blocked procs:\n")
@@ -716,11 +577,10 @@ func (k *Kernel) report() string {
 // reportInto appends this kernel's blocked-proc sections to b and returns
 // how many it wrote (shared by Kernel.report and the aggregated
 // Shards.report, which must render byte-identical text). Each started
-// goroutine proc is visited the way reap visits it — handed the token, one
-// at a time — and sends back its own call site; task procs and procs that
-// never started have no stack to ask.
+// Spawn proc's body is resumed once and yields back its own call site; task
+// procs and procs that never started have no stack to ask.
 func (k *Kernel) reportInto(b *strings.Builder) int {
-	k.visiting = make(chan string)
+	k.visiting = true
 	n := 0
 	for _, p := range k.procs {
 		if p.finished {
@@ -728,9 +588,8 @@ func (k *Kernel) reportInto(b *strings.Builder) int {
 		}
 		n++
 		fmt.Fprintf(b, "  %s: waiting on %q", p.Name, p.waitTag)
-		if p.tok != nil {
-			p.tok <- struct{}{}
-			if site := <-k.visiting; site != "" {
+		if p.co != nil && p.co.next != nil {
+			if site, _ := p.co.next(); site != "" {
 				fmt.Fprintf(b, " at %s", site)
 			}
 		}
@@ -743,6 +602,6 @@ func (k *Kernel) reportInto(b *strings.Builder) int {
 			}
 		}
 	}
-	k.visiting = nil
+	k.visiting = false
 	return n
 }

@@ -8,82 +8,12 @@ import (
 	"time"
 )
 
-// Tests for the migrating event loop: how many goroutine switches a wake
-// costs, that parking allocates nothing, that kernel-context panics reach
-// the Run caller, and that failed runs leave no goroutine behind.
+// Tests for the coroutines of Spawn procs: that parking allocates nothing,
+// that kernel-context panics reach the Run caller, and that failed runs
+// leave no goroutine behind.
 
-// A proc that only ever wakes itself runs its own wake events: the token
-// leaves home once (launch) and returns once (queue drained), however many
-// times the proc parks.
-func TestOwnWakeCostsNoSwitch(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("solo", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			p.Sleep(3)
-			p.Yield()
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if k.switches != 2 {
-		t.Fatalf("%d token hand-offs for a self-waking proc, want 2 (launch + final stop)", k.switches)
-	}
-}
-
-// Two procs alternating over a pair of signals: the waker runs the other's
-// wake event itself and hands the token straight over, one switch per wake.
-func TestCrossProcWakeCostsOneSwitch(t *testing.T) {
-	const rounds = 500
-	k := NewKernel()
-	ping, pong := NewSignal(k), NewSignal(k)
-	wakes := 0
-	k.Spawn("b", func(p *Proc) { // first, so it is waiting when a fires
-		for i := 0; i < rounds; i++ {
-			pong.Wait(p, "pong")
-			wakes++
-			ping.Fire()
-		}
-	})
-	k.Spawn("a", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			pong.Fire()
-			ping.Wait(p, "ping")
-			wakes++
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if wakes != 2*rounds {
-		t.Fatalf("%d wakes, want %d", wakes, 2*rounds)
-	}
-	// Two launches, one switch per wake, and the last finisher's stop.
-	if want := uint64(2 + wakes + 1); k.switches != want {
-		t.Fatalf("%d token hand-offs for %d cross-proc wakes, want %d", k.switches, wakes, want)
-	}
-}
-
-// A finished proc's goroutine keeps the token and drives until it can hand
-// it to the next proc, so n procs that each sleep once cost n launches, n
-// wakes and the final stop — nothing per exit.
-func TestProcExitCostsNoTripHome(t *testing.T) {
-	const n = 16
-	k := NewKernel()
-	for i := 0; i < n; i++ {
-		d := Time(100 + i)
-		k.Spawn("p", func(p *Proc) { p.Sleep(d) })
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(2*n + 1); k.switches != want {
-		t.Fatalf("%d token hand-offs for %d sleep-once procs, want %d", k.switches, n, want)
-	}
-}
-
-// Parking must not allocate on either path: running one's own wake, or
-// handing the token to another proc and getting it back.
+// Parking must not allocate on either path: resumed by one's own wake, or
+// by another proc's Fire after that proc ran in between.
 func TestParkAllocs(t *testing.T) {
 	k := NewKernel()
 	gate, turn := NewSignal(k), NewSignal(k)
@@ -137,12 +67,12 @@ func TestParkAllocs(t *testing.T) {
 	}
 }
 
-// An event callback that panics while a proc goroutine is driving the loop
-// is a kernel-context failure: it must come out of Run as the same panic,
-// not be recovered as the driving proc's own.
+// An event callback that panics while a proc is parked is a kernel-context
+// failure: it must come out of Run as the same panic, not be recovered as
+// the parked proc's own.
 func TestKernelContextPanicReachesRunCaller(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("driver", func(p *Proc) { p.Sleep(10) }) // parked, so it runs the t=5 event
+	k.Spawn("driver", func(p *Proc) { p.Sleep(10) }) // parked across the t=5 event
 	k.At(5, func() { panic("fabric: boom in kernel context") })
 	defer func() {
 		if r := recover(); r != "fabric: boom in kernel context" {
@@ -154,7 +84,8 @@ func TestKernelContextPanicReachesRunCaller(t *testing.T) {
 }
 
 // waitGoroutines polls until the goroutine count is back to base: a reaped
-// goroutine has handed the token back before its last frame returns.
+// body's coroutine and helper have signalled Run before their last frames
+// return.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -167,10 +98,10 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // A failed run must not strand its parked procs: Run unwinds them one at a
-// time, in spawn order, running their defers — including one that tries to
-// block again.
+// time, in spawn order, running their defers once — including one that
+// tries to block again, and a recover that would swallow a panic.
 func TestFailedRunLeavesNoGoroutines(t *testing.T) {
-	const n = 8
+	const n = 9
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -196,6 +127,13 @@ func TestFailedRunLeavesNoGoroutines(t *testing.T) {
 					defer func() { unwound = append(unwound, r) }()
 					defer p.Sleep(1) // a defer that parks must not run the loop again
 					p.Sleep(Time(r + 1))
+					if r == n-1 {
+						func() {
+							defer func() { recover() }()
+							never.Wait(p, "never-fired")
+						}()
+						unwound = append(unwound, -1) // the recover stopped the unwinding
+					}
 					never.Wait(p, "never-fired")
 				})
 			}
@@ -208,7 +146,7 @@ func TestFailedRunLeavesNoGoroutines(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "deadlock") {
 				t.Fatalf("want deadlock error, got %v", err)
 			}
-			if got, want := fmt.Sprint(unwound), "[0 1 2 3 4 5 6 7]"; got != want {
+			if got, want := fmt.Sprint(unwound), "[0 1 2 3 4 5 6 7 8]"; got != want {
 				t.Fatalf("defers ran in order %s, want %s", got, want)
 			}
 			waitGoroutines(t, base)

@@ -2,27 +2,26 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"strings"
 )
 
-// Proc is one simulated process (e.g. an MPI rank). A proc executes in one
-// of two modes, chosen at spawn time:
+// Proc is one simulated process (e.g. an MPI rank). Every proc is stepped in
+// kernel context by its start and wake events (Task); the body is written in
+// one of two forms, chosen at spawn time:
 //
-//   - Spawn/SpawnAt: the body function runs in a dedicated goroutine with
-//     blocking Sleep/Wait calls. The goroutine is lazy — created only when
-//     the start event fires — and transient — it exits when the body
-//     returns, so a finished proc costs no stack.
 //   - SpawnTask/SpawnTaskAt: the body is a resumable state machine (Task)
-//     stepped in kernel context, so the proc never owns a goroutine or a
-//     stack at all. This is the fast path large worlds run on.
+//     whose waits arm a wake and return, so the proc owns no goroutine and
+//     no stack at all. This is the fast path large worlds run on.
+//   - Spawn/SpawnAt: the body is a function with blocking Sleep/Wait calls,
+//     run as a coroutine (coro) that each Step resumes until the body parks
+//     or returns. The coroutine is lazy — created at the start event — and
+//     transient — it ends with the body, so a finished proc costs no stack.
 //
-// Either way execution is strictly sequential: exactly one goroutine holds
-// the kernel's execution token at any instant, so proc code never races
-// with other procs or with event callbacks. A goroutine proc that blocks
-// does not hand the token to a scheduler: it becomes the scheduler, running
-// the event loop on its own goroutine until some proc — often itself — is
-// due to continue (Kernel.drive).
+// Either way execution is strictly sequential: the event loop and the body
+// it resumes take turns on the caller of Run, so proc code never races with
+// other procs or with event callbacks.
 type Proc struct {
 	k        *Kernel
 	Name     string
@@ -30,22 +29,12 @@ type Proc struct {
 	finished bool
 	waitTag  string // human-readable description of what the proc waits on
 
-	// tok is where a goroutine-mode proc that gave the token away waits to
-	// get it back: unbuffered, one send per resume, always from the goroutine
-	// that ran the proc's wake event. nil until the goroutine is launched
-	// (Kernel.handTo), and always nil for task procs.
-	tok chan struct{}
-
-	// body holds the application function between SpawnAt and the start
-	// event (startProc), so spawning schedules no closure and spawning a
-	// proc that a test never starts costs no goroutine.
-	body func(*Proc)
-
-	// task is the state machine of a SpawnTask proc; nil for goroutine
-	// procs and released when the task finishes. armed records that the
-	// current Step registered exactly one wake source (TaskSleep, TaskYield
-	// or Signal.Wait) and must return; a goroutine proc never sets it.
+	// task is the proc's state machine, released when the proc finishes; co
+	// is the same value for a Spawn proc, nil for a SpawnTask proc. armed
+	// records that the current Step registered exactly one wake source
+	// (TaskSleep, TaskYield or Signal.Wait) and must return.
 	task  Task
+	co    *coro
 	armed bool
 }
 
@@ -57,91 +46,70 @@ type Proc struct {
 //
 // Tasks trade the blocking Proc API for zero per-rank goroutines and
 // stacks: a 64k-rank world is 64k small structs, not 64k parked stacks.
-// Scheduling-wise a task is indistinguishable from a goroutine proc making
-// the same calls at the same virtual times, so observables are bit-identical
+// Scheduling-wise a task is indistinguishable from a Spawn proc making the
+// same calls at the same virtual times, so observables are bit-identical
 // across the two forms.
 //
-// The three wake sources are form-agnostic: on a goroutine proc they block
-// inline and leave the proc unarmed, so a Step written as "make the call;
-// return if Armed" runs to completion when a goroutine proc invokes it once.
+// The three wake sources are form-agnostic: in a Spawn proc's body they
+// block inline and leave the proc unarmed, so a Step written as "make the
+// call; return if Armed" runs to completion when such a body invokes it once.
 type Task interface {
 	Step(p *Proc)
 }
 
-// run is the goroutine entry point of a goroutine-mode proc, launched
-// holding the token. When the body returns (or panics) the proc is finished
-// but its goroutine still holds the token, so it keeps driving the event
-// loop until the first hand-off and only then exits: finishing a proc costs
-// no trip back to home.
-func (p *Proc) run(body func(*Proc)) {
-	defer func() {
+// coro is the Task of a Spawn proc: its Step resumes the body's coroutine,
+// which hands control back when the body parks (yield) or returns. A value a
+// parked body yields is its call site, formatted when a report asks for it
+// (Kernel.reportInto); ordinary parks yield "".
+type coro struct {
+	body  func(*Proc) // until the first Step starts the coroutine
+	next  func() (string, bool)
+	stop  func()
+	yield func(string) bool
+}
+
+// Step runs the body until it parks or returns. A panic in the body comes
+// out of next, so runStep reports it exactly as a task's own; so does a
+// runtime.Goexit, which therefore ends the goroutine running the loop.
+func (c *coro) Step(p *Proc) {
+	if c.next == nil {
+		body := c.body
+		c.body = nil // the proc does not pin its closure for the rest of the run
+		c.next, c.stop = iter.Pull(func(yield func(string) bool) {
+			c.yield = yield
+			body(p)
+		})
+	}
+	if _, ok := c.next(); !ok {
 		p.finished = true
-		k := p.k
-		if r := recover(); r != nil {
-			// Error panics are wrapped (%w) so callers of Kernel.Run can
-			// unwrap typed failures — e.g. core's *RMAError — with errors.As.
-			if err, ok := r.(error); ok {
-				k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
-			} else {
-				k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
-			}
-		}
-		if k.reaping {
-			k.home <- struct{}{}
-			return
-		}
-		k.drive(p)
-	}()
-	body(p)
+	}
 }
 
 // now returns the current virtual time.
 func (p *Proc) now() Time { return p.k.now }
 
-// park blocks until some event resumes this proc, driving the event loop
-// meanwhile. tag describes the wait for deadlock diagnostics. During reaping
-// nothing may run any more, so a body defer that tries to block unwinds
-// further instead.
+// park suspends a Spawn proc's body until the next Step resumes it: its wake,
+// which Step's caller has armed. The body is resumed out of turn only by a
+// report, to format its own call site, and by Run reaping it after a failed
+// run: yield then reports false and the body leaves through runtime.Goexit,
+// which runs its defers and which, unlike a panic, no recover in them stops.
 func (p *Proc) park(tag string) {
-	if p.k.reaping {
-		runtime.Goexit()
-	}
-	p.waitTag = tag
-	p.k.drive(p)
-	p.waitTag = ""
-}
-
-// await blocks a proc that has given the token away until it comes back,
-// which means the proc's wake event has just run on the sender's goroutine —
-// unless Run is reaping or a report is visiting (serve). It stays small
-// enough to inline into the handoff path.
-func (p *Proc) await() {
-	<-p.tok
-	if k := p.k; k.reaping || k.visiting != nil {
-		p.serve()
-	}
-}
-
-// serve handles a token that is not the proc's wake. While Run is reaping,
-// the goroutine unwinds through the body's defers to run's epilogue without
-// resuming the body. While a report is visiting, the proc sends its call
-// site back to the report and waits for the token again.
-func (p *Proc) serve() {
-	for k := p.k; ; <-p.tok {
-		if k.reaping {
+	p.armWake(tag)
+	site := ""
+	for {
+		if !p.co.yield(site) {
 			runtime.Goexit()
 		}
-		if k.visiting == nil {
+		if !p.k.visiting {
 			return
 		}
-		k.visiting <- waitSite()
+		site = waitSite()
 	}
 }
 
-// armWake is the task-mode counterpart of park: it records that the current
-// Step has registered a wake source and returns to the caller (which must
-// then return from Step). Arming twice in one Step is a bug — the proc
-// would be woken twice for one logical wait — and panics.
+// armWake records that the current Step has registered a wake source; a
+// task must then return from Step. Arming twice in one Step is a bug — the
+// proc would be woken twice for one logical wait — and panics.
 func (p *Proc) armWake(tag string) {
 	if p.armed {
 		panic(fmt.Sprintf("sim: task %q armed two wake sources in one Step", p.Name))
@@ -150,56 +118,59 @@ func (p *Proc) armWake(tag string) {
 	p.waitTag = tag
 }
 
+// wait waits for the wake the caller has just registered, the way the
+// proc's form does: a task arms it and reports true, a Spawn proc's body
+// parks until it fires and reports false.
+func (p *Proc) wait(tag string) bool {
+	if p.co != nil {
+		p.park(tag)
+		return false
+	}
+	p.armWake(tag)
+	return true
+}
+
 // TaskSleep is the form-agnostic Sleep. On a task proc it schedules a wake
 // after d, arms it and returns true — the Step must return so the wake can
-// fire. On a goroutine proc it sleeps inline and returns false. A
-// non-positive d matches Sleep's no-park semantics in both forms: nothing is
-// scheduled and TaskSleep returns false.
+// fire. On a Spawn proc it sleeps inline and returns false. A non-positive d
+// parks in neither form: nothing is scheduled and TaskSleep returns false.
 func (p *Proc) TaskSleep(d Time, tag string) bool {
 	if d <= 0 {
 		return false
 	}
-	return p.wakeAt(p.k.now+d, tag)
+	p.k.AtCall(p.k.now+d, wakeProc, p)
+	return p.wait(tag)
 }
 
 // TaskYield is the form-agnostic Yield: the proc continues at the current
 // virtual time, after every other currently-runnable same-time event. On a
 // task proc it always arms and returns true, so the Step must return; on a
-// goroutine proc it yields inline and returns false.
-func (p *Proc) TaskYield() bool { return p.wakeAt(p.k.now, "yield") }
-
-// wakeAt schedules the proc's own wake and waits for it the way the proc's
-// form does: a task arms and reports true, a goroutine proc parks.
-func (p *Proc) wakeAt(t Time, tag string) bool {
-	p.k.AtCall(t, wakeProc, p)
-	if p.task != nil {
-		p.armWake(tag)
-		return true
-	}
-	p.park(tag)
-	return false
+// Spawn proc it yields inline and returns false.
+func (p *Proc) TaskYield() bool {
+	p.k.AtCall(p.k.now, wakeProc, p)
+	return p.wait("yield")
 }
 
 // Armed reports whether the current Step of a task proc has armed its wake
-// and must return. Always false on a goroutine proc, whose waits complete
+// and must return. Always false in a Spawn proc's body, whose waits complete
 // inline.
 func (p *Proc) Armed() bool { return p.armed }
 
 // TaskExit finishes a task proc: the state machine is released and Step is
 // never called again. The task counterpart of the body returning — which is
-// what finishes a goroutine proc, so there it does nothing.
+// what finishes a Spawn proc, so there it does nothing.
 func (p *Proc) TaskExit() {
-	if p.task != nil {
+	if p.co == nil {
 		p.finished = true
 	}
 }
 
-// waitSite formats the blocking call site of the goroutine proc calling it
-// from serve: the innermost frames that are neither in this package nor in
+// waitSite formats the blocking call site of the parked body calling it
+// from park: the innermost frames that are neither in this package nor in
 // internal/mpi's wait plumbing, i.e. the application (or RMA-layer) call
-// that blocked. The walk starts in serve, up to six frames of this package
-// (serve, await, wakeHome, stop, drive, park) below the call that parked, so
-// 24 frames reach at least 16 beyond park.
+// that blocked. The walk starts in park, a few frames of this package below
+// that call, so 24 frames reach well beyond it; past the body it meets only
+// this package and the coroutine's runtime frames.
 func waitSite() string {
 	var pcs [24]uintptr
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
@@ -208,7 +179,8 @@ func waitSite() string {
 		f, more := frames.Next()
 		inSim := strings.Contains(f.File, "internal/sim/") && !strings.HasSuffix(f.File, "_test.go")
 		inMPIWait := strings.HasSuffix(f.File, "internal/mpi/rank.go")
-		if f.File != "" && !inSim && !inMPIWait && !strings.Contains(f.Function, "runtime.") {
+		inRuntime := strings.Contains(f.Function, "runtime.") || strings.HasPrefix(f.Function, "iter.")
+		if f.File != "" && !inSim && !inMPIWait && !inRuntime {
 			sites = append(sites, fmt.Sprintf("%s:%d", trimPath(f.File), f.Line))
 			if len(sites) == 3 {
 				break
@@ -231,23 +203,13 @@ func trimPath(file string) string {
 }
 
 // Sleep advances this proc's virtual time by d without consuming CPU-model
-// resources. Other procs and the network keep progressing meanwhile.
-func (p *Proc) Sleep(d Time) {
-	if d <= 0 {
-		return
-	}
-	k := p.k
-	k.AtCall(k.now+d, wakeProc, p)
-	p.park("sleep")
-}
+// resources. Other procs and the network keep progressing meanwhile. It is
+// TaskSleep for a body that blocks.
+func (p *Proc) Sleep(d Time) { p.TaskSleep(d, "sleep") }
 
 // Yield gives every other currently-runnable same-time event a chance to run
-// before this proc continues.
-func (p *Proc) Yield() {
-	k := p.k
-	k.AtCall(k.now, wakeProc, p)
-	p.park("yield")
-}
+// before this proc continues. It is TaskYield for a body that blocks.
+func (p *Proc) Yield() { p.TaskYield() }
 
 // Signal is a broadcast wakeup primitive. Procs park on it; Fire wakes all
 // current waiters by scheduling resume events at the present virtual time.
@@ -286,12 +248,8 @@ func (s *Signal) Fire() {
 // Wait parks the calling proc until the next Fire. tag is used in deadlock
 // diagnostics. For a task proc it arms the wake and returns immediately —
 // the caller must unwind out of Step and re-check its predicate on the next
-// Step, exactly as a goroutine proc re-checks after park returns.
+// Step, exactly as a Spawn proc's body re-checks after park returns.
 func (s *Signal) Wait(p *Proc, tag string) {
 	s.waiters = append(s.waiters, p)
-	if p.task != nil {
-		p.armWake(tag)
-		return
-	}
-	p.park(tag)
+	p.wait(tag)
 }

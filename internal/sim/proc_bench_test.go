@@ -2,17 +2,17 @@ package sim
 
 import "testing"
 
-// BenchmarkParkResume measures a wake that crosses goroutines: two procs
-// yielding in alternation, so each op is one park, the other proc's wake
-// event run by the parking proc, and one token hand-off (a single goroutine
-// switch). This is the shape benchmarks/ times as sim.handoff_ns.
+// BenchmarkParkResume measures two Spawn procs yielding in alternation: each
+// op is one park (a switch from the body's coroutine to the event loop), the
+// other proc's wake event and its resume (a switch back).
 func BenchmarkParkResume(b *testing.B) {
 	benchYielders(b, 2)
 }
 
-// BenchmarkSelfWake measures the zero-switch path: a single proc yielding in
-// a loop runs its own wake event and returns, so each op is one park plus
-// one event.
+// BenchmarkSelfWake measures a single Spawn proc yielding in a loop: each
+// op is one park, its own wake event and one resume — the same coroutine
+// round trip as ParkResume, with one proc. This is the shape benchmarks/
+// times as sim.handoff_ns.
 func BenchmarkSelfWake(b *testing.B) {
 	benchYielders(b, 1)
 }
@@ -35,7 +35,7 @@ func benchYielders(b *testing.B, n int) {
 
 // BenchmarkTaskStep measures the spawn-free fast path: a sim.Task state
 // machine re-arming a zero-delay wake each step, so each op is one Step
-// dispatch plus one wake event and no goroutine switch at all.
+// dispatch plus one wake event and no coroutine switch at all.
 func BenchmarkTaskStep(b *testing.B) {
 	k := NewKernel()
 	t := &benchTask{n: b.N}

@@ -14,12 +14,11 @@ import (
 // the classic conservative (lookahead / safe-horizon) PDES scheme:
 //
 //   - Ranks are partitioned into shards; each shard owns a Kernel with its
-//     own heap, clock, seq counter and execution token, so everything a
-//     rank touches (its Proc, NIC, windows, queues) stays single-threaded
-//     within the shard. The token migrates among the shard's proc
-//     goroutines during a round (Kernel.drive) and is back with the round's
-//     caller — the shard's home — before the barrier, so the barrier's
-//     channel operations still order everything a shard did before the merge.
+//     own heap, clock and seq counter, so everything a rank touches (its
+//     Proc, NIC, windows, queues) stays single-threaded within the shard.
+//     A shard's round — its event loop and every body the loop resumes —
+//     runs on one goroutine (Kernel.loop), so the barrier's channel
+//     operations order everything a shard did before the merge.
 //   - The run proceeds in barrier-synchronized rounds. Each round computes
 //     the global safe horizon = min(next event time across all shards) +
 //     lookahead, where lookahead is the fabric's minimum cross-shard link
@@ -217,6 +216,7 @@ func (s *Shards) Run() error {
 	if s.lookahead <= 0 {
 		panic("sim: Shards.Run without SetLookahead")
 	}
+	defer runtime.Gosched() // as Kernel.Run does (yieldEvery)
 	err := s.rounds()
 	if err != nil {
 		// Like Kernel.Run: unwind the procs still parked, shard by shard, all

@@ -112,7 +112,7 @@ func TestSignalSteadyStateAllocs(t *testing.T) {
 			sig.Wait(p, "loop")
 		}
 	})
-	// Warm up: heap backing array, waiter slices, the proc's token channel.
+	// Warm up: heap backing array, waiter slices, the proc's coroutine.
 	pump := func() {
 		for i := 0; i < 64; i++ {
 			sig.Fire()

@@ -276,16 +276,16 @@ func (t *stuckTask) Step(p *Proc) { t.waitForever(p) }
 //go:noinline
 func (t *stuckTask) waitForever(p *Proc) { t.sig.Wait(p, "never") }
 
-// driverBody sleeps past the task's start, so the task's Step runs on this
-// goroutine, underneath these frames.
+// driverBody sleeps past the task's start. The task's Step used to run on
+// this body's goroutine, underneath these frames; now it never does.
 //
 //go:noinline
 func driverBody(p *Proc) { p.Sleep(10) }
 
 // TestTaskReportIsTagAndProviderState: a task proc has no stack while it
 // waits, so its report section is its wait tag plus the diag providers'
-// state — no call site, not even when its last Step ran underneath a
-// goroutine proc's frames (the driver here steps it from inside its Sleep).
+// state — no call site, whatever Spawn proc is parked while it runs (the
+// driver here sleeps across the task's start).
 func TestTaskReportIsTagAndProviderState(t *testing.T) {
 	k := NewKernel()
 	k.AddDiagProvider(func(p *Proc) string { return "state of " + p.Name })

@@ -86,10 +86,9 @@ func TestDeadlockReportNamesCallSite(t *testing.T) {
 	}
 }
 
-// A watchdog that fires while a proc goroutine is driving the event loop —
-// the only proc here, so every event after its start runs inside its Sleep
-// — still names that proc's own call site: the report is built on home, once
-// the driver has handed the token back and is itself waiting.
+// A watchdog that fires while the only proc is parked in its Sleep names
+// that proc's own call site: the report resumes the parked body once, and
+// the body formats its own stack.
 func TestWatchdogReportNamesDriverSite(t *testing.T) {
 	k := NewKernel()
 	k.SetWatchdog(0, 50)
