@@ -165,8 +165,8 @@ func scaleCell(n int, s Series, iters int) scaleMeasure {
 	fab := run.World.Net.Counters.Row(n) // the fabric-wide row
 	return scaleMeasure{
 		lat:    mean(flat),
-		queued: us(sim.Time(fab[topoQueued])) / float64(iters),
-		stalls: float64(fab[topoStalls]) / float64(iters),
+		queued: us(sim.Time(fab.Get(topoQueued))) / float64(iters),
+		stalls: float64(fab.Get(topoStalls)) / float64(iters),
 	}
 }
 

@@ -169,7 +169,7 @@ func unpackWord(word uint64) (ch channel, win int64, src int, value int64) {
 // in core that picks the medium.
 func (e *Engine) notify(w *Window, dst int, ch channel, value int64) {
 	if w.signalled(dst, ch) {
-		w.eng.ctr[cSignalsSent]++
+		w.eng.ctr.Add(cSignalsSent, 1)
 	}
 	me := e.rank.ID
 	net := e.rt.world.Net
@@ -236,9 +236,9 @@ func (w *Window) merged(src int, ch channel, fresh bool) bool {
 		return true
 	}
 	if fresh {
-		w.eng.ctr[cSignalsRecv]++
+		w.eng.ctr.Add(cSignalsRecv, 1)
 	} else {
-		w.eng.ctr[cSignalsStale]++
+		w.eng.ctr.Add(cSignalsStale, 1)
 	}
 	return fresh
 }
@@ -261,8 +261,14 @@ func (e *Engine) flushBacklog() {
 // Lock commands are set aside, still packed, to be served together in step
 // 6; a self or internode one reaches the agent directly.
 func (e *Engine) consumeFifos() {
-	net := e.rt.world.Net
-	for _, p := range e.nodePeers {
+	// Same-node peers are the contiguous ProcsPerNode block around this
+	// rank (fabric.Config.NodeOf).
+	net, ppn := e.rt.world.Net, e.rt.world.Net.Cfg.ProcsPerNode
+	lo := net.Cfg.NodeOf(e.rank.ID) * ppn
+	for p := lo; p < min(lo+ppn, net.N()); p++ {
+		if p == e.rank.ID {
+			continue
+		}
 		f := net.Fifo(p, e.rank.ID)
 		for {
 			word, ok := f.Pop()

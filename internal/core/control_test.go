@@ -110,7 +110,7 @@ func TestControlDelivery(t *testing.T) {
 			return fmt.Sprint(counterOf(win, src, ch))
 		}
 		excl, shared, queued := win.LockAgentState()
-		return fmt.Sprintf("held=%t shared=%d queued=%d grants=%d", excl == src, shared, queued, win.eng.ctr[cLockGrants])
+		return fmt.Sprintf("held=%t shared=%d queued=%d grants=%d", excl == src, shared, queued, win.eng.ctr.Get(cLockGrants))
 	}
 	for _, tr := range []Transport{TransportGATS, TransportSignal} {
 		for ch := chGrant; ch < chCount; ch++ {
@@ -121,7 +121,7 @@ func TestControlDelivery(t *testing.T) {
 				var seen [stages]string
 				runJob(t, w, func(r *mpi.Rank) {
 					win := rt.CreateWindow(r, 64, WinOptions{Transport: tr})
-					eng := rt.engines[r.ID]
+					eng := &rt.engines[r.ID]
 					if r.ID == src {
 						r.Compute(20 * sim.Microsecond) // rank 0 has left CreateWindow's barrier
 						if ch == chUnlock {

@@ -31,8 +31,8 @@ func (e *Engine) raisef(format string, args ...interface{}) {
 // rank's windows.
 func (rt *Runtime) registerDiagnostics() {
 	rt.world.AddDiagProvider(func(p *sim.Proc) string {
-		for _, e := range rt.engines {
-			if e.rank.Proc == p {
+		for i := range rt.engines {
+			if e := &rt.engines[i]; e.rank.Proc == p {
 				return e.dumpState()
 			}
 		}

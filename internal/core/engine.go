@@ -8,7 +8,7 @@ import (
 
 // Engine is one rank's RMA progress engine. It has two faces:
 //
-//   - nicDeliver runs in kernel context on packet delivery and models the
+//   - Deliver runs in kernel context on packet delivery and models the
 //     autonomous NIC/HCA: it fulfils data transfers into window memory,
 //     updates the one-sided ω counters, serves the passive-target lock
 //     agent for internode requesters, and raises completion events — all
@@ -17,21 +17,26 @@ import (
 //     an MPI call, and performs the CPU-side sweep of Section VII-D's
 //     seven steps.
 //
-// The engine registers itself into mpi.Rank's progress list so that — per
+// The engine attaches itself to its mpi.Rank (mpi.RMAEngine) so that — per
 // the paper — RMA calls progress two-sided/collective traffic and vice
-// versa.
+// versa. A runtime's engines are one slice, one per rank.
 type Engine struct {
 	rt   *Runtime
 	rank *mpi.Rank
 	ctr  metrics.Row // the rank's row of the world's metrics set
 
-	windows   map[int64]*Window
-	winList   []*Window
-	nextWinID int64
+	// windows holds the rank's windows by id, the order of creation, nil
+	// once freed; winList the live ones, the order every sweep visits
+	// them in. first is where each keeps its first window: most ranks
+	// create one.
+	windows []*Window
+	winList []*Window
+	first   [2][1]*Window
 
-	// cpuQueue holds NIC-raised events that need origin CPU processing
-	// (e.g. large-accumulate CTS handling) — consumed in step 1.
-	cpuQueue []func()
+	// cpuQueue holds the ops whose accumulate-rendezvous CTS arrived: they
+	// need origin CPU processing before their data leaves — consumed in
+	// step 1. cpuSpare is the drained batch's storage, reused.
+	cpuQueue, cpuSpare []*rmaOp
 
 	// backlog holds intranode FIFO words that did not fit their ring —
 	// retried in step 4.
@@ -40,9 +45,6 @@ type Engine struct {
 	// lockBacklog holds intranode lock/unlock words queued by step 5 for
 	// batch processing in step 6.
 	lockBacklog []uint64
-
-	// nodePeers caches the same-node peer ranks for the FIFO sweep.
-	nodePeers []int
 
 	// dead[p] records that the fabric declared peer p unreachable from this
 	// rank (see errors.go); allocated lazily on the first declaration.
@@ -83,27 +85,11 @@ type fifoWordTo struct {
 	word uint64
 }
 
-func newEngine(rt *Runtime, r *mpi.Rank) *Engine {
-	e := &Engine{rt: rt, rank: r, windows: make(map[int64]*Window), ctr: rt.world.Net.Counters.Row(r.ID)}
-	cfg := rt.world.Net.Cfg
-	// Same-node peers are the contiguous ProcsPerNode block around this
-	// rank (fabric.Config.NodeOf), computed arithmetically: scanning all n
-	// ranks here would make world construction O(n²) at 64k ranks.
-	if ppn := cfg.ProcsPerNode; ppn > 1 {
-		lo := cfg.NodeOf(r.ID) * ppn
-		hi := lo + ppn
-		if size := rt.world.Size(); hi > size {
-			hi = size
-		}
-		for p := lo; p < hi; p++ {
-			if p != r.ID {
-				e.nodePeers = append(e.nodePeers, p)
-			}
-		}
-	}
-	r.SetRMAHandler(e.nicDeliver)
-	r.AddProgress(e.Progress)
-	return e
+// init builds rank r's engine in place, in its runtime's slice of engines.
+func (e *Engine) init(rt *Runtime, r *mpi.Rank) {
+	*e = Engine{rt: rt, rank: r, ctr: rt.world.Net.Counters.Row(r.ID)}
+	e.windows, e.winList = e.first[0][:0], e.first[1][:0]
+	r.SetRMA(e)
 }
 
 // Progress performs one comprehensive nonblocking sweep of all pending RMA
@@ -133,13 +119,19 @@ func (e *Engine) Progress() {
 	e.completeAndActivate()
 }
 
+// drainCPUQueue sends the data of every op whose CTS arrived. The batch is
+// swapped out before it is drained, so an op queued meanwhile lands in the
+// other slice and the next pass of the loop sends it.
 func (e *Engine) drainCPUQueue() {
 	for len(e.cpuQueue) > 0 {
 		q := e.cpuQueue
-		e.cpuQueue = nil
-		for _, fn := range q {
-			fn()
+		e.cpuQueue = e.cpuSpare[:0]
+		for i, o := range q {
+			o.ctsWait = false
+			e.post(o, fabric.KindAccData, o.size)
+			q[i] = nil
 		}
+		e.cpuSpare = q[:0]
 	}
 }
 
@@ -166,9 +158,9 @@ func (e *Engine) completeAndActivate() {
 	}
 }
 
-// nicDeliver demultiplexes RMA packets in kernel context. Data-path packets
-// carry their origin's *rmaOp as payload (see rmaOp).
-func (e *Engine) nicDeliver(p *fabric.Packet) {
+// Deliver demultiplexes RMA packets in kernel context: the NIC face.
+// Data-path packets carry their origin's *rmaOp as payload (see rmaOp).
+func (e *Engine) Deliver(p *fabric.Packet) {
 	switch p.Kind {
 	case fabric.KindPutData, fabric.KindAccData:
 		o, tw := e.landed(p)
@@ -199,11 +191,7 @@ func (e *Engine) nicDeliver(p *fabric.Packet) {
 		e.respond(p, fabric.KindAccCTS, p.Payload.(*rmaOp), ctrlBytes, nil)
 
 	case fabric.KindAccCTS:
-		o := p.Payload.(*rmaOp)
-		e.cpuQueue = append(e.cpuQueue, func() {
-			o.ctsWait = false
-			e.post(o, fabric.KindAccData, o.size)
-		})
+		e.cpuQueue = append(e.cpuQueue, p.Payload.(*rmaOp))
 		e.rank.Wake.Fire()
 
 	case fabric.KindSignal, fabric.KindPostNotify, fabric.KindDone, fabric.KindLockReq, fabric.KindUnlock:
@@ -278,11 +266,10 @@ func opDeliveredEvent(x any) {
 
 // win resolves a window id on this rank.
 func (e *Engine) win(id int64) *Window {
-	w := e.windows[id]
-	if w == nil {
+	if id < 0 || id >= int64(len(e.windows)) || e.windows[id] == nil {
 		e.raisef("no window %d", id)
 	}
-	return w
+	return e.windows[id]
 }
 
 // respond posts a response packet back to the requester (NIC-autonomous),

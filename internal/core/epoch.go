@@ -114,7 +114,7 @@ func newEpoch(w *Window, kind EpochKind) *Epoch {
 	}
 	ep.win, ep.kind, ep.seq = w, kind, w.nextEpochSeq
 	w.nextEpochSeq++
-	w.eng.ctr[cEpochsOpened]++
+	w.eng.ctr.Add(cEpochsOpened, 1)
 	return ep
 }
 
@@ -302,7 +302,7 @@ func (ep *Epoch) maybeComplete() {
 		return
 	}
 	ep.completed = true
-	ep.win.eng.ctr[cEpochsCompleted]++
+	ep.win.eng.ctr.Add(cEpochsCompleted, 1)
 	ep.traceEnd()
 	ep.drainLog()
 	ep.closeReq.Complete()

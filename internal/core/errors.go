@@ -120,7 +120,7 @@ func (w *Window) abortEpoch(ep *Epoch, err *RMAError) {
 	if w.err == nil {
 		w.err = err
 	}
-	w.eng.ctr[cEpochsAborted]++
+	w.eng.ctr.Add(cEpochsAborted, 1)
 	// Forget this epoch's transfers: recorded ones must never issue, and
 	// in-flight ones toward a dead peer will never complete — neither may
 	// keep a flush or quiesce waiting. Request-based ops fail rather than
@@ -228,7 +228,7 @@ func epochTimedOut(arg any) {
 		return
 	}
 	w := ep.win
-	w.eng.ctr[cTimeouts]++
+	w.eng.ctr.Add(cTimeouts, 1)
 	w.abortPending(ep, w.classifyStall(ep))
 }
 

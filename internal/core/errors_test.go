@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -144,7 +143,7 @@ func TestEpochTimeoutClassifiesStall(t *testing.T) {
 func TestNonblockingAbortFailsRequest(t *testing.T) {
 	w, rt := testWorld(t, 2)
 	var reqErr error
-	var fs metrics.Row
+	var fs counts
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 64, WinOptions{
 			Mode:         ModeNew,
@@ -258,7 +257,7 @@ func TestLossyGATSEndToEnd(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	var got []byte
-	var fs metrics.Row
+	var fs counts
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1<<13, WinOptions{Mode: ModeNew})
 		for round := 0; round < 16; round++ {
@@ -366,7 +365,7 @@ func TestDuplicateLockGrantIdempotent(t *testing.T) {
 			win.Flush(1) // lock is granted and used by now
 			// Replay the grant control word exactly as a duplicated
 			// KindPostNotify delivery would (same cumulative value).
-			eng := rt.engines[0]
+			eng := &rt.engines[0]
 			eng.apply(win, 1, chGrant, win.peer(1).g)
 			win.Unlock(1)
 		}
@@ -434,7 +433,7 @@ func TestDoubleAbortPreservesFirstError(t *testing.T) {
 	fp.DetectDelay = 2 * sim.Millisecond                                 // the timeout wins
 	w, rt := faultyWorld(t, 2, fp)
 	var reqErr, winErr error
-	var fs metrics.Row
+	var fs counts
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 256, WinOptions{
 			Mode:         ModeNew,
@@ -522,7 +521,7 @@ func TestScheduledDeathPoisonsOnlyDependentWindows(t *testing.T) {
 // aborts, and the armed timers do not prevent kernel quiescence.
 func TestEpochTimeoutInertOnHealthyRun(t *testing.T) {
 	w, rt := testWorld(t, 2)
-	var fs metrics.Row
+	var fs counts
 	runJob(t, w, func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1024, WinOptions{
 			Mode:         ModeNew,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -71,7 +70,7 @@ var abortCells = []abortCell{
 type abortOutcome struct {
 	runErr, callErr error
 	at              sim.Time
-	stats           metrics.Row
+	stats           counts
 }
 
 // runAbortCell runs cell on a 2-rank world whose rank 1 dies at 50 µs and is

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -266,7 +265,7 @@ func TestFlushModeLossyFlushCountersDupIdempotent(t *testing.T) {
 		payload[i] = byte(i * 13)
 	}
 	var got []byte
-	var fs metrics.Row
+	var fs counts
 	err := w.Run(func(r *mpi.Rank) {
 		win := rt.CreateWindow(r, 1<<12, WinOptions{Mode: ModeFlush})
 		if r.ID == 0 {

@@ -15,7 +15,7 @@ func agentHarness(t *testing.T, n int) *Window {
 	t.Helper()
 	w := mpi.NewWorld(1, fabric.DefaultConfig())
 	rt := NewRuntime(w)
-	eng := rt.engines[0]
+	eng := &rt.engines[0]
 	win := &Window{
 		rank:  w.Rank(0),
 		eng:   eng,
@@ -25,8 +25,8 @@ func agentHarness(t *testing.T, n int) *Window {
 		n:     n,
 		peers: peertab.New[peerCounters](n),
 	}
-	win.agent = newLockAgent(win)
-	eng.windows[0] = win
+	win.agent = lockAgent{w: win, exclHolder: -1}
+	eng.windows = append(eng.windows, win)
 	eng.winList = append(eng.winList, win)
 	return win
 }

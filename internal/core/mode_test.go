@@ -235,7 +235,7 @@ func TestCreateWindowRejectsUnknownOptions(t *testing.T) {
 func TestNicDeliverRaises(t *testing.T) {
 	w, rt := testWorld(t, 2)
 	rt.newWindow(w.Rank(0), 8, WinOptions{})
-	e := rt.engines[0]
+	e := &rt.engines[0]
 	for _, tc := range []struct {
 		p    fabric.Packet
 		want string
@@ -245,7 +245,7 @@ func TestNicDeliverRaises(t *testing.T) {
 		{fabric.Packet{Src: 1, Kind: fabric.Kind(250)}, "core: rank 0: unexpected packet kind 250 from 1"},
 		{fabric.Packet{Src: 1, Kind: fabric.KindDone, Arg: [4]int64{5}}, "core: rank 0: no window 5"},
 	} {
-		if got := mustPanic(t, tc.want, func() { e.nicDeliver(&tc.p) }); got != tc.want {
+		if got := mustPanic(t, tc.want, func() { e.Deliver(&tc.p) }); got != tc.want {
 			t.Errorf("panicked with %q, want %q", got, tc.want)
 		}
 	}

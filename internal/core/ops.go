@@ -94,9 +94,9 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 	w.opAge++
 	o.age = w.opAge
 	w.linkLive(o)
-	w.eng.ctr[cOpsIssued]++
+	w.eng.ctr.Add(cOpsIssued, 1)
 	if o.class == opPut || o.class == opAcc {
-		w.eng.ctr[cBytesOut] += o.size
+		w.eng.ctr.Add(cBytesOut, o.size)
 	}
 	w.impl.admit(w, o.ep, o)
 	return req

@@ -14,15 +14,15 @@ import (
 // one Runtime per mpi.World before launching rank bodies.
 type Runtime struct {
 	world   *mpi.World
-	engines []*Engine
+	engines []Engine
 	tracer  *trace.Recorder
 }
 
 // NewRuntime attaches an RMA runtime to every rank of w.
 func NewRuntime(w *mpi.World) *Runtime {
-	rt := &Runtime{world: w, engines: make([]*Engine, w.Size())}
-	for i := 0; i < w.Size(); i++ {
-		rt.engines[i] = newEngine(rt, w.Rank(i))
+	rt := &Runtime{world: w, engines: make([]Engine, w.Size())}
+	for i := range rt.engines {
+		rt.engines[i].init(rt, w.Rank(i))
 	}
 	// When the fabric runs with fault injection, its one failure detector
 	// declares a dead peer here at the death plus DetectDelay: the local
@@ -106,11 +106,11 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 	if size < 0 {
 		panic(fmt.Sprintf("core: rank %d: negative window size %d", r.ID, size))
 	}
-	eng := rt.engines[r.ID]
+	eng := &rt.engines[r.ID]
 	w := &Window{
 		rank:    r,
 		eng:     eng,
-		id:      eng.nextWinID,
+		id:      int64(len(eng.windows)),
 		info:    opt.Info,
 		n:       rt.world.Size(),
 		size:    size,
@@ -124,16 +124,15 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 
 		errorsReturn: opt.ErrorsReturn,
 	}
-	eng.nextWinID++
 	if !opt.ShapeOnly {
 		w.buf = make([]byte, size)
 	}
-	w.agent = newLockAgent(w)
+	w.agent = lockAgent{w: w, exclHolder: -1}
 	w.impl, w.rules = newModeImpl(w, opt)
 	if opt.Transport != TransportGATS && opt.Transport != TransportSignal {
 		w.raisef("unknown %s", opt.Transport)
 	}
-	eng.windows[w.id] = w
+	eng.windows = append(eng.windows, w)
 	eng.winList = append(eng.winList, w)
 	return w
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -16,7 +15,7 @@ import (
 // Post/Wait) and reports the target's received payload, the virtual times
 // at which origin Complete and target WaitEpoch returned, and the origin's
 // counters.
-func signalHandshake(t *testing.T, opt WinOptions, size int64) (got []byte, completeAt, waitAt sim.Time, st metrics.Row) {
+func signalHandshake(t *testing.T, opt WinOptions, size int64) (got []byte, completeAt, waitAt sim.Time, st counts) {
 	t.Helper()
 	w, rt := testWorld(t, 2)
 	payload := make([]byte, size)
@@ -145,7 +144,7 @@ func TestSignalStaleDiscard(t *testing.T) {
 					win.dirty = false
 					p := &fabric.Packet{Src: 1, Dst: 0, Kind: fabric.KindSignal, Size: sigBytes}
 					p.Arg = [4]int64{win.id, int64(ch), int64(win.sigBase + uint64(step.v)), 0}
-					rt.engines[0].nicDeliver(p)
+					rt.engines[0].Deliver(p)
 					if win.dirty != step.fresh {
 						t.Errorf("channel %d value %d: dispatched=%t, want %t", ch, step.v, win.dirty, step.fresh)
 					}
@@ -323,6 +322,17 @@ func runForm(w *mpi.World, rt *Runtime, tasks bool, program func(rt *Runtime, r 
 	return w.RunProgram(func(r *mpi.Rank) sim.Task { return &script{r: r, calls: program(rt, r)} }, tasks)
 }
 
+// sweepCounter is a rank's RMA engine that counts its progress sweeps.
+type sweepCounter struct {
+	*Engine
+	sweeps *int
+}
+
+func (c *sweepCounter) Progress() {
+	*c.sweeps++
+	c.Engine.Progress()
+}
+
 // runForms runs program on every rank of a fresh n-rank world, once on
 // goroutine ranks and once on task ranks, and requires the two executions to
 // agree on the end time, the event count and every rank's MPI time and
@@ -340,7 +350,7 @@ func runForms(t *testing.T, n int, program func(rt *Runtime, r *mpi.Rank) []func
 		w, rt := testWorld(t, n)
 		o := outcome{sweeps: make([]int, n)}
 		for i := 0; i < n; i++ {
-			w.Rank(i).AddProgress(func() { o.sweeps[i]++ })
+			w.Rank(i).SetRMA(&sweepCounter{&rt.engines[i], &o.sweeps[i]})
 		}
 		if err := runForm(w, rt, tasks, program); err != nil {
 			t.Fatalf("tasks=%t: simulation failed: %v", tasks, err)

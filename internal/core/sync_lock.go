@@ -25,10 +25,6 @@ type lockWaiter struct {
 	shared bool
 }
 
-func newLockAgent(w *Window) *lockAgent {
-	return &lockAgent{w: w, exclHolder: -1}
-}
-
 // request enqueues a lock request from origin and advances the grant state.
 func (a *lockAgent) request(origin int, shared bool) {
 	a.queue = append(a.queue, lockWaiter{origin: origin, shared: shared})
@@ -65,7 +61,7 @@ func (a *lockAgent) advance() {
 		}
 		copy(a.queue, a.queue[1:]) // pop by copy-down: keep the backing array
 		a.queue = a.queue[:len(a.queue)-1]
-		a.w.eng.ctr[cLockGrants]++
+		a.w.eng.ctr.Add(cLockGrants, 1)
 		// Granting a lock updates e locally and g remotely, exactly like
 		// opening an exposure (Section VII-B).
 		id := a.w.peer(h.origin).nextExposureID()

@@ -43,7 +43,7 @@ type Window struct {
 
 	// Passive-target lock agent (target side; runs in NIC context for
 	// internode requesters, engine context for intranode ones).
-	agent *lockAgent
+	agent lockAgent
 
 	// Flush support: monotonic op ages, the not-yet-remotely-complete ops
 	// as an intrusive list in age order (rmaOp.prevLive/nextLive), and

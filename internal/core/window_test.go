@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -13,7 +12,7 @@ import (
 func predicateHarness(info Info) *Window {
 	w := mpi.NewWorld(1, fabric.DefaultConfig())
 	rt := NewRuntime(w)
-	win := &Window{rank: w.Rank(0), eng: rt.engines[0], n: 4, info: info}
+	win := &Window{rank: w.Rank(0), eng: &rt.engines[0], n: 4, info: info}
 	return win
 }
 
@@ -218,9 +217,19 @@ func TestUnlockWrongTargetPanics(t *testing.T) {
 	}
 }
 
+// counts is a snapshot of a rank's counters, indexed by metrics.ID; a
+// counter dead in the rank's row reads 0.
+type counts []int64
+
 // counters snapshots the row of w's rank in the world's metrics set: the
 // counters of every window of the rank and of its fabric endpoint.
-func (w *Window) counters() metrics.Row { return slices.Clone(w.eng.ctr) }
+func (w *Window) counters() counts {
+	c := make(counts, 64) // more than every declared counter
+	for id := range c {
+		c[id] = w.eng.ctr.Get(metrics.ID(id))
+	}
+	return c
+}
 
 // The fabric counters core's tests read.
 var fabDrops, fabRetransmits = metrics.Lookup("fabric.drops"), metrics.Lookup("fabric.retransmits")

@@ -37,7 +37,7 @@ func (w *Window) Free() {
 		return
 	}
 	w.freed = true
-	delete(w.eng.windows, w.id)
+	w.eng.windows[w.id] = nil
 	for i, x := range w.eng.winList {
 		if x == w {
 			w.eng.winList = append(w.eng.winList[:i], w.eng.winList[i+1:]...)

@@ -60,7 +60,7 @@ func checkExactlyOnceInOrder(t *testing.T, got []int64, n int) {
 // total is counter id summed over every row of nw's set.
 func total(nw *Network, id metrics.ID) (v int64) {
 	for r := 0; r <= nw.Counters.Ranks; r++ {
-		v += nw.Counters.Row(r)[id]
+		v += nw.Counters.Row(r).Get(id)
 	}
 	return v
 }
@@ -86,7 +86,7 @@ func TestReliableDeliveryUnderDrop(t *testing.T) {
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
 	checkCreditsBalanced(t, nw)
-	if st := nw.Counters.Row(0); st[cDrops] == 0 || st[cRetransmits] == 0 {
+	if st := nw.Counters.Row(0); st.Get(cDrops) == 0 || st.Get(cRetransmits) == 0 {
 		t.Errorf("drop schedule produced no losses/retransmits: %v", nw.Counters.Snapshot(0))
 	}
 }
@@ -97,10 +97,10 @@ func TestDuplicateInjectionDeduped(t *testing.T) {
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
-	if nw.Counters.Row(0)[cDupsSent] == 0 {
+	if nw.Counters.Row(0).Get(cDupsSent) == 0 {
 		t.Error("duplicator never fired at 25% probability over 400 packets")
 	}
-	if nw.Counters.Row(1)[cDupDrops] == 0 {
+	if nw.Counters.Row(1).Get(cDupDrops) == 0 {
 		t.Error("no duplicate was dropped at the receiver")
 	}
 }
@@ -111,7 +111,7 @@ func TestCorruptionRecovered(t *testing.T) {
 	k, nw, got := lossyWorld(fp)
 	sendN(t, k, nw, 400)
 	checkExactlyOnceInOrder(t, *got, 400)
-	if nw.Counters.Row(1)[cCorruptDrops] == 0 {
+	if nw.Counters.Row(1).Get(cCorruptDrops) == 0 {
 		t.Error("corruption schedule produced no checksum drops")
 	}
 }
@@ -129,10 +129,10 @@ func TestFlapRecovery(t *testing.T) {
 	checkExactlyOnceInOrder(t, *got, 400)
 	checkCreditsBalanced(t, nw)
 	st := nw.Counters.Row(0)
-	if st[cDelayed] == 0 {
+	if st.Get(cDelayed) == 0 {
 		t.Fatal("flap window held no departures")
 	}
-	if st[cRetransmits] == 0 || nw.Counters.Row(1)[cDupDrops] == 0 {
+	if st.Get(cRetransmits) == 0 || nw.Counters.Row(1).Get(cDupDrops) == 0 {
 		t.Errorf("a 40us hold against a 16us timeout produced no deduped spurious retransmits: tx %v rx %v", nw.Counters.Snapshot(0), nw.Counters.Snapshot(1))
 	}
 }
@@ -210,7 +210,7 @@ func TestUnreachableDeclaration(t *testing.T) {
 	if fmt.Sprint(declared) != "[0 1 2 1]" {
 		t.Fatalf("unreachable declarations = %v, want [0 1 2 1]", declared)
 	}
-	if k.Now() < 100*sim.Microsecond || nw.Counters.Row(0)[cRetransmits] == 0 {
+	if k.Now() < 100*sim.Microsecond || nw.Counters.Row(0).Get(cRetransmits) == 0 {
 		t.Errorf("stream to the dead peer did not retry until the declaration: t=%d %v", k.Now(), nw.Counters.Snapshot(0))
 	}
 	if !nw.PeerUnreachable(0, 1) {
@@ -241,7 +241,7 @@ func TestRankStallRecovers(t *testing.T) {
 	sendN(t, k, nw, 50)
 	checkExactlyOnceInOrder(t, *got, 50)
 	checkCreditsBalanced(t, nw)
-	if nw.Counters.Row(0)[cRetransmits] == 0 || nw.Counters.Row(1)[cDupDrops] == 0 {
+	if nw.Counters.Row(0).Get(cRetransmits) == 0 || nw.Counters.Row(1).Get(cDupDrops) == 0 {
 		t.Errorf("stall window forced no deduped retransmissions: tx %v rx %v", nw.Counters.Snapshot(0), nw.Counters.Snapshot(1))
 	}
 	if k.Now() < 200*sim.Microsecond {

@@ -22,14 +22,11 @@ type Network struct {
 	K   *sim.Kernel
 	Cfg Config
 
-	nics     []*NIC
+	nics     []NIC
 	handlers []func(*Packet)
-	fifos    map[fifoKey]*Fifo
-	regs     []*RegCache
 
 	// sharded marks a network whose ranks are spread across a sim.Shards
-	// group: pools become per-rank and the FIFO mesh is built eagerly (lazy
-	// map writes would race).
+	// group: pools become per-rank.
 	sharded bool
 
 	// pktFree is the packet free-list backing AllocPacket. It is owned by
@@ -62,8 +59,6 @@ type Network struct {
 	onUnreachable func(local, peer int)
 }
 
-type fifoKey struct{ src, dst int }
-
 // NewNetwork builds the interconnect for n ranks on a single serial kernel.
 // The configuration is validated here — non-positive latency/bandwidth terms
 // or negative credit/capacity counts would silently corrupt every schedule
@@ -88,30 +83,23 @@ func newNetwork(kernelFor func(int) *sim.Kernel, fabK *sim.Kernel, n int, cfg Co
 	nw := &Network{
 		K:        fabK,
 		Cfg:      cfg,
+		nics:     make([]NIC, n),
 		handlers: make([]func(*Packet), n),
-		fifos:    make(map[fifoKey]*Fifo),
-		regs:     make([]*RegCache, n),
 		sharded:  sharded,
-		Counters: metrics.NewSet(n),
+		Counters: metrics.NewSet(n, "core"), // until EnableFaults, ranks count only RMA
 	}
-	nw.nics = make([]*NIC, n)
-	for r := 0; r < n; r++ {
-		nw.nics[r] = newNIC(nw, r, n, kernelFor(r))
-		nw.regs[r] = NewRegCache(cfg.RegCacheEntries)
+	// Every NIC, every rail and every intranode FIFO slot of the world is
+	// cut from one slice each.
+	rl, ppn := cfg.Rails(), cfg.ProcsPerNode
+	if ppn <= 1 {
+		ppn = 0 // no intranode peers
+	}
+	rails, fifos := make([]nicRail, n*rl), make([]*Fifo, n*ppn)
+	for r := range nw.nics {
+		nw.nics[r].init(nw, r, n, kernelFor(r), rails[r*rl:(r+1)*rl:(r+1)*rl], fifos[r*ppn:(r+1)*ppn])
 	}
 	if sharded {
 		nw.pktFreeBy = make([][]*Packet, n)
-		// The FIFO mesh must exist up front: lazy creation writes the map
-		// from whichever shard asks first. Pairs are intra-node only, so
-		// this is N x ProcsPerNode, not N^2.
-		for src := 0; src < n; src++ {
-			base := cfg.NodeOf(src) * cfg.ProcsPerNode
-			for dst := base; dst < base+cfg.ProcsPerNode && dst < n; dst++ {
-				if dst != src {
-					nw.fifos[fifoKey{src, dst}] = NewFifo(cfg.FifoCapacity)
-				}
-			}
-		}
 	}
 	if cfg.Topo.Kind != topo.Crossbar {
 		nw.topo = newTopoState(nw, n)
@@ -145,10 +133,7 @@ func (nw *Network) AllocPacket() *Packet {
 	if nw.sharded {
 		panic("fabric: AllocPacket on a sharded network; use AllocPacketAt(rank)")
 	}
-	if l := len(nw.pktFree); l > 0 {
-		p := nw.pktFree[l-1]
-		nw.pktFree[l-1] = nil
-		nw.pktFree = nw.pktFree[:l-1]
+	if p := take(&nw.pktFree); p != nil {
 		return p
 	}
 	return &Packet{nw: nw, pooled: true}
@@ -162,11 +147,7 @@ func (nw *Network) AllocPacketAt(rank int) *Packet {
 	if !nw.sharded {
 		return nw.AllocPacket()
 	}
-	pool := nw.pktFreeBy[rank]
-	if l := len(pool); l > 0 {
-		p := pool[l-1]
-		pool[l-1] = nil
-		nw.pktFreeBy[rank] = pool[:l-1]
+	if p := take(&nw.pktFreeBy[rank]); p != nil {
 		return p
 	}
 	return &Packet{nw: nw, pooled: true}
@@ -257,22 +238,17 @@ func (nw *Network) deliver(p *Packet) {
 }
 
 // Fifo returns the intranode 64-bit notification FIFO carrying packets from
-// src to dst. Both ranks must share a node. FIFOs are created lazily on a
-// serial network and eagerly at construction on a sharded one (the map then
-// stays read-only); the two directions of a pair are independent rings (the
-// paper's "two-way shared-memory wait-free FIFO").
+// src to dst. Both ranks must share a node. A FIFO is created at its first
+// use, in dst's slot for src: the ranks of a node share a shard, so only
+// that shard ever touches the slot. The two directions of a pair are
+// independent rings (the paper's "two-way shared-memory wait-free FIFO").
 func (nw *Network) Fifo(src, dst int) *Fifo {
-	if !nw.Cfg.SameNode(src, dst) {
-		panic(fmt.Sprintf("fabric: intranode FIFO requested across nodes (%d->%d)", src, dst))
+	if src == dst || !nw.Cfg.SameNode(src, dst) {
+		panic(fmt.Sprintf("fabric: intranode FIFO %d->%d needs two ranks of one node", src, dst))
 	}
-	key := fifoKey{src, dst}
-	f, ok := nw.fifos[key]
-	if !ok {
-		if nw.sharded {
-			panic(fmt.Sprintf("fabric: intranode FIFO %d->%d missing from eager mesh", src, dst))
-		}
-		f = NewFifo(nw.Cfg.FifoCapacity)
-		nw.fifos[key] = f
+	f := &nw.nics[dst].fifos[src%nw.Cfg.ProcsPerNode]
+	if *f == nil {
+		*f = NewFifo(nw.Cfg.FifoCapacity)
 	}
-	return f
+	return *f
 }

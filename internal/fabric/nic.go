@@ -62,6 +62,8 @@ type NIC struct {
 	descFree   []*desc
 	stripeFree []*stripeGroup
 	creditInit int
+	regs       regCache
+	fifos      []*Fifo // the intranode FIFOs into this rank, by source's place on the node
 }
 
 // nicRail is one injection pipeline: its own queue, wire and per-peer
@@ -94,12 +96,13 @@ func before(t1 sim.Time, s1 uint64, t2 sim.Time, s2 uint64) bool {
 	return t1 < t2 || t1 == t2 && s1 < s2
 }
 
-func newNIC(nw *Network, rank, n int, k *sim.Kernel) *NIC {
-	nic := &NIC{nw: nw, rank: rank, k: k, rails: make([]nicRail, nw.Cfg.Rails()), creditInit: nw.Cfg.CreditsPerPeer}
-	for i := range nic.rails {
-		nic.rails[i] = nicRail{n: nic, idx: int32(i), peers: peertab.New[nicPeer](n)}
+// init builds rank's NIC in place on its rails and FIFO slots, slices of
+// the world's.
+func (nic *NIC) init(nw *Network, rank, n int, k *sim.Kernel, rails []nicRail, fifos []*Fifo) {
+	*nic = NIC{nw: nw, rank: rank, k: k, rails: rails, fifos: fifos, creditInit: nw.Cfg.CreditsPerPeer, regs: regCache{cap: nw.Cfg.RegCacheEntries}}
+	for i := range rails {
+		rails[i] = nicRail{n: nic, idx: int32(i), peers: peertab.New[nicPeer](n)}
 	}
-	return nic
 }
 
 // nicPeer is one destination's flow-control state; its zero value (no
@@ -183,7 +186,7 @@ func (n *NIC) enqueue(p *Packet) {
 	rail := n.railFor(p)
 	p.Rail = uint8(rail)
 	d := n.newDesc(p, rail, p.Size)
-	if rc := n.nw.regs[n.rank]; rc != nil && p.Size > 0 && !rc.Touch(regionKeyFor(p)) {
+	if p.Size > 0 && !n.regs.touch(regionKeyFor(p)) {
 		d.regCost = n.nw.Cfg.RegMissCost
 	}
 	n.rails[rail].queue = append(n.rails[rail].queue, d)
@@ -203,8 +206,7 @@ func (n *NIC) enqueueStriped(p *Packet) {
 	}
 	g.remaining = dataRails
 	base, rem := p.Size/int64(dataRails), p.Size%int64(dataRails)
-	rc := n.nw.regs[n.rank]
-	regMiss := rc != nil && !rc.Touch(regionKeyFor(p))
+	regMiss := !n.regs.touch(regionKeyFor(p))
 	for i := 0; i < dataRails; i++ {
 		d := n.newDesc(p, 1+i, base)
 		if int64(i) < rem {

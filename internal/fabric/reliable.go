@@ -60,7 +60,7 @@ var (
 type RelStats struct{ Retransmits int64 }
 
 // RelStats returns rank r's RelStats.
-func (nw *Network) RelStats(r int) RelStats { return RelStats{nw.Counters.Row(r)[cRetransmits]} }
+func (nw *Network) RelStats(r int) RelStats { return RelStats{nw.Counters.Row(r).Get(cRetransmits)} }
 
 // arqKey identifies one go-back-N stream within its owning rank: the peer at
 // the other end plus the NIC rail carrying it. Single-rail networks only
@@ -114,7 +114,7 @@ func (fs *faultState) sendReliable(d *desc) {
 		if n.creditInit > 0 {
 			n.rails[rail].peers.Get(dst).credits--
 		}
-		st[cTxDrops]++
+		st.Add(cTxDrops, 1)
 		fs.nw.release(src, p)
 		n.freeDesc(d)
 		return
@@ -126,7 +126,7 @@ func (fs *faultState) sendReliable(d *desc) {
 	p.Seq = l.nextSeq
 	l.nextSeq++
 	l.unacked = append(l.unacked, p)
-	st[cSent]++
+	st.Add(cSent, 1)
 	if !l.timer.Armed() {
 		l.timer.Reset(fs.rto << l.backoff)
 	}
@@ -140,17 +140,17 @@ func (l *relTx) transmit(sp *Packet) {
 	st := fs.nw.Counters.Row(l.src)
 	at, idx := fs.depart(l.src, l.dst, now)
 	if fs.hit(fp.Drop, saltDrop, l.src, l.dst, idx) {
-		st[cDrops]++
+		st.Add(cDrops, 1)
 		return
 	}
 	corrupt := fs.hit(fp.Corrupt, saltCorrupt, l.src, l.dst, idx)
 	if corrupt {
 		// The retained packet stays pristine, so recovery delivers clean data.
-		st[cCorrupts]++
+		st.Add(cCorrupts, 1)
 	}
 	fs.fly(sp, at, corrupt)
 	if fs.hit(fp.Dup, saltDup, l.src, l.dst, idx) {
-		st[cDupsSent]++
+		st.Add(cDupsSent, 1)
 		at, _ = fs.depart(l.src, l.dst, now)
 		fs.fly(sp, at, false)
 	}
@@ -189,7 +189,7 @@ func (fs *faultState) recvReliable(p *Packet) {
 	if p.corrupt {
 		// Checksum failure: discarded before any field is trusted; the
 		// sender's retransmission recovers the clean copy.
-		fs.nw.Counters.Row(dst)[cCorruptDrops]++
+		fs.nw.Counters.Row(dst).Add(cCorruptDrops, 1)
 		fs.nw.release(dst, p)
 		return
 	}
@@ -211,10 +211,10 @@ func (fs *faultState) recvReliable(p *Packet) {
 		fr.rx[key] = expect + 1
 		fs.nw.deliver(p)
 	case p.Seq < expect:
-		fs.nw.Counters.Row(dst)[cDupDrops]++ // duplicate delivery: already consumed, drop
+		fs.nw.Counters.Row(dst).Add(cDupDrops, 1) // duplicate delivery: already consumed, drop
 		fs.nw.release(dst, p)
 	default:
-		fs.nw.Counters.Row(dst)[cGapDrops]++ // a predecessor is missing: go-back-N drops successors
+		fs.nw.Counters.Row(dst).Add(cGapDrops, 1) // a predecessor is missing: go-back-N drops successors
 		fs.nw.release(dst, p)
 	}
 	// Always acknowledge — re-ACKs after dup/gap drops are what resync a
@@ -237,7 +237,7 @@ func (l *relTx) ackTo(upTo uint64) {
 		return
 	}
 	l.retire(n)
-	l.fs.nw.Counters.Row(l.src)[cAcked] += int64(n)
+	l.fs.nw.Counters.Row(l.src).Add(cAcked, int64(n))
 	l.backoff = 0
 	if len(l.unacked) == 0 {
 		l.timer.Stop()
@@ -250,7 +250,7 @@ func (l *relTx) ackTo(upTo uint64) {
 // retire releases the first n retained packets and the credits they hold.
 func (l *relTx) retire(n int) {
 	nw := l.fs.nw
-	if nic := nw.nics[l.src]; nic.creditInit > 0 {
+	if nic := &nw.nics[l.src]; nic.creditInit > 0 {
 		nic.rails[l.rail].peers.Get(l.dst).credits -= n
 	}
 	for i, sp := range l.unacked[:n] {
@@ -270,13 +270,13 @@ func (fs *faultState) sendAck(from, to, rail int) {
 	st := fs.nw.Counters.Row(from)
 	at, idx := fs.depart(from, to, k.Now())
 	if fs.hit(fs.fp.Drop, saltDrop, from, to, idx) {
-		st[cAcksDropped]++
+		st.Add(cAcksDropped, 1)
 		return
 	}
 	a := fs.nw.AllocPacketAt(from)
 	a.Src, a.Dst, a.Kind, a.Rail, a.rel = from, to, KindAck, uint8(rail), true
 	a.Ack = fs.rank[from].rx[arqKey{to, rail}]
-	st[cAcksSent]++
+	st.Add(cAcksSent, 1)
 	k.AtCross(at+fs.ackFlight, faultArrive, a, from, to)
 }
 
@@ -294,7 +294,7 @@ func (l *relTx) onTimer() {
 		l.teardown()
 		return
 	}
-	fs.nw.Counters.Row(l.src)[cRetransmits] += int64(len(l.unacked))
+	fs.nw.Counters.Row(l.src).Add(cRetransmits, int64(len(l.unacked)))
 	for _, sp := range l.unacked {
 		l.transmit(sp)
 	}

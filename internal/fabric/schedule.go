@@ -139,7 +139,9 @@ type faultState struct {
 // EnableFaults switches the network's internode paths onto the adversary
 // described by fp — and, if fp has message faults, onto the go-back-N layer
 // over it. Legal on serial and sharded networks, on the crossbar and on a
-// modeled topology. Call before any traffic flows.
+// modeled topology. Call before any traffic flows and before a layer above
+// takes its rows of Counters (core.NewRuntime): the rank rows gain the
+// fabric.* columns here.
 //
 // The adversary sits on the internode pipeline only: same-node traffic
 // (ProcsPerNode > 1) takes the shared-memory path and is never faulted.
@@ -151,6 +153,7 @@ func (nw *Network) EnableFaults(fp FaultProfile) {
 		panic("fabric: FaultProfile.Jitter must be non-negative")
 	}
 	n := nw.N()
+	nw.Counters.From("fabric") // the adversary and the ARQ count per rank
 	rtt := nw.Cfg.Alpha + nw.Cfg.AckLatency
 	fs := &faultState{
 		nw:        nw,
@@ -274,7 +277,7 @@ func (fs *faultState) depart(src, dst int, now sim.Time) (at sim.Time, idx uint6
 	fr := &fs.rank[src]
 	at = now
 	if end := fs.flapEnd(src, dst, now); end > at {
-		fs.nw.Counters.Row(src)[cDelayed]++
+		fs.nw.Counters.Row(src).Add(cDelayed, 1)
 		at = end
 	}
 	if fr.out == nil {
@@ -314,7 +317,7 @@ func (fs *faultState) send(d *desc) {
 		// The source NIC is dead: the packet never leaves the host.
 		d.pkt = nil
 		n.returnCredit(d)
-		fs.nw.Counters.Row(p.Src)[cTxDrops]++
+		fs.nw.Counters.Row(p.Src).Add(cTxDrops, 1)
 		fs.nw.release(p.Src, p)
 	case fs.nw.topo != nil:
 		// The descriptor rides the topology as on the lossless path; credit
@@ -339,7 +342,7 @@ func faultArrive(x any) {
 	fs := nw.faults
 	switch {
 	case fs.deadBy(p.Dst, nw.nics[p.Dst].k.Now()):
-		fs.nw.Counters.Row(p.Dst)[cRxDrops]++
+		fs.nw.Counters.Row(p.Dst).Add(cRxDrops, 1)
 		nw.release(p.Dst, p)
 	case p.rel:
 		fs.recvReliable(p)

@@ -106,11 +106,11 @@ func TestScheduledDeathDropsAndDetects(t *testing.T) {
 			t.Fatalf("delivery to dead rank 2 at t=%d", d.At)
 		}
 	}
-	if nw.Counters.Row(2)[cRxDrops] == 0 {
+	if nw.Counters.Row(2).Get(cRxDrops) == 0 {
 		t.Fatal("no arrival was absorbed at the dead rank")
 	}
 	// Rank 2's own sends after death die at the source.
-	if nw.Counters.Row(2)[cTxDrops] == 0 {
+	if nw.Counters.Row(2).Get(cTxDrops) == 0 {
 		t.Fatal("dead rank's departures were not dropped at source")
 	}
 	// Every survivor hears exactly one declaration, at death + detect.
@@ -135,7 +135,7 @@ func TestScheduledDeathDropsAndDetects(t *testing.T) {
 func TestScheduledFlapHoldsInOrder(t *testing.T) {
 	fs := FaultProfile{Flaps: []LinkFlap{{Src: 0, Dst: 1, From: 0, For: 10 * sim.Microsecond}}}
 	flat, _, nw := runFaultWorld(t, DefaultConfig(), fs, 0)
-	if nw.Counters.Row(0)[cDelayed] == 0 {
+	if nw.Counters.Row(0).Get(cDelayed) == 0 {
 		t.Fatal("flap window held no departures")
 	}
 	lift := 10*sim.Microsecond + nw.Cfg.Alpha
@@ -233,8 +233,8 @@ func TestLossySerialShardedParity(t *testing.T) {
 	for name, cfg := range map[string]Config{"crossbar": DefaultConfig(), "fattree": fatTree()} {
 		nw := checkShardParity(t, cfg, fp, 2, 4)
 		for r := 0; r < 4; r++ {
-			if st := nw.Counters.Row(r); st[cAcked] != st[cSent] || st[cSent] != 40 {
-				t.Errorf("%s: rank %d sent %d acked %d, want 40/40", name, r, st[cSent], st[cAcked])
+			if st := nw.Counters.Row(r); st.Get(cAcked) != st.Get(cSent) || st.Get(cSent) != 40 {
+				t.Errorf("%s: rank %d sent %d acked %d, want 40/40", name, r, st.Get(cSent), st.Get(cAcked))
 			}
 		}
 		if total(nw, cDrops) == 0 || total(nw, cDupDrops) == 0 || total(nw, cCorruptDrops) == 0 ||
@@ -280,7 +280,7 @@ func TestTopoFlapHoldAndMidFlightDeath(t *testing.T) {
 		if last != 38 { // rank 0's even-numbered packets go to rank 1
 			t.Errorf("drop=%g: held link's last delivery is %d, want 38", drop, last)
 		}
-		if held, absorbed := nw.Counters.Row(0)[cDelayed], nw.Counters.Row(2)[cRxDrops]; held == 0 || absorbed == 0 || len(decl) != 3 {
+		if held, absorbed := nw.Counters.Row(0).Get(cDelayed), nw.Counters.Row(2).Get(cRxDrops); held == 0 || absorbed == 0 || len(decl) != 3 {
 			t.Errorf("drop=%g: held=%d absorbed=%d declarations=%v", drop, held, absorbed, decl)
 		}
 		checkCreditsBalanced(t, nw)

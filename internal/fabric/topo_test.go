@@ -124,7 +124,7 @@ func TestTopoIncastCongests(t *testing.T) {
 			t.Fatalf("arrivals %d apart, want >= %d (leaf down-link must serialize)", d, occ)
 		}
 	}
-	if fab := nw.Counters.Row(nw.Counters.Ranks); fab[topoQueued] == 0 || fab[topoDelivered] != 7 {
+	if fab := nw.Counters.Row(nw.Counters.Ranks); fab.Get(topoQueued) == 0 || fab.Get(topoDelivered) != 7 {
 		t.Fatalf("incast left no congestion footprint: %v", nw.Counters.Snapshot())
 	}
 	if d := nw.Diag(0); d == "" {

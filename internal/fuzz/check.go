@@ -37,17 +37,17 @@ func Verify(p *Program, mode core.Mode, res *RunResult) []string {
 	var sent, recv, stale int64
 	for r := 0; r < p.NRanks; r++ {
 		c := res.Counters.Row(r)
-		if c[epochsOpened] != c[epochsCompleted] {
-			bad("rank %d: %d epochs opened but %d completed", r, c[epochsOpened], c[epochsCompleted])
+		if c.Get(epochsOpened) != c.Get(epochsCompleted) {
+			bad("rank %d: %d epochs opened but %d completed", r, c.Get(epochsOpened), c.Get(epochsCompleted))
 		}
-		if mode == core.ModeFlush && c[epochsOpened] != 0 {
-			bad("rank %d: flush-mode windows opened %d epochs", r, c[epochsOpened])
+		if mode == core.ModeFlush && c.Get(epochsOpened) != 0 {
+			bad("rank %d: flush-mode windows opened %d epochs", r, c.Get(epochsOpened))
 		}
-		sent, recv, stale = sent+c[signalsSent], recv+c[signalsRecv], stale+c[signalsStale]
+		sent, recv, stale = sent+c.Get(signalsSent), recv+c.Get(signalsRecv), stale+c.Get(signalsStale)
 		onSignal := slices.ContainsFunc(res.Wins[r], func(w *core.Window) bool { return w.Transport() != core.TransportGATS })
-		if !onSignal && c[signalsSent]|c[signalsRecv]|c[signalsStale] != 0 {
+		if !onSignal && c.Get(signalsSent)|c.Get(signalsRecv)|c.Get(signalsStale) != 0 {
 			bad("rank %d: GATS transport recorded signal traffic (sent=%d recv=%d stale=%d)",
-				r, c[signalsSent], c[signalsRecv], c[signalsStale])
+				r, c.Get(signalsSent), c.Get(signalsRecv), c.Get(signalsStale))
 		}
 		for wi, win := range res.Wins[r] {
 			if n := win.PendingEpochs(); n != 0 {

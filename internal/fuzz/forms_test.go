@@ -39,7 +39,7 @@ func fingerprint(r *RunResult) string {
 func total(s *metrics.Set, name string) (v int64) {
 	id := metrics.Lookup(name)
 	for r := 0; r <= s.Ranks; r++ {
-		v += s.Row(r)[id]
+		v += s.Row(r).Get(id)
 	}
 	return v
 }

@@ -170,18 +170,73 @@ func TestBarrierTokensExactlyOnceUnderLossyARQ(t *testing.T) {
 		t.Fatalf("simulation failed: %v", err)
 	}
 	var dups, drops int64
-	for i, r := range w.ranks {
-		if n := len(r.barrier.seen); n != 0 {
-			t.Errorf("rank %d holds %d unconsumed barrier tokens: %v", i, n, r.barrier.seen)
+	for i := range w.ranks {
+		r := &w.ranks[i]
+		if r.barrier.seen != [2]uint64{} {
+			t.Errorf("rank %d holds unconsumed barrier tokens: %b", i, r.barrier.seen)
 		}
 		if len(r.inbox) != 0 {
 			t.Errorf("rank %d inbox holds %d packets after a barrier-only run", i, len(r.inbox))
 		}
 		st := w.Net.Counters.Row(i)
-		dups += st[metrics.Lookup("fabric.dups_sent")]
-		drops += st[metrics.Lookup("fabric.drops")]
+		dups += st.Get(metrics.Lookup("fabric.dups_sent"))
+		drops += st.Get(metrics.Lookup("fabric.drops"))
 	}
 	if dups == 0 || drops == 0 {
 		t.Fatalf("fault profile injected dups=%d drops=%d; the test needs both", dups, drops)
+	}
+}
+
+// A rank that leaves a barrier early enters the next one at once, so its
+// first token of generation g+1 can reach a peer still inside g: the token
+// waits in the other parity's word and is consumed exactly once, when the
+// peer gets to g+1. Two ranks per node (a fast intranode hop beside the
+// internode one) and a rank that computes before every other barrier make
+// that happen; the test checks it did, in both rank forms, and that no
+// token is left over.
+func TestBarrierNextGenerationTokenWhileInBarrier(t *testing.T) {
+	const ranks, barriers, slow = 5, 20, 1
+	cfg := testCfg()
+	cfg.ProcsPerNode = 2
+	for _, tasks := range []bool{false, true} {
+		w := NewWorld(ranks, cfg)
+		early := 0
+		entered := make([]int, ranks)
+		err := w.RunProgram(func(r *Rank) sim.Task {
+			var calls []func()
+			for i := 1; i <= barriers; i++ {
+				calls = append(calls,
+					func() {
+						if r.ID == slow && i%2 == 1 {
+							r.Compute(10 * sim.Microsecond)
+						}
+					},
+					func() { entered[r.ID] = i },
+					func() { r.Barrier() },
+					func() {
+						for j, e := range entered {
+							if e < i {
+								t.Errorf("tasks=%t: rank %d left barrier %d before rank %d entered it", tasks, r.ID, i, j)
+							}
+						}
+						if r.barrier.seen[(r.barrier.gen+1)&1] != 0 {
+							early++ // a token of g+1 came in while this rank was inside g
+						}
+					})
+			}
+			return &script{r: r, calls: calls}
+		}, tasks)
+		if err != nil {
+			t.Fatalf("tasks=%t: simulation failed: %v", tasks, err)
+		}
+		t.Logf("tasks=%t: %d of %d barrier exits found a next-generation token waiting", tasks, early, ranks*barriers)
+		if early == 0 {
+			t.Errorf("tasks=%t: no next-generation token arrived inside a barrier; the skew does not exercise the case", tasks)
+		}
+		for i := range w.ranks {
+			if seen := w.ranks[i].barrier.seen; seen != [2]uint64{} {
+				t.Errorf("tasks=%t: rank %d holds unconsumed barrier tokens: %b", tasks, i, seen)
+			}
+		}
 	}
 }

@@ -2,33 +2,33 @@ package mpi
 
 import "repro/internal/fabric"
 
-// barrierState tracks dissemination-barrier tokens. Tokens are keyed by
-// (generation, round) so overlapping generations from fast peers are safe.
-// round and dist are the position of the barrier in flight; dist is zero
-// between barriers.
+// barrierState tracks dissemination-barrier tokens as bits: seen[g&1] holds
+// generation g's, bit k for round k (a barrier of fabric.MaxRanks ranks has
+// 18 rounds). Two words suffice because only generations g and g+1 can have
+// tokens outstanding at a rank whose last barrier entered is g. Tokens of
+// g-1 and older are all consumed: the rank left g-1 having taken one per
+// round, and exactly one is sent to it per round. A token of g+2 or later
+// cannot exist yet: its sender would have finished g+1, which no rank does
+// before every rank, this one included, has entered g+1. So a word is
+// empty by the time the next generation of its parity reuses it. round and
+// dist are the position of the barrier in flight; dist is zero between
+// barriers.
 type barrierState struct {
 	gen   int64
-	seen  map[[2]int64]bool
+	seen  [2]uint64
 	round int64
 	dist  int
 }
 
 // arrive records an incoming token for (generation, round).
-func (b *barrierState) arrive(gen, round int64) {
-	if b.seen == nil {
-		b.seen = make(map[[2]int64]bool)
-	}
-	b.seen[[2]int64{gen, round}] = true
-}
+func (b *barrierState) arrive(gen, round int64) { b.seen[gen&1] |= 1 << round }
 
 // take consumes a token if present.
 func (b *barrierState) take(gen, round int64) bool {
-	key := [2]int64{gen, round}
-	if b.seen[key] {
-		delete(b.seen, key)
-		return true
-	}
-	return false
+	word, bit := &b.seen[gen&1], uint64(1)<<round
+	ok := *word&bit != 0
+	*word &^= bit
+	return ok
 }
 
 // sendToken sends the (gen, round) token to dst in a pooled packet: the

@@ -17,7 +17,7 @@ type Rank struct {
 
 	// Wake fires whenever anything that might complete a request happens
 	// for this rank (delivery, counter update, epoch completion...).
-	Wake *sim.Signal
+	Wake sim.Signal
 
 	// Two-sided engine state.
 	inbox      []*fabric.Packet  // two-sided protocol packets awaiting CPU
@@ -25,9 +25,8 @@ type Rank struct {
 	sendOps    map[int64]*sendOp // in-flight rendezvous sends by id
 	nextSendID int64             // rendezvous send id allocator
 	barrier    barrierState
-	completed  Request              // the shared pre-completed request (NewCompletedRequest)
-	rmaHandler func(*fabric.Packet) // NIC-level RMA handler (internal/core)
-	progressFn []func()             // extra CPU progress engines (internal/core)
+	completed  Request   // the shared pre-completed request (NewCompletedRequest)
+	rma        RMAEngine // the one-sided engine (internal/core), nil without one
 
 	// TimeInMPI accumulates virtual time this rank spent inside blocking
 	// MPI calls (used for the paper's Fig 13b/d communication-percentage
@@ -53,10 +52,18 @@ const (
 	inWait               // WaitUntil: every charge before it is paid
 )
 
-func newRank(w *World, id int, k *sim.Kernel) *Rank {
-	r := &Rank{world: w, ID: id, k: k, Wake: sim.NewSignal(k)}
+// RMAEngine is a rank's one-sided engine (internal/core's): the NIC-context
+// handler of every packet kind this package does not own, and a CPU
+// progress sweep every blocking MPI call on the rank drives.
+type RMAEngine interface {
+	Deliver(p *fabric.Packet)
+	Progress()
+}
+
+// init builds rank id in place, in its world's slice of ranks.
+func (r *Rank) init(w *World, id int, k *sim.Kernel) {
+	*r = Rank{world: w, ID: id, k: k, Wake: *sim.NewSignal(k)}
 	r.completed = Request{rank: r, done: true}
-	return r
 }
 
 // Kernel returns the kernel this rank lives on — rank-local work (timers,
@@ -117,12 +124,8 @@ func (r *Rank) ChargeCall() bool {
 	return r.pause(r.world.Net.Cfg.CallOverhead, "mpi-call")
 }
 
-// SetRMAHandler installs the NIC-context handler for RMA packet kinds.
-func (r *Rank) SetRMAHandler(h func(*fabric.Packet)) { r.rmaHandler = h }
-
-// AddProgress registers an additional CPU progress function; every blocking
-// MPI call on this rank drives all registered engines.
-func (r *Rank) AddProgress(fn func()) { r.progressFn = append(r.progressFn, fn) }
+// SetRMA attaches the rank's one-sided engine.
+func (r *Rank) SetRMA(e RMAEngine) { r.rma = e }
 
 // onDeliver is the fabric delivery handler: it demultiplexes by packet kind.
 // It runs in kernel context (NIC processing) and must not block.
@@ -139,20 +142,20 @@ func (r *Rank) onDeliver(p *fabric.Packet) {
 		r.barrier.arrive(p.Arg[0], p.Arg[1])
 		r.Wake.Fire()
 	default:
-		if r.rmaHandler == nil {
-			panic(fmt.Sprintf("mpi: rank %d received RMA packet kind %d with no RMA handler", r.ID, p.Kind))
+		if r.rma == nil {
+			panic(fmt.Sprintf("mpi: rank %d received RMA packet kind %d with no RMA engine", r.ID, p.Kind))
 		}
-		r.rmaHandler(p)
+		r.rma.Deliver(p)
 	}
 }
 
 // Progress runs one sweep of every software progress engine owned by this
-// rank: the two-sided engine first, then any registered RMA engines. Both
+// rank: the two-sided engine first, then the RMA engine, if any. Both
 // engines collaborate, so progress made in one can unblock the other.
 func (r *Rank) Progress() {
 	r.progressTwoSided()
-	for _, fn := range r.progressFn {
-		fn()
+	if r.rma != nil {
+		r.rma.Progress()
 	}
 }
 

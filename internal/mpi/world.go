@@ -18,13 +18,22 @@ import (
 // and n ranks.
 type World struct {
 	// K is the single serial kernel; nil when the world is sharded. Code
-	// that must work in both modes goes through KernelFor / the World-level
-	// SetWatchdog, Events and AddDiagProvider wrappers.
+	// that must work in both modes goes through Rank.Kernel / the
+	// World-level SetWatchdog, Events and AddDiagProvider wrappers.
 	K   *sim.Kernel
 	Net *fabric.Network
 
-	sh    *sim.Shards // nil when serial
-	ranks []*Rank
+	sim   simulation // K, or the shard group
+	ranks []Rank
+	procs []sim.Proc // the ranks' procs, one each once launched
+}
+
+// simulation is what runs a world: a serial kernel or a shard group.
+type simulation interface {
+	SetWatchdog(maxEvents uint64, maxTime sim.Time)
+	AddDiagProvider(fn func(*sim.Proc) string)
+	Events() uint64
+	Run() error
 }
 
 // NewWorld creates a job of n ranks over a fresh serial kernel and network.
@@ -50,30 +59,35 @@ func NewWorldShards(n int, cfg fabric.Config, shards int) *World {
 			n, fabric.MaxRanks, fabric.RankBits))
 	}
 	w := &World{}
+	var sh *sim.Shards
 	if shards > 1 {
-		sh := sim.NewShards(shardAssign(n, cfg, shards))
-		w.sh = sh
-		w.Net = fabric.NewNetworkShards(sh, n, cfg)
+		sh = sim.NewShards(shardAssign(n, cfg, shards))
+		w.sim, w.Net = sh, fabric.NewNetworkShards(sh, n, cfg)
 		sh.SetLookahead(w.Net.Lookahead())
 	} else {
-		k := sim.NewKernel()
-		w.K = k
-		w.Net = fabric.NewNetwork(k, n, cfg)
+		w.K = sim.NewKernel()
+		w.sim, w.Net = w.K, fabric.NewNetwork(w.K, n, cfg)
 	}
-	w.ranks = make([]*Rank, n)
-	for i := 0; i < n; i++ {
-		w.ranks[i] = newRank(w, i, w.KernelFor(i))
-		r := w.ranks[i]
-		w.Net.SetHandler(i, r.onDeliver)
+	// A world's ranks and their procs are each one slice; one closure
+	// delivers every rank's packets.
+	w.ranks, w.procs = make([]Rank, n), make([]sim.Proc, n)
+	deliver := func(p *fabric.Packet) { w.ranks[p.Dst].onDeliver(p) }
+	for i := range w.ranks {
+		k := w.K
+		if sh != nil {
+			k = sh.KernelFor(i)
+		}
+		w.ranks[i].init(w, i, k)
+		w.Net.SetHandler(i, deliver)
 	}
 	// Deadlock/watchdog reports include the fabric's view of the blocked
 	// rank (Network.Diag): reliability state and the congestion around its
 	// node. Contributes nothing when faults are off and the crossbar is in
 	// use.
 	w.AddDiagProvider(func(p *sim.Proc) string {
-		for _, r := range w.ranks {
-			if r.Proc == p {
-				return w.Net.Diag(r.ID)
+		for i := range w.ranks {
+			if w.ranks[i].Proc == p {
+				return w.Net.Diag(i)
 			}
 		}
 		return ""
@@ -95,68 +109,44 @@ func shardAssign(n int, cfg fabric.Config, shards int) []int {
 	return assign
 }
 
-// KernelFor returns the kernel that owns rank i.
-func (w *World) KernelFor(i int) *sim.Kernel {
-	if w.sh == nil {
-		return w.K
-	}
-	return w.sh.KernelFor(i)
-}
-
 // SetWatchdog arms the simulation's hang protection (sim.Kernel.SetWatchdog
 // / sim.Shards.SetWatchdog).
 func (w *World) SetWatchdog(maxEvents uint64, maxTime sim.Time) {
-	if w.sh == nil {
-		w.K.SetWatchdog(maxEvents, maxTime)
-		return
-	}
-	w.sh.SetWatchdog(maxEvents, maxTime)
+	w.sim.SetWatchdog(maxEvents, maxTime)
 }
 
 // Events returns the total number of simulation events processed.
-func (w *World) Events() uint64 {
-	if w.sh == nil {
-		return w.K.Events()
-	}
-	return w.sh.Events()
-}
+func (w *World) Events() uint64 { return w.sim.Events() }
 
 // AddDiagProvider registers a per-proc diagnostic hook on every kernel.
-func (w *World) AddDiagProvider(fn func(*sim.Proc) string) {
-	if w.sh == nil {
-		w.K.AddDiagProvider(fn)
-		return
-	}
-	w.sh.AddDiagProvider(fn)
-}
+func (w *World) AddDiagProvider(fn func(*sim.Proc) string) { w.sim.AddDiagProvider(fn) }
 
 // Size returns the number of ranks in the job.
 func (w *World) Size() int { return len(w.ranks) }
 
 // Rank returns rank i.
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
+func (w *World) Rank(i int) *Rank { return &w.ranks[i] }
 
-// Run launches body on every rank as a blocking proc (sim.Kernel.Spawn: the
-// body runs as a coroutine that each wake resumes) and executes the
-// simulation to completion. It returns the kernel error, if any (panic or
-// deadlock).
+// Run launches body on every rank as a blocking proc (sim.Body: the body
+// runs as a coroutine that each wake resumes) and executes the simulation to
+// completion. It returns the kernel error, if any (panic or deadlock).
 func (w *World) Run(body func(*Rank)) error {
-	for _, r := range w.ranks {
-		r.Proc = r.k.Spawn(fmt.Sprintf("rank%d", r.ID), func(*sim.Proc) { body(r) })
-	}
-	return w.run()
+	return w.RunTasks(func(r *Rank) sim.Task { return sim.Body(func(*sim.Proc) { body(r) }) })
 }
 
 // RunTasks launches mk(rank) on every rank as a state machine (sim.Task: no
 // coroutine, no stack — the fast path for worlds of many thousands of
 // ranks) and executes the simulation to completion. Scheduling is identical
 // to Run with a body making the same calls at the same virtual times, so
-// observables are bit-identical across the two forms.
+// observables are bit-identical across the two forms. Ranks are launched in
+// rank order, each on its proc of the world's one slice.
 func (w *World) RunTasks(mk func(r *Rank) sim.Task) error {
-	for _, r := range w.ranks {
-		r.Proc = r.k.SpawnTask(fmt.Sprintf("rank%d", r.ID), mk(r))
+	for i := range w.ranks {
+		r := &w.ranks[i]
+		r.Proc = &w.procs[i]
+		r.k.Launch(r.Proc, fmt.Sprintf("rank%d", i), mk(r))
 	}
-	return w.run()
+	return w.sim.Run()
 }
 
 // RunProgram runs mk's rank program — a sim.Task that makes one MPI call per
@@ -169,12 +159,4 @@ func (w *World) RunProgram(mk func(r *Rank) sim.Task, tasks bool) error {
 		return w.RunTasks(mk)
 	}
 	return w.Run(func(r *Rank) { mk(r).Step(r.Proc) })
-}
-
-// run executes the simulation of the launched ranks.
-func (w *World) run() error {
-	if w.sh != nil {
-		return w.sh.Run()
-	}
-	return w.K.Run()
 }

@@ -159,15 +159,16 @@ func (run *Run) Slots(n, capacity int) {
 }
 
 // Exec runs mk's program on every rank, as task ranks or goroutine ranks
-// (mpi.World.RunProgram); the two are bit-identical.
+// (mpi.World.RunProgram); the two are bit-identical. The ranks' tasks are
+// one slice.
 func (run *Run) Exec(mk func(r *mpi.Rank) Program, tasks bool) error {
-	return run.World.RunProgram(func(r *mpi.Rank) sim.Task {
-		return newTask(run, r, mk(r))
-	}, tasks)
+	all := make([]task, run.World.Size())
+	return run.World.RunProgram(func(r *mpi.Rank) sim.Task { return all[r.ID].init(run, r, mk(r)) }, tasks)
 }
 
-func newTask(run *Run, r *mpi.Rank, pg Program) *task {
-	t := &task{Program: pg, run: run, r: r, wins: run.Wins[r.ID]}
+// init builds r's task in place and returns it.
+func (t *task) init(run *Run, r *mpi.Rank, pg Program) *task {
+	*t = task{Program: pg, run: run, r: r, wins: run.Wins[r.ID]}
 	t.kept = t.keptIn[:0]
 	return t
 }

@@ -144,7 +144,7 @@ type outcome struct {
 
 // run runs the case on a fresh world in one form and returns the outcome and
 // every rank's task, for the white-box checks.
-func run(t *testing.T, k Kind, tasks bool) (outcome, []*task) {
+func run(t *testing.T, k Kind, tasks bool) (outcome, []task) {
 	t.Helper()
 	bodies := cases[k]
 	n := len(bodies)
@@ -156,12 +156,11 @@ func run(t *testing.T, k Kind, tasks bool) (outcome, []*task) {
 	w.SetWatchdog(100_000, 0) // a livelocked case fails instead of hanging
 	r := NewRun(w, Window{Size: 64, Opt: opt})
 	r.Slots(3, 2)
-	ts := make([]*task, n)
+	ts := make([]task, n)
 	err := w.RunProgram(func(rk *mpi.Rank) sim.Task {
 		pg := Program{Pre: []Call{{Kind: Create}}, Body: bodies[rk.ID], Post: []Call{{Kind: Quiesce}}, Iters: 2,
 			Groups: [][]int{{0}, {1}}, Gen: &countingGen{}}
-		ts[rk.ID] = newTask(r, rk, pg)
-		return ts[rk.ID]
+		return ts[rk.ID].init(r, rk, pg)
 	}, tasks)
 	if err != nil {
 		t.Fatalf("%v, tasks=%t: %v", k, tasks, err)
@@ -270,5 +269,34 @@ func TestGenContinuesAndTakesErrorsBothForms(t *testing.T) {
 	}
 	if ends[0] != ends[1] {
 		t.Errorf("forms diverge: goroutine ranks end at %v, task ranks at %v", ends[0], ends[1])
+	}
+}
+
+// TestWorldBuildAllocs pins what a world costs before its first epoch: build
+// it, create one shape-only window and quiesce it, on task ranks. The cost
+// per rank is the slope between 4 and 64 ranks, so what a world costs once
+// cancels. Every layer cuts its per-rank state from one slice per world;
+// what is left per rank is the first fill of the fabric's pools (a
+// descriptor, a packet, their free lists and the NIC's queues, for the
+// barrier's tokens), the two peer tables, the window and the program's own
+// slice.
+func TestWorldBuildAllocs(t *testing.T) {
+	const budget = 12 // heap objects per rank
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			w := mpi.NewWorld(n, fabric.DefaultConfig())
+			r := NewRun(w, Window{Size: 64, Opt: core.WinOptions{ShapeOnly: true}})
+			if err := r.Exec(func(*mpi.Rank) Program {
+				return Program{Pre: []Call{{Kind: Create}, {Kind: Quiesce}}}
+			}, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := build(4), build(64)
+	perRank := (large - small) / 60
+	t.Logf("4 ranks: %.0f objects, 64 ranks: %.0f objects: %.1f per rank (budget %d)", small, large, perRank, budget)
+	if perRank > budget {
+		t.Errorf("building a world costs %.1f heap objects per rank, budget %d", perRank, budget)
 	}
 }

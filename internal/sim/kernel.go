@@ -313,17 +313,7 @@ func (k *Kernel) abort(err error) {
 // Spawn registers a new process whose body starts executing at the current
 // virtual time. The body runs as a coroutine under kernel scheduling.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	return k.SpawnAt(k.now, name, body)
-}
-
-// SpawnAt registers a new process whose body starts at virtual time t.
-// The body's coroutine is created when the start event fires; until
-// then the proc reports "not yet started" in diagnostics.
-func (k *Kernel) SpawnAt(t Time, name string, body func(*Proc)) *Proc {
-	c := &coro{body: body}
-	p := k.SpawnTaskAt(t, name, c)
-	p.co = c
-	return p
+	return k.SpawnTask(name, Body(body))
 }
 
 // SpawnTask registers a task proc whose state machine is first stepped at
@@ -334,16 +324,22 @@ func (k *Kernel) SpawnTask(name string, t Task) *Proc {
 
 // SpawnTaskAt registers a task proc first stepped at virtual time t.
 func (k *Kernel) SpawnTaskAt(at Time, name string, t Task) *Proc {
-	p := &Proc{
-		k:       k,
-		Name:    name,
-		ID:      len(k.procs),
-		waitTag: waitTagNotStarted,
-		task:    t,
-	}
+	p := new(Proc)
+	k.launch(p, at, name, t)
+	return p
+}
+
+// Launch is SpawnTask into p, a zero Proc the caller owns, so that a world
+// cuts its ranks' procs from one slice.
+func (k *Kernel) Launch(p *Proc, name string, t Task) { k.launch(p, k.now, name, t) }
+
+// launch registers p, stepping t from virtual time at. A Body task makes p
+// a Spawn proc.
+func (k *Kernel) launch(p *Proc, at Time, name string, t Task) {
+	c, _ := t.(*coro)
+	*p = Proc{k: k, Name: name, ID: len(k.procs), waitTag: waitTagNotStarted, task: t, co: c}
 	k.procs = append(k.procs, p)
 	k.AtCall(at, wakeProc, p)
-	return p
 }
 
 // waitTagNotStarted is the wait tag of a spawned proc whose start event has

@@ -189,7 +189,7 @@ func TestKernelRunsOnce(t *testing.T) {
 func TestSpawnAtFuture(t *testing.T) {
 	k := NewKernel()
 	var started Time
-	k.SpawnAt(500, "late", func(p *Proc) { started = p.now() })
+	k.SpawnTaskAt(500, "late", Body(func(p *Proc) { started = p.now() }))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

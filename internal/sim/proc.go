@@ -14,10 +14,11 @@ import (
 //   - SpawnTask/SpawnTaskAt: the body is a resumable state machine (Task)
 //     whose waits arm a wake and return, so the proc owns no goroutine and
 //     no stack at all. This is the fast path large worlds run on.
-//   - Spawn/SpawnAt: the body is a function with blocking Sleep/Wait calls,
-//     run as a coroutine (coro) that each Step resumes until the body parks
-//     or returns. The coroutine is lazy — created at the start event — and
-//     transient — it ends with the body, so a finished proc costs no stack.
+//   - Spawn (SpawnTask of a Body): the body is a function with blocking
+//     Sleep/Wait calls, run as a coroutine (coro) that each Step resumes
+//     until the body parks or returns. The coroutine is lazy — created at
+//     the start event — and transient — it ends with the body, so a
+//     finished proc costs no stack.
 //
 // Either way execution is strictly sequential: the event loop and the body
 // it resumes take turns on the caller of Run, so proc code never races with
@@ -67,6 +68,10 @@ type coro struct {
 	stop  func()
 	yield func(string) bool
 }
+
+// Body returns the Task of a blocking body: a coroutine, created at the
+// proc's start, that each Step resumes. Spawning it makes a Spawn proc.
+func Body(body func(*Proc)) Task { return &coro{body: body} }
 
 // Step runs the body until it parks or returns. A panic in the body comes
 // out of next, so runStep reports it exactly as a task's own; so does a
@@ -214,35 +219,29 @@ func (p *Proc) Yield() { p.TaskYield() }
 // Signal is a broadcast wakeup primitive. Procs park on it; Fire wakes all
 // current waiters by scheduling resume events at the present virtual time.
 // Waiters must re-check their predicate after waking (wakeups can be
-// spurious with respect to any particular condition).
+// spurious with respect to any particular condition). A Signal may be held
+// by value, as a rank holds its wake, but not copied once waited on.
 type Signal struct {
 	k       *Kernel
 	waiters []*Proc
-	// spare is the previous waiter slice, recycled by Fire so steady-state
-	// wait/fire cycles allocate nothing. Fire never runs waiters inline —
-	// wakes go through the event queue — so a re-wait from a woken proc
-	// appends to the new waiters slice, never to the batch being drained.
-	spare []*Proc
+	// in is waiters' first storage: a rank's wake has one waiter, its own
+	// proc, so it never grows a heap slice.
+	in [1]*Proc
 }
 
 // NewSignal creates a Signal bound to kernel k.
 func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 
 // Fire wakes every proc currently parked on the signal. Safe to call from
-// both kernel context and proc context.
+// both kernel context and proc context. The waiters slice is emptied in
+// place: Fire never runs a waiter inline — wakes go through the event
+// queue — so no re-wait can append to it while it is drained.
 func (s *Signal) Fire() {
-	if len(s.waiters) == 0 {
-		return
-	}
-	ws := s.waiters
-	s.waiters = s.spare[:0]
-	for _, p := range ws {
+	for i, p := range s.waiters {
 		s.k.AtCall(s.k.now, wakeProc, p)
+		s.waiters[i] = nil
 	}
-	for i := range ws {
-		ws[i] = nil
-	}
-	s.spare = ws[:0]
+	s.waiters = s.waiters[:0]
 }
 
 // Wait parks the calling proc until the next Fire. tag is used in deadlock
@@ -250,6 +249,9 @@ func (s *Signal) Fire() {
 // the caller must unwind out of Step and re-check its predicate on the next
 // Step, exactly as a Spawn proc's body re-checks after park returns.
 func (s *Signal) Wait(p *Proc, tag string) {
+	if s.waiters == nil {
+		s.waiters = s.in[:0]
+	}
 	s.waiters = append(s.waiters, p)
 	p.wait(tag)
 }

@@ -2,12 +2,12 @@ package sim
 
 import "testing"
 
-// Satellite pin for Signal's slice recycling: Fire swaps the waiters slice
-// with a recycled spare, and a waiter that re-waits (or fires the signal
-// again) from inside its wake path must land on the fresh waiters slice —
-// never on the batch still being drained. Fire never runs waiters inline
-// (wakes go through the event queue), so by the time any woken proc runs,
-// Fire's drain loop has completed; these tests pin that structure.
+// Pins for Signal's slice reuse: Fire empties the waiters slice in place,
+// and a waiter that re-waits (or fires the signal again) from inside its
+// wake path must never land on the batch still being drained. Fire never
+// runs waiters inline (wakes go through the event queue), so by the time
+// any woken proc runs, Fire's drain loop has completed; these tests pin
+// that structure.
 
 // TestSignalRewaitFromWakePath wakes two procs that immediately re-wait and
 // re-fire: the re-registered waiters must not alias the drained batch, and
@@ -48,7 +48,7 @@ func TestSignalRewaitFromWakePath(t *testing.T) {
 
 // TestSignalFireDuringDrainNoAlias pins the aliasing hazard directly: a
 // task proc woken by Fire immediately re-waits and fires again during its
-// step. If the recycled spare slice aliased the batch being drained, the
+// step. If the reused waiters slice were appended to while drained, the
 // second fire would corrupt the first batch's iteration and some waiter
 // would be lost or woken twice.
 func TestSignalFireDuringDrainNoAlias(t *testing.T) {
@@ -57,7 +57,7 @@ func TestSignalFireDuringDrainNoAlias(t *testing.T) {
 	wakes := 0
 	// The partner is spawned first so it wakes (and re-waits) before the
 	// rewaiter's step runs: the rewaiter's inner Fire then drains a
-	// non-empty waiters slice that was recycled moments earlier.
+	// non-empty waiters slice that was emptied moments earlier.
 	k.Spawn("partner", func(p *Proc) {
 		for r := 0; r < 6; r++ {
 			sig.Wait(p, "partner")
@@ -90,7 +90,7 @@ func (t *rewaitTask) Step(p *Proc) {
 	if t.woken {
 		t.seen++
 		t.onWake()
-		t.sig.Fire() // fire while the draining batch is being recycled
+		t.sig.Fire() // fire right after the batch was drained
 		if t.seen >= t.rounds {
 			p.TaskExit()
 			return
@@ -101,8 +101,7 @@ func (t *rewaitTask) Step(p *Proc) {
 }
 
 // TestSignalSteadyStateAllocs pins zero allocations for steady-state
-// wait/fire cycles once the waiter slices have warmed up, for both
-// goroutine procs and the slices recycled through Fire.
+// wait/fire cycles once the waiters slice has warmed up.
 func TestSignalSteadyStateAllocs(t *testing.T) {
 	k := NewKernel()
 	sig := NewSignal(k)

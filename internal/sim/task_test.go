@@ -167,7 +167,7 @@ func (t *parityTask) Step(p *Proc) {
 func TestNeverStartedProcDiagnostics(t *testing.T) {
 	k := NewKernel()
 	k.SetWatchdog(0, 50)
-	k.SpawnAt(1000, "late", func(p *Proc) {})
+	k.SpawnTaskAt(1000, "late", Body(func(p *Proc) {}))
 	k.Spawn("spinner", func(p *Proc) {
 		for i := 0; i < 100; i++ {
 			p.Sleep(1)

@@ -108,7 +108,8 @@ type token struct {
 // reaches its destination host, one final-link latency before the arrival
 // instant (see Engine.deliver).
 func NewEngine(k *sim.Kernel, g *Graph, deliver func(delay sim.Time, payload any, dst int)) *Engine {
-	return NewEngineIn(k, g, deliver, metrics.NewSet(0).Row(0))
+	own := metrics.NewSet(0, "topo")
+	return NewEngineIn(k, g, deliver, own.Row(0))
 }
 
 // NewEngineIn is NewEngine counting into ctr, a world's fabric-wide row.
@@ -171,7 +172,7 @@ func (e *Engine) enqueue(ls *linkState, t *token, held bool) {
 	}
 	if q := len(ls.transit) + len(ls.inject); q > ls.stats.MaxQueue {
 		ls.stats.MaxQueue = q
-		e.ctr[cMaxQueue] = max(e.ctr[cMaxQueue], int64(q))
+		e.ctr.Max(cMaxQueue, int64(q))
 	}
 	e.kick(ls)
 }
@@ -217,7 +218,7 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 			if !ls.stalled {
 				ls.stalled = true
 				ls.stats.CreditStalls++
-				e.ctr[cStalls]++
+				e.ctr.Add(cStalls, 1)
 			}
 			pos := uint(e.G.feederPos[ls.link.ID])
 			ns.waiters[pos/64] |= 1 << (pos % 64)
@@ -234,9 +235,9 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 	ls.busy = true
 	waited, occ := e.K.Now()-t.enqT, ls.occupancy(t.size)
 	ls.stats.QueuedTime += waited
-	e.ctr[cQueued] += int64(waited)
-	e.ctr[cForwarded]++
-	e.ctr[cBusy] += int64(occ)
+	e.ctr.Add(cQueued, int64(waited))
+	e.ctr.Add(cForwarded, 1)
+	e.ctr.Add(cBusy, int64(occ))
 	e.K.AfterCall(occ, tokenTxDone, t)
 	// Virtual cut-through: the packet's bits stream into the downstream
 	// buffer as they transmit, so the slot it held here frees at tx START,
@@ -270,7 +271,7 @@ func tokenTxDone(x any) {
 	e.kick(ls)
 	if t.next < 0 {
 		payload, dst := t.payload, t.dst
-		e.ctr[cDelivered]++
+		e.ctr.Add(cDelivered, 1)
 		lat := ls.link.Lat
 		e.freeToken(t)
 		e.deliver(lat, payload, dst)
@@ -345,8 +346,8 @@ type Summary struct {
 // counters, kept for benchmarks/.
 func (e *Engine) Summary() Summary {
 	c := e.ctr
-	return Summary{Links: len(e.links), Delivered: c[cDelivered], Forwarded: c[cForwarded], QueuedTime: sim.Time(c[cQueued]),
-		BusyTime: sim.Time(c[cBusy]), CreditStalls: c[cStalls], MaxQueue: int(c[cMaxQueue])}
+	return Summary{Links: len(e.links), Delivered: c.Get(cDelivered), Forwarded: c.Get(cForwarded), QueuedTime: sim.Time(c.Get(cQueued)),
+		BusyTime: sim.Time(c.Get(cBusy)), CreditStalls: c.Get(cStalls), MaxQueue: int(c.Get(cMaxQueue))}
 }
 
 // HostDiag renders the congestion state relevant to one host for watchdog

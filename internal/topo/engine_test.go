@@ -413,7 +413,8 @@ func TestEngineAllocs(t *testing.T) {
 	for _, nodes := range []int{16, 128} {
 		g := mustBuild(t, spec, nodes)
 		k := sim.NewKernel()
-		row := make(metrics.Row, 8)
+		set := metrics.NewSet(0, "topo")
+		row := set.Row(0)
 		if n := testing.AllocsPerRun(10, func() { NewEngineIn(k, g, deliver, row) }); n != 3 {
 			t.Errorf("NewEngineIn over %d hosts: %.0f allocations, want 3", nodes, n)
 		}
