@@ -39,7 +39,7 @@ func TestDocLineBudgets(t *testing.T) {
 // `find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l` does.
 // Like the doc budgets it is raised only by a change that says why: the code
 // is meant to shrink, not grow.
-const codeBudget = 15954
+const codeBudget = 16094
 
 func TestCodeLineBudget(t *testing.T) {
 	n := 0

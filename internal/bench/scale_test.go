@@ -200,6 +200,26 @@ func TestScaleTaskAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestScalePoolFill budgets the heap objects per rank of one 512-rank
+// scale cell, all four series, world construction included. Descriptors,
+// stripe groups, packets, topology tokens and ops come from per-kernel
+// pools filled a chunk at a time, and the NIC's rail queues and the
+// topology's link queues chain through those objects, so the cell reads
+// 73.5 objects per rank; filled one object at a time, with slices as free
+// lists and queues, it read 316.
+func TestScalePoolFill(t *testing.T) {
+	const ranks, budget = 512, 75.0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	FigScaleRanks([]int{ranks}, 1)
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / ranks
+	t.Logf("%d ranks: %.1f objects per rank (budget %.0f)", ranks, got, budget)
+	if got > budget {
+		t.Errorf("a %d-rank scale cell costs %.1f heap objects per rank, budget %.0f", ranks, got, budget)
+	}
+}
+
 // TestScaleBytesPerRank budgets the heap a task rank retains after a run of
 // the New-nonblocking scale cell — the world, runtime, windows, per-peer
 // tables and parked task state — as a HeapAlloc delta between two forced GCs

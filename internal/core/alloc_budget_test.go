@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/mpi"
@@ -100,6 +101,15 @@ func TestEpochAllocationBudgets(t *testing.T) {
 		win.Accumulate(1, 0, OpSum, TUint64, nil, 2*mpi.EagerThreshold)
 		win.Unlock(1)
 	}
+	// A burst of puts keeps more than a chunk of descriptors, packets and
+	// ops in flight at once: the pools fill once and are reused.
+	burst := func(win *Window, _ *mpi.Rank) {
+		win.Lock(1, true)
+		for i := 0; i < 3*64; i++ {
+			win.Put(1, 0, nil, 8)
+		}
+		win.Unlock(1)
+	}
 	flushPut := func(win *Window, r *mpi.Rank) {
 		win.Put(1, 0, nil, 8)
 		r.Wait(win.IFlush(1))
@@ -117,6 +127,7 @@ func TestEpochAllocationBudgets(t *testing.T) {
 		{"new/lock+PutVector", WinOptions{Mode: ModeNew}, putVector, nil, 0.05},
 		{"new/lock+GetVector", WinOptions{Mode: ModeNew}, getVector, nil, 0.05},
 		{"new/lock+acc rendezvous", WinOptions{Mode: ModeNew}, accRendezvous, nil, 0.05},
+		{"new/lock+192 puts", WinOptions{Mode: ModeNew}, burst, nil, 0.05},
 		{"vanilla/gats", WinOptions{Mode: ModeVanilla}, gatsOrigin, gatsTarget, 0.05},
 		{"vanilla/fence", WinOptions{Mode: ModeVanilla}, fence, fence, 0.05},
 		{"vanilla/lock", WinOptions{Mode: ModeVanilla}, lock, nil, 0.05},
@@ -144,5 +155,13 @@ func TestAccumulateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { w.applyAcc(0, data, 64, OpSum, TUint64) }); n != 0 {
 		t.Errorf("8-element TUint64 accumulate: %.1f allocations, want 0", n)
+	}
+}
+
+// An op chains its pool through nextLive, a link it already has, and stays
+// in the 256-byte size class.
+func TestOpSize(t *testing.T) {
+	if s := unsafe.Sizeof(rmaOp{}); s > 256 {
+		t.Errorf("rmaOp is %d bytes, max 256", s)
 	}
 }

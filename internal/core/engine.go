@@ -24,6 +24,7 @@ type Engine struct {
 	rt   *Runtime
 	rank *mpi.Rank
 	ctr  metrics.Row // the rank's row of the world's metrics set
+	pl   *pools      // where the rank's windows take ops and peer arrays
 
 	// windows holds the rank's windows by id, the order of creation, nil
 	// once freed; winList the live ones, the order every sweep visits
@@ -86,8 +87,8 @@ type fifoWordTo struct {
 }
 
 // init builds rank r's engine in place, in its runtime's slice of engines.
-func (e *Engine) init(rt *Runtime, r *mpi.Rank) {
-	*e = Engine{rt: rt, rank: r, ctr: rt.world.Net.Counters.Row(r.ID)}
+func (e *Engine) init(rt *Runtime, r *mpi.Rank, pl *pools) {
+	*e = Engine{rt: rt, rank: r, pl: pl, ctr: rt.world.Net.Counters.Row(r.ID)}
 	e.windows, e.winList = e.first[0][:0], e.first[1][:0]
 	r.SetRMA(e)
 }

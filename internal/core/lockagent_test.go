@@ -23,7 +23,7 @@ func agentHarness(t *testing.T, n int) *Window {
 		impl:  newMode{},
 		rules: &modes[ModeNew],
 		n:     n,
-		peers: peertab.New[peerCounters](n),
+		peers: peertab.NewWorld(n, new(peertab.Arena[peerCounters])),
 	}
 	win.agent = lockAgent{w: win, exclHolder: -1}
 	eng.windows = append(eng.windows, win)

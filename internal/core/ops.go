@@ -23,7 +23,7 @@ const (
 // as payload, so the target-side NIC handler reads the transfer from it and
 // raises origin-side completion (the simulation's completion-queue event) on
 // its engine, and the response leg parks the fetched value in resp. A
-// finished op goes back to its window's free list (Window.retire).
+// finished op goes back to its kernel's pool (Window.retire).
 type rmaOp struct {
 	ep     *Epoch
 	class  opClass
@@ -44,7 +44,7 @@ type rmaOp struct {
 	// order across targets, and program order toward this op's target.
 	nextRec, nextTgt *rmaOp
 	// Intrusive links of the window's live list, oldest first (window.go);
-	// nextLive also chains the window's free list.
+	// nextLive also chains the op pool's free list (Runtime.pools).
 	prevLive, nextLive *rmaOp
 
 	issuedAt, landedAt sim.Time // trace stamps: issue at the origin, landing at the target
@@ -79,12 +79,7 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 		w.fail(op.ep.err)
 		return nil
 	}
-	o := w.freeOps
-	if o != nil {
-		w.freeOps = o.nextLive
-	} else {
-		o = new(rmaOp)
-	}
+	o := w.eng.pl.ops.Get()
 	*o = op
 	o.ep.ops++
 	if withReq {
@@ -114,7 +109,7 @@ func (newMode) admit(w *Window, ep *Epoch, o *rmaOp) {
 	}
 }
 
-// retire returns op o to its window's free list once nothing can reach it
+// retire returns op o to its pool once nothing can reach it
 // any more, which takes all four of:
 //
 //  1. opDelivered has returned (settled). remoteDone is not enough: the
@@ -128,7 +123,7 @@ func (newMode) admit(w *Window, ep *Epoch, o *rmaOp) {
 //     delivered later, so they are left to the GC.
 //
 // Every place that can make the last of these true calls retire, so it runs
-// exactly once per op. The free list needs no lock on a sharded kernel:
+// exactly once per op. The pool needs no lock on a sharded kernel:
 // every caller runs on the origin rank's shard. opDelivered does — the ack is
 // an AtCross event to the origin (inline only intranode, and shards are
 // node-granular), the fetch response is delivered at the origin, and self
@@ -144,8 +139,7 @@ func (w *Window) retire(o *rmaOp) {
 	if debugPoisonRetired {
 		o.ep, o.class, o.target = nil, -1, -1
 	} else {
-		*o = rmaOp{nextLive: w.freeOps}
-		w.freeOps = o
+		w.eng.pl.ops.Put(o)
 	}
 	if ep.ops--; ep.ops == 0 {
 		w.recycle(ep)

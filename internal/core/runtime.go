@@ -16,13 +16,32 @@ type Runtime struct {
 	world   *mpi.World
 	engines []Engine
 	tracer  *trace.Recorder
+	// pools backs every window's ops and peer table (Engine.pl): the
+	// world's one set (one), or one per rank when sharded, so a set is
+	// only touched by its own shard.
+	pools []pools
+	one   [1]pools
+}
+
+// pools holds the recycled objects of one kernel context.
+type pools struct {
+	ops   sim.Pool[rmaOp]
+	peers peertab.Arena[peerCounters]
 }
 
 // NewRuntime attaches an RMA runtime to every rank of w.
 func NewRuntime(w *mpi.World) *Runtime {
 	rt := &Runtime{world: w, engines: make([]Engine, w.Size())}
+	rt.pools = rt.one[:]
+	if w.K == nil {
+		rt.pools = make([]pools, w.Size())
+	}
+	np := len(rt.pools)
+	for i := range rt.pools {
+		rt.pools[i].ops = sim.NewPool(func(o *rmaOp) **rmaOp { return &o.nextLive })
+	}
 	for i := range rt.engines {
-		rt.engines[i].init(rt, w.Rank(i))
+		rt.engines[i].init(rt, w.Rank(i), &rt.pools[i%np])
 	}
 	// When the fabric runs with fault injection, its one failure detector
 	// declares a dead peer here at the death plus DetectDelay: the local
@@ -117,7 +136,7 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 		noTrig:  opt.NoTriggeredOps,
 		chkCfl:  opt.CheckConflicts,
 		timeout: opt.EpochTimeout,
-		peers:   peertab.New[peerCounters](rt.world.Size()),
+		peers:   peertab.NewWorld(rt.world.Size(), &eng.pl.peers),
 
 		transport: opt.Transport,
 		sigBase:   opt.SignalBase,

@@ -24,7 +24,7 @@ type Window struct {
 	// ω-triples + done counters per peer (O(1) matching state): dense
 	// values for small worlds, sparse entries at scale so a 64k-rank world
 	// is not 64k² counter slots. Always via w.peer(i).
-	peers peertab.Table[peerCounters]
+	peers peertab.WorldTable[peerCounters]
 
 	// Control plane (control.go): the wire format, the base the signal
 	// format offsets its counters by, and the per-peer user-signal counters
@@ -52,9 +52,8 @@ type Window struct {
 	liveHead, liveTail *rmaOp
 	flushes            []flushReq
 
-	// freeOps chains retired ops for addOp to reuse (ops.go, retire), and
-	// freeEpochs finished epochs for newEpoch (recycle).
-	freeOps    *rmaOp
+	// freeEpochs chains finished epochs for newEpoch (recycle); retired
+	// ops go back to the engine's pool (Engine.pl).
 	freeEpochs *Epoch
 
 	// dirty asks the engine for an activation/completion scan.

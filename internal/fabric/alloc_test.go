@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -91,5 +92,13 @@ func BenchmarkNICPipeline(b *testing.B) {
 		p.Arg[3] = 1
 		nw.Send(p)
 		k.Drain()
+	}
+}
+
+// The pooled objects carry their pool's link in place: a Packet stays in
+// the 128-byte size class and a descriptor in the 64-byte one.
+func TestPooledObjectSizes(t *testing.T) {
+	if p, d := unsafe.Sizeof(Packet{}), unsafe.Sizeof(desc{}); p > 128 || d > 64 {
+		t.Errorf("Packet is %d bytes (max 128), desc %d (max 64)", p, d)
 	}
 }

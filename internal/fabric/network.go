@@ -25,18 +25,12 @@ type Network struct {
 	nics     []NIC
 	handlers []func(*Packet)
 
-	// sharded marks a network whose ranks are spread across a sim.Shards
-	// group: pools become per-rank.
+	// pools backs AllocPacket and the NICs (nic.go): the network's one set
+	// (one), or one per rank when sharded, named by the rank in whose
+	// context a call runs, so a set is only touched by its own shard.
+	pools   []pools
+	one     [1]pools
 	sharded bool
-
-	// pktFree is the packet free-list backing AllocPacket. It is owned by
-	// the simulation's single-threaded event loop, so no locking is needed
-	// — and being per-Network, concurrent simulations in the parallel
-	// harness never share it. On a sharded network the pool splits per rank
-	// (pktFreeBy): allocation and release each go to the pool of the rank in
-	// whose context they run, so a pool is only touched by its own shard.
-	pktFree   []*Packet
-	pktFreeBy [][]*Packet
 
 	// faults, when non-nil, routes every internode packet through the
 	// deterministic adversary (schedule.go) and — if its profile has message
@@ -95,11 +89,16 @@ func newNetwork(kernelFor func(int) *sim.Kernel, fabK *sim.Kernel, n int, cfg Co
 		ppn = 0 // no intranode peers
 	}
 	rails, fifos := make([]nicRail, n*rl), make([]*Fifo, n*ppn)
-	for r := range nw.nics {
-		nw.nics[r].init(nw, r, n, kernelFor(r), rails[r*rl:(r+1)*rl:(r+1)*rl], fifos[r*ppn:(r+1)*ppn])
-	}
+	nw.pools = nw.one[:]
 	if sharded {
-		nw.pktFreeBy = make([][]*Packet, n)
+		nw.pools = make([]pools, n)
+	}
+	np := len(nw.pools)
+	for i := range nw.pools {
+		nw.pools[i] = newPools()
+	}
+	for r := range nw.nics {
+		nw.nics[r].init(nw, r, n, kernelFor(r), &nw.pools[r%np], rails[r*rl:(r+1)*rl:(r+1)*rl], fifos[r*ppn:(r+1)*ppn])
 	}
 	if cfg.Topo.Kind != topo.Crossbar {
 		nw.topo = newTopoState(nw, n)
@@ -123,7 +122,7 @@ func (nw *Network) Lookahead() sim.Time {
 	return nw.Cfg.Alpha
 }
 
-// AllocPacket returns a zeroed packet from the network's free-list. Pooled
+// AllocPacket returns a zeroed packet from the network's pool. Pooled
 // packets are recycled automatically once their delivery handler returns:
 // senders whose handlers do not retain the packet (the RMA protocol) should
 // allocate here instead of building literals, which keeps the per-message
@@ -133,10 +132,7 @@ func (nw *Network) AllocPacket() *Packet {
 	if nw.sharded {
 		panic("fabric: AllocPacket on a sharded network; use AllocPacketAt(rank)")
 	}
-	if p := take(&nw.pktFree); p != nil {
-		return p
-	}
-	return &Packet{nw: nw, pooled: true}
+	return nw.pools[0].packet(nw)
 }
 
 // AllocPacketAt is AllocPacket for callers that may run on a sharded
@@ -144,30 +140,25 @@ func (nw *Network) AllocPacket() *Packet {
 // per-rank pool (touched only by its own shard) backs the allocation. On a
 // serial network it is identical to AllocPacket.
 func (nw *Network) AllocPacketAt(rank int) *Packet {
-	if !nw.sharded {
-		return nw.AllocPacket()
-	}
-	if p := take(&nw.pktFreeBy[rank]); p != nil {
-		return p
-	}
-	return &Packet{nw: nw, pooled: true}
+	return nw.nics[rank].pl.packet(nw)
+}
+
+// packet takes a packet of nw from the pool.
+func (pl *pools) packet(nw *Network) *Packet {
+	p := pl.pkt.Get()
+	p.nw, p.pooled = nw, true
+	return p
 }
 
 // release retires a packet the fabric is done with, in rank's context (the
 // destination at delivery, the source for a drop at source or an
-// acknowledged retained packet). A pooled packet is zeroed and returned to a
-// free-list — the shared one when serial, rank's own when sharded; a literal
-// is left to the collector.
+// acknowledged retained packet). A pooled packet goes back to the pool of
+// rank's context — the world's one when serial, rank's own when sharded; a
+// literal is left to the collector.
 func (nw *Network) release(rank int, p *Packet) {
-	if !p.pooled {
-		return
+	if p.pooled {
+		nw.nics[rank].pl.pkt.Put(p)
 	}
-	*p = Packet{nw: nw, pooled: true}
-	if nw.sharded {
-		nw.pktFreeBy[rank] = append(nw.pktFreeBy[rank], p)
-		return
-	}
-	nw.pktFree = append(nw.pktFree, p)
 }
 
 // N returns the number of ranks on the network.

@@ -1,13 +1,11 @@
 package fabric
 
 import (
-	"slices"
-
 	"repro/internal/peertab"
 	"repro/internal/sim"
 )
 
-// desc is one queued send descriptor, recycled through a per-NIC free-list,
+// desc is one queued send descriptor, taken from its kernel's pool (pools),
 // with the back-pointers the pipeline's capture-free callbacks need. On the
 // crossbar it is spent when its transmission starts; elsewhere it rides on
 // as the packet's in-flight identity until its credit comes back.
@@ -19,15 +17,35 @@ type desc struct {
 	wire    int64 // bytes charged to this rail (== pkt.Size unless striped)
 	stripe  *stripeGroup
 	regCost sim.Time // registration-cache miss penalty, charged as DMA setup
+	next    *desc    // the rail queue's link, or the pool's
 }
 
 // stripeGroup tracks one large transfer striped across the data rails: the
 // packet completes at the latest chunk end key, known when its last chunk
-// starts. Groups are recycled through a per-NIC free-list.
+// starts. Groups come from their kernel's pool (pools).
 type stripeGroup struct {
 	remaining int // chunks not yet started
 	end       sim.Time
 	seq       uint64
+	next      *stripeGroup // the pool's link
+}
+
+// pools holds the fabric's recycled objects of one kernel context: the
+// world's one set when it is serial, a rank's own when it is sharded, so a
+// set is only touched by its own shard.
+type pools struct {
+	desc   sim.Pool[desc]
+	stripe sim.Pool[stripeGroup]
+	pkt    sim.Pool[Packet]
+	peers  peertab.Arena[nicPeer] // the rails' credit tables
+}
+
+func newPools() pools {
+	return pools{
+		desc:   sim.NewPool(descLink),
+		stripe: sim.NewPool(func(g *stripeGroup) **stripeGroup { return &g.next }),
+		pkt:    sim.NewPool(func(p *Packet) **Packet { return &p.next }),
+	}
 }
 
 // NIC models one host channel adapter with Config.Rails() injection rails.
@@ -59,8 +77,7 @@ type NIC struct {
 	// only packet delivery and topology ingress cross shards.
 	k          *sim.Kernel
 	rails      []nicRail // control rail 0, then the Channels data rails
-	descFree   []*desc
-	stripeFree []*stripeGroup
+	pl         *pools    // the pools of the rank's kernel context
 	creditInit int
 	regs       regCache
 	fifos      []*Fifo // the intranode FIFOs into this rank, by source's place on the node
@@ -72,10 +89,10 @@ type NIC struct {
 // marking the end would sit; a crossbar credit is out up to its return key.
 type nicRail struct {
 	n         *NIC
-	queue     []*desc
+	queue     sim.Queue[desc]
 	busyUntil sim.Time
 	busySeq   uint64
-	peers     peertab.Table[nicPeer]
+	peers     peertab.WorldTable[nicPeer]
 	skipGen   uint64
 	returns   []creditReturn // crossbar credits out, in return order
 	idx       int32
@@ -98,12 +115,14 @@ func before(t1 sim.Time, s1 uint64, t2 sim.Time, s2 uint64) bool {
 
 // init builds rank's NIC in place on its rails and FIFO slots, slices of
 // the world's.
-func (nic *NIC) init(nw *Network, rank, n int, k *sim.Kernel, rails []nicRail, fifos []*Fifo) {
-	*nic = NIC{nw: nw, rank: rank, k: k, rails: rails, fifos: fifos, creditInit: nw.Cfg.CreditsPerPeer, regs: regCache{cap: nw.Cfg.RegCacheEntries}}
+func (nic *NIC) init(nw *Network, rank, n int, k *sim.Kernel, pl *pools, rails []nicRail, fifos []*Fifo) {
+	*nic = NIC{nw: nw, rank: rank, k: k, rails: rails, pl: pl, fifos: fifos, creditInit: nw.Cfg.CreditsPerPeer, regs: regCache{cap: nw.Cfg.RegCacheEntries}}
 	for i := range rails {
-		rails[i] = nicRail{n: nic, idx: int32(i), peers: peertab.New[nicPeer](n)}
+		rails[i] = nicRail{n: nic, idx: int32(i), queue: sim.NewQueue(descLink), peers: peertab.NewWorld(n, &pl.peers)}
 	}
 }
+
+func descLink(d *desc) **desc { return &d.next }
 
 // nicPeer is one destination's flow-control state; its zero value (no
 // outstanding credits, never skip-stamped) is a fresh entry.
@@ -112,33 +131,15 @@ type nicPeer struct {
 	skip    uint64
 }
 
-// take pops a recycled object off a free-list, or returns nil.
-func take[T any](free *[]*T) *T {
-	l := len(*free)
-	if l == 0 {
-		return nil
-	}
-	x := (*free)[l-1]
-	(*free)[l-1] = nil
-	*free = (*free)[:l-1]
-	return x
-}
-
 // newDesc takes a descriptor for a packet, or a chunk of one, on a rail.
 func (n *NIC) newDesc(p *Packet, rail int, wire int64) *desc {
-	d := take(&n.descFree)
-	if d == nil {
-		d = &desc{n: n}
-	}
-	d.pkt, d.dst, d.rail, d.wire = p, p.Dst, rail, wire
+	d := n.pl.desc.Get()
+	d.n, d.pkt, d.dst, d.rail, d.wire = n, p, p.Dst, rail, wire
 	return d
 }
 
-// freeDesc returns a spent descriptor to the free-list.
-func (n *NIC) freeDesc(d *desc) {
-	*d = desc{n: n}
-	n.descFree = append(n.descFree, d)
-}
+// freeDesc returns a spent descriptor to its pool.
+func (n *NIC) freeDesc(d *desc) { n.pl.desc.Put(d) }
 
 // dataRail reports whether a packet kind belongs to the data plane. Data
 // kinds toward one peer share a fixed affinity rail: eager/rendezvous
@@ -189,7 +190,7 @@ func (n *NIC) enqueue(p *Packet) {
 	if p.Size > 0 && !n.regs.touch(regionKeyFor(p)) {
 		d.regCost = n.nw.Cfg.RegMissCost
 	}
-	n.rails[rail].queue = append(n.rails[rail].queue, d)
+	n.rails[rail].queue.Push(d)
 	n.tryStart(rail)
 }
 
@@ -200,10 +201,7 @@ func (n *NIC) enqueue(p *Packet) {
 // extra in this model).
 func (n *NIC) enqueueStriped(p *Packet) {
 	dataRails := len(n.rails) - 1
-	g := take(&n.stripeFree)
-	if g == nil {
-		g = &stripeGroup{}
-	}
+	g := n.pl.stripe.Get()
 	g.remaining = dataRails
 	base, rem := p.Size/int64(dataRails), p.Size%int64(dataRails)
 	regMiss := !n.regs.touch(regionKeyFor(p))
@@ -216,7 +214,7 @@ func (n *NIC) enqueueStriped(p *Packet) {
 			d.regCost = n.nw.Cfg.RegMissCost
 		}
 		d.stripe = g
-		n.rails[1+i].queue = append(n.rails[1+i].queue, d)
+		n.rails[1+i].queue.Push(d)
 	}
 	for i := 0; i < dataRails; i++ {
 		n.tryStart(1 + i)
@@ -244,7 +242,7 @@ func (n *NIC) closed() bool { return n.nw.faults == nil && n.nw.topo == nil }
 func (n *NIC) tryStart(rail int) {
 	r := &n.rails[rail]
 	closed := n.closed()
-	for len(r.queue) > 0 {
+	for r.queue.Len() > 0 {
 		at, seq := n.k.Now(), n.k.Seq()
 		if before(at, seq, r.busyUntil, r.busySeq) {
 			if !closed {
@@ -260,8 +258,8 @@ func (n *NIC) tryStart(rail int) {
 			r.reclaim(at, seq)
 		}
 		r.skipGen++
-		var d *desc
-		for i, q := range r.queue {
+		var d, prev *desc
+		for q := r.queue.Head(); q != nil; prev, q = q, r.queue.Next(q) {
 			pc := r.peers.Get(q.dst)
 			if pc.skip == r.skipGen {
 				continue
@@ -270,7 +268,8 @@ func (n *NIC) tryStart(rail int) {
 				pc.skip = r.skipGen
 				continue
 			}
-			d, r.queue = q, slices.Delete(r.queue, i, i+1)
+			d = q
+			r.queue.Remove(prev, q)
 			break
 		}
 		if d == nil {
@@ -330,7 +329,7 @@ func (n *NIC) transmit(d *desc, at sim.Time) {
 		// there, when it has a hook, or when the queue waits for the wire;
 		// that event hands it on (wireEnd). Otherwise the handoff to the
 		// engine is scheduled now.
-		if r.ended = n.nw.faults != nil || d.pkt.OnTxDone != nil || len(r.queue) > 0; r.ended {
+		if r.ended = n.nw.faults != nil || d.pkt.OnTxDone != nil || r.queue.Len() > 0; r.ended {
 			k.AtCallSeq(end, r.busySeq, wireEnd, d)
 		} else {
 			k.AtCross(end, topoIngress, d, n.rank, -1)
@@ -350,8 +349,7 @@ func (n *NIC) transmit(d *desc, at sim.Time) {
 		if g.remaining > 0 {
 			pkt = nil
 		} else {
-			*g = stripeGroup{}
-			n.stripeFree = append(n.stripeFree, g)
+			n.pl.stripe.Put(g)
 		}
 	}
 	n.freeDesc(d)

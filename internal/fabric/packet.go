@@ -50,7 +50,6 @@ const (
 // the simulation moves Go values, and the latency model charges Size bytes).
 type Packet struct {
 	Src, Dst int
-	Kind     Kind
 	Size     int64
 	Payload  interface{}
 
@@ -73,6 +72,19 @@ type Packet struct {
 	Seq uint64
 	Ack uint64
 
+	// nw and pooled link the packet to the Network pool it came from (see
+	// Network.AllocPacket), and next chains it there while it is free.
+	// Pooled packets are recycled automatically after their delivery
+	// handler returns, so a handler that needs packet state beyond its own
+	// return must copy it out. Packets built as literals have pooled ==
+	// false and are never recycled.
+	nw   *Network
+	next *Packet
+
+	// Kind packs with the one-byte fields below, so that a Packet, its
+	// pool link included, stays within 128 bytes.
+	Kind Kind
+
 	// Rail records which of the source NIC's injection rails carried the
 	// packet (always 0 on a single-rail NIC). The reliability sublayer keys
 	// its per-link sequence spaces by rail — each (link, rail) pair is an
@@ -84,14 +96,7 @@ type Packet struct {
 	// checksum fails at the receiver, so it must be dropped there.
 	rel     bool
 	corrupt bool
-
-	// nw and pooled link the packet to the Network free-list it came from
-	// (see Network.AllocPacket). Pooled packets are recycled automatically
-	// after their delivery handler returns, so a handler that needs packet
-	// state beyond its own return must copy it out. Packets built as
-	// literals have pooled == false and are never recycled.
-	nw     *Network
-	pooled bool
+	pooled  bool
 }
 
 // Validate checks the packet's addressing and framing fields against a

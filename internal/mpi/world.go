@@ -144,7 +144,7 @@ func (w *World) RunTasks(mk func(r *Rank) sim.Task) error {
 	for i := range w.ranks {
 		r := &w.ranks[i]
 		r.Proc = &w.procs[i]
-		r.k.Launch(r.Proc, fmt.Sprintf("rank%d", i), mk(r))
+		r.k.Launch(r.Proc, "rank", i, mk(r))
 	}
 	return w.sim.Run()
 }

@@ -39,8 +39,10 @@ const scanMax = 16
 //
 // A sparse world table's first heap array holds its whole scan limit,
 // 2·⌈log2 n⌉ slots: the dissemination partners of a rank in both
-// directions (17 at 512 ranks) fit with one allocation and no index. A
-// world table that outgrows it turns dense if n ≤ denseMax.
+// directions (17 at 512 ranks) fit with no index. A world table that
+// outgrows it turns dense if n ≤ denseMax. A WorldTable takes that array
+// from an Arena and gives it back when it turns dense, so a crowded table
+// costs one allocation, its dense slice.
 //
 // A pointer from Get or Find is valid until the next call that adds a slot
 // (Add, Get of a new peer, Fill), and a table that holds a slot is not
@@ -53,6 +55,48 @@ type Table[T any] struct {
 	world  int32     // New's world size for a sparse world table, else 0
 	filled bool      // slot i holds rank i (Fill)
 	one    [1]slot[T]
+}
+
+// WorldTable is a world table whose sparse array comes from an arena the
+// tables of its world (or shard) share.
+type WorldTable[T any] struct {
+	Table[T]
+	arena *Arena[T]
+}
+
+// NewWorld is New for a WorldTable of arena a.
+func NewWorld[T any](n int, a *Arena[T]) WorldTable[T] { return WorldTable[T]{New[T](n), a} }
+
+// Get is Table.Get taking the sparse array from the arena.
+func (t *WorldTable[T]) Get(i int) *T { return t.get(i, t.arena) }
+
+// Arena hands the sparse world tables of one world (or one shard of it)
+// their first heap arrays, cut a chunk of arrays at a time as sim.Pool
+// cuts objects, and takes back the array of a table that turns dense. Like
+// the tables, it is touched from one kernel context only.
+type Arena[T any] struct {
+	free [][]slot[T]
+	made int // arrays allocated so far
+}
+
+// array returns an empty array with room for n slots (all of one arena's
+// tables share a world size, so every array it holds has room for n), a
+// fresh one from a nil arena.
+func (a *Arena[T]) array(n int) []slot[T] {
+	if a == nil {
+		return make([]slot[T], 0, n)
+	}
+	if len(a.free) == 0 {
+		c := min(max(a.made, 1), 64)
+		chunk := make([]slot[T], c*n)
+		for i := range c {
+			a.free = append(a.free, chunk[i*n:(i+1)*n:(i+1)*n])
+		}
+		a.made += c
+	}
+	s := a.free[len(a.free)-1]
+	a.free = a.free[:len(a.free)-1]
+	return s[:0]
 }
 
 type slot[T any] struct {
@@ -74,7 +118,10 @@ func New[T any](n int) Table[T] {
 }
 
 // Get returns the entry toward peer i, adding a zero one on first touch.
-func (t *Table[T]) Get(i int) *T {
+func (t *Table[T]) Get(i int) *T { return t.get(i, nil) }
+
+// get is Get for a table whose sparse array comes from arena a.
+func (t *Table[T]) get(i int, a *Arena[T]) *T {
 	if t.dense != nil {
 		return &t.dense[i]
 	}
@@ -91,9 +138,9 @@ func (t *Table[T]) Get(i int) *T {
 		case n == 0:
 			t.grow(1)
 		case t.world != 0 && n < lim:
-			t.grow(lim - n)
+			t.slots = append(a.array(lim), t.slots...)
 		case t.world != 0 && n == lim && t.world <= denseMax:
-			t.promote()
+			t.promote(a)
 			return &t.dense[i]
 		default:
 			t.grow(n)
@@ -117,11 +164,14 @@ func (t *Table[T]) scanLimit() int {
 }
 
 // promote turns a crowded sparse world table into the dense form, keeping
-// every value.
-func (t *Table[T]) promote() {
+// every value, and gives its array back to a.
+func (t *Table[T]) promote(a *Arena[T]) {
 	d := make([]T, t.world)
 	for _, s := range t.slots {
 		d[s.rank] = s.v
+	}
+	if a != nil {
+		a.free = append(a.free, t.slots)
 	}
 	t.dense, t.slots = d, nil
 }

@@ -278,3 +278,57 @@ func FuzzPeerTable(f *testing.F) {
 		}
 	})
 }
+
+// TestCrowdedWorldTableAllocs pins what a crowded world table costs: a
+// 512-rank WorldTable that every peer touches turns dense with one
+// allocation, its dense slice, since its sparse array comes from an arena
+// and goes back there. A Table's array is a second allocation, dropped.
+func TestCrowdedWorldTableAllocs(t *testing.T) {
+	var a Arena[int64]
+	wt, tab := new(WorldTable[int64]), new(Table[int64])
+	world := testing.AllocsPerRun(100, func() {
+		*wt = NewWorld(512, &a)
+		for i := 0; i < 512; i++ {
+			*wt.Get(i)++
+		}
+	})
+	plain := testing.AllocsPerRun(100, func() {
+		*tab = New[int64](512)
+		for i := 0; i < 512; i++ {
+			*tab.Get(i)++
+		}
+	})
+	if world != 1 || plain != 2 {
+		t.Errorf("crowding a 512-rank table allocates %.2f times as a WorldTable, %.2f as a Table; want 1 and 2", world, plain)
+	}
+}
+
+// World tables sharing an arena never share an array: tables that take
+// theirs from one chunk, fill them to the scan limit and crowd into the
+// dense form at different times each read back exactly what they wrote.
+func TestWorldTablesShareArena(t *testing.T) {
+	const n, tables = 512, 9
+	var a Arena[entry]
+	tabs := make([]WorldTable[entry], tables)
+	model := make([]map[int]int64, tables)
+	for k := range tabs {
+		tabs[k] = NewWorld(n, &a)
+		model[k] = map[int]int64{}
+	}
+	for step := 1; step <= 40*tables; step++ {
+		k := step % tables
+		if step > 20*tables && k%3 == 0 {
+			continue // a third of the tables stop before they crowd
+		}
+		peer := (step * 131) % n
+		tabs[k].Get(peer).a = int64(step)
+		model[k][peer] = int64(step)
+		for j := range tabs {
+			for p, v := range model[j] {
+				if got := tabs[j].Peek(p).a; got != v {
+					t.Fatalf("step %d: table %d peer %d reads %d, want %d", step, j, p, got, v)
+				}
+			}
+		}
+	}
+}

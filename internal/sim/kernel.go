@@ -325,19 +325,22 @@ func (k *Kernel) SpawnTask(name string, t Task) *Proc {
 // SpawnTaskAt registers a task proc first stepped at virtual time t.
 func (k *Kernel) SpawnTaskAt(at Time, name string, t Task) *Proc {
 	p := new(Proc)
-	k.launch(p, at, name, t)
+	k.launch(p, at, name, -1, t)
 	return p
 }
 
 // Launch is SpawnTask into p, a zero Proc the caller owns, so that a world
-// cuts its ranks' procs from one slice.
-func (k *Kernel) Launch(p *Proc, name string, t Task) { k.launch(p, k.now, name, t) }
+// cuts its ranks' procs from one slice. The proc is named prefix followed
+// by num, built only when the name is read.
+func (k *Kernel) Launch(p *Proc, prefix string, num int, t Task) {
+	k.launch(p, k.now, prefix, int32(num), t)
+}
 
 // launch registers p, stepping t from virtual time at. A Body task makes p
 // a Spawn proc.
-func (k *Kernel) launch(p *Proc, at Time, name string, t Task) {
+func (k *Kernel) launch(p *Proc, at Time, name string, num int32, t Task) {
 	c, _ := t.(*coro)
-	*p = Proc{k: k, Name: name, ID: len(k.procs), waitTag: waitTagNotStarted, task: t, co: c}
+	*p = Proc{k: k, name: name, num: num, ID: len(k.procs), waitTag: waitTagNotStarted, task: t, co: c}
 	k.procs = append(k.procs, p)
 	k.AtCall(at, wakeProc, p)
 }
@@ -430,7 +433,7 @@ func (k *Kernel) stepTask(p *Proc) {
 	p.waitTag = ""
 	p.runStep()
 	if !p.finished && !p.armed {
-		k.abort(fmt.Errorf("sim: task %q returned from Step without arming a wake or exiting", p.Name))
+		k.abort(fmt.Errorf("sim: task %q returned from Step without arming a wake or exiting", p.Name()))
 		p.finished = true
 	}
 	if p.finished {
@@ -455,9 +458,9 @@ func (p *Proc) recoverPanic() {
 	}
 	p.finished = true
 	if err, ok := r.(error); ok {
-		p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
+		p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name(), err))
 	} else {
-		p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
+		p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r))
 	}
 }
 
@@ -550,7 +553,7 @@ func (k *Kernel) parked() []string {
 	var names []string
 	for _, p := range k.procs {
 		if !p.finished {
-			names = append(names, fmt.Sprintf("%s(wait=%s)", p.Name, p.waitTag))
+			names = append(names, fmt.Sprintf("%s(wait=%s)", p.Name(), p.waitTag))
 		}
 	}
 	sort.Strings(names)
@@ -583,7 +586,7 @@ func (k *Kernel) reportInto(b *strings.Builder) int {
 			continue
 		}
 		n++
-		fmt.Fprintf(b, "  %s: waiting on %q", p.Name, p.waitTag)
+		fmt.Fprintf(b, "  %s: waiting on %q", p.Name(), p.waitTag)
 		if p.co != nil && p.co.next != nil {
 			if site, _ := p.co.next(); site != "" {
 				fmt.Fprintf(b, " at %s", site)

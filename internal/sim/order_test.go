@@ -18,7 +18,7 @@ type orderTask struct {
 
 func (t *orderTask) Step(p *Proc) {
 	for !p.Armed() {
-		t.log(p.Name, fmt.Sprintf("step%d", t.state))
+		t.log(p.Name(), fmt.Sprintf("step%d", t.state))
 		t.state++
 		switch t.state {
 		case 1:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"strconv"
 	"strings"
 )
 
@@ -25,9 +26,10 @@ import (
 // other procs or with event callbacks.
 type Proc struct {
 	k        *Kernel
-	Name     string
-	ID       int
+	name     string // the name, or its prefix for a numbered proc (Name)
+	num      int32  // a numbered proc's number (Launch), else -1
 	finished bool
+	ID       int
 	waitTag  string // human-readable description of what the proc waits on
 
 	// task is the proc's state machine, released when the proc finishes; co
@@ -37,6 +39,15 @@ type Proc struct {
 	task  Task
 	co    *coro
 	armed bool
+}
+
+// Name is the proc's name. A numbered proc's is built here, from its
+// prefix and number, since only reports and panics read it.
+func (p *Proc) Name() string {
+	if p.num < 0 {
+		return p.name
+	}
+	return p.name + strconv.Itoa(int(p.num))
 }
 
 // Task is a resumable proc body: a state machine whose Step is invoked in
@@ -117,7 +128,7 @@ func (p *Proc) park(tag string) {
 // proc would be woken twice for one logical wait — and panics.
 func (p *Proc) armWake(tag string) {
 	if p.armed {
-		panic(fmt.Sprintf("sim: task %q armed two wake sources in one Step", p.Name))
+		panic(fmt.Sprintf("sim: task %q armed two wake sources in one Step", p.Name()))
 	}
 	p.armed = true
 	p.waitTag = tag

@@ -169,7 +169,7 @@ func TestShardsReportsMatchSerial(t *testing.T) {
 			})
 		}
 		kernelFor(3).SpawnTask("rank3", &parityTask{sig: NewSignal(kernelFor(3)), done: new([]Time), state: 1})
-		provider := func(p *Proc) string { return "state of " + p.Name }
+		provider := func(p *Proc) string { return "state of " + p.Name() }
 		horizon := Time(0) // disabled
 		if watchdog {
 			horizon = 40

@@ -288,7 +288,7 @@ func driverBody(p *Proc) { p.Sleep(10) }
 // driver here sleeps across the task's start).
 func TestTaskReportIsTagAndProviderState(t *testing.T) {
 	k := NewKernel()
-	k.AddDiagProvider(func(p *Proc) string { return "state of " + p.Name })
+	k.AddDiagProvider(func(p *Proc) string { return "state of " + p.Name() })
 	k.Spawn("driver", driverBody)
 	k.SpawnTaskAt(5, "stuck", &stuckTask{sig: NewSignal(k)})
 	err := k.Run()

@@ -113,7 +113,7 @@ func TestWatchdogReportNamesDriverSite(t *testing.T) {
 func TestDeadlockReportIncludesDiagProviders(t *testing.T) {
 	k := NewKernel()
 	k.AddDiagProvider(func(p *Proc) string {
-		if p.Name == "stuck" {
+		if p.Name() == "stuck" {
 			return "epoch state: 1 pending"
 		}
 		return ""

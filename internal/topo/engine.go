@@ -41,9 +41,9 @@ type Engine struct {
 	// link-latency lookahead window to ship the delivery across shards.
 	deliver func(delay sim.Time, payload any, dst int)
 
-	links []linkState
-	free  []*token
-	ctr   metrics.Row // the topo.* counters: a world's fabric-wide row
+	links  []linkState
+	tokens sim.Pool[token]
+	ctr    metrics.Row // the topo.* counters: a world's fabric-wide row
 }
 
 // The engine-wide counters, in the fabric-wide row of a metrics set.
@@ -66,15 +66,16 @@ type linkStats struct {
 // linkState is the runtime state of one directed link. Two input queues
 // feed the wire: transit tokens (arrived over an upstream link, each
 // holding one of this link's buffer slots) and fresh host injections
-// (unbounded, holding nothing). Transit has priority, and a stalled head
+// (unbounded, holding nothing), both chained through the tokens' own
+// link. Transit has priority, and a stalled head
 // in one queue never blocks the other — the separation real bubble
 // routers use so that an injection waiting for its two-slot bubble cannot
 // head-of-line-block ring traffic that only needs one.
 type linkState struct {
 	e       *Engine
 	link    *Link
-	transit []*token
-	inject  []*token
+	transit sim.Queue[token]
+	inject  sim.Queue[token]
 	busy    bool
 	// slots counts free input-buffer credits of this link: reserved when an
 	// upstream transmission toward this link starts, released when the
@@ -101,7 +102,10 @@ type token struct {
 	// "already traveling inside this cycle" marker for the bubble rule.
 	heldSlot bool
 	enqT     sim.Time
+	nextTok  *token // the link queue's chain, or the pool's
 }
+
+func tokenLink(t *token) **token { return &t.nextTok }
 
 // NewEngine builds the runtime for a built graph, counting into a metrics
 // set of its own. deliver is invoked in kernel context for every packet that
@@ -114,7 +118,7 @@ func NewEngine(k *sim.Kernel, g *Graph, deliver func(delay sim.Time, payload any
 
 // NewEngineIn is NewEngine counting into ctr, a world's fabric-wide row.
 func NewEngineIn(k *sim.Kernel, g *Graph, deliver func(delay sim.Time, payload any, dst int), ctr metrics.Row) *Engine {
-	e := &Engine{K: k, G: g, deliver: deliver, ctr: ctr}
+	e := &Engine{K: k, G: g, deliver: deliver, ctr: ctr, tokens: sim.NewPool(tokenLink)}
 	e.links = make([]linkState, len(g.Links))
 	words := 0
 	for _, fs := range g.feeders {
@@ -126,25 +130,11 @@ func NewEngineIn(k *sim.Kernel, g *Graph, deliver func(delay sim.Time, payload a
 		ls.e = e
 		ls.link = &g.Links[i]
 		ls.slots = g.Links[i].Credits
+		ls.transit, ls.inject = sim.NewQueue(tokenLink), sim.NewQueue(tokenLink)
 		n := (len(g.feeders[i]) + 63) / 64
 		ls.waiters, arena = arena[:n:n], arena[n:]
 	}
 	return e
-}
-
-func (e *Engine) allocToken() *token {
-	if l := len(e.free); l > 0 {
-		t := e.free[l-1]
-		e.free[l-1] = nil
-		e.free = e.free[:l-1]
-		return t
-	}
-	return &token{e: e}
-}
-
-func (e *Engine) freeToken(t *token) {
-	*t = token{e: e}
-	e.free = append(e.free, t)
 }
 
 // Send injects a packet at host src toward host dst. The source-side queue
@@ -155,8 +145,8 @@ func (e *Engine) Send(payload any, src, dst int, size int64) {
 	if src == dst || src < 0 || dst < 0 || src >= e.G.N || dst >= e.G.N {
 		panic(fmt.Sprintf("topo: send %d->%d outside the %d-host topology", src, dst, e.G.N))
 	}
-	t := e.allocToken()
-	t.payload, t.size, t.dst = payload, size, dst
+	t := e.tokens.Get()
+	t.e, t.payload, t.size, t.dst = e, payload, size, dst
 	e.enqueue(&e.links[e.G.NextHop(src, dst)], t, false)
 }
 
@@ -166,11 +156,11 @@ func (e *Engine) enqueue(ls *linkState, t *token, held bool) {
 	t.heldSlot = held
 	t.enqT = e.K.Now()
 	if held {
-		ls.transit = append(ls.transit, t)
+		ls.transit.Push(t)
 	} else {
-		ls.inject = append(ls.inject, t)
+		ls.inject.Push(t)
 	}
-	if q := len(ls.transit) + len(ls.inject); q > ls.stats.MaxQueue {
+	if q := ls.transit.Len() + ls.inject.Len(); q > ls.stats.MaxQueue {
 		ls.stats.MaxQueue = q
 		e.ctr.Max(cMaxQueue, int64(q))
 	}
@@ -196,10 +186,10 @@ func (e *Engine) kick(ls *linkState) {
 	if ls.busy {
 		return
 	}
-	if len(ls.transit) > 0 && e.start(ls, &ls.transit) {
+	if ls.transit.Len() > 0 && e.start(ls, &ls.transit) {
 		return
 	}
-	if len(ls.inject) > 0 && e.start(ls, &ls.inject) {
+	if ls.inject.Len() > 0 && e.start(ls, &ls.inject) {
 		return
 	}
 }
@@ -208,8 +198,8 @@ func (e *Engine) kick(ls *linkState) {
 // transmission began. On a credit stall it charges CreditStalls once per
 // episode, registers ls as a waiter on the link it lacked a slot on, and
 // leaves the head queued for that link's next freed slot to re-kick.
-func (e *Engine) start(ls *linkState, q *[]*token) bool {
-	t := (*q)[0]
+func (e *Engine) start(ls *linkState, q *sim.Queue[token]) bool {
+	t := q.Head()
 	next := -1
 	if ls.link.To != t.dst {
 		next = e.G.NextHop(ls.link.To, t.dst)
@@ -227,10 +217,7 @@ func (e *Engine) start(ls *linkState, q *[]*token) bool {
 		ns.slots--
 	}
 	ls.stalled = false
-	n := len(*q)
-	copy(*q, (*q)[1:])
-	(*q)[n-1] = nil
-	*q = (*q)[:n-1]
+	q.Remove(nil, t)
 	t.next = next
 	ls.busy = true
 	waited, occ := e.K.Now()-t.enqT, ls.occupancy(t.size)
@@ -273,7 +260,7 @@ func tokenTxDone(x any) {
 		payload, dst := t.payload, t.dst
 		e.ctr.Add(cDelivered, 1)
 		lat := ls.link.Lat
-		e.freeToken(t)
+		e.tokens.Put(t)
 		e.deliver(lat, payload, dst)
 		return
 	}
@@ -360,7 +347,7 @@ func (e *Engine) HostDiag(host int) string {
 		if ls.link.From != host && ls.link.To != host {
 			continue
 		}
-		q := len(ls.transit) + len(ls.inject)
+		q := ls.transit.Len() + ls.inject.Len()
 		if ls.stats.QueuedTime == 0 && ls.stats.CreditStalls == 0 && q == 0 {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -451,9 +452,17 @@ func TestEngineAllocs(t *testing.T) {
 // (testing helper: quiescence means all queues drained).
 func (e *Engine) inFlight() bool {
 	for i := range e.links {
-		if ls := &e.links[i]; ls.busy || len(ls.transit) > 0 || len(ls.inject) > 0 {
+		if ls := &e.links[i]; ls.busy || ls.transit.Len() > 0 || ls.inject.Len() > 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// A token carries its queue's and pool's link in place and stays in the
+// 80-byte size class.
+func TestTokenSize(t *testing.T) {
+	if s := unsafe.Sizeof(token{}); s > 80 {
+		t.Errorf("token is %d bytes, max 80", s)
+	}
 }
