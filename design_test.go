@@ -39,7 +39,7 @@ func TestDocLineBudgets(t *testing.T) {
 // `find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l` does.
 // Like the doc budgets it is raised only by a change that says why: the code
 // is meant to shrink, not grow.
-const codeBudget = 16094
+const codeBudget = 16114
 
 func TestCodeLineBudget(t *testing.T) {
 	n := 0
@@ -308,14 +308,33 @@ func (l *loader) testUses(path string) map[*ast.Ident]types.Object {
 		withTests = l.check(path, append(l.parse(bp.TestGoFiles, path), l.files[path]...), l, uses)
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		l.check(path+"_test", l.parse(bp.XTestGoFiles, path), importerFunc(func(p string) (*types.Package, error) {
-			if p == path {
-				return withTests, nil
+		// As go test does, the module packages that import path are checked
+		// again against its test variant, so the external tests see one path.
+		variants := map[string]*types.Package{path: withTests}
+		var imp importerFunc
+		imp = func(p string) (*types.Package, error) {
+			if v, ok := variants[p]; ok {
+				return v, nil
 			}
-			return l.Import(p)
-		}), uses)
+			if _, ok := l.dirs[p]; !ok || !l.dependsOn(p, path) {
+				return l.Import(p)
+			}
+			variants[p] = l.check(p, l.files[p], imp, map[*ast.Ident]types.Object{})
+			return variants[p], nil
+		}
+		l.check(path+"_test", l.parse(bp.XTestGoFiles, path), imp, uses)
 	}
 	return uses
+}
+
+// dependsOn reports whether module package p imports path, directly or not.
+func (l *loader) dependsOn(p, path string) bool {
+	for _, q := range l.load(p).Imports() {
+		if _, ok := l.dirs[q.Path()]; ok && (q.Path() == path || l.dependsOn(q.Path(), path)) {
+			return true
+		}
+	}
+	return false
 }
 
 func (l *loader) build(path string) *build.Package {

@@ -63,9 +63,6 @@ type Epoch struct {
 	locPendAll int // issued-but-not-locally-complete ops (signal gating)
 	doneCount  int // done/unlock packets posted
 
-	// extents records access ranges when conflict checking is enabled.
-	extents []opExtent
-
 	// closeReq completes when the epoch completes (Section VII-C's closing
 	// request, which exists only for that). It is the zero value until the
 	// application closes the epoch — and for good in vanilla mode, whose
@@ -109,7 +106,7 @@ func newEpoch(w *Window, kind EpochKind) *Epoch {
 		ep = new(Epoch)
 	} else {
 		w.freeEpochs = ep.nextFree
-		*ep = Epoch{peers: ep.peers, extents: ep.extents[:0]}
+		*ep = Epoch{peers: ep.peers}
 		ep.peers.Reset()
 	}
 	ep.win, ep.kind, ep.seq = w, kind, w.nextEpochSeq

@@ -100,9 +100,6 @@ func (w *Window) addOp(op rmaOp, withReq bool) *mpi.Request {
 // admit records the op and issues it at once if its epoch is active and
 // the target has granted.
 func (newMode) admit(w *Window, ep *Epoch, o *rmaOp) {
-	if w.chkCfl {
-		w.checkConflict(o)
-	}
 	ep.record(o)
 	if ep.activated {
 		w.eng.issueBucket(ep, o.target)

@@ -66,11 +66,6 @@ type WinOptions struct {
 	// software-only progress design. Exists for the ablation benchmarks;
 	// leave false for the paper's design.
 	NoTriggeredOps bool
-	// CheckConflicts verifies the Section VI-C disjointness guarantee:
-	// with reorder flags on, any two concurrently incomplete epochs that
-	// touch overlapping target ranges (at least one writing) abort the
-	// run. Debug aid; O(ops^2) per window.
-	CheckConflicts bool
 	// EpochTimeout, when positive, bounds the virtual time an application-
 	// closed epoch may stay incomplete before the window aborts it with
 	// ErrTimeout (or ErrRankUnreachable when a dead peer is implicated).
@@ -134,7 +129,6 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 		n:       rt.world.Size(),
 		size:    size,
 		noTrig:  opt.NoTriggeredOps,
-		chkCfl:  opt.CheckConflicts,
 		timeout: opt.EpochTimeout,
 		peers:   peertab.NewWorld(rt.world.Size(), &eng.pl.peers),
 

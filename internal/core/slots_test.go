@@ -203,13 +203,13 @@ func TestOpenQueuesRetainNoClosedEpochs(t *testing.T) {
 		w, rt := testWorld(t, 2)
 		wins := make([]*Window, 2)
 		var collected atomic.Int64
-		// The finalizer sits on a sentinel only the epoch references (its
-		// unused conflict-extent array), not on the epoch: an access epoch
-		// and its ops point at each other, and a finalizer inside a cycle
-		// never runs.
+		// The finalizer sits on a sentinel only the epoch references (an
+		// unused epoch in its free-list link, which nothing reads while the
+		// epoch is open), not on the epoch: an access epoch and its ops
+		// point at each other, and a finalizer inside a cycle never runs.
 		watch := func(ep *Epoch) {
-			ep.extents = make([]opExtent, 1)
-			runtime.SetFinalizer(&ep.extents[0], func(*opExtent) { collected.Add(1) })
+			ep.nextFree = new(Epoch)
+			runtime.SetFinalizer(ep.nextFree, func(*Epoch) { collected.Add(1) })
 		}
 		runJob(t, w, func(r *mpi.Rank) {
 			win := rt.CreateWindow(r, 64, WinOptions{Mode: mode, ShapeOnly: true})

@@ -256,9 +256,6 @@ func (vanillaMode) forceIssue(w *Window, target int, from *Epoch) bool {
 // nothing older toward it is recorded (MVAPICH's in-epoch overlap for
 // GATS/fence, Section VIII-A); else the batch waits for the closing call.
 func (vanillaMode) admit(w *Window, ep *Epoch, o *rmaOp) {
-	if w.chkCfl {
-		w.checkConflict(o)
-	}
 	ep.record(o)
 	if ep.activated && ep.peers.Find(o.target).recHead == o {
 		w.eng.issueBucket(ep, o.target)

@@ -106,88 +106,3 @@ func TestVectorBadShapePanics(t *testing.T) {
 		t.Fatal("stride < blockLen should fail")
 	}
 }
-
-func TestConflictCheckerCatchesOverlap(t *testing.T) {
-	w, rt := testWorld(t, 2)
-	err := w.Run(func(r *mpi.Rank) {
-		win := rt.CreateWindow(r, 64, WinOptions{
-			Mode: ModeNew, Info: Info{AAAR: true}, CheckConflicts: true,
-		})
-		if r.ID == 0 {
-			// Two concurrently pending epochs writing the same range.
-			win.ILock(1, true)
-			win.Put(1, 0, []byte{1}, 1)
-			q1 := win.IUnlock(1)
-			win.ILock(1, true)
-			win.Put(1, 0, []byte{2}, 1) // overlap!
-			q2 := win.IUnlock(1)
-			r.Wait(q1, q2)
-		}
-	})
-	if err == nil {
-		t.Fatal("conflict checker should abort on overlapping concurrent epochs")
-	}
-}
-
-func TestConflictCheckerAllowsDisjoint(t *testing.T) {
-	w, rt := testWorld(t, 2)
-	runJob(t, w, func(r *mpi.Rank) {
-		win := rt.CreateWindow(r, 64, WinOptions{
-			Mode: ModeNew, Info: Info{AAAR: true}, CheckConflicts: true,
-		})
-		if r.ID == 0 {
-			win.ILock(1, true)
-			win.Put(1, 0, []byte{1}, 1)
-			q1 := win.IUnlock(1)
-			win.ILock(1, true)
-			win.Put(1, 8, []byte{2}, 1) // disjoint
-			q2 := win.IUnlock(1)
-			r.Wait(q1, q2)
-		}
-		r.Barrier()
-		win.Quiesce()
-	})
-}
-
-func TestConflictCheckerAllowsConcurrentReads(t *testing.T) {
-	w, rt := testWorld(t, 2)
-	runJob(t, w, func(r *mpi.Rank) {
-		win := rt.CreateWindow(r, 64, WinOptions{
-			Mode: ModeNew, Info: Info{AAAR: true}, CheckConflicts: true,
-		})
-		if r.ID == 0 {
-			buf1 := make([]byte, 8)
-			buf2 := make([]byte, 8)
-			win.ILock(1, false)
-			win.Get(1, 0, buf1, 8)
-			q1 := win.IUnlock(1)
-			win.ILock(1, false)
-			win.Get(1, 0, buf2, 8) // same range, read-read: fine
-			q2 := win.IUnlock(1)
-			r.Wait(q1, q2)
-		}
-		r.Barrier()
-		win.Quiesce()
-	})
-}
-
-func TestConflictCheckerUsesVectorSpan(t *testing.T) {
-	w, rt := testWorld(t, 2)
-	err := w.Run(func(r *mpi.Rank) {
-		win := rt.CreateWindow(r, 64, WinOptions{
-			Mode: ModeNew, Info: Info{AAAR: true}, CheckConflicts: true,
-		})
-		if r.ID == 0 {
-			win.ILock(1, true)
-			win.PutVector(1, 0, 3, 2, 8, nil) // span [0,18)
-			q1 := win.IUnlock(1)
-			win.ILock(1, true)
-			win.Put(1, 16, nil, 2) // inside the vector's span
-			q2 := win.IUnlock(1)
-			r.Wait(q1, q2)
-		}
-	})
-	if err == nil {
-		t.Fatal("conflict checker should flag overlap with a vector span")
-	}
-}

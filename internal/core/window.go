@@ -62,9 +62,6 @@ type Window struct {
 	// noTrig disables grant-triggered NIC-context issuing (ablation).
 	noTrig bool
 
-	// chkCfl enables the Section VI-C disjointness conflict checker.
-	chkCfl bool
-
 	// errorsReturn: a failed call records its error (WinOptions.ErrorsReturn).
 	errorsReturn bool
 

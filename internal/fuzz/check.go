@@ -23,8 +23,8 @@ func Verify(p *Program, mode core.Mode, res *RunResult) []string {
 	if res.Err != nil {
 		return []string{fmt.Sprintf("simulation error: %v", res.Err)}
 	}
-	// Every location of every window against the oracle's one rule.
-	problems := checkLocations(p, mode, res)
+	// Every access against the oracle's rules (oracle.go).
+	problems := checkAccesses(p, mode, res)
 	bad := func(format string, args ...interface{}) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}

@@ -4,30 +4,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/prog"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// The oracle holds every location to the rule the package comment states.
-// Its writes commute, so their fold is the final memory, and an order is
-// searched only where a fetch or a read observes the location. Ordering a
-// read against the program's synchronization is not checked. The arithmetic
-// is written independently of internal/core's combine, to cross-check it.
+// The oracle holds every access to the package comment's location rule, in
+// an order completion allows (accesses, memory.location), and the run to
+// Section VI-C (races). Its arithmetic is independent of internal/core's.
 
 // An access is one operation of the program: the op, its window and origin,
-// and the bytes it returned if it fetches.
+// the bytes it returned if it fetches, its epoch's span and Open, and the
+// Complete by which it is in (or was read from) its target's memory.
 type access struct {
-	o           *OpSpec
-	win, origin int
-	got         []byte
+	o                  *OpSpec
+	win, origin, after int  // after: the accesses the order search places first
+	early, late        bool // set by memory.check
+	got                []byte
+	sp                 *trace.Span
+	open, settle       sim.Time
 }
 
-// writes reports whether a changes its target's memory: every put and
-// accumulate but a NoOp one, and a CAS whose compare value matches.
-func (a *access) writes() bool {
-	return a.o.Kind != OpGet && !a.o.NoOp && (a.o.Kind != OpCAS || a.o.Match)
-}
+var noSpan = trace.Span{Open: trace.Unset, Complete: trace.Unset} // of an op whose epoch has none
 
 func (a *access) covers(loc, sz int64) bool { return a.o.Off < loc+sz && a.o.Off+a.o.Size > loc }
 
@@ -41,23 +42,45 @@ func (a *access) observed(loc, sz int64) (v, mask uint64) {
 	return le(a.got[lo-a.o.Off:hi-a.o.Off]) << (8 * (lo - loc)), ^uint64(0) >> (64 - 8*(hi-lo)) << (8 * (lo - loc))
 }
 
-// accesses lists every operation of p, pairing each rank's RunResult.Fetched
-// entries in program order with its fetching operations, and reports a rank
-// whose count of results differs.
+// A hold is a lock epoch: its span and its lock call.
+type hold struct {
+	sp *trace.Span
+	c  prog.Call
+}
+
+// accesses lists every operation of p, pairing each rank's fetches with its
+// RunResult.Fetched entries (reporting a count that differs) and its
+// epoch-opening calls with its spans in program order, then reports races.
+// A write settles as a fetch does unless its close is local: the paper's
+// design on the counter-signal transport.
 func accesses(p *Program, mode core.Mode, res *RunResult) (all []access, problems []string) {
-	all = make([]access, 0, p.OpCount())
+	all, holds := make([]access, 0, p.OpCount()), make([]hold, 0, len(res.Spans))
 	for r := 0; r < p.NRanks; r++ {
-		got, n := res.Fetched[r], 0
+		got, n, next, sp := res.Fetched[r], 0, 0, &noSpan
 		layout(p, mode, r, func(c prog.Call, o *OpSpec) {
+			// k is a blocking form, which its I-form follows (layout); AssertNoSucceed opens no epoch.
+			if k := c.Kind - 1 + c.Kind%2; o == nil && (k == prog.Fence && !c.Flag || k == prog.Start || k == prog.Post || k == prog.Lock || k == prog.LockAll) {
+				for sp = &noSpan; sp == &noSpan && next < len(res.Spans); next++ {
+					if res.Spans[next].Rank == r {
+						if sp = &res.Spans[next]; k == prog.Lock {
+							holds = append(holds, hold{sp, c})
+						}
+					}
+				}
+			}
 			if o == nil {
 				return
 			}
-			a := access{o: o, win: int(c.Win), origin: r}
+			a := access{o: o, win: int(c.Win), origin: r, sp: sp, open: sp.Open, settle: math.MaxInt64}
 			if o.Kind != OpPut && o.Kind != OpAcc {
 				if n < len(got) {
 					a.got = got[n]
 				}
 				n++
+			}
+			if sp.Complete != trace.Unset && !sp.Aborted && (a.got != nil || mode != core.ModeNew || res.Wins == nil ||
+				res.Wins[r][c.Win].Transport() == core.TransportGATS) {
+				a.settle = sp.Complete
 			}
 			all = append(all, a)
 		})
@@ -65,7 +88,32 @@ func accesses(p *Program, mode core.Mode, res *RunResult) (all []access, problem
 			problems = append(problems, fmt.Sprintf("rank %d: %d fetched results for %d fetching operations", r, len(got), n))
 		}
 	}
-	return all, problems
+	return all, races(all, holds, problems)
+}
+
+// races reports the first of two breaches of the synchronization: two
+// operations of one origin on one window (all lists them together) that
+// conflict in epochs whose [ActOrd, EndOrd] intervals overlap (Section
+// VI-C), or two lock epochs of one target, not both shared, that held the
+// lock at once, each over its [Grant, Complete] at least.
+func races(all []access, holds []hold, problems []string) []string {
+	for i := range all {
+		for j := i + 1; j < len(all) && all[j].origin == all[i].origin; j++ {
+			if a, b := &all[i], &all[j]; a.win == b.win && a.sp != b.sp && a.sp.ActOrd < b.sp.EndOrd && b.sp.ActOrd < a.sp.EndOrd && a.o.conflicts(*b.o) {
+				return append(problems, fmt.Sprintf("rank %d win %d: %s epoch %d and %s epoch %d progressed concurrently and conflict at rank %d (Section VI-C)",
+					a.origin, a.win, a.sp.Class, a.sp.Epoch, b.sp.Class, b.sp.Epoch, a.o.Target))
+			}
+		}
+	}
+	for i, a := range holds {
+		for _, b := range holds[i+1:] {
+			if a.c.Win == b.c.Win && a.c.Peer == b.c.Peer && (a.c.Flag || b.c.Flag) && a.sp.Grant < b.sp.Complete && b.sp.Grant < a.sp.Complete {
+				return append(problems, fmt.Sprintf("win %d rank %d: rank %d's lock epoch %d and rank %d's lock epoch %d held it at once, not both shared",
+					a.c.Win, a.c.Peer, a.sp.Rank, a.sp.Epoch, b.sp.Rank, b.sp.Epoch))
+			}
+		}
+	}
+	return problems
 }
 
 // memory holds one window of one rank to the rule: the accesses that target
@@ -79,17 +127,17 @@ type memory struct {
 	failed []uint64  // the search's dead ends, one bit per set of w
 }
 
-// checkLocations holds every location of every window of res to the rule.
-func checkLocations(p *Program, mode core.Mode, res *RunResult) []string {
+// checkAccesses holds every access of res to the oracle's rules.
+func checkAccesses(p *Program, mode core.Mode, res *RunResult) []string {
 	all, problems := accesses(p, mode, res)
 	m := memory{accs: make([]access, 0, len(all))}
 	for wi, ws := range p.Windows {
 		m.fold = make([]byte, ws.TotalSize(p.NRanks))
 		for t := 0; t < p.NRanks; t++ {
 			m.ws, m.wi, m.t, m.accs = ws, wi, t, m.accs[:0]
-			for _, a := range all {
-				if a.win == wi && a.o.Target == t {
-					m.accs = append(m.accs, a)
+			for i := range all {
+				if all[i].win == wi && all[i].o.Target == t {
+					m.accs = append(m.accs, all[i])
 				}
 			}
 			problems = m.check(res.Mems[wi][t], problems)
@@ -100,12 +148,19 @@ func checkLocations(p *Program, mode core.Mode, res *RunResult) []string {
 
 // check compares the final memory got with the fold of every write, then
 // holds each location a fetch or a read observes to the rule; one failing
-// location per window and rank is enough.
+// location per window and rank is enough. A fetch is early if a write over
+// its bytes settled before its epoch opened, late if one opened after.
 func (m *memory) check(got []byte, problems []string) []string {
 	clear(m.fold)
-	for _, a := range m.accs {
-		for loc := a.o.Off; a.writes() && loc < a.o.Off+a.o.Size; loc += m.size(loc) {
-			if v := m.combine(loc, le(m.fold[loc:loc+m.size(loc)]), m.operand(&a, loc)); m.size(loc) == 8 {
+	for i := range m.accs {
+		a := &m.accs[i]
+		for j := range m.accs {
+			if b := &m.accs[j]; a.got != nil && b.o.writes() && a.covers(b.o.Off, b.o.Size) {
+				a.early, a.late = a.early || b.settle < a.open, a.late || a.settle < b.open
+			}
+		}
+		for loc := a.o.Off; a.o.writes() && loc < a.o.Off+a.o.Size; loc += m.size(loc) {
+			if v := m.combine(loc, le(m.fold[loc:loc+m.size(loc)]), m.operand(a, loc)); m.size(loc) == 8 {
 				binary.LittleEndian.PutUint64(m.fold[loc:], v)
 			} else {
 				m.fold[loc] = byte(v)
@@ -120,8 +175,8 @@ func (m *memory) check(got []byte, problems []string) []string {
 		problems = append(problems, fmt.Sprintf("memory mismatch win %d rank %d off %d: got %#02x want %#02x",
 			m.wi, m.t, off, got[off], m.fold[off]))
 	}
-	for _, a := range m.accs {
-		for loc := a.o.Off - a.o.Off%m.size(a.o.Off); a.got != nil && loc < a.o.Off+a.o.Size; loc += m.size(loc) {
+	for i := range m.accs {
+		for a, loc := &m.accs[i], m.accs[i].o.Off-m.accs[i].o.Off%m.size(m.accs[i].o.Off); a.got != nil && loc < a.o.Off+a.o.Size; loc += m.size(loc) {
 			if p := m.location(loc); p != "" {
 				return append(problems, p)
 			}
@@ -131,16 +186,16 @@ func (m *memory) check(got []byte, problems []string) []string {
 }
 
 // location holds the location at loc to the rule; "" means it holds. The
-// search orders its writes and its reads (which write nothing) together;
-// reads of the first or the last state, on every order, need no place.
+// search orders its writes and its reads (which write nothing) together; a
+// read of the first (last) state needs no place unless early (late).
 func (m *memory) location(loc int64) string {
 	sz, search := m.size(loc), false
 	final := le(m.fold[loc : loc+sz])
 	m.w = m.w[:0]
 	for i := range m.accs {
 		if a := &m.accs[i]; a.covers(loc, sz) {
-			if v, mask := a.observed(loc, sz); a.writes() || v != 0 && v != final&mask {
-				m.w, search = append(m.w, a), search || a.got != nil
+			if v, mask := a.observed(loc, sz); a.o.writes() || !(v == 0 && !a.early) && !(v == final&mask && !a.late) {
+				a.after, m.w, search = 0, append(m.w, a), search || a.got != nil
 			}
 		}
 	}
@@ -150,17 +205,24 @@ func (m *memory) location(loc int64) string {
 	case len(m.w) > 20: // the generator stays far below 2^20 sets
 		return fmt.Sprintf("win %d rank %d off %d: %d writes and reads exceed the order search's bound", m.wi, m.t, loc, len(m.w))
 	}
+	for _, a := range m.w {
+		for j, b := range m.w {
+			if b.settle < a.open {
+				a.after |= 1 << j
+			}
+		}
+	}
 	m.failed = append(m.failed[:0], make([]uint64, (1<<len(m.w)+63)/64)...)
 	if m.order(loc, sz, 0, 0) {
 		return ""
 	}
-	return fmt.Sprintf("win %d rank %d off %d: no order of its writes explains what was fetched there (final %#x)",
+	return fmt.Sprintf("win %d rank %d off %d: no order of its writes that completion allows explains what was fetched there (final %#x)",
 		m.wi, m.t, loc, final)
 }
 
 // order reports whether the accesses outside the set s can follow the state
-// st of s, each fetch returning the state before its own write. Dead ends
-// are recorded, so each set is searched once.
+// st of s, each after its after set and each fetch returning the state
+// before its own write. Dead ends are recorded, so each set is searched once.
 func (m *memory) order(loc, sz int64, s int, st uint64) bool {
 	if s == 1<<len(m.w)-1 {
 		return true
@@ -170,14 +232,13 @@ func (m *memory) order(loc, sz int64, s int, st uint64) bool {
 	}
 	m.failed[s/64] |= 1 << (s % 64)
 	for i, a := range m.w {
-		if v, mask := a.observed(loc, sz); s&(1<<i) != 0 || st&mask != v {
+		if v, mask := a.observed(loc, sz); s&(1<<i) != 0 || a.after&^s != 0 || st&mask != v {
 			continue
 		}
-		next := st
-		if a.writes() {
-			next = m.combine(loc, st, m.operand(a, loc))
+		if !a.o.writes() { // a read that fits changes no state, so placing it now loses no order
+			return m.order(loc, sz, s|1<<i, st)
 		}
-		if m.order(loc, sz, s|1<<i, next) {
+		if m.order(loc, sz, s|1<<i, m.combine(loc, st, m.operand(a, loc))) {
 			return true
 		}
 	}

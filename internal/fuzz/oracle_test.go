@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // region names the part of window ws that offset x lies in.
@@ -96,7 +98,7 @@ func TestCorruptionReported(t *testing.T) {
 						written := false
 						for i := range all {
 							a := &all[i]
-							written = written || a.win == wi && a.o.Target == r && a.writes() && a.covers(int64(x), 1)
+							written = written || a.win == wi && a.o.Target == r && a.o.writes() && a.covers(int64(x), 1)
 						}
 						if !caught[f.name] && f.match(ws, int64(x), written) {
 							mem[x] ^= 0x80
@@ -184,9 +186,116 @@ func TestOrderRule(t *testing.T) {
 		},
 	} {
 		p, res := history(c.ops, c.got, c.mem)
-		got := strings.Join(checkLocations(p, core.ModeNew, res), "\n")
+		got := strings.Join(checkAccesses(p, core.ModeNew, res), "\n")
 		if c.where == "" && got != "" || c.where != "" && !strings.Contains(got, c.where) {
-			t.Errorf("%s: checkLocations said %q, want a problem at %q", c.name, got, c.where)
+			t.Errorf("%s: checkAccesses said %q, want a problem at %q", c.name, got, c.where)
+		}
+	}
+}
+
+// TestSynchronizationRules holds hand-built lock histories over two ranks,
+// with their epochs' spans, to the rules that read them: in each round,
+// each rank whose ops are not nil locks rank 1, exclusively unless the
+// history is shared. Three histories the program's synchronization
+// forbids are reported, and four it allows are not.
+func TestSynchronizationRules(t *testing.T) {
+	ws := WindowSpec{AccSize: 64, SliceSz: 64, Op: core.OpSum, DT: core.TUint64, Passive: true}
+	put := OpSpec{Kind: OpPut, Target: 1, Off: ws.SliceBase(0) + casSlotArea, Size: 1}
+	get := OpSpec{Kind: OpGet, Target: 1, Off: put.Off, Size: 1}
+	acc := func(val uint64) OpSpec { return OpSpec{Kind: OpAcc, Target: 1, Off: 0, Size: 8, Val: val} }
+	written := putByteAt(0, 0, put.Off)
+	if written == 0 {
+		t.Fatal("the put writes a zero byte, which no read can tell from the initial one")
+	}
+	// span is rank's epoch, open at open (and granted a nanosecond later),
+	// complete at end, activated and completed at the window's ordinals act
+	// and done.
+	span := func(rank int, epoch int64, open, end sim.Time, act, done int64) trace.Span {
+		return trace.Span{Rank: rank, Epoch: epoch, Class: trace.ClassLock, Open: open, Activate: open,
+			Grant: open + 1, Complete: end, ActOrd: act, EndOrd: done}
+	}
+	one := func(b byte) []byte { return []byte{b} }
+	for _, c := range []struct {
+		name   string
+		shared bool
+		ops    [][2][]OpSpec // per round, per rank
+		spans  []trace.Span
+		got    [][]byte // rank 0's fetches
+		mem    func(m []byte)
+		where  string // "" for a legal history
+	}{
+		{
+			name:  "a Get returns the initial byte of a put settled before its epoch opened",
+			ops:   [][2][]OpSpec{{{put}, nil}, {{get}, nil}},
+			spans: []trace.Span{span(0, 0, 0, 10, 1, 2), span(0, 1, 20, 30, 3, 4)},
+			got:   [][]byte{one(0)},
+			mem:   func(m []byte) { m[put.Off] = written },
+			where: fmt.Sprintf("win 0 rank 1 off %d: no order", put.Off),
+		},
+		{
+			name:   "a Get and a put in two epochs that progress concurrently",
+			shared: true,
+			ops:    [][2][]OpSpec{{{put}, nil}, {{get}, nil}},
+			spans:  []trace.Span{span(0, 0, 0, 10, 1, 3), span(0, 1, 5, 30, 2, 4)},
+			got:    [][]byte{one(0)},
+			mem:    func(m []byte) { m[put.Off] = written },
+			where:  "rank 0 win 0: lock epoch 0 and lock epoch 1 progressed concurrently and conflict at rank 1",
+		},
+		{
+			name:  "two exclusive holds of rank 1's lock overlap",
+			ops:   [][2][]OpSpec{{{}, {}}},
+			spans: []trace.Span{span(0, 0, 0, 10, 1, 2), span(1, 0, 5, 15, 1, 2)},
+			mem:   func([]byte) {},
+			where: "win 0 rank 1: rank 0's lock epoch 0 and rank 1's lock epoch 0 held it at once",
+		},
+		{
+			name:  "the Get's epoch opens after the put's completes, and the Get sees the put",
+			ops:   [][2][]OpSpec{{{put}, nil}, {{get}, nil}},
+			spans: []trace.Span{span(0, 0, 0, 10, 1, 2), span(0, 1, 20, 30, 3, 4)},
+			got:   [][]byte{one(written)},
+			mem:   func(m []byte) { m[put.Off] = written },
+		},
+		{
+			name:   "a Get and a put of other bytes in two epochs that progress concurrently",
+			shared: true,
+			ops:    [][2][]OpSpec{{{put}, nil}, {{{Kind: OpGet, Target: 1, Off: put.Off + 1, Size: 1}}, nil}},
+			spans:  []trace.Span{span(0, 0, 0, 10, 1, 3), span(0, 1, 5, 30, 2, 4)},
+			got:    [][]byte{one(0)},
+			mem:    func(m []byte) { m[put.Off] = written },
+		},
+		{
+			name:   "two Gets of one byte in two epochs that progress concurrently",
+			shared: true,
+			ops:    [][2][]OpSpec{{{get}, nil}, {{get}, nil}},
+			spans:  []trace.Span{span(0, 0, 0, 10, 1, 3), span(0, 1, 5, 30, 2, 4)},
+			got:    [][]byte{one(0), one(0)},
+			mem:    func([]byte) {},
+		},
+		{
+			name:   "two accumulates of one element in two epochs that progress concurrently",
+			shared: true,
+			ops:    [][2][]OpSpec{{{acc(1)}, nil}, {{acc(2)}, nil}},
+			spans:  []trace.Span{span(0, 0, 0, 10, 1, 3), span(0, 1, 5, 30, 2, 4)},
+			mem:    func(m []byte) { binary.LittleEndian.PutUint64(m, mix64(1)+mix64(2)) },
+		},
+	} {
+		p := &Program{NRanks: 2, Windows: []WindowSpec{ws}}
+		for _, ops := range c.ops {
+			rd := Round{Kind: RLock, LockTarget: []int{-1, -1}, LockShared: []bool{c.shared, c.shared},
+				Ops: ops[:], Nonblocking: make([]bool, 2), Compute: make([]int64, 2)}
+			for r := range ops {
+				if ops[r] != nil {
+					rd.LockTarget[r] = 1
+				}
+			}
+			p.Rounds = append(p.Rounds, rd)
+		}
+		mem := make([]byte, ws.TotalSize(2))
+		c.mem(mem)
+		res := &RunResult{Mems: [][][]byte{{make([]byte, len(mem)), mem}}, Fetched: [][][]byte{c.got, nil}, Spans: c.spans}
+		got := strings.Join(checkAccesses(p, core.ModeNew, res), "\n")
+		if c.where == "" && got != "" || c.where != "" && !strings.Contains(got, c.where) {
+			t.Errorf("%s: checkAccesses said %q, want a problem at %q", c.name, got, c.where)
 		}
 	}
 }

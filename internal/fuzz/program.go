@@ -38,11 +38,14 @@
 // or a put byte — to one rule (oracle.go): its writes have one order in which
 // every atomic fetch returns the state before its own write, every plain read
 // (RunResult.Fetched) returns a state the order passes through, and the last
-// state is the final memory.
+// state is the final memory. That order also respects completion, read from
+// the epochs' trace spans, and the spans hold the run to Section VI-C, which
+// the generator keeps (serialize); flush mode opens no epochs.
 package fuzz
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -119,6 +122,18 @@ type Round struct {
 	Compute []int64
 }
 
+// writes reports whether o changes its target's memory: every put and
+// accumulate but a NoOp one, and a CAS whose compare value matches.
+func (o *OpSpec) writes() bool { return o.Kind != OpGet && !o.NoOp && (o.Kind != OpCAS || o.Match) }
+
+// conflicts reports whether o and q, of one origin, may not progress in
+// concurrent epochs (Section VI-C): they overlap at one target, one writes,
+// and one is a put or get (a window's accumulates share one operator).
+func (o OpSpec) conflicts(q OpSpec) bool {
+	return o.Target == q.Target && o.Off < q.Off+q.Size && q.Off < o.Off+o.Size &&
+		(o.writes() || q.writes()) && min(o.Kind, q.Kind) <= OpGet
+}
+
 // casSlotArea reserves the head of every per-origin slice for CAS slots
 // (8 bytes each); puts start after it.
 const casSlotArea = 32
@@ -175,7 +190,7 @@ var accDTs = []core.DType{core.TInt64, core.TUint64, core.TByte}
 
 // Generate derives a complete program from seed. The same seed always yields
 // the same program (sim.RNG is stable across Go releases).
-func Generate(seed uint64) *Program { return generate(seed, false) }
+func Generate(seed uint64) *Program { return serialize(generate(seed, false)) }
 
 // GenerateFor derives the program seed runs under mode: Generate's, except
 // under core.ModeFlush. A flush-mode program has the same shape discipline,
@@ -190,7 +205,12 @@ func Generate(seed uint64) *Program { return generate(seed, false) }
 // most one lock per round and acquires it before blocking on anything else,
 // and in-flight releases complete autonomously (NIC-driven), so a
 // back-to-back re-acquire spins briefly rather than deadlocking.
-func GenerateFor(seed uint64, mode core.Mode) *Program { return generate(seed, mode == core.ModeFlush) }
+func GenerateFor(seed uint64, mode core.Mode) *Program {
+	if mode == core.ModeFlush {
+		return generate(seed, true)
+	}
+	return Generate(seed)
+}
 
 func generate(seed uint64, flush bool) *Program {
 	rng := sim.NewRNG(seed)
@@ -219,6 +239,25 @@ func generate(seed uint64, flush bool) *Program {
 	rounds := 3 + rng.Intn(8)
 	for i := 0; i < rounds; i++ {
 		p.Rounds = append(p.Rounds, genRound(rng, p, casUsed, flush))
+	}
+	return p
+}
+
+// serialize makes blocking each nonblocking access or lock epoch that may
+// race a later epoch of its rank and window: AAAR lets the later activate
+// first, no fence or lock_all epoch of the rank sits between, and their ops
+// conflict. It draws nothing.
+func serialize(p *Program) *Program {
+	for i, a := range p.Rounds {
+		for me := range a.Nonblocking {
+			for _, b := range p.Rounds[i+1:] {
+				if !a.Nonblocking[me] || a.Kind != RGATS && a.Kind != RLock || !p.Windows[a.Win].Info.AAAR ||
+					b.Win == a.Win && (b.Kind == RFence || b.Kind == RLockAll && b.Member[me]) {
+					break
+				}
+				a.Nonblocking[me] = b.Win != a.Win || !slices.ContainsFunc(a.Ops[me], func(x OpSpec) bool { return slices.ContainsFunc(b.Ops[me], x.conflicts) })
+			}
+		}
 	}
 	return p
 }
