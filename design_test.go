@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,7 +40,7 @@ func TestDocLineBudgets(t *testing.T) {
 // `find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l` does.
 // Like the doc budgets it is raised only by a change that says why: the code
 // is meant to shrink, not grow.
-const codeBudget = 16114
+const codeBudget = 16091
 
 func TestCodeLineBudget(t *testing.T) {
 	n := 0
@@ -452,35 +453,47 @@ func readFile(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestDocModeSeam holds DESIGN's claim that a window's mode plugs in at one
-// seam: outside internal/core/mode.go, no non-test file of core names a Mode
-// constant or reads a .mode field. Comments do not count.
+// TestDocModeSeam holds DESIGN's claim that a window's mode and its
+// transport each plug in at one seam: outside the seam's file, no non-test
+// file of core names one of the seam's constants or reads its field.
+// Comments do not count.
 func TestDocModeSeam(t *testing.T) {
 	names, err := filepath.Glob("internal/core/*.go")
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no core sources: %v", err)
 	}
-	fset := token.NewFileSet()
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") || filepath.Base(name) == "mode.go" {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if n.Sel.Name == "mode" {
-					t.Errorf("%s reads .mode: ask the window's mode implementation (mode.go) instead", fset.Position(n.Pos()))
+	seams := []struct {
+		file, field string
+		consts      []string
+	}{
+		{"mode.go", "mode", []string{"ModeNew", "ModeVanilla", "ModeFlush"}},
+		{"control.go", "transport", []string{"TransportGATS", "TransportSignal"}},
+	}
+	for _, seam := range seams {
+		t.Run(seam.field, func(t *testing.T) {
+			fset := token.NewFileSet()
+			for _, name := range names {
+				if strings.HasSuffix(name, "_test.go") || filepath.Base(name) == seam.file {
+					continue
 				}
-			case *ast.Ident:
-				if n.Name == "ModeNew" || n.Name == "ModeVanilla" || n.Name == "ModeFlush" {
-					t.Errorf("%s names %s: mode policy belongs behind the seam in mode.go", fset.Position(n.Pos()), n.Name)
+				f, err := parser.ParseFile(fset, name, nil, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						if n.Sel.Name == seam.field {
+							t.Errorf("%s reads .%s: ask the seam in %s instead", fset.Position(n.Pos()), seam.field, seam.file)
+						}
+					case *ast.Ident:
+						if slices.Contains(seam.consts, n.Name) {
+							t.Errorf("%s names %s: its policy belongs behind the seam in %s", fset.Position(n.Pos()), n.Name, seam.file)
+						}
+					}
+					return true
+				})
 			}
-			return true
 		})
 	}
 }

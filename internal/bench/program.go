@@ -85,7 +85,7 @@ func (pt pattern) measure() []float64 {
 
 // run runs the pattern on a fresh world — sharded across Shards() kernels
 // when the -shards flag is set, bit-identical either way — as task ranks or
-// as goroutine ranks (prog.Run.Exec), and panics on a simulation error (a
+// as coroutine ranks (prog.Run.Exec), and panics on a simulation error (a
 // deadlock is a bug). The run's samples are by slot: each slot is sampled by
 // one rank, once per pass.
 func (pt pattern) run(tasks bool) *prog.Run {

@@ -175,7 +175,7 @@ var topoQueued, topoStalls = metrics.Lookup("topo.queued_ns"), metrics.Lookup("t
 
 // scaleCellMode runs a cell in the given rank execution form: task ranks
 // (tasks=true, what the figure uses — 64k ranks fit one process without 64k
-// goroutine stacks) or goroutine ranks (TestScaleTaskParity pins
+// coroutine stacks) or coroutine ranks (TestScaleTaskParity pins
 // bit-identity between the two).
 //
 // A rank's program is, per iteration,

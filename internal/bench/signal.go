@@ -12,10 +12,10 @@ import (
 //
 // Two effects stack:
 //
-//   - Small messages: the signal transport completes the access epoch at
-//     local (wire) completion — the done rides as a one-sided counter write
-//     behind the data instead of waiting a remote acknowledgment round — so
-//     the epoch closes roughly an alpha+ack earlier than GATS at every size.
+//   - Small messages: a Start epoch's put settles at local (wire)
+//     completion on the signal transport (unlock and fence still wait for
+//     the remote ack), its done riding behind the data, so Complete returns
+//     roughly an alpha+ack earlier than GATS at every size.
 //   - Large messages: with Channels > 1 the NIC stripes the put across its
 //     data rails while signals keep the dedicated control rail, dividing the
 //     wire term by the rail count.

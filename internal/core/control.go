@@ -34,11 +34,13 @@ import (
 //   - persistence: the counter IS the history — a notification that lands
 //     before the waiter looks is still there when it catches up, which is
 //     exactly what Section VII-B demands of grants;
-//   - local-completion gating: because the NIC orders the done behind the
+//   - local completion: because the NIC orders the done behind the
 //     epoch's data toward the same peer, the origin may fire it at local
 //     (wire) completion instead of waiting for the remote ack, and
 //     MPI_WIN_COMPLETE needs only local completion — the signal
-//     transport's latency win (sigLocalGate).
+//     transport's latency win. It is the transport's one semantic effect,
+//     and settlesAtWire alone decides it; unlock and fence still wait for
+//     the remote ack.
 
 // channel names one control stream of a window toward one peer.
 type channel uint64
@@ -95,13 +97,39 @@ func (t Transport) String() string {
 	}
 }
 
-// sigLocalGate reports whether this window's access epochs complete on
-// local (wire) completion instead of remote completion. Only the paper's
-// design on the signal transport takes the relaxation: vanilla keeps its
-// remote gating so the signal transport changes only its wire
-// representation, and flush-mode completion semantics are flush-defined.
-func (w *Window) sigLocalGate() bool {
-	return w.transport == TransportSignal && w.rules.localGate
+// Transport returns the window's control-plane transport.
+func (w *Window) Transport() Transport { return w.transport }
+
+// setTransport checks and takes the window's transport options.
+func (w *Window) setTransport(opt WinOptions) {
+	if opt.Transport != TransportGATS && opt.Transport != TransportSignal {
+		w.raisef("unknown %s", opt.Transport)
+	}
+	w.transport, w.sigBase = opt.Transport, opt.SignalBase
+}
+
+// settlesAtWire reports whether op o leaves its epoch's outstanding count
+// at local (wire) completion instead of remote completion: a put or
+// accumulate of a GATS access epoch, on a window whose mode takes the
+// signal transport's relaxation. MPI_WIN_COMPLETE requires only local
+// completion, and the NIC's per-peer ordering keeps the done behind the
+// data, so the target still sees data before done. Fetch classes complete
+// locally only with their response; unlock and fence promise remote
+// completion; vanilla keeps its remote gating, so the signal transport
+// changes only its wire representation there.
+func (w *Window) settlesAtWire(o *rmaOp) bool {
+	return w.transport == TransportSignal && w.rules.localGate &&
+		o.ep.kind == EpochAccess && (o.class == opPut || o.class == opAcc)
+}
+
+// releaseNoCheck closes a NOCHECK passive epoch toward t, which never
+// engaged t's lock agent: on the signal transport it bumps t's user-signal
+// replica instead (the lock-free notify, observed with WaitSignal or
+// SignalCount); the typed plane sends nothing.
+func (w *Window) releaseNoCheck(t int) {
+	if w.transport == TransportSignal {
+		w.sendUserSignal(t)
+	}
 }
 
 // signalled reports whether channel ch between this rank and peer is a

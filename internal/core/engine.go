@@ -60,7 +60,7 @@ type Engine struct {
 // primitive that armed the task rank's wake; the repeat of the call takes it
 // from here instead of making the transition again. A rank has one call in
 // flight, so one record per engine serves every window. Fields but err are
-// written only on the pending path: on a goroutine rank they stay zero.
+// written only on the pending path: on a coroutine rank they stay zero.
 type callState struct {
 	win   *Window // CreateWindow: created, inside the barrier; Free: quiesced, inside it
 	ep    *Epoch  // epoch opens: built, not yet pushed; staged calls: the epoch waited on

@@ -59,8 +59,7 @@ type Epoch struct {
 	recLive          int // recorded-but-unissued op count
 
 	// Epoch-wide sums of the per-slot counters.
-	pendingAll int // issued-but-incomplete ops
-	locPendAll int // issued-but-not-locally-complete ops (signal gating)
+	pendingAll int // issued-but-unsettled ops (Window.settlesAtWire)
 	doneCount  int // done/unlock packets posted
 
 	// closeReq completes when the epoch completes (Section VII-C's closing
@@ -88,8 +87,7 @@ type Epoch struct {
 // epochPeer is one peer's slot in an epoch: everything the epoch knows about
 // that peer, on both sides.
 type epochPeer struct {
-	pending int32 // issued-but-incomplete ops toward the peer
-	locPend int32 // issued-but-not-locally-complete ops (signal gating)
+	pending int32 // issued-but-unsettled ops toward the peer
 
 	hasAccess, hasExpose bool  // accessID / exposeID assigned (at activation)
 	used                 bool  // the epoch communicated with the peer
@@ -223,24 +221,14 @@ func (ep *Epoch) allGranted() bool {
 }
 
 // accessSideDone reports whether all origin-side completion conditions
-// hold: activated, application-closed, nothing recorded, nothing in
-// flight, and every used target's done/unlock packet posted.
+// hold: activated, application-closed, nothing recorded, every issued op
+// settled (Window.settlesAtWire), and every used target's done/unlock
+// packet posted.
 func (ep *Epoch) accessSideDone() bool {
 	if !ep.kind.isAccessRole() {
 		return true
 	}
-	if !ep.activated || !ep.closedApp || ep.recLive > 0 {
-		return false
-	}
-	// Under signal-transport local-completion gating the origin side is
-	// done at wire completion (MPI_WIN_COMPLETE requires only local
-	// completion); the default plane waits for remote completion, whose
-	// ack doubles as the implicit done-ordering proof.
-	if ep.win.sigLocalGate() {
-		if ep.locPendAll > 0 {
-			return false
-		}
-	} else if ep.pendingAll > 0 {
+	if !ep.activated || !ep.closedApp || ep.recLive > 0 || ep.pendingAll > 0 {
 		return false
 	}
 	return ep.doneCount == ep.doneTargetCount()

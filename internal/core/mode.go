@@ -52,7 +52,7 @@ type modeRules struct {
 	families             uint8 // epoch families admitted, bit k for EpochKind k
 	nonblocking, noCheck bool  // I-forms and MPI_MODE_NOCHECK locks admitted
 	engineDriven         bool  // the engine, not the closing calls alone, activates and issues
-	localGate            bool  // signal-transport epochs complete locally (sigLocalGate)
+	localGate            bool  // signal-transport GATS puts settle at the wire (settlesAtWire)
 }
 
 var modes = [...]modeRules{

@@ -53,7 +53,6 @@ type rmaOp struct {
 	localDone  bool // payload left the origin buffer (wire transmission done)
 	remoteDone bool // transfer fulfilled at the target (and response received)
 	ctsWait    bool // large accumulate waiting for its rendezvous CTS
-	sigDone    bool // counted out of the epoch's local-completion gate (control.go)
 	live       bool // on the window's live list
 	logged     bool // on the epoch's program-order log
 	settled    bool // opDelivered has returned
@@ -110,8 +109,8 @@ func (newMode) admit(w *Window, ep *Epoch, o *rmaOp) {
 // any more, which takes all four of:
 //
 //  1. opDelivered has returned (settled). remoteDone is not enough: the
-//     completions opDelivered raises (request hooks, opSigDone ->
-//     maybeComplete) run while it still uses the op;
+//     completions opDelivered raises (request hooks, maybeComplete) run
+//     while it still uses the op;
 //  2. o is off its epoch's program-order log (an op issued through its
 //     target's queue stays logged until the next issueReady pass or the
 //     epoch's completion) and off its target queue (true from issue on);
@@ -217,10 +216,6 @@ func (e *Engine) issue(o *rmaOp) {
 	s := ep.peers.Get(o.target)
 	s.pending++
 	ep.pendingAll++
-	if ep.win.sigLocalGate() {
-		s.locPend++
-		ep.locPendAll++
-	}
 	if o.target == e.rank.ID {
 		// Self communication: fulfilled through the loopback path below.
 		e.deliverSelf(o)
@@ -287,42 +282,20 @@ func regionKey(w *Window) int64 {
 }
 
 // opLocalDone marks local completion (origin buffer reusable) and settles
-// local flushes.
+// local flushes, and the op itself where it settles at the wire.
 func (e *Engine) opLocalDone(o *rmaOp) {
 	if o.localDone {
 		return
 	}
 	o.localDone = true
-	o.ep.win.settleFlushes(o, true)
-	if o.class == opPut || o.class == opAcc {
-		// One-directional transfers are origin-complete at wire completion;
-		// fetch classes stay gated on their response (result landed).
-		e.opSigDone(o)
-	}
-	e.rank.Wake.Fire()
-}
-
-// opSigDone counts op o out of its epoch's local-completion gate (no-op
-// unless the window's mode completes locally; see control.go). Firing the done
-// signal here — at wire completion, before the remote ack — is safe because
-// the NIC's per-peer ordering queues the signal behind the op's data, so
-// the target still observes data before done; and MPI_WIN_COMPLETE only
-// requires local completion on the origin side.
-func (e *Engine) opSigDone(o *rmaOp) {
 	ep := o.ep
-	if o.sigDone || !ep.win.sigLocalGate() {
-		return
-	}
-	o.sigDone = true
-	s := ep.peers.Get(o.target)
-	s.locPend--
-	ep.locPendAll--
-	if s.locPend < 0 || ep.locPendAll < 0 {
-		ep.win.raisef("local-completion accounting went negative on %s (target %d)", ep, o.target)
-	}
-	if ep.closedApp {
-		ep.maybePostDone(o.target)
-		ep.maybeComplete()
+	ep.win.settleFlushes(o, true)
+	if ep.win.settlesAtWire(o) {
+		ep.settle(o)
+		if ep.closedApp {
+			ep.maybePostDone(o.target)
+			ep.maybeComplete()
+		}
 	}
 	e.rank.Wake.Fire()
 }
@@ -340,17 +313,13 @@ func (e *Engine) opDelivered(o *rmaOp) {
 		e.opLocalDone(o)
 	}
 	ep := o.ep
-	s := ep.peers.Get(o.target)
-	s.pending--
-	ep.pendingAll--
-	if s.pending < 0 || ep.pendingAll < 0 {
-		ep.win.raisef("op completion accounting went negative on %s (target %d)", ep, o.target)
+	if !ep.win.settlesAtWire(o) {
+		ep.settle(o)
 	}
 	ep.win.settleFlushes(o, false)
 	if o.req != nil {
 		o.req.Complete()
 	}
-	e.opSigDone(o) // fetch classes reach local completion with the response
 	if ep.closedApp && ep.win.rules.engineDriven {
 		ep.maybePostDone(o.target)
 		ep.maybeComplete()
@@ -361,6 +330,17 @@ func (e *Engine) opDelivered(o *rmaOp) {
 	}
 	o.settled = true
 	ep.win.retire(o)
+}
+
+// settle counts op o out of its epoch's outstanding ops, at the one point
+// Window.settlesAtWire chooses: local or remote completion.
+func (ep *Epoch) settle(o *rmaOp) {
+	s := ep.peers.Get(o.target)
+	s.pending--
+	ep.pendingAll--
+	if s.pending < 0 || ep.pendingAll < 0 {
+		ep.win.raisef("op completion accounting went negative on %s (target %d)", ep, o.target)
+	}
 }
 
 // maybePostDone posts the done/unlock packet for target t once every
@@ -376,17 +356,7 @@ func (ep *Epoch) maybePostDone(t int) {
 		return
 	}
 	s := ep.peers.Find(t)
-	if s == nil || s.donePosted || s.recHead != nil {
-		return
-	}
-	if ep.win.sigLocalGate() {
-		// Signal transport: the done/unlock may ride as soon as the last
-		// transfer toward t is on the wire — the NIC's per-peer FIFO keeps
-		// it behind the data (see opSigDone).
-		if s.locPend > 0 {
-			return
-		}
-	} else if s.pending > 0 {
+	if s == nil || s.donePosted || s.recHead != nil || s.pending > 0 {
 		return
 	}
 	switch ep.kind {
@@ -396,14 +366,10 @@ func (ep *Epoch) maybePostDone(t int) {
 		}
 		s.donePosted = true
 		ep.doneCount++
-		if !ep.noCheck {
+		if ep.noCheck {
+			ep.win.releaseNoCheck(t)
+		} else {
 			ep.win.eng.notify(ep.win, t, chUnlock, 0)
-		} else if ep.win.transport == TransportSignal {
-			// Lock-free notify variant: a NOCHECK passive epoch on the
-			// signal transport closes by bumping the target's user-signal
-			// replica instead of engaging the lock agent at all — the
-			// target observes the notify with WaitSignal/SignalCount.
-			ep.win.sendUserSignal(t)
 		}
 	case EpochAccess, EpochFence:
 		if s.used && !ep.granted(t) {

@@ -74,7 +74,7 @@ type WinOptions struct {
 	// Transport selects the control-plane wire format (control.go):
 	// TransportGATS (default) carries typed 8-byte control packets;
 	// TransportSignal carries grant/done notifications as one-sided
-	// counter-replica writes and — under ModeNew — completes access
+	// counter-replica writes and — under ModeNew — completes GATS access
 	// epochs at local (wire) completion. Collective.
 	Transport Transport
 	// SignalBase offsets the signal wire format's counters (control.go).
@@ -132,9 +132,6 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 		timeout: opt.EpochTimeout,
 		peers:   peertab.NewWorld(rt.world.Size(), &eng.pl.peers),
 
-		transport: opt.Transport,
-		sigBase:   opt.SignalBase,
-
 		errorsReturn: opt.ErrorsReturn,
 	}
 	if !opt.ShapeOnly {
@@ -142,9 +139,7 @@ func (rt *Runtime) newWindow(r *mpi.Rank, size int64, opt WinOptions) *Window {
 	}
 	w.agent = lockAgent{w: w, exclHolder: -1}
 	w.impl, w.rules = newModeImpl(w, opt)
-	if opt.Transport != TransportGATS && opt.Transport != TransportSignal {
-		w.raisef("unknown %s", opt.Transport)
-	}
+	w.setTransport(opt)
 	eng.windows = append(eng.windows, w)
 	eng.winList = append(eng.winList, w)
 	return w

@@ -80,6 +80,3 @@ func (w *Window) WaitSignal(src int, count int64) {
 	err.Peers = []int{src}
 	w.fail(err)
 }
-
-// Transport returns the window's control-plane transport.
-func (w *Window) Transport() Transport { return w.transport }

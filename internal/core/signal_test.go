@@ -49,8 +49,8 @@ func signalHandshake(t *testing.T, opt WinOptions, size int64) (got []byte, comp
 
 // TestSignalTransportHandshake proves the counter-signal re-expression of
 // the GATS handshake: same data semantics as the typed control plane, with
-// both the origin's Complete and the target's Wait strictly earlier — the
-// local-completion gating saves the remote-ack round on the origin and
+// both the origin's Complete and the target's Wait strictly earlier —
+// settling the put at the wire saves the remote-ack round on the origin and
 // moves the done signal to wire completion for the target.
 func TestSignalTransportHandshake(t *testing.T) {
 	_, gatsC, gatsW, _ := signalHandshake(t, WinOptions{Mode: ModeNew}, 4096)
@@ -66,6 +66,78 @@ func TestSignalTransportHandshake(t *testing.T) {
 	}
 	if st[cSignalsSent] == 0 {
 		t.Error("origin sent no counter-replica writes on the signal transport")
+	}
+}
+
+// TestSignalCloseSettlesWhereMPISays pins where each closing call of a
+// ModeNew window returns on either transport, by reading the target's
+// window memory at the instant the origin's call returns: Unlock,
+// UnlockAll and Fence promise remote completion, so the put must be in
+// target memory on both transports; only Complete may return at local
+// (wire) completion, and on the signal transport it does, earlier than on
+// the typed plane.
+func TestSignalCloseSettlesWhereMPISays(t *testing.T) {
+	payload := []byte("sixteen bytes!!!")
+	closes := []struct {
+		name  string
+		local bool                                       // the close completes locally on the signal transport
+		body  func(win *Window, r *mpi.Rank, put func()) // returns as the close does
+	}{
+		{"Unlock", false, func(win *Window, r *mpi.Rank, put func()) {
+			if r.ID == 0 {
+				win.Lock(1, true)
+				put()
+				win.Unlock(1)
+			}
+		}},
+		{"UnlockAll", false, func(win *Window, r *mpi.Rank, put func()) {
+			if r.ID == 0 {
+				win.LockAll()
+				put()
+				win.UnlockAll()
+			}
+		}},
+		{"Fence", false, func(win *Window, r *mpi.Rank, put func()) {
+			win.Fence(AssertNoPrecede)
+			if r.ID == 0 {
+				put()
+			}
+			win.Fence(AssertNoSucceed)
+		}},
+		{"Complete", true, func(win *Window, r *mpi.Rank, put func()) {
+			if r.ID == 0 {
+				win.Start([]int{1})
+				put()
+				win.Complete()
+			} else {
+				win.Post([]int{0})
+				win.WaitEpoch()
+			}
+		}},
+	}
+	for _, c := range closes {
+		returned := map[Transport]sim.Time{}
+		for _, tr := range []Transport{TransportGATS, TransportSignal} {
+			w, rt := testWorld(t, 2)
+			var landed bool
+			runJob(t, w, func(r *mpi.Rank) {
+				win := rt.CreateWindow(r, 64, WinOptions{Mode: ModeNew, Transport: tr})
+				c.body(win, r, func() { win.Put(1, 8, payload, int64(len(payload))) })
+				if r.ID == 0 {
+					returned[tr] = r.Now()
+					landed = string(rt.engines[1].windows[win.id].Bytes()[8:24]) == string(payload)
+				}
+				win.Quiesce()
+				r.Barrier()
+			})
+			if !landed && !(c.local && tr == TransportSignal) {
+				t.Errorf("%s on %s returned at %d ns before the put was in target memory", c.name, tr, returned[tr])
+			}
+		}
+		if c.local && returned[TransportSignal] >= returned[TransportGATS] {
+			t.Errorf("signal Complete returned at %d ns, not before gats at %d ns",
+				returned[TransportSignal], returned[TransportGATS])
+		}
 	}
 }
 

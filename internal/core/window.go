@@ -560,9 +560,9 @@ func (newMode) quiesced(w *Window) bool {
 	if len(w.epochs) != 0 {
 		return false
 	}
-	// Local-completion gating lets signal-transport epochs complete with
-	// remote completions still in flight; freeing the window under them
-	// would strand their acks, so quiescence also drains the live list
-	// (emptied exactly at remote completion; an abort empties it too).
-	return w.transport != TransportSignal || w.liveHead == nil
+	// An op that settles at the wire lets its epoch complete with the
+	// remote completion still in flight; freeing the window under it would
+	// strand the ack, so quiescence also drains the live list (emptied
+	// exactly at remote completion; an abort empties it too).
+	return w.liveHead == nil
 }

@@ -51,15 +51,18 @@ type hold struct {
 // accesses lists every operation of p, pairing each rank's fetches with its
 // RunResult.Fetched entries (reporting a count that differs) and its
 // epoch-opening calls with its spans in program order, then reports races.
-// A write settles as a fetch does unless its close is local: the paper's
-// design on the counter-signal transport.
+// A write settles at its epoch's Complete, as a fetch does, unless that
+// Complete may come before it is in target memory: an epoch opened by
+// Start on a ModeNew window of the counter-signal transport, whose puts and
+// accumulates settle at the wire (core's Window.settlesAtWire).
 func accesses(p *Program, mode core.Mode, res *RunResult) (all []access, problems []string) {
 	all, holds := make([]access, 0, p.OpCount()), make([]hold, 0, len(res.Spans))
 	for r := 0; r < p.NRanks; r++ {
-		got, n, next, sp := res.Fetched[r], 0, 0, &noSpan
+		got, n, next, sp, start := res.Fetched[r], 0, 0, &noSpan, false
 		layout(p, mode, r, func(c prog.Call, o *OpSpec) {
 			// k is a blocking form, which its I-form follows (layout); AssertNoSucceed opens no epoch.
 			if k := c.Kind - 1 + c.Kind%2; o == nil && (k == prog.Fence && !c.Flag || k == prog.Start || k == prog.Post || k == prog.Lock || k == prog.LockAll) {
+				start = k == prog.Start
 				for sp = &noSpan; sp == &noSpan && next < len(res.Spans); next++ {
 					if res.Spans[next].Rank == r {
 						if sp = &res.Spans[next]; k == prog.Lock {
@@ -78,7 +81,7 @@ func accesses(p *Program, mode core.Mode, res *RunResult) (all []access, problem
 				}
 				n++
 			}
-			if sp.Complete != trace.Unset && !sp.Aborted && (a.got != nil || mode != core.ModeNew || res.Wins == nil ||
+			if sp.Complete != trace.Unset && !sp.Aborted && (a.got != nil || !start || mode != core.ModeNew || res.Wins == nil ||
 				res.Wins[r][c.Win].Transport() == core.TransportGATS) {
 				a.settle = sp.Complete
 			}

@@ -133,7 +133,7 @@ func Execute(p *Program, mode core.Mode) *RunResult { return ExecuteWith(p, mode
 func ExecuteWith(p *Program, mode core.Mode, a Arm) *RunResult { return execute(p, mode, a, nil, true) }
 
 // execute is ExecuteWith on task ranks or, as the reference the tests pin
-// them against, on goroutine ranks. faults, when non-nil, is the fabric's
+// them against, on coroutine ranks. faults, when non-nil, is the fabric's
 // adversary in place of the one a derives: a hand-written schedule.
 func execute(p *Program, mode core.Mode, a Arm, faults *fabric.FaultProfile, tasks bool) *RunResult {
 	if faults == nil && a.Lossy {

@@ -289,7 +289,7 @@ func fmtDur(t sim.Time) string {
 func Run(opt Options) *Result { return serve(opt, true) }
 
 // serve runs the scenario with its ranks as task ranks or, as the parity
-// tests' reference, as goroutine ranks (prog.Run.Exec); the two Results are
+// tests' reference, as coroutine ranks (prog.Run.Exec); the two Results are
 // identical.
 func serve(opt Options, tasks bool) *Result {
 	opt.validate()

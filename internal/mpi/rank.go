@@ -35,7 +35,7 @@ type Rank struct {
 
 	// pending records which primitive the call in flight on a task rank was
 	// in when it last returned pending, waitStart when its wait began, and
-	// waitReq the request a blocking call waits on (IssueWait). A goroutine
+	// waitReq the request a blocking call waits on (IssueWait). A coroutine
 	// rank's calls never return pending, so all three stay zero.
 	pending   pendingIn
 	waitStart sim.Time
@@ -80,7 +80,7 @@ func (r *Rank) Now() sim.Time { return r.k.Now() }
 // Every call of this package and of internal/core is built from three
 // primitives — charge the call overhead (ChargeCall), make a zero-time state
 // transition, wait for a predicate (WaitUntil) — and is defined once, for
-// both rank execution forms. On a goroutine rank the primitives block inline
+// both rank execution forms. On a coroutine rank the primitives block inline
 // and the call returns complete, always. On a task rank (sim.Task) a
 // primitive that has to wait arms the proc's wake and the call returns
 // pending at once; the task's Step must then return and make the identical
@@ -91,7 +91,7 @@ func (r *Rank) Now() sim.Time { return r.k.Now() }
 
 // Pending reports whether the call just made on this rank returned before
 // completing: the task rank's Step must return and repeat it at its next
-// Step. Always false on a goroutine rank.
+// Step. Always false on a coroutine rank.
 func (r *Rank) Pending() bool { return r.Proc.Armed() }
 
 // pause advances the rank's proc by d and reports whether that is done;
@@ -162,7 +162,7 @@ func (r *Rank) Progress() {
 // WaitUntil waits until pred holds, driving Progress and accounting the
 // elapsed time as MPI time, and reports whether it does; false means the
 // call is pending. tag describes the wait for deadlock diagnostics. Each
-// Step of a task rank is one iteration of the goroutine rank's loop.
+// Step of a task rank is one iteration of the coroutine rank's loop.
 func (r *Rank) WaitUntil(tag string, pred func() bool) bool {
 	start := r.Now()
 	if r.pending == inWait {

@@ -151,7 +151,7 @@ func (w *World) RunTasks(mk func(r *Rank) sim.Task) error {
 
 // RunProgram runs mk's rank program — a sim.Task that makes one MPI call per
 // state and returns while Rank.Pending — on every rank: as task ranks
-// (RunTasks) when tasks is set, else as blocking ranks (Run), whose calls
+// (RunTasks) when tasks is set, else as coroutine ranks (Run), whose calls
 // never return pending, so a single Step from the body runs the whole
 // program. The two forms are bit-identical.
 func (w *World) RunProgram(mk func(r *Rank) sim.Task, tasks bool) error {

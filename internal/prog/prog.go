@@ -8,7 +8,7 @@
 // core.WinOptions.ErrorsReturn ends its Gen block and its error goes to the
 // Generator; outside a Gen block it is fatal. Every figure, every fuzzed
 // program and the kv store's clients are Programs, run on task ranks or, as
-// the parity tests' reference, on goroutine ranks (mpi.World.RunProgram).
+// the parity tests' reference, on coroutine ranks (mpi.World.RunProgram).
 package prog
 
 import (
@@ -158,7 +158,7 @@ func (run *Run) Slots(n, capacity int) {
 	}
 }
 
-// Exec runs mk's program on every rank, as task ranks or goroutine ranks
+// Exec runs mk's program on every rank, as task ranks or coroutine ranks
 // (mpi.World.RunProgram); the two are bit-identical. The ranks' tasks are
 // one slice.
 func (run *Run) Exec(mk func(r *mpi.Rank) Program, tasks bool) error {
